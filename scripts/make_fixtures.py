@@ -13,11 +13,12 @@ import json
 import random
 import re
 import sys
+import tempfile
 from pathlib import Path
 
-from doc2table.cli import _generate_all, _retrieve_all, main as cli_main
-from doc2table.config import BuiltProviders
-from doc2table.generation import GenerationConfig, StructurePlan, build_fill_prompt, build_oneshot_prompt, build_structure_prompt
+from doc2table.cli import generate_stage, main as cli_main, retrieve_stage
+from doc2table.config import BuiltProviders, RunConfig
+from doc2table.generation import StructurePlan, build_fill_prompt, build_oneshot_prompt, build_structure_prompt
 from doc2table.annotate import build_question_prompt
 from doc2table.html_io import serialize_html
 from doc2table.model import CoordTree, HierarchicalTable, leaf_coords, leaf_label_paths
@@ -29,7 +30,7 @@ from doc2table.providers import (
     ScriptedProvider,
     Transcript,
 )
-from doc2table.retrieval import DocumentStore, RetrievalRecord, retrieve_top_k, rewrite_sentences
+from doc2table.retrieval import DocumentStore, retrieve_top_k, rewrite_sentences
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -582,11 +583,15 @@ def record_pipeline_transcripts(out: Path) -> None:
             embedder=HashingEmbedder(),
             pending_transcripts=[],
         )
-        results = _retrieve_all(triples, documents, built, 10, "round_robin", True)
-        records = {t.triple_id: RetrievalRecord.from_dict(r) for t, r in results}
-        _, tables_out, _, errors = _generate_all(triples, records, built.chat, GenerationConfig())
+        config = RunConfig(k=10)
+        with tempfile.TemporaryDirectory() as scratch:
+            stage_out = Path(scratch)
+            records, _ = retrieve_stage(
+                triples, out / "questions.jsonl", documents, built, config, stage_out
+            )
+            generated, errors = generate_stage(triples, records, built.chat, config, stage_out)
         assert not errors, errors
-        assert len(tables_out) == len(triples)
+        assert len(generated) == len(triples)
         chat_transcript.save(chat_path)
         if rewrite_path is not None:
             rewrite_transcript.save(rewrite_path)

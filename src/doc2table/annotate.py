@@ -250,14 +250,6 @@ def build_question_prompt(table: HierarchicalTable) -> str:
 
 
 @dataclass(frozen=True)
-class QuestionDraft:
-    """A generated question moving through manual refinement."""
-
-    text: str
-    status: str = "generated"  # generated | refined | accepted
-
-
-@dataclass(frozen=True)
 class CorpusStats:
     n_triples: int
     mean_input_tokens: float | None

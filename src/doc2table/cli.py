@@ -1,6 +1,11 @@
 """Command-line pipeline over the on-disk dataset formats.
 
 Subcommands: annotate, retrieve, generate, evaluate, stats, pipeline.
+``retrieve`` runs :func:`retrieve_stage`, ``generate`` runs
+:func:`generate_stage` over a saved ``retrieval.jsonl``, and ``pipeline``
+runs both, handing the records over in memory, then evaluates. Settings
+come from one ``RunConfig``, built from flags or loaded by ``pipeline``.
+
 All outputs are written atomically and deterministically (sorted JSON
 keys, input order preserved), so a replayed run reproduces its output
 directory byte for byte. Exit codes: 0 success, 1 runtime failure,
@@ -18,13 +23,13 @@ from pathlib import Path
 from . import annotate as ann
 from . import data
 from .config import BuiltProviders, ProviderSpec, RunConfig, build_providers, flush_transcripts
-from .generation import GenerationConfig, StageFailure, run_tabtalk, trace_to_dict
+from .generation import StageFailure, run_tabtalk, trace_to_dict
 from .html_io import parse_html_table, serialize_html
 from .metrics import aggregate_scores, recall_at_k, table_scores
-from .providers import ProviderError
-from .retrieval import DocumentStore, retrieve_top_k, rewrite_question, rewrite_sentences
-
-logger = logging.getLogger(__name__)
+from .model import HierarchicalTable
+from .providers import ChatProvider, ProviderError
+from .retrieval import DEFAULT_TOP_K, DocumentStore, RetrievalRecord
+from .retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
 
 RECALL_KS = (10, 20, 30)
 
@@ -49,96 +54,149 @@ def _provider_spec(role: str, value: str) -> ProviderSpec:
     raise ValueError(f"unknown {role} provider spec {value!r}")
 
 
-def _rewritten_stores(
-    documents: dict[str, DocumentStore], built: BuiltProviders, rewrite_docs: bool
-) -> dict[str, DocumentStore]:
-    if not rewrite_docs:
-        return documents
-    return {
-        doc_id: rewrite_sentences(store, built.rewriter)
-        for doc_id, store in documents.items()
-    }
+def _check_doc_ids(path: str | Path, doc_ids: list[str], documents: dict) -> None:
+    """Reject the first row whose doc_id names no document, by its 1-based file line."""
+    for doc_id in doc_ids:
+        if doc_id not in documents:
+            line = next(n for n, obj in data.read_jsonl(path) if obj.get("doc_id") == doc_id)
+            raise data.InputFormatError(path, line, "doc_id", f"unknown doc_id {doc_id!r}")
 
 
-def _retrieve_all(
+def _recall(triples: list[ann.QaTriple], records: dict[str, RetrievalRecord], k: int) -> dict:
+    """recall@{10,20,30} (capped at k) per triple with relevant ids, plus means; {} if none."""
+    ks = [x for x in RECALL_KS if x <= k] or [k]
+    rows = []
+    for triple in triples:
+        if triple.relevant_sentence_ids:
+            ranked = records[triple.triple_id].merged_ids()
+            rows.append(
+                {
+                    "id": triple.triple_id,
+                    "recall_at_k": {
+                        str(x): recall_at_k(ranked, triple.relevant_sentence_ids, x) for x in ks
+                    },
+                }
+            )
+    if not rows:
+        return {}
+    means = {str(x): sum(r["recall_at_k"][str(x)] for r in rows) / len(rows) for x in ks}
+    return {"per_item": rows, "mean": means}
+
+
+def retrieve_stage(
     triples: list[ann.QaTriple],
+    triples_path: str | Path,
     documents: dict[str, DocumentStore],
     built: BuiltProviders,
-    k: int,
-    merge: str,
-    rewrite_docs: bool,
-) -> list[tuple[ann.QaTriple, dict]]:
-    stores = _rewritten_stores(documents, built, rewrite_docs)
-    out = []
+    config: RunConfig,
+    out: Path,
+) -> tuple[dict[str, RetrievalRecord], dict]:
+    """Stage one: rewrite, rank top-k per question; write retrieval.jsonl and recall.json.
+
+    Returns the record per triple id and the recall report; with no
+    relevant ids in any triple the report is {} and recall.json is not written.
+    """
+    _check_doc_ids(triples_path, [t.doc_id for t in triples], documents)
+    if config.rewrite_docs:
+        documents = {
+            doc_id: rewrite_sentences(store, built.rewriter) for doc_id, store in documents.items()
+        }
+    retrieved = []
     for triple in triples:
-        if triple.doc_id not in stores:
-            raise data.InputFormatError(
-                "<triples>", 0, "doc_id", f"unknown doc_id {triple.doc_id!r}"
-            )
         rewrite = rewrite_question(triple.question, built.rewriter)
         record = retrieve_top_k(
-            stores[triple.doc_id],
+            documents[triple.doc_id],
             list(rewrite.sub_questions),
             built.embedder,
-            k=k,
-            merge=merge,
+            k=config.k,
+            merge=config.merge,
             question=triple.question,
             degraded=rewrite.degraded,
         )
-        out.append((triple, record.to_dict()))
-    return out
+        retrieved.append((triple.triple_id, record))
+    # One row per triple, each built only while writing: full rankings are large.
+    data.write_jsonl(
+        out / "retrieval.jsonl", ({"id": item_id, **r.to_dict()} for item_id, r in retrieved)
+    )
+    records = dict(retrieved)
+    recall = _recall(triples, records, config.k)
+    if recall:
+        data.write_json(out / "recall.json", recall)
+    return records, recall
 
 
-def _recall_rows(triples, records_by_id, ks) -> tuple[list[dict], dict]:
-    rows = []
+def generate_stage(
+    triples: list[ann.QaTriple],
+    records: dict[str, RetrievalRecord],
+    chat: ChatProvider,
+    config: RunConfig,
+    out: Path,
+) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
+    """Stage two: TabTalk per question; write tables.jsonl, traces.jsonl, errors.jsonl.
+
+    Returns the (triple id, table) pairs generated, in input order, and the
+    error rows; errors.jsonl is written only when there are any.
+    """
+    generated = []
+    traces = []
+    errors = []
     for triple in triples:
-        if not triple.relevant_sentence_ids or triple.triple_id not in records_by_id:
+        record = records.get(triple.triple_id)
+        if record is None:
+            errors.append(
+                {"id": triple.triple_id, "stage": "input", "error": "no retrieval record"}
+            )
             continue
-        record = records_by_id[triple.triple_id]
-        ranked = record.merged_ids() if hasattr(record, "merged_ids") else [
-            sid for sid, _ in record["merged"]
-        ]
-        rows.append(
+        sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
+        try:
+            result = run_tabtalk(
+                triple.question,
+                sentences,
+                chat,
+                fill_batch_size=config.fill_batch_size,
+                max_retries=config.max_retries,
+                oneshot=config.oneshot,
+                parallel=config.parallel,
+            )
+        except StageFailure as exc:
+            errors.append({"id": triple.triple_id, "stage": exc.stage, "error": str(exc)})
+            continue
+        generated.append((triple.triple_id, result.table))
+        traces.append(
             {
                 "id": triple.triple_id,
-                "recall_at_k": {
-                    str(k): recall_at_k(ranked, triple.relevant_sentence_ids, k) for k in ks
-                },
+                "structure_retries": result.structure_retries,
+                "fill_retries": result.fill_retries,
+                **trace_to_dict(result.plan, result.trace),
             }
         )
-    if not rows:
-        return rows, {}
-    means = {
-        str(k): sum(r["recall_at_k"][str(k)] for r in rows) / len(rows) for k in ks
-    }
-    return rows, means
+    data.write_jsonl(
+        out / "tables.jsonl",
+        [{"id": item_id, "table_html": serialize_html(table)} for item_id, table in generated],
+    )
+    data.write_jsonl(out / "traces.jsonl", traces)
+    if errors:
+        data.write_jsonl(out / "errors.jsonl", errors)
+    return generated, errors
 
 
 def cmd_annotate(args) -> int:
     documents = data.read_documents(args.docs)
-    tables = data.read_tables(args.tables)
+    records = data.read_tables(args.tables)
     decisions = data.read_review(args.review) if args.review else {}
+    _check_doc_ids(args.tables, [record["doc_id"] for record in records], documents)
 
-    annotated = []
-    for record in tables:
-        if record["doc_id"] not in documents:
-            raise data.InputFormatError(
-                args.tables, 0, "doc_id", f"unknown doc_id {record['doc_id']!r}"
-            )
+    candidates = []
+    matches_out = []
+    for record in records:
         table = parse_html_table(record["table_html"])
         matches = ann.match_cells_to_sentences(table, documents[record["doc_id"]])
         ann.apply_review(matches, decisions.get(record["table_id"], {}))
-        annotated.append((record, table, matches))
-
-    triples_out = []
-    matches_out = []
-    exclusions_out = []
-    for record, table, matches in annotated:
-        coverage = ann.coverage_ratio(table, matches)
+        candidates.append((table, matches))
         matches_out.append(
             {
                 "table_id": record["table_id"],
-                "coverage": coverage,
+                "coverage": ann.coverage_ratio(table, matches),
                 "matches": [
                     {
                         "match_id": m.match_id,
@@ -154,20 +212,23 @@ def cmd_annotate(args) -> int:
                 ],
             }
         )
-        if ann.is_excluded(table, matches):
-            exclusions_out.append(
-                {"table_id": record["table_id"], "coverage": coverage, "uncovered": 1.0 - coverage}
-            )
-        else:
-            triples_out.append(
-                {
-                    "id": record["table_id"],
-                    "doc_id": record["doc_id"],
-                    "question": record["question"],
-                    "table_html": serialize_html(table),
-                    "relevant_sentence_ids": list(ann.relevant_ids(matches)),
-                }
-            )
+    _, exclusions = ann.filter_tables(candidates)
+    excluded = {e.index for e in exclusions}
+    triples_out = [
+        {
+            "id": record["table_id"],
+            "doc_id": record["doc_id"],
+            "question": record["question"],
+            "table_html": serialize_html(table),
+            "relevant_sentence_ids": list(ann.relevant_ids(matches)),
+        }
+        for index, (record, (table, matches)) in enumerate(zip(records, candidates))
+        if index not in excluded
+    ]
+    exclusions_out = [
+        {"table_id": records[e.index]["table_id"], "coverage": e.coverage, "uncovered": e.uncovered}
+        for e in exclusions
+    ]
 
     out = Path(args.out)
     data.write_jsonl(out / "triples.jsonl", triples_out)
@@ -185,90 +246,31 @@ def cmd_retrieve(args) -> int:
         embedder=_provider_spec("embedder", args.embedder),
         k=args.k,
         merge=args.merge,
+        rewrite_docs=not args.no_rewrite,
     )
     built = build_providers(config, roles=("rewriter", "embedder"))
-
-    results = _retrieve_all(triples, documents, built, args.k, args.merge, not args.no_rewrite)
-    out = Path(args.out)
-    data.write_jsonl(
-        out / "retrieval.jsonl",
-        [{"id": t.triple_id, **record} for t, record in results],
-    )
-
-    ks = [k for k in RECALL_KS if k <= args.k] or [args.k]
-    records_by_id = {t.triple_id: record for t, record in results}
-    rows, means = _recall_rows(triples, records_by_id, ks)
-    if rows:
-        data.write_json(out / "recall.json", {"per_item": rows, "mean": means})
-        print("recall " + "  ".join(f"@{k}={means[str(k)]:.4f}" for k in ks))
+    _, recall = retrieve_stage(triples, args.triples, documents, built, config, Path(args.out))
+    if recall:
+        print("recall " + "  ".join(f"@{k}={mean:.4f}" for k, mean in recall["mean"].items()))
     flush_transcripts(built)
-    print(f"retrieved for {len(results)} questions")
+    print(f"retrieved for {len(triples)} questions")
     return 0
-
-
-def _generation_config(args_or_config) -> GenerationConfig:
-    if isinstance(args_or_config, RunConfig):
-        return GenerationConfig(
-            fill_batch_size=args_or_config.fill_batch_size,
-            max_retries=args_or_config.max_retries,
-            oneshot=args_or_config.oneshot,
-            parallel_fill=args_or_config.parallel,
-        )
-    return GenerationConfig(
-        fill_batch_size=args_or_config.batch_size,
-        max_retries=args_or_config.max_retries,
-        oneshot=args_or_config.baseline_oneshot,
-    )
-
-
-def _generate_all(triples, records_by_id, chat, gen_config):
-    tables_out = []
-    traces_out = []
-    errors_out = []
-    generated = {}
-    for triple in triples:
-        record = records_by_id.get(triple.triple_id)
-        if record is None:
-            errors_out.append(
-                {"id": triple.triple_id, "stage": "input", "error": "no retrieval record"}
-            )
-            continue
-        sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
-        try:
-            result = run_tabtalk(triple.question, sentences, chat, gen_config)
-        except StageFailure as exc:
-            errors_out.append({"id": triple.triple_id, "stage": exc.stage, "error": str(exc)})
-            continue
-        generated[triple.triple_id] = result.table
-        tables_out.append({"id": triple.triple_id, "table_html": serialize_html(result.table)})
-        traces_out.append(
-            {
-                "id": triple.triple_id,
-                "structure_retries": result.structure_retries,
-                "fill_retries": result.fill_retries,
-                **trace_to_dict(result.plan, result.trace),
-            }
-        )
-    return generated, tables_out, traces_out, errors_out
 
 
 def cmd_generate(args) -> int:
     triples = data.read_triples(args.triples)
-    records_by_id = data.read_retrieval_records(args.retrieval)
-    config = RunConfig(chat=_provider_spec("llm", args.llm))
-    built = build_providers(config, roles=("chat",))
-
-    _, tables_out, traces_out, errors_out = _generate_all(
-        triples, records_by_id, built.chat, _generation_config(args)
+    records = data.read_retrieval_records(args.retrieval)
+    config = RunConfig(
+        chat=_provider_spec("llm", args.llm),
+        fill_batch_size=args.batch_size,
+        max_retries=args.max_retries,
+        oneshot=args.baseline_oneshot,
     )
-    out = Path(args.out)
-    data.write_jsonl(out / "tables.jsonl", tables_out)
-    data.write_jsonl(out / "traces.jsonl", traces_out)
-    if errors_out:
-        data.write_jsonl(out / "errors.jsonl", errors_out)
+    built = build_providers(config, roles=("chat",))
+    generated, errors = generate_stage(triples, records, built.chat, config, Path(args.out))
     flush_transcripts(built)
-    print(f"generated {len(tables_out)} tables, {len(errors_out)} failures")
-    return 0 if not errors_out else 1
+    print(f"generated {len(generated)} tables, {len(errors)} failures")
+    return 0 if not errors else 1
 
 
 def _summary_table(items: list[dict], aggregate: dict) -> str:
@@ -337,35 +339,17 @@ def cmd_stats(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config = RunConfig.from_file(args.config)
-    out = Path(args.out) if args.out else Path(config.out_dir)
+    out = Path(args.out or config.out_dir)
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions)
     built = build_providers(config)
 
-    results = _retrieve_all(triples, documents, built, config.k, config.merge, config.rewrite_docs)
-    data.write_jsonl(
-        out / "retrieval.jsonl", [{"id": t.triple_id, **record} for t, record in results]
-    )
+    records, recall = retrieve_stage(triples, config.questions, documents, built, config, out)
+    generated, errors = generate_stage(triples, records, built.chat, config, out)
 
-    from .retrieval import RetrievalRecord
-
-    records_by_id = {t.triple_id: RetrievalRecord.from_dict(r) for t, r in results}
-    generated, tables_out, traces_out, errors_out = _generate_all(
-        triples, records_by_id, built.chat, _generation_config(config)
-    )
-    data.write_jsonl(out / "tables.jsonl", tables_out)
-    data.write_jsonl(out / "traces.jsonl", traces_out)
-    if errors_out:
-        data.write_jsonl(out / "errors.jsonl", errors_out)
-
-    ks = [k for k in RECALL_KS if k <= config.k] or [config.k]
-    recall_items, recall_means = _recall_rows(triples, records_by_id, ks)
-    if recall_items:
-        data.write_json(out / "recall.json", {"per_item": recall_items, "mean": recall_means})
-
-    recall_by_id = {r["id"]: r["recall_at_k"] for r in recall_items}
+    recall_by_id = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
     groundtruth = {t.triple_id: t for t in triples}
-    items, aggregate = _evaluate_items(generated, groundtruth, recall_by_id)
+    items, aggregate = _evaluate_items(dict(generated), groundtruth, recall_by_id)
     if items:
         data.write_jsonl(out / "evaluation.jsonl", items)
         data.write_json(out / "evaluation.json", aggregate)
@@ -374,8 +358,8 @@ def cmd_pipeline(args) -> int:
         print(summary)
 
     flush_transcripts(built)
-    print(f"pipeline complete: {len(tables_out)} tables, {len(errors_out)} failures -> {out}")
-    return 0 if not errors_out else 1
+    print(f"pipeline complete: {len(generated)} tables, {len(errors)} failures -> {out}")
+    return 0 if not errors else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="rank relevant sentences per question")
     p.add_argument("--triples", required=True)
     p.add_argument("--docs", required=True)
-    p.add_argument("--k", type=int, default=30)
+    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--embedder", default="hashing")
     p.add_argument("--rewriter", default="identity")
     p.add_argument("--merge", default="round_robin", choices=["round_robin", "max_score"])

@@ -1,17 +1,20 @@
 """Run configuration: provider wiring, retrieval and generation knobs.
 
-Loaded from a JSON file; endpoints and credentials can be overridden by
-environment variables (``DOC2TABLE_CHAT_ENDPOINT``,
-``DOC2TABLE_REWRITER_ENDPOINT``, ``DOC2TABLE_EMBEDDER_ENDPOINT``, and the
-variable named by each provider's ``api_key_env``). Relative transcript
-and data paths resolve against the config file's directory. Nothing
-touches the network unless a provider's mode is ``live`` or ``record``.
+:class:`RunConfig` is the only run configuration. ``pipeline`` loads it
+from a JSON file (unknown keys are ignored), ``retrieve`` and ``generate``
+build it from their flags, and the stages read their settings from it.
+Endpoints and credentials can be overridden by environment variables
+(``DOC2TABLE_CHAT_ENDPOINT``, ``DOC2TABLE_REWRITER_ENDPOINT``,
+``DOC2TABLE_EMBEDDER_ENDPOINT``, and the variable named by each
+provider's ``api_key_env``). Relative transcript and data paths resolve
+against the config file's directory. Nothing touches the network unless
+a provider's mode is ``live`` or ``record``.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .providers import (
@@ -25,7 +28,9 @@ from .providers import (
     Rewriter,
     Transcript,
 )
+from .retrieval import DEFAULT_TOP_K
 
+PROVIDER_ROLES = ("chat", "rewriter", "embedder")
 CHAT_MODES = ("live", "replay", "record")
 REWRITER_MODES = ("identity", "live", "replay", "record")
 EMBEDDER_MODES = ("hashing", "live")
@@ -56,7 +61,7 @@ class RunConfig:
     chat: ProviderSpec = field(default_factory=lambda: ProviderSpec("replay"))
     rewriter: ProviderSpec = field(default_factory=lambda: ProviderSpec("identity"))
     embedder: ProviderSpec = field(default_factory=lambda: ProviderSpec("hashing"))
-    k: int = 30
+    k: int = DEFAULT_TOP_K
     merge: str = "round_robin"
     rewrite_docs: bool = True
     fill_batch_size: int | None = None  # None: one batch per body row
@@ -66,7 +71,6 @@ class RunConfig:
     temperature: float = 0.0
     max_tokens: int = 2048
     out_dir: str = "out"
-    seed: int = 0
     docs: str = ""  # pipeline inputs
     questions: str = ""
 
@@ -92,16 +96,11 @@ class RunConfig:
         obj = json.loads(path.read_text(encoding="utf-8"))
         base = path.parent
         config = cls()
-        for role in ("chat", "rewriter", "embedder"):
-            if role in obj:
-                setattr(config, role, ProviderSpec.from_dict(obj[role], base))
-        for name in (
-            "k", "merge", "rewrite_docs", "fill_batch_size", "max_retries",
-            "parallel", "oneshot", "temperature", "max_tokens", "out_dir",
-            "seed", "docs", "questions",
-        ):
-            if name in obj:
-                setattr(config, name, obj[name])
+        for name in (f.name for f in fields(cls) if f.name in obj):
+            value = obj[name]
+            if name in PROVIDER_ROLES:
+                value = ProviderSpec.from_dict(value, base)
+            setattr(config, name, value)
         for name in ("out_dir", "docs", "questions"):
             value = getattr(config, name)
             if value and not Path(value).is_absolute():
@@ -111,7 +110,7 @@ class RunConfig:
         return config
 
     def apply_env_overrides(self) -> None:
-        for role in ("chat", "rewriter", "embedder"):
+        for role in PROVIDER_ROLES:
             endpoint = os.environ.get(f"DOC2TABLE_{role.upper()}_ENDPOINT")
             if endpoint:
                 setattr(self, role, replace(getattr(self, role), endpoint=endpoint))
@@ -147,9 +146,7 @@ def _backend_for(spec: ProviderSpec, pending: list[tuple[Transcript, str]]):
     raise ValueError(f"unsupported provider mode {spec.mode!r}")
 
 
-def build_providers(
-    config: RunConfig, roles: tuple[str, ...] = ("chat", "rewriter", "embedder")
-) -> BuiltProviders:
+def build_providers(config: RunConfig, roles: tuple[str, ...] = PROVIDER_ROLES) -> BuiltProviders:
     pending: list[tuple[Transcript, str]] = []
 
     chat = None

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 from .annotate import QaTriple
@@ -63,7 +64,7 @@ def write_json(path: str | Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_jsonl(path: str | Path, rows: list[dict]) -> None:
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 

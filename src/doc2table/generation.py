@@ -8,7 +8,8 @@ notes, then the table is assembled and validated. Each stage gets at most
 one retry with the parse/verification error appended to the prompt.
 
 A one-shot baseline (single prompt producing the whole table) is kept
-behind a flag for comparison runs.
+for comparison runs: pass ``oneshot=True`` to :func:`run_tabtalk`, which
+takes all its settings as keywords that the CLI fills from ``RunConfig``.
 """
 from __future__ import annotations
 
@@ -103,15 +104,6 @@ class FillTrace:
     @property
     def unfilled(self) -> tuple[CellFill, ...]:
         return tuple(r for r in self.records if not r.filled)
-
-
-@dataclass
-class GenerationConfig:
-    fill_batch_size: int | None = None  # None: one batch per body row
-    max_retries: int = 1
-    exemplar: tuple[str, str] | None = None  # (question, table html)
-    oneshot: bool = False
-    parallel_fill: int = 1
 
 
 @dataclass
@@ -430,25 +422,29 @@ def run_tabtalk(
     question: str,
     sentences: list[tuple[int, str]],
     chat: ChatProvider,
-    config: GenerationConfig | None = None,
+    *,
+    fill_batch_size: int | None = None,
+    max_retries: int = 1,
+    oneshot: bool = False,
+    parallel: int = 1,
 ) -> TabTalkResult:
     """Run the full generation stage over retrieved sentences.
 
     ``sentences`` are (sentence_id, raw text) pairs in retrieval order; the
     prompt numbers them 1..n and citations are mapped back to the ids.
+    ``fill_batch_size`` None fills one body row per prompt; ``parallel``
+    fill prompts run at once; each stage gets ``max_retries`` retries.
     """
-    config = config or GenerationConfig()
-    if config.oneshot:
-        return _run_oneshot(question, sentences, chat, config)
+    if oneshot:
+        return _run_oneshot(question, sentences, chat, max_retries)
 
-    prompt = build_structure_prompt(question, sentences, config.exemplar)
+    prompt = build_structure_prompt(question, sentences)
     plan, structure_retries = _complete_with_retry(
-        chat, prompt, parse_structure_response, "structure", config.max_retries, {}
+        chat, prompt, parse_structure_response, "structure", max_retries, {}
     )
 
     sentence_ids = [sid for sid, _ in sentences]
-    batches = _fill_batches(plan, config.fill_batch_size)
-    fill_retries = 0
+    batches = _fill_batches(plan, fill_batch_size)
     partial = {"plan": plan}
 
     def fill_one(batch: list[tuple[TreeCoord, TreeCoord]]) -> tuple[list[CellFill], int]:
@@ -458,21 +454,18 @@ def run_tabtalk(
             fill_prompt,
             lambda resp: parse_fill_response(resp, plan, batch, sentence_ids),
             "fill",
-            config.max_retries,
+            max_retries,
             partial,
         )
 
-    fragments: list[list[CellFill]] = []
-    if config.parallel_fill > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_fill) as pool:
+    if parallel > 1:
+        with ThreadPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(fill_one, batches))
     else:
         results = [fill_one(batch) for batch in batches]
-    for fragment, retries in results:
-        fragments.append(fragment)
-        fill_retries += retries
+    fill_retries = sum(retries for _, retries in results)
 
-    trace = FillTrace(tuple(r for fragment in fragments for r in fragment))
+    trace = FillTrace(tuple(r for fragment, _ in results for r in fragment))
     partial["trace"] = trace
     try:
         table = assemble_table(plan, trace)
@@ -497,11 +490,11 @@ def _run_oneshot(
     question: str,
     sentences: list[tuple[int, str]],
     chat: ChatProvider,
-    config: GenerationConfig,
+    max_retries: int,
 ) -> TabTalkResult:
-    prompt = build_oneshot_prompt(question, sentences, config.exemplar)
+    prompt = build_oneshot_prompt(question, sentences)
     table, retries = _complete_with_retry(
-        chat, prompt, _parse_oneshot_response, "oneshot", config.max_retries, {}
+        chat, prompt, _parse_oneshot_response, "oneshot", max_retries, {}
     )
     plan = StructurePlan(
         left=table.left,

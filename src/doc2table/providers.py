@@ -250,10 +250,6 @@ class IdentityRewriteBackend:
         return {"outputs": [request["text"]]}
 
 
-def identity_rewriter() -> Rewriter:
-    return Rewriter(IdentityRewriteBackend())
-
-
 class HashingEmbedder:
     """Deterministic offline embedder: character 3-gram feature hashing.
 
@@ -301,11 +297,3 @@ class HttpEmbedder:
         out[nonzero] = out[nonzero] / norms[nonzero, None]
         return out
 
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine between two vectors; 0.0 when either is the zero vector."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

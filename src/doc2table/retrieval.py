@@ -294,25 +294,3 @@ def retrieve_top_k(
     )
     return record
 
-
-def retrieve_for_question(
-    question: str,
-    store: DocumentStore,
-    rewriter: Rewriter,
-    embedder,
-    k: int = DEFAULT_TOP_K,
-    merge: str = "round_robin",
-    rewrite_docs: bool = True,
-) -> RetrievalRecord:
-    """Full first-stage run: rewrite question and sentences, then retrieve."""
-    rewrite = rewrite_question(question, rewriter)
-    working = rewrite_sentences(store, rewriter) if rewrite_docs else store
-    return retrieve_top_k(
-        working,
-        list(rewrite.sub_questions),
-        embedder,
-        k=k,
-        merge=merge,
-        question=question,
-        degraded=rewrite.degraded,
-    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CoordTree, HeaderNode, HierarchicalTable
+from .model import HeaderNode, HierarchicalTable
 
 ROOT_SENTINEL = "[table]"
 LEFT_SENTINEL = "[rows]"
@@ -136,7 +136,3 @@ def teds(a: HierarchicalTable, b: HierarchicalTable) -> float:
     distance = tree_edit_distance(sa, sb)
     return max(0.0, 1.0 - distance / max(node_count(sa), node_count(sb)))
 
-
-def header_forest(tree: CoordTree, sentinel: str) -> HeaderNode:
-    """Wrap one coordinate tree under a sentinel for standalone comparison."""
-    return HeaderNode(sentinel, tree.roots)

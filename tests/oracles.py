@@ -7,6 +7,8 @@ rankings by a pure-Python cosine scan.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from doc2table.model import HeaderNode
 
 
@@ -142,3 +144,12 @@ def brute_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> li
                     seen.add(sid)
                     out.append((sid, score))
     return out[:k]
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine between two vectors; 0.0 when either is the zero vector."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))

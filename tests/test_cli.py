@@ -81,6 +81,39 @@ class TestMalformedInputs:
         assert error["line"] == 1
         assert error["field"] == "sentences"
 
+    def test_unknown_doc_id_names_triples_line(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
+        triples = tmp_path / "triples.jsonl"
+        row = {
+            "id": "t",
+            "doc_id": "d",
+            "question": "q",
+            "table_html": serialize_html(make_flat_table(1, 1)),
+            "relevant_sentence_ids": [0],
+        }
+        write_jsonl(triples, [row, {**row, "id": "u", "doc_id": "nope"}])
+        code = run(["retrieve", "--triples", triples, "--docs", docs, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(triples), 2, "doc_id")
+        assert "nope" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_doc_id_names_tables_line(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
+        tables = tmp_path / "tables.jsonl"
+        html = serialize_html(make_flat_table(1, 1))
+        tables.write_text(
+            json.dumps({"table_id": "a", "doc_id": "d", "table_html": html}) + "\n\n"
+            + json.dumps({"table_id": "b", "doc_id": "nope", "table_html": html}) + "\n"
+        )
+        code = run(["annotate", "--docs", docs, "--tables", tables, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(tables), 3, "doc_id")
+
     def test_unknown_provider_spec_is_runtime_error(self, tmp_path, capsys):
         triples = tmp_path / "t.jsonl"
         write_jsonl(triples, [])
@@ -235,7 +268,8 @@ class TestPipelineCommand:
 
     def test_generate_from_committed_retrieval(self, tmp_path):
         # Split pipeline: retrieve first, then generate against the replay
-        # transcript; outputs must match the ground truth tables.
+        # transcript; outputs must match the ground truth tables, and each
+        # stage's files must equal the ones the one-call pipeline wrote.
         retrieval_out = tmp_path / "retrieval"
         code = run(
             [
@@ -268,3 +302,11 @@ class TestPipelineCommand:
             for l in (PIPELINE / "questions.jsonl").read_text().splitlines()
         }
         assert generated == groundtruth
+        golden = PIPELINE / "golden"
+        for stage_out, name in [
+            (retrieval_out, "retrieval.jsonl"),
+            (retrieval_out, "recall.json"),
+            (gen_out, "tables.jsonl"),
+            (gen_out, "traces.jsonl"),
+        ]:
+            assert (stage_out / name).read_bytes() == (golden / name).read_bytes(), name

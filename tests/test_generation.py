@@ -10,7 +10,6 @@ from doc2table.generation import (
     AssemblyError,
     CellFill,
     FillTrace,
-    GenerationConfig,
     PlanVerificationError,
     ResponseParseError,
     StageFailure,
@@ -361,8 +360,7 @@ class TestRunTabTalk:
             return inner(request)
 
         chat = ChatProvider(ScriptedProvider(counting))
-        config = GenerationConfig(fill_batch_size=1)
-        result = run_tabtalk(QUESTION, SENTENCES, chat, config)
+        result = run_tabtalk(QUESTION, SENTENCES, chat, fill_batch_size=1)
         assert result.table == gt
         fill_calls = [c for c in calls if "You fill specific body cells" in c]
         assert len(fill_calls) == 2  # one per cell
@@ -376,7 +374,8 @@ class TestRunTabTalk:
             QUESTION,
             SENTENCES,
             ChatProvider(ScriptedProvider(perfect_handler(gt))),
-            GenerationConfig(fill_batch_size=1, parallel_fill=4),
+            fill_batch_size=1,
+            parallel=4,
         )
         assert serial.table == parallel.table
 
@@ -386,8 +385,9 @@ class TestRunTabTalk:
         def handler(request):
             return {"content": f"```table\n{serialize_html(gt)}\n```"}
 
-        config = GenerationConfig(oneshot=True)
-        result = run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)), config)
+        result = run_tabtalk(
+            QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)), oneshot=True
+        )
         assert result.table == gt
         assert len(result.trace.records) == 2
 

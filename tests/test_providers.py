@@ -19,9 +19,10 @@ from doc2table.providers import (
     ScriptedProvider,
     Transcript,
     canonical_json,
-    cosine,
     request_fingerprint,
 )
+
+from oracles import cosine
 
 
 class TestFingerprinting:
