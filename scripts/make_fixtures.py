@@ -363,8 +363,9 @@ def write_corpus() -> None:
     sentence_vectors = [list(v) for v in embedder.embed(rewritten)]
 
     golden = []
-    store = DocumentStore.from_texts(doc_id, sentences)
-    store = rewrite_sentences(store, Rewriter(make_rewrite_handler(rewrites, decompositions)))
+    store = DocumentStore(doc_id, sentences)
+    texts = rewrite_sentences(store, Rewriter(make_rewrite_handler(rewrites, decompositions)))
+    vectors = embedder.embed(texts)
     for item_id, question, subs, relevant, _ in items:
         query_vectors = [list(v) for v in embedder.embed(subs)]
         ranked_lists = []
@@ -378,7 +379,7 @@ def write_corpus() -> None:
         }
 
         # Cross-check the production path against the oracle before freezing.
-        record = retrieve_top_k(store, subs, embedder, k=30, question=question)
+        record = retrieve_top_k(store, subs, vectors, embedder, k=30, question=question)
         assert record.merged_ids() == merged_ids, f"ranking mismatch for {item_id}"
         for ranked, prod in zip(ranked_lists, record.per_question):
             assert [sid for sid, _ in ranked[:60]] == [sid for sid, _ in prod[:60]]

@@ -114,7 +114,7 @@ def match_cells_to_sentences(table: HierarchicalTable, store: DocumentStore) -> 
     """Locate candidate sentences for every body cell; empty cells match nothing."""
     left_cs = leaf_coords(table.left)
     top_cs = leaf_coords(table.top)
-    normalized_sentences = [normalize_text(s.raw) for s in store.sentences]
+    normalized_sentences = [normalize_text(s) for s in store.sentences]
     numbers_per_sentence = [sentence_numbers(s) for s in normalized_sentences]
     lowered_sentences = [s.lower() for s in normalized_sentences]
 
@@ -286,10 +286,9 @@ def corpus_stats(
 
     mean_tokens: float | None = None
     if documents is not None:
-        token_counts = []
-        for triple in triples:
-            store = documents[triple.doc_id]
-            token_counts.append(sum(len(s.raw.split()) for s in store.sentences))
+        token_counts = [
+            sum(len(s.split()) for s in documents[t.doc_id].sentences) for t in triples
+        ]
         mean_tokens = sum(token_counts) / len(token_counts)
 
     return CorpusStats(

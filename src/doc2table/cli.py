@@ -54,12 +54,12 @@ def _provider_spec(role: str, value: str) -> ProviderSpec:
     raise ValueError(f"unknown {role} provider spec {value!r}")
 
 
-def _check_doc_ids(path: str | Path, doc_ids: list[str], documents: dict) -> None:
-    """Reject the first row whose doc_id names no document, by its 1-based file line."""
-    for doc_id in doc_ids:
-        if doc_id not in documents:
-            line = next(n for n, obj in data.read_jsonl(path) if obj.get("doc_id") == doc_id)
-            raise data.InputFormatError(path, line, "doc_id", f"unknown doc_id {doc_id!r}")
+def _check_known(path: str | Path, field: str, values: list[str], known) -> None:
+    """Reject the first row whose ``field`` value is not in ``known``, by its 1-based file line."""
+    for value in values:
+        if value not in known:
+            line = next(n for n, obj in data.read_jsonl(path) if obj.get(field) == value)
+            raise data.InputFormatError(path, line, field, f"unknown {field} {value!r}")
 
 
 def _recall(triples: list[ann.QaTriple], records: dict[str, RetrievalRecord], k: int) -> dict:
@@ -93,20 +93,23 @@ def retrieve_stage(
 ) -> tuple[dict[str, RetrievalRecord], dict]:
     """Stage one: rewrite, rank top-k per question; write retrieval.jsonl and recall.json.
 
-    Returns the record per triple id and the recall report; with no
+    Sentence vectors are computed here, once per referenced document, at its
+    first use. Returns the record per triple id and the recall report; with no
     relevant ids in any triple the report is {} and recall.json is not written.
     """
-    _check_doc_ids(triples_path, [t.doc_id for t in triples], documents)
-    if config.rewrite_docs:
-        documents = {
-            doc_id: rewrite_sentences(store, built.rewriter) for doc_id, store in documents.items()
-        }
+    _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
+    vectors = {}
     retrieved = []
     for triple in triples:
+        store = documents[triple.doc_id]
+        if triple.doc_id not in vectors:
+            texts = rewrite_sentences(store, built.rewriter) if config.rewrite_docs else store.sentences
+            vectors[triple.doc_id] = built.embedder.embed(texts) if texts else None
         rewrite = rewrite_question(triple.question, built.rewriter)
         record = retrieve_top_k(
-            documents[triple.doc_id],
+            store,
             list(rewrite.sub_questions),
+            vectors[triple.doc_id],
             built.embedder,
             k=config.k,
             merge=config.merge,
@@ -184,7 +187,7 @@ def cmd_annotate(args) -> int:
     documents = data.read_documents(args.docs)
     records = data.read_tables(args.tables)
     decisions = data.read_review(args.review) if args.review else {}
-    _check_doc_ids(args.tables, [record["doc_id"] for record in records], documents)
+    _check_known(args.tables, "doc_id", [record["doc_id"] for record in records], documents)
 
     candidates = []
     matches_out = []
@@ -316,9 +319,7 @@ def _evaluate_items(
 def cmd_evaluate(args) -> int:
     generated_html = data.read_generated_tables(args.generated)
     groundtruth = {t.triple_id: t for t in data.read_triples(args.groundtruth)}
-    missing = sorted(set(generated_html) - set(groundtruth))
-    if missing:
-        raise data.InputFormatError(args.generated, 0, "id", f"no ground truth for ids {missing}")
+    _check_known(args.generated, "id", list(generated_html), groundtruth)
     generated = {item_id: parse_html_table(html) for item_id, html in generated_html.items()}
 
     items, aggregate = _evaluate_items(generated, groundtruth)

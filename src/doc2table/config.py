@@ -1,8 +1,9 @@
 """Run configuration: provider wiring, retrieval and generation knobs.
 
 :class:`RunConfig` is the only run configuration. ``pipeline`` loads it
-from a JSON file (unknown keys are ignored), ``retrieve`` and ``generate``
-build it from their flags, and the stages read their settings from it.
+from a JSON file (unknown keys are ignored, known ones type-checked),
+``retrieve`` and ``generate`` build it from their flags, and the stages
+read their settings from it.
 Endpoints and credentials can be overridden by environment variables
 (``DOC2TABLE_CHAT_ENDPOINT``, ``DOC2TABLE_REWRITER_ENDPOINT``,
 ``DOC2TABLE_EMBEDDER_ENDPOINT``, and the variable named by each
@@ -43,17 +44,32 @@ class ProviderSpec:
     transcript: str = ""  # path, for replay/record modes
     api_key_env: str = ""
 
-    @classmethod
-    def from_dict(cls, obj: dict, base: Path | None = None) -> ProviderSpec:
-        spec = cls(
-            mode=obj.get("mode", ""),
-            endpoint=obj.get("endpoint", ""),
-            transcript=obj.get("transcript", ""),
-            api_key_env=obj.get("api_key_env", ""),
-        )
-        if base is not None and spec.transcript and not Path(spec.transcript).is_absolute():
-            spec.transcript = str(base / spec.transcript)
-        return spec
+
+# The JSON types a config value may take, by its field's annotation; true and
+# false count as booleans only.
+_JSON_TYPES = {
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "ProviderSpec": (dict, "an object"),
+}
+
+
+def _json_fields(cls, obj, prefix: str = "") -> dict:
+    """The values in JSON object ``obj`` named by fields of ``cls``, each type-checked."""
+    if not isinstance(obj, dict):
+        raise ValueError("config must be a JSON object")
+    values = {}
+    for f in fields(cls):
+        if f.name in obj:
+            value = obj[f.name]
+            types, kind = _JSON_TYPES[f.type]
+            if not isinstance(value, types) or isinstance(value, bool) != (f.type == "bool"):
+                raise ValueError(f"config field {prefix}{f.name} must be {kind}, got {value!r}")
+            values[f.name] = value
+    return values
 
 
 @dataclass
@@ -93,18 +109,17 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> RunConfig:
         path = Path(path)
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        base = path.parent
-        config = cls()
-        for name in (f.name for f in fields(cls) if f.name in obj):
-            value = obj[name]
-            if name in PROVIDER_ROLES:
-                value = ProviderSpec.from_dict(value, base)
-            setattr(config, name, value)
-        for name in ("out_dir", "docs", "questions"):
-            value = getattr(config, name)
+        values = _json_fields(cls, json.loads(path.read_text(encoding="utf-8")))
+        for role in PROVIDER_ROLES:
+            if role in values:
+                spec = _json_fields(ProviderSpec, values[role], f"{role}.")
+                values[role] = ProviderSpec(**{"mode": "", **spec})
+        config = cls(**values)
+        paths = [(config, "out_dir"), (config, "docs"), (config, "questions")]
+        for owner, name in paths + [(getattr(config, role), "transcript") for role in PROVIDER_ROLES]:
+            value = getattr(owner, name)
             if value and not Path(value).is_absolute():
-                setattr(config, name, str(base / value))
+                setattr(owner, name, str(path.parent / value))
         config.apply_env_overrides()
         config.validate()
         return config

@@ -112,7 +112,7 @@ def read_documents(path: str | Path) -> dict[str, DocumentStore]:
             raise InputFormatError(path, line, "sentences", "need 'sentences' or 'text'")
         if doc_id in documents:
             raise InputFormatError(path, line, "doc_id", f"duplicate doc_id {doc_id!r}")
-        documents[doc_id] = DocumentStore.from_texts(doc_id, list(sentences))
+        documents[doc_id] = DocumentStore(doc_id, list(sentences))
     return documents
 
 

@@ -147,7 +147,7 @@ class RecordingProvider:
 
 
 class HttpProvider:
-    """POSTs the request as JSON with retry, backoff and rate limiting."""
+    """POSTs the request as JSON, retrying with exponential backoff between attempts."""
 
     def __init__(
         self,
@@ -156,8 +156,6 @@ class HttpProvider:
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 0.5,
-        max_in_flight: int | None = None,
-        requests_per_second: float | None = None,
         session=None,
     ):
         self.endpoint = endpoint
@@ -165,24 +163,11 @@ class HttpProvider:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._slots = threading.Semaphore(max_in_flight) if max_in_flight else None
-        self._min_interval = 1.0 / requests_per_second if requests_per_second else 0.0
-        self._last_request = 0.0
-        self._rate_lock = threading.Lock()
         if session is None:
             import requests  # deferred so offline modes never import it
 
             session = requests.Session()
         self._session = session
-
-    def _throttle(self) -> None:
-        if not self._min_interval:
-            return
-        with self._rate_lock:
-            wait = self._last_request + self._min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
 
     def call(self, request: dict) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -190,10 +175,9 @@ class HttpProvider:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
-            if self._slots:
-                self._slots.acquire()
+            if attempt:
+                time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                self._throttle()
                 response = self._session.post(
                     self.endpoint, json=request, headers=headers, timeout=self.timeout
                 )
@@ -202,10 +186,6 @@ class HttpProvider:
             except Exception as exc:  # transport and HTTP errors alike
                 last_error = exc
                 logger.warning("provider call failed (attempt %d): %s", attempt + 1, exc)
-                time.sleep(self.backoff * 2**attempt)
-            finally:
-                if self._slots:
-                    self._slots.release()
         raise ProviderError(f"provider at {self.endpoint} failed after {self.max_retries} attempts: {last_error}")
 
 

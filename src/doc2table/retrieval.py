@@ -1,11 +1,12 @@
 """Question decomposition, sentence rewriting and top-K cosine retrieval.
 
-Questions are rewritten into sub-questions and document sentences into a
-data-as-subject form by a rewrite provider; retrieval then ranks sentences
-per sub-question by cosine similarity of embeddings and merges the ranked
-lists into one top-K budget. Raw sentence text is always preserved: the
-rewritten form is a retrieval aid only, downstream consumers cite the
-document verbatim.
+A document is its raw sentences; a sentence's id is its index. A rewrite
+provider turns questions into sub-questions and sentences into a
+data-as-subject form. Each document's retrieval texts are embedded once by
+the caller (``cli.retrieve_stage``, per referenced document);
+:func:`retrieve_top_k` embeds only the sub-questions, ranks sentences per
+sub-question by cosine and merges the rankings into one top-K budget.
+Records cite the raw text: the rewritten form is a retrieval aid only.
 """
 from __future__ import annotations
 
@@ -36,34 +37,11 @@ class RetrievalConfigError(ValueError):
 
 
 @dataclass
-class Sentence:
-    sentence_id: int
-    raw: str
-    rewritten: str | None = None
-    embedding: np.ndarray | None = None
-
-    @property
-    def retrieval_text(self) -> str:
-        return self.rewritten if self.rewritten is not None else self.raw
-
-
-@dataclass
 class DocumentStore:
-    """A document as an ordered list of sentences with dense 0..n-1 ids."""
+    """A document as its ordered raw sentences; a sentence's id is its index."""
 
     doc_id: str
-    sentences: list[Sentence]
-
-    def __post_init__(self) -> None:
-        for i, sentence in enumerate(self.sentences):
-            if sentence.sentence_id != i:
-                raise ValueError(
-                    f"sentence ids must be dense 0..n-1; found {sentence.sentence_id} at {i}"
-                )
-
-    @classmethod
-    def from_texts(cls, doc_id: str, texts: list[str]) -> DocumentStore:
-        return cls(doc_id, [Sentence(i, t) for i, t in enumerate(texts)])
+    sentences: list[str]
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -138,26 +116,26 @@ def rewrite_question(question: str, rewriter: Rewriter) -> QuestionRewrite:
     return QuestionRewrite(tuple(outputs), degraded=False)
 
 
-def rewrite_sentences(store: DocumentStore, rewriter: Rewriter) -> DocumentStore:
-    """Rewrite every sentence into a data-as-subject form.
+def rewrite_sentences(store: DocumentStore, rewriter: Rewriter) -> list[str]:
+    """Retrieval text per sentence, in sentence order: its data-as-subject rewrite.
 
     Per-sentence provider failures degrade that sentence to its raw text;
-    the batch never aborts. Raw text is always kept alongside.
+    the batch never aborts.
     """
-    rewritten: list[Sentence] = []
+    texts: list[str] = []
     failures = 0
-    for sentence in store.sentences:
+    for sid, raw in enumerate(store.sentences):
         try:
-            outputs = rewriter.rewrite("sentence", sentence.raw)
-            text = outputs[0].strip() if outputs and outputs[0].strip() else sentence.raw
+            outputs = rewriter.rewrite("sentence", raw)
+            text = outputs[0].strip() if outputs and outputs[0].strip() else raw
         except Exception as exc:
             failures += 1
-            logger.warning("sentence %d rewrite failed, keeping raw text: %s", sentence.sentence_id, exc)
-            text = sentence.raw
-        rewritten.append(Sentence(sentence.sentence_id, sentence.raw, rewritten=text))
+            logger.warning("sentence %d rewrite failed, keeping raw text: %s", sid, exc)
+            text = raw
+        texts.append(text)
     if failures:
         logger.warning("sentence rewriting degraded for %d/%d sentences", failures, len(store))
-    return DocumentStore(store.doc_id, rewritten)
+    return texts
 
 
 @dataclass
@@ -207,16 +185,6 @@ class RetrievalRecord:
         )
 
 
-def _ensure_embeddings(store: DocumentStore, embedder) -> np.ndarray:
-    missing = [s for s in store.sentences if s.embedding is None]
-    if missing:
-        vectors = embedder.embed([s.retrieval_text for s in missing])
-        for sentence, vector in zip(missing, vectors):
-            sentence.embedding = vector
-    matrix = np.stack([s.embedding for s in store.sentences])
-    return matrix
-
-
 def merge_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> list[tuple[int, float]]:
     """Interleave per-sub-question rankings, deduplicating by sentence id.
 
@@ -249,13 +217,17 @@ def merge_max_score(ranked_lists: list[list[tuple[int, float]]], k: int) -> list
 def retrieve_top_k(
     store: DocumentStore,
     sub_questions: list[str],
+    sentence_vectors: np.ndarray | None,
     embedder,
     k: int = DEFAULT_TOP_K,
     merge: str = "round_robin",
     question: str = "",
     degraded: bool = False,
 ) -> RetrievalRecord:
-    """Rank sentences by cosine against each sub-question and merge top-K."""
+    """Rank sentences by cosine against each sub-question and merge top-K.
+
+    ``sentence_vectors`` has one row per sentence, from ``embedder``; None if the store is empty.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if merge not in ("round_robin", "max_score"):
@@ -264,33 +236,29 @@ def retrieve_top_k(
         logger.warning("retrieval over an empty document store: %s", store.doc_id)
         return RetrievalRecord(question, list(sub_questions), [], [], k, degraded)
 
-    matrix = _ensure_embeddings(store, embedder)
     query_vectors = embedder.embed(list(sub_questions))
-    if query_vectors.shape[1] != matrix.shape[1]:
+    if query_vectors.shape[1] != sentence_vectors.shape[1]:
         raise RetrievalConfigError(
             f"embedding dimension mismatch: questions {query_vectors.shape[1]}, "
-            f"sentences {matrix.shape[1]}"
+            f"sentences {sentence_vectors.shape[1]}"
         )
 
     per_question: list[list[tuple[int, float]]] = []
     for q_vec in query_vectors:
         # Quantize to 9 decimals so equal-by-construction scores tie exactly
         # and ordering is bit-stable across numeric backends.
-        scores = [round(float(s), 9) for s in matrix @ q_vec]
+        scores = [round(float(s), 9) for s in sentence_vectors @ q_vec]
         order = sorted(range(len(store)), key=lambda i: (-scores[i], i))
         per_question.append([(i, scores[i]) for i in order])
 
     merge_fn = merge_round_robin if merge == "round_robin" else merge_max_score
     merged = merge_fn(per_question, k)
-    texts = {s.sentence_id: s.raw for s in store.sentences}
-    record = RetrievalRecord(
+    return RetrievalRecord(
         question=question,
         sub_questions=list(sub_questions),
         per_question=per_question,
         merged=merged,
         k=k,
         degraded=degraded,
-        sentence_texts={sid: texts[sid] for sid, _ in merged},
+        sentence_texts={sid: store.sentences[sid] for sid, _ in merged},
     )
-    return record
-

@@ -63,7 +63,7 @@ def one_cell_table(value: str) -> HierarchicalTable:
 class TestCellMatching:
     def test_separator_spacing_collapses(self):
         table = one_cell_table("61,276")
-        store = DocumentStore.from_texts("d", ["Deaths reached 61, 276 in total."])
+        store = DocumentStore("d", ["Deaths reached 61, 276 in total."])
         matches = match_cells_to_sentences(table, store)
         assert len(matches) == 1
         assert matches[0].kind == "numeric"
@@ -73,7 +73,7 @@ class TestCellMatching:
 
     def test_parenthesized_negative_matches_magnitude_with_flag(self):
         table = one_cell_table("(1,234)")
-        store = DocumentStore.from_texts("d", ["A decrease of $1,234 million was booked."])
+        store = DocumentStore("d", ["A decrease of $1,234 million was booked."])
         matches = match_cells_to_sentences(table, store)
         assert len(matches) == 1
         assert matches[0].matched_token == "1234"
@@ -81,12 +81,12 @@ class TestCellMatching:
 
     def test_no_sentence_no_match(self):
         table = one_cell_table("Total")
-        store = DocumentStore.from_texts("d", ["Nothing relevant here.", "Still nothing."])
+        store = DocumentStore("d", ["Nothing relevant here.", "Still nothing."])
         assert match_cells_to_sentences(table, store) == []
 
     def test_textual_whole_phrase_case_insensitive(self):
         table = one_cell_table("Net Income")
-        store = DocumentStore.from_texts(
+        store = DocumentStore(
             "d",
             [
                 "Growth in net income was strong.",
@@ -100,12 +100,12 @@ class TestCellMatching:
 
     def test_word_boundaries_respected(self):
         table = one_cell_table("Total")
-        store = DocumentStore.from_texts("d", ["Totally different subject."])
+        store = DocumentStore("d", ["Totally different subject."])
         assert match_cells_to_sentences(table, store) == []
 
     def test_multiple_sentences_preserved_for_review(self):
         table = one_cell_table("500")
-        store = DocumentStore.from_texts(
+        store = DocumentStore(
             "d", ["First mention of 500 here.", "Another 500 there."]
         )
         matches = match_cells_to_sentences(table, store)
@@ -115,13 +115,13 @@ class TestCellMatching:
         table = HierarchicalTable(
             "", CoordTree.from_nested(["r"]), CoordTree.from_nested(["c1", "c2"]), (("", "7"),)
         )
-        store = DocumentStore.from_texts("d", ["Value 7 appears."])
+        store = DocumentStore("d", ["Value 7 appears."])
         matches = match_cells_to_sentences(table, store)
         assert [(m.row, m.col) for m in matches] == [(0, 1)]
 
     def test_determinism(self):
         table = make_flat_table(2, 2)
-        store = DocumentStore.from_texts("d", ["v00 and v01.", "then v10, v11."])
+        store = DocumentStore("d", ["v00 and v01.", "then v10, v11."])
         first = match_cells_to_sentences(table, store)
         second = match_cells_to_sentences(table, store)
         assert [(m.row, m.col, m.sentence_ids) for m in first] == [
@@ -130,7 +130,7 @@ class TestCellMatching:
 
     def test_coordinates_attached(self):
         table = make_flat_table(1, 2)
-        store = DocumentStore.from_texts("d", ["v00 v01 both here."])
+        store = DocumentStore("d", ["v00 v01 both here."])
         matches = match_cells_to_sentences(table, store)
         assert matches[0].left_coord == TreeCoord((0,))
         assert matches[1].top_coord == TreeCoord((1,))
@@ -233,9 +233,9 @@ class TestQuestionPrompt:
 class TestCorpusStats:
     def triples(self):
         docs = {
-            "d1": DocumentStore.from_texts("d1", ["one two three.", "four five six seven."]),
-            "d2": DocumentStore.from_texts("d2", ["a b c d e."]),
-            "d3": DocumentStore.from_texts("d3", ["x y.", "z w v u t s."]),
+            "d1": DocumentStore("d1", ["one two three.", "four five six seven."]),
+            "d2": DocumentStore("d2", ["a b c d e."]),
+            "d3": DocumentStore("d3", ["x y.", "z w v u t s."]),
         }
         hier = HierarchicalTable(
             "",

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import json
 
-from doc2table.cli import main
+import pytest
+
+from doc2table.cli import main, retrieve_stage
+from doc2table.config import BuiltProviders, RunConfig
+from doc2table.data import read_documents, read_triples
 from doc2table.data import write_jsonl
 from doc2table.html_io import serialize_html
+from doc2table.providers import HashingEmbedder, Rewriter, ScriptedProvider
 
 from conftest import FIXTURES, make_flat_table
 
@@ -55,8 +60,10 @@ class TestEvaluate:
         gen, gt = self.write_pair(tmp_path, {"a": table, "b": table}, {"a": table})
         code = run(["evaluate", "--generated", gen, "--groundtruth", gt, "--out", tmp_path / "o"])
         assert code == 2
-        error = json.loads(capsys.readouterr().err)
-        assert error["error"]["type"] == "input_format"
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "input_format"
+        assert (error["file"], error["line"], error["field"]) == (str(gen), 2, "id")
+        assert "'b'" in error["message"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         table = make_flat_table(2, 2)
@@ -126,6 +133,35 @@ class TestMalformedInputs:
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert "quantum" in error["message"]
+
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"k": "10"}, "k"),
+            ({"k": True}, "k"),
+            ({"rewrite_docs": "yes"}, "rewrite_docs"),
+            ({"fill_batch_size": 2.5}, "fill_batch_size"),
+            ({"temperature": "0"}, "temperature"),
+            ({"out_dir": 3}, "out_dir"),
+            ({"chat": "replay"}, "chat"),
+            ({"rewriter": {"mode": "replay", "transcript": 5}}, "rewriter.transcript"),
+        ],
+    )
+    def test_config_value_of_wrong_type_is_reported(self, tmp_path, capsys, override, field):
+        config = json.loads((PIPELINE / "config.json").read_text())
+        for key in ("docs", "questions"):
+            config[key] = str(PIPELINE / config[key])
+        for role in ("chat", "rewriter"):
+            config[role]["transcript"] = str(PIPELINE / config[role]["transcript"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, **override}))
+        code = run(["pipeline", "--config", path, "--out", tmp_path / "o"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"config field {field} must be ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestAnnotateCommand:
@@ -256,6 +292,34 @@ class TestRetrieveCommand:
         first = (tmp_path / "out" / "retrieval.jsonl").read_bytes()
         assert run(args) == 0
         assert (tmp_path / "out" / "retrieval.jsonl").read_bytes() == first
+
+
+    def test_unreferenced_documents_cost_nothing(self, tmp_path):
+        rewrites = []
+
+        def rewrite(request):
+            rewrites.append(request["mode"])
+            return {"outputs": [request["text"]]}
+
+        class CountingEmbedder(HashingEmbedder):
+            def __init__(self):
+                self.batches = []
+
+            def embed(self, texts):
+                self.batches.append(list(texts))
+                return super().embed(texts)
+
+        documents = read_documents(PIPELINE / "docs.jsonl")
+        triples = [t for t in read_triples(PIPELINE / "questions.jsonl") if t.triple_id == "gamma"]
+        embedder = CountingEmbedder()
+        built = BuiltProviders(None, Rewriter(ScriptedProvider(rewrite)), embedder, [])
+        retrieve_stage(
+            triples, PIPELINE / "questions.jsonl", documents, built, RunConfig(k=10), tmp_path
+        )
+        gamma = documents[triples[0].doc_id].sentences
+        assert len(gamma) == 6 and len(documents) == 2
+        assert rewrites == ["sentence"] * 6 + ["question"]
+        assert embedder.batches == [gamma, [triples[0].question]]
 
 
 class TestPipelineCommand:

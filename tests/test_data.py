@@ -44,13 +44,13 @@ class TestDocuments:
         path = tmp_path / "docs.jsonl"
         path.write_text(json.dumps({"doc_id": "d", "sentences": ["One.", "Two."]}) + "\n")
         docs = read_documents(path)
-        assert [s.raw for s in docs["d"].sentences] == ["One.", "Two."]
+        assert docs["d"].sentences == ["One.", "Two."]
 
     def test_raw_text_is_segmented(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(json.dumps({"doc_id": "d", "text": "First one. Second one."}) + "\n")
         docs = read_documents(path)
-        assert [s.raw for s in docs["d"].sentences] == ["First one.", "Second one."]
+        assert docs["d"].sentences == ["First one.", "Second one."]
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         path = tmp_path / "docs.jsonl"

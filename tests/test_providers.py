@@ -219,6 +219,16 @@ class TestHttpProvider:
             provider.call({"q": 1})
         assert "3 attempts" in str(excinfo.value)
 
+    def test_sleeps_only_between_attempts(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        session = FakeSession([ConnectionError("down")] * 3)
+        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, session=session)
+        with pytest.raises(ProviderError):
+            provider.call({"q": 1})
+        assert len(session.calls) == 3
+        assert sleeps == [0.5, 1.0]
+
     def test_api_key_header(self):
         session = FakeSession([FakeResponse({"ok": 1})])
         provider = HttpProvider("http://x", api_key="secret", backoff=0.001, session=session)

@@ -12,7 +12,6 @@ from doc2table.retrieval import (
     DocumentStore,
     RetrievalConfigError,
     RetrievalRecord,
-    Sentence,
     merge_max_score,
     merge_round_robin,
     retrieve_top_k,
@@ -99,20 +98,18 @@ class TestRewriteQuestion:
 
 class TestRewriteSentences:
     def test_identity_keeps_raw(self):
-        store = DocumentStore.from_texts("d", ["One.", "Two."])
+        store = DocumentStore("d", ["One.", "Two."])
         rewriter = scripted_rewriter(lambda req: {"outputs": [req["text"]]})
-        out = rewrite_sentences(store, rewriter)
-        assert [s.rewritten for s in out.sentences] == ["One.", "Two."]
-        assert [s.raw for s in out.sentences] == ["One.", "Two."]
+        assert rewrite_sentences(store, rewriter) == ["One.", "Two."]
+        assert store.sentences == ["One.", "Two."]
 
     def test_rewrite_changes_retrieval_text_only(self):
-        store = DocumentStore.from_texts("d", ["The company reported revenue of $56.2 billion."])
+        store = DocumentStore("d", ["The company reported revenue of $56.2 billion."])
         rewriter = scripted_rewriter(
             lambda req: {"outputs": ["Revenue of the company was $56.2 billion."]}
         )
-        out = rewrite_sentences(store, rewriter)
-        assert out.sentences[0].raw == "The company reported revenue of $56.2 billion."
-        assert out.sentences[0].rewritten == "Revenue of the company was $56.2 billion."
+        assert rewrite_sentences(store, rewriter) == ["Revenue of the company was $56.2 billion."]
+        assert store.sentences == ["The company reported revenue of $56.2 billion."]
 
     def test_partial_outage_degrades_per_sentence(self, caplog):
         calls = {"n": 0}
@@ -123,12 +120,12 @@ class TestRewriteSentences:
                 raise RuntimeError("outage")
             return {"outputs": [req["text"].upper()]}
 
-        store = DocumentStore.from_texts("d", [f"Sentence {i}." for i in range(6)])
+        store = DocumentStore("d", [f"Sentence {i}." for i in range(6)])
         with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
-            out = rewrite_sentences(store, scripted_rewriter(flaky))
-        assert len(out.sentences) == 6
-        assert all(s.retrieval_text for s in out.sentences)  # all still retrievable
-        degraded = [s for s in out.sentences if s.rewritten == s.raw]
+            texts = rewrite_sentences(store, scripted_rewriter(flaky))
+        assert len(texts) == 6
+        assert all(texts)  # all still retrievable
+        degraded = [text for text, raw in zip(texts, store.sentences) if text == raw]
         assert len(degraded) == 3
 
 
@@ -147,43 +144,67 @@ class FixedEmbedder:
         return out
 
 
+def rank(store, sub_questions, embedder, **kwargs):
+    """retrieve_top_k over the store's raw sentences, embedded by the same embedder."""
+    vectors = embedder.embed(store.sentences) if store.sentences else None
+    return retrieve_top_k(store, sub_questions, vectors, embedder, **kwargs)
+
+
 class TestRetrieveTopK:
     def test_identical_sentence_ranked_first_with_score_one(self):
-        store = DocumentStore.from_texts("d", ["alpha beta gamma", "totally different words"])
-        record = retrieve_top_k(store, ["alpha beta gamma"], HashingEmbedder(), k=2)
+        store = DocumentStore("d", ["alpha beta gamma", "totally different words"])
+        record = rank(store, ["alpha beta gamma"], HashingEmbedder(), k=2)
         assert record.merged[0] == (0, 1.0)
 
     def test_orthogonal_vectors_score_zero_and_rank_last(self):
         embedder = FixedEmbedder({"q": 0, "hit": 0, "miss": 1})
-        store = DocumentStore.from_texts("d", ["miss", "hit"])
-        record = retrieve_top_k(store, ["q"], embedder, k=2)
+        store = DocumentStore("d", ["miss", "hit"])
+        record = rank(store, ["q"], embedder, k=2)
         assert record.merged == [(1, 1.0), (0, 0.0)]
 
     def test_empty_store_returns_empty_record(self, caplog):
         store = DocumentStore("d", [])
         with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
-            record = retrieve_top_k(store, ["q"], HashingEmbedder(), k=5)
+            record = rank(store, ["q"], HashingEmbedder(), k=5)
         assert record.merged == [] and record.per_question == []
 
     def test_dimension_mismatch_is_configuration_error(self):
-        class DriftingEmbedder:
+        store = DocumentStore("d", ["a", "b"])
+        with pytest.raises(RetrievalConfigError):
+            retrieve_top_k(store, ["q"], np.ones((2, 5)), FixedEmbedder({}, dim=4), k=1)
+
+    def test_embeds_only_the_sub_questions(self):
+        class CountingEmbedder(HashingEmbedder):
             def __init__(self):
-                self.calls = 0
+                self.batches = []
 
             def embed(self, texts):
-                self.calls += 1
-                dim = 4 if self.calls == 1 else 5
-                return np.ones((len(texts), dim))
+                self.batches.append(list(texts))
+                return super().embed(texts)
 
-        store = DocumentStore.from_texts("d", ["a", "b"])
-        with pytest.raises(RetrievalConfigError):
-            retrieve_top_k(store, ["q"], DriftingEmbedder(), k=1)
+        store = DocumentStore("d", ["alpha", "beta"])
+        embedder = CountingEmbedder()
+        retrieve_top_k(store, ["alpha", "beta"], HashingEmbedder().embed(store.sentences), embedder)
+        assert embedder.batches == [["alpha", "beta"]]
+
+    def test_same_store_ranks_with_two_embedders(self):
+        store = DocumentStore("d", ["miss", "hit"])
+        fixed = rank(store, ["q"], FixedEmbedder({"q": 0, "hit": 0, "miss": 1}), k=2)
+        hashed = rank(store, ["miss"], HashingEmbedder(), k=2)
+        assert fixed.merged == [(1, 1.0), (0, 0.0)]
+        assert hashed.merged[0] == (0, 1.0)
+
+    def test_records_cite_raw_text_ranked_by_retrieval_text(self):
+        store = DocumentStore("d", ["raw zero", "raw one"])
+        embedder = HashingEmbedder()
+        vectors = embedder.embed(["unrelated words", "revenue was high"])
+        record = retrieve_top_k(store, ["revenue was high"], vectors, embedder, k=1)
+        assert record.merged == [(1, 1.0)]
+        assert record.sentence_texts == {1: "raw one"}
 
     def test_scores_non_increasing_and_no_duplicate_ids(self):
-        store = DocumentStore.from_texts("d", [f"sentence number {i}" for i in range(20)])
-        record = retrieve_top_k(
-            store, ["sentence number 3", "sentence number 7"], HashingEmbedder(), k=10
-        )
+        store = DocumentStore("d", [f"sentence number {i}" for i in range(20)])
+        record = rank(store, ["sentence number 3", "sentence number 7"], HashingEmbedder(), k=10)
         for ranked in record.per_question:
             scores = [s for _, s in ranked]
             assert scores == sorted(scores, reverse=True)
@@ -192,25 +213,25 @@ class TestRetrieveTopK:
 
     def test_determinism_across_runs(self):
         def run():
-            store = DocumentStore.from_texts("d", [f"item {i} value {i*i}" for i in range(30)])
-            return retrieve_top_k(store, ["item 7", "value 49"], HashingEmbedder(), k=10)
+            store = DocumentStore("d", [f"item {i} value {i*i}" for i in range(30)])
+            return rank(store, ["item 7", "value 49"], HashingEmbedder(), k=10)
 
         assert run().to_dict() == run().to_dict()
 
     def test_cosine_bounds(self):
-        store = DocumentStore.from_texts("d", [f"word{i}" for i in range(15)])
-        record = retrieve_top_k(store, ["word1 word2"], HashingEmbedder(), k=15)
+        store = DocumentStore("d", [f"word{i}" for i in range(15)])
+        record = rank(store, ["word1 word2"], HashingEmbedder(), k=15)
         for _, score in record.per_question[0]:
             assert -1.0 <= score <= 1.0
 
     def test_k_validation(self):
-        store = DocumentStore.from_texts("d", ["a"])
+        store = DocumentStore("d", ["a"])
         with pytest.raises(ValueError):
-            retrieve_top_k(store, ["q"], HashingEmbedder(), k=0)
+            rank(store, ["q"], HashingEmbedder(), k=0)
 
     def test_record_round_trips_through_dict(self):
-        store = DocumentStore.from_texts("d", [f"text {i}" for i in range(5)])
-        record = retrieve_top_k(store, ["text 1"], HashingEmbedder(), k=3, question="Q?")
+        store = DocumentStore("d", [f"text {i}" for i in range(5)])
+        record = rank(store, ["text 1"], HashingEmbedder(), k=3, question="Q?")
         again = RetrievalRecord.from_dict(record.to_dict())
         assert again.merged == record.merged
         assert again.sentence_texts == record.sentence_texts
@@ -243,8 +264,8 @@ class TestMerging:
         assert len(ids) == len(set(ids))
 
     def test_single_question_top_k_subset_of_top_k_plus_one(self):
-        store = DocumentStore.from_texts("d", [f"entry {i} alpha" for i in range(12)])
-        base = retrieve_top_k(store, ["entry 3 alpha"], HashingEmbedder(), k=12)
+        store = DocumentStore("d", [f"entry {i} alpha" for i in range(12)])
+        base = rank(store, ["entry 3 alpha"], HashingEmbedder(), k=12)
         ranked = base.per_question[0]
         for k in range(1, 12):
             assert set(r[0] for r in ranked[:k]) <= set(r[0] for r in ranked[: k + 1])
@@ -258,12 +279,3 @@ class TestMerging:
         merged = merge_round_robin(lists, 2)
         assert merged == [(0, 0.9), (5, 0.2)]
 
-
-class TestDocumentStore:
-    def test_dense_ids_enforced(self):
-        with pytest.raises(ValueError):
-            DocumentStore("d", [Sentence(1, "x")])
-
-    def test_from_texts(self):
-        store = DocumentStore.from_texts("d", ["a", "b"])
-        assert [s.sentence_id for s in store.sentences] == [0, 1]
