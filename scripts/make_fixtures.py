@@ -18,10 +18,16 @@ from pathlib import Path
 
 from doc2table.cli import generate_stage, main as cli_main, retrieve_stage
 from doc2table.config import BuiltProviders, RunConfig
-from doc2table.generation import StructurePlan, build_fill_prompt, build_oneshot_prompt, build_structure_prompt
+from doc2table.generation import (
+    StructurePlan,
+    build_fill_prompt,
+    build_oneshot_prompt,
+    build_structure_prompt,
+    plan_cells,
+)
 from doc2table.annotate import build_question_prompt
 from doc2table.html_io import serialize_html
-from doc2table.model import CoordTree, HierarchicalTable, leaf_coords, leaf_label_paths
+from doc2table.model import CoordTree, HierarchicalTable, leaf_label_paths
 from doc2table.providers import (
     ChatProvider,
     HashingEmbedder,
@@ -125,12 +131,9 @@ def write_prompt_goldens() -> None:
         left=CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
         top=CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
         stub_header="Metric",
-        rows=1,
-        cols=2,
     )
-    batch = [(lc, tc) for lc in leaf_coords(plan.left) for tc in leaf_coords(plan.top)]
     (out / "fill_prompt.txt").write_text(
-        build_fill_prompt(plan, PROMPT_QUESTION, PROMPT_SENTENCES, batch) + "\n",
+        build_fill_prompt(PROMPT_QUESTION, PROMPT_SENTENCES, plan_cells(plan)) + "\n",
         encoding="utf-8",
     )
     (out / "oneshot_prompt.txt").write_text(

@@ -137,8 +137,10 @@ def generate_stage(
 ) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
     """Stage two: TabTalk per question; write tables.jsonl, traces.jsonl, errors.jsonl.
 
-    Returns the (triple id, table) pairs generated, in input order, and the
-    error rows; errors.jsonl is written only when there are any.
+    A question with no retrieval record, no evidence sentences or a failed
+    stage (its provider failing included) becomes one error row and the
+    others go on. Returns the (triple id, table) pairs generated, in input
+    order, and the error rows; errors.jsonl is written only when there are any.
     """
     generated = []
     traces = []
@@ -151,6 +153,9 @@ def generate_stage(
             )
             continue
         sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
+        if not sentences:
+            errors.append({"id": triple.triple_id, "stage": "input", "error": "no evidence sentences"})
+            continue
         try:
             result = run_tabtalk(
                 triple.question,

@@ -97,6 +97,8 @@ class RunConfig:
             raise ValueError(f"fill_batch_size must be >= 1, got {self.fill_batch_size}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.parallel < 1:
+            raise ValueError(f"parallel must be >= 1, got {self.parallel}")
         if self.merge not in ("round_robin", "max_score"):
             raise ValueError(f"unknown merge strategy {self.merge!r}")
         if self.chat.mode not in CHAT_MODES:

@@ -2,10 +2,15 @@
 
 Stage one asks the chat model for the table's header skeleton (row-header
 tree, column-header tree, dimensions) as an HTML fragment inside a fenced
-block, verified against the declared dimensions. Stage two fills body
-cells batch by batch with per-cell queries, sentence citations and unit
-notes, then the table is assembled and validated. Each stage gets at most
-one retry with the parse/verification error appended to the prompt.
+block; the declared dimensions must match the skeleton. The plan's body
+cells then form one row-major list of :class:`PlanCell`, each carrying its
+two leaf coordinates and their label paths. Stage two fills slices of
+that list (one body row per prompt by default) with per-cell queries,
+sentence citations and unit notes, and the body is the fill values
+reshaped by the column count. Each stage gets at most ``max_retries``
+retries with the parse error appended to the prompt; a stage that runs
+out of retries, or whose provider fails, raises :class:`StageFailure`,
+which the CLI turns into one ``errors.jsonl`` row for that question only.
 
 A one-shot baseline (single prompt producing the whole table) is kept
 for comparison runs: pass ``oneshot=True`` to :func:`run_tabtalk`, which
@@ -26,10 +31,9 @@ from .model import (
     TableModelError,
     TreeCoord,
     leaf_coords,
-    resolve_coord,
-    validate,
+    leaf_label_paths,
 )
-from .providers import ChatProvider
+from .providers import ChatProvider, ProviderError
 
 logger = logging.getLogger(__name__)
 
@@ -39,19 +43,11 @@ class GenerationError(RuntimeError):
 
 
 class ResponseParseError(GenerationError):
-    """The model reply could not be parsed; worth one retry."""
-
-
-class PlanVerificationError(GenerationError):
-    """The reply parsed but failed a verification gate; worth one retry."""
-
-
-class AssemblyError(GenerationError):
-    """The fill trace cannot be assembled into a valid table."""
+    """The model reply could not be parsed or failed a check; worth one retry."""
 
 
 class StageFailure(GenerationError):
-    """A stage exhausted its retries; carries partial artifacts."""
+    """A stage exhausted its retries or its provider failed; carries partial artifacts."""
 
     def __init__(self, stage: str, message: str, partial: dict):
         super().__init__(f"{stage} stage failed: {message}")
@@ -64,24 +60,35 @@ class StructurePlan:
     left: CoordTree
     top: CoordTree
     stub_header: str
-    rows: int
-    cols: int
 
-    def verify(self) -> None:
-        n_left = self.left.leaf_count
-        n_top = self.top.leaf_count
-        if (self.rows, self.cols) != (n_left, n_top):
-            raise PlanVerificationError(
-                f"declared dimensions {self.rows} x {self.cols} do not match the "
-                f"header skeleton ({n_left} row leaves, {n_top} column leaves)"
-            )
+
+@dataclass(frozen=True)
+class PlanCell:
+    """One body cell of a plan: its two leaf coordinates and their label paths."""
+
+    left_coord: TreeCoord
+    top_coord: TreeCoord
+    left_path: tuple[str, ...]
+    top_path: tuple[str, ...]
+
+    @property
+    def query(self) -> str:
+        return f"What is {_path_str(self.top_path)} for {_path_str(self.left_path)}?"
+
+
+def plan_cells(plan: StructurePlan) -> list[PlanCell]:
+    """Every body cell of ``plan`` in row-major order."""
+    top = list(zip(leaf_coords(plan.top), leaf_label_paths(plan.top)))
+    return [
+        PlanCell(left_coord, top_coord, left_path, top_path)
+        for left_coord, left_path in zip(leaf_coords(plan.left), leaf_label_paths(plan.left))
+        for top_coord, top_path in top
+    ]
 
 
 @dataclass(frozen=True)
 class CellFill:
-    left_coord: TreeCoord
-    top_coord: TreeCoord
-    query: str
+    cell: PlanCell
     sentence_ids: tuple[int, ...]
     value: str
     note: str | None = None
@@ -91,15 +98,6 @@ class CellFill:
 @dataclass(frozen=True)
 class FillTrace:
     records: tuple[CellFill, ...]
-
-    def by_coords(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], CellFill]:
-        index: dict[tuple[tuple[int, ...], tuple[int, ...]], CellFill] = {}
-        for record in self.records:
-            key = (record.left_coord.path, record.top_coord.path)
-            if key in index:
-                raise AssemblyError(f"duplicate fill record for coordinates {key}")
-            index[key] = record
-        return index
 
     @property
     def unfilled(self) -> tuple[CellFill, ...]:
@@ -127,6 +125,18 @@ def extract_fenced_block(response: str) -> str:
     return blocks[-1]
 
 
+def _parse_block_table(block: str, what: str) -> HierarchicalTable:
+    """Parse the ``<table>`` element inside a fenced block."""
+    start = block.find("<table")
+    end = block.rfind("</table>")
+    if start == -1 or end == -1:
+        raise ResponseParseError("no <table> element in the fenced block")
+    try:
+        return parse_html_table(block[start : end + len("</table>")])
+    except (TableInputError, TableStructureError, TableModelError) as exc:
+        raise ResponseParseError(f"{what} is not a usable table: {exc}") from exc
+
+
 def _numbered(sentences: list[tuple[int, str]]) -> str:
     return "\n".join(f"{i + 1}. {text}" for i, (_, text) in enumerate(sentences))
 
@@ -135,15 +145,7 @@ def _path_str(path: tuple[str, ...]) -> str:
     return " > ".join(path)
 
 
-def cell_query(left_path: tuple[str, ...], top_path: tuple[str, ...]) -> str:
-    return f"What is {_path_str(top_path)} for {_path_str(left_path)}?"
-
-
-def build_structure_prompt(
-    question: str,
-    sentences: list[tuple[int, str]],
-    exemplar: tuple[str, str] | None = None,
-) -> str:
+def build_structure_prompt(question: str, sentences: list[tuple[int, str]]) -> str:
     """Stage-one prompt: design the header skeleton, no values yet."""
     if not sentences:
         raise ValueError("at least one evidence sentence is required")
@@ -157,18 +159,6 @@ def build_structure_prompt(
         "Evidence sentences:",
         _numbered(sentences),
         "",
-    ]
-    if exemplar is not None:
-        ex_question, ex_table = exemplar
-        parts += [
-            "Worked example.",
-            "Example question:",
-            ex_question,
-            "Example table:",
-            ex_table,
-            "",
-        ]
-    parts += [
         "Think step by step before answering: list the separate pieces of",
         "information the question asks for, answer those sub-queries first, then",
         "build up to the main query and decide the complete layout, working from",
@@ -199,45 +189,31 @@ def build_structure_prompt(
 
 
 def parse_structure_response(response: str) -> StructurePlan:
-    """Extract and verify the stage-one header skeleton."""
+    """Extract the stage-one header skeleton and check its declared dimensions."""
     block = extract_fenced_block(response)
     dims = _DIMENSIONS.search(block)
     if not dims:
         raise ResponseParseError('no "dimensions: <rows> x <columns>" line in the fenced block')
-    start = block.find("<table")
-    end = block.rfind("</table>")
-    if start == -1 or end == -1:
-        raise ResponseParseError("no <table> element in the fenced block")
-    try:
-        skeleton = parse_html_table(block[start : end + len("</table>")])
-    except (TableInputError, TableStructureError, TableModelError) as exc:
-        raise ResponseParseError(f"header skeleton is not a usable table: {exc}") from exc
-    plan = StructurePlan(
-        left=skeleton.left,
-        top=skeleton.top,
-        stub_header=skeleton.stub_header,
-        rows=int(dims.group(1)),
-        cols=int(dims.group(2)),
-    )
-    plan.verify()
-    return plan
+    skeleton = _parse_block_table(block, "header skeleton")
+    rows, cols = int(dims.group(1)), int(dims.group(2))
+    n_left, n_top = skeleton.left.leaf_count, skeleton.top.leaf_count
+    if (rows, cols) != (n_left, n_top):
+        raise ResponseParseError(
+            f"declared dimensions {rows} x {cols} do not match the "
+            f"header skeleton ({n_left} row leaves, {n_top} column leaves)"
+        )
+    return StructurePlan(skeleton.left, skeleton.top, skeleton.stub_header)
 
 
 def build_fill_prompt(
-    plan: StructurePlan,
-    question: str,
-    sentences: list[tuple[int, str]],
-    batch: list[tuple[TreeCoord, TreeCoord]],
+    question: str, sentences: list[tuple[int, str]], batch: list[PlanCell]
 ) -> str:
     """Stage-two prompt: fill the given cells, citing evidence sentences."""
-    cell_lines = []
-    for i, (left_coord, top_coord) in enumerate(batch):
-        left_path = resolve_coord(plan.left, left_coord)  # raises on invalid coords
-        top_path = resolve_coord(plan.top, top_coord)
-        cell_lines.append(
-            f"cell {i + 1}: row = {_path_str(left_path)}; column = {_path_str(top_path)}\n"
-            f"  query: {cell_query(left_path, top_path)}"
-        )
+    cell_lines = [
+        f"cell {i + 1}: row = {_path_str(cell.left_path)}; column = {_path_str(cell.top_path)}\n"
+        f"  query: {cell.query}"
+        for i, cell in enumerate(batch)
+    ]
     parts = [
         "You fill specific body cells of a table that answers a question.",
         "",
@@ -266,12 +242,9 @@ def build_fill_prompt(
 
 
 def parse_fill_response(
-    response: str,
-    plan: StructurePlan,
-    batch: list[tuple[TreeCoord, TreeCoord]],
-    sentence_ids: list[int],
+    response: str, batch: list[PlanCell], sentence_ids: list[int]
 ) -> list[CellFill]:
-    """Per-cell extraction; absent cells are flagged unfilled.
+    """One record per batch cell, in batch order; absent cells are flagged unfilled.
 
     Citations are prompt-local numbers (1-based into the evidence list) and
     are mapped back to sentence ids; numbers outside the evidence list are
@@ -291,14 +264,11 @@ def parse_fill_response(
             by_number[entry["cell"]] = entry
 
     records: list[CellFill] = []
-    for i, (left_coord, top_coord) in enumerate(batch):
-        left_path = resolve_coord(plan.left, left_coord)
-        top_path = resolve_coord(plan.top, top_coord)
-        query = cell_query(left_path, top_path)
+    for i, cell in enumerate(batch):
         entry = by_number.get(i + 1)
         if entry is None:
             logger.warning("cell %d missing from fill reply; left unfilled", i + 1)
-            records.append(CellFill(left_coord, top_coord, query, (), "", None, filled=False))
+            records.append(CellFill(cell, (), "", None, filled=False))
             continue
         cited: list[int] = []
         for number in entry.get("sentences") or []:
@@ -311,46 +281,16 @@ def parse_fill_response(
         note = entry.get("note")
         records.append(
             CellFill(
-                left_coord,
-                top_coord,
-                query,
+                cell,
                 tuple(cited),
                 str(entry.get("value", "")),
                 note if isinstance(note, str) and note else None,
-                filled=True,
             )
         )
     return records
 
 
-def assemble_table(plan: StructurePlan, trace: FillTrace) -> HierarchicalTable:
-    """Build the final table; every cell must have a record (unfilled is fine)."""
-    index = trace.by_coords()
-    left_cs = leaf_coords(plan.left)
-    top_cs = leaf_coords(plan.top)
-    missing = [
-        (lc.path, tc.path)
-        for lc in left_cs
-        for tc in top_cs
-        if (lc.path, tc.path) not in index
-    ]
-    if missing:
-        raise AssemblyError(f"fill trace has no record for coordinates: {missing}")
-    body = tuple(
-        tuple(index[(lc.path, tc.path)].value for tc in top_cs) for lc in left_cs
-    )
-    table = HierarchicalTable(plan.stub_header, plan.left, plan.top, body)
-    report = validate(table)
-    if not report.ok:
-        raise AssemblyError("assembled table failed validation: " + "; ".join(report.errors))
-    return table
-
-
-def build_oneshot_prompt(
-    question: str,
-    sentences: list[tuple[int, str]],
-    exemplar: tuple[str, str] | None = None,
-) -> str:
+def build_oneshot_prompt(question: str, sentences: list[tuple[int, str]]) -> str:
     """Single-prompt baseline: produce the complete table in one go."""
     parts = [
         "Answer the question with a complete HTML table built from the evidence.",
@@ -361,18 +301,6 @@ def build_oneshot_prompt(
         "Evidence sentences:",
         _numbered(sentences),
         "",
-    ]
-    if exemplar is not None:
-        ex_question, ex_table = exemplar
-        parts += [
-            "Worked example.",
-            "Example question:",
-            ex_question,
-            "Example table:",
-            ex_table,
-            "",
-        ]
-    parts += [
         "Mark header cells as <th> (with rowspan/colspan for nesting) and body",
         "cells as <td>. Reply with exactly one fenced code block:",
         "",
@@ -393,29 +321,26 @@ def _retry_prompt(prompt: str, error: Exception) -> str:
 
 
 def _complete_with_retry(chat: ChatProvider, prompt: str, parse, stage: str, max_retries: int, partial: dict):
+    """Complete and parse, retrying rejected replies; provider errors are not retried.
+
+    The HTTP backend already retries transient failures, and a replay miss
+    never heals, so a :class:`ProviderError` fails the stage at once.
+    """
     retries = 0
     current = prompt
     while True:
-        response = chat.complete([{"role": "user", "content": current}])
+        try:
+            response = chat.complete([{"role": "user", "content": current}])
+        except ProviderError as exc:
+            raise StageFailure(stage, str(exc), dict(partial)) from exc
         try:
             return parse(response), retries
-        except (ResponseParseError, PlanVerificationError) as exc:
+        except ResponseParseError as exc:
             if retries >= max_retries:
-                partial = dict(partial)
-                partial["last_response"] = response
-                raise StageFailure(stage, str(exc), partial) from exc
+                raise StageFailure(stage, str(exc), {**partial, "last_response": response}) from exc
             retries += 1
             logger.warning("%s stage reply rejected (%s); retrying", stage, exc)
             current = _retry_prompt(prompt, exc)
-
-
-def _fill_batches(plan: StructurePlan, batch_size: int | None) -> list[list[tuple[TreeCoord, TreeCoord]]]:
-    left_cs = leaf_coords(plan.left)
-    top_cs = leaf_coords(plan.top)
-    if batch_size is None:
-        return [[(lc, tc) for tc in top_cs] for lc in left_cs]
-    cells = [(lc, tc) for lc in left_cs for tc in top_cs]
-    return [cells[i : i + batch_size] for i in range(0, len(cells), batch_size)]
 
 
 def run_tabtalk(
@@ -432,8 +357,9 @@ def run_tabtalk(
 
     ``sentences`` are (sentence_id, raw text) pairs in retrieval order; the
     prompt numbers them 1..n and citations are mapped back to the ids.
-    ``fill_batch_size`` None fills one body row per prompt; ``parallel``
-    fill prompts run at once; each stage gets ``max_retries`` retries.
+    ``fill_batch_size`` cells go into each fill prompt (None: one body row);
+    up to ``parallel`` fill prompts run at once, and their records come back
+    in cell order; each stage gets ``max_retries`` retries.
     """
     if oneshot:
         return _run_oneshot(question, sentences, chat, max_retries)
@@ -443,47 +369,29 @@ def run_tabtalk(
         chat, prompt, parse_structure_response, "structure", max_retries, {}
     )
 
+    cells = plan_cells(plan)
+    n_cols = plan.top.leaf_count
+    size = n_cols if fill_batch_size is None else fill_batch_size
+    batches = [cells[i : i + size] for i in range(0, len(cells), size)]
     sentence_ids = [sid for sid, _ in sentences]
-    batches = _fill_batches(plan, fill_batch_size)
-    partial = {"plan": plan}
 
-    def fill_one(batch: list[tuple[TreeCoord, TreeCoord]]) -> tuple[list[CellFill], int]:
-        fill_prompt = build_fill_prompt(plan, question, sentences, batch)
+    def fill_one(batch: list[PlanCell]) -> tuple[list[CellFill], int]:
         return _complete_with_retry(
             chat,
-            fill_prompt,
-            lambda resp: parse_fill_response(resp, plan, batch, sentence_ids),
+            build_fill_prompt(question, sentences, batch),
+            lambda resp: parse_fill_response(resp, batch, sentence_ids),
             "fill",
             max_retries,
-            partial,
+            {"plan": plan},
         )
 
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(fill_one, batches))
-    else:
-        results = [fill_one(batch) for batch in batches]
-    fill_retries = sum(retries for _, retries in results)
-
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        results = list(pool.map(fill_one, batches))
     trace = FillTrace(tuple(r for fragment, _ in results for r in fragment))
-    partial["trace"] = trace
-    try:
-        table = assemble_table(plan, trace)
-    except AssemblyError as exc:
-        raise StageFailure("assemble", str(exc), partial) from exc
-    return TabTalkResult(table, plan, trace, structure_retries, fill_retries)
-
-
-def _parse_oneshot_response(response: str) -> HierarchicalTable:
-    block = extract_fenced_block(response)
-    start = block.find("<table")
-    end = block.rfind("</table>")
-    if start == -1 or end == -1:
-        raise ResponseParseError("no <table> element in the fenced block")
-    try:
-        return parse_html_table(block[start : end + len("</table>")])
-    except (TableInputError, TableStructureError, TableModelError) as exc:
-        raise ResponseParseError(f"reply is not a usable table: {exc}") from exc
+    values = [r.value for r in trace.records]  # one per cell, row-major
+    body = tuple(tuple(values[i : i + n_cols]) for i in range(0, len(values), n_cols))
+    table = HierarchicalTable(plan.stub_header, plan.left, plan.top, body)
+    return TabTalkResult(table, plan, trace, structure_retries, sum(n for _, n in results))
 
 
 def _run_oneshot(
@@ -494,26 +402,17 @@ def _run_oneshot(
 ) -> TabTalkResult:
     prompt = build_oneshot_prompt(question, sentences)
     table, retries = _complete_with_retry(
-        chat, prompt, _parse_oneshot_response, "oneshot", max_retries, {}
+        chat,
+        prompt,
+        lambda resp: _parse_block_table(extract_fenced_block(resp), "reply"),
+        "oneshot",
+        max_retries,
+        {},
     )
-    plan = StructurePlan(
-        left=table.left,
-        top=table.top,
-        stub_header=table.stub_header,
-        rows=table.left.leaf_count,
-        cols=table.top.leaf_count,
-    )
-    records = []
-    left_cs = leaf_coords(plan.left)
-    top_cs = leaf_coords(plan.top)
-    for r, lc in enumerate(left_cs):
-        for c, tc in enumerate(top_cs):
-            left_path = resolve_coord(plan.left, lc)
-            top_path = resolve_coord(plan.top, tc)
-            records.append(
-                CellFill(lc, tc, cell_query(left_path, top_path), (), table.body[r][c])
-            )
-    return TabTalkResult(table, plan, FillTrace(tuple(records)), retries, 0)
+    plan = StructurePlan(table.left, table.top, table.stub_header)
+    values = [value for row in table.body for value in row]
+    records = tuple(CellFill(cell, (), value) for cell, value in zip(plan_cells(plan), values))
+    return TabTalkResult(table, plan, FillTrace(records), retries, 0)
 
 
 def trace_to_dict(plan: StructurePlan, trace: FillTrace) -> dict:
@@ -523,14 +422,14 @@ def trace_to_dict(plan: StructurePlan, trace: FillTrace) -> dict:
             "stub_header": plan.stub_header,
             "left": plan.left.to_nested(),
             "top": plan.top.to_nested(),
-            "rows": plan.rows,
-            "cols": plan.cols,
+            "rows": plan.left.leaf_count,
+            "cols": plan.top.leaf_count,
         },
         "cells": [
             {
-                "left": list(record.left_coord.path),
-                "top": list(record.top_coord.path),
-                "query": record.query,
+                "left": list(record.cell.left_coord.path),
+                "top": list(record.cell.top_coord.path),
+                "query": record.cell.query,
                 "sentences": list(record.sentence_ids),
                 "value": record.value,
                 "note": record.note,

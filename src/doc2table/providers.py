@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 EMBED_DIM = 4096
 EMBED_NGRAM = 3
+RETRYABLE_4XX = (408, 429)  # request timeout and rate limit: a later attempt may succeed
 
 
 class ProviderError(RuntimeError):
@@ -147,7 +148,10 @@ class RecordingProvider:
 
 
 class HttpProvider:
-    """POSTs the request as JSON, retrying with exponential backoff between attempts."""
+    """POSTs the request as JSON, retrying with exponential backoff between attempts.
+
+    Transport errors, 5xx, 408 and 429 are retried; any other 4xx fails at once.
+    """
 
     def __init__(
         self,
@@ -181,9 +185,16 @@ class HttpProvider:
                 response = self._session.post(
                     self.endpoint, json=request, headers=headers, timeout=self.timeout
                 )
+                status = response.status_code
+                if 400 <= status < 500 and status not in RETRYABLE_4XX:
+                    raise ProviderError(
+                        f"provider at {self.endpoint} rejected the request with HTTP {status}"
+                    )
                 response.raise_for_status()
                 return response.json()
-            except Exception as exc:  # transport and HTTP errors alike
+            except ProviderError:
+                raise  # a client error that no retry can fix
+            except Exception as exc:  # transport errors, 5xx, 408 and 429 alike
                 last_error = exc
                 logger.warning("provider call failed (attempt %d): %s", attempt + 1, exc)
         raise ProviderError(f"provider at {self.endpoint} failed after {self.max_retries} attempts: {last_error}")

@@ -4,12 +4,19 @@ import json
 
 import pytest
 
-from doc2table.cli import main, retrieve_stage
+from doc2table.cli import generate_stage, main, retrieve_stage
 from doc2table.config import BuiltProviders, RunConfig
-from doc2table.data import read_documents, read_triples
+from doc2table.data import read_documents, read_retrieval_records, read_triples
 from doc2table.data import write_jsonl
 from doc2table.html_io import serialize_html
-from doc2table.providers import HashingEmbedder, Rewriter, ScriptedProvider
+from doc2table.providers import (
+    ChatProvider,
+    HashingEmbedder,
+    ProviderError,
+    Rewriter,
+    ScriptedProvider,
+    Transcript,
+)
 
 from conftest import FIXTURES, make_flat_table
 
@@ -19,6 +26,22 @@ PIPELINE = FIXTURES / "pipeline"
 
 def run(args) -> int:
     return main([str(a) for a in args])
+
+
+def read_jsonl_rows(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_pipeline_config(tmp_path, **overrides):
+    """The pipeline fixture's config with absolute paths and ``overrides``, written to tmp_path."""
+    config = json.loads((PIPELINE / "config.json").read_text())
+    for key in ("docs", "questions"):
+        config[key] = str(PIPELINE / config[key])
+    for role in ("chat", "rewriter"):
+        config[role]["transcript"] = str(PIPELINE / config[role]["transcript"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, **overrides}))
+    return path
 
 
 class TestEvaluate:
@@ -149,18 +172,19 @@ class TestMalformedInputs:
         ],
     )
     def test_config_value_of_wrong_type_is_reported(self, tmp_path, capsys, override, field):
-        config = json.loads((PIPELINE / "config.json").read_text())
-        for key in ("docs", "questions"):
-            config[key] = str(PIPELINE / config[key])
-        for role in ("chat", "rewriter"):
-            config[role]["transcript"] = str(PIPELINE / config[role]["transcript"])
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({**config, **override}))
+        path = write_pipeline_config(tmp_path, **override)
         code = run(["pipeline", "--config", path, "--out", tmp_path / "o"])
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"config field {field} must be ")
+        assert not (tmp_path / "o").exists()
+
+    def test_parallel_below_one_is_rejected(self, tmp_path, capsys):
+        path = write_pipeline_config(tmp_path, parallel=0)
+        assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": "parallel must be >= 1, got 0"}
         assert not (tmp_path / "o").exists()
 
 
@@ -374,3 +398,69 @@ class TestPipelineCommand:
             (gen_out, "traces.jsonl"),
         ]:
             assert (stage_out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+class TestPerQuestionFailures:
+    """A question whose evidence or provider fails gets one error row; the others go on."""
+
+    def test_empty_document_fails_only_its_question(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(
+            (PIPELINE / "docs.jsonl").read_text() + json.dumps({"doc_id": "empty", "sentences": []}) + "\n"
+        )
+        gamma = read_jsonl_rows(PIPELINE / "questions.jsonl")[1]
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(
+            (PIPELINE / "questions.jsonl").read_text()
+            + json.dumps({**gamma, "id": "hollow", "doc_id": "empty", "relevant_sentence_ids": []})
+            + "\n"
+        )
+        out = tmp_path / "out"
+        path = write_pipeline_config(tmp_path, docs=str(docs), questions=str(questions))
+        assert run(["pipeline", "--config", path, "--out", out]) == 1
+        assert read_jsonl_rows(out / "errors.jsonl") == [
+            {"id": "hollow", "stage": "input", "error": "no evidence sentences"}
+        ]
+        for name in ("tables.jsonl", "traces.jsonl", "evaluation.jsonl", "evaluation.json"):
+            assert (out / name).read_bytes() == (PIPELINE / "golden" / name).read_bytes(), name
+
+    def test_replay_miss_fails_each_question_and_the_run_goes_on(self, tmp_path, capsys):
+        empty = tmp_path / "chat.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out"
+        path = write_pipeline_config(tmp_path, chat={"mode": "replay", "transcript": str(empty)})
+        assert run(["pipeline", "--config", path, "--out", out]) == 1
+        errors = read_jsonl_rows(out / "errors.jsonl")
+        assert [(e["id"], e["stage"]) for e in errors] == [
+            ("acme_beta", "structure"), ("gamma", "structure")
+        ]
+        assert all("no recorded response" in e["error"] for e in errors)
+        assert (out / "tables.jsonl").read_text() == ""
+        assert (out / "recall.json").read_bytes() == (PIPELINE / "golden" / "recall.json").read_bytes()
+        assert "pipeline complete: 0 tables, 2 failures" in capsys.readouterr().out
+
+    def test_provider_error_on_one_fill_prompt_fails_only_that_question(self, tmp_path):
+        transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        gamma = read_triples(PIPELINE / "questions.jsonl")[1]
+
+        def handler(request):
+            prompt = request["messages"][0]["content"]
+            if "You fill specific body cells" in prompt and gamma.question in prompt:
+                raise ProviderError("connection reset")
+            return transcript.lookup(request)
+
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        generated, errors = generate_stage(
+            read_triples(PIPELINE / "questions.jsonl"),
+            records,
+            ChatProvider(ScriptedProvider(handler)),
+            RunConfig(),
+            tmp_path,
+        )
+        assert [item_id for item_id, _ in generated] == ["acme_beta"]
+        assert errors == [
+            {"id": "gamma", "stage": "fill", "error": "fill stage failed: connection reset"}
+        ]
+        golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
+        assert read_jsonl_rows(tmp_path / "tables.jsonl") == golden_tables[:1]
+        assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors

@@ -7,27 +7,23 @@ from pathlib import Path
 import pytest
 
 from doc2table.generation import (
-    AssemblyError,
-    CellFill,
-    FillTrace,
-    PlanVerificationError,
     ResponseParseError,
     StageFailure,
     StructurePlan,
-    assemble_table,
     build_fill_prompt,
     build_oneshot_prompt,
     build_structure_prompt,
     extract_fenced_block,
     parse_fill_response,
     parse_structure_response,
+    plan_cells,
     run_tabtalk,
     trace_to_dict,
 )
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import content_similarity
-from doc2table.model import CoordError, CoordTree, HierarchicalTable, TreeCoord, leaf_coords, validate
-from doc2table.providers import ChatProvider, ScriptedProvider
+from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, leaf_coords, validate
+from doc2table.providers import ChatProvider, ProviderError, ScriptedProvider
 from doc2table.treedist import teds
 
 PROMPTS = Path(__file__).parent / "fixtures" / "prompts"
@@ -47,8 +43,6 @@ def simple_plan() -> StructurePlan:
         left=CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
         top=CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
         stub_header="Metric",
-        rows=1,
-        cols=2,
     )
 
 
@@ -76,9 +70,7 @@ class TestPrompts:
 
     def test_fill_prompt_matches_golden(self):
         golden = (PROMPTS / "fill_prompt.txt").read_text(encoding="utf-8")
-        plan = simple_plan()
-        batch = [(lc, tc) for lc in leaf_coords(plan.left) for tc in leaf_coords(plan.top)]
-        assert build_fill_prompt(plan, QUESTION, SENTENCES, batch) + "\n" == golden
+        assert build_fill_prompt(QUESTION, SENTENCES, plan_cells(simple_plan())) + "\n" == golden
 
     def test_oneshot_prompt_matches_golden(self):
         golden = (PROMPTS / "oneshot_prompt.txt").read_text(encoding="utf-8")
@@ -89,12 +81,6 @@ class TestPrompts:
         b = build_structure_prompt(QUESTION, SENTENCES)
         assert a == b
 
-    def test_exemplar_section_only_when_given(self):
-        with_ex = build_structure_prompt(QUESTION, SENTENCES, ("Example Q?", "<table>x</table>"))
-        without = build_structure_prompt(QUESTION, SENTENCES)
-        assert "Worked example." in with_ex
-        assert "Worked example." not in without
-
     def test_thirty_sentences_all_numbered(self):
         sentences = [(i, f"Fact number {i} holds.") for i in range(30)]
         prompt = build_structure_prompt(QUESTION, sentences)
@@ -102,9 +88,9 @@ class TestPrompts:
             assert f"{n}. Fact number {n - 1} holds." in prompt
 
     def test_fill_prompt_names_cell_paths(self):
-        plan = simple_plan()
-        batch = [(TreeCoord((0, 0)), TreeCoord((1,)))]
-        prompt = build_fill_prompt(plan, QUESTION, SENTENCES, batch)
+        cell = plan_cells(simple_plan())[1]
+        assert (cell.left_coord, cell.top_coord) == (TreeCoord((0, 0)), TreeCoord((1,)))
+        prompt = build_fill_prompt(QUESTION, SENTENCES, [cell])
         assert "cell 1: row = Acme Corp > Revenue; column = Q2 2023" in prompt
 
     def test_fill_prompt_full_table_row_major(self):
@@ -112,19 +98,11 @@ class TestPrompts:
             left=CoordTree.from_nested(["r1", "r2"]),
             top=CoordTree.from_nested(["c1", "c2"]),
             stub_header="",
-            rows=2,
-            cols=2,
         )
-        batch = [(lc, tc) for lc in leaf_coords(plan.left) for tc in leaf_coords(plan.top)]
-        prompt = build_fill_prompt(plan, QUESTION, SENTENCES, batch)
+        prompt = build_fill_prompt(QUESTION, SENTENCES, plan_cells(plan))
         assert prompt.index("row = r1; column = c1") < prompt.index("row = r1; column = c2")
         assert prompt.index("row = r1; column = c2") < prompt.index("row = r2; column = c1")
         assert "cell 4" in prompt
-
-    def test_fill_prompt_rejects_invalid_coordinate(self):
-        plan = simple_plan()
-        with pytest.raises(CoordError):
-            build_fill_prompt(plan, QUESTION, SENTENCES, [(TreeCoord((5,)), TreeCoord((0,)))])
 
 
 class TestParseStructure:
@@ -133,14 +111,13 @@ class TestParseStructure:
         assert plan.left.leaf_count == 1
         assert plan.top.leaf_count == 2
         assert plan.stub_header == "Metric"
-        assert (plan.rows, plan.cols) == (1, 2)
 
     def test_prose_around_block_is_ignored(self):
-        assert parse_structure_response(STRUCTURE_RESPONSE).rows == 1
+        assert parse_structure_response(STRUCTURE_RESPONSE).left.leaf_count == 1
 
     def test_dimension_mismatch_names_both_numbers(self):
         bad = STRUCTURE_RESPONSE.replace("dimensions: 1 x 2", "dimensions: 4 x 2")
-        with pytest.raises(PlanVerificationError) as excinfo:
+        with pytest.raises(ResponseParseError) as excinfo:
             parse_structure_response(bad)
         assert "4 x 2" in str(excinfo.value)
         assert "1 row leaves" in str(excinfo.value)
@@ -156,7 +133,7 @@ class TestParseStructure:
 
     def test_last_block_wins(self):
         response = "```table\ngarbage\n```\n" + STRUCTURE_RESPONSE
-        assert parse_structure_response(response).rows == 1
+        assert parse_structure_response(response).left.leaf_count == 1
 
     def test_extract_fenced_block_requires_block(self):
         with pytest.raises(ResponseParseError):
@@ -168,18 +145,15 @@ def fill_response(entries) -> str:
 
 
 class TestParseFill:
-    def batch(self, plan):
-        return [(lc, tc) for lc in leaf_coords(plan.left) for tc in leaf_coords(plan.top)]
-
     def test_complete_response(self):
-        plan = simple_plan()
+        batch = plan_cells(simple_plan())
         response = fill_response(
             [
                 {"cell": 1, "value": "$12.1 billion", "sentences": [1], "note": None},
                 {"cell": 2, "value": "$13.4 billion", "sentences": [3], "note": "none needed"},
             ]
         )
-        records = parse_fill_response(response, plan, self.batch(plan), [10, 11, 12])
+        records = parse_fill_response(response, batch, [10, 11, 12])
         assert [r.value for r in records] == ["$12.1 billion", "$13.4 billion"]
         assert records[0].sentence_ids == (10,)
         assert records[1].sentence_ids == (12,)
@@ -187,15 +161,15 @@ class TestParseFill:
         assert all(r.filled for r in records)
 
     def test_missing_cell_flagged_unfilled(self, caplog):
-        plan = simple_plan()
+        batch = plan_cells(simple_plan())
         response = fill_response([{"cell": 1, "value": "x", "sentences": []}])
         with caplog.at_level(logging.WARNING, logger="doc2table.generation"):
-            records = parse_fill_response(response, plan, self.batch(plan), [0])
+            records = parse_fill_response(response, batch, [0])
         assert records[1].filled is False
         assert records[1].value == ""
 
     def test_out_of_range_citation_dropped_with_warning(self, caplog):
-        plan = simple_plan()
+        batch = plan_cells(simple_plan())
         response = fill_response(
             [
                 {"cell": 1, "value": "x", "sentences": [99]},
@@ -203,61 +177,17 @@ class TestParseFill:
             ]
         )
         with caplog.at_level(logging.WARNING, logger="doc2table.generation"):
-            records = parse_fill_response(response, plan, self.batch(plan), [7])
+            records = parse_fill_response(response, batch, [7])
         assert records[0].sentence_ids == ()
         assert any("citation" in r.message for r in caplog.records)
 
     def test_unparseable_block(self):
-        plan = simple_plan()
         with pytest.raises(ResponseParseError):
-            parse_fill_response("```json\nnot json\n```", plan, self.batch(plan), [0])
+            parse_fill_response("```json\nnot json\n```", plan_cells(simple_plan()), [0])
 
     def test_non_list_json(self):
-        plan = simple_plan()
         with pytest.raises(ResponseParseError):
-            parse_fill_response('```json\n{"cell": 1}\n```', plan, self.batch(plan), [0])
-
-
-class TestAssemble:
-    def full_trace(self, plan, values):
-        records = []
-        i = 0
-        for lc in leaf_coords(plan.left):
-            for tc in leaf_coords(plan.top):
-                records.append(CellFill(lc, tc, "q", (), values[i]))
-                i += 1
-        return FillTrace(tuple(records))
-
-    def test_complete_trace_round_trips(self):
-        plan = simple_plan()
-        trace = self.full_trace(plan, ["$12.1 billion", "$13.4 billion"])
-        table = assemble_table(plan, trace)
-        assert parse_html_table(serialize_html(table)) == table
-        assert validate(table).ok
-
-    def test_unfilled_cell_preserved_as_empty(self):
-        plan = simple_plan()
-        records = list(self.full_trace(plan, ["a", "b"]).records)
-        records[1] = CellFill(
-            records[1].left_coord, records[1].top_coord, "q", (), "", filled=False
-        )
-        trace = FillTrace(tuple(records))
-        table = assemble_table(plan, trace)
-        assert table.body == (("a", ""),)
-        assert trace.unfilled == (records[1],)
-
-    def test_missing_coordinate_is_assembly_error(self):
-        plan = simple_plan()
-        trace = FillTrace(self.full_trace(plan, ["a", "b"]).records[:1])
-        with pytest.raises(AssemblyError) as excinfo:
-            assemble_table(plan, trace)
-        assert "((0, 0), (1,))" in str(excinfo.value)
-
-    def test_duplicate_record_rejected(self):
-        plan = simple_plan()
-        records = self.full_trace(plan, ["a", "b"]).records
-        with pytest.raises(AssemblyError):
-            assemble_table(plan, FillTrace(records + records[:1]))
+            parse_fill_response('```json\n{"cell": 1}\n```', plan_cells(simple_plan()), [0])
 
 
 def make_gt() -> HierarchicalTable:
@@ -399,3 +329,79 @@ class TestRunTabTalk:
         assert payload["plan"]["rows"] == 1
         assert len(payload["cells"]) == 2
         json.dumps(payload)  # JSON-serializable
+
+    def test_provider_error_fails_the_stage_without_retry(self):
+        gt = make_gt()
+        inner = perfect_handler(gt)
+        fill_calls = []
+
+        def handler(request):
+            prompt = request["messages"][0]["content"]
+            if "You fill specific body cells" in prompt:
+                fill_calls.append(prompt)
+                raise ProviderError("upstream down")
+            return inner(request)
+
+        with pytest.raises(StageFailure) as excinfo:
+            run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)), max_retries=3)
+        assert excinfo.value.stage == "fill"
+        assert "upstream down" in str(excinfo.value)
+        assert set(excinfo.value.partial) == {"plan"}
+        assert len(fill_calls) == 1
+
+
+def omitting_handler(gt: HierarchicalTable, row_path: str, col_path: str):
+    """A perfect model whose fill reply leaves out the one cell at (row_path, col_path)."""
+    inner = perfect_handler(gt)
+
+    def handler(request):
+        response = inner(request)
+        prompt = request["messages"][0]["content"]
+        if "You fill specific body cells" not in prompt:
+            return response
+        target = f"row = {row_path}; column = {col_path}\n"
+        entries = json.loads(extract_fenced_block(response["content"]))
+        kept = [e for e in entries if f"cell {e['cell']}: {target}" not in prompt]
+        return {"content": fill_response(kept)}
+
+    return handler
+
+
+class TestAssemble:
+    """The body is the fill values, in cell order, reshaped by the column count."""
+
+    def test_complete_trace_round_trips(self):
+        gt = make_gt()
+        result = run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(perfect_handler(gt))))
+        assert parse_html_table(serialize_html(result.table)) == result.table
+        assert validate(result.table).ok
+
+    def test_unfilled_cell_preserved_as_empty(self):
+        gt = make_gt()
+        chat = ChatProvider(ScriptedProvider(omitting_handler(gt, "Acme Corp > Revenue", "Q2 2023")))
+        result = run_tabtalk(QUESTION, SENTENCES, chat)
+        assert result.table.body == (("$12.1 billion", ""),)
+        assert [
+            (r.cell.left_path, r.cell.top_path, r.value) for r in result.trace.unfilled
+        ] == [(("Acme Corp", "Revenue"), ("Q2 2023",), "")]
+
+    @pytest.mark.parametrize("parallel", [1, 3])
+    @pytest.mark.parametrize("fill_batch_size", [None, 1, 4, 7, 30])
+    def test_every_batching_reproduces_the_hierarchical_table(
+        self, example_table, fill_batch_size, parallel
+    ):
+        # 5 x 6 cells: batches of 4 and 7 cross row boundaries, 30 is the whole body.
+        def run(**keywords):
+            chat = ChatProvider(ScriptedProvider(perfect_handler(example_table)))
+            return run_tabtalk(QUESTION, SENTENCES, chat, **keywords)
+
+        reference = run()
+        result = run(fill_batch_size=fill_batch_size, parallel=parallel)
+        assert result.table == example_table
+        assert trace_to_dict(result.plan, result.trace) == trace_to_dict(
+            reference.plan, reference.trace
+        )
+        row_major = [
+            (lc, tc) for lc in leaf_coords(example_table.left) for tc in leaf_coords(example_table.top)
+        ]
+        assert [(r.cell.left_coord, r.cell.top_coord) for r in result.trace.records] == row_major

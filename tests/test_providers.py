@@ -180,11 +180,11 @@ class TestHttpEmbedder:
 class FakeResponse:
     def __init__(self, payload=None, status=200):
         self.payload = payload or {}
-        self.status = status
+        self.status_code = status
 
     def raise_for_status(self):
-        if self.status >= 400:
-            raise RuntimeError(f"http {self.status}")
+        if self.status_code >= 400:
+            raise RuntimeError(f"http {self.status_code}")
 
     def json(self):
         return self.payload
@@ -226,6 +226,29 @@ class TestHttpProvider:
         provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, session=session)
         with pytest.raises(ProviderError):
             provider.call({"q": 1})
+        assert len(session.calls) == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_client_error_is_not_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        session = FakeSession([FakeResponse(status=404), FakeResponse({"content": "hi"})])
+        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, session=session)
+        with pytest.raises(ProviderError) as excinfo:
+            provider.call({"q": 1})
+        assert "404" in str(excinfo.value)
+        assert len(session.calls) == 1
+        assert sleeps == []
+
+    def test_timeout_and_rate_limit_are_retried_other_client_errors_are_not(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        outcomes = [408, 429, 403, 200]
+        session = FakeSession([FakeResponse({"content": "hi"}, status=code) for code in outcomes])
+        provider = HttpProvider("http://x/chat", max_retries=5, backoff=0.5, session=session)
+        with pytest.raises(ProviderError) as excinfo:
+            provider.call({"q": 1})
+        assert "HTTP 403" in str(excinfo.value)
         assert len(session.calls) == 3
         assert sleeps == [0.5, 1.0]
 
