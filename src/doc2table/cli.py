@@ -256,6 +256,7 @@ def cmd_retrieve(args) -> int:
         merge=args.merge,
         rewrite_docs=not args.no_rewrite,
     )
+    config.validate()
     built = build_providers(config, roles=("rewriter", "embedder"))
     _, recall = retrieve_stage(triples, args.triples, documents, built, config, Path(args.out))
     if recall:
@@ -274,6 +275,7 @@ def cmd_generate(args) -> int:
         max_retries=args.max_retries,
         oneshot=args.baseline_oneshot,
     )
+    config.validate()
     built = build_providers(config, roles=("chat",))
     generated, errors = generate_stage(triples, records, built.chat, config, Path(args.out))
     flush_transcripts(built)

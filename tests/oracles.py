@@ -2,14 +2,24 @@
 
 These deliberately avoid the production code paths: tree edit distance is
 computed by exhaustive enumeration of valid edit mappings (not a dynamic
-program), chrF by a separate dict-based reimplementation, and retrieval
-rankings by a pure-Python cosine scan.
+program), chrF by a separate dict-based reimplementation, retrieval
+rankings by a pure-Python cosine scan, and key-value content similarity by
+scalar chrF over every generated x ground-truth key pair.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from doc2table.model import HeaderNode
+from doc2table.metrics import (
+    KEY_MATCH_THRESHOLD,
+    ContentReport,
+    PairScore,
+    ValueScorer,
+    _joined_key,
+    chrf,
+    chrf_value_scorer,
+)
+from doc2table.model import HeaderNode, HierarchicalTable, flatten_to_kv
 
 
 def _postorder(root: HeaderNode) -> tuple[list[str], list[int]]:
@@ -153,3 +163,66 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def reference_content_similarity(
+    generated: HierarchicalTable,
+    groundtruth: HierarchicalTable,
+    value_scorer: ValueScorer = chrf_value_scorer,
+) -> ContentReport:
+    """Key-value content similarity between two tables.
+
+    Both tables are flattened to key-value triples. Pairs are matched
+    greedily by descending key similarity: exact key equality first, then
+    chrF over the joined key strings with a 0.5 floor; ties break by
+    document order (ground truth first). Each side is matched at most
+    once. The matched pair's score comes from ``value_scorer`` over the
+    two cell texts; precision divides the score sum by the generated pair
+    count, recall by the ground-truth pair count.
+    """
+    gen = flatten_to_kv(generated)
+    gt = flatten_to_kv(groundtruth)
+
+    candidates: list[tuple[int, float, int, int]] = []
+    for t_idx, t in enumerate(gt):
+        t_key = (t.left_key, t.top_key)
+        t_joined = _joined_key(*t_key)
+        for g_idx, g in enumerate(gen):
+            g_key = (g.left_key, g.top_key)
+            if g_key == t_key:
+                candidates.append((0, 0.0, t_idx, g_idx))
+                continue
+            sim = chrf(_joined_key(*g_key), t_joined) / 100.0
+            if sim >= KEY_MATCH_THRESHOLD:
+                candidates.append((1, -sim, t_idx, g_idx))
+    candidates.sort()
+
+    matched_gen: dict[int, float] = {}
+    gt_match: dict[int, int] = {}
+    for _, _, t_idx, g_idx in candidates:
+        if t_idx in gt_match or g_idx in matched_gen:
+            continue
+        gt_match[t_idx] = g_idx
+        matched_gen[g_idx] = value_scorer(gen[g_idx].value, gt[t_idx].value)
+
+    pairs = []
+    total = 0.0
+    for t_idx, t in enumerate(gt):
+        g_idx = gt_match.get(t_idx)
+        if g_idx is None:
+            pairs.append(PairScore((t.left_key, t.top_key), None, 0.0))
+        else:
+            score = matched_gen[g_idx]
+            total += score
+            pairs.append(
+                PairScore(
+                    (t.left_key, t.top_key),
+                    (gen[g_idx].left_key, gen[g_idx].top_key),
+                    score,
+                )
+            )
+
+    precision = total / len(gen) if gen else 0.0
+    recall = total / len(gt) if gt else 0.0
+    f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
+    return ContentReport(tuple(pairs), precision, recall, f1, len(gen), len(gt))

@@ -159,6 +159,46 @@ class TestMalformedInputs:
 
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["generate", "--triples", PIPELINE / "questions.jsonl",
+                 "--retrieval", PIPELINE / "golden" / "retrieval.jsonl",
+                 "--llm", f"replay:{PIPELINE / 'transcripts' / 'chat_perfect.jsonl'}",
+                 "--batch-size", 0],
+                "fill_batch_size must be >= 1, got 0",
+            ),
+            (
+                ["generate", "--triples", PIPELINE / "questions.jsonl",
+                 "--retrieval", PIPELINE / "golden" / "retrieval.jsonl",
+                 "--llm", f"replay:{PIPELINE / 'transcripts' / 'chat_perfect.jsonl'}",
+                 "--max-retries", -1],
+                "max_retries must be >= 0",
+            ),
+            (
+                ["retrieve", "--triples", PIPELINE / "questions.jsonl",
+                 "--docs", PIPELINE / "docs.jsonl",
+                 "--rewriter", f"replay:{PIPELINE / 'transcripts' / 'rewrite.jsonl'}",
+                 "--k", 0],
+                "k must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_bad_flag_is_reported_before_providers_are_built(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        built = []
+        monkeypatch.setattr(
+            "doc2table.cli.build_providers", lambda *args, **kwargs: built.append(args)
+        )
+        code = run([*argv, "--out", tmp_path / "o"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": message}
+        assert built == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "override, field",
         [
             ({"k": "10"}, "k"),

@@ -9,16 +9,18 @@ from doc2table.metrics import (
     aggregate_scores,
     build_llm_judge_prompt,
     chrf,
+    chrf_matrix,
     chrf_value_scorer,
     content_similarity,
     header_similarity,
     recall_at_k,
     table_scores,
 )
-from doc2table.model import CoordTree, HierarchicalTable
+from doc2table.model import CoordTree, HeaderNode, HierarchicalTable
 
 from conftest import make_flat_table
-from oracles import reference_chrf
+from oracles import reference_chrf, reference_content_similarity
+from strategies import cells, labels, tables
 
 TEXTS = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30
@@ -140,6 +142,18 @@ class TestContentSimilarity:
         assert report.pairs[0].gen_key is None
         assert report.recall == 0.0
 
+    def test_key_similarity_at_the_floor_matches(self):
+        # "a / /" against "/ / a": chrF is exactly 50, so the similarity is the 0.5 floor
+        gt = HierarchicalTable(
+            "", CoordTree.from_nested(["a"]), CoordTree.from_nested(["/"]), (("42",),)
+        )
+        gen = HierarchicalTable(
+            "", CoordTree.from_nested(["/"]), CoordTree.from_nested(["a"]), (("42",),)
+        )
+        report = content_similarity(gen, gt)
+        assert report.pairs[0].gen_key == (("/",), ("a",))
+        assert report.recall == 1.0
+
     def test_adding_correct_pair_never_decreases_recall(self):
         gt = table_with_values(3, [["aaa", "bbb"], ["ccc", "ddd"], ["eee", "fff"]])
         gen_small = table_with_values(2, [["aaa", "bbb"], ["ccc", "ddd"]])
@@ -154,6 +168,175 @@ class TestContentSimilarity:
         gen = table_with_values(1, [["else"]])
         report = content_similarity(gen, gt, value_scorer=lambda a, b: 0.5)
         assert report.precision == pytest.approx(0.5)
+
+
+LABEL_EDITS = (
+    lambda label: label,
+    lambda label: label + " (adjusted)",
+    lambda label: label.replace(" ", "") or label,
+    lambda label: " ".join(label),  # same characters once whitespace is removed
+    lambda label: label[::-1],
+    lambda label: label[:-1] or label,
+)
+
+
+def leaf_total(node: HeaderNode) -> int:
+    return 1 if node.is_leaf else sum(leaf_total(c) for c in node.children)
+
+
+def transpose(table: HierarchicalTable) -> HierarchicalTable:
+    return HierarchicalTable(
+        table.stub_header, table.top, table.left, tuple(zip(*table.body))
+    )
+
+
+@st.composite
+def perturbed(draw, table: HierarchicalTable) -> HierarchicalTable:
+    """A copy of ``table`` with renamed labels, swapped header sides,
+    duplicated keys, fewer rows or blanked values."""
+    kind = draw(st.sampled_from(["rename", "transpose", "duplicate", "crop", "values"]))
+    if kind == "rename":
+        def walk(node: HeaderNode) -> HeaderNode:
+            label = draw(st.sampled_from(LABEL_EDITS))(node.label)
+            return HeaderNode(label, tuple(walk(c) for c in node.children))
+
+        side = draw(st.sampled_from(["left", "top"]))
+        tree = CoordTree(tuple(walk(r) for r in getattr(table, side).roots))
+        if side == "left":
+            return HierarchicalTable(table.stub_header, tree, table.top, table.body)
+        return HierarchicalTable(table.stub_header, table.left, tree, table.body)
+    if kind == "transpose":
+        return transpose(table)
+    if kind == "duplicate":
+        # repeat the first row subtree: its keys occur twice, with new values
+        first = table.left.roots[0]
+        extra = tuple(
+            tuple(draw(cells) for _ in row) for row in table.body[: leaf_total(first)]
+        )
+        left = CoordTree(table.left.roots + (first,))
+        return HierarchicalTable(table.stub_header, left, table.top, table.body + extra)
+    if kind == "crop":
+        # all remaining keys match exactly, so one side has no residual keys
+        if len(table.left.roots) == 1:
+            return table
+        first = table.left.roots[0]
+        left = CoordTree(table.left.roots[1:])
+        return HierarchicalTable(
+            table.stub_header, left, table.top, table.body[leaf_total(first) :]
+        )
+    blank = st.sampled_from(["", " ", "\t\n"]) | cells
+    body = tuple(tuple(draw(blank) if draw(st.booleans()) else c for c in row) for row in table.body)
+    return HierarchicalTable(table.stub_header, table.left, table.top, body)
+
+
+@st.composite
+def perturbed_pairs(draw) -> tuple[HierarchicalTable, HierarchicalTable]:
+    truth = draw(tables(max_dim=5))
+    copy = draw(perturbed(truth))
+    if draw(st.booleans()):
+        copy = draw(perturbed(copy))
+    return (copy, truth) if draw(st.booleans()) else (truth, copy)
+
+
+@st.composite
+def level_swapped_pairs(draw) -> tuple[HierarchicalTable, HierarchicalTable]:
+    """A two-level column header and its copy with the levels swapped."""
+    rows = draw(st.lists(labels, min_size=1, max_size=4))
+    outer = draw(st.lists(labels, min_size=1, max_size=3))
+    inner = draw(st.lists(labels, min_size=1, max_size=3))
+    body = [[draw(cells) for _ in range(len(outer) * len(inner))] for _ in rows]
+    truth = HierarchicalTable(
+        "",
+        CoordTree.from_nested(rows),
+        CoordTree.from_nested([(o, inner) for o in outer]),
+        tuple(tuple(r) for r in body),
+    )
+    swapped = HierarchicalTable(
+        "",
+        truth.left,
+        CoordTree.from_nested([(i, outer) for i in inner]),
+        tuple(
+            tuple(r[o * len(inner) + i] for i in range(len(inner)) for o in range(len(outer)))
+            for r in body
+        ),
+    )
+    return (swapped, truth) if draw(st.booleans()) else (truth, swapped)
+
+
+def length_ratio(candidate: str, reference: str) -> float:
+    return len(candidate) / (1 + len(reference))
+
+
+class TestContentSimilarityMatchesReference:
+    """The two-phase matcher equals the all-pairs greedy reference bit for bit
+    (dataclass equality compares every float exactly)."""
+
+    @given(
+        pair=st.tuples(tables(max_dim=5), tables(max_dim=5))
+        | perturbed_pairs()
+        | level_swapped_pairs()
+    )
+    @settings(max_examples=135, deadline=None)
+    def test_random_perturbed_and_level_swapped_pairs(self, pair):
+        generated, groundtruth = pair
+        assert content_similarity(generated, groundtruth) == reference_content_similarity(
+            generated, groundtruth
+        )
+
+    @given(pair=perturbed_pairs())
+    @settings(max_examples=25, deadline=None)
+    def test_custom_value_scorer(self, pair):
+        generated, groundtruth = pair
+        assert content_similarity(
+            generated, groundtruth, length_ratio
+        ) == reference_content_similarity(generated, groundtruth, length_ratio)
+
+    def test_chrf_runs_once_per_matched_pair(self, monkeypatch):
+        # 10 x 6 = 60 cells, every row header renamed, so no key is exactly
+        # equal; the all-pairs reference calls chrf 3,600 times for the keys
+        def grid(suffix: str) -> HierarchicalTable:
+            return HierarchicalTable(
+                "Metric",
+                CoordTree.from_nested(
+                    [(f"Segment {g}", [f"Line {g}.{i}{suffix}" for i in range(5)]) for g in "AB"]
+                ),
+                CoordTree.from_nested([(f"FY{y}", ["Q1", "Q2", "Q3"]) for y in (2022, 2023)]),
+                tuple(tuple(f"{r * 6 + c:,}" for c in range(6)) for r in range(10)),
+            )
+
+        calls = []
+
+        def counting(candidate, reference):
+            calls.append((candidate, reference))
+            return chrf(candidate, reference)
+
+        monkeypatch.setattr("doc2table.metrics.chrf", counting)
+        report = content_similarity(grid(" (adjusted)"), grid(""))
+        matched = [p for p in report.pairs if p.gen_key is not None]
+        assert len(matched) == 60
+        assert len(calls) == len(matched)
+
+
+STRINGS = st.text(alphabet="ab /\t\n.é漢", max_size=8) | TEXTS
+
+
+class TestChrfMatrix:
+    @given(
+        candidates=st.lists(STRINGS, max_size=6),
+        references=st.lists(STRINGS, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_entry_is_scalar_chrf(self, candidates, references):
+        matrix = chrf_matrix(candidates, references)
+        assert matrix.shape == (len(candidates), len(references))
+        for i, candidate in enumerate(candidates):
+            for j, reference in enumerate(references):
+                assert matrix[i, j] == chrf(candidate, reference)
+
+    def test_edge_strings(self):
+        texts = ["", " ", "\t\n", "a", "ab", "aaaaaa", "a a a", "漢字", "abcdefg", "a/b / c"]
+        matrix = chrf_matrix(texts, texts)
+        assert matrix.tolist() == [[chrf(c, r) for r in texts] for c in texts]
 
 
 class TestHeaderSimilarity:
