@@ -3,8 +3,9 @@
 Subcommands: annotate, retrieve, generate, evaluate, stats, pipeline.
 ``retrieve`` runs :func:`retrieve_stage`, ``generate`` runs
 :func:`generate_stage` over a saved ``retrieval.jsonl``, and ``pipeline``
-runs both, handing the records over in memory, then evaluates. Settings
-come from one ``RunConfig``, built from flags or loaded by ``pipeline``.
+runs both, handing the records over in memory, then evaluates. All three
+read their settings, providers and inputs from one ``RunConfig`` file
+(``--config``); ``--out`` overrides its output directory.
 
 All outputs are written atomically and deterministically (sorted JSON
 keys, input order preserved), so a replayed run reproduces its output
@@ -22,36 +23,16 @@ from pathlib import Path
 
 from . import annotate as ann
 from . import data
-from .config import BuiltProviders, ProviderSpec, RunConfig, build_providers, flush_transcripts
+from .config import BuiltProviders, RunConfig, build_providers, flush_transcripts
 from .generation import StageFailure, run_tabtalk, trace_to_dict
 from .html_io import parse_html_table, serialize_html
 from .metrics import aggregate_scores, recall_at_k, table_scores
 from .model import HierarchicalTable
 from .providers import ChatProvider, ProviderError
-from .retrieval import DEFAULT_TOP_K, DocumentStore, RetrievalRecord
+from .retrieval import DocumentStore, RetrievalRecord
 from .retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
 
 RECALL_KS = (10, 20, 30)
-
-
-def _provider_spec(role: str, value: str) -> ProviderSpec:
-    """Parse compact CLI provider specs: mode[:arg].
-
-    Examples: ``hashing``, ``identity``, ``replay:transcripts/chat.jsonl``,
-    ``live:https://api.example.com/v1/chat``,
-    ``record:transcripts/new.jsonl@https://api.example.com/v1/chat``.
-    """
-    mode, _, arg = value.partition(":")
-    if mode == "replay":
-        return ProviderSpec(mode="replay", transcript=arg)
-    if mode == "live":
-        return ProviderSpec(mode="live", endpoint=arg)
-    if mode == "record":
-        transcript, _, endpoint = arg.partition("@")
-        return ProviderSpec(mode="record", transcript=transcript, endpoint=endpoint)
-    if mode in ("hashing", "identity"):
-        return ProviderSpec(mode=mode)
-    raise ValueError(f"unknown {role} provider spec {value!r}")
 
 
 def _check_known(path: str | Path, field: str, values: list[str], known) -> None:
@@ -246,19 +227,18 @@ def cmd_annotate(args) -> int:
     return 0
 
 
+def _load_config(args) -> tuple[RunConfig, Path]:
+    """The checked run config named by ``--config``, and ``--out`` or else its ``out_dir``."""
+    config = RunConfig.from_file(args.config)
+    return config, Path(args.out or config.out_dir)
+
+
 def cmd_retrieve(args) -> int:
-    triples = data.read_triples(args.triples)
-    documents = data.read_documents(args.docs)
-    config = RunConfig(
-        rewriter=_provider_spec("rewriter", args.rewriter),
-        embedder=_provider_spec("embedder", args.embedder),
-        k=args.k,
-        merge=args.merge,
-        rewrite_docs=not args.no_rewrite,
-    )
-    config.validate()
+    config, out = _load_config(args)
+    triples = data.read_triples(config.questions)
+    documents = data.read_documents(config.docs)
     built = build_providers(config, roles=("rewriter", "embedder"))
-    _, recall = retrieve_stage(triples, args.triples, documents, built, config, Path(args.out))
+    _, recall = retrieve_stage(triples, config.questions, documents, built, config, out)
     if recall:
         print("recall " + "  ".join(f"@{k}={mean:.4f}" for k, mean in recall["mean"].items()))
     flush_transcripts(built)
@@ -267,17 +247,11 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    triples = data.read_triples(args.triples)
+    config, out = _load_config(args)
+    triples = data.read_triples(config.questions)
     records = data.read_retrieval_records(args.retrieval)
-    config = RunConfig(
-        chat=_provider_spec("llm", args.llm),
-        fill_batch_size=args.batch_size,
-        max_retries=args.max_retries,
-        oneshot=args.baseline_oneshot,
-    )
-    config.validate()
     built = build_providers(config, roles=("chat",))
-    generated, errors = generate_stage(triples, records, built.chat, config, Path(args.out))
+    generated, errors = generate_stage(triples, records, built.chat, config, out)
     flush_transcripts(built)
     print(f"generated {len(generated)} tables, {len(errors)} failures")
     return 0 if not errors else 1
@@ -346,8 +320,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = RunConfig.from_file(args.config)
-    out = Path(args.out or config.out_dir)
+    config, out = _load_config(args)
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions)
     built = build_providers(config)
@@ -385,26 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--review", default="", help="JSONL of review decisions")
     p.set_defaults(func=cmd_annotate)
 
-    p = sub.add_parser("retrieve", help="rank relevant sentences per question")
-    p.add_argument("--triples", required=True)
-    p.add_argument("--docs", required=True)
-    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
-    p.add_argument("--embedder", default="hashing")
-    p.add_argument("--rewriter", default="identity")
-    p.add_argument("--merge", default="round_robin", choices=["round_robin", "max_score"])
-    p.add_argument("--no-rewrite", action="store_true", help="skip document sentence rewriting")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_retrieve)
+    def config_parser(name: str, summary: str, func):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--config", required=True, help="run config JSON: providers, settings, questions, docs"
+        )
+        p.add_argument("--out", default="", help="override the configured output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("generate", help="generate tables from retrieved sentences")
-    p.add_argument("--triples", required=True)
-    p.add_argument("--retrieval", required=True)
-    p.add_argument("--llm", required=True)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--max-retries", type=int, default=1)
-    p.add_argument("--baseline-oneshot", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
+    config_parser("retrieve", "stage one: rank relevant sentences per question", cmd_retrieve)
+    p = config_parser("generate", "stage two: tables from retrieved sentences", cmd_generate)
+    p.add_argument("--retrieval", required=True, help="retrieval.jsonl written by retrieve")
 
     p = sub.add_parser("evaluate", help="score generated tables against ground truth")
     p.add_argument("--generated", required=True)
@@ -417,10 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", default="", help="documents file for token statistics")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("pipeline", help="end-to-end run from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="", help="override the configured output directory")
-    p.set_defaults(func=cmd_pipeline)
+    config_parser("pipeline", "retrieve, generate and evaluate in one run", cmd_pipeline)
     return parser
 
 

@@ -1,9 +1,9 @@
 """Run configuration: provider wiring, retrieval and generation knobs.
 
-:class:`RunConfig` is the only run configuration. ``pipeline`` loads it
-from a JSON file (unknown keys are ignored, known ones type-checked),
-``retrieve`` and ``generate`` build it from their flags, and the stages
-read their settings from it.
+:class:`RunConfig` is the only run configuration. ``retrieve``,
+``generate`` and ``pipeline`` all load it from one JSON file (unknown keys
+are ignored, known ones type-checked), and the stages read their settings
+from it.
 Endpoints and credentials can be overridden by environment variables
 (``DOC2TABLE_CHAT_ENDPOINT``, ``DOC2TABLE_REWRITER_ENDPOINT``,
 ``DOC2TABLE_EMBEDDER_ENDPOINT``, and the variable named by each
@@ -87,7 +87,7 @@ class RunConfig:
     temperature: float = 0.0
     max_tokens: int = 2048
     out_dir: str = "out"
-    docs: str = ""  # pipeline inputs
+    docs: str = ""  # run inputs
     questions: str = ""
 
     def validate(self) -> None:
@@ -104,9 +104,13 @@ class RunConfig:
         if self.chat.mode not in CHAT_MODES:
             raise ValueError(f"chat mode must be one of {CHAT_MODES}, got {self.chat.mode!r}")
         if self.rewriter.mode not in REWRITER_MODES:
-            raise ValueError(f"rewriter mode must be one of {REWRITER_MODES}")
+            raise ValueError(
+                f"rewriter mode must be one of {REWRITER_MODES}, got {self.rewriter.mode!r}"
+            )
         if self.embedder.mode not in EMBEDDER_MODES:
-            raise ValueError(f"embedder mode must be one of {EMBEDDER_MODES}")
+            raise ValueError(
+                f"embedder mode must be one of {EMBEDDER_MODES}, got {self.embedder.mode!r}"
+            )
 
     @classmethod
     def from_file(cls, path: str | Path) -> RunConfig:

@@ -38,15 +38,11 @@ from .providers import ChatProvider, ProviderError
 logger = logging.getLogger(__name__)
 
 
-class GenerationError(RuntimeError):
-    pass
-
-
-class ResponseParseError(GenerationError):
+class ResponseParseError(RuntimeError):
     """The model reply could not be parsed or failed a check; worth one retry."""
 
 
-class StageFailure(GenerationError):
+class StageFailure(RuntimeError):
     """A stage exhausted its retries or its provider failed; carries partial artifacts."""
 
     def __init__(self, stage: str, message: str, partial: dict):

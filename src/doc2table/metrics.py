@@ -12,7 +12,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .html_io import serialize_html
 from .model import HierarchicalTable, flatten_to_kv, leaf_label_paths
 from .treedist import teds
 
@@ -330,24 +329,3 @@ def aggregate_scores(items: list[dict]) -> dict:
             for k in ks
         }
     return agg
-
-
-def build_llm_judge_prompt(generated: HierarchicalTable, groundtruth: HierarchicalTable) -> str:
-    """Prompt for an external LLM judge scoring content and structure 0-10.
-
-    No judge is bundled; callers send this through their own chat provider
-    and parse the two numbers themselves.
-    """
-    return (
-        "You are grading a generated table against a reference table.\n"
-        "Score two aspects independently on a 0-10 scale:\n"
-        "1. content: are the cell values correct and complete?\n"
-        "2. structure: do the row/column headers and their hierarchy match?\n"
-        "\nReference table:\n"
-        f"{serialize_html(groundtruth)}\n"
-        "\nGenerated table:\n"
-        f"{serialize_html(generated)}\n"
-        "\nReply with exactly two lines:\n"
-        "content: <0-10>\n"
-        "structure: <0-10>\n"
-    )

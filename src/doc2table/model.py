@@ -9,7 +9,6 @@ tree coordinates and every cell can be flattened to a key-value triple
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -301,38 +300,3 @@ def flatten_to_kv(table: HierarchicalTable) -> tuple[KeyValueTriple, ...]:
         for r in range(len(left_paths))
         for c in range(len(top_paths))
     )
-
-
-def body_from_kv(
-    left: CoordTree,
-    top: CoordTree,
-    triples: tuple[KeyValueTriple, ...] | list[KeyValueTriple],
-) -> tuple[tuple[str, ...], ...]:
-    """Rebuild a body grid from triples against the given trees.
-
-    Duplicated key paths are resolved in document order (first triple with
-    a key pair fills the first grid position with that pair), so
-    ``body_from_kv(t.left, t.top, flatten_to_kv(t)) == t.body``.
-    """
-    left_paths = leaf_label_paths(left)
-    top_paths = leaf_label_paths(top)
-    positions: dict[tuple[tuple[str, ...], tuple[str, ...]], deque[tuple[int, int]]] = {}
-    for r, lp in enumerate(left_paths):
-        for c, tp in enumerate(top_paths):
-            positions.setdefault((lp, tp), deque()).append((r, c))
-
-    grid: list[list[str | None]] = [[None] * len(top_paths) for _ in left_paths]
-    for triple in triples:
-        key = (triple.left_key, triple.top_key)
-        slots = positions.get(key)
-        if not slots:
-            raise TableModelError(
-                f"no remaining grid position for key pair "
-                f"{' / '.join(triple.left_key)} x {' / '.join(triple.top_key)}"
-            )
-        r, c = slots.popleft()
-        grid[r][c] = triple.value
-    missing = [(r, c) for r in range(len(left_paths)) for c in range(len(top_paths)) if grid[r][c] is None]
-    if missing:
-        raise TableModelError(f"triples do not cover grid positions: {missing}")
-    return tuple(tuple(c for c in row if c is not None) for row in grid)

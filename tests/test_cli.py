@@ -32,6 +32,13 @@ def read_jsonl_rows(path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def write_config(tmp_path, **values):
+    """A run config file of ``values`` in tmp_path, against which its relative paths resolve."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    return path
+
+
 def write_pipeline_config(tmp_path, **overrides):
     """The pipeline fixture's config with absolute paths and ``overrides``, written to tmp_path."""
     config = json.loads((PIPELINE / "config.json").read_text())
@@ -39,9 +46,28 @@ def write_pipeline_config(tmp_path, **overrides):
         config[key] = str(PIPELINE / config[key])
     for role in ("chat", "rewriter"):
         config[role]["transcript"] = str(PIPELINE / config[role]["transcript"])
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**config, **overrides}))
-    return path
+    return write_config(tmp_path, **{**config, **overrides})
+
+
+def write_corpus_config(tmp_path, **overrides):
+    """The retrieval corpus: hashing embedder, replayed rewrites, and ``overrides``."""
+    return write_config(
+        tmp_path,
+        questions=str(CORPUS / "triples.jsonl"),
+        docs=str(CORPUS / "docs.jsonl"),
+        rewriter={"mode": "replay", "transcript": str(CORPUS / "rewrite_transcript.jsonl")},
+        **overrides,
+    )
+
+
+def split_run(tmp_path, config) -> tuple:
+    """``retrieve`` then ``generate`` from one config; returns their two output directories."""
+    retrieval_out = tmp_path / "retrieval"
+    assert run(["retrieve", "--config", config, "--out", retrieval_out]) == 0
+    gen_out = tmp_path / "generated"
+    retrieval = retrieval_out / "retrieval.jsonl"
+    assert run(["generate", "--config", config, "--retrieval", retrieval, "--out", gen_out]) == 0
+    return retrieval_out, gen_out
 
 
 class TestEvaluate:
@@ -123,7 +149,8 @@ class TestMalformedInputs:
             "relevant_sentence_ids": [0],
         }
         write_jsonl(triples, [row, {**row, "id": "u", "doc_id": "nope"}])
-        code = run(["retrieve", "--triples", triples, "--docs", docs, "--out", tmp_path / "o"])
+        config = write_config(tmp_path, questions="triples.jsonl", docs="docs.jsonl")
+        code = run(["retrieve", "--config", config, "--out", tmp_path / "o"])
         assert code == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["file"], error["line"], error["field"]) == (str(triples), 2, "doc_id")
@@ -145,41 +172,32 @@ class TestMalformedInputs:
         assert (error["file"], error["line"], error["field"]) == (str(tables), 3, "doc_id")
 
     def test_unknown_provider_spec_is_runtime_error(self, tmp_path, capsys):
-        triples = tmp_path / "t.jsonl"
-        write_jsonl(triples, [])
-        docs = tmp_path / "d.jsonl"
-        write_jsonl(docs, [])
-        code = run(
-            ["retrieve", "--triples", triples, "--docs", docs, "--embedder", "quantum",
-             "--out", tmp_path / "o"]
-        )
-        assert code == 1
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert "quantum" in error["message"]
+        write_jsonl(tmp_path / "t.jsonl", [])
+        write_jsonl(tmp_path / "d.jsonl", [])
+        for role, mode in [("embedder", "quantum"), ("rewriter", "telepathy")]:
+            spec = {role: {"mode": mode}}
+            config = write_config(tmp_path, questions="t.jsonl", docs="d.jsonl", **spec)
+            code = run(["retrieve", "--config", config, "--out", tmp_path / "o"])
+            assert code == 1
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert mode in error["message"]
 
-
+    # A dict in argv stands for the pipeline fixture's config with those overrides.
     @pytest.mark.parametrize(
         "argv, message",
         [
             (
-                ["generate", "--triples", PIPELINE / "questions.jsonl",
-                 "--retrieval", PIPELINE / "golden" / "retrieval.jsonl",
-                 "--llm", f"replay:{PIPELINE / 'transcripts' / 'chat_perfect.jsonl'}",
-                 "--batch-size", 0],
+                ["generate", "--config", {"fill_batch_size": 0},
+                 "--retrieval", PIPELINE / "golden" / "retrieval.jsonl"],
                 "fill_batch_size must be >= 1, got 0",
             ),
             (
-                ["generate", "--triples", PIPELINE / "questions.jsonl",
-                 "--retrieval", PIPELINE / "golden" / "retrieval.jsonl",
-                 "--llm", f"replay:{PIPELINE / 'transcripts' / 'chat_perfect.jsonl'}",
-                 "--max-retries", -1],
+                ["generate", "--config", {"max_retries": -1},
+                 "--retrieval", PIPELINE / "golden" / "retrieval.jsonl"],
                 "max_retries must be >= 0",
             ),
             (
-                ["retrieve", "--triples", PIPELINE / "questions.jsonl",
-                 "--docs", PIPELINE / "docs.jsonl",
-                 "--rewriter", f"replay:{PIPELINE / 'transcripts' / 'rewrite.jsonl'}",
-                 "--k", 0],
+                ["retrieve", "--config", {"k": 0}],
                 "k must be >= 1, got 0",
             ),
         ],
@@ -191,6 +209,7 @@ class TestMalformedInputs:
         monkeypatch.setattr(
             "doc2table.cli.build_providers", lambda *args, **kwargs: built.append(args)
         )
+        argv = [write_pipeline_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
         code = run([*argv, "--out", tmp_path / "o"])
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
@@ -325,17 +344,8 @@ class TestStats:
 class TestRetrieveCommand:
     def test_corpus_recall_matches_golden(self, tmp_path):
         out = tmp_path / "out"
-        code = run(
-            [
-                "retrieve",
-                "--triples", CORPUS / "triples.jsonl",
-                "--docs", CORPUS / "docs.jsonl",
-                "--k", 30,
-                "--embedder", "hashing",
-                "--rewriter", f"replay:{CORPUS / 'rewrite_transcript.jsonl'}",
-                "--out", out,
-            ]
-        )
+        config = write_corpus_config(tmp_path, k=30, embedder={"mode": "hashing"})
+        code = run(["retrieve", "--config", config, "--out", out])
         assert code == 0
         golden = json.loads((CORPUS / "golden_ranking.json").read_text())
         recall = json.loads((out / "recall.json").read_text())
@@ -344,19 +354,12 @@ class TestRetrieveCommand:
             assert by_id[item["id"]] == item["recall"]
 
     def test_rerun_byte_identical(self, tmp_path):
-        args = [
-            "retrieve",
-            "--triples", CORPUS / "triples.jsonl",
-            "--docs", CORPUS / "docs.jsonl",
-            "--k", 10,
-            "--rewriter", f"replay:{CORPUS / 'rewrite_transcript.jsonl'}",
-            "--out", tmp_path / "out",
-        ]
+        config = write_corpus_config(tmp_path, k=10)
+        args = ["retrieve", "--config", config, "--out", tmp_path / "out"]
         assert run(args) == 0
         first = (tmp_path / "out" / "retrieval.jsonl").read_bytes()
         assert run(args) == 0
         assert (tmp_path / "out" / "retrieval.jsonl").read_bytes() == first
-
 
     def test_unreferenced_documents_cost_nothing(self, tmp_path):
         rewrites = []
@@ -396,31 +399,10 @@ class TestPipelineCommand:
 
     def test_generate_from_committed_retrieval(self, tmp_path):
         # Split pipeline: retrieve first, then generate against the replay
-        # transcript; outputs must match the ground truth tables, and each
-        # stage's files must equal the ones the one-call pipeline wrote.
-        retrieval_out = tmp_path / "retrieval"
-        code = run(
-            [
-                "retrieve",
-                "--triples", PIPELINE / "questions.jsonl",
-                "--docs", PIPELINE / "docs.jsonl",
-                "--k", 10,
-                "--rewriter", f"replay:{PIPELINE / 'transcripts' / 'rewrite.jsonl'}",
-                "--out", retrieval_out,
-            ]
-        )
-        assert code == 0
-        gen_out = tmp_path / "generated"
-        code = run(
-            [
-                "generate",
-                "--triples", PIPELINE / "questions.jsonl",
-                "--retrieval", retrieval_out / "retrieval.jsonl",
-                "--llm", f"replay:{PIPELINE / 'transcripts' / 'chat_perfect.jsonl'}",
-                "--out", gen_out,
-            ]
-        )
-        assert code == 0
+        # transcript, both from the committed config; outputs must match the
+        # ground truth tables, and each stage's files must equal the ones the
+        # one-call pipeline wrote.
+        retrieval_out, gen_out = split_run(tmp_path, PIPELINE / "config.json")
         generated = {
             json.loads(l)["id"]: json.loads(l)["table_html"]
             for l in (gen_out / "tables.jsonl").read_text().splitlines()
@@ -438,6 +420,33 @@ class TestPipelineCommand:
             (gen_out, "traces.jsonl"),
         ]:
             assert (stage_out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_split_run_with_parallel_fills_matches_golden(self, tmp_path):
+        _, gen_out = split_run(tmp_path, write_pipeline_config(tmp_path, parallel=3))
+        for name in ("tables.jsonl", "traces.jsonl"):
+            assert (gen_out / name).read_bytes() == (PIPELINE / "golden" / name).read_bytes(), name
+
+    def test_generate_replays_at_recorded_sampling_settings(self, tmp_path):
+        # Chat requests are keyed with temperature and max_tokens, so the
+        # replay hits only when generate sends the recorded values.
+        recorded = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        rekeyed = Transcript()
+        for fingerprint, response in recorded.entries.items():
+            request = recorded.requests[fingerprint]
+            rekeyed.record({**request, "temperature": 0.3, "max_tokens": 512}, response)
+        rekeyed.save(tmp_path / "chat.jsonl")
+        config = write_pipeline_config(
+            tmp_path,
+            chat={"mode": "replay", "transcript": "chat.jsonl"},
+            temperature=0.3,
+            max_tokens=512,
+        )
+        out = tmp_path / "out"
+        retrieval = PIPELINE / "golden" / "retrieval.jsonl"
+        assert run(["generate", "--config", config, "--retrieval", retrieval, "--out", out]) == 0
+        assert not (out / "errors.jsonl").exists()
+        golden = PIPELINE / "golden" / "tables.jsonl"
+        assert (out / "tables.jsonl").read_bytes() == golden.read_bytes()
 
 
 class TestPerQuestionFailures:

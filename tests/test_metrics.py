@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from doc2table.metrics import (
     UndefinedMetricError,
     aggregate_scores,
-    build_llm_judge_prompt,
     chrf,
     chrf_matrix,
     chrf_value_scorer,
@@ -410,11 +409,6 @@ class TestReports:
         assert agg["teds"] == pytest.approx(0.75)
         assert agg["header_f1"]["top"] == pytest.approx(0.5)
         assert agg["recall_at_k"] == {"10": 1.0}
-
-    def test_judge_prompt_contains_both_tables(self, flat_2x2):
-        prompt = build_llm_judge_prompt(flat_2x2, flat_2x2)
-        assert prompt.count("<table>") == 2
-        assert "0-10" in prompt
 
     def test_chrf_value_scorer_rescales(self):
         assert chrf_value_scorer("abc", "abc") == 1.0

@@ -11,7 +11,6 @@ from doc2table.model import (
     KeyValueTriple,
     TableModelError,
     TreeCoord,
-    body_from_kv,
     flatten_to_kv,
     leaf_coords,
     leaf_label_paths,
@@ -158,17 +157,6 @@ class TestFlatten:
             for tc in leaf_coords(table.top)
         ]
         assert len(set(coords)) == rows * cols
-
-    @given(table=sts.tables())
-    @settings(max_examples=100)
-    def test_round_trip_restores_body(self, table):
-        assert body_from_kv(table.left, table.top, flatten_to_kv(table)) == table.body
-
-    def test_round_trip_with_duplicate_key_paths(self):
-        left = CoordTree.from_nested(["Total", "Total"])
-        top = CoordTree.from_nested(["c"])
-        table = HierarchicalTable("", left, top, (("1",), ("2",)))
-        assert body_from_kv(left, top, flatten_to_kv(table)) == (("1",), ("2",))
 
 
 class TestValidate:
