@@ -18,7 +18,6 @@ from .model import (
     flatten_to_kv,
     leaf_coords,
     resolve_coord,
-    validate,
 )
 from .treedist import structure_tree, teds, tree_edit_distance
 
@@ -41,5 +40,4 @@ __all__ = [
     "table_scores",
     "teds",
     "tree_edit_distance",
-    "validate",
 ]

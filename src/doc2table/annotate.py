@@ -167,14 +167,13 @@ def apply_review(matches: list[CellMatch], decisions: dict[str, str]) -> list[Ce
 def coverage_ratio(table: HierarchicalTable, matches: list[CellMatch]) -> float:
     """Fraction of body cells with at least one non-rejected match."""
     covered = {(m.row, m.col) for m in matches if m.status != "rejected"}
-    total = len(table.body) * (len(table.body[0]) if table.body else 0)
-    return len(covered) / total if total else 0.0
+    return len(covered) / (len(table.body) * len(table.body[0]))
 
 
 def is_excluded(table: HierarchicalTable, matches: list[CellMatch]) -> bool:
     """Exact integer form of the exclusion rule: uncovered/total >= 30%."""
     covered = {(m.row, m.col) for m in matches if m.status != "rejected"}
-    total = len(table.body) * (len(table.body[0]) if table.body else 0)
+    total = len(table.body) * len(table.body[0])
     uncovered = total - len(covered)
     return uncovered * UNCOVERED_EXCLUSION_DEN >= UNCOVERED_EXCLUSION_NUM * total
 
@@ -281,7 +280,7 @@ def corpus_stats(
     if not triples:
         return CorpusStats(0, None, 0.0, 0.0, 0, 0)
     rows = [len(t.table.body) for t in triples]
-    cols = [len(t.table.body[0]) if t.table.body else 0 for t in triples]
+    cols = [len(t.table.body[0]) for t in triples]
     n_flat = sum(1 for t in triples if t.table.is_flat)
 
     mean_tokens: float | None = None

@@ -79,6 +79,9 @@ def retrieve_stage(
     relevant ids in any triple the report is {} and recall.json is not written.
     """
     _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
+    if any(not t.question.strip() for t in triples):
+        line = next(n for n, obj in data.read_jsonl(triples_path) if not obj["question"].strip())
+        raise data.InputFormatError(triples_path, line, "question", "question is blank")
     vectors = {}
     retrieved = []
     for triple in triples:
@@ -227,14 +230,20 @@ def cmd_annotate(args) -> int:
     return 0
 
 
-def _load_config(args) -> tuple[RunConfig, Path]:
-    """The checked run config named by ``--config``, and ``--out`` or else its ``out_dir``."""
+def _load_config(args, *inputs: str) -> tuple[RunConfig, Path]:
+    """The checked run config named by ``--config``, and ``--out`` or else its ``out_dir``.
+
+    Each config field named in ``inputs`` (``questions``, ``docs``) must be set.
+    """
     config = RunConfig.from_file(args.config)
+    for name in inputs:
+        if not getattr(config, name):
+            raise ValueError(f"config field {name} is required")
     return config, Path(args.out or config.out_dir)
 
 
 def cmd_retrieve(args) -> int:
-    config, out = _load_config(args)
+    config, out = _load_config(args, "questions", "docs")
     triples = data.read_triples(config.questions)
     documents = data.read_documents(config.docs)
     built = build_providers(config, roles=("rewriter", "embedder"))
@@ -247,7 +256,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    config, out = _load_config(args)
+    config, out = _load_config(args, "questions")
     triples = data.read_triples(config.questions)
     records = data.read_retrieval_records(args.retrieval)
     built = build_providers(config, roles=("chat",))
@@ -281,7 +290,7 @@ def _summary_table(items: list[dict], aggregate: dict) -> str:
 
 
 def _evaluate_items(
-    generated: dict[str, "object"],
+    generated: dict[str, HierarchicalTable],
     groundtruth: dict[str, ann.QaTriple],
     recall_rows: dict[str, dict] | None = None,
 ) -> tuple[list[dict], dict]:
@@ -298,10 +307,9 @@ def _evaluate_items(
 
 
 def cmd_evaluate(args) -> int:
-    generated_html = data.read_generated_tables(args.generated)
+    generated = data.read_generated_tables(args.generated)
     groundtruth = {t.triple_id: t for t in data.read_triples(args.groundtruth)}
-    _check_known(args.generated, "id", list(generated_html), groundtruth)
-    generated = {item_id: parse_html_table(html) for item_id, html in generated_html.items()}
+    _check_known(args.generated, "id", list(generated), groundtruth)
 
     items, aggregate = _evaluate_items(generated, groundtruth)
     out = Path(args.out)
@@ -320,7 +328,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config, out = _load_config(args)
+    config, out = _load_config(args, "questions", "docs")
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions)
     built = build_providers(config)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .annotate import QaTriple
 from .html_io import TableInputError, TableStructureError, parse_html_table
-from .model import TableModelError
+from .model import HierarchicalTable, TableModelError
 from .retrieval import DocumentStore, RetrievalRecord, split_sentences
 
 
@@ -132,17 +132,22 @@ def read_tables(path: str | Path) -> list[dict]:
     return records
 
 
+def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
+    """The parsed ``table_html`` field; a table that does not parse is an input error."""
+    html = _require(obj, "table_html", str, path, line)
+    try:
+        return parse_html_table(html)
+    except (TableInputError, TableStructureError, TableModelError) as exc:
+        raise InputFormatError(path, line, "table_html", str(exc)) from exc
+
+
 def read_triples(path: str | Path) -> list[QaTriple]:
     triples = []
     for line, obj in read_jsonl(path):
         triple_id = obj.get("id")
         if not isinstance(triple_id, str):
             raise InputFormatError(path, line, "id", "missing or non-string id")
-        html = _require(obj, "table_html", str, path, line)
-        try:
-            table = parse_html_table(html)
-        except (TableInputError, TableStructureError, TableModelError) as exc:
-            raise InputFormatError(path, line, "table_html", str(exc)) from exc
+        table = _require_table(obj, path, line)
         ids = obj.get("relevant_sentence_ids", [])
         if not isinstance(ids, list) or any(not isinstance(i, int) for i in ids):
             raise InputFormatError(path, line, "relevant_sentence_ids", "expected [int]")
@@ -184,12 +189,12 @@ def read_retrieval_records(path: str | Path) -> dict[str, RetrievalRecord]:
     return records
 
 
-def read_generated_tables(path: str | Path) -> dict[str, str]:
-    """Generated outputs: id -> table_html."""
-    tables: dict[str, str] = {}
+def read_generated_tables(path: str | Path) -> dict[str, HierarchicalTable]:
+    """Generated outputs: id -> parsed table_html."""
+    tables: dict[str, HierarchicalTable] = {}
     for line, obj in read_jsonl(path):
         item_id = obj.get("id")
         if not isinstance(item_id, str):
             raise InputFormatError(path, line, "id", "missing or non-string id")
-        tables[item_id] = _require(obj, "table_html", str, path, line)
+        tables[item_id] = _require_table(obj, path, line)
     return tables

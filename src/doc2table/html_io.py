@@ -21,14 +21,7 @@ import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 
-from .model import (
-    CoordTree,
-    HeaderNode,
-    HierarchicalTable,
-    leaf_label_paths,
-    normalize_text,
-    validate,
-)
+from .model import CoordTree, HeaderNode, HierarchicalTable, leaf_label_paths, normalize_text
 
 logger = logging.getLogger(__name__)
 
@@ -302,7 +295,11 @@ def _warn_indentation(cells: list[GridCell]) -> None:
 
 
 def parse_html_table(html_text: str) -> HierarchicalTable:
-    """Parse the single HTML table in ``html_text`` into a validated model."""
+    """Parse the single HTML table in ``html_text`` into the table model.
+
+    Each header chain ends in one leaf and each body row and column lies
+    under one chain, so the body always fits the header trees.
+    """
     grid = parse_grid(html_text)
     h, w = _header_regions(grid)
 
@@ -323,11 +320,7 @@ def parse_html_table(html_text: str) -> HierarchicalTable:
         tuple(grid.slots[r][c].text for c in range(w, grid.n_cols))
         for r in range(h, grid.n_rows)
     )
-    table = HierarchicalTable(stub, left, top, body)
-    report = validate(table)
-    if not report.ok:
-        raise TableStructureError("; ".join(report.errors))
-    return table
+    return HierarchicalTable(stub, left, top, body)
 
 
 def _subtree_leaves(node: HeaderNode) -> int:
@@ -360,10 +353,6 @@ def _span_attrs(row_span: int, col_span: int) -> str:
 
 def serialize_html(table: HierarchicalTable) -> str:
     """Emit canonical HTML; parsing it back restores the identical model."""
-    report = validate(table)
-    if not report.ok:
-        raise TableStructureError("; ".join(report.errors))
-
     h = table.top.depth
     w = table.left.depth
     esc = lambda s: html_lib.escape(s)

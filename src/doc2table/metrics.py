@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,8 +19,6 @@ CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 KEY_MATCH_THRESHOLD = 0.5
 KEY_JOIN = " / "
-
-ValueScorer = Callable[[str, str], float]
 
 
 class UndefinedMetricError(ValueError):
@@ -167,7 +165,6 @@ def _joined_key(left: tuple[str, ...], top: tuple[str, ...]) -> str:
 def content_similarity(
     generated: HierarchicalTable,
     groundtruth: HierarchicalTable,
-    value_scorer: ValueScorer = chrf_value_scorer,
 ) -> ContentReport:
     """Key-value content similarity between two tables.
 
@@ -175,7 +172,7 @@ def content_similarity(
     greedily by descending key similarity: exact key equality first, then
     chrF over the joined key strings with a 0.5 floor; ties break by
     document order (ground truth first). Each side is matched at most
-    once. The matched pair's score comes from ``value_scorer`` over the
+    once. The matched pair's score is :func:`chrf_value_scorer` over the
     two cell texts; precision divides the score sum by the generated pair
     count, recall by the ground-truth pair count.
 
@@ -228,7 +225,7 @@ def content_similarity(
         if g_idx is None:
             pairs.append(PairScore((t.left_key, t.top_key), None, 0.0))
         else:
-            score = value_scorer(gen[g_idx].value, t.value)
+            score = chrf_value_scorer(gen[g_idx].value, t.value)
             total += score
             pairs.append(
                 PairScore(
@@ -238,8 +235,8 @@ def content_similarity(
                 )
             )
 
-    precision = total / len(gen) if gen else 0.0
-    recall = total / len(gt) if gt else 0.0
+    precision = total / len(gen)
+    recall = total / len(gt)
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
     return ContentReport(tuple(pairs), precision, recall, f1, len(gen), len(gt))
 
@@ -266,8 +263,8 @@ def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
     total = sum(
         chrf(g, t) / 100.0 for g, t in zip(gen_paths, gt_paths)
     )
-    precision = total / len(gen_paths) if gen_paths else 0.0
-    recall = total / len(gt_paths) if gt_paths else 0.0
+    precision = total / len(gen_paths)
+    recall = total / len(gt_paths)
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
     return HeaderScore(precision, recall, f1)
 
@@ -286,10 +283,9 @@ def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float
 def table_scores(
     generated: HierarchicalTable,
     groundtruth: HierarchicalTable,
-    value_scorer: ValueScorer = chrf_value_scorer,
 ) -> dict:
     """All per-pair table metrics as a JSON-ready mapping."""
-    content = content_similarity(generated, groundtruth, value_scorer)
+    content = content_similarity(generated, groundtruth)
     return {
         "teds": teds(generated, groundtruth),
         "content_precision": content.precision,

@@ -190,23 +190,15 @@ class KeyValueTriple:
     top_key: tuple[str, ...]
     value: str
 
-    def __post_init__(self) -> None:
-        left = tuple(normalize_text(k) for k in self.left_key)
-        top = tuple(normalize_text(k) for k in self.top_key)
-        if not left or not top:
-            raise TableModelError("key paths must be non-empty")
-        object.__setattr__(self, "left_key", left)
-        object.__setattr__(self, "top_key", top)
-        object.__setattr__(self, "value", normalize_text(self.value))
-
 
 @dataclass(frozen=True)
 class HierarchicalTable:
     """Stub header + left/top coordinate trees + dense body grid.
 
-    Construction normalizes text but does not enforce the dimension
-    invariants; :func:`validate` reports them so malformed candidates can
-    be diagnosed rather than silently rejected.
+    Construction normalizes text and raises :class:`TableModelError`, naming
+    every mismatch, unless the body has one row per left leaf and one cell
+    per top leaf in every row. Repeated key paths (e.g. two "Total" rows)
+    are allowed, since real tables have them.
     """
 
     stub_header: str
@@ -218,69 +210,25 @@ class HierarchicalTable:
         object.__setattr__(self, "stub_header", normalize_text(self.stub_header))
         body = tuple(tuple(normalize_text(c) for c in row) for row in self.body)
         object.__setattr__(self, "body", body)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.body)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.body[0]) if self.body else 0
+        n_left = self.left.leaf_count
+        n_top = self.top.leaf_count
+        errors = []
+        if len(body) != n_left:
+            errors.append(
+                f"dimension mismatch: body has {len(body)} rows, left tree has {n_left} leaves"
+            )
+        errors += [
+            f"dimension mismatch: body row {i} has {len(row)} cells, top tree has {n_top} leaves"
+            for i, row in enumerate(body)
+            if len(row) != n_top
+        ]
+        if errors:
+            raise TableModelError("; ".join(errors))
 
     @property
     def is_flat(self) -> bool:
         """True iff both header trees are single-level."""
         return self.left.depth == 1 and self.top.depth == 1
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate(table: HierarchicalTable) -> ValidationReport:
-    """Check the table invariants.
-
-    Dimension mismatches and empty labels are errors; duplicated key paths
-    are warnings only, since real tables repeat labels (e.g. "Total" rows).
-    """
-    errors: list[str] = []
-    warnings: list[str] = []
-
-    n_left = table.left.leaf_count
-    n_top = table.top.leaf_count
-    if len(table.body) != n_left:
-        errors.append(
-            f"dimension mismatch: body has {len(table.body)} rows, "
-            f"left tree has {n_left} leaves"
-        )
-    for i, row in enumerate(table.body):
-        if len(row) != n_top:
-            errors.append(
-                f"dimension mismatch: body row {i} has {len(row)} cells, "
-                f"top tree has {n_top} leaves"
-            )
-
-    for name, tree in (("left", table.left), ("top", table.top)):
-        stack = list(tree.roots)
-        while stack:
-            node = stack.pop()
-            if not node.label:  # unreachable through HeaderNode, kept as a guard
-                errors.append(f"{name} tree contains an empty header label")
-            stack.extend(node.children)
-        paths = leaf_label_paths(tree)
-        seen: set[tuple[str, ...]] = set()
-        for path in paths:
-            if path in seen:
-                warnings.append(f"duplicate {name} key path: {' / '.join(path)}")
-            seen.add(path)
-
-    return ValidationReport(tuple(errors), tuple(warnings))
 
 
 def flatten_to_kv(table: HierarchicalTable) -> tuple[KeyValueTriple, ...]:
@@ -291,10 +239,6 @@ def flatten_to_kv(table: HierarchicalTable) -> tuple[KeyValueTriple, ...]:
     """
     left_paths = leaf_label_paths(table.left)
     top_paths = leaf_label_paths(table.top)
-    if len(table.body) != len(left_paths) or any(
-        len(row) != len(top_paths) for row in table.body
-    ):
-        raise TableModelError("cannot flatten: body dimensions do not match header leaves")
     return tuple(
         KeyValueTriple(left_paths[r], top_paths[c], table.body[r][c])
         for r in range(len(left_paths))

@@ -14,7 +14,6 @@ from doc2table.metrics import (
     KEY_MATCH_THRESHOLD,
     ContentReport,
     PairScore,
-    ValueScorer,
     _joined_key,
     chrf,
     chrf_value_scorer,
@@ -168,7 +167,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def reference_content_similarity(
     generated: HierarchicalTable,
     groundtruth: HierarchicalTable,
-    value_scorer: ValueScorer = chrf_value_scorer,
 ) -> ContentReport:
     """Key-value content similarity between two tables.
 
@@ -176,7 +174,7 @@ def reference_content_similarity(
     greedily by descending key similarity: exact key equality first, then
     chrF over the joined key strings with a 0.5 floor; ties break by
     document order (ground truth first). Each side is matched at most
-    once. The matched pair's score comes from ``value_scorer`` over the
+    once. The matched pair's score is ``chrf_value_scorer`` over the
     two cell texts; precision divides the score sum by the generated pair
     count, recall by the ground-truth pair count.
     """
@@ -203,7 +201,7 @@ def reference_content_similarity(
         if t_idx in gt_match or g_idx in matched_gen:
             continue
         gt_match[t_idx] = g_idx
-        matched_gen[g_idx] = value_scorer(gen[g_idx].value, gt[t_idx].value)
+        matched_gen[g_idx] = chrf_value_scorer(gen[g_idx].value, gt[t_idx].value)
 
     pairs = []
     total = 0.0

@@ -114,6 +114,19 @@ class TestEvaluate:
         assert (error["file"], error["line"], error["field"]) == (str(gen), 2, "id")
         assert "'b'" in error["message"]
 
+    def test_malformed_generated_table_names_file_line_field(self, tmp_path, capsys):
+        table = make_flat_table(1, 1)
+        gen, gt = self.write_pair(tmp_path, {"a": table}, {"a": table})
+        ragged = "<table><tr><th>s</th><th>c</th></tr><tr><th>r</th></tr></table>"
+        with gen.open("a") as handle:
+            handle.write(json.dumps({"id": "a", "table_html": ragged}) + "\n")
+        code = run(["evaluate", "--generated", gen, "--groundtruth", gt, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(gen), 2, "table_html")
+        assert "not rectangular" in error["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         table = make_flat_table(2, 2)
         gen, gt = self.write_pair(tmp_path, {"a": table}, {"a": table})
@@ -155,6 +168,32 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["file"], error["line"], error["field"]) == (str(triples), 2, "doc_id")
         assert "nope" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_blank_question_names_triples_line(self, tmp_path, capsys, monkeypatch):
+        rewritten = []
+        monkeypatch.setattr(
+            "doc2table.cli.rewrite_question", lambda *args: rewritten.append(args)
+        )
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
+        triples = tmp_path / "triples.jsonl"
+        row = {
+            "id": "t",
+            "doc_id": "d",
+            "question": "q",
+            "table_html": serialize_html(make_flat_table(1, 1)),
+            "relevant_sentence_ids": [0],
+        }
+        triples.write_text(
+            json.dumps(row) + "\n\n" + json.dumps({**row, "id": "u", "question": " \t"}) + "\n"
+        )
+        config = write_config(tmp_path, questions="triples.jsonl", docs="docs.jsonl")
+        code = run(["retrieve", "--config", config, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(triples), 3, "question")
+        assert rewritten == []
         assert not (tmp_path / "o").exists()
 
     def test_unknown_doc_id_names_tables_line(self, tmp_path, capsys):
@@ -214,6 +253,34 @@ class TestMalformedInputs:
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "ValueError", "message": message}
+        assert built == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("retrieve", "questions"),
+            ("retrieve", "docs"),
+            ("generate", "questions"),
+            ("pipeline", "questions"),
+            ("pipeline", "docs"),
+        ],
+    )
+    def test_missing_run_input_is_named(self, tmp_path, capsys, monkeypatch, command, field):
+        built = []
+        monkeypatch.setattr(
+            "doc2table.cli.build_providers", lambda *args, **kwargs: built.append(args)
+        )
+        path = write_pipeline_config(tmp_path)
+        config = json.loads(path.read_text())
+        del config[field]
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", path, "--out", tmp_path / "o"]
+        if command == "generate":
+            argv += ["--retrieval", PIPELINE / "golden" / "retrieval.jsonl"]
+        assert run(argv) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"config field {field} is required"}
         assert built == []
         assert not (tmp_path / "o").exists()
 

@@ -22,7 +22,7 @@ from doc2table.generation import (
 )
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import content_similarity
-from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, leaf_coords, validate
+from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, leaf_coords
 from doc2table.providers import ChatProvider, ProviderError, ScriptedProvider
 from doc2table.treedist import teds
 
@@ -268,8 +268,8 @@ class TestRunTabTalk:
     def test_gate_soundness_table_always_validates(self):
         gt = make_gt()
         chat = ChatProvider(ScriptedProvider(perfect_handler(gt)))
-        result = run_tabtalk(QUESTION, SENTENCES, chat)
-        assert validate(result.table).ok
+        # HierarchicalTable raises on a body that does not fit its header trees.
+        run_tabtalk(QUESTION, SENTENCES, chat)
 
     def test_citation_closure(self):
         gt = make_gt()
@@ -374,7 +374,6 @@ class TestAssemble:
         gt = make_gt()
         result = run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(perfect_handler(gt))))
         assert parse_html_table(serialize_html(result.table)) == result.table
-        assert validate(result.table).ok
 
     def test_unfilled_cell_preserved_as_empty(self):
         gt = make_gt()

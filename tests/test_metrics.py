@@ -162,12 +162,6 @@ class TestContentSimilarity:
             >= content_similarity(gen_small, gt).recall
         )
 
-    def test_custom_value_scorer(self):
-        gt = table_with_values(1, [["anything"]])
-        gen = table_with_values(1, [["else"]])
-        report = content_similarity(gen, gt, value_scorer=lambda a, b: 0.5)
-        assert report.precision == pytest.approx(0.5)
-
 
 LABEL_EDITS = (
     lambda label: label,
@@ -262,10 +256,6 @@ def level_swapped_pairs(draw) -> tuple[HierarchicalTable, HierarchicalTable]:
     return (swapped, truth) if draw(st.booleans()) else (truth, swapped)
 
 
-def length_ratio(candidate: str, reference: str) -> float:
-    return len(candidate) / (1 + len(reference))
-
-
 class TestContentSimilarityMatchesReference:
     """The two-phase matcher equals the all-pairs greedy reference bit for bit
     (dataclass equality compares every float exactly)."""
@@ -281,14 +271,6 @@ class TestContentSimilarityMatchesReference:
         assert content_similarity(generated, groundtruth) == reference_content_similarity(
             generated, groundtruth
         )
-
-    @given(pair=perturbed_pairs())
-    @settings(max_examples=25, deadline=None)
-    def test_custom_value_scorer(self, pair):
-        generated, groundtruth = pair
-        assert content_similarity(
-            generated, groundtruth, length_ratio
-        ) == reference_content_similarity(generated, groundtruth, length_ratio)
 
     def test_chrf_runs_once_per_matched_pair(self, monkeypatch):
         # 10 x 6 = 60 cells, every row header renamed, so no key is exactly

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doc2table.model import (
     CoordError,
@@ -16,8 +17,8 @@ from doc2table.model import (
     leaf_label_paths,
     normalize_text,
     resolve_coord,
-    validate,
 )
+from doc2table.html_io import parse_html_table, serialize_html
 
 import strategies as sts
 
@@ -45,10 +46,6 @@ class TestNormalization:
             TreeCoord(())
         with pytest.raises(TableModelError):
             TreeCoord((0, -1))
-
-    def test_kv_triple_requires_keys(self):
-        with pytest.raises(TableModelError):
-            KeyValueTriple((), ("c",), "v")
 
 
 class TestResolveCoord:
@@ -160,31 +157,64 @@ class TestFlatten:
 
 
 class TestValidate:
+    """Construction rejects a body that does not fit its header trees."""
+
     def test_example_table_passes(self, example_table):
-        report = validate(example_table)
-        assert report.ok and not report.warnings
+        assert HierarchicalTable(
+            example_table.stub_header, example_table.left, example_table.top, example_table.body
+        ) == example_table
 
     def test_dimension_mismatch(self):
         left = CoordTree.from_nested(["r1", "r2"])
         top = CoordTree.from_nested(["c1", "c2"])
-        table = HierarchicalTable("", left, top, (("a", "b"), ("c", "d"), ("e", "f")))
-        report = validate(table)
-        assert not report.ok
-        assert any("3 rows" in e and "2 leaves" in e for e in report.errors)
+        with pytest.raises(TableModelError) as excinfo:
+            HierarchicalTable("", left, top, (("a", "b"), ("c", "d"), ("e", "f")))
+        assert "3 rows" in str(excinfo.value) and "2 leaves" in str(excinfo.value)
 
     def test_ragged_row_reported(self):
         left = CoordTree.from_nested(["r1"])
         top = CoordTree.from_nested(["c1", "c2"])
-        table = HierarchicalTable("", left, top, (("a",),))
-        assert not validate(table).ok
+        with pytest.raises(TableModelError) as excinfo:
+            HierarchicalTable("", left, top, (("a",),))
+        assert "body row 0 has 1 cells, top tree has 2 leaves" in str(excinfo.value)
 
-    def test_duplicate_key_paths_warn_but_pass(self):
+    def test_every_mismatch_named(self):
+        left = CoordTree.from_nested(["r1", "r2"])
+        top = CoordTree.from_nested(["c1", "c2"])
+        with pytest.raises(TableModelError) as excinfo:
+            HierarchicalTable("", left, top, (("a", "b"), ("c",), ("d", "e", "f")))
+        assert str(excinfo.value) == "; ".join(
+            [
+                "dimension mismatch: body has 3 rows, left tree has 2 leaves",
+                "dimension mismatch: body row 1 has 1 cells, top tree has 2 leaves",
+                "dimension mismatch: body row 2 has 3 cells, top tree has 2 leaves",
+            ]
+        )
+
+    def test_duplicate_key_paths_construct(self):
         left = CoordTree.from_nested(["Total", "Total"])
         top = CoordTree.from_nested(["c"])
         table = HierarchicalTable("", left, top, (("1",), ("2",)))
-        report = validate(table)
-        assert report.ok
-        assert any("duplicate left key path" in w for w in report.warnings)
+        assert leaf_label_paths(table.left) == (("Total",), ("Total",))
+
+    @given(
+        left=sts.coord_trees(),
+        top=sts.coord_trees(),
+        fault=st.sampled_from(["extra row", "missing row", "short row"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_only_the_exact_shape_constructs(self, left, top, fault):
+        body = [["v"] * top.leaf_count for _ in range(left.leaf_count)]
+        if fault == "extra row":
+            bad = body + [body[0]]
+        elif fault == "missing row":
+            bad = body[:-1]
+        else:
+            bad = body[:-1] + [body[-1][:-1]]
+        with pytest.raises(TableModelError):
+            HierarchicalTable("", left, top, bad)
+        table = HierarchicalTable("stub", left, top, body)
+        assert parse_html_table(serialize_html(table)) == table
 
 
 class TestClassification:
