@@ -25,7 +25,7 @@ from . import annotate as ann
 from . import data
 from .config import BuiltProviders, RunConfig, build_providers, flush_transcripts
 from .generation import StageFailure, run_tabtalk, trace_to_dict
-from .html_io import parse_html_table, serialize_html
+from .html_io import serialize_html
 from .metrics import aggregate_scores, recall_at_k, table_scores
 from .model import HierarchicalTable
 from .providers import ChatProvider, ProviderError
@@ -87,7 +87,7 @@ def retrieve_stage(
     for triple in triples:
         store = documents[triple.doc_id]
         if triple.doc_id not in vectors:
-            texts = rewrite_sentences(store, built.rewriter) if config.rewrite_docs else store.sentences
+            texts = rewrite_sentences(store, built.rewriter)
             vectors[triple.doc_id] = built.embedder.embed(texts) if texts else None
         rewrite = rewrite_question(triple.question, built.rewriter)
         record = retrieve_top_k(
@@ -96,7 +96,6 @@ def retrieve_stage(
             vectors[triple.doc_id],
             built.embedder,
             k=config.k,
-            merge=config.merge,
             question=triple.question,
             degraded=rewrite.degraded,
         )
@@ -142,13 +141,7 @@ def generate_stage(
             continue
         try:
             result = run_tabtalk(
-                triple.question,
-                sentences,
-                chat,
-                fill_batch_size=config.fill_batch_size,
-                max_retries=config.max_retries,
-                oneshot=config.oneshot,
-                parallel=config.parallel,
+                triple.question, sentences, chat, oneshot=config.oneshot, parallel=config.parallel
             )
         except StageFailure as exc:
             errors.append({"id": triple.triple_id, "stage": exc.stage, "error": str(exc)})
@@ -181,7 +174,7 @@ def cmd_annotate(args) -> int:
     candidates = []
     matches_out = []
     for record in records:
-        table = parse_html_table(record["table_html"])
+        table = record["table"]
         matches = ann.match_cells_to_sentences(table, documents[record["doc_id"]])
         ann.apply_review(matches, decisions.get(record["table_id"], {}))
         candidates.append((table, matches))
@@ -321,7 +314,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_stats(args) -> int:
     triples = data.read_triples(args.triples)
-    documents = data.read_documents(args.docs) if args.docs else None
+    documents = None
+    if args.docs:
+        documents = data.read_documents(args.docs)
+        _check_known(args.triples, "doc_id", [t.doc_id for t in triples], documents)
     stats = ann.corpus_stats(triples, documents)
     print(json.dumps(stats.to_dict(), sort_keys=True, indent=2))
     return 0

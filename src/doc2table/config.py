@@ -1,21 +1,20 @@
-"""Run configuration: provider wiring, retrieval and generation knobs.
+"""Run configuration: provider wiring and the settings a run uses.
 
 :class:`RunConfig` is the only run configuration. ``retrieve``,
-``generate`` and ``pipeline`` all load it from one JSON file (unknown keys
-are ignored, known ones type-checked), and the stages read their settings
-from it.
-Endpoints and credentials can be overridden by environment variables
-(``DOC2TABLE_CHAT_ENDPOINT``, ``DOC2TABLE_REWRITER_ENDPOINT``,
-``DOC2TABLE_EMBEDDER_ENDPOINT``, and the variable named by each
-provider's ``api_key_env``). Relative transcript and data paths resolve
-against the config file's directory. Nothing touches the network unless
-a provider's mode is ``live`` or ``record``.
+``generate`` and ``pipeline`` all load it from one JSON file, and the
+stages read their settings from it. Every key must name a setting: an
+unknown key, at the top level or inside a provider spec, is an error, and
+each known value is type-checked. Endpoints come from the file; a
+provider's ``api_key_env`` names the environment variable that holds its
+credential, so no secret is written into the file. Relative transcript and
+data paths resolve against the config file's directory. Nothing touches
+the network unless a provider's mode is ``live`` or ``record``.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .providers import (
@@ -51,16 +50,18 @@ _JSON_TYPES = {
     "str": (str, "a string"),
     "bool": (bool, "true or false"),
     "int": (int, "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
     "ProviderSpec": (dict, "an object"),
 }
 
 
 def _json_fields(cls, obj, prefix: str = "") -> dict:
-    """The values in JSON object ``obj`` named by fields of ``cls``, each type-checked."""
+    """The type-checked values of JSON object ``obj``; each key must name a field of ``cls``."""
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"config field {prefix}{unknown[0]} is not a setting")
     values = {}
     for f in fields(cls):
         if f.name in obj:
@@ -78,10 +79,6 @@ class RunConfig:
     rewriter: ProviderSpec = field(default_factory=lambda: ProviderSpec("identity"))
     embedder: ProviderSpec = field(default_factory=lambda: ProviderSpec("hashing"))
     k: int = DEFAULT_TOP_K
-    merge: str = "round_robin"
-    rewrite_docs: bool = True
-    fill_batch_size: int | None = None  # None: one batch per body row
-    max_retries: int = 1
     parallel: int = 1
     oneshot: bool = False
     temperature: float = 0.0
@@ -93,14 +90,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.fill_batch_size is not None and self.fill_batch_size < 1:
-            raise ValueError(f"fill_batch_size must be >= 1, got {self.fill_batch_size}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if self.parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {self.parallel}")
-        if self.merge not in ("round_robin", "max_score"):
-            raise ValueError(f"unknown merge strategy {self.merge!r}")
         if self.chat.mode not in CHAT_MODES:
             raise ValueError(f"chat mode must be one of {CHAT_MODES}, got {self.chat.mode!r}")
         if self.rewriter.mode not in REWRITER_MODES:
@@ -126,15 +117,8 @@ class RunConfig:
             value = getattr(owner, name)
             if value and not Path(value).is_absolute():
                 setattr(owner, name, str(path.parent / value))
-        config.apply_env_overrides()
         config.validate()
         return config
-
-    def apply_env_overrides(self) -> None:
-        for role in PROVIDER_ROLES:
-            endpoint = os.environ.get(f"DOC2TABLE_{role.upper()}_ENDPOINT")
-            if endpoint:
-                setattr(self, role, replace(getattr(self, role), endpoint=endpoint))
 
 
 @dataclass

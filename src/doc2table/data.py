@@ -8,7 +8,8 @@ Formats:
   review     {"table_id": str, "match_id": "row,col",
               "status": "confirmed" | "rejected"}
 
-Malformed lines raise :class:`InputFormatError` naming the file, line and
+Malformed lines, and a line that repeats an earlier line's ``id`` or
+``doc_id``, raise :class:`InputFormatError` naming the file, line and
 field. All writes go through a temp file and rename so partial output is
 never observed.
 """
@@ -117,13 +118,13 @@ def read_documents(path: str | Path) -> dict[str, DocumentStore]:
 
 
 def read_tables(path: str | Path) -> list[dict]:
-    """Annotation inputs: raw table records with ids and optional questions."""
+    """Annotation inputs: table records with ids, the parsed ``table`` and optional questions."""
     records = []
     for line, obj in read_jsonl(path):
         record = {
             "table_id": _require(obj, "table_id", str, path, line),
             "doc_id": _require(obj, "doc_id", str, path, line),
-            "table_html": _require(obj, "table_html", str, path, line),
+            "table": _require_table(obj, path, line),
             "question": obj.get("question", ""),
         }
         if not isinstance(record["question"], str):
@@ -141,25 +142,33 @@ def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
         raise InputFormatError(path, line, "table_html", str(exc)) from exc
 
 
+def _require_id(obj: dict, path, line: int) -> str:
+    item_id = obj.get("id")
+    if not isinstance(item_id, str):
+        raise InputFormatError(path, line, "id", "missing or non-string id")
+    return item_id
+
+
 def read_triples(path: str | Path) -> list[QaTriple]:
     triples = []
+    seen: set[str] = set()
     for line, obj in read_jsonl(path):
-        triple_id = obj.get("id")
-        if not isinstance(triple_id, str):
-            raise InputFormatError(path, line, "id", "missing or non-string id")
+        triple_id = _require_id(obj, path, line)
         table = _require_table(obj, path, line)
         ids = obj.get("relevant_sentence_ids", [])
         if not isinstance(ids, list) or any(not isinstance(i, int) for i in ids):
             raise InputFormatError(path, line, "relevant_sentence_ids", "expected [int]")
-        triples.append(
-            QaTriple(
-                triple_id=triple_id,
-                doc_id=_require(obj, "doc_id", str, path, line),
-                question=_require(obj, "question", str, path, line),
-                table=table,
-                relevant_sentence_ids=tuple(ids),
-            )
+        triple = QaTriple(
+            triple_id=triple_id,
+            doc_id=_require(obj, "doc_id", str, path, line),
+            question=_require(obj, "question", str, path, line),
+            table=table,
+            relevant_sentence_ids=tuple(ids),
         )
+        if triple_id in seen:
+            raise InputFormatError(path, line, "id", f"duplicate id {triple_id!r}")
+        seen.add(triple_id)
+        triples.append(triple)
     return triples
 
 
@@ -179,9 +188,7 @@ def read_review(path: str | Path) -> dict[str, dict[str, str]]:
 def read_retrieval_records(path: str | Path) -> dict[str, RetrievalRecord]:
     records: dict[str, RetrievalRecord] = {}
     for line, obj in read_jsonl(path):
-        item_id = obj.get("id")
-        if not isinstance(item_id, str):
-            raise InputFormatError(path, line, "id", "missing or non-string id")
+        item_id = _require_id(obj, path, line)
         try:
             records[item_id] = RetrievalRecord.from_dict(obj)
         except (KeyError, TypeError, ValueError) as exc:
@@ -193,8 +200,9 @@ def read_generated_tables(path: str | Path) -> dict[str, HierarchicalTable]:
     """Generated outputs: id -> parsed table_html."""
     tables: dict[str, HierarchicalTable] = {}
     for line, obj in read_jsonl(path):
-        item_id = obj.get("id")
-        if not isinstance(item_id, str):
-            raise InputFormatError(path, line, "id", "missing or non-string id")
-        tables[item_id] = _require_table(obj, path, line)
+        item_id = _require_id(obj, path, line)
+        table = _require_table(obj, path, line)
+        if item_id in tables:
+            raise InputFormatError(path, line, "id", f"duplicate id {item_id!r}")
+        tables[item_id] = table
     return tables

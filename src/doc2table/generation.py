@@ -4,17 +4,17 @@ Stage one asks the chat model for the table's header skeleton (row-header
 tree, column-header tree, dimensions) as an HTML fragment inside a fenced
 block; the declared dimensions must match the skeleton. The plan's body
 cells then form one row-major list of :class:`PlanCell`, each carrying its
-two leaf coordinates and their label paths. Stage two fills slices of
-that list (one body row per prompt by default) with per-cell queries,
-sentence citations and unit notes, and the body is the fill values
-reshaped by the column count. Each stage gets at most ``max_retries``
-retries with the parse error appended to the prompt; a stage that runs
-out of retries, or whose provider fails, raises :class:`StageFailure`,
-which the CLI turns into one ``errors.jsonl`` row for that question only.
+two leaf coordinates and their label paths. Stage two fills that list one
+body row per prompt, with per-cell queries, sentence citations and unit
+notes, and the body is the fill values reshaped by the column count. Each
+stage gets at most :data:`MAX_RETRIES` retries with the parse error
+appended to the prompt; a stage that runs out of retries, or whose
+provider fails, raises :class:`StageFailure`, which the CLI turns into one
+``errors.jsonl`` row for that question only.
 
 A one-shot baseline (single prompt producing the whole table) is kept
-for comparison runs: pass ``oneshot=True`` to :func:`run_tabtalk`, which
-takes all its settings as keywords that the CLI fills from ``RunConfig``.
+for comparison runs: pass ``oneshot=True`` to :func:`run_tabtalk`, whose
+keywords the CLI fills from ``RunConfig``.
 """
 from __future__ import annotations
 
@@ -36,6 +36,8 @@ from .model import (
 from .providers import ChatProvider, ProviderError
 
 logger = logging.getLogger(__name__)
+
+MAX_RETRIES = 1  # per stage: one more prompt after a rejected reply
 
 
 class ResponseParseError(RuntimeError):
@@ -316,7 +318,7 @@ def _retry_prompt(prompt: str, error: Exception) -> str:
     )
 
 
-def _complete_with_retry(chat: ChatProvider, prompt: str, parse, stage: str, max_retries: int, partial: dict):
+def _complete_with_retry(chat: ChatProvider, prompt: str, parse, stage: str, partial: dict):
     """Complete and parse, retrying rejected replies; provider errors are not retried.
 
     The HTTP backend already retries transient failures, and a replay miss
@@ -332,7 +334,7 @@ def _complete_with_retry(chat: ChatProvider, prompt: str, parse, stage: str, max
         try:
             return parse(response), retries
         except ResponseParseError as exc:
-            if retries >= max_retries:
+            if retries >= MAX_RETRIES:
                 raise StageFailure(stage, str(exc), {**partial, "last_response": response}) from exc
             retries += 1
             logger.warning("%s stage reply rejected (%s); retrying", stage, exc)
@@ -344,8 +346,6 @@ def run_tabtalk(
     sentences: list[tuple[int, str]],
     chat: ChatProvider,
     *,
-    fill_batch_size: int | None = None,
-    max_retries: int = 1,
     oneshot: bool = False,
     parallel: int = 1,
 ) -> TabTalkResult:
@@ -353,22 +353,21 @@ def run_tabtalk(
 
     ``sentences`` are (sentence_id, raw text) pairs in retrieval order; the
     prompt numbers them 1..n and citations are mapped back to the ids.
-    ``fill_batch_size`` cells go into each fill prompt (None: one body row);
-    up to ``parallel`` fill prompts run at once, and their records come back
-    in cell order; each stage gets ``max_retries`` retries.
+    Each fill prompt covers one body row; up to ``parallel`` fill prompts
+    run at once, and their records come back in cell order. Each stage gets
+    at most :data:`MAX_RETRIES` retries.
     """
     if oneshot:
-        return _run_oneshot(question, sentences, chat, max_retries)
+        return _run_oneshot(question, sentences, chat)
 
     prompt = build_structure_prompt(question, sentences)
     plan, structure_retries = _complete_with_retry(
-        chat, prompt, parse_structure_response, "structure", max_retries, {}
+        chat, prompt, parse_structure_response, "structure", {}
     )
 
     cells = plan_cells(plan)
     n_cols = plan.top.leaf_count
-    size = n_cols if fill_batch_size is None else fill_batch_size
-    batches = [cells[i : i + size] for i in range(0, len(cells), size)]
+    batches = [cells[i : i + n_cols] for i in range(0, len(cells), n_cols)]
     sentence_ids = [sid for sid, _ in sentences]
 
     def fill_one(batch: list[PlanCell]) -> tuple[list[CellFill], int]:
@@ -377,7 +376,6 @@ def run_tabtalk(
             build_fill_prompt(question, sentences, batch),
             lambda resp: parse_fill_response(resp, batch, sentence_ids),
             "fill",
-            max_retries,
             {"plan": plan},
         )
 
@@ -391,10 +389,7 @@ def run_tabtalk(
 
 
 def _run_oneshot(
-    question: str,
-    sentences: list[tuple[int, str]],
-    chat: ChatProvider,
-    max_retries: int,
+    question: str, sentences: list[tuple[int, str]], chat: ChatProvider
 ) -> TabTalkResult:
     prompt = build_oneshot_prompt(question, sentences)
     table, retries = _complete_with_retry(
@@ -402,7 +397,6 @@ def _run_oneshot(
         prompt,
         lambda resp: _parse_block_table(extract_fenced_block(resp), "reply"),
         "oneshot",
-        max_retries,
         {},
     )
     plan = StructurePlan(table.left, table.top, table.stub_header)

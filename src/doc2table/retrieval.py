@@ -5,7 +5,8 @@ provider turns questions into sub-questions and sentences into a
 data-as-subject form. Each document's retrieval texts are embedded once by
 the caller (``cli.retrieve_stage``, per referenced document);
 :func:`retrieve_top_k` embeds only the sub-questions, ranks sentences per
-sub-question by cosine and merges the rankings into one top-K budget.
+sub-question by cosine and merges the rankings round robin into one top-K
+budget.
 Records cite the raw text: the rewritten form is a retrieval aid only.
 """
 from __future__ import annotations
@@ -51,12 +52,13 @@ _SPLIT_CANDIDATE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
 _LAST_TOKEN = re.compile(r"(\S+)$")
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Deterministic rule-based sentence segmentation.
 
     Splits after sentence-final punctuation followed by whitespace and a
-    capital letter or digit, except when the preceding token is a protected
-    abbreviation or when parentheses opened earlier are still unclosed.
+    capital letter or digit, except when the preceding token is one of
+    :data:`DEFAULT_ABBREVIATIONS` or when parentheses opened earlier are
+    still unclosed.
     """
     if not text.strip():
         return []
@@ -77,7 +79,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIAT
             token_match = _LAST_TOKEN.search(text[:end])
             if token_match:
                 token = token_match.group(1).lstrip("(\"'[").lower()
-                if token in abbreviations:
+                if token in DEFAULT_ABBREVIATIONS:
                     continue
         cut_points.append(end)
 
@@ -203,35 +205,21 @@ def merge_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> li
     return merged[:k]
 
 
-def merge_max_score(ranked_lists: list[list[tuple[int, float]]], k: int) -> list[tuple[int, float]]:
-    """Alternative merge: rank by the best score over all sub-questions."""
-    best: dict[int, float] = {}
-    for ranked in ranked_lists:
-        for sid, score in ranked:
-            if sid not in best or score > best[sid]:
-                best[sid] = score
-    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return ordered[:k]
-
-
 def retrieve_top_k(
     store: DocumentStore,
     sub_questions: list[str],
     sentence_vectors: np.ndarray | None,
     embedder,
     k: int = DEFAULT_TOP_K,
-    merge: str = "round_robin",
     question: str = "",
     degraded: bool = False,
 ) -> RetrievalRecord:
-    """Rank sentences by cosine against each sub-question and merge top-K.
+    """Rank sentences by cosine against each sub-question; merge top-K round robin.
 
     ``sentence_vectors`` has one row per sentence, from ``embedder``; None if the store is empty.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if merge not in ("round_robin", "max_score"):
-        raise ValueError(f"unknown merge strategy: {merge}")
     if not store.sentences:
         logger.warning("retrieval over an empty document store: %s", store.doc_id)
         return RetrievalRecord(question, list(sub_questions), [], [], k, degraded)
@@ -251,8 +239,7 @@ def retrieve_top_k(
         order = sorted(range(len(store)), key=lambda i: (-scores[i], i))
         per_question.append([(i, scores[i]) for i in order])
 
-    merge_fn = merge_round_robin if merge == "round_robin" else merge_max_score
-    merged = merge_fn(per_question, k)
+    merged = merge_round_robin(per_question, k)
     return RetrievalRecord(
         question=question,
         sub_questions=list(sub_questions),

@@ -226,14 +226,9 @@ class TestMalformedInputs:
         "argv, message",
         [
             (
-                ["generate", "--config", {"fill_batch_size": 0},
+                ["generate", "--config", {"parallel": 0},
                  "--retrieval", PIPELINE / "golden" / "retrieval.jsonl"],
-                "fill_batch_size must be >= 1, got 0",
-            ),
-            (
-                ["generate", "--config", {"max_retries": -1},
-                 "--retrieval", PIPELINE / "golden" / "retrieval.jsonl"],
-                "max_retries must be >= 0",
+                "parallel must be >= 1, got 0",
             ),
             (
                 ["retrieve", "--config", {"k": 0}],
@@ -289,8 +284,8 @@ class TestMalformedInputs:
         [
             ({"k": "10"}, "k"),
             ({"k": True}, "k"),
-            ({"rewrite_docs": "yes"}, "rewrite_docs"),
-            ({"fill_batch_size": 2.5}, "fill_batch_size"),
+            ({"oneshot": "yes"}, "oneshot"),
+            ({"parallel": 2.5}, "parallel"),
             ({"temperature": "0"}, "temperature"),
             ({"out_dir": 3}, "out_dir"),
             ({"chat": "replay"}, "chat"),
@@ -304,6 +299,60 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"config field {field} must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"merge": "max_score"}, "merge"),
+            ({"rewrite_docs": False}, "rewrite_docs"),
+            ({"fill_batch_size": 1}, "fill_batch_size"),
+            ({"max_retries": 3}, "max_retries"),
+            ({"paralel": 2}, "paralel"),
+            ({"chat": {"mode": "replay", "transcipt": "chat.jsonl"}}, "chat.transcipt"),
+        ],
+    )
+    def test_unknown_config_key_is_named(self, tmp_path, capsys, monkeypatch, override, field):
+        built = []
+        monkeypatch.setattr(
+            "doc2table.cli.build_providers", lambda *args, **kwargs: built.append(args)
+        )
+        path = write_pipeline_config(tmp_path, **override)
+        assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"config field {field} is not a setting"}
+        assert built == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "chat, message",
+        [
+            ({"mode": "replay"}, "replay mode needs a transcript path"),
+            ({"mode": "live"}, "live mode needs an endpoint"),
+            (
+                {"mode": "record", "endpoint": "http://localhost:1/chat"},
+                "record mode needs a transcript path to write",
+            ),
+        ],
+    )
+    def test_provider_spec_without_its_path_is_reported(self, tmp_path, capsys, chat, message):
+        path = write_pipeline_config(tmp_path, chat=chat)
+        assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_annotation_table_names_file_line_field(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
+        tables = tmp_path / "tables.jsonl"
+        ragged = "<table><tr><th>s</th><th>c</th></tr><tr><th>r</th></tr></table>"
+        write_jsonl(tables, [{"table_id": "a", "doc_id": "d", "table_html": ragged}])
+        code = run(["annotate", "--docs", docs, "--tables", tables, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(tables), 1, "table_html")
+        assert "not rectangular" in error["message"]
         assert not (tmp_path / "o").exists()
 
     def test_parallel_below_one_is_rejected(self, tmp_path, capsys):
@@ -406,6 +455,15 @@ class TestStats:
         assert report["mean_rows"] == 2.0
         assert report["mean_input_tokens"] == 5.0
         assert report["n_flat"] == 1
+
+    def test_unknown_doc_id_names_triples_line(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "other", "sentences": ["Revenue was 100."]}])
+        questions = PIPELINE / "questions.jsonl"
+        assert run(["stats", "--triples", questions, "--docs", docs]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(questions), 1, "doc_id")
+        assert "acme_beta_h1_2023" in error["message"]
 
 
 class TestRetrieveCommand:

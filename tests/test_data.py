@@ -8,6 +8,7 @@ from doc2table.data import (
     InputFormatError,
     atomic_write_text,
     read_documents,
+    read_generated_tables,
     read_review,
     read_triples,
     write_json,
@@ -116,6 +117,27 @@ class TestTriples:
         with pytest.raises(InputFormatError) as excinfo:
             read_triples(path)
         assert excinfo.value.field == "id"
+
+    def test_duplicate_id_names_its_second_line(self, tmp_path):
+        path = tmp_path / "triples.jsonl"
+        row = {"id": "t", "doc_id": "d", "question": "q",
+               "table_html": serialize_html(make_flat_table(1, 1))}
+        write_jsonl(path, [row, {**row, "id": "u"}, {**row, "doc_id": "e"}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_triples(path)
+        assert (excinfo.value.line, excinfo.value.field) == (3, "id")
+        assert excinfo.value.reason == "duplicate id 't'"
+
+
+class TestGeneratedTables:
+    def test_duplicate_id_names_its_second_line(self, tmp_path):
+        path = tmp_path / "tables.jsonl"
+        html = serialize_html(make_flat_table(1, 1))
+        write_jsonl(path, [{"id": "a", "table_html": html}, {"id": "a", "table_html": html}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_generated_tables(path)
+        assert (excinfo.value.line, excinfo.value.field) == (2, "id")
+        assert excinfo.value.reason == "duplicate id 'a'"
 
 
 class TestReview:

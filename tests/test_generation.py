@@ -279,35 +279,21 @@ class TestRunTabTalk:
         for record in result.trace.records:
             assert set(record.sentence_ids) <= retrieved
 
-    def test_batch_size_one_issues_per_cell_prompts(self):
-        gt = make_gt()
-        calls = []
-
-        inner = perfect_handler(gt)
-
-        def counting(request):
-            calls.append(request["messages"][0]["content"])
-            return inner(request)
-
-        chat = ChatProvider(ScriptedProvider(counting))
-        result = run_tabtalk(QUESTION, SENTENCES, chat, fill_batch_size=1)
-        assert result.table == gt
-        fill_calls = [c for c in calls if "You fill specific body cells" in c]
-        assert len(fill_calls) == 2  # one per cell
-
     def test_parallel_fill_matches_serial(self):
-        gt = make_gt()
+        # Two body rows: two fill prompts that may run at once.
+        gt = HierarchicalTable(
+            "Metric",
+            CoordTree.from_nested([("Acme Corp", ["Revenue", "Net income"])]),
+            CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
+            (("$12.1 billion", "$13.4 billion"), ("$2.0 billion", "$2.2 billion")),
+        )
         serial = run_tabtalk(
             QUESTION, SENTENCES, ChatProvider(ScriptedProvider(perfect_handler(gt)))
         )
         parallel = run_tabtalk(
-            QUESTION,
-            SENTENCES,
-            ChatProvider(ScriptedProvider(perfect_handler(gt))),
-            fill_batch_size=1,
-            parallel=4,
+            QUESTION, SENTENCES, ChatProvider(ScriptedProvider(perfect_handler(gt))), parallel=4
         )
-        assert serial.table == parallel.table
+        assert serial.table == parallel.table == gt
 
     def test_oneshot_baseline(self):
         gt = make_gt()
@@ -343,7 +329,7 @@ class TestRunTabTalk:
             return inner(request)
 
         with pytest.raises(StageFailure) as excinfo:
-            run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)), max_retries=3)
+            run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)))
         assert excinfo.value.stage == "fill"
         assert "upstream down" in str(excinfo.value)
         assert set(excinfo.value.partial) == {"plan"}
@@ -385,17 +371,14 @@ class TestAssemble:
         ] == [(("Acme Corp", "Revenue"), ("Q2 2023",), "")]
 
     @pytest.mark.parametrize("parallel", [1, 3])
-    @pytest.mark.parametrize("fill_batch_size", [None, 1, 4, 7, 30])
-    def test_every_batching_reproduces_the_hierarchical_table(
-        self, example_table, fill_batch_size, parallel
-    ):
-        # 5 x 6 cells: batches of 4 and 7 cross row boundaries, 30 is the whole body.
+    def test_parallel_fill_reproduces_the_hierarchical_table(self, example_table, parallel):
+        # 5 x 6 cells: five one-row fill prompts, up to three at once.
         def run(**keywords):
             chat = ChatProvider(ScriptedProvider(perfect_handler(example_table)))
             return run_tabtalk(QUESTION, SENTENCES, chat, **keywords)
 
         reference = run()
-        result = run(fill_batch_size=fill_batch_size, parallel=parallel)
+        result = run(parallel=parallel)
         assert result.table == example_table
         assert trace_to_dict(result.plan, result.trace) == trace_to_dict(
             reference.plan, reference.trace
