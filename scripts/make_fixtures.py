@@ -19,7 +19,6 @@ from pathlib import Path
 from doc2table.cli import generate_stage, main as cli_main, retrieve_stage
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.generation import (
-    StructurePlan,
     build_fill_prompt,
     build_oneshot_prompt,
     build_structure_prompt,
@@ -127,23 +126,19 @@ def write_prompt_goldens() -> None:
     (out / "structure_prompt.txt").write_text(
         build_structure_prompt(PROMPT_QUESTION, PROMPT_SENTENCES) + "\n", encoding="utf-8"
     )
-    plan = StructurePlan(
-        left=CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
-        top=CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
-        stub_header="Metric",
-    )
-    (out / "fill_prompt.txt").write_text(
-        build_fill_prompt(PROMPT_QUESTION, PROMPT_SENTENCES, plan_cells(plan)) + "\n",
-        encoding="utf-8",
-    )
-    (out / "oneshot_prompt.txt").write_text(
-        build_oneshot_prompt(PROMPT_QUESTION, PROMPT_SENTENCES) + "\n", encoding="utf-8"
-    )
+    # The fill prompt reads only the table's header trees: the plan is its skeleton.
     table = HierarchicalTable(
         "Metric",
         CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
         CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
         (("$12.1 billion", "$13.4 billion"),),
+    )
+    (out / "fill_prompt.txt").write_text(
+        build_fill_prompt(PROMPT_QUESTION, PROMPT_SENTENCES, plan_cells(table)) + "\n",
+        encoding="utf-8",
+    )
+    (out / "oneshot_prompt.txt").write_text(
+        build_oneshot_prompt(PROMPT_QUESTION, PROMPT_SENTENCES) + "\n", encoding="utf-8"
     )
     (out / "question_prompt.txt").write_text(
         build_question_prompt(table) + "\n", encoding="utf-8"

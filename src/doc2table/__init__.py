@@ -17,7 +17,6 @@ from .model import (
     TreeCoord,
     flatten_to_kv,
     leaf_coords,
-    resolve_coord,
 )
 from .treedist import structure_tree, teds, tree_edit_distance
 
@@ -33,7 +32,6 @@ __all__ = [
     "leaf_coords",
     "parse_html_table",
     "recall_at_k",
-    "resolve_coord",
     "serialize_html",
     "serialize_markdown",
     "structure_tree",

@@ -20,13 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .html_io import serialize_markdown
-from .model import (
-    HierarchicalTable,
-    TreeCoord,
-    leaf_coords,
-    leaf_label_paths,
-    normalize_text,
-)
+from .model import HierarchicalTable, leaf_label_paths, normalize_text
 from .retrieval import DocumentStore
 
 UNCOVERED_EXCLUSION_NUM = 3  # exclude iff uncovered/total >= 3/10, compared exactly
@@ -97,8 +91,6 @@ class CellMatch:
 
     row: int
     col: int
-    left_coord: TreeCoord
-    top_coord: TreeCoord
     kind: str  # "numeric" | "textual"
     sentence_ids: tuple[int, ...]
     matched_token: str | None = None  # canonical magnitude, numeric cells only
@@ -112,8 +104,6 @@ class CellMatch:
 
 def match_cells_to_sentences(table: HierarchicalTable, store: DocumentStore) -> list[CellMatch]:
     """Locate candidate sentences for every body cell; empty cells match nothing."""
-    left_cs = leaf_coords(table.left)
-    top_cs = leaf_coords(table.top)
     normalized_sentences = [normalize_text(s) for s in store.sentences]
     numbers_per_sentence = [sentence_numbers(s) for s in normalized_sentences]
     lowered_sentences = [s.lower() for s in normalized_sentences]
@@ -137,10 +127,7 @@ def match_cells_to_sentences(table: HierarchicalTable, store: DocumentStore) -> 
                         flips.append(sid)
                 if hit_ids:
                     matches.append(
-                        CellMatch(
-                            r, c, left_cs[r], top_cs[c], "numeric",
-                            tuple(hit_ids), magnitude, tuple(flips),
-                        )
+                        CellMatch(r, c, "numeric", tuple(hit_ids), magnitude, tuple(flips))
                     )
             else:
                 phrase = re.escape(cell.lower())
@@ -149,9 +136,7 @@ def match_cells_to_sentences(table: HierarchicalTable, store: DocumentStore) -> 
                     sid for sid, text in enumerate(lowered_sentences) if pattern.search(text)
                 ]
                 if hit_ids:
-                    matches.append(
-                        CellMatch(r, c, left_cs[r], top_cs[c], "textual", tuple(hit_ids))
-                    )
+                    matches.append(CellMatch(r, c, "textual", tuple(hit_ids)))
     return matches
 
 

@@ -152,7 +152,7 @@ def generate_stage(
                 "id": triple.triple_id,
                 "structure_retries": result.structure_retries,
                 "fill_retries": result.fill_retries,
-                **trace_to_dict(result.plan, result.trace),
+                **trace_to_dict(result.table, result.trace),
             }
         )
     data.write_jsonl(
@@ -289,8 +289,6 @@ def _evaluate_items(
 ) -> tuple[list[dict], dict]:
     items = []
     for item_id in generated:
-        if item_id not in groundtruth:
-            continue
         scores = table_scores(generated[item_id], groundtruth[item_id].table)
         entry = {"id": item_id, **scores}
         if recall_rows and item_id in recall_rows:

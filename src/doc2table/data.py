@@ -186,13 +186,22 @@ def read_review(path: str | Path) -> dict[str, dict[str, str]]:
 
 
 def read_retrieval_records(path: str | Path) -> dict[str, RetrievalRecord]:
+    """Saved retrieval output: id -> record, each merged sentence id with its text."""
     records: dict[str, RetrievalRecord] = {}
     for line, obj in read_jsonl(path):
         item_id = _require_id(obj, path, line)
         try:
-            records[item_id] = RetrievalRecord.from_dict(obj)
+            record = RetrievalRecord.from_dict(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(path, line, "<record>", f"malformed record: {exc}") from exc
+        missing = [sid for sid in record.merged_ids() if sid not in record.sentence_texts]
+        if missing:
+            raise InputFormatError(
+                path, line, "sentences", f"no text for merged sentence id {missing[0]}"
+            )
+        if item_id in records:
+            raise InputFormatError(path, line, "id", f"duplicate id {item_id!r}")
+        records[item_id] = record
     return records
 
 

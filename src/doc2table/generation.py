@@ -2,15 +2,17 @@
 
 Stage one asks the chat model for the table's header skeleton (row-header
 tree, column-header tree, dimensions) as an HTML fragment inside a fenced
-block; the declared dimensions must match the skeleton. The plan's body
-cells then form one row-major list of :class:`PlanCell`, each carrying its
+block; it parses to a :class:`HierarchicalTable`, the skeleton, whose
+shape the declared dimensions must match. That skeleton is the plan: its
+body cells form one row-major list of :class:`PlanCell`, each carrying its
 two leaf coordinates and their label paths. Stage two fills that list one
 body row per prompt, with per-cell queries, sentence citations and unit
-notes, and the body is the fill values reshaped by the column count. Each
-stage gets at most :data:`MAX_RETRIES` retries with the parse error
-appended to the prompt; a stage that runs out of retries, or whose
-provider fails, raises :class:`StageFailure`, which the CLI turns into one
-``errors.jsonl`` row for that question only.
+notes, and the answer is the skeleton with its body replaced by the fill
+values, reshaped by the column count. Each stage gets at most
+:data:`MAX_RETRIES` retries with the parse error appended to the prompt; a
+stage that runs out of retries, or whose provider fails, raises
+:class:`StageFailure`, which the CLI turns into one ``errors.jsonl`` row
+for that question only.
 
 A one-shot baseline (single prompt producing the whole table) is kept
 for comparison runs: pass ``oneshot=True`` to :func:`run_tabtalk`, whose
@@ -22,17 +24,10 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .html_io import TableInputError, TableStructureError, parse_html_table
-from .model import (
-    CoordTree,
-    HierarchicalTable,
-    TableModelError,
-    TreeCoord,
-    leaf_coords,
-    leaf_label_paths,
-)
+from .model import HierarchicalTable, TableModelError, TreeCoord, leaves
 from .providers import ChatProvider, ProviderError
 
 logger = logging.getLogger(__name__)
@@ -45,19 +40,11 @@ class ResponseParseError(RuntimeError):
 
 
 class StageFailure(RuntimeError):
-    """A stage exhausted its retries or its provider failed; carries partial artifacts."""
+    """A stage exhausted its retries or its provider failed."""
 
-    def __init__(self, stage: str, message: str, partial: dict):
+    def __init__(self, stage: str, message: str):
         super().__init__(f"{stage} stage failed: {message}")
         self.stage = stage
-        self.partial = partial
-
-
-@dataclass(frozen=True)
-class StructurePlan:
-    left: CoordTree
-    top: CoordTree
-    stub_header: str
 
 
 @dataclass(frozen=True)
@@ -74,12 +61,12 @@ class PlanCell:
         return f"What is {_path_str(self.top_path)} for {_path_str(self.left_path)}?"
 
 
-def plan_cells(plan: StructurePlan) -> list[PlanCell]:
-    """Every body cell of ``plan`` in row-major order."""
-    top = list(zip(leaf_coords(plan.top), leaf_label_paths(plan.top)))
+def plan_cells(skeleton: HierarchicalTable) -> list[PlanCell]:
+    """Every body cell of ``skeleton`` in row-major order; only its header trees are read."""
+    top = leaves(skeleton.top)
     return [
         PlanCell(left_coord, top_coord, left_path, top_path)
-        for left_coord, left_path in zip(leaf_coords(plan.left), leaf_label_paths(plan.left))
+        for left_coord, left_path in leaves(skeleton.left)
         for top_coord, top_path in top
     ]
 
@@ -105,7 +92,6 @@ class FillTrace:
 @dataclass
 class TabTalkResult:
     table: HierarchicalTable
-    plan: StructurePlan
     trace: FillTrace
     structure_retries: int = 0
     fill_retries: int = 0
@@ -186,8 +172,8 @@ def build_structure_prompt(question: str, sentences: list[tuple[int, str]]) -> s
     return "\n".join(parts)
 
 
-def parse_structure_response(response: str) -> StructurePlan:
-    """Extract the stage-one header skeleton and check its declared dimensions."""
+def parse_structure_response(response: str) -> HierarchicalTable:
+    """The stage-one header skeleton as a table, once its declared dimensions match its shape."""
     block = extract_fenced_block(response)
     dims = _DIMENSIONS.search(block)
     if not dims:
@@ -200,7 +186,7 @@ def parse_structure_response(response: str) -> StructurePlan:
             f"declared dimensions {rows} x {cols} do not match the "
             f"header skeleton ({n_left} row leaves, {n_top} column leaves)"
         )
-    return StructurePlan(skeleton.left, skeleton.top, skeleton.stub_header)
+    return skeleton
 
 
 def build_fill_prompt(
@@ -318,7 +304,7 @@ def _retry_prompt(prompt: str, error: Exception) -> str:
     )
 
 
-def _complete_with_retry(chat: ChatProvider, prompt: str, parse, stage: str, partial: dict):
+def _complete_with_retry(chat: ChatProvider, prompt: str, parse, stage: str):
     """Complete and parse, retrying rejected replies; provider errors are not retried.
 
     The HTTP backend already retries transient failures, and a replay miss
@@ -330,12 +316,12 @@ def _complete_with_retry(chat: ChatProvider, prompt: str, parse, stage: str, par
         try:
             response = chat.complete([{"role": "user", "content": current}])
         except ProviderError as exc:
-            raise StageFailure(stage, str(exc), dict(partial)) from exc
+            raise StageFailure(stage, str(exc)) from exc
         try:
             return parse(response), retries
         except ResponseParseError as exc:
             if retries >= MAX_RETRIES:
-                raise StageFailure(stage, str(exc), {**partial, "last_response": response}) from exc
+                raise StageFailure(stage, str(exc)) from exc
             retries += 1
             logger.warning("%s stage reply rejected (%s); retrying", stage, exc)
             current = _retry_prompt(prompt, exc)
@@ -353,20 +339,21 @@ def run_tabtalk(
 
     ``sentences`` are (sentence_id, raw text) pairs in retrieval order; the
     prompt numbers them 1..n and citations are mapped back to the ids.
-    Each fill prompt covers one body row; up to ``parallel`` fill prompts
-    run at once, and their records come back in cell order. Each stage gets
-    at most :data:`MAX_RETRIES` retries.
+    The parsed header skeleton is the plan and, with the fill values as its
+    body, the answer. Each fill prompt covers one body row; up to
+    ``parallel`` fill prompts run at once, and their records come back in
+    cell order. Each stage gets at most :data:`MAX_RETRIES` retries.
     """
     if oneshot:
         return _run_oneshot(question, sentences, chat)
 
     prompt = build_structure_prompt(question, sentences)
-    plan, structure_retries = _complete_with_retry(
-        chat, prompt, parse_structure_response, "structure", {}
+    skeleton, structure_retries = _complete_with_retry(
+        chat, prompt, parse_structure_response, "structure"
     )
 
-    cells = plan_cells(plan)
-    n_cols = plan.top.leaf_count
+    cells = plan_cells(skeleton)
+    n_cols = skeleton.top.leaf_count
     batches = [cells[i : i + n_cols] for i in range(0, len(cells), n_cols)]
     sentence_ids = [sid for sid, _ in sentences]
 
@@ -376,7 +363,6 @@ def run_tabtalk(
             build_fill_prompt(question, sentences, batch),
             lambda resp: parse_fill_response(resp, batch, sentence_ids),
             "fill",
-            {"plan": plan},
         )
 
     with ThreadPoolExecutor(max_workers=parallel) as pool:
@@ -384,8 +370,8 @@ def run_tabtalk(
     trace = FillTrace(tuple(r for fragment, _ in results for r in fragment))
     values = [r.value for r in trace.records]  # one per cell, row-major
     body = tuple(tuple(values[i : i + n_cols]) for i in range(0, len(values), n_cols))
-    table = HierarchicalTable(plan.stub_header, plan.left, plan.top, body)
-    return TabTalkResult(table, plan, trace, structure_retries, sum(n for _, n in results))
+    table = replace(skeleton, body=body)
+    return TabTalkResult(table, trace, structure_retries, sum(n for _, n in results))
 
 
 def _run_oneshot(
@@ -397,23 +383,21 @@ def _run_oneshot(
         prompt,
         lambda resp: _parse_block_table(extract_fenced_block(resp), "reply"),
         "oneshot",
-        {},
     )
-    plan = StructurePlan(table.left, table.top, table.stub_header)
     values = [value for row in table.body for value in row]
-    records = tuple(CellFill(cell, (), value) for cell, value in zip(plan_cells(plan), values))
-    return TabTalkResult(table, plan, FillTrace(records), retries, 0)
+    records = tuple(CellFill(cell, (), value) for cell, value in zip(plan_cells(table), values))
+    return TabTalkResult(table, FillTrace(records), retries, 0)
 
 
-def trace_to_dict(plan: StructurePlan, trace: FillTrace) -> dict:
-    """JSON-ready serialization of a generation run's artifacts."""
+def trace_to_dict(table: HierarchicalTable, trace: FillTrace) -> dict:
+    """JSON-ready run artifacts: the answer's header skeleton (the plan) and its fill trace."""
     return {
         "plan": {
-            "stub_header": plan.stub_header,
-            "left": plan.left.to_nested(),
-            "top": plan.top.to_nested(),
-            "rows": plan.left.leaf_count,
-            "cols": plan.top.leaf_count,
+            "stub_header": table.stub_header,
+            "left": table.left.to_nested(),
+            "top": table.top.to_nested(),
+            "rows": table.left.leaf_count,
+            "cols": table.top.leaf_count,
         },
         "cells": [
             {

@@ -5,7 +5,8 @@ tree), an ordered tree of column-header cells (the *top* tree), and a dense
 body grid. Leaves of the left tree correspond 1:1 with body rows, leaves of
 the top tree with body columns, so every body cell has exactly one pair of
 tree coordinates and every cell can be flattened to a key-value triple
-(row label path, column label path, cell text).
+(row label path, column label path, cell text). A body cell's row and
+column are its two leaves' positions in the preorder walk :func:`leaves`.
 """
 from __future__ import annotations
 
@@ -24,18 +25,6 @@ def normalize_text(text: str) -> str:
 
 class TableModelError(ValueError):
     """Violation of the table model's construction rules."""
-
-
-class CoordError(TableModelError):
-    """A tree coordinate does not resolve in its tree.
-
-    ``depth`` is the 0-based position in the coordinate path where
-    resolution failed.
-    """
-
-    def __init__(self, message: str, depth: int):
-        super().__init__(message)
-        self.depth = depth
 
 
 @dataclass(frozen=True)
@@ -126,60 +115,33 @@ class CoordTree:
         return max(d(r) for r in self.roots)
 
     @property
-    def node_count(self) -> int:
-        count = 0
-        stack = list(self.roots)
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children)
-        return count
-
-    @property
     def leaf_count(self) -> int:
-        return len(leaf_coords(self))
+        return len(leaves(self))
 
 
-def resolve_coord(tree: CoordTree, coord: TreeCoord) -> tuple[str, ...]:
-    """Return the label path addressed by ``coord``, root level first.
+def leaves(tree: CoordTree) -> list[tuple[TreeCoord, tuple[str, ...]]]:
+    """(coordinate, label path) of every leaf in document (left-to-right, preorder) order."""
+    leaves: list[tuple[TreeCoord, tuple[str, ...]]] = []
 
-    Raises :class:`CoordError` naming the failing depth when any index is
-    out of range.
-    """
-    labels: list[str] = []
-    level = tree.roots
-    for depth, index in enumerate(coord):
-        if index >= len(level):
-            raise CoordError(
-                f"coordinate {tuple(coord)} out of range at depth {depth}: "
-                f"index {index} >= {len(level)} children",
-                depth=depth,
-            )
-        node = level[index]
-        labels.append(node.label)
-        level = node.children
-    return tuple(labels)
+    def walk(nodes: tuple[HeaderNode, ...], path: tuple[int, ...], labels: tuple[str, ...]):
+        for i, node in enumerate(nodes):
+            if node.is_leaf:
+                leaves.append((TreeCoord(path + (i,)), labels + (node.label,)))
+            else:
+                walk(node.children, path + (i,), labels + (node.label,))
+
+    walk(tree.roots, (), ())
+    return leaves
 
 
 def leaf_coords(tree: CoordTree) -> tuple[TreeCoord, ...]:
     """All leaf coordinates in document (left-to-right, preorder) order."""
-    coords: list[TreeCoord] = []
-
-    def walk(node: HeaderNode, path: tuple[int, ...]) -> None:
-        if node.is_leaf:
-            coords.append(TreeCoord(path))
-            return
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,))
-
-    for i, root in enumerate(tree.roots):
-        walk(root, (i,))
-    return tuple(coords)
+    return tuple(coord for coord, _ in leaves(tree))
 
 
 def leaf_label_paths(tree: CoordTree) -> tuple[tuple[str, ...], ...]:
-    """Label path of every leaf, in the same order as :func:`leaf_coords`."""
-    return tuple(resolve_coord(tree, c) for c in leaf_coords(tree))
+    """Label path of every leaf, root level first, in the same order as :func:`leaf_coords`."""
+    return tuple(labels for _, labels in leaves(tree))
 
 
 @dataclass(frozen=True)

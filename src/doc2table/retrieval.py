@@ -156,14 +156,14 @@ class RetrievalRecord:
         return [sid for sid, _ in self.merged]
 
     def to_dict(self) -> dict:
-        # scores rounded to 12 decimals: stable bytes across BLAS variants
+        # Scores are already quantized by retrieve_top_k: stable bytes across BLAS variants.
         return {
             "question": self.question,
             "sub_questions": list(self.sub_questions),
             "per_question": [
-                [[sid, round(score, 12)] for sid, score in ranked] for ranked in self.per_question
+                [[sid, score] for sid, score in ranked] for ranked in self.per_question
             ],
-            "merged": [[sid, round(score, 12)] for sid, score in self.merged],
+            "merged": [[sid, score] for sid, score in self.merged],
             "k": self.k,
             "degraded": self.degraded,
             "sentences": [

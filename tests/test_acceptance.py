@@ -15,7 +15,14 @@ from doc2table.cli import main as cli_main
 from doc2table.data import read_documents, read_triples
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import chrf, recall_at_k
-from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, flatten_to_kv, leaf_coords, resolve_coord
+from doc2table.model import (
+    CoordTree,
+    HierarchicalTable,
+    TreeCoord,
+    flatten_to_kv,
+    leaf_coords,
+    leaf_label_paths,
+)
 from doc2table.providers import HashingEmbedder, ReplayProvider, Rewriter, Transcript
 from doc2table.retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
 from doc2table.treedist import teds, tree_edit_distance
@@ -98,11 +105,9 @@ def test_example_table_fixture_fidelity():
         "61, 276",
     )
     assert triple in [(t.left_key, t.top_key, t.value) for t in flatten_to_kv(table)]
-    left_path = resolve_coord(table.left, TreeCoord((2, 0)))
-    top_path = resolve_coord(table.top, TreeCoord((2, 1)))
-    assert (left_path, top_path) == (triple[0], triple[1])
     row = leaf_coords(table.left).index(TreeCoord((2, 0)))
     col = leaf_coords(table.top).index(TreeCoord((2, 1)))
+    assert (leaf_label_paths(table.left)[row], leaf_label_paths(table.top)[col]) == triple[:2]
     assert table.body[row][col] == "61, 276"
     report("committed example table yields the exact key-value triple and coordinates")
 
@@ -156,13 +161,8 @@ def test_annotation_filter_on_20_hand_labeled_tables():
     # "uncovered >= 30% => exclude", including the exact 30.0% boundary.
     def with_matches(rows: int, cols: int, covered: int):
         table = make_flat_table(rows, cols)
-        left = leaf_coords(table.left)
-        top = leaf_coords(table.top)
         cells = [(r, c) for r in range(rows) for c in range(cols)][:covered]
-        matches = [
-            CellMatch(r, c, left[r], top[c], "numeric", (0,), "1") for r, c in cells
-        ]
-        return table, matches
+        return table, [CellMatch(r, c, "numeric", (0,), "1") for r, c in cells]
 
     plans = [
         (2, 5, 10),  # 0% uncovered -> keep

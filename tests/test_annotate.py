@@ -17,7 +17,7 @@ from doc2table.annotate import (
     relevant_ids,
     sentence_numbers,
 )
-from doc2table.model import CoordTree, HierarchicalTable, TreeCoord
+from doc2table.model import CoordTree, HierarchicalTable
 from doc2table.retrieval import DocumentStore
 
 from conftest import make_flat_table
@@ -128,63 +128,48 @@ class TestCellMatching:
             (m.row, m.col, m.sentence_ids) for m in second
         ]
 
-    def test_coordinates_attached(self):
-        table = make_flat_table(1, 2)
-        store = DocumentStore("d", ["v00 v01 both here."])
-        matches = match_cells_to_sentences(table, store)
-        assert matches[0].left_coord == TreeCoord((0,))
-        assert matches[1].top_coord == TreeCoord((1,))
 
-
-def synthetic_matches(table: HierarchicalTable, covered_cells: list[tuple[int, int]]):
-    from doc2table.model import leaf_coords
-
-    left = leaf_coords(table.left)
-    top = leaf_coords(table.top)
-    return [
-        CellMatch(r, c, left[r], top[c], "numeric", (0,), "1") for r, c in covered_cells
-    ]
+def synthetic_matches(covered_cells: list[tuple[int, int]]):
+    return [CellMatch(r, c, "numeric", (0,), "1") for r, c in covered_cells]
 
 
 class TestCoverageAndFilter:
     def test_all_cells_matched(self):
         table = make_flat_table(2, 2)
-        matches = synthetic_matches(table, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        matches = synthetic_matches([(0, 0), (0, 1), (1, 0), (1, 1)])
         assert coverage_ratio(table, matches) == 1.0
         assert not is_excluded(table, matches)
 
     def test_seven_of_ten_is_boundary_and_excluded(self):
         # 30.0% uncovered is the inclusive exclusion boundary.
         table = make_flat_table(2, 5)
-        matches = synthetic_matches(table, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)])
+        matches = synthetic_matches([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)])
         assert coverage_ratio(table, matches) == pytest.approx(0.7)
         assert is_excluded(table, matches)
 
     def test_six_of_ten_excluded(self):
         table = make_flat_table(2, 5)
-        matches = synthetic_matches(table, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)])
+        matches = synthetic_matches([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)])
         assert coverage_ratio(table, matches) == pytest.approx(0.6)
         assert is_excluded(table, matches)
 
     def test_eight_of_ten_retained(self):
         table = make_flat_table(2, 5)
-        matches = synthetic_matches(
-            table, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2)]
-        )
+        matches = synthetic_matches([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2)])
         assert not is_excluded(table, matches)
 
     def test_rejected_matches_do_not_count(self):
         table = make_flat_table(1, 2)
-        matches = synthetic_matches(table, [(0, 0), (0, 1)])
+        matches = synthetic_matches([(0, 0), (0, 1)])
         matches[0].status = "rejected"
         assert coverage_ratio(table, matches) == pytest.approx(0.5)
 
     def test_filter_tables_listwise_with_exclusion_log(self):
         tables = [make_flat_table(2, 5) for _ in range(3)]
         candidates = [
-            (tables[0], synthetic_matches(tables[0], [(r, c) for r in range(2) for c in range(5)])),
-            (tables[1], synthetic_matches(tables[1], [(0, c) for c in range(5)] + [(1, 0), (1, 1)])),
-            (tables[2], synthetic_matches(tables[2], [(0, 0)])),
+            (tables[0], synthetic_matches([(r, c) for r in range(2) for c in range(5)])),
+            (tables[1], synthetic_matches([(0, c) for c in range(5)] + [(1, 0), (1, 1)])),
+            (tables[2], synthetic_matches([(0, 0)])),
         ]
         retained, exclusions = filter_tables(candidates)
         assert len(retained) == 1 and retained[0][0] is tables[0]
@@ -195,14 +180,14 @@ class TestCoverageAndFilter:
     def test_confirming_more_matches_never_excludes(self):
         table = make_flat_table(2, 5)
         base = [(0, c) for c in range(5)] + [(1, 0), (1, 1), (1, 2)]
-        matches = synthetic_matches(table, base)
+        matches = synthetic_matches(base)
         assert not is_excluded(table, matches)
-        more = synthetic_matches(table, base + [(1, 3)])
+        more = synthetic_matches(base + [(1, 3)])
         assert not is_excluded(table, more)
 
     def test_apply_review(self):
         table = make_flat_table(1, 2)
-        matches = synthetic_matches(table, [(0, 0), (0, 1)])
+        matches = synthetic_matches([(0, 0), (0, 1)])
         apply_review(matches, {"0,0": "rejected", "0,1": "confirmed"})
         assert matches[0].status == "rejected"
         assert matches[1].status == "confirmed"

@@ -355,6 +355,26 @@ class TestMalformedInputs:
         assert "not rectangular" in error["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "fault, field",
+        [
+            (lambda row: {**row, "id": "acme_beta"}, "id"),
+            (lambda row: {k: v for k, v in row.items() if k != "sentences"}, "sentences"),
+        ],
+        ids=["duplicate id", "no sentence texts"],
+    )
+    def test_bad_retrieval_row_names_line_and_field(self, tmp_path, capsys, fault, field):
+        acme_beta, gamma = read_jsonl_rows(PIPELINE / "golden" / "retrieval.jsonl")
+        retrieval = tmp_path / "retrieval.jsonl"
+        write_jsonl(retrieval, [acme_beta, fault(gamma)])
+        config = write_pipeline_config(tmp_path)
+        out = tmp_path / "o"
+        code = run(["generate", "--config", config, "--retrieval", retrieval, "--out", out])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(retrieval), 2, field)
+        assert not out.exists()
+
     def test_parallel_below_one_is_rejected(self, tmp_path, capsys):
         path = write_pipeline_config(tmp_path, parallel=0)
         assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1

@@ -9,6 +9,7 @@ from doc2table.data import (
     atomic_write_text,
     read_documents,
     read_generated_tables,
+    read_retrieval_records,
     read_review,
     read_triples,
     write_json,
@@ -138,6 +139,37 @@ class TestGeneratedTables:
             read_generated_tables(path)
         assert (excinfo.value.line, excinfo.value.field) == (2, "id")
         assert excinfo.value.reason == "duplicate id 'a'"
+
+
+class TestRetrievalRecords:
+    ROW = {
+        "question": "q",
+        "sub_questions": ["q"],
+        "per_question": [[[1, 0.5], [0, 0.25]]],
+        "merged": [[1, 0.5], [0, 0.25]],
+        "k": 2,
+        "sentences": [{"id": 1, "text": "One."}, {"id": 0, "text": "Zero."}],
+    }
+
+    def test_duplicate_id_names_its_second_line(self, tmp_path):
+        path = tmp_path / "retrieval.jsonl"
+        write_jsonl(path, [{"id": item_id, **self.ROW} for item_id in ("a", "b", "a")])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_retrieval_records(path)
+        assert (excinfo.value.line, excinfo.value.field) == (3, "id")
+        assert excinfo.value.reason == "duplicate id 'a'"
+
+    @pytest.mark.parametrize("sentences", [None, [{"id": 1, "text": "One."}]])
+    def test_merged_id_without_text_names_sentences(self, tmp_path, sentences):
+        row = {"id": "a", **self.ROW, "sentences": sentences}
+        if sentences is None:
+            del row["sentences"]
+        path = tmp_path / "retrieval.jsonl"
+        write_jsonl(path, [row])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_retrieval_records(path)
+        assert (excinfo.value.line, excinfo.value.field) == (1, "sentences")
+        assert excinfo.value.reason == f"no text for merged sentence id {0 if sentences else 1}"
 
 
 class TestReview:

@@ -9,7 +9,6 @@ import pytest
 from doc2table.generation import (
     ResponseParseError,
     StageFailure,
-    StructurePlan,
     build_fill_prompt,
     build_oneshot_prompt,
     build_structure_prompt,
@@ -38,11 +37,12 @@ SENTENCES = [
 ]
 
 
-def simple_plan() -> StructurePlan:
-    return StructurePlan(
-        left=CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
-        top=CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
-        stub_header="Metric",
+def simple_plan() -> HierarchicalTable:
+    return HierarchicalTable(
+        "Metric",
+        CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
+        CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
+        (("", ""),),
     )
 
 
@@ -94,11 +94,8 @@ class TestPrompts:
         assert "cell 1: row = Acme Corp > Revenue; column = Q2 2023" in prompt
 
     def test_fill_prompt_full_table_row_major(self):
-        plan = StructurePlan(
-            left=CoordTree.from_nested(["r1", "r2"]),
-            top=CoordTree.from_nested(["c1", "c2"]),
-            stub_header="",
-        )
+        left, top = CoordTree.from_nested(["r1", "r2"]), CoordTree.from_nested(["c1", "c2"])
+        plan = HierarchicalTable("", left, top, (("", ""), ("", "")))
         prompt = build_fill_prompt(QUESTION, SENTENCES, plan_cells(plan))
         assert prompt.index("row = r1; column = c1") < prompt.index("row = r1; column = c2")
         assert prompt.index("row = r1; column = c2") < prompt.index("row = r2; column = c1")
@@ -107,10 +104,11 @@ class TestPrompts:
 
 class TestParseStructure:
     def test_well_formed_response(self):
-        plan = parse_structure_response(STRUCTURE_RESPONSE)
-        assert plan.left.leaf_count == 1
-        assert plan.top.leaf_count == 2
-        assert plan.stub_header == "Metric"
+        skeleton = parse_structure_response(STRUCTURE_RESPONSE)
+        assert skeleton.left.leaf_count == 1
+        assert skeleton.top.leaf_count == 2
+        assert skeleton.stub_header == "Metric"
+        assert skeleton.body == (("", ""),)
 
     def test_prose_around_block_is_ignored(self):
         assert parse_structure_response(STRUCTURE_RESPONSE).left.leaf_count == 1
@@ -258,12 +256,12 @@ class TestRunTabTalk:
         assert result.table == gt
         assert result.structure_retries == 1
 
-    def test_exhausted_retries_carries_partial(self):
+    def test_exhausted_retries_fail_the_stage(self):
         chat = ChatProvider(ScriptedProvider(lambda req: {"content": "never a block"}))
         with pytest.raises(StageFailure) as excinfo:
             run_tabtalk(QUESTION, SENTENCES, chat)
         assert excinfo.value.stage == "structure"
-        assert "last_response" in excinfo.value.partial
+        assert "no fenced code block" in str(excinfo.value)
 
     def test_gate_soundness_table_always_validates(self):
         gt = make_gt()
@@ -311,7 +309,7 @@ class TestRunTabTalk:
         gt = make_gt()
         chat = ChatProvider(ScriptedProvider(perfect_handler(gt)))
         result = run_tabtalk(QUESTION, SENTENCES, chat)
-        payload = trace_to_dict(result.plan, result.trace)
+        payload = trace_to_dict(result.table, result.trace)
         assert payload["plan"]["rows"] == 1
         assert len(payload["cells"]) == 2
         json.dumps(payload)  # JSON-serializable
@@ -332,7 +330,6 @@ class TestRunTabTalk:
             run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)))
         assert excinfo.value.stage == "fill"
         assert "upstream down" in str(excinfo.value)
-        assert set(excinfo.value.partial) == {"plan"}
         assert len(fill_calls) == 1
 
 
@@ -380,8 +377,8 @@ class TestAssemble:
         reference = run()
         result = run(parallel=parallel)
         assert result.table == example_table
-        assert trace_to_dict(result.plan, result.trace) == trace_to_dict(
-            reference.plan, reference.trace
+        assert trace_to_dict(result.table, result.trace) == trace_to_dict(
+            reference.table, reference.trace
         )
         row_major = [
             (lc, tc) for lc in leaf_coords(example_table.left) for tc in leaf_coords(example_table.top)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doc2table.model import (
-    CoordError,
     CoordTree,
     HeaderNode,
     HierarchicalTable,
@@ -16,7 +15,6 @@ from doc2table.model import (
     leaf_coords,
     leaf_label_paths,
     normalize_text,
-    resolve_coord,
 )
 from doc2table.html_io import parse_html_table, serialize_html
 
@@ -48,70 +46,65 @@ class TestNormalization:
             TreeCoord((0, -1))
 
 
-class TestResolveCoord:
-    def test_single_level_second_root(self):
-        tree = CoordTree.from_nested(["x", "y", "z"])
-        assert resolve_coord(tree, TreeCoord((1,))) == ("y",)
-
-    def test_three_level_manual_walk(self):
-        # Hand walk: root 0 is A, its child 1 is a2, a2's child 0 is x.
-        tree = CoordTree.from_nested([("A", ["a1", ("a2", ["x", "y"])]), ("B", ["b1"])])
-        assert resolve_coord(tree, TreeCoord((0, 1, 0))) == ("A", "a2", "x")
-
-    def test_out_of_range_names_depth(self):
-        tree = CoordTree.from_nested([("A", ["a1"])])
-        with pytest.raises(CoordError) as excinfo:
-            resolve_coord(tree, TreeCoord((0, 4)))
-        assert excinfo.value.depth == 1
-        assert "depth 1" in str(excinfo.value)
-        with pytest.raises(CoordError) as excinfo:
-            resolve_coord(tree, TreeCoord((9,)))
-        assert excinfo.value.depth == 0
-
-    def test_example_table_coordinates(self, example_table):
-        # The committed example: left <2,0> and top <2,1> meet at "61, 276".
-        left_path = resolve_coord(example_table.left, TreeCoord((2, 0)))
-        top_path = resolve_coord(example_table.top, TreeCoord((2, 1)))
-        assert left_path == ("Urinary tract", "Kidney and renal pelvis")
-        assert top_path == ("Mortality", "Females")
-        row = leaf_coords(example_table.left).index(TreeCoord((2, 0)))
-        col = leaf_coords(example_table.top).index(TreeCoord((2, 1)))
-        assert example_table.body[row][col] == "61, 276"
-
-    @given(tree=sts.coord_trees(max_depth=4, max_roots=3))
-    @settings(max_examples=150)
-    def test_resolvable_coords_match_brute_force_walk(self, tree):
-        def walk(nodes, prefix):
-            out = []
-            for i, node in enumerate(nodes):
-                out.append(prefix + (i,))
-                out.extend(walk(node.children, prefix + (i,)))
-            return out
-
-        valid = set(walk(tree.roots, ()))
-        for path in valid:
-            resolve_coord(tree, TreeCoord(path))  # must not raise
-        # coordinates just outside each valid one must fail
-        for path in list(valid)[:20]:
-            bad = path[:-1] + (path[-1] + 50,)
-            with pytest.raises(CoordError):
-                resolve_coord(tree, TreeCoord(bad))
-
-
 class TestLeafCoords:
     def test_depth_one_tree(self):
         tree = CoordTree.from_nested(["a", "b", "c", "d"])
         assert [c.path for c in leaf_coords(tree)] == [(0,), (1,), (2,), (3,)]
 
+    def test_single_level_second_root(self):
+        tree = CoordTree.from_nested(["x", "y", "z"])
+        leaf = leaf_coords(tree).index(TreeCoord((1,)))
+        assert leaf_label_paths(tree)[leaf] == ("y",)
+
     def test_two_level_preorder(self):
         tree = CoordTree.from_nested([("A", ["a1", "a2"]), ("B", ["b1"])])
         assert [c.path for c in leaf_coords(tree)] == [(0, 0), (0, 1), (1, 0)]
+
+    def test_three_level_manual_walk(self):
+        # Hand walk: root 0 is A, its child 1 is a2, a2's child 0 is x.
+        tree = CoordTree.from_nested([("A", ["a1", ("a2", ["x", "y"])]), ("B", ["b1"])])
+        leaf = leaf_coords(tree).index(TreeCoord((0, 1, 0)))
+        assert leaf_label_paths(tree)[leaf] == ("A", "a2", "x")
+
+    def test_example_table_coordinates(self, example_table):
+        # The committed example: left <2,0> and top <2,1> meet at "61, 276".
+        row = leaf_coords(example_table.left).index(TreeCoord((2, 0)))
+        col = leaf_coords(example_table.top).index(TreeCoord((2, 1)))
+        assert leaf_label_paths(example_table.left)[row] == (
+            "Urinary tract",
+            "Kidney and renal pelvis",
+        )
+        assert leaf_label_paths(example_table.top)[col] == ("Mortality", "Females")
+        assert example_table.body[row][col] == "61, 276"
 
     def test_example_left_tree_matches_body_rows(self, example_table):
         assert len(leaf_coords(example_table.left)) == len(example_table.body)
 
     def test_stable_across_calls(self, example_table):
         assert leaf_coords(example_table.top) == leaf_coords(example_table.top)
+
+    @given(tree=sts.coord_trees(max_depth=4, max_roots=3))
+    @settings(max_examples=150)
+    def test_coords_walk_to_label_paths_in_preorder(self, tree):
+        # Reference: every node's coordinate in preorder, by brute-force recursion.
+        def preorder(nodes, prefix):
+            out = []
+            for i, node in enumerate(nodes):
+                out.append(prefix + (i,))
+                out.extend(preorder(node.children, prefix + (i,)))
+            return out
+
+        def follow(path):
+            labels, level = [], tree.roots
+            for index in path:
+                node = level[index]
+                labels.append(node.label)
+                level = node.children
+            return tuple(labels), node
+
+        leaves = [path for path in preorder(tree.roots, ()) if follow(path)[1].is_leaf]
+        assert [c.path for c in leaf_coords(tree)] == leaves
+        assert leaf_label_paths(tree) == tuple(follow(path)[0] for path in leaves)
 
 
 class TestFlatten:

@@ -81,8 +81,8 @@ class TestStructureTree:
         tree = structure_tree(example_table)
         assert tree.label == ROOT_SENTINEL
         assert [c.label for c in tree.children] == [LEFT_SENTINEL, TOP_SENTINEL]
-        expected = 3 + example_table.left.node_count + example_table.top.node_count
-        assert node_count(tree) == expected
+        # Three sentinels, left tree 3 roots + 5 leaves, top tree 3 roots + 6 leaves.
+        assert node_count(tree) == 3 + 8 + 9
 
 
 class TestTeds:
