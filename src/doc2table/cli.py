@@ -75,16 +75,18 @@ def retrieve_stage(
     """Stage one: rewrite, rank top-k per question; write retrieval.jsonl and recall.json.
 
     Sentence vectors are computed here, once per referenced document, at its
-    first use. Returns the record per triple id and the recall report; with no
-    relevant ids in any triple the report is {} and recall.json is not written.
+    first use, and dropped after its last. Returns the record per triple id and
+    the recall report; with no relevant ids in any triple the report is {} and
+    recall.json is not written.
     """
     _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
     if any(not t.question.strip() for t in triples):
         line = next(n for n, obj in data.read_jsonl(triples_path) if not obj["question"].strip())
         raise data.InputFormatError(triples_path, line, "question", "question is blank")
+    last_use = {triple.doc_id: n for n, triple in enumerate(triples)}
     vectors = {}
     retrieved = []
-    for triple in triples:
+    for n, triple in enumerate(triples):
         store = documents[triple.doc_id]
         if triple.doc_id not in vectors:
             texts = rewrite_sentences(store, built.rewriter)
@@ -100,7 +102,10 @@ def retrieve_stage(
             degraded=rewrite.degraded,
         )
         retrieved.append((triple.triple_id, record))
-    # One row per triple, each built only while writing: full rankings are large.
+        if last_use[triple.doc_id] == n:
+            del vectors[triple.doc_id]
+    # One row per triple, each built only while writing: a row holds
+    # max(k, RANKING_DEPTH) ranks per sub-question.
     data.write_jsonl(
         out / "retrieval.jsonl", ({"id": item_id, **r.to_dict()} for item_id, r in retrieved)
     )

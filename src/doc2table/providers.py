@@ -14,6 +14,7 @@ Wire contracts:
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -241,30 +242,36 @@ class IdentityRewriteBackend:
         return {"outputs": [request["text"]]}
 
 
+@functools.lru_cache(maxsize=None)
+def _bucket(gram: str) -> int:
+    """The hashing embedder's bucket for one 3-gram.
+
+    Cached per process, so each distinct gram is hashed once; the cache holds
+    at most one entry per distinct 3-gram embedded.
+    """
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % EMBED_DIM
+
+
 class HashingEmbedder:
     """Deterministic offline embedder: character 3-gram feature hashing.
 
     Texts are whitespace-collapsed and padded with one boundary space on
     each side; each 3-gram is counted into one of 4096 buckets chosen by a
-    stable blake2b hash, and the vector is L2-normalized. Empty texts map
-    to the zero vector, whose cosine against anything is defined as 0.
+    stable blake2b hash, and the vector is L2-normalized. Empty and
+    whitespace-only texts map to the zero vector, whose cosine against
+    anything is defined as 0.
     """
 
-    dim = EMBED_DIM
-
     def embed(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        out = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
         for i, text in enumerate(texts):
             padded = " " + " ".join(text.split()) + " "
-            if len(padded) < EMBED_NGRAM + 1:  # nothing but padding
+            if len(padded) < EMBED_NGRAM:  # nothing but padding
                 continue
-            for j in range(len(padded) - EMBED_NGRAM + 1):
-                gram = padded[j : j + EMBED_NGRAM]
-                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-                out[i, int.from_bytes(digest, "big") % self.dim] += 1.0
-            norm = np.linalg.norm(out[i])
-            if norm > 0:
-                out[i] /= norm
+            grams = (padded[j : j + EMBED_NGRAM] for j in range(len(padded) - EMBED_NGRAM + 1))
+            out[i] = np.bincount([_bucket(gram) for gram in grams], minlength=EMBED_DIM)
+            out[i] /= np.linalg.norm(out[i])
         return out
 
 

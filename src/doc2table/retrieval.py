@@ -4,9 +4,10 @@ A document is its raw sentences; a sentence's id is its index. A rewrite
 provider turns questions into sub-questions and sentences into a
 data-as-subject form. Each document's retrieval texts are embedded once by
 the caller (``cli.retrieve_stage``, per referenced document);
-:func:`retrieve_top_k` embeds only the sub-questions, ranks sentences per
-sub-question by cosine and merges the rankings round robin into one top-K
-budget.
+:func:`retrieve_top_k` embeds only the sub-questions, scores them against
+the sentences in one matrix product, keeps each sub-question's first
+:data:`RANKING_DEPTH` (or k, if larger) sentences by cosine and merges
+those rankings round robin into one top-K budget.
 Records cite the raw text: the rewritten form is a retrieval aid only.
 """
 from __future__ import annotations
@@ -22,6 +23,13 @@ from .providers import Rewriter
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 30
+# Ranks kept per sub-question: max(k, RANKING_DEPTH). The round-robin merge
+# reads at most k of each list; the top 60 is what rankings are checked on.
+RANKING_DEPTH = 60
+# Rounding to 9 decimals moves a score by at most 5e-10, so a sentence whose
+# raw score is more than 1e-9 below the D-th largest cannot reach the top D.
+# The slack is doubled to cover float error in rounding and in the subtraction.
+_ROUNDING_SLACK = 2e-9
 
 DEFAULT_ABBREVIATIONS = frozenset(
     {
@@ -146,7 +154,9 @@ class RetrievalRecord:
 
     question: str
     sub_questions: list[str]
-    per_question: list[list[tuple[int, float]]]  # ranked (sentence_id, score) per sub-question
+    # Per sub-question, the first max(k, RANKING_DEPTH) (sentence_id, score)
+    # pairs of the full ranking by (-score, id); all of them if fewer.
+    per_question: list[list[tuple[int, float]]]
     merged: list[tuple[int, float]]  # deduplicated merged ranking, length <= k
     k: int
     degraded: bool = False
@@ -191,7 +201,10 @@ def merge_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> li
     """Interleave per-sub-question rankings, deduplicating by sentence id.
 
     The interleaving order does not depend on k, so the merged list for a
-    larger budget is a prefix extension of the smaller one.
+    larger budget is a prefix extension of the smaller one. Only the first k
+    ranks of each list can be read: the first k ranks of any one list alone
+    already give k distinct ids, so rankings cut at depth k or deeper merge
+    to the same result as full ones.
     """
     merged: list[tuple[int, float]] = []
     seen: set[int] = set()
@@ -216,7 +229,10 @@ def retrieve_top_k(
 ) -> RetrievalRecord:
     """Rank sentences by cosine against each sub-question; merge top-K round robin.
 
-    ``sentence_vectors`` has one row per sentence, from ``embedder``; None if the store is empty.
+    ``sentence_vectors`` has one row per sentence, from ``embedder``; None if
+    the store is empty. Each sub-question keeps its first max(k,
+    :data:`RANKING_DEPTH`) sentences, an exact prefix of the full ranking by
+    (-score, id).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -231,13 +247,19 @@ def retrieve_top_k(
             f"sentences {sentence_vectors.shape[1]}"
         )
 
+    n = len(store)
+    depth = min(max(k, RANKING_DEPTH), n)
+    scores = (sentence_vectors @ query_vectors.T).T  # one row per sub-question
+    # Only sentences within the rounding slack of the depth-th largest raw
+    # score can rank in the top depth once rounded.
+    floors = np.partition(scores, n - depth, axis=1)[:, n - depth] - _ROUNDING_SLACK
     per_question: list[list[tuple[int, float]]] = []
-    for q_vec in query_vectors:
+    for row, floor in zip(scores, floors):
         # Quantize to 9 decimals so equal-by-construction scores tie exactly
         # and ordering is bit-stable across numeric backends.
-        scores = [round(float(s), 9) for s in sentence_vectors @ q_vec]
-        order = sorted(range(len(store)), key=lambda i: (-scores[i], i))
-        per_question.append([(i, scores[i]) for i in order])
+        candidates = [(i, round(float(row[i]), 9)) for i in np.flatnonzero(row >= floor).tolist()]
+        candidates.sort(key=lambda item: (-item[1], item[0]))
+        per_question.append(candidates[:depth])
 
     merged = merge_round_robin(per_question, k)
     return RetrievalRecord(

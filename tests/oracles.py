@@ -4,9 +4,13 @@ These deliberately avoid the production code paths: tree edit distance is
 computed by exhaustive enumeration of valid edit mappings (not a dynamic
 program), chrF by a separate dict-based reimplementation, retrieval
 rankings by a pure-Python cosine scan, and key-value content similarity by
-scalar chrF over every generated x ground-truth key pair.
+scalar chrF over every generated x ground-truth key pair. The slow forms of
+optimized paths are kept here too: the full-sort retrieval ranking and the
+hash-per-gram embedder loop.
 """
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from doc2table.metrics import (
     chrf_value_scorer,
 )
 from doc2table.model import HeaderNode, HierarchicalTable, flatten_to_kv
+from doc2table.providers import EMBED_DIM, EMBED_NGRAM
 
 
 def _postorder(root: HeaderNode) -> tuple[list[str], list[int]]:
@@ -138,6 +143,36 @@ def brute_cosine_ranking(query_vector, sentence_vectors) -> list[tuple[int, floa
         scored.append((sid, round(dot, 9)))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
+
+
+def reference_rankings(
+    sentence_vectors: np.ndarray, query_vectors: np.ndarray
+) -> list[list[tuple[int, float]]]:
+    """Full ranking per query: one matrix-vector product each, every score
+    rounded to 9 decimals, every sentence sorted by (-score, id)."""
+    rankings = []
+    for q_vec in query_vectors:
+        scores = [round(float(s), 9) for s in sentence_vectors @ q_vec]
+        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        rankings.append([(i, scores[i]) for i in order])
+    return rankings
+
+
+def reference_hashing_embed(texts: list[str]) -> np.ndarray:
+    """The hashing embedder, one blake2b digest and one increment per 3-gram."""
+    out = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
+    for i, text in enumerate(texts):
+        padded = " " + " ".join(text.split()) + " "
+        if len(padded) < EMBED_NGRAM:  # nothing but padding
+            continue
+        for j in range(len(padded) - EMBED_NGRAM + 1):
+            gram = padded[j : j + EMBED_NGRAM]
+            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+            out[i, int.from_bytes(digest, "big") % EMBED_DIM] += 1.0
+        norm = np.linalg.norm(out[i])
+        if norm > 0:
+            out[i] /= norm
+    return out
 
 
 def brute_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> list[tuple[int, float]]:

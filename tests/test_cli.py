@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from doc2table import retrieval
 from doc2table.cli import generate_stage, main, retrieve_stage
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.data import read_documents, read_retrieval_records, read_triples
@@ -13,6 +17,7 @@ from doc2table.providers import (
     ChatProvider,
     HashingEmbedder,
     ProviderError,
+    RecordingProvider,
     Rewriter,
     ScriptedProvider,
     Transcript,
@@ -532,6 +537,85 @@ class TestRetrieveCommand:
         assert len(gamma) == 6 and len(documents) == 2
         assert rewrites == ["sentence"] * 6 + ["question"]
         assert embedder.batches == [gamma, [triples[0].question]]
+
+
+    def test_document_referenced_again_later_is_embedded_once(self, tmp_path):
+        class CountingEmbedder(HashingEmbedder):
+            def __init__(self):
+                self.batches = []
+
+            def embed(self, texts):
+                self.batches.append(list(texts))
+                return super().embed(texts)
+
+        documents = read_documents(PIPELINE / "docs.jsonl")
+        acme, gamma = read_triples(PIPELINE / "questions.jsonl")
+        again = dataclasses.replace(acme, triple_id="acme_again", question="Acme revenue again?")
+        embedder = CountingEmbedder()
+        rewriter = Rewriter(ScriptedProvider(lambda request: {"outputs": [request["text"]]}))
+        built = BuiltProviders(None, rewriter, embedder, [])
+        records, _ = retrieve_stage(
+            [acme, gamma, again], PIPELINE / "questions.jsonl", documents, built, RunConfig(k=10), tmp_path
+        )
+        assert embedder.batches == [
+            documents[acme.doc_id].sentences,
+            [acme.question],
+            documents[gamma.doc_id].sentences,
+            [gamma.question],
+            [again.question],
+        ]
+        assert records["acme_again"].merged
+
+    @pytest.mark.parametrize("k", [30, 75])
+    def test_rows_hold_max_k_60_ranks_and_generate_reads_full_depth_files_alike(
+        self, tmp_path, monkeypatch, k
+    ):
+        triples = read_triples(CORPUS / "triples.jsonl")
+        make_fixtures = _load_make_fixtures()
+        handler = make_fixtures.make_chat_handler({t.question: t.table for t in triples})
+        transcript = Transcript()
+        config = write_corpus_config(
+            tmp_path, k=k, chat={"mode": "replay", "transcript": str(tmp_path / "chat.jsonl")}
+        )
+        assert run(["retrieve", "--config", config, "--out", tmp_path / "kept"]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(retrieval, "RANKING_DEPTH", 10**6)  # the full-depth file older runs wrote
+            assert run(["retrieve", "--config", config, "--out", tmp_path / "full"]) == 0
+        kept = read_jsonl_rows(tmp_path / "kept" / "retrieval.jsonl")
+        full = read_jsonl_rows(tmp_path / "full" / "retrieval.jsonl")
+        n_sentences = len(read_documents(CORPUS / "docs.jsonl")["fin_reports_2022"])
+        assert n_sentences > max(k, 60)
+        for short, whole in zip(kept, full):
+            assert [len(ranked) for ranked in short["per_question"]] == [max(k, 60)] * len(
+                short["sub_questions"]
+            )
+            assert all(len(ranked) == n_sentences for ranked in whole["per_question"])
+            assert short["per_question"] == [r[: max(k, 60)] for r in whole["per_question"]]
+            assert short["merged"] == whole["merged"]
+
+        generate_stage(
+            triples,
+            read_retrieval_records(tmp_path / "full" / "retrieval.jsonl"),
+            ChatProvider(RecordingProvider(ScriptedProvider(handler), transcript)),
+            RunConfig(),
+            tmp_path / "recorded",
+        )
+        transcript.save(tmp_path / "chat.jsonl")
+        for name in ("kept", "full"):
+            retrieval_file = tmp_path / name / "retrieval.jsonl"
+            out = tmp_path / name / "generated"
+            assert run(["generate", "--config", config, "--retrieval", retrieval_file, "--out", out]) == 0
+        tables = (tmp_path / "kept" / "generated" / "tables.jsonl").read_bytes()
+        assert tables == (tmp_path / "full" / "generated" / "tables.jsonl").read_bytes()
+        assert len(read_jsonl_rows(tmp_path / "kept" / "generated" / "tables.jsonl")) == len(triples)
+
+
+def _load_make_fixtures():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestPipelineCommand:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doc2table.providers import (
     ChatProvider,
@@ -22,7 +24,7 @@ from doc2table.providers import (
     request_fingerprint,
 )
 
-from oracles import cosine
+from oracles import cosine, reference_hashing_embed
 
 
 class TestFingerprinting:
@@ -158,6 +160,24 @@ class TestHashingEmbedder:
     def test_cosine_self_is_one(self):
         v = HashingEmbedder().embed(["some nonempty text"])[0]
         assert math.isclose(cosine(v, v), 1.0, rel_tol=1e-12)
+
+    def test_one_character_text_counts_its_one_gram(self):
+        vectors = HashingEmbedder().embed(["7", " 7\t"])
+        assert np.count_nonzero(vectors[0]) == 1 and vectors[0].max() == 1.0
+        assert np.array_equal(vectors[0], vectors[1])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=40),
+                st.sampled_from(["", " ", "\t\n ", "7", "é", "漢字 表", "a  b", "aaaa aaaa"]),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_reference(self, texts):
+        assert np.array_equal(HashingEmbedder().embed(texts), reference_hashing_embed(texts))
 
 
 class TestHttpEmbedder:

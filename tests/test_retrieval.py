@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doc2table.providers import HashingEmbedder, Rewriter, ScriptedProvider
+from doc2table.data import read_documents, read_triples
+from doc2table.providers import HashingEmbedder, ReplayProvider, Rewriter, ScriptedProvider, Transcript
 from doc2table.retrieval import (
+    RANKING_DEPTH,
     DocumentStore,
     RetrievalConfigError,
     RetrievalRecord,
@@ -18,6 +20,9 @@ from doc2table.retrieval import (
     rewrite_sentences,
     split_sentences,
 )
+
+from conftest import FIXTURES
+from oracles import brute_round_robin, reference_rankings
 
 
 class TestSplitSentences:
@@ -274,3 +279,85 @@ class TestMerging:
         merged = merge_round_robin(lists, 2)
         assert merged == [(0, 0.9), (5, 0.2)]
 
+
+class MatrixEmbedder:
+    """Embeds the i-th sub-question as the i-th row of a fixed matrix."""
+
+    def __init__(self, vectors):
+        self.vectors = np.asarray(vectors, dtype=np.float64)
+
+    def embed(self, texts):
+        assert len(texts) == len(self.vectors)
+        return self.vectors
+
+
+# Dyadic entries make every dot product exact, so per-row and whole-matrix
+# products agree to the bit, and the small set gives many ties, duplicate
+# rows and zero vectors.
+DYADIC = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 0.25, -0.125])
+
+
+@st.composite
+def ranking_cases(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2 * RANKING_DEPTH + 10))
+    pool = draw(st.lists(st.lists(DYADIC, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    sentences = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    queries = draw(st.lists(st.lists(DYADIC, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    k = draw(st.integers(1, 2 * RANKING_DEPTH + 20))
+    return np.array(sentences), np.array(queries), k
+
+
+@st.composite
+def near_rounding_cases(draw):
+    """One-dimensional scores packed within a few 1e-10 of a 9-decimal rounding
+    boundary, so that rounding reorders raw scores and ties them."""
+    base = draw(st.sampled_from([0.5, 0.1234567885, -0.25, 0.0]))
+    n = draw(st.integers(1, 2 * RANKING_DEPTH + 10))
+    offsets = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+    sentences = np.array([[base + o * 1e-10] for o in offsets])
+    k = draw(st.integers(1, RANKING_DEPTH + 5))
+    return sentences, np.array([[1.0]]), k
+
+
+def check_against_reference(sentences, queries, k):
+    store = DocumentStore("d", [f"s{i}" for i in range(len(sentences))])
+    subs = [f"q{j}" for j in range(len(queries))]
+    record = retrieve_top_k(store, subs, sentences, MatrixEmbedder(queries), k=k)
+    reference = reference_rankings(sentences, queries)
+    depth = max(k, RANKING_DEPTH)
+    assert record.per_question == [ranked[:depth] for ranked in reference]
+    assert record.merged == brute_round_robin(reference, k)
+    return record
+
+
+class TestRankingDepth:
+    @given(ranking_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_of_full_sort_with_ties_duplicates_and_zero_vectors(self, case):
+        check_against_reference(*case)
+
+    @given(near_rounding_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_exact_where_rounding_reorders_raw_scores(self, case):
+        check_against_reference(*case)
+
+    @pytest.mark.parametrize("n, k", [(5, 1), (5, 9), (60, 30), (61, 30), (200, 30), (200, 75), (70, 75)])
+    def test_depth_is_max_k_and_60_capped_by_sentence_count(self, n, k):
+        rng = np.random.default_rng(n * 1000 + k)
+        sentences = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+        queries = rng.integers(-2, 3, size=(2, 3)).astype(np.float64)
+        record = check_against_reference(sentences, queries, k)
+        assert [len(ranked) for ranked in record.per_question] == [min(n, max(k, 60))] * 2
+
+    def test_corpus_scores_equal_per_row_products(self):
+        corpus = FIXTURES / "corpus"
+        rewriter = Rewriter(ReplayProvider(Transcript.load(corpus / "rewrite_transcript.jsonl")))
+        embedder = HashingEmbedder()
+        store = read_documents(corpus / "docs.jsonl")["fin_reports_2022"]
+        vectors = embedder.embed(rewrite_sentences(store, rewriter))
+        for triple in read_triples(corpus / "triples.jsonl"):
+            subs = list(rewrite_question(triple.question, rewriter).sub_questions)
+            record = retrieve_top_k(store, subs, vectors, embedder, k=30)
+            reference = reference_rankings(vectors, embedder.embed(subs))
+            assert record.per_question == [ranked[:RANKING_DEPTH] for ranked in reference]
