@@ -24,7 +24,6 @@ from doc2table.generation import (
     build_structure_prompt,
     plan_cells,
 )
-from doc2table.annotate import build_question_prompt
 from doc2table.html_io import serialize_html
 from doc2table.model import CoordTree, HierarchicalTable, leaf_label_paths
 from doc2table.providers import (
@@ -139,9 +138,6 @@ def write_prompt_goldens() -> None:
     )
     (out / "oneshot_prompt.txt").write_text(
         build_oneshot_prompt(PROMPT_QUESTION, PROMPT_SENTENCES) + "\n", encoding="utf-8"
-    )
-    (out / "question_prompt.txt").write_text(
-        build_question_prompt(table) + "\n", encoding="utf-8"
     )
     print(f"wrote {out}/*.txt")
 

@@ -7,7 +7,7 @@ with record/replay, and evaluates results deterministically (tree-edit
 structure similarity, key-value content similarity with chrF, recall@K).
 """
 
-from .html_io import parse_html_table, serialize_html, serialize_markdown
+from .html_io import parse_html_table, serialize_html
 from .metrics import chrf, content_similarity, recall_at_k, table_scores
 from .model import (
     CoordTree,
@@ -33,7 +33,6 @@ __all__ = [
     "parse_html_table",
     "recall_at_k",
     "serialize_html",
-    "serialize_markdown",
     "structure_tree",
     "table_scores",
     "teds",

@@ -10,6 +10,12 @@ kept: multiple matches per cell are expected and resolved by manual
 review, which this module models as a status field (auto / confirmed /
 rejected) edited through a JSONL review file.
 
+Each document is scanned once per run: ``annotate`` wraps every
+referenced document in a :class:`SentenceIndex`, which normalizes,
+lowercases and number-tokenizes the sentences lazily, at the document's
+first table, and answers every cell of every later table from that scan.
+The matching rule above is the same whichever table triggers the scan.
+
 A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
 and stub cells are not counted.
@@ -18,9 +24,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .html_io import serialize_markdown
-from .model import HierarchicalTable, leaf_label_paths, normalize_text
+from .model import HierarchicalTable, normalize_text
 from .retrieval import DocumentStore
 
 UNCOVERED_EXCLUSION_NUM = 3  # exclude iff uncovered/total >= 3/10, compared exactly
@@ -102,12 +108,44 @@ class CellMatch:
         return f"{self.row},{self.col}"
 
 
-def match_cells_to_sentences(table: HierarchicalTable, store: DocumentStore) -> list[CellMatch]:
-    """Locate candidate sentences for every body cell; empty cells match nothing."""
-    normalized_sentences = [normalize_text(s) for s in store.sentences]
-    numbers_per_sentence = [sentence_numbers(s) for s in normalized_sentences]
-    lowered_sentences = [s.lower() for s in normalized_sentences]
+Magnitudes = dict[str, dict[int, set[bool]]]
 
+
+def scan_sentences(sentences: list[str]) -> tuple[list[str], Magnitudes]:
+    """Lowered normalized sentences, and canonical magnitude -> {sentence id:
+    signs it appears with}, each inner dict in ascending id order."""
+    lowered: list[str] = []
+    magnitudes: Magnitudes = {}
+    for sid, sentence in enumerate(sentences):
+        text = normalize_text(sentence)
+        lowered.append(text.lower())
+        for magnitude, negative in sentence_numbers(text):
+            magnitudes.setdefault(magnitude, {}).setdefault(sid, set()).add(negative)
+    return lowered, magnitudes
+
+
+class SentenceIndex:
+    """One document's sentences, scanned once for every table that cites it.
+
+    The scan (:func:`scan_sentences`) runs on first use, inside the first
+    :func:`match_cells_to_sentences` call for the document, so a document
+    no table references is never scanned. ``len()`` is the sentence count.
+    """
+
+    def __init__(self, sentences: list[str]):
+        self.sentences = sentences
+
+    def __len__(self) -> int:
+        return len(self.sentences)
+
+    @cached_property
+    def scan(self) -> tuple[list[str], Magnitudes]:
+        return scan_sentences(self.sentences)
+
+
+def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> list[CellMatch]:
+    """Locate candidate sentences for every body cell; empty cells match nothing."""
+    lowered_sentences, magnitudes = index.scan
     matches: list[CellMatch] = []
     for r, row in enumerate(table.body):
         for c, cell in enumerate(row):
@@ -116,24 +154,20 @@ def match_cells_to_sentences(table: HierarchicalTable, store: DocumentStore) -> 
             number = parse_cell_number(cell)
             if number is not None:
                 magnitude, negative = number
-                hit_ids: list[int] = []
-                flips: list[int] = []
-                for sid, tokens in enumerate(numbers_per_sentence):
-                    signs = {neg for mag, neg in tokens if mag == magnitude}
-                    if not signs:
-                        continue
-                    hit_ids.append(sid)
-                    if negative not in signs:
-                        flips.append(sid)
-                if hit_ids:
+                signs_by_id = magnitudes.get(magnitude)
+                if signs_by_id:
+                    flips = tuple(sid for sid, signs in signs_by_id.items() if negative not in signs)
                     matches.append(
-                        CellMatch(r, c, "numeric", tuple(hit_ids), magnitude, tuple(flips))
+                        CellMatch(r, c, "numeric", tuple(signs_by_id), magnitude, flips)
                     )
             else:
-                phrase = re.escape(cell.lower())
-                pattern = re.compile(rf"(?<!\w){phrase}(?!\w)")
+                # The pattern matches only where the lowered cell occurs literally.
+                needle = cell.lower()
+                pattern = re.compile(rf"(?<!\w){re.escape(needle)}(?!\w)")
                 hit_ids = [
-                    sid for sid, text in enumerate(lowered_sentences) if pattern.search(text)
+                    sid
+                    for sid, text in enumerate(lowered_sentences)
+                    if needle in text and pattern.search(text)
                 ]
                 if hit_ids:
                     matches.append(CellMatch(r, c, "textual", tuple(hit_ids)))
@@ -201,36 +235,6 @@ def relevant_ids(matches: list[CellMatch]) -> tuple[int, ...]:
         if match.status != "rejected":
             ids.update(match.sentence_ids)
     return tuple(sorted(ids))
-
-
-def build_question_prompt(table: HierarchicalTable) -> str:
-    """Deterministic prompt asking for questions this exact table answers."""
-    paths = [
-        " > ".join(left) + " x " + " > ".join(top)
-        for left in leaf_label_paths(table.left)
-        for top in leaf_label_paths(table.top)
-    ]
-    return "\n".join(
-        [
-            "Here is a table:",
-            "",
-            serialize_markdown(table),
-            "",
-            "Its cells, as row-path x column-path keys:",
-            "\n".join(f"- {p}" for p in paths),
-            "",
-            "Write questions that this table answers exactly: every cell above is",
-            "needed for the answer and nothing else is. Prefer questions that ask",
-            "for comparisons across the table's rows and columns.",
-            "",
-            "Reply with exactly one fenced code block containing a JSON list of",
-            "question strings:",
-            "",
-            "```json",
-            '["<question>"]',
-            "```",
-        ]
-    )
 
 
 @dataclass(frozen=True)

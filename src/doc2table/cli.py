@@ -176,11 +176,16 @@ def cmd_annotate(args) -> int:
     decisions = data.read_review(args.review) if args.review else {}
     _check_known(args.tables, "doc_id", [record["doc_id"] for record in records], documents)
 
+    # One index per referenced document; each scans its sentences at its first table.
+    indexes = {
+        doc_id: ann.SentenceIndex(documents[doc_id].sentences)
+        for doc_id in {record["doc_id"] for record in records}
+    }
     candidates = []
     matches_out = []
     for record in records:
         table = record["table"]
-        matches = ann.match_cells_to_sentences(table, documents[record["doc_id"]])
+        matches = ann.match_cells_to_sentences(table, indexes[record["doc_id"]])
         ann.apply_review(matches, decisions.get(record["table_id"], {}))
         candidates.append((table, matches))
         matches_out.append(

@@ -21,11 +21,9 @@ import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 
-from .model import CoordTree, HeaderNode, HierarchicalTable, leaf_label_paths, normalize_text
+from .model import CoordTree, HeaderNode, HierarchicalTable, normalize_text
 
 logger = logging.getLogger(__name__)
-
-MARKDOWN_KEY_SEPARATOR = " / "
 
 
 class TableInputError(ValueError):
@@ -395,23 +393,4 @@ def serialize_html(table: HierarchicalTable) -> str:
         lines.append("<tr>" + "".join(cells) + "</tr>")
     lines.append("</tbody>")
     lines.append("</table>")
-    return "\n".join(lines)
-
-
-def serialize_markdown(table: HierarchicalTable) -> str:
-    """Flat, lossy markdown export.
-
-    Hierarchical key paths are joined into single header strings with
-    ``" / "``; the tree structure itself cannot be represented.
-    """
-    def md(s: str) -> str:
-        return s.replace("|", "\\|")
-
-    top_keys = [MARKDOWN_KEY_SEPARATOR.join(p) for p in leaf_label_paths(table.top)]
-    header = [md(table.stub_header)] + [md(k) for k in top_keys]
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("| " + " | ".join("---" for _ in header) + " |")
-    left_keys = [MARKDOWN_KEY_SEPARATOR.join(p) for p in leaf_label_paths(table.left)]
-    for key, row in zip(left_keys, table.body):
-        lines.append("| " + " | ".join([md(key)] + [md(c) for c in row]) + " |")
     return "\n".join(lines)

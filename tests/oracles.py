@@ -5,15 +5,18 @@ computed by exhaustive enumeration of valid edit mappings (not a dynamic
 program), chrF by a separate dict-based reimplementation, retrieval
 rankings by a pure-Python cosine scan, and key-value content similarity by
 scalar chrF over every generated x ground-truth key pair. The slow forms of
-optimized paths are kept here too: the full-sort retrieval ranking and the
-hash-per-gram embedder loop.
+optimized paths are kept here too: the full-sort retrieval ranking, the
+hash-per-gram embedder loop, and the per-table sentence re-scan of
+annotation matching.
 """
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 
+from doc2table.annotate import CellMatch, parse_cell_number, sentence_numbers
 from doc2table.metrics import (
     KEY_MATCH_THRESHOLD,
     ContentReport,
@@ -22,7 +25,7 @@ from doc2table.metrics import (
     chrf,
     chrf_value_scorer,
 )
-from doc2table.model import HeaderNode, HierarchicalTable, flatten_to_kv
+from doc2table.model import HeaderNode, HierarchicalTable, flatten_to_kv, normalize_text
 from doc2table.providers import EMBED_DIM, EMBED_NGRAM
 
 
@@ -173,6 +176,45 @@ def reference_hashing_embed(texts: list[str]) -> np.ndarray:
         if norm > 0:
             out[i] /= norm
     return out
+
+
+def reference_match_cells(table: HierarchicalTable, store) -> list[CellMatch]:
+    """Candidate sentences for every body cell, re-scanning every sentence of
+    ``store`` (anything with ``.sentences``) on each call."""
+    normalized_sentences = [normalize_text(s) for s in store.sentences]
+    numbers_per_sentence = [sentence_numbers(s) for s in normalized_sentences]
+    lowered_sentences = [s.lower() for s in normalized_sentences]
+
+    matches: list[CellMatch] = []
+    for r, row in enumerate(table.body):
+        for c, cell in enumerate(row):
+            if not cell:
+                continue
+            number = parse_cell_number(cell)
+            if number is not None:
+                magnitude, negative = number
+                hit_ids: list[int] = []
+                flips: list[int] = []
+                for sid, tokens in enumerate(numbers_per_sentence):
+                    signs = {neg for mag, neg in tokens if mag == magnitude}
+                    if not signs:
+                        continue
+                    hit_ids.append(sid)
+                    if negative not in signs:
+                        flips.append(sid)
+                if hit_ids:
+                    matches.append(
+                        CellMatch(r, c, "numeric", tuple(hit_ids), magnitude, tuple(flips))
+                    )
+            else:
+                phrase = re.escape(cell.lower())
+                pattern = re.compile(rf"(?<!\w){phrase}(?!\w)")
+                hit_ids = [
+                    sid for sid, text in enumerate(lowered_sentences) if pattern.search(text)
+                ]
+                if hit_ids:
+                    matches.append(CellMatch(r, c, "textual", tuple(hit_ids)))
+    return matches
 
 
 def brute_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> list[tuple[int, float]]:

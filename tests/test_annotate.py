@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doc2table.annotate import (
     CellMatch,
     QaTriple,
+    SentenceIndex,
     apply_review,
-    build_question_prompt,
     canonical_magnitude,
     corpus_stats,
     coverage_ratio,
@@ -21,9 +23,7 @@ from doc2table.model import CoordTree, HierarchicalTable
 from doc2table.retrieval import DocumentStore
 
 from conftest import make_flat_table
-from pathlib import Path
-
-PROMPTS = Path(__file__).parent / "fixtures" / "prompts"
+from oracles import reference_match_cells
 
 
 class TestNumberNormalization:
@@ -63,8 +63,8 @@ def one_cell_table(value: str) -> HierarchicalTable:
 class TestCellMatching:
     def test_separator_spacing_collapses(self):
         table = one_cell_table("61,276")
-        store = DocumentStore("d", ["Deaths reached 61, 276 in total."])
-        matches = match_cells_to_sentences(table, store)
+        index = SentenceIndex(["Deaths reached 61, 276 in total."])
+        matches = match_cells_to_sentences(table, index)
         assert len(matches) == 1
         assert matches[0].kind == "numeric"
         assert matches[0].sentence_ids == (0,)
@@ -73,60 +73,138 @@ class TestCellMatching:
 
     def test_parenthesized_negative_matches_magnitude_with_flag(self):
         table = one_cell_table("(1,234)")
-        store = DocumentStore("d", ["A decrease of $1,234 million was booked."])
-        matches = match_cells_to_sentences(table, store)
+        index = SentenceIndex(["A decrease of $1,234 million was booked."])
+        matches = match_cells_to_sentences(table, index)
         assert len(matches) == 1
         assert matches[0].matched_token == "1234"
         assert matches[0].sign_flip_ids == (0,)
 
     def test_no_sentence_no_match(self):
         table = one_cell_table("Total")
-        store = DocumentStore("d", ["Nothing relevant here.", "Still nothing."])
-        assert match_cells_to_sentences(table, store) == []
+        index = SentenceIndex(["Nothing relevant here.", "Still nothing."])
+        assert match_cells_to_sentences(table, index) == []
 
     def test_textual_whole_phrase_case_insensitive(self):
         table = one_cell_table("Net Income")
-        store = DocumentStore(
-            "d",
+        index = SentenceIndex(
             [
                 "Growth in net income was strong.",
                 "The incomes of households rose.",
                 "NET   INCOME stayed flat.",
             ],
         )
-        matches = match_cells_to_sentences(table, store)
+        matches = match_cells_to_sentences(table, index)
         assert matches[0].sentence_ids == (0, 2)
         assert matches[0].kind == "textual"
 
     def test_word_boundaries_respected(self):
         table = one_cell_table("Total")
-        store = DocumentStore("d", ["Totally different subject."])
-        assert match_cells_to_sentences(table, store) == []
+        index = SentenceIndex(["Totally different subject."])
+        assert match_cells_to_sentences(table, index) == []
 
     def test_multiple_sentences_preserved_for_review(self):
         table = one_cell_table("500")
-        store = DocumentStore(
-            "d", ["First mention of 500 here.", "Another 500 there."]
+        index = SentenceIndex(
+            ["First mention of 500 here.", "Another 500 there."]
         )
-        matches = match_cells_to_sentences(table, store)
+        matches = match_cells_to_sentences(table, index)
         assert matches[0].sentence_ids == (0, 1)
 
     def test_empty_cells_skipped(self):
         table = HierarchicalTable(
             "", CoordTree.from_nested(["r"]), CoordTree.from_nested(["c1", "c2"]), (("", "7"),)
         )
-        store = DocumentStore("d", ["Value 7 appears."])
-        matches = match_cells_to_sentences(table, store)
+        index = SentenceIndex(["Value 7 appears."])
+        matches = match_cells_to_sentences(table, index)
         assert [(m.row, m.col) for m in matches] == [(0, 1)]
 
     def test_determinism(self):
         table = make_flat_table(2, 2)
-        store = DocumentStore("d", ["v00 and v01.", "then v10, v11."])
-        first = match_cells_to_sentences(table, store)
-        second = match_cells_to_sentences(table, store)
+        index = SentenceIndex(["v00 and v01.", "then v10, v11."])
+        first = match_cells_to_sentences(table, index)
+        second = match_cells_to_sentences(table, index)
         assert [(m.row, m.col, m.sentence_ids) for m in first] == [
             (m.row, m.col, m.sentence_ids) for m in second
         ]
+
+
+MAGNITUDES = ["0", "7", "42", "500", "1234", "61276", "1234567", "56.2", "0.5"]
+WORDS = ["Revenue", "net income", "Net Income", "NET INCOME", "totally", "Total",
+         "a+b", "(x)", "[note]", "c.e.o", "R&D", "Q1 2023", "$", "income."]
+WHITESPACE = [" ", "  ", "\t", "\n ", " \u00a0"]
+
+
+@st.composite
+def printed_numbers(draw) -> str:
+    """A number as a document or a cell may print it: currency, sign, grouping,
+    padding and percent varied independently."""
+    integer, _, fraction = draw(st.sampled_from(MAGNITUDES)).partition(".")
+    separator = draw(st.sampled_from(["", ",", ", ", " "]))
+    if separator and len(integer) > 3:
+        head = len(integer) % 3 or 3
+        integer = separator.join([integer[:head]] + [
+            integer[i : i + 3] for i in range(head, len(integer), 3)
+        ])
+    integer = draw(st.sampled_from(["", "0", "00"])) + integer
+    fraction += draw(st.sampled_from(["", "0", "00"]))
+    digits = f"{integer}.{fraction}" if fraction else integer
+    text = draw(st.sampled_from(["", "$", "€", "£ ", "¥"])) + digits
+    text += draw(st.sampled_from(["", "", "%"]))
+    sign = draw(st.sampled_from(["", "", "-", "−", "- ", "()"]))
+    return f"({text})" if sign == "()" else sign + text
+
+
+fragments = st.one_of(printed_numbers(), st.sampled_from(WORDS))
+
+
+@st.composite
+def sentences(draw) -> str:
+    parts = draw(st.lists(fragments, min_size=1, max_size=6))
+    text = ""
+    for part in parts:
+        spaced = part.replace(" ", draw(st.sampled_from(WHITESPACE)))
+        text += spaced + draw(st.sampled_from(WHITESPACE))
+    return draw(st.sampled_from(["", " ", "\t"])) + text
+
+
+@st.composite
+def cell_tables(draw) -> HierarchicalTable:
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cell = st.one_of(printed_numbers(), st.sampled_from(WORDS + ["", "income"]))
+    body = tuple(tuple(draw(cell) for _ in range(cols)) for _ in range(rows))
+    return HierarchicalTable(
+        "",
+        CoordTree.from_nested([f"r{i}" for i in range(rows)]),
+        CoordTree.from_nested([f"c{j}" for j in range(cols)]),
+        body,
+    )
+
+
+class TestIndexAgainstReference:
+    @given(tables=st.lists(cell_tables(), min_size=1, max_size=3),
+           document=st.lists(sentences(), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_matches_as_rescanning_reference(self, tables, document):
+        index = SentenceIndex(document)
+        store = DocumentStore("d", document)
+        for table in tables:
+            assert match_cells_to_sentences(table, index) == reference_match_cells(table, store)
+
+    def test_magnitude_with_both_signs_in_one_sentence_is_no_flip(self):
+        document = ["It swung from 500 to (500).", "A loss of -500 then."]
+        index, store = SentenceIndex(document), DocumentStore("d", document)
+        for cell, flips in (("500", (1,)), ("-500", ())):
+            table = one_cell_table(cell)
+            [match] = match_cells_to_sentences(table, index)
+            assert (match.sentence_ids, match.sign_flip_ids) == ((0, 1), flips)
+            assert [match] == reference_match_cells(table, store)
+
+    def test_index_length_is_sentence_count_and_scan_is_lazy(self):
+        index = SentenceIndex(["One 1.", "Two 2.", "Three 3."])
+        assert len(index) == 3
+        assert "scan" not in vars(index)
+        match_cells_to_sentences(one_cell_table("2"), index)
+        assert "scan" in vars(index)
 
 
 def synthetic_matches(covered_cells: list[tuple[int, int]]):
@@ -192,27 +270,6 @@ class TestCoverageAndFilter:
         assert matches[0].status == "rejected"
         assert matches[1].status == "confirmed"
         assert relevant_ids(matches) == (0,)
-
-
-class TestQuestionPrompt:
-    def test_golden(self):
-        table = HierarchicalTable(
-            "Metric",
-            CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
-            CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
-            (("$12.1 billion", "$13.4 billion"),),
-        )
-        golden = (PROMPTS / "question_prompt.txt").read_text(encoding="utf-8")
-        assert build_question_prompt(table) + "\n" == golden
-
-    def test_single_cell_names_its_key(self):
-        table = one_cell_table("42")
-        prompt = build_question_prompt(table)
-        assert "- r x c" in prompt
-
-    def test_hierarchical_includes_full_paths(self, example_table):
-        prompt = build_question_prompt(example_table)
-        assert "Urinary tract > Kidney and renal pelvis x Mortality > Females" in prompt
 
 
 class TestCorpusStats:

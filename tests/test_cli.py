@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from doc2table import retrieval
+from doc2table import annotate, retrieval
 from doc2table.cli import generate_stage, main, retrieve_stage
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.data import read_documents, read_retrieval_records, read_triples
@@ -24,6 +24,7 @@ from doc2table.providers import (
 )
 
 from conftest import FIXTURES, make_flat_table
+from oracles import reference_match_cells
 
 CORPUS = FIXTURES / "corpus"
 PIPELINE = FIXTURES / "pipeline"
@@ -455,6 +456,65 @@ class TestAnnotateCommand:
         run(["annotate", "--docs", docs, "--tables", tables, "--out", out, "--review", review])
         triples = (out / "triples.jsonl").read_text().splitlines()
         assert triples == []
+
+
+    def test_each_document_scanned_once_and_output_equals_reference(self, tmp_path, monkeypatch):
+        documents = {
+            "doc0": ["Revenue was $1,200 in Q1.", "Costs fell to (300) overall.",
+                     "Net income reached 900, up from 1 200."],
+            "doc1": ["Margin was 12% in 2023.", "A loss of -45.0 was booked.",
+                     "Revenue rose to 45 as the loss narrowed."],
+            "unused": ["Nothing here cites 1,200 or revenue."],
+        }
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": d, "sentences": s} for d, s in documents.items()])
+        bodies = [
+            (("1200", "-300"), ("Revenue", "777")),
+            (("12%", "45"), ("revenue", "Loss")),
+            (("900", "$300"), ("net income", "Q1")),
+            (("(45)", "12"), ("2023", "999")),
+            (("1,200", "888"), ("666", "555")),
+            (("45.00", "-12"), ("Margin", "A loss")),
+        ]
+        flat = make_flat_table(2, 2)
+        tables = tmp_path / "tables.jsonl"
+        write_jsonl(
+            tables,
+            [
+                {"table_id": f"t{i}", "doc_id": f"doc{i % 2}", "question": f"q{i}",
+                 "table_html": serialize_html(type(flat)("", flat.left, flat.top, body))}
+                for i, body in enumerate(bodies)
+            ],
+        )
+        review = tmp_path / "review.jsonl"
+        write_jsonl(
+            review,
+            [
+                {"table_id": "t0", "match_id": "1,0", "status": "rejected"},
+                {"table_id": "t3", "match_id": "0,0", "status": "rejected"},
+                {"table_id": "t5", "match_id": "0,1", "status": "confirmed"},
+            ],
+        )
+        args = ["annotate", "--docs", docs, "--tables", tables, "--review", review]
+
+        scanned = []
+        scan = annotate.scan_sentences
+        monkeypatch.setattr(
+            annotate, "scan_sentences", lambda sentences: scanned.append(sentences) or scan(sentences)
+        )
+        assert run(args + ["--out", tmp_path / "indexed"]) == 0
+        assert sorted(d for d, s in documents.items() for seen in scanned if seen == s) == [
+            "doc0", "doc1"
+        ]
+
+        monkeypatch.setattr(annotate, "match_cells_to_sentences", reference_match_cells)
+        assert run(args + ["--out", tmp_path / "reference"]) == 0
+        for name in ("matches.jsonl", "triples.jsonl", "exclusions.jsonl"):
+            indexed = (tmp_path / "indexed" / name).read_bytes()
+            assert indexed == (tmp_path / "reference" / name).read_bytes()
+        exclusions = read_jsonl_rows(tmp_path / "indexed" / "exclusions.jsonl")
+        # t0 and t3 cover 3 of 4 cells until review rejects one of them.
+        assert [row["table_id"] for row in exclusions] == ["t0", "t3", "t4"]
 
 
 class TestStats:

@@ -13,7 +13,6 @@ from doc2table.html_io import (
     parse_grid,
     parse_html_table,
     serialize_html,
-    serialize_markdown,
 )
 from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv, leaf_coords
 
@@ -193,44 +192,3 @@ class TestRoundTrip:
         again = parse_html_table(serialize_html(example_table))
         assert leaf_coords(again.left) == leaf_coords(example_table.left)
         assert leaf_coords(again.top) == leaf_coords(example_table.top)
-
-
-class TestMarkdown:
-    def test_flat_table(self, flat_2x2):
-        md = serialize_markdown(flat_2x2)
-        assert md.splitlines() == [
-            "|  | c1 | c2 |",
-            "| --- | --- | --- |",
-            "| r1 | a | b |",
-            "| r2 | c | d |",
-        ]
-
-    def test_hierarchical_keys_joined(self, example_table):
-        md = serialize_markdown(example_table)
-        assert "Urinary tract / Kidney and renal pelvis" in md
-        assert "Mortality / Females" in md
-
-    def test_empty_cells_stay_empty(self):
-        table = HierarchicalTable(
-            "",
-            CoordTree.from_nested(["r"]),
-            CoordTree.from_nested(["c1", "c2"]),
-            (("", "x"),),
-        )
-        assert "| r |  | x |" in serialize_markdown(table)
-
-    def test_pipes_escaped(self):
-        table = HierarchicalTable(
-            "",
-            CoordTree.from_nested(["a|b"]),
-            CoordTree.from_nested(["c"]),
-            (("1|2",),),
-        )
-        md = serialize_markdown(table)
-        assert "a\\|b" in md and "1\\|2" in md
-
-    def test_lossy_export_is_reimportable_as_flat(self, example_table):
-        # A markdown reader would see joined key paths; nothing to assert
-        # beyond shape here, the format is documented as lossy.
-        md = serialize_markdown(example_table)
-        assert len(md.splitlines()) == 2 + len(example_table.body)
