@@ -2,10 +2,10 @@
 """Regenerate every committed test fixture and golden file.
 
 Deterministic by construction: rerunning this script reproduces the
-committed bytes. Retrieval goldens are computed by a brute-force cosine
-scan implemented here with plain Python loops, independent of the
-package's retrieval path; the script cross-checks that the production
-path agrees before writing anything.
+committed bytes. Retrieval goldens are computed by the brute-force cosine
+scan and round-robin merge of ``tests/oracles.py``, plain Python loops
+independent of the package's retrieval path; the script cross-checks that
+the production path agrees before writing anything.
 """
 from __future__ import annotations
 
@@ -15,6 +15,10 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+sys.path.insert(0, str(ROOT / "tests"))
 
 from doc2table.cli import generate_stage, main as cli_main, retrieve_stage
 from doc2table.config import BuiltProviders, RunConfig
@@ -35,36 +39,7 @@ from doc2table.providers import (
     Transcript,
 )
 from doc2table.retrieval import DocumentStore, retrieve_top_k, rewrite_sentences
-
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "tests" / "fixtures"
-
-# ---------------------------------------------------------------------------
-# Independent brute-force oracle (kept self-contained on purpose)
-# ---------------------------------------------------------------------------
-
-def brute_ranking(query_vector, sentence_vectors):
-    # Scores quantized to 9 decimals, per the retrieval contract, so exact
-    # ties break by sentence id identically in every implementation.
-    scored = []
-    for sid, vector in enumerate(sentence_vectors):
-        dot = 0.0
-        for x, y in zip(query_vector, vector):
-            dot += float(x) * float(y)
-        scored.append((sid, round(dot, 9)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
-
-
-def brute_round_robin(ranked_lists, k):
-    out, seen = [], set()
-    longest = max(len(lst) for lst in ranked_lists)
-    for position in range(longest):
-        for lst in ranked_lists:
-            if position < len(lst) and lst[position][0] not in seen:
-                seen.add(lst[position][0])
-                out.append(lst[position])
-    return out[:k]
+from oracles import brute_cosine_ranking, brute_round_robin
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +339,7 @@ def write_corpus() -> None:
         query_vectors = [list(v) for v in embedder.embed(subs)]
         ranked_lists = []
         for vector in query_vectors:
-            ranked_lists.append(brute_ranking(vector, sentence_vectors))
+            ranked_lists.append(brute_cosine_ranking(vector, sentence_vectors))
         merged = brute_round_robin(ranked_lists, 30)
         merged_ids = [sid for sid, _ in merged]
         recall = {

@@ -237,53 +237,27 @@ def relevant_ids(matches: list[CellMatch]) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    n_triples: int
-    mean_input_tokens: float | None
-    mean_rows: float
-    mean_cols: float
-    n_flat: int
-    n_hierarchical: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_triples": self.n_triples,
-            "mean_input_tokens": self.mean_input_tokens,
-            "mean_rows": self.mean_rows,
-            "mean_cols": self.mean_cols,
-            "n_flat": self.n_flat,
-            "n_hierarchical": self.n_hierarchical,
-        }
-
-
 def corpus_stats(
     triples: list[QaTriple],
     documents: dict[str, DocumentStore] | None = None,
-) -> CorpusStats:
+) -> dict:
     """Dataset-level statistics: sizes, mean dimensions, flat/hierarchical split.
 
-    Input length (whitespace tokens of the triple's document) is reported
-    only when the documents are supplied.
+    ``mean_input_tokens`` (whitespace tokens of the triple's document) is
+    reported only when the documents are supplied and there are triples;
+    otherwise it is None. An empty corpus has mean dimensions 0.0.
     """
-    if not triples:
-        return CorpusStats(0, None, 0.0, 0.0, 0, 0)
-    rows = [len(t.table.body) for t in triples]
-    cols = [len(t.table.body[0]) for t in triples]
+    n = len(triples)
     n_flat = sum(1 for t in triples if t.table.is_flat)
-
     mean_tokens: float | None = None
-    if documents is not None:
-        token_counts = [
-            sum(len(s.split()) for s in documents[t.doc_id].sentences) for t in triples
-        ]
-        mean_tokens = sum(token_counts) / len(token_counts)
-
-    return CorpusStats(
-        n_triples=len(triples),
-        mean_input_tokens=mean_tokens,
-        mean_rows=sum(rows) / len(rows),
-        mean_cols=sum(cols) / len(cols),
-        n_flat=n_flat,
-        n_hierarchical=len(triples) - n_flat,
-    )
+    if documents is not None and n:
+        tokens = sum(len(s.split()) for t in triples for s in documents[t.doc_id].sentences)
+        mean_tokens = tokens / n
+    return {
+        "n_triples": n,
+        "mean_input_tokens": mean_tokens,
+        "mean_rows": sum(len(t.table.body) for t in triples) / n if n else 0.0,
+        "mean_cols": sum(len(t.table.body[0]) for t in triples) / n if n else 0.0,
+        "n_flat": n_flat,
+        "n_hierarchical": n - n_flat,
+    }

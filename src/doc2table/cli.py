@@ -326,8 +326,7 @@ def cmd_stats(args) -> int:
     if args.docs:
         documents = data.read_documents(args.docs)
         _check_known(args.triples, "doc_id", [t.doc_id for t in triples], documents)
-    stats = ann.corpus_stats(triples, documents)
-    print(json.dumps(stats.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(ann.corpus_stats(triples, documents), sort_keys=True, indent=2))
     return 0
 
 

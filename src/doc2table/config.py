@@ -7,8 +7,11 @@ unknown key, at the top level or inside a provider spec, is an error, and
 each known value is type-checked. Endpoints come from the file; a
 provider's ``api_key_env`` names the environment variable that holds its
 credential, so no secret is written into the file. Relative transcript and
-data paths resolve against the config file's directory. Nothing touches
-the network unless a provider's mode is ``live`` or ``record``.
+data paths resolve against the config file's directory. Each provider
+role accepts the modes that the one table :data:`PROVIDER_MODES` lists for
+it, and :func:`build_providers` builds every role the same way from that
+table. Nothing touches the network unless a provider's mode is ``live`` or
+``record``.
 """
 from __future__ import annotations
 
@@ -30,10 +33,14 @@ from .providers import (
 )
 from .retrieval import DEFAULT_TOP_K
 
-PROVIDER_ROLES = ("chat", "rewriter", "embedder")
-CHAT_MODES = ("live", "replay", "record")
-REWRITER_MODES = ("identity", "live", "replay", "record")
-EMBEDDER_MODES = ("hashing", "live")
+# The modes each provider role accepts, in the order the roles are checked
+# and built. ``identity`` and ``hashing`` are the offline modes that need no
+# backend; every other mode is a JSON backend wrapped in the role's class.
+PROVIDER_MODES = {
+    "chat": ("live", "replay", "record"),
+    "rewriter": ("identity", "live", "replay", "record"),
+    "embedder": ("hashing", "live"),
+}
 
 
 @dataclass
@@ -92,28 +99,23 @@ class RunConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {self.parallel}")
-        if self.chat.mode not in CHAT_MODES:
-            raise ValueError(f"chat mode must be one of {CHAT_MODES}, got {self.chat.mode!r}")
-        if self.rewriter.mode not in REWRITER_MODES:
-            raise ValueError(
-                f"rewriter mode must be one of {REWRITER_MODES}, got {self.rewriter.mode!r}"
-            )
-        if self.embedder.mode not in EMBEDDER_MODES:
-            raise ValueError(
-                f"embedder mode must be one of {EMBEDDER_MODES}, got {self.embedder.mode!r}"
-            )
+        for role, modes in PROVIDER_MODES.items():
+            mode = getattr(self, role).mode
+            if mode not in modes:
+                raise ValueError(f"{role} mode must be one of {modes}, got {mode!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> RunConfig:
         path = Path(path)
         values = _json_fields(cls, json.loads(path.read_text(encoding="utf-8")))
-        for role in PROVIDER_ROLES:
+        for role in PROVIDER_MODES:
             if role in values:
                 spec = _json_fields(ProviderSpec, values[role], f"{role}.")
                 values[role] = ProviderSpec(**{"mode": "", **spec})
         config = cls(**values)
         paths = [(config, "out_dir"), (config, "docs"), (config, "questions")]
-        for owner, name in paths + [(getattr(config, role), "transcript") for role in PROVIDER_ROLES]:
+        paths += [(getattr(config, role), "transcript") for role in PROVIDER_MODES]
+        for owner, name in paths:
             value = getattr(owner, name)
             if value and not Path(value).is_absolute():
                 setattr(owner, name, str(path.parent / value))
@@ -151,32 +153,27 @@ def _backend_for(spec: ProviderSpec, pending: list[tuple[Transcript, str]]):
     raise ValueError(f"unsupported provider mode {spec.mode!r}")
 
 
-def build_providers(config: RunConfig, roles: tuple[str, ...] = PROVIDER_ROLES) -> BuiltProviders:
+def build_providers(
+    config: RunConfig, roles: tuple[str, ...] = tuple(PROVIDER_MODES)
+) -> BuiltProviders:
     pending: list[tuple[Transcript, str]] = []
-
-    chat = None
-    if "chat" in roles:
-        chat = ChatProvider(
-            _backend_for(config.chat, pending),
-            temperature=config.temperature,
-            max_tokens=config.max_tokens,
-        )
-
-    rewriter = None
-    if "rewriter" in roles:
-        if config.rewriter.mode == "identity":
-            rewriter = Rewriter(IdentityRewriteBackend())
+    wrappers = {  # how each role wraps a JSON backend
+        "chat": lambda backend: ChatProvider(backend, config.temperature, config.max_tokens),
+        "rewriter": Rewriter,
+        "embedder": HttpEmbedder,
+    }
+    built = dict.fromkeys(PROVIDER_MODES)
+    for role in PROVIDER_MODES:
+        if role not in roles:
+            continue
+        spec = getattr(config, role)
+        if spec.mode == "identity":
+            built[role] = Rewriter(IdentityRewriteBackend())
+        elif spec.mode == "hashing":
+            built[role] = HashingEmbedder()
         else:
-            rewriter = Rewriter(_backend_for(config.rewriter, pending))
-
-    embedder = None
-    if "embedder" in roles:
-        if config.embedder.mode == "hashing":
-            embedder = HashingEmbedder()
-        else:
-            embedder = HttpEmbedder(_backend_for(config.embedder, pending))
-
-    return BuiltProviders(chat, rewriter, embedder, pending)
+            built[role] = wrappers[role](_backend_for(spec, pending))
+    return BuiltProviders(**built, pending_transcripts=pending)
 
 
 def flush_transcripts(built: BuiltProviders) -> None:

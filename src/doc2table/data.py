@@ -1,17 +1,24 @@
 """On-disk dataset formats (JSONL) and atomic file writing.
 
-Formats:
+Formats, each with the key that no two of its lines may share:
   documents  {"doc_id": str, "sentences": [str]}  (or {"doc_id", "text"},
-             which is segmented with the rule-based splitter)
+             which is segmented with the rule-based splitter); unique doc_id
+  tables     {"table_id": str, "doc_id": str, "table_html": str,
+              "question": str (optional)}; unique table_id
   triples    {"id": str, "doc_id": str, "question": str, "table_html": str,
-              "relevant_sentence_ids": [int]}
+              "relevant_sentence_ids": [int]}; unique id
   review     {"table_id": str, "match_id": "row,col",
-              "status": "confirmed" | "rejected"}
+              "status": "confirmed" | "rejected"}; a repeated
+             (table_id, match_id) pair keeps its last status
+  retrieval  one RetrievalRecord per line, as ``retrieve`` writes it
+             ({"id": str, "question", "sub_questions", "per_question",
+              "merged", "k", "degraded", "sentences"}); unique id
+  generated  {"id": str, "table_html": str}; unique id
 
-Malformed lines, and a line that repeats an earlier line's ``id`` or
-``doc_id``, raise :class:`InputFormatError` naming the file, line and
-field. All writes go through a temp file and rename so partial output is
-never observed.
+Malformed lines, and a line that repeats an earlier line's unique key,
+raise :class:`InputFormatError` naming the file, line and field. All
+writes go through a temp file and rename so partial output is never
+observed.
 """
 from __future__ import annotations
 
@@ -120,6 +127,7 @@ def read_documents(path: str | Path) -> dict[str, DocumentStore]:
 def read_tables(path: str | Path) -> list[dict]:
     """Annotation inputs: table records with ids, the parsed ``table`` and optional questions."""
     records = []
+    seen: set[str] = set()
     for line, obj in read_jsonl(path):
         record = {
             "table_id": _require(obj, "table_id", str, path, line),
@@ -129,6 +137,11 @@ def read_tables(path: str | Path) -> list[dict]:
         }
         if not isinstance(record["question"], str):
             raise InputFormatError(path, line, "question", "expected str")
+        if record["table_id"] in seen:
+            raise InputFormatError(
+                path, line, "table_id", f"duplicate table_id {record['table_id']!r}"
+            )
+        seen.add(record["table_id"])
         records.append(record)
     return records
 

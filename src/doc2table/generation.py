@@ -225,6 +225,11 @@ def build_fill_prompt(
     return "\n".join(parts)
 
 
+def _is_number(value) -> bool:
+    """An integer that is not a JSON ``true`` or ``false``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_fill_response(
     response: str, batch: list[PlanCell], sentence_ids: list[int]
 ) -> list[CellFill]:
@@ -232,7 +237,8 @@ def parse_fill_response(
 
     Citations are prompt-local numbers (1-based into the evidence list) and
     are mapped back to sentence ids; numbers outside the evidence list are
-    dropped with a warning.
+    dropped with a warning. A ``null`` value is the empty cell the prompt
+    asks for, and ``true``/``false`` are not cell or sentence numbers.
     """
     block = extract_fenced_block(response)
     try:
@@ -244,7 +250,7 @@ def parse_fill_response(
 
     by_number: dict[int, dict] = {}
     for entry in entries:
-        if isinstance(entry, dict) and isinstance(entry.get("cell"), int):
+        if isinstance(entry, dict) and _is_number(entry.get("cell")):
             by_number[entry["cell"]] = entry
 
     records: list[CellFill] = []
@@ -256,18 +262,19 @@ def parse_fill_response(
             continue
         cited: list[int] = []
         for number in entry.get("sentences") or []:
-            if isinstance(number, int) and 1 <= number <= len(sentence_ids):
+            if _is_number(number) and 1 <= number <= len(sentence_ids):
                 cited.append(sentence_ids[number - 1])
             else:
                 logger.warning(
                     "dropping citation %r for cell %d: outside the retrieved set", number, i + 1
                 )
         note = entry.get("note")
+        value = entry.get("value")
         records.append(
             CellFill(
                 cell,
                 tuple(cited),
-                str(entry.get("value", "")),
+                "" if value is None else str(value),
                 note if isinstance(note, str) and note else None,
             )
         )

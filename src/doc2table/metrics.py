@@ -133,11 +133,6 @@ def chrf_matrix(candidates: Sequence[str], references: Sequence[str]) -> np.ndar
     return scores
 
 
-def chrf_value_scorer(candidate: str, reference: str) -> float:
-    """Default cell-value scorer: chrF rescaled to [0, 1]."""
-    return chrf(candidate, reference) / 100.0
-
-
 @dataclass(frozen=True)
 class PairScore:
     """Per ground-truth cell: its key, the matched generated key (if any),
@@ -172,8 +167,8 @@ def content_similarity(
     greedily by descending key similarity: exact key equality first, then
     chrF over the joined key strings with a 0.5 floor; ties break by
     document order (ground truth first). Each side is matched at most
-    once. The matched pair's score is :func:`chrf_value_scorer` over the
-    two cell texts; precision divides the score sum by the generated pair
+    once. The matched pair's score is :func:`chrf` over the two cell texts,
+    rescaled to [0, 1]; precision divides the score sum by the generated pair
     count, recall by the ground-truth pair count.
 
     The greedy order is computed in two phases. Exact keys: each
@@ -225,7 +220,7 @@ def content_similarity(
         if g_idx is None:
             pairs.append(PairScore((t.left_key, t.top_key), None, 0.0))
         else:
-            score = chrf_value_scorer(gen[g_idx].value, t.value)
+            score = chrf(gen[g_idx].value, t.value) / 100.0
             total += score
             pairs.append(
                 PairScore(

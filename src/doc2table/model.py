@@ -134,13 +134,8 @@ def leaves(tree: CoordTree) -> list[tuple[TreeCoord, tuple[str, ...]]]:
     return leaves
 
 
-def leaf_coords(tree: CoordTree) -> tuple[TreeCoord, ...]:
-    """All leaf coordinates in document (left-to-right, preorder) order."""
-    return tuple(coord for coord, _ in leaves(tree))
-
-
 def leaf_label_paths(tree: CoordTree) -> tuple[tuple[str, ...], ...]:
-    """Label path of every leaf, root level first, in the same order as :func:`leaf_coords`."""
+    """Label path of every leaf, root level first, in the same order as :func:`leaves`."""
     return tuple(labels for _, labels in leaves(tree))
 
 

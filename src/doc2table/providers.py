@@ -151,7 +151,9 @@ class RecordingProvider:
 class HttpProvider:
     """POSTs the request as JSON, retrying with exponential backoff between attempts.
 
-    Transport errors, 5xx, 408 and 429 are retried; any other 4xx fails at once.
+    Transport errors, 5xx, 408 and 429 are retried, and so is a reply whose
+    body is not a JSON object (undecodable, or a list, string or null); any
+    other 4xx fails at once. Every failure ends as a :class:`ProviderError`.
     """
 
     def __init__(
@@ -192,10 +194,13 @@ class HttpProvider:
                         f"provider at {self.endpoint} rejected the request with HTTP {status}"
                     )
                 response.raise_for_status()
-                return response.json()
+                body = response.json()
+                if not isinstance(body, dict):
+                    raise ValueError(f"reply is not a JSON object (got {type(body).__name__})")
+                return body
             except ProviderError:
                 raise  # a client error that no retry can fix
-            except Exception as exc:  # transport errors, 5xx, 408 and 429 alike
+            except Exception as exc:  # transport errors, 5xx, 408, 429 and bad bodies alike
                 last_error = exc
                 logger.warning("provider call failed (attempt %d): %s", attempt + 1, exc)
         raise ProviderError(f"provider at {self.endpoint} failed after {self.max_retries} attempts: {last_error}")

@@ -4,7 +4,7 @@ These deliberately avoid the production code paths: tree edit distance is
 computed by exhaustive enumeration of valid edit mappings (not a dynamic
 program), chrF by a separate dict-based reimplementation, retrieval
 rankings by a pure-Python cosine scan, and key-value content similarity by
-scalar chrF over every generated x ground-truth key pair. The slow forms of
+the reference chrF over every generated x ground-truth key pair. The slow forms of
 optimized paths are kept here too: the full-sort retrieval ranking, the
 hash-per-gram embedder loop, and the per-table sentence re-scan of
 annotation matching.
@@ -22,8 +22,6 @@ from doc2table.metrics import (
     ContentReport,
     PairScore,
     _joined_key,
-    chrf,
-    chrf_value_scorer,
 )
 from doc2table.model import HeaderNode, HierarchicalTable, flatten_to_kv, normalize_text
 from doc2table.providers import EMBED_DIM, EMBED_NGRAM
@@ -130,7 +128,12 @@ def reference_chrf(candidate: str, reference: str, max_order: int = 6, beta: flo
             )
     if not per_order:
         return 100.0
-    return 100.0 * sum(per_order) / len(per_order)
+    # left to right, as chrf adds them: ``sum`` of floats compensates from
+    # Python 3.12 on, which would break bit-equality with the program
+    f_sum = 0.0
+    for f in per_order:
+        f_sum += f
+    return 100.0 * f_sum / len(per_order)
 
 
 def brute_cosine_ranking(query_vector, sentence_vectors) -> list[tuple[int, float]]:
@@ -251,8 +254,8 @@ def reference_content_similarity(
     greedily by descending key similarity: exact key equality first, then
     chrF over the joined key strings with a 0.5 floor; ties break by
     document order (ground truth first). Each side is matched at most
-    once. The matched pair's score is ``chrf_value_scorer`` over the
-    two cell texts; precision divides the score sum by the generated pair
+    once. The matched pair's score is ``reference_chrf`` over the two
+    cell texts, rescaled to [0, 1]; precision divides the score sum by the generated pair
     count, recall by the ground-truth pair count.
     """
     gen = flatten_to_kv(generated)
@@ -267,7 +270,7 @@ def reference_content_similarity(
             if g_key == t_key:
                 candidates.append((0, 0.0, t_idx, g_idx))
                 continue
-            sim = chrf(_joined_key(*g_key), t_joined) / 100.0
+            sim = reference_chrf(_joined_key(*g_key), t_joined) / 100.0
             if sim >= KEY_MATCH_THRESHOLD:
                 candidates.append((1, -sim, t_idx, g_idx))
     candidates.sort()
@@ -278,7 +281,7 @@ def reference_content_similarity(
         if t_idx in gt_match or g_idx in matched_gen:
             continue
         gt_match[t_idx] = g_idx
-        matched_gen[g_idx] = chrf_value_scorer(gen[g_idx].value, gt[t_idx].value)
+        matched_gen[g_idx] = reference_chrf(gen[g_idx].value, gt[t_idx].value) / 100.0
 
     pairs = []
     total = 0.0

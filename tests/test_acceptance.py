@@ -20,8 +20,8 @@ from doc2table.model import (
     HierarchicalTable,
     TreeCoord,
     flatten_to_kv,
-    leaf_coords,
     leaf_label_paths,
+    leaves,
 )
 from doc2table.providers import HashingEmbedder, ReplayProvider, Rewriter, Transcript
 from doc2table.retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
@@ -105,8 +105,8 @@ def test_example_table_fixture_fidelity():
         "61, 276",
     )
     assert triple in [(t.left_key, t.top_key, t.value) for t in flatten_to_kv(table)]
-    row = leaf_coords(table.left).index(TreeCoord((2, 0)))
-    col = leaf_coords(table.top).index(TreeCoord((2, 1)))
+    row = [coord for coord, _ in leaves(table.left)].index(TreeCoord((2, 0)))
+    col = [coord for coord, _ in leaves(table.top)].index(TreeCoord((2, 1)))
     assert (leaf_label_paths(table.left)[row], leaf_label_paths(table.top)[col]) == triple[:2]
     assert table.body[row][col] == "61, 276"
     report("committed example table yields the exact key-value triple and coordinates")

@@ -297,21 +297,27 @@ class TestCorpusStats:
         # rows: (2 + 4 + 3)/3 = 3; cols: (2 + 3 + 2)/3 = 7/3; flat 2, hierarchical 1
         triples, docs = self.triples()
         stats = corpus_stats(triples, docs)
-        assert stats.n_triples == 3
-        assert stats.mean_input_tokens == pytest.approx(20 / 3)
-        assert stats.mean_rows == pytest.approx(3.0)
-        assert stats.mean_cols == pytest.approx(7 / 3)
-        assert stats.n_flat == 2
-        assert stats.n_hierarchical == 1
+        assert stats["n_triples"] == 3
+        assert stats["mean_input_tokens"] == pytest.approx(20 / 3)
+        assert stats["mean_rows"] == pytest.approx(3.0)
+        assert stats["mean_cols"] == pytest.approx(7 / 3)
+        assert stats["n_flat"] == 2
+        assert stats["n_hierarchical"] == 1
 
     def test_single_flat_table(self):
         triples = [QaTriple("t", "d", "q", make_flat_table(2, 2), (0,))]
         stats = corpus_stats(triples)
-        assert stats.mean_rows == 2.0
-        assert stats.mean_cols == 2.0
-        assert stats.n_flat == 1 and stats.n_hierarchical == 0
-        assert stats.mean_input_tokens is None
+        assert stats["mean_rows"] == 2.0
+        assert stats["mean_cols"] == 2.0
+        assert stats["n_flat"] == 1 and stats["n_hierarchical"] == 0
+        assert stats["mean_input_tokens"] is None
 
     def test_empty_corpus(self):
-        stats = corpus_stats([])
-        assert stats.n_triples == 0
+        assert corpus_stats([]) == {
+            "n_triples": 0,
+            "mean_input_tokens": None,
+            "mean_rows": 0.0,
+            "mean_cols": 0.0,
+            "n_flat": 0,
+            "n_hierarchical": 0,
+        }

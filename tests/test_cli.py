@@ -16,6 +16,7 @@ from doc2table.html_io import serialize_html
 from doc2table.providers import (
     ChatProvider,
     HashingEmbedder,
+    HttpProvider,
     ProviderError,
     RecordingProvider,
     Rewriter,
@@ -216,16 +217,34 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["file"], error["line"], error["field"]) == (str(tables), 3, "doc_id")
 
+    def test_duplicate_table_id_is_input_error(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
+        tables = tmp_path / "tables.jsonl"
+        row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
+        write_jsonl(tables, [row, row])
+        code = run(["annotate", "--docs", docs, "--tables", tables, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(tables), 2, "table_id")
+        assert error["message"] == "duplicate table_id 't1'"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_provider_spec_is_runtime_error(self, tmp_path, capsys):
         write_jsonl(tmp_path / "t.jsonl", [])
         write_jsonl(tmp_path / "d.jsonl", [])
-        for role, mode in [("embedder", "quantum"), ("rewriter", "telepathy")]:
-            spec = {role: {"mode": mode}}
-            config = write_config(tmp_path, questions="t.jsonl", docs="d.jsonl", **spec)
-            code = run(["retrieve", "--config", config, "--out", tmp_path / "o"])
-            assert code == 1
-            error = json.loads(capsys.readouterr().err)["error"]
-            assert mode in error["message"]
+        expected = {
+            "chat": "chat mode must be one of ('live', 'replay', 'record'), got 'quantum'",
+            "rewriter": "rewriter mode must be one of ('identity', 'live', 'replay', 'record'),"
+            " got 'quantum'",
+            "embedder": "embedder mode must be one of ('hashing', 'live'), got 'quantum'",
+        }
+        for role, message in expected.items():
+            config = write_config(
+                tmp_path, questions="t.jsonl", docs="d.jsonl", **{role: {"mode": "quantum"}}
+            )
+            assert run(["retrieve", "--config", config, "--out", tmp_path / "o"]) == 1
+            assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
     # A dict in argv stands for the pipeline fixture's config with those overrides.
     @pytest.mark.parametrize(
@@ -776,6 +795,40 @@ class TestPerQuestionFailures:
         assert (out / "tables.jsonl").read_text() == ""
         assert (out / "recall.json").read_bytes() == (PIPELINE / "golden" / "recall.json").read_bytes()
         assert "pipeline complete: 0 tables, 2 failures" in capsys.readouterr().out
+
+    def test_non_object_chat_reply_fails_only_that_question(self, tmp_path):
+        transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        gamma = read_triples(PIPELINE / "questions.jsonl")[1]
+
+        class Reply:
+            status_code = 200
+
+            def __init__(self, body):
+                self.body = body
+
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return self.body
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                if gamma.question in json["messages"][0]["content"]:
+                    return Reply(["not", "an", "object"])
+                return Reply(transcript.lookup(json))
+
+        backend = HttpProvider("http://stub/chat", max_retries=2, backoff=0.0, session=Session())
+        chat = ChatProvider(backend)
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        generated, errors = generate_stage(
+            read_triples(PIPELINE / "questions.jsonl"), records, chat, RunConfig(), tmp_path
+        )
+        assert [item_id for item_id, _ in generated] == ["acme_beta"]
+        assert [(e["id"], e["stage"]) for e in errors] == [("gamma", "structure")]
+        assert "not a JSON object (got list)" in errors[0]["error"]
+        golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
+        assert read_jsonl_rows(tmp_path / "tables.jsonl") == golden_tables[:1]
 
     def test_provider_error_on_one_fill_prompt_fails_only_that_question(self, tmp_path):
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")

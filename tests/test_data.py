@@ -11,6 +11,7 @@ from doc2table.data import (
     read_generated_tables,
     read_retrieval_records,
     read_review,
+    read_tables,
     read_triples,
     write_json,
     write_jsonl,
@@ -128,6 +129,17 @@ class TestTriples:
             read_triples(path)
         assert (excinfo.value.line, excinfo.value.field) == (3, "id")
         assert excinfo.value.reason == "duplicate id 't'"
+
+
+class TestTables:
+    def test_duplicate_table_id_names_its_second_line(self, tmp_path):
+        path = tmp_path / "tables.jsonl"
+        row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
+        write_jsonl(path, [row, {**row, "table_id": "t2"}, {**row, "doc_id": "e"}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_tables(path)
+        assert (excinfo.value.line, excinfo.value.field) == (3, "table_id")
+        assert excinfo.value.reason == "duplicate table_id 't1'"
 
 
 class TestGeneratedTables:

@@ -21,7 +21,7 @@ from doc2table.generation import (
 )
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import content_similarity
-from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, leaf_coords
+from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, leaves
 from doc2table.providers import ChatProvider, ProviderError, ScriptedProvider
 from doc2table.treedist import teds
 
@@ -178,6 +178,21 @@ class TestParseFill:
             records = parse_fill_response(response, batch, [7])
         assert records[0].sentence_ids == ()
         assert any("citation" in r.message for r in caplog.records)
+
+    def test_null_value_is_empty_and_booleans_are_not_numbers(self, caplog):
+        batch = plan_cells(simple_plan())
+        response = fill_response(
+            [
+                {"cell": 1, "value": None, "sentences": [True, 2]},
+                {"cell": True, "value": "from a boolean cell number"},
+            ]
+        )
+        with caplog.at_level(logging.WARNING, logger="doc2table.generation"):
+            records = parse_fill_response(response, batch, [7, 8])
+        assert records[0].value == "" and records[0].filled
+        assert records[0].sentence_ids == (8,)
+        assert records[1].filled is False and records[1].value == ""
+        assert any("citation True" in r.message for r in caplog.records)
 
     def test_unparseable_block(self):
         with pytest.raises(ResponseParseError):
@@ -381,6 +396,6 @@ class TestAssemble:
             reference.table, reference.trace
         )
         row_major = [
-            (lc, tc) for lc in leaf_coords(example_table.left) for tc in leaf_coords(example_table.top)
+            (lc, tc) for lc, _ in leaves(example_table.left) for tc, _ in leaves(example_table.top)
         ]
         assert [(r.cell.left_coord, r.cell.top_coord) for r in result.trace.records] == row_major

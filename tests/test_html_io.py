@@ -14,7 +14,7 @@ from doc2table.html_io import (
     parse_html_table,
     serialize_html,
 )
-from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv, leaf_coords
+from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv, leaves
 
 import strategies as sts
 
@@ -190,5 +190,5 @@ class TestRoundTrip:
 
     def test_leaf_order_stable_through_round_trip(self, example_table):
         again = parse_html_table(serialize_html(example_table))
-        assert leaf_coords(again.left) == leaf_coords(example_table.left)
-        assert leaf_coords(again.top) == leaf_coords(example_table.top)
+        assert leaves(again.left) == leaves(example_table.left)
+        assert leaves(again.top) == leaves(example_table.top)

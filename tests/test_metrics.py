@@ -9,7 +9,6 @@ from doc2table.metrics import (
     aggregate_scores,
     chrf,
     chrf_matrix,
-    chrf_value_scorer,
     content_similarity,
     header_similarity,
     recall_at_k,
@@ -391,7 +390,3 @@ class TestReports:
         assert agg["teds"] == pytest.approx(0.75)
         assert agg["header_f1"]["top"] == pytest.approx(0.5)
         assert agg["recall_at_k"] == {"10": 1.0}
-
-    def test_chrf_value_scorer_rescales(self):
-        assert chrf_value_scorer("abc", "abc") == 1.0
-        assert chrf_value_scorer("abc", "xyz") == 0.0

@@ -12,8 +12,8 @@ from doc2table.model import (
     TableModelError,
     TreeCoord,
     flatten_to_kv,
-    leaf_coords,
     leaf_label_paths,
+    leaves,
     normalize_text,
 )
 from doc2table.html_io import parse_html_table, serialize_html
@@ -46,30 +46,32 @@ class TestNormalization:
             TreeCoord((0, -1))
 
 
+def coords_of(tree: CoordTree) -> list[TreeCoord]:
+    return [coord for coord, _ in leaves(tree)]
+
+
 class TestLeafCoords:
     def test_depth_one_tree(self):
         tree = CoordTree.from_nested(["a", "b", "c", "d"])
-        assert [c.path for c in leaf_coords(tree)] == [(0,), (1,), (2,), (3,)]
+        assert [c.path for c in coords_of(tree)] == [(0,), (1,), (2,), (3,)]
 
     def test_single_level_second_root(self):
         tree = CoordTree.from_nested(["x", "y", "z"])
-        leaf = leaf_coords(tree).index(TreeCoord((1,)))
-        assert leaf_label_paths(tree)[leaf] == ("y",)
+        assert dict(leaves(tree))[TreeCoord((1,))] == ("y",)
 
     def test_two_level_preorder(self):
         tree = CoordTree.from_nested([("A", ["a1", "a2"]), ("B", ["b1"])])
-        assert [c.path for c in leaf_coords(tree)] == [(0, 0), (0, 1), (1, 0)]
+        assert [c.path for c in coords_of(tree)] == [(0, 0), (0, 1), (1, 0)]
 
     def test_three_level_manual_walk(self):
         # Hand walk: root 0 is A, its child 1 is a2, a2's child 0 is x.
         tree = CoordTree.from_nested([("A", ["a1", ("a2", ["x", "y"])]), ("B", ["b1"])])
-        leaf = leaf_coords(tree).index(TreeCoord((0, 1, 0)))
-        assert leaf_label_paths(tree)[leaf] == ("A", "a2", "x")
+        assert dict(leaves(tree))[TreeCoord((0, 1, 0))] == ("A", "a2", "x")
 
     def test_example_table_coordinates(self, example_table):
         # The committed example: left <2,0> and top <2,1> meet at "61, 276".
-        row = leaf_coords(example_table.left).index(TreeCoord((2, 0)))
-        col = leaf_coords(example_table.top).index(TreeCoord((2, 1)))
+        row = coords_of(example_table.left).index(TreeCoord((2, 0)))
+        col = coords_of(example_table.top).index(TreeCoord((2, 1)))
         assert leaf_label_paths(example_table.left)[row] == (
             "Urinary tract",
             "Kidney and renal pelvis",
@@ -78,10 +80,10 @@ class TestLeafCoords:
         assert example_table.body[row][col] == "61, 276"
 
     def test_example_left_tree_matches_body_rows(self, example_table):
-        assert len(leaf_coords(example_table.left)) == len(example_table.body)
+        assert len(leaves(example_table.left)) == len(example_table.body)
 
     def test_stable_across_calls(self, example_table):
-        assert leaf_coords(example_table.top) == leaf_coords(example_table.top)
+        assert leaves(example_table.top) == leaves(example_table.top)
 
     @given(tree=sts.coord_trees(max_depth=4, max_roots=3))
     @settings(max_examples=150)
@@ -102,9 +104,9 @@ class TestLeafCoords:
                 level = node.children
             return tuple(labels), node
 
-        leaves = [path for path in preorder(tree.roots, ()) if follow(path)[1].is_leaf]
-        assert [c.path for c in leaf_coords(tree)] == leaves
-        assert leaf_label_paths(tree) == tuple(follow(path)[0] for path in leaves)
+        leaf_paths = [path for path in preorder(tree.roots, ()) if follow(path)[1].is_leaf]
+        assert [c.path for c in coords_of(tree)] == leaf_paths
+        assert leaf_label_paths(tree) == tuple(follow(path)[0] for path in leaf_paths)
 
 
 class TestFlatten:
@@ -143,8 +145,8 @@ class TestFlatten:
         assert len(triples) == rows * cols
         coords = [
             (lc.path, tc.path)
-            for lc in leaf_coords(table.left)
-            for tc in leaf_coords(table.top)
+            for lc in coords_of(table.left)
+            for tc in coords_of(table.top)
         ]
         assert len(set(coords)) == rows * cols
 

@@ -199,7 +199,7 @@ class TestHttpEmbedder:
 
 class FakeResponse:
     def __init__(self, payload=None, status=200):
-        self.payload = payload or {}
+        self.payload = {} if payload is None else payload
         self.status_code = status
 
     def raise_for_status(self):
@@ -226,11 +226,16 @@ class FakeSession:
 class TestHttpProvider:
     def test_retries_then_succeeds(self):
         session = FakeSession(
-            [ConnectionError("down"), FakeResponse(status=500), FakeResponse({"content": "hi"})]
+            [
+                ConnectionError("down"),
+                FakeResponse(status=500),
+                FakeResponse(["not", "an", "object"]),
+                FakeResponse({"content": "hi"}),
+            ]
         )
-        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.001, session=session)
+        provider = HttpProvider("http://x/chat", max_retries=4, backoff=0.001, session=session)
         assert provider.call({"q": 1}) == {"content": "hi"}
-        assert len(session.calls) == 3
+        assert len(session.calls) == 4
 
     def test_exhausted_retries_raise(self):
         session = FakeSession([ConnectionError("down")] * 3)
@@ -269,6 +274,31 @@ class TestHttpProvider:
         with pytest.raises(ProviderError) as excinfo:
             provider.call({"q": 1})
         assert "HTTP 403" in str(excinfo.value)
+        assert len(session.calls) == 3
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("body", [["a"], "text", None])
+    @pytest.mark.parametrize(
+        "role",
+        [
+            lambda backend: ChatProvider(backend).complete([{"role": "user", "content": "q"}]),
+            lambda backend: Rewriter(backend).rewrite("sentence", "text"),
+            lambda backend: HttpEmbedder(backend).embed(["text"]),
+        ],
+        ids=["chat", "rewrite", "embed"],
+    )
+    def test_non_object_reply_is_retried_then_provider_error(self, role, body, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        replies = [FakeResponse(status=200) for _ in range(3)]
+        for reply in replies:
+            reply.payload = body
+        session = FakeSession(replies)
+        backend = HttpProvider("http://x", max_retries=3, backoff=0.5, session=session)
+        with pytest.raises(ProviderError) as excinfo:
+            role(backend)
+        assert "3 attempts" in str(excinfo.value)
+        assert f"not a JSON object (got {type(body).__name__})" in str(excinfo.value)
         assert len(session.calls) == 3
         assert sleeps == [0.5, 1.0]
 
