@@ -649,11 +649,127 @@ def write_pipeline_fixture() -> None:
     print(f"wrote {golden}/")
 
 
+# ---------------------------------------------------------------------------
+# Annotation fixture: two documents, six tables, a review file, golden output
+# ---------------------------------------------------------------------------
+
+ANNOTATE_DOCUMENTS = {
+    "harbor_2023": [
+        "Harbor Freight revenue was $1,250 million in 2023.",
+        "Operating costs fell to (340) million after the restructuring.",
+        "Net income reached 910 million, up from 1 250 million.",
+        "The Northern region grew fastest, while the Southern region lagged.",
+        "Capital spending was 75 million in 2023 and 60 million in 2022.",
+        "Headcount stood at 4,200 at year end.",
+        "A one-time charge of -45.5 million was booked in Q4.",
+        "Dividends of 12% of earnings were paid.",
+    ],
+    "orchard_2023": [
+        "Orchard Labs revenue rose to 3,400 thousand in 2023.",
+        "Research spending was 820 thousand, against 640 thousand in 2022.",
+        "The Europe segment contributed 1,100 thousand.",
+        "A loss of 45.50 thousand was recorded in Asia.",
+        "Margins were 18% for the year.",
+        "Employees numbered 210.",
+    ],
+}
+
+
+def annotate_tables() -> list[tuple[str, str, str, HierarchicalTable]]:
+    """(table_id, doc_id, question, table), alternating between the two documents.
+
+    Planned outcomes: t1 retained with one match rejected by review; t2
+    retained at 25% uncovered; t3 excluded at 33%; t4 retained with a sign
+    flip; t5 excluded at exactly 30%; t6 excluded once review rejects a match.
+    """
+
+    def table(left, top, body, stub="Metric"):
+        return HierarchicalTable(
+            stub, CoordTree.from_nested(left), CoordTree.from_nested(top), body
+        )
+
+    return [
+        ("t1", "harbor_2023", "What were Harbor's results in 2023 and 2022?", table(
+            [("Harbor", ["Revenue", "Net income"]), "Capital spending"],
+            ["2023", "2022"],
+            (("$1,250", "1 250"), ("910", "1,250"), ("75", "60")),
+        )),
+        ("t2", "orchard_2023", "What did Orchard Labs earn and spend?", table(
+            ["Revenue", "Research"], ["2023", "2022"], (("3,400", "n/a"), ("820", "640")),
+        )),
+        ("t3", "harbor_2023", "How did each region perform?", table(
+            ["Northern region", "Southern region", "Western region"],
+            ["Status"],
+            (("grew fastest",), ("lagged",), ("unknown",)),
+            stub="Region",
+        )),
+        ("t4", "orchard_2023", "", table(
+            ["Europe", "Asia"], ["Result"], (("1,100",), ("(45.5)",)), stub="Segment",
+        )),
+        ("t5", "harbor_2023", "Which Harbor figures were reported?", table(
+            ["Reported", "Other"],
+            ["a", "b", "c", "d", "e"],
+            (("1,250", "910", "75", "60", "4,200"), ("12%", "-45.5", "999", "888", "777")),
+        )),
+        ("t6", "orchard_2023", "What were Orchard's margin and headcount?", table(
+            ["Margin", "Employees"], ["2023"], (("18%",), ("210",)),
+        )),
+    ]
+
+
+ANNOTATE_REVIEW = [
+    {"table_id": "t1", "match_id": "0,0", "status": "confirmed"},
+    {"table_id": "t1", "match_id": "2,1", "status": "rejected"},
+    {"table_id": "t3", "match_id": "2,0", "status": "confirmed"},  # no such match
+    {"table_id": "t6", "match_id": "0,0", "status": "confirmed"},
+    {"table_id": "t6", "match_id": "1,0", "status": "rejected"},
+]
+
+
+def write_annotate_fixture() -> None:
+    out = FIXTURES / "annotate"
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write_lines(name: str, rows: list[dict]) -> None:
+        lines = [json.dumps(row, sort_keys=True) for row in rows]
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    write_lines(
+        "docs.jsonl",
+        [{"doc_id": d, "sentences": s} for d, s in ANNOTATE_DOCUMENTS.items()],
+    )
+    write_lines(
+        "tables.jsonl",
+        [
+            {"table_id": t, "doc_id": d, "question": q, "table_html": serialize_html(table)}
+            for t, d, q, table in annotate_tables()
+        ],
+    )
+    write_lines("review.jsonl", ANNOTATE_REVIEW)
+
+    golden = out / "golden"
+    if golden.exists():
+        for path in sorted(golden.rglob("*"), reverse=True):
+            path.unlink() if path.is_file() else path.rmdir()
+    code = cli_main(
+        [
+            "annotate",
+            "--docs", str(out / "docs.jsonl"),
+            "--tables", str(out / "tables.jsonl"),
+            "--review", str(out / "review.jsonl"),
+            "--out", str(golden),
+        ]
+    )
+    assert code == 0, f"golden annotate run failed with exit code {code}"
+    print(f"wrote {out}/*.jsonl and {golden}/")
+
+
 def main() -> int:
     write_example_table()
     write_prompt_goldens()
     write_corpus()
     write_pipeline_fixture()
+    write_annotate_fixture()
     return 0
 
 

@@ -27,6 +27,7 @@ from doc2table.providers import (
 from conftest import FIXTURES, make_flat_table
 from oracles import reference_match_cells
 
+ANNOTATE = FIXTURES / "annotate"
 CORPUS = FIXTURES / "corpus"
 PIPELINE = FIXTURES / "pipeline"
 
@@ -409,6 +410,16 @@ class TestMalformedInputs:
 
 
 class TestAnnotateCommand:
+    def test_reproduces_committed_golden(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["annotate", "--docs", ANNOTATE / "docs.jsonl", "--tables", ANNOTATE / "tables.jsonl"]
+        assert run(args + ["--review", ANNOTATE / "review.jsonl", "--out", out]) == 0
+        golden = ANNOTATE / "golden"
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
     def build_inputs(self, tmp_path):
         docs = tmp_path / "docs.jsonl"
         write_jsonl(
