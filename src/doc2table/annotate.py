@@ -18,7 +18,8 @@ The matching rule above is the same whichever table triggers the scan.
 
 A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
-and stub cells are not counted.
+and stub cells are not counted. Coverage and exclusion are decided once
+per table, by :func:`coverage`, after review has been applied.
 """
 from __future__ import annotations
 
@@ -183,40 +184,15 @@ def apply_review(matches: list[CellMatch], decisions: dict[str, str]) -> list[Ce
     return matches
 
 
-def coverage_ratio(table: HierarchicalTable, matches: list[CellMatch]) -> float:
-    """Fraction of body cells with at least one non-rejected match."""
-    covered = {(m.row, m.col) for m in matches if m.status != "rejected"}
-    return len(covered) / (len(table.body) * len(table.body[0]))
+def coverage(table: HierarchicalTable, matches: list[CellMatch]) -> tuple[float, bool]:
+    """(fraction of body cells with a non-rejected match, whether the table is excluded).
 
-
-def is_excluded(table: HierarchicalTable, matches: list[CellMatch]) -> bool:
-    """Exact integer form of the exclusion rule: uncovered/total >= 30%."""
-    covered = {(m.row, m.col) for m in matches if m.status != "rejected"}
+    Exclusion is the exact integer form of the rule: uncovered/total >= 30%.
+    """
+    covered = len({(m.row, m.col) for m in matches if m.status != "rejected"})
     total = len(table.body) * len(table.body[0])
-    uncovered = total - len(covered)
-    return uncovered * UNCOVERED_EXCLUSION_DEN >= UNCOVERED_EXCLUSION_NUM * total
-
-
-@dataclass(frozen=True)
-class Exclusion:
-    index: int
-    coverage: float
-    uncovered: float
-
-
-def filter_tables(
-    candidates: list[tuple[HierarchicalTable, list[CellMatch]]],
-) -> tuple[list[tuple[HierarchicalTable, list[CellMatch]]], list[Exclusion]]:
-    """Keep tables below the uncovered threshold; log the dropped ones."""
-    retained = []
-    exclusions = []
-    for index, (table, matches) in enumerate(candidates):
-        coverage = coverage_ratio(table, matches)
-        if is_excluded(table, matches):
-            exclusions.append(Exclusion(index, coverage, 1.0 - coverage))
-        else:
-            retained.append((table, matches))
-    return retained, exclusions
+    excluded = (total - covered) * UNCOVERED_EXCLUSION_DEN >= UNCOVERED_EXCLUSION_NUM * total
+    return covered / total, excluded
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,7 @@ def generate_stage(
 
 
 def cmd_annotate(args) -> int:
+    """One pass over the tables: each one's matches row, then its triple or its exclusion."""
     documents = data.read_documents(args.docs)
     records = data.read_tables(args.tables)
     decisions = data.read_review(args.review) if args.review else {}
@@ -181,49 +182,33 @@ def cmd_annotate(args) -> int:
         doc_id: ann.SentenceIndex(documents[doc_id].sentences)
         for doc_id in {record["doc_id"] for record in records}
     }
-    candidates = []
-    matches_out = []
+    triples_out, matches_out, exclusions_out = [], [], []
     for record in records:
-        table = record["table"]
+        table_id, table = record["table_id"], record["table"]
         matches = ann.match_cells_to_sentences(table, indexes[record["doc_id"]])
-        ann.apply_review(matches, decisions.get(record["table_id"], {}))
-        candidates.append((table, matches))
+        ann.apply_review(matches, decisions.get(table_id, {}))
+        coverage, excluded = ann.coverage(table, matches)
         matches_out.append(
             {
-                "table_id": record["table_id"],
-                "coverage": ann.coverage_ratio(table, matches),
-                "matches": [
-                    {
-                        "match_id": m.match_id,
-                        "row": m.row,
-                        "col": m.col,
-                        "kind": m.kind,
-                        "sentence_ids": list(m.sentence_ids),
-                        "matched_token": m.matched_token,
-                        "sign_flip_ids": list(m.sign_flip_ids),
-                        "status": m.status,
-                    }
-                    for m in matches
-                ],
+                "table_id": table_id,
+                "coverage": coverage,
+                "matches": [{"match_id": m.match_id, **vars(m)} for m in matches],
             }
         )
-    _, exclusions = ann.filter_tables(candidates)
-    excluded = {e.index for e in exclusions}
-    triples_out = [
-        {
-            "id": record["table_id"],
-            "doc_id": record["doc_id"],
-            "question": record["question"],
-            "table_html": serialize_html(table),
-            "relevant_sentence_ids": list(ann.relevant_ids(matches)),
-        }
-        for index, (record, (table, matches)) in enumerate(zip(records, candidates))
-        if index not in excluded
-    ]
-    exclusions_out = [
-        {"table_id": records[e.index]["table_id"], "coverage": e.coverage, "uncovered": e.uncovered}
-        for e in exclusions
-    ]
+        if excluded:
+            exclusions_out.append(
+                {"table_id": table_id, "coverage": coverage, "uncovered": 1.0 - coverage}
+            )
+        else:
+            triples_out.append(
+                {
+                    "id": table_id,
+                    "doc_id": record["doc_id"],
+                    "question": record["question"],
+                    "table_html": serialize_html(table),
+                    "relevant_sentence_ids": list(ann.relevant_ids(matches)),
+                }
+            )
 
     out = Path(args.out)
     data.write_jsonl(out / "triples.jsonl", triples_out)
@@ -304,7 +289,7 @@ def _evaluate_items(
         if recall_rows and item_id in recall_rows:
             entry["recall_at_k"] = recall_rows[item_id]
         items.append(entry)
-    return items, aggregate_scores([{k: v for k, v in i.items() if k != "id"} for i in items])
+    return items, aggregate_scores(items)
 
 
 def cmd_evaluate(args) -> int:

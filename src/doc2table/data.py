@@ -8,15 +8,18 @@ Formats, each with the key that no two of its lines may share:
   triples    {"id": str, "doc_id": str, "question": str, "table_html": str,
               "relevant_sentence_ids": [int]}; unique id
   review     {"table_id": str, "match_id": "row,col",
-              "status": "confirmed" | "rejected"}; a repeated
-             (table_id, match_id) pair keeps its last status
+              "status": "confirmed" | "rejected"}; unique
+             (table_id, match_id) pair
   retrieval  one RetrievalRecord per line, as ``retrieve`` writes it
              ({"id": str, "question", "sub_questions", "per_question",
               "merged", "k", "degraded", "sentences"}); unique id
   generated  {"id": str, "table_html": str}; unique id
 
 Malformed lines, and a line that repeats an earlier line's unique key,
-raise :class:`InputFormatError` naming the file, line and field. All
+raise :class:`InputFormatError` naming the file, line and field; a
+repeated review pair names its ``match_id``. Every format but review is
+read through ``_read_keyed``, which checks a line's key, then its other
+fields, then whether an earlier line used the key. All
 writes go through a temp file and rename so partial output is never
 observed.
 """
@@ -104,11 +107,26 @@ def _require(obj: dict, field: str, kind, path, line: int):
     return value
 
 
+def _read_keyed(path: str | Path, key: str, parse) -> dict:
+    """Each line of ``path`` parsed by ``parse(obj, line)``, keyed by its str ``key`` field.
+
+    Per line the key is checked first, then ``parse`` checks the other
+    fields, then a key that an earlier line already used is rejected.
+    """
+    items: dict = {}
+    for line, obj in read_jsonl(path):
+        item_key = _require(obj, key, str, path, line)
+        item = parse(obj, line)
+        if item_key in items:
+            raise InputFormatError(path, line, key, f"duplicate {key} {item_key!r}")
+        items[item_key] = item
+    return items
+
+
 def read_documents(path: str | Path) -> dict[str, DocumentStore]:
     """Load documents keyed by doc_id, segmenting raw text when needed."""
-    documents: dict[str, DocumentStore] = {}
-    for line, obj in read_jsonl(path):
-        doc_id = _require(obj, "doc_id", str, path, line)
+
+    def parse(obj: dict, line: int) -> DocumentStore:
         if "sentences" in obj:
             sentences = _require(obj, "sentences", list, path, line)
             for i, s in enumerate(sentences):
@@ -118,32 +136,26 @@ def read_documents(path: str | Path) -> dict[str, DocumentStore]:
             sentences = split_sentences(_require(obj, "text", str, path, line))
         else:
             raise InputFormatError(path, line, "sentences", "need 'sentences' or 'text'")
-        if doc_id in documents:
-            raise InputFormatError(path, line, "doc_id", f"duplicate doc_id {doc_id!r}")
-        documents[doc_id] = DocumentStore(doc_id, list(sentences))
-    return documents
+        return DocumentStore(obj["doc_id"], list(sentences))
+
+    return _read_keyed(path, "doc_id", parse)
 
 
 def read_tables(path: str | Path) -> list[dict]:
     """Annotation inputs: table records with ids, the parsed ``table`` and optional questions."""
-    records = []
-    seen: set[str] = set()
-    for line, obj in read_jsonl(path):
+
+    def parse(obj: dict, line: int) -> dict:
         record = {
-            "table_id": _require(obj, "table_id", str, path, line),
+            "table_id": obj["table_id"],
             "doc_id": _require(obj, "doc_id", str, path, line),
             "table": _require_table(obj, path, line),
             "question": obj.get("question", ""),
         }
         if not isinstance(record["question"], str):
             raise InputFormatError(path, line, "question", "expected str")
-        if record["table_id"] in seen:
-            raise InputFormatError(
-                path, line, "table_id", f"duplicate table_id {record['table_id']!r}"
-            )
-        seen.add(record["table_id"])
-        records.append(record)
-    return records
+        return record
+
+    return list(_read_keyed(path, "table_id", parse).values())
 
 
 def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
@@ -155,34 +167,21 @@ def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
         raise InputFormatError(path, line, "table_html", str(exc)) from exc
 
 
-def _require_id(obj: dict, path, line: int) -> str:
-    item_id = obj.get("id")
-    if not isinstance(item_id, str):
-        raise InputFormatError(path, line, "id", "missing or non-string id")
-    return item_id
-
-
 def read_triples(path: str | Path) -> list[QaTriple]:
-    triples = []
-    seen: set[str] = set()
-    for line, obj in read_jsonl(path):
-        triple_id = _require_id(obj, path, line)
+    def parse(obj: dict, line: int) -> QaTriple:
         table = _require_table(obj, path, line)
         ids = obj.get("relevant_sentence_ids", [])
         if not isinstance(ids, list) or any(not isinstance(i, int) for i in ids):
             raise InputFormatError(path, line, "relevant_sentence_ids", "expected [int]")
-        triple = QaTriple(
-            triple_id=triple_id,
-            doc_id=_require(obj, "doc_id", str, path, line),
-            question=_require(obj, "question", str, path, line),
-            table=table,
-            relevant_sentence_ids=tuple(ids),
+        return QaTriple(
+            obj["id"],
+            _require(obj, "doc_id", str, path, line),
+            _require(obj, "question", str, path, line),
+            table,
+            tuple(ids),
         )
-        if triple_id in seen:
-            raise InputFormatError(path, line, "id", f"duplicate id {triple_id!r}")
-        seen.add(triple_id)
-        triples.append(triple)
-    return triples
+
+    return list(_read_keyed(path, "id", parse).values())
 
 
 def read_review(path: str | Path) -> dict[str, dict[str, str]]:
@@ -194,15 +193,19 @@ def read_review(path: str | Path) -> dict[str, dict[str, str]]:
         status = _require(obj, "status", str, path, line)
         if status not in ("confirmed", "rejected"):
             raise InputFormatError(path, line, "status", f"unknown status {status!r}")
-        decisions.setdefault(table_id, {})[match_id] = status
+        table = decisions.setdefault(table_id, {})
+        if match_id in table:
+            raise InputFormatError(
+                path, line, "match_id", f"duplicate match_id {match_id!r} for table_id {table_id!r}"
+            )
+        table[match_id] = status
     return decisions
 
 
 def read_retrieval_records(path: str | Path) -> dict[str, RetrievalRecord]:
     """Saved retrieval output: id -> record, each merged sentence id with its text."""
-    records: dict[str, RetrievalRecord] = {}
-    for line, obj in read_jsonl(path):
-        item_id = _require_id(obj, path, line)
+
+    def parse(obj: dict, line: int) -> RetrievalRecord:
         try:
             record = RetrievalRecord.from_dict(obj)
         except (KeyError, TypeError, ValueError) as exc:
@@ -212,19 +215,11 @@ def read_retrieval_records(path: str | Path) -> dict[str, RetrievalRecord]:
             raise InputFormatError(
                 path, line, "sentences", f"no text for merged sentence id {missing[0]}"
             )
-        if item_id in records:
-            raise InputFormatError(path, line, "id", f"duplicate id {item_id!r}")
-        records[item_id] = record
-    return records
+        return record
+
+    return _read_keyed(path, "id", parse)
 
 
 def read_generated_tables(path: str | Path) -> dict[str, HierarchicalTable]:
     """Generated outputs: id -> parsed table_html."""
-    tables: dict[str, HierarchicalTable] = {}
-    for line, obj in read_jsonl(path):
-        item_id = _require_id(obj, path, line)
-        table = _require_table(obj, path, line)
-        if item_id in tables:
-            raise InputFormatError(path, line, "id", f"duplicate id {item_id!r}")
-        tables[item_id] = table
-    return tables
+    return _read_keyed(path, "id", lambda obj, line: _require_table(obj, path, line))

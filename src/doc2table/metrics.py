@@ -294,29 +294,24 @@ def table_scores(
 
 
 def aggregate_scores(items: list[dict]) -> dict:
-    """Corpus aggregate: plain mean of every per-item numeric field."""
+    """Corpus aggregate: ``n_items`` and the plain mean of every per-item numeric field.
+
+    Nested fields are averaged field by field; each mean is over the items
+    that have the field. Non-numeric fields, such as an item's ``id``, are
+    left out. No items give ``{}``.
+    """
     if not items:
         return {}
+    return {"n_items": len(items), **_field_means(items)}
 
-    def mean(values: list[float]) -> float:
-        return sum(values) / len(values)
 
-    agg: dict = {
-        "n_items": len(items),
-        "teds": mean([i["teds"] for i in items]),
-        "content_precision": mean([i["content_precision"] for i in items]),
-        "content_recall": mean([i["content_recall"] for i in items]),
-        "content_f1": mean([i["content_f1"] for i in items]),
-        "header_f1": {
-            "left": mean([i["header_f1"]["left"] for i in items]),
-            "top": mean([i["header_f1"]["top"] for i in items]),
-        },
+def _field_means(items: list[dict]) -> dict:
+    columns: dict[str, list] = {}
+    for item in items:
+        for field, value in item.items():
+            if isinstance(value, (dict, int, float)):
+                columns.setdefault(field, []).append(value)
+    return {
+        field: _field_means(column) if isinstance(column[0], dict) else sum(column) / len(column)
+        for field, column in columns.items()
     }
-    with_recall = [i for i in items if "recall_at_k" in i]
-    if with_recall:
-        ks = sorted({k for i in with_recall for k in i["recall_at_k"]}, key=int)
-        agg["recall_at_k"] = {
-            k: mean([i["recall_at_k"][k] for i in with_recall if k in i["recall_at_k"]])
-            for k in ks
-        }
-    return agg

@@ -221,8 +221,8 @@ class ChatProvider:
             "max_tokens": self.max_tokens,
         }
         response = self.backend.call(request)
-        if "content" not in response:
-            raise ProviderError(f"chat response missing 'content': {response}")
+        if not isinstance(response.get("content"), str):
+            raise ProviderError(f"chat response has no string 'content': {response}")
         return response["content"]
 
 
@@ -237,7 +237,9 @@ class Rewriter:
         outputs = response.get("outputs")
         if not isinstance(outputs, list):
             raise ProviderError(f"rewrite response missing 'outputs': {response}")
-        return [str(o) for o in outputs]
+        if not all(isinstance(o, str) for o in outputs):
+            raise ProviderError(f"rewrite response has a non-string output: {response}")
+        return list(outputs)
 
 
 class IdentityRewriteBackend:

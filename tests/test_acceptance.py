@@ -26,7 +26,7 @@ from doc2table.model import (
 from doc2table.providers import HashingEmbedder, ReplayProvider, Rewriter, Transcript
 from doc2table.retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
 from doc2table.treedist import teds, tree_edit_distance
-from doc2table.annotate import CellMatch, filter_tables
+from doc2table.annotate import CellMatch, coverage
 
 import strategies as sts
 from conftest import FIXTURES, make_flat_table
@@ -189,9 +189,9 @@ def test_annotation_filter_on_20_hand_labeled_tables():
     expected_excluded = [3, 4, 5, 7, 10, 11, 14, 16, 18]
     candidates = [with_matches(*plan) for plan in plans]
     assert len(candidates) == 20
-    retained, exclusions = filter_tables(candidates)
-    assert [e.index for e in exclusions] == expected_excluded
-    assert len(retained) == 20 - len(expected_excluded)
+    excluded = [coverage(table, matches)[1] for table, matches in candidates]
+    assert [i for i, e in enumerate(excluded) if e] == expected_excluded
+    assert excluded.count(False) == 20 - len(expected_excluded)
     report("annotation filter matches the hand-applied 30%-uncovered rule on 20 tables")
 
 

@@ -11,9 +11,7 @@ from doc2table.annotate import (
     apply_review,
     canonical_magnitude,
     corpus_stats,
-    coverage_ratio,
-    filter_tables,
-    is_excluded,
+    coverage,
     match_cells_to_sentences,
     parse_cell_number,
     relevant_ids,
@@ -215,32 +213,35 @@ class TestCoverageAndFilter:
     def test_all_cells_matched(self):
         table = make_flat_table(2, 2)
         matches = synthetic_matches([(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert coverage_ratio(table, matches) == 1.0
-        assert not is_excluded(table, matches)
+        assert coverage(table, matches) == (1.0, False)
 
     def test_seven_of_ten_is_boundary_and_excluded(self):
         # 30.0% uncovered is the inclusive exclusion boundary.
         table = make_flat_table(2, 5)
         matches = synthetic_matches([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)])
-        assert coverage_ratio(table, matches) == pytest.approx(0.7)
-        assert is_excluded(table, matches)
+        ratio, excluded = coverage(table, matches)
+        assert ratio == pytest.approx(0.7)
+        assert excluded
 
     def test_six_of_ten_excluded(self):
         table = make_flat_table(2, 5)
         matches = synthetic_matches([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)])
-        assert coverage_ratio(table, matches) == pytest.approx(0.6)
-        assert is_excluded(table, matches)
+        ratio, excluded = coverage(table, matches)
+        assert ratio == pytest.approx(0.6)
+        assert excluded
 
     def test_eight_of_ten_retained(self):
         table = make_flat_table(2, 5)
         matches = synthetic_matches([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2)])
-        assert not is_excluded(table, matches)
+        assert not coverage(table, matches)[1]
 
     def test_rejected_matches_do_not_count(self):
         table = make_flat_table(1, 2)
         matches = synthetic_matches([(0, 0), (0, 1)])
         matches[0].status = "rejected"
-        assert coverage_ratio(table, matches) == pytest.approx(0.5)
+        ratio, excluded = coverage(table, matches)
+        assert ratio == pytest.approx(0.5)
+        assert excluded
 
     def test_filter_tables_listwise_with_exclusion_log(self):
         tables = [make_flat_table(2, 5) for _ in range(3)]
@@ -249,19 +250,19 @@ class TestCoverageAndFilter:
             (tables[1], synthetic_matches([(0, c) for c in range(5)] + [(1, 0), (1, 1)])),
             (tables[2], synthetic_matches([(0, 0)])),
         ]
-        retained, exclusions = filter_tables(candidates)
-        assert len(retained) == 1 and retained[0][0] is tables[0]
-        assert [e.index for e in exclusions] == [1, 2]
-        assert exclusions[0].coverage == pytest.approx(0.7)
-        assert exclusions[0].uncovered == pytest.approx(0.3)
+        decisions = [coverage(table, matches) for table, matches in candidates]
+        assert [i for i, (_, excluded) in enumerate(decisions) if not excluded] == [0]
+        assert [i for i, (_, excluded) in enumerate(decisions) if excluded] == [1, 2]
+        assert decisions[1][0] == pytest.approx(0.7)
+        assert 1.0 - decisions[1][0] == pytest.approx(0.3)
 
     def test_confirming_more_matches_never_excludes(self):
         table = make_flat_table(2, 5)
         base = [(0, c) for c in range(5)] + [(1, 0), (1, 1), (1, 2)]
         matches = synthetic_matches(base)
-        assert not is_excluded(table, matches)
+        assert not coverage(table, matches)[1]
         more = synthetic_matches(base + [(1, 3)])
-        assert not is_excluded(table, more)
+        assert not coverage(table, more)[1]
 
     def test_apply_review(self):
         table = make_flat_table(1, 2)

@@ -231,6 +231,21 @@ class TestMalformedInputs:
         assert error["message"] == "duplicate table_id 't1'"
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_review_decision_is_input_error(self, tmp_path, capsys):
+        review = tmp_path / "review.jsonl"
+        write_jsonl(
+            review,
+            [
+                {"table_id": "t1", "match_id": "0,0", "status": "confirmed"},
+                {"table_id": "t1", "match_id": "0,0", "status": "rejected"},
+            ],
+        )
+        args = ["annotate", "--docs", ANNOTATE / "docs.jsonl", "--tables", ANNOTATE / "tables.jsonl"]
+        assert run(args + ["--review", review, "--out", tmp_path / "o"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(review), 2, "match_id")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_provider_spec_is_runtime_error(self, tmp_path, capsys):
         write_jsonl(tmp_path / "t.jsonl", [])
         write_jsonl(tmp_path / "d.jsonl", [])
@@ -840,6 +855,42 @@ class TestPerQuestionFailures:
         assert "not a JSON object (got list)" in errors[0]["error"]
         golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
         assert read_jsonl_rows(tmp_path / "tables.jsonl") == golden_tables[:1]
+
+    def test_non_string_chat_content_fails_only_that_question(self, tmp_path, capsys, monkeypatch):
+        transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        questions = read_jsonl_rows(PIPELINE / "questions.jsonl")
+        retrieval = read_jsonl_rows(PIPELINE / "golden" / "retrieval.jsonl")
+        bad = {"null_reply": None, "number_reply": 42}
+        for item_id in bad:
+            questions.append({**questions[1], "id": item_id, "question": f"{item_id}?"})
+            retrieval.append({**retrieval[1], "id": item_id})
+        write_jsonl(tmp_path / "questions.jsonl", questions)
+        write_jsonl(tmp_path / "retrieval.jsonl", retrieval)
+
+        def handler(request):
+            prompt = request["messages"][0]["content"]
+            for item_id, content in bad.items():
+                if f"{item_id}?" in prompt:
+                    return {"content": content}
+            return transcript.lookup(request)
+
+        chat = ChatProvider(ScriptedProvider(handler))
+        monkeypatch.setattr(
+            "doc2table.cli.build_providers",
+            lambda *args, **kwargs: BuiltProviders(chat, None, None, []),
+        )
+        config = write_config(tmp_path, questions="questions.jsonl")
+        out = tmp_path / "out"
+        args = ["generate", "--config", config, "--retrieval", tmp_path / "retrieval.jsonl"]
+        assert run(args + ["--out", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        errors = read_jsonl_rows(out / "errors.jsonl")
+        assert [(e["id"], e["stage"]) for e in errors] == [
+            ("null_reply", "structure"), ("number_reply", "structure")
+        ]
+        assert all("no string 'content'" in e["error"] for e in errors)
+        golden = PIPELINE / "golden"
+        assert (out / "tables.jsonl").read_bytes() == (golden / "tables.jsonl").read_bytes()
 
     def test_provider_error_on_one_fill_prompt_fails_only_that_question(self, tmp_path):
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")

@@ -184,6 +184,56 @@ class TestRetrievalRecords:
         assert excinfo.value.reason == f"no text for merged sentence id {0 if sentences else 1}"
 
 
+class TestKeyedReaders:
+    """Every keyed format checks a line's key, then its other fields, then repeats.
+
+    Each format's repeat check has its own test above.
+    """
+
+    HTML = serialize_html(make_flat_table(1, 1))
+    # name: (reader, key, a valid row without its key, a field-level defect, the field it names)
+    READERS = {
+        "documents": (read_documents, "doc_id", {"sentences": ["x"]}, {"sentences": 3}, "sentences"),
+        "tables": (
+            read_tables, "table_id", {"doc_id": "d", "table_html": HTML}, {"table_html": 3},
+            "table_html",
+        ),
+        "triples": (
+            read_triples, "id", {"doc_id": "d", "question": "q", "table_html": HTML},
+            {"table_html": 3}, "table_html",
+        ),
+        "retrieval": (
+            read_retrieval_records, "id", TestRetrievalRecords.ROW, {"merged": [[9, 0.1]]},
+            "sentences",
+        ),
+        "generated": (read_generated_tables, "id", {"table_html": HTML}, {"table_html": 3}, "table_html"),
+    }
+
+    def fail(self, tmp_path, name: str, rows: list[dict]) -> InputFormatError:
+        path = tmp_path / f"{name}.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(InputFormatError) as excinfo:
+            self.READERS[name][0](path)
+        assert excinfo.value.path == str(path)
+        return excinfo.value
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @pytest.mark.parametrize(
+        "key_value, reason", [(None, "missing required field"), (7, "expected str, got int")]
+    )
+    def test_bad_key_is_reported_before_a_bad_field(self, tmp_path, name, key_value, reason):
+        _, key, row, defect, _ = self.READERS[name]
+        bad = {**row, **defect} if key_value is None else {**row, **defect, key: key_value}
+        error = self.fail(tmp_path, name, [{key: "a", **row}, bad])
+        assert (error.line, error.field, error.reason) == (2, key, reason)
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_bad_field_is_reported_before_a_repeated_key(self, tmp_path, name):
+        _, key, row, defect, field = self.READERS[name]
+        error = self.fail(tmp_path, name, [{key: "a", **row}, {key: "a", **row, **defect}])
+        assert (error.line, error.field) == (2, field)
+
+
 class TestReview:
     def test_decisions_grouped_by_table(self, tmp_path):
         path = tmp_path / "review.jsonl"
@@ -207,3 +257,18 @@ class TestReview:
         with pytest.raises(InputFormatError) as excinfo:
             read_review(path)
         assert excinfo.value.field == "status"
+
+    def test_repeated_match_names_its_line(self, tmp_path):
+        path = tmp_path / "review.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"table_id": "t1", "match_id": "0,0", "status": "confirmed"},
+                {"table_id": "t2", "match_id": "0,0", "status": "rejected"},
+                {"table_id": "t1", "match_id": "0,0", "status": "rejected"},
+            ],
+        )
+        with pytest.raises(InputFormatError) as excinfo:
+            read_review(path)
+        assert (excinfo.value.line, excinfo.value.field) == (3, "match_id")
+        assert excinfo.value.reason == "duplicate match_id '0,0' for table_id 't1'"

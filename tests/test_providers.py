@@ -117,6 +117,12 @@ class TestChatAndRewrite:
         with pytest.raises(ProviderError):
             chat.complete([{"role": "user", "content": "hi"}])
 
+    @pytest.mark.parametrize("content", [None, 3, ["a"]])
+    def test_chat_non_string_content_is_provider_error(self, content):
+        chat = ChatProvider(ScriptedProvider(lambda r: {"content": content}))
+        with pytest.raises(ProviderError, match="no string 'content'"):
+            chat.complete([{"role": "user", "content": "hi"}])
+
     def test_identity_rewriter(self):
         rewriter = Rewriter(IdentityRewriteBackend())
         assert rewriter.rewrite("sentence", "unchanged") == ["unchanged"]
@@ -124,6 +130,12 @@ class TestChatAndRewrite:
     def test_rewrite_contract_violation(self):
         rewriter = Rewriter(ScriptedProvider(lambda r: {"not_outputs": []}))
         with pytest.raises(ProviderError):
+            rewriter.rewrite("question", "q")
+
+    @pytest.mark.parametrize("outputs", [[None], ["ok", 2], [["nested"]]])
+    def test_rewrite_non_string_output_is_provider_error(self, outputs):
+        rewriter = Rewriter(ScriptedProvider(lambda r: {"outputs": outputs}))
+        with pytest.raises(ProviderError, match="non-string output"):
             rewriter.rewrite("question", "q")
 
 

@@ -95,6 +95,12 @@ class TestRewriteQuestion:
         assert result.sub_questions == ("Q?",)
         assert result.degraded
 
+    def test_non_string_output_falls_back(self):
+        rewriter = scripted_rewriter(lambda req: {"outputs": [None]})
+        result = rewrite_question("What?", rewriter)
+        assert result.sub_questions == ("What?",)
+        assert result.degraded
+
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
             rewrite_question("  ", scripted_rewriter(lambda req: {"outputs": []}))
@@ -114,6 +120,13 @@ class TestRewriteSentences:
         )
         assert rewrite_sentences(store, rewriter) == ["Revenue of the company was $56.2 billion."]
         assert store.sentences == ["The company reported revenue of $56.2 billion."]
+
+    def test_non_string_output_keeps_raw_text(self):
+        store = DocumentStore("d", ["One.", "Two."])
+        rewriter = scripted_rewriter(
+            lambda req: {"outputs": [None if req["text"] == "One." else "Second."]}
+        )
+        assert rewrite_sentences(store, rewriter) == ["One.", "Second."]
 
     def test_partial_outage_degrades_per_sentence(self, caplog):
         calls = {"n": 0}
