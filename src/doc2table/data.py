@@ -6,7 +6,7 @@ Formats, each with the key that no two of its lines may share:
   tables     {"table_id": str, "doc_id": str, "table_html": str,
               "question": str (optional)}; unique table_id
   triples    {"id": str, "doc_id": str, "question": str, "table_html": str,
-              "relevant_sentence_ids": [int]}; unique id
+              "relevant_sentence_ids": [int >= 0]}; unique id
   review     {"table_id": str, "match_id": "row,col",
               "status": "confirmed" | "rejected"}; unique
              (table_id, match_id) pair
@@ -171,8 +171,11 @@ def read_triples(path: str | Path) -> list[QaTriple]:
     def parse(obj: dict, line: int) -> QaTriple:
         table = _require_table(obj, path, line)
         ids = obj.get("relevant_sentence_ids", [])
-        if not isinstance(ids, list) or any(not isinstance(i, int) for i in ids):
-            raise InputFormatError(path, line, "relevant_sentence_ids", "expected [int]")
+        # exact type: JSON true and false decode to bool, which is not an id
+        if not isinstance(ids, list) or any(type(i) is not int or i < 0 for i in ids):
+            raise InputFormatError(
+                path, line, "relevant_sentence_ids", "expected a list of non-negative integers"
+            )
         return QaTriple(
             obj["id"],
             _require(obj, "doc_id", str, path, line),

@@ -25,6 +25,8 @@ from .model import CoordTree, HeaderNode, HierarchicalTable, normalize_text
 
 logger = logging.getLogger(__name__)
 
+MAX_COLSPAN = 1000  # the HTML standard's limit on colspan
+
 
 class TableInputError(ValueError):
     """The input does not contain exactly one table element."""
@@ -106,7 +108,9 @@ class _TableHtmlParser(HTMLParser):
             attr_map = dict(attrs)
             self._cell = _RawCell(
                 row_span=_parse_span(attr_map.get("rowspan")),
-                col_span=_parse_span(attr_map.get("colspan")),
+                # clamped as browsers do; rowspan is clamped to the rows left
+                # when the grid is built
+                col_span=min(_parse_span(attr_map.get("colspan")), MAX_COLSPAN),
                 is_header=(tag == "th") or self._in_thead,
             )
         elif tag == "br" and self._cell is not None:

@@ -1,12 +1,18 @@
 """Deterministic evaluation metrics for generated tables and retrieval.
 
 Structure similarity lives in :mod:`doc2table.treedist`; this module adds
-the character n-gram F-score, key-value content similarity, header
+the character n-gram F-score (chrF), key-value content similarity, header
 similarity and top-K recall, plus assembly of the JSON evaluation report.
+
+chrF has one implementation, :func:`_chrf`, with two entry points that
+differ only in how they count matched n-grams: :func:`chrf` scores aligned
+pairs (cell values, header paths) through a sparse join, and
+:func:`chrf_matrix` scores every pair (keys) through one matrix product
+per n-gram order.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,112 +31,111 @@ class UndefinedMetricError(ValueError):
     """The metric is undefined for the given inputs."""
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    chars = "".join(text.split())
-    return Counter(chars[i : i + n] for i in range(len(chars) - n + 1))
-
-
-def chrf(candidate: str, reference: str) -> float:
-    """Character n-gram F-score in [0, 100].
+def chrf(candidates: Sequence[str], references: Sequence[str]) -> np.ndarray:
+    """chrF of each candidate against the reference at its position, in [0, 100].
 
     Whitespace is removed before n-gram extraction; n-gram orders 1..6 are
     scored with an F-score at beta=2 and macro-averaged. Orders where
     neither string has any n-grams are skipped; if every order is skipped
     (both strings empty) the score is 100, and a single empty side scores 0.
+    Time and memory grow with the total length of the strings. Raises
+    ``ValueError`` when the two lists differ in length.
     """
-    beta_sq = CHRF_BETA**2
-    f_sum = 0.0
-    orders = 0
-    for n in range(1, CHRF_MAX_ORDER + 1):
-        cand = _char_ngrams(candidate, n)
-        ref = _char_ngrams(reference, n)
-        total_cand = sum(cand.values())
-        total_ref = sum(ref.values())
-        if total_cand == 0 and total_ref == 0:
-            continue
-        orders += 1
-        matched = sum((cand & ref).values())
-        precision = matched / total_cand if total_cand else 0.0
-        recall = matched / total_ref if total_ref else 0.0
-        if precision + recall != 0.0:
-            # orders are summed left to right (``sum`` of floats is compensated
-            # from Python 3.12 on); ``chrf_matrix`` adds them in the same order
-            f_sum += (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
-    if not orders:
-        return 100.0
-    return 100.0 * f_sum / orders
+    if len(candidates) != len(references):
+        raise ValueError(f"chrf scores aligned pairs, got {len(candidates)} and {len(references)}")
+    return _chrf(candidates, references, _aligned_matches)
 
 
 def chrf_matrix(candidates: Sequence[str], references: Sequence[str]) -> np.ndarray:
-    """chrF of every candidate against every reference, in [0, 100].
+    """chrF, as :func:`chrf` defines it, of every candidate against every reference.
 
-    Entry ``[i, j]`` equals ``chrf(candidates[i], references[j])`` bit for
-    bit. Per order n, every n-gram of every string gets an integer id
-    (the id of its (n-1)-gram prefix paired with its last character), and
-    the matched count ``sum(min(c_g, r_g))`` is one matrix product of
-    occurrence-indexed binary features: feature ``(g, k)`` is set when a
-    string holds more than k copies of n-gram g. The totals are
-    ``max(len(chars) - n + 1, 0)``, and precision, recall, F-score, order
-    skipping and the average take the same float operations in the same
-    order as :func:`chrf`. The feature matrices are built one order at a
-    time, over the n-grams that both sides hold.
+    Entry ``[i, j]`` scores ``candidates[i]`` against ``references[j]``.
+    """
+    return _chrf(candidates, references, _all_pair_matches)
+
+
+def _chrf(candidates: Sequence[str], references: Sequence[str], count_matches) -> np.ndarray:
+    """chrF with the matched n-gram counts taken by ``count_matches``.
+
+    Per order n, every n-gram of every string gets an integer id (the id
+    of its (n-1)-gram prefix paired with its last character), and each
+    string's n-gram total is ``max(len(chars) - n + 1, 0)``.
+    ``count_matches(grams, strings, n_cand, totals)`` gets the id and the
+    string of every n-gram (candidates first) and returns the matched
+    counts ``sum(min(c_g, r_g))`` with the candidate and reference totals
+    shaped to broadcast against them. Precision, recall and the F-score
+    are element-wise float64 operations, and the orders are added one at
+    a time, so a score does not depend on what else is in the batch.
     """
     chars = ["".join(text.split()) for text in (*candidates, *references)]
-    n_cand = len(candidates)
     lengths = np.array([len(c) for c in chars], dtype=np.int64)
     codes = np.fromiter(map(ord, "".join(chars)), dtype=np.int64)
     owner = np.repeat(np.arange(len(chars)), lengths)
     # characters from each position to the end of its string, itself included
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
     base = int(codes.max(initial=0)) + 1
-
-    shape = (n_cand, len(chars) - n_cand)
     beta_sq = CHRF_BETA**2
-    f_sum = np.zeros(shape)
-    orders = np.zeros(shape, dtype=np.int64)
-    gram = np.zeros_like(codes)
+    f_sum = orders = 0
+    gram = np.zeros(len(codes) + 1, dtype=np.int64)
     for n in range(1, CHRF_MAX_ORDER + 1):
-        # ids at positions with room < n span two strings and are never read
-        ahead = np.zeros_like(codes)
-        ahead[: max(len(codes) - n + 1, 0)] = codes[n - 1 :]
-        gram = np.unique(gram * base + ahead, return_inverse=True)[1]
-        starts = room >= n
-        grams, strings = gram[starts], owner[starts]
-        is_cand = strings < n_cand
-        shared = (np.bincount(grams[is_cand], minlength=len(codes)) > 0) & (
-            np.bincount(grams[~is_cand], minlength=len(codes)) > 0
-        )
-        column = np.cumsum(shared) - 1
-        kept = shared[grams]
-        n_shared = int(shared.sum())
-        counts = np.bincount(
-            strings[kept] * n_shared + column[grams[kept]], minlength=len(chars) * n_shared
-        ).reshape(len(chars), n_shared)
-        levels = np.arange(int(counts.max(initial=0)))
-        # feature (g, k) is set when a string holds more than k copies of gram g
-        features = (counts[:, :, None] > levels).reshape(len(chars), n_shared * len(levels))
-        features = features[:, features[:n_cand].any(0) & features[n_cand:].any(0)]
-        # float32 sums of 0/1 products are exact integers below 2**24; numpy's
-        # own single-threaded loop, since a threaded BLAS call on matrices this
-        # small costs more in thread hand-off than the product itself
-        matched = np.einsum(
-            "ik,jk->ij", features[:n_cand].astype(np.float32), features[n_cand:].astype(np.float32)
-        )
-
+        # one id per window of n characters; windows with room < n span two
+        # strings and are never read
+        gram = np.unique(gram[:-1] * base + codes[n - 1 :], return_inverse=True)[1]
+        starts = np.flatnonzero(room[: len(gram)] >= n)
         totals = np.maximum(lengths - n + 1, 0).astype(np.float64)
-        total_cand, total_ref = totals[:n_cand, None], totals[None, n_cand:]
-        orders += (total_cand > 0) | (total_ref > 0)
-        precision = np.divide(matched, total_cand, out=np.zeros(shape), where=total_cand > 0)
-        recall = np.divide(matched, total_ref, out=np.zeros(shape), where=total_ref > 0)
-        f_sum += np.divide(
-            (1 + beta_sq) * precision * recall,
-            beta_sq * precision + recall,
-            out=np.zeros(shape),
-            where=precision + recall != 0.0,
+        matched, total_cand, total_ref = count_matches(
+            gram[starts], owner[starts], len(candidates), totals
         )
-    scores = np.full(shape, 100.0)
-    np.divide(100.0 * f_sum, orders, out=scores, where=orders > 0)
-    return scores
+        orders = orders + ((total_cand > 0) | (total_ref > 0))
+        # a side with no n-grams matched none of them: 0 / 1 gives a score of 0
+        precision = matched / np.maximum(total_cand, 1.0)
+        recall = matched / np.maximum(total_ref, 1.0)
+        # the denominator is 0 only where precision and recall (and so the F-score) are
+        denom = beta_sq * precision + recall
+        f_sum = f_sum + (1 + beta_sq) * precision * recall / np.where(denom > 0, denom, 1.0)
+    return np.where(orders > 0, 100.0 * f_sum / np.maximum(orders, 1), 100.0)
+
+
+def _aligned_matches(grams, strings, n_cand, totals):
+    """Matched counts of candidate i against reference i, one per pair.
+
+    One sort of the (pair, n-gram, side) keys: an n-gram that both sides of
+    a pair hold shows as a candidate key directly followed by its reference
+    key. No array grows with the number of pairs times distinct n-grams.
+    """
+    is_ref = strings >= n_cand
+    width = 2 * (int(grams.max(initial=0)) + 1)
+    pair = np.where(is_ref, strings - n_cand, strings)
+    keys, counts = np.unique(pair * width + grams * 2 + is_ref, return_counts=True)
+    shared = (keys[1:] - keys[:-1] == 1) & (keys[:-1] % 2 == 0)
+    # float64 sums of integer weights are exact below 2**53
+    weights = np.minimum(counts[:-1], counts[1:])[shared]
+    matched = np.bincount(keys[:-1][shared] // width, weights=weights, minlength=n_cand)
+    return matched, totals[:n_cand], totals[n_cand:]
+
+
+def _all_pair_matches(grams, strings, n_cand, totals):
+    """Matched counts of every candidate against every reference.
+
+    One matrix product of occurrence-indexed binary features: feature
+    ``(g, k)`` is set when a string holds more than k copies of n-gram g.
+    Only n-grams that both sides hold get features.
+    """
+    is_cand = strings < n_cand
+    shared = np.zeros(int(grams.max(initial=0)) + 1, dtype=bool)
+    shared[np.intersect1d(grams[is_cand], grams[~is_cand])] = True
+    kept = shared[grams]
+    n_shared = int(shared.sum())
+    cells = strings[kept] * n_shared + (np.cumsum(shared) - 1)[grams[kept]]
+    counts = np.bincount(cells, minlength=len(totals) * n_shared).reshape(len(totals), n_shared)
+    levels = np.arange(int(counts.max(initial=0)))
+    features = (counts[:, :, None] > levels).reshape(len(totals), n_shared * len(levels))
+    features = features[:, features[:n_cand].any(0) & features[n_cand:].any(0)]
+    # float32 sums of 0/1 products are exact integers below 2**24; numpy's
+    # own single-threaded loop, since a threaded BLAS call on matrices this
+    # small costs more in thread hand-off than the product itself
+    cand, ref = features[:n_cand].astype(np.float32), features[n_cand:].astype(np.float32)
+    return np.einsum("ik,jk->ij", cand, ref), totals[:n_cand, None], totals[None, n_cand:]
 
 
 @dataclass(frozen=True)
@@ -167,9 +172,10 @@ def content_similarity(
     greedily by descending key similarity: exact key equality first, then
     chrF over the joined key strings with a 0.5 floor; ties break by
     document order (ground truth first). Each side is matched at most
-    once. The matched pair's score is :func:`chrf` over the two cell texts,
+    once. The matched pair's score is chrF over the two cell texts,
     rescaled to [0, 1]; precision divides the score sum by the generated pair
-    count, recall by the ground-truth pair count.
+    count, recall by the ground-truth pair count. One :func:`chrf` call
+    scores every matched pair, in ground-truth order.
 
     The greedy order is computed in two phases. Exact keys: each
     ground-truth cell, in document order, takes the first unused generated
@@ -177,8 +183,8 @@ def content_similarity(
     :func:`chrf_matrix` over their joined strings gives every similarity,
     and the pairs at or above the floor are taken in ``(-similarity,
     ground-truth index, generated index)`` order. The report equals the
-    one of scoring every key pair with :func:`chrf` and sorting them all,
-    floats included, bit for bit.
+    one of scoring every key pair on its own and sorting them all, floats
+    included, bit for bit.
     """
     gen = flatten_to_kv(generated)
     gt = flatten_to_kv(groundtruth)
@@ -213,6 +219,9 @@ def content_similarity(
         gt_match[t_idx] = g_idx
         matched_gen.add(g_idx)
 
+    matched_gt = sorted(gt_match)
+    values = chrf([gen[gt_match[i]].value for i in matched_gt], [gt[i].value for i in matched_gt])
+    scores_in_gt_order = iter((values / 100.0).tolist())
     pairs = []
     total = 0.0
     for t_idx, t in enumerate(gt):
@@ -220,7 +229,7 @@ def content_similarity(
         if g_idx is None:
             pairs.append(PairScore((t.left_key, t.top_key), None, 0.0))
         else:
-            score = chrf(gen[g_idx].value, t.value) / 100.0
+            score = next(scores_in_gt_order)
             total += score
             pairs.append(
                 PairScore(
@@ -247,17 +256,17 @@ def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
     """Header content score for one side ("left" or "top").
 
     Leaf key paths are aligned by position and scored with chrF over the
-    joined paths; precision divides by the generated leaf count, recall by
-    the ground-truth leaf count. This is an interpretation choice: no
-    canonical definition of header-only content scoring exists.
+    joined paths, all in one :func:`chrf` call; precision divides by the
+    generated leaf count, recall by the ground-truth leaf count. This is an
+    interpretation choice: no canonical definition of header-only content
+    scoring exists.
     """
     gen_tree = generated.left if side == "left" else generated.top
     gt_tree = groundtruth.left if side == "left" else groundtruth.top
     gen_paths = [KEY_JOIN.join(p) for p in leaf_label_paths(gen_tree)]
     gt_paths = [KEY_JOIN.join(p) for p in leaf_label_paths(gt_tree)]
-    total = sum(
-        chrf(g, t) / 100.0 for g, t in zip(gen_paths, gt_paths)
-    )
+    aligned = min(len(gen_paths), len(gt_paths))
+    total = sum((chrf(gen_paths[:aligned], gt_paths[:aligned]) / 100.0).tolist())
     precision = total / len(gen_paths)
     recall = total / len(gt_paths)
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)

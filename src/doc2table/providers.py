@@ -93,16 +93,34 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str | Path) -> Transcript:
+        """Read a transcript that :meth:`save` wrote.
+
+        Every non-blank line is a JSON object: either ``{"meta": {...}}`` or
+        an entry with a string ``fingerprint`` and an object ``response``.
+        Any other line raises ``ValueError`` naming the file and its
+        1-based line number.
+        """
         transcript = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            if "meta" in record:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: invalid JSON: {exc}") from None
+            if isinstance(record, dict) and isinstance(record.get("meta"), dict):
                 transcript.provider = record["meta"].get("provider", "")
                 transcript.captured = record["meta"].get("captured", "")
                 continue
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("fingerprint"), str)
+                and isinstance(record.get("response"), dict)
+            ):
+                raise ValueError(
+                    f"{path}, line {number}: expected a JSON object with a string"
+                    " 'fingerprint' and an object 'response'"
+                )
             transcript.entries[record["fingerprint"]] = record["response"]
             if record.get("request") is not None:
                 transcript.requests[record["fingerprint"]] = record["request"]
@@ -293,6 +311,9 @@ class HttpEmbedder:
         vectors = response.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProviderError("embedding response malformed or wrong length")
+        # exact types: JSON true and false decode to bool, which is not a number here
+        if not all(isinstance(v, list) and {type(x) for x in v} <= {int, float} for v in vectors):
+            raise ProviderError("embedding response has a row that is not a list of numbers")
         dims = {len(v) for v in vectors}
         if len(dims) > 1:
             raise ProviderError(f"embedding dimension drift within batch: {sorted(dims)}")

@@ -128,8 +128,8 @@ def reference_chrf(candidate: str, reference: str, max_order: int = 6, beta: flo
             )
     if not per_order:
         return 100.0
-    # left to right, as chrf adds them: ``sum`` of floats compensates from
-    # Python 3.12 on, which would break bit-equality with the program
+    # left to right, one order at a time: ``sum`` of floats compensates
+    # from Python 3.12 on, which would break bit-equality with the program
     f_sum = 0.0
     for f in per_order:
         f_sum += f

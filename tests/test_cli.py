@@ -246,6 +246,29 @@ class TestMalformedInputs:
         assert (error["file"], error["line"], error["field"]) == (str(review), 2, "match_id")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [
+            ('{"response": {"content": "x"}}', "string 'fingerprint'"),
+            ('{"fingerprint": "ab12"}', "object 'response'"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"fingerprint": ', "invalid JSON"),
+        ],
+    )
+    def test_corrupt_transcript_line_is_reported(self, tmp_path, capsys, bad_line, reason):
+        lines = (PIPELINE / "transcripts" / "chat_perfect.jsonl").read_text().splitlines()
+        transcript = tmp_path / "chat.jsonl"
+        transcript.write_text("\n".join([*lines[:2], bad_line, *lines[2:]]) + "\n")
+        config = write_pipeline_config(
+            tmp_path, chat={"mode": "replay", "transcript": str(transcript)}
+        )
+        assert run(["pipeline", "--config", config, "--out", tmp_path / "o"]) == 1
+        (report,) = capsys.readouterr().err.splitlines()
+        error = json.loads(report)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{transcript}, line 3: ")
+        assert reason in error["message"]
+
     def test_unknown_provider_spec_is_runtime_error(self, tmp_path, capsys):
         write_jsonl(tmp_path / "t.jsonl", [])
         write_jsonl(tmp_path / "d.jsonl", [])

@@ -120,6 +120,17 @@ class TestTriples:
             read_triples(path)
         assert excinfo.value.field == "id"
 
+    @pytest.mark.parametrize("ids", [[True, 2], [0, -4], [False], [1, "2"], {"0": 1}, 3])
+    def test_relevant_ids_must_be_non_negative_integers(self, tmp_path, ids):
+        path = tmp_path / "triples.jsonl"
+        row = {"id": "t", "doc_id": "d", "question": "q",
+               "table_html": serialize_html(make_flat_table(1, 1))}
+        write_jsonl(path, [{**row, "relevant_sentence_ids": [0]},
+                           {**row, "id": "u", "relevant_sentence_ids": ids}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_triples(path)
+        assert (excinfo.value.line, excinfo.value.field) == (2, "relevant_sentence_ids")
+
     def test_duplicate_id_names_its_second_line(self, tmp_path):
         path = tmp_path / "triples.jsonl"
         row = {"id": "t", "doc_id": "d", "question": "q",

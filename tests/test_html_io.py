@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import logging
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from doc2table.html_io import (
+    MAX_COLSPAN,
     GridCell,
     TableInputError,
     TableStructureError,
@@ -123,6 +125,17 @@ class TestParseErrors:
         with pytest.raises(TableStructureError) as excinfo:
             parse_html_table(html)
         assert "overlap" in str(excinfo.value)
+
+    def test_huge_colspan_is_clamped_and_fails_fast(self):
+        html = '<table><tr><td colspan="100000000">a</td></tr><tr><td>b</td></tr></table>'
+        start = time.perf_counter()
+        with pytest.raises(TableStructureError) as excinfo:
+            parse_grid(html)
+        assert time.perf_counter() - start < 2.0
+        assert "row 1, column 1" in str(excinfo.value)
+        one_row = parse_grid('<table><tr><td colspan="100000000">a</td></tr></table>')
+        assert len(one_row.slots[0]) == MAX_COLSPAN == 1000
+        assert one_row.cells[0].col_span == MAX_COLSPAN
 
     def test_header_only_table(self):
         with pytest.raises(TableStructureError):

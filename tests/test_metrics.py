@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doc2table.metrics import (
+    KEY_JOIN,
+    HeaderScore,
     UndefinedMetricError,
     aggregate_scores,
     chrf,
@@ -14,11 +16,17 @@ from doc2table.metrics import (
     recall_at_k,
     table_scores,
 )
-from doc2table.model import CoordTree, HeaderNode, HierarchicalTable
+from doc2table.model import (
+    CoordTree,
+    HeaderNode,
+    HierarchicalTable,
+    flatten_to_kv,
+    leaf_label_paths,
+)
 
 from conftest import make_flat_table
 from oracles import reference_chrf, reference_content_similarity
-from strategies import cells, labels, tables
+from strategies import cells, coord_trees, labels, tables
 
 TEXTS = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30
@@ -27,42 +35,70 @@ TEXTS = st.text(
 
 class TestChrf:
     def test_identity(self):
-        assert chrf("61,276", "61,276") == 100.0
+        assert chrf(["61,276"], ["61,276"]).tolist() == [100.0]
 
     def test_disjoint_characters(self):
-        assert chrf("abc", "xyz") == 0.0
+        assert chrf(["abc"], ["xyz"]).tolist() == [0.0]
 
     def test_both_empty(self):
-        assert chrf("", "") == 100.0
-        assert chrf("  \t ", "\n") == 100.0  # whitespace-only is empty
+        # whitespace-only is empty
+        assert chrf(["", "  \t "], ["", "\n"]).tolist() == [100.0, 100.0]
 
     def test_one_empty(self):
-        assert chrf("abc", "") == 0.0
-        assert chrf("", "abc") == 0.0
+        assert chrf(["abc", ""], ["", "abc"]).tolist() == [0.0, 0.0]
 
     def test_whitespace_invariance(self):
-        assert chrf("6 1 , 2 7 6", "61,276") == 100.0
-        assert chrf("a b c", "abc") == chrf("abc", "abc")
+        assert chrf(["6 1 , 2 7 6"], ["61,276"]).tolist() == [100.0]
+        spaced, plain = chrf(["a b c", "abc"], ["abc", "abc"]).tolist()
+        assert spaced == plain
 
     def test_partial_overlap_between_bounds(self):
-        score = chrf("61,276", "61,500")
+        (score,) = chrf(["61,276"], ["61,500"]).tolist()
         assert 0.0 < score < 100.0
 
     @given(candidate=TEXTS, reference=TEXTS)
     @settings(max_examples=300)
     def test_matches_reference_oracle(self, candidate, reference):
-        assert chrf(candidate, reference) == pytest.approx(
-            reference_chrf(candidate, reference), abs=1e-9
-        )
+        assert chrf([candidate], [reference]).tolist() == [reference_chrf(candidate, reference)]
 
     @given(candidate=TEXTS, reference=TEXTS)
     @settings(max_examples=100)
     def test_bounds(self, candidate, reference):
-        assert 0.0 <= chrf(candidate, reference) <= 100.0 + 1e-12
+        (score,) = chrf([candidate], [reference]).tolist()
+        assert 0.0 <= score <= 100.0 + 1e-12
 
     def test_unicode(self):
-        assert chrf("北京 2023", "北京 2023") == 100.0
-        assert chrf("naïve", "naive") < 100.0
+        same, accented = chrf(["北京 2023", "naïve"], ["北京 2023", "naive"]).tolist()
+        assert same == 100.0
+        assert accented < 100.0
+
+
+# empty, whitespace-only, repeated n-grams (counts above 1), BMP and
+# astral-plane characters
+BATCH_TEXTS = (
+    st.sampled_from(["", " ", "\t\n", "aaaaaaa", "abab abab", "𝄞𝄞𝄞", "😀 😀a"])
+    | st.text(alphabet="ab \t.é漢𝄞😀", max_size=12)
+    | TEXTS
+)
+
+
+class TestBatchedChrf:
+    @given(pairs=st.lists(st.tuples(BATCH_TEXTS, BATCH_TEXTS), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_every_pair_equals_reference_bit_for_bit(self, pairs):
+        candidates = [c for c, _ in pairs]
+        references = [r for _, r in pairs]
+        scores = chrf(candidates, references)
+        assert scores.shape == (len(pairs),)
+        assert scores.tolist() == [reference_chrf(c, r) for c, r in pairs]
+
+    def test_empty_batch(self):
+        scores = chrf([], [])
+        assert scores.shape == (0,)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            chrf(["a", "b"], ["a"])
 
 
 def table_with_values(rows, values, stub=""):
@@ -286,15 +322,25 @@ class TestContentSimilarityMatchesReference:
 
         calls = []
 
-        def counting(candidate, reference):
-            calls.append((candidate, reference))
-            return chrf(candidate, reference)
+        def counting(candidates, references):
+            calls.append((list(candidates), list(references)))
+            return chrf(candidates, references)
 
         monkeypatch.setattr("doc2table.metrics.chrf", counting)
-        report = content_similarity(grid(" (adjusted)"), grid(""))
+        generated, truth = grid(" (adjusted)"), grid("")
+        report = content_similarity(generated, truth)
         matched = [p for p in report.pairs if p.gen_key is not None]
         assert len(matched) == 60
-        assert len(calls) == len(matched)
+        assert len(calls) == 1
+        values = {
+            (kv.left_key, kv.top_key): kv.value
+            for table in (generated, truth)
+            for kv in flatten_to_kv(table)
+        }
+        assert calls[0] == (
+            [values[p.gen_key] for p in matched],
+            [values[p.gt_key] for p in matched],
+        )
 
 
 STRINGS = st.text(alphabet="ab /\t\n.é漢", max_size=8) | TEXTS
@@ -309,14 +355,15 @@ class TestChrfMatrix:
     def test_every_entry_is_scalar_chrf(self, candidates, references):
         matrix = chrf_matrix(candidates, references)
         assert matrix.shape == (len(candidates), len(references))
-        for i, candidate in enumerate(candidates):
-            for j, reference in enumerate(references):
-                assert matrix[i, j] == chrf(candidate, reference)
+        assert matrix.tolist() == [
+            [reference_chrf(candidate, reference) for reference in references]
+            for candidate in candidates
+        ]
 
     def test_edge_strings(self):
         texts = ["", " ", "\t\n", "a", "ab", "aaaaaa", "a a a", "漢字", "abcdefg", "a/b / c"]
         matrix = chrf_matrix(texts, texts)
-        assert matrix.tolist() == [[chrf(c, r) for r in texts] for c in texts]
+        assert matrix.tolist() == [[reference_chrf(c, r) for r in texts] for c in texts]
 
 
 class TestHeaderSimilarity:
@@ -329,6 +376,28 @@ class TestHeaderSimilarity:
         gen = make_flat_table(3, 2)
         score = header_similarity(gen, gt, "left")
         assert score.precision < score.recall <= 1.0
+
+    @given(
+        trees=st.lists(coord_trees(), min_size=4, max_size=4),
+        side=st.sampled_from(["left", "top"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_formula_on_reference_chrf(self, trees, side):
+        # header scores read only the header trees, so the body is filler
+        generated, groundtruth = (
+            HierarchicalTable("", left, top, (("x",) * top.leaf_count,) * left.leaf_count)
+            for left, top in (trees[:2], trees[2:])
+        )
+        gen_paths, gt_paths = (
+            [KEY_JOIN.join(p) for p in leaf_label_paths(getattr(table, side))]
+            for table in (generated, groundtruth)
+        )
+        assume(len(gen_paths) != len(gt_paths))
+        total = sum(reference_chrf(g, t) / 100.0 for g, t in zip(gen_paths, gt_paths))
+        precision = total / len(gen_paths)
+        recall = total / len(gt_paths)
+        f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
+        assert header_similarity(generated, groundtruth, side) == HeaderScore(precision, recall, f1)
 
 
 class TestRecallAtK:

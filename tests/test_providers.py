@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestReplay:
         assert loaded.entries == transcript.entries
         assert loaded.provider == "p"
         assert loaded.captured == "2024-02-02"
+
+    @pytest.mark.parametrize(
+        "line",
+        ["not json", "[]", '"text"', '{"response": {}}', '{"fingerprint": "f"}',
+         '{"fingerprint": 3, "response": {}}', '{"fingerprint": "f", "response": [1]}',
+         '{"meta": 1}'],
+    )
+    def test_transcript_load_names_the_bad_line(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"meta": {"provider": "p"}}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}, line 3: ")):
+            Transcript.load(path)
 
     def test_transcript_save_is_deterministic(self, tmp_path):
         def build():
@@ -207,6 +220,20 @@ class TestHttpEmbedder:
         backend = ScriptedProvider(lambda r: {"vectors": [[1.0]]})
         with pytest.raises(ProviderError):
             HttpEmbedder(backend).embed(["a", "b"])
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[1, 2], [["x"], ["y"]], [[True, 0.5], [1.0, 0.5]], [[1.0, None], [1.0, 2.0]], [{}, []]],
+    )
+    def test_row_that_is_not_a_list_of_numbers_rejected(self, vectors):
+        backend = ScriptedProvider(lambda r: {"vectors": vectors})
+        with pytest.raises(ProviderError):
+            HttpEmbedder(backend).embed(["a", "b"])
+
+    def test_integer_rows_are_numbers(self):
+        backend = ScriptedProvider(lambda r: {"vectors": [[3, 4], [0, 0]]})
+        out = HttpEmbedder(backend).embed(["a", "b"])
+        assert out.tolist() == [[0.6, 0.8], [0.0, 0.0]]
 
 
 class FakeResponse:

@@ -1,4 +1,8 @@
-"""Every script imports: a name a script takes from the package or the tests must exist."""
+"""Every script imports: a name a script takes from the package or the tests must exist.
+
+The content-similarity bench also runs at its smallest size, so its check
+against the quadratic reference runs with the tests.
+"""
 from __future__ import annotations
 
 import importlib.util
@@ -31,6 +35,12 @@ def test_bench_content_similarity_imports_and_builds_its_pairs():
     for generated, truth in cases.values():
         assert len(generated.body) * len(generated.body[0]) == 60
         assert generated.left != truth.left or generated.top != truth.top
+
+
+def test_bench_content_similarity_reports_no_difference_at_60_cells(capsys):
+    bench = load("bench_content_similarity")
+    assert bench.main(["60"]) == 0
+    assert "differs" not in capsys.readouterr().err
 
 
 def test_run_replay_demo_imports_and_names_the_committed_config():
