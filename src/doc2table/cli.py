@@ -5,7 +5,9 @@ Subcommands: annotate, retrieve, generate, evaluate, stats, pipeline.
 :func:`generate_stage` over a saved ``retrieval.jsonl``, and ``pipeline``
 runs both, handing the records over in memory, then evaluates. All three
 read their settings, providers and inputs from one ``RunConfig`` file
-(``--config``); ``--out`` overrides its output directory.
+(``--config``); ``--out`` overrides its output directory. Each of them
+builds one order-preserving map from ``RunConfig.parallel`` (:func:`run_map`)
+that its sentence rewrites and questions go through.
 
 All outputs are written atomically and deterministically (sorted JSON
 keys, input order preserved), so a replayed run reproduces its output
@@ -19,12 +21,14 @@ import argparse
 import json
 import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import annotate as ann
 from . import data
 from .config import BuiltProviders, RunConfig, build_providers, flush_transcripts
-from .generation import StageFailure, run_tabtalk, trace_to_dict
+from .generation import StageFailure, TabTalkResult, run_tabtalk, trace_to_dict
 from .html_io import serialize_html
 from .metrics import aggregate_scores, recall_at_k, table_scores
 from .model import HierarchicalTable
@@ -33,6 +37,21 @@ from .retrieval import DocumentStore, RetrievalRecord
 from .retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
 
 RECALL_KS = (10, 20, 30)
+
+
+@contextmanager
+def run_map(parallel: int):
+    """The order-preserving map a run's sentence rewrites and questions go through.
+
+    At ``parallel`` 1 it is the builtin ``map`` and no thread starts; above
+    1 it is the ``map`` of one pool of ``parallel`` threads, shut down when
+    the run ends. Either way results come back in input order.
+    """
+    if parallel == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        yield pool.map
 
 
 def _check_known(path: str | Path, field: str, values: list[str], known) -> None:
@@ -71,11 +90,13 @@ def retrieve_stage(
     built: BuiltProviders,
     config: RunConfig,
     out: Path,
+    mapper=map,
 ) -> tuple[dict[str, RetrievalRecord], dict]:
     """Stage one: rewrite, rank top-k per question; write retrieval.jsonl and recall.json.
 
     Sentence vectors are computed here, once per referenced document, at its
-    first use, and dropped after its last. Returns the record per triple id and
+    first use, and dropped after its last; its sentence rewrites go through
+    ``mapper`` (see :func:`run_map`). Returns the record per triple id and
     the recall report; with no relevant ids in any triple the report is {} and
     recall.json is not written.
     """
@@ -89,7 +110,7 @@ def retrieve_stage(
     for n, triple in enumerate(triples):
         store = documents[triple.doc_id]
         if triple.doc_id not in vectors:
-            texts = rewrite_sentences(store, built.rewriter)
+            texts = rewrite_sentences(store, built.rewriter, mapper)
             vectors[triple.doc_id] = built.embedder.embed(texts) if texts else None
         rewrite = rewrite_question(triple.question, built.rewriter)
         record = retrieve_top_k(
@@ -122,34 +143,37 @@ def generate_stage(
     chat: ChatProvider,
     config: RunConfig,
     out: Path,
+    mapper=map,
 ) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
     """Stage two: TabTalk per question; write tables.jsonl, traces.jsonl, errors.jsonl.
 
-    A question with no retrieval record, no evidence sentences or a failed
-    stage (its provider failing included) becomes one error row and the
-    others go on. Returns the (triple id, table) pairs generated, in input
-    order, and the error rows; errors.jsonl is written only when there are any.
+    Whole questions go through ``mapper`` (see :func:`run_map`) and are
+    gathered back in input order. A question with no retrieval record, no
+    evidence sentences or a failed stage (its provider failing included)
+    becomes one error row and the others go on. Returns the (triple id,
+    table) pairs generated, in input order, and the error rows; errors.jsonl
+    is written only when there are any.
     """
+
+    def generate(triple: ann.QaTriple) -> TabTalkResult | dict:
+        """The question's TabTalk result, or its error row."""
+        record = records.get(triple.triple_id)
+        if record is None:
+            return {"id": triple.triple_id, "stage": "input", "error": "no retrieval record"}
+        sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
+        if not sentences:
+            return {"id": triple.triple_id, "stage": "input", "error": "no evidence sentences"}
+        try:
+            return run_tabtalk(triple.question, sentences, chat, oneshot=config.oneshot)
+        except StageFailure as exc:
+            return {"id": triple.triple_id, "stage": exc.stage, "error": str(exc)}
+
     generated = []
     traces = []
     errors = []
-    for triple in triples:
-        record = records.get(triple.triple_id)
-        if record is None:
-            errors.append(
-                {"id": triple.triple_id, "stage": "input", "error": "no retrieval record"}
-            )
-            continue
-        sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
-        if not sentences:
-            errors.append({"id": triple.triple_id, "stage": "input", "error": "no evidence sentences"})
-            continue
-        try:
-            result = run_tabtalk(
-                triple.question, sentences, chat, oneshot=config.oneshot, parallel=config.parallel
-            )
-        except StageFailure as exc:
-            errors.append({"id": triple.triple_id, "stage": exc.stage, "error": str(exc)})
+    for triple, result in zip(triples, mapper(generate, triples)):
+        if isinstance(result, dict):
+            errors.append(result)
             continue
         generated.append((triple.triple_id, result.table))
         traces.append(
@@ -235,7 +259,10 @@ def cmd_retrieve(args) -> int:
     triples = data.read_triples(config.questions)
     documents = data.read_documents(config.docs)
     built = build_providers(config, roles=("rewriter", "embedder"))
-    _, recall = retrieve_stage(triples, config.questions, documents, built, config, out)
+    with run_map(config.parallel) as mapper:
+        _, recall = retrieve_stage(
+            triples, config.questions, documents, built, config, out, mapper
+        )
     if recall:
         print("recall " + "  ".join(f"@{k}={mean:.4f}" for k, mean in recall["mean"].items()))
     flush_transcripts(built)
@@ -248,7 +275,8 @@ def cmd_generate(args) -> int:
     triples = data.read_triples(config.questions)
     records = data.read_retrieval_records(args.retrieval)
     built = build_providers(config, roles=("chat",))
-    generated, errors = generate_stage(triples, records, built.chat, config, out)
+    with run_map(config.parallel) as mapper:
+        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
     flush_transcripts(built)
     print(f"generated {len(generated)} tables, {len(errors)} failures")
     return 0 if not errors else 1
@@ -321,8 +349,11 @@ def cmd_pipeline(args) -> int:
     triples = data.read_triples(config.questions)
     built = build_providers(config)
 
-    records, recall = retrieve_stage(triples, config.questions, documents, built, config, out)
-    generated, errors = generate_stage(triples, records, built.chat, config, out)
+    with run_map(config.parallel) as mapper:
+        records, recall = retrieve_stage(
+            triples, config.questions, documents, built, config, out, mapper
+        )
+        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
 
     recall_by_id = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
     groundtruth = {t.triple_id: t for t in triples}

@@ -12,6 +12,13 @@ role accepts the modes that the one table :data:`PROVIDER_MODES` lists for
 it, and :func:`build_providers` builds every role the same way from that
 table. Nothing touches the network unless a provider's mode is ``live`` or
 ``record``.
+
+``parallel`` is how many provider calls a run may wait on at once. It
+covers each document's sentence rewrites and whole questions in
+generation; inside a question the structure and fill calls stay serial,
+and question rewrites are serial too. At ``parallel`` 1 no thread starts.
+Above 1 the worker threads share each role's backend, and so an HTTP
+role's one ``requests.Session``.
 """
 from __future__ import annotations
 
@@ -86,7 +93,7 @@ class RunConfig:
     rewriter: ProviderSpec = field(default_factory=lambda: ProviderSpec("identity"))
     embedder: ProviderSpec = field(default_factory=lambda: ProviderSpec("hashing"))
     k: int = DEFAULT_TOP_K
-    parallel: int = 1
+    parallel: int = 1  # sentence rewrites and whole questions at once; 1 starts no thread
     oneshot: bool = False
     temperature: float = 0.0
     max_tokens: int = 2048

@@ -12,7 +12,9 @@ values, reshaped by the column count. Each stage gets at most
 :data:`MAX_RETRIES` retries with the parse error appended to the prompt; a
 stage that runs out of retries, or whose provider fails, raises
 :class:`StageFailure`, which the CLI turns into one ``errors.jsonl`` row
-for that question only.
+for that question only. One question's calls run one after another on
+the thread that generates it; the CLI may generate several questions at
+once (``RunConfig.parallel``).
 
 A one-shot baseline (single prompt producing the whole table) is kept
 for comparison runs: pass ``oneshot=True`` to :func:`run_tabtalk`, whose
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .html_io import TableInputError, TableStructureError, parse_html_table
@@ -340,16 +341,17 @@ def run_tabtalk(
     chat: ChatProvider,
     *,
     oneshot: bool = False,
-    parallel: int = 1,
 ) -> TabTalkResult:
     """Run the full generation stage over retrieved sentences.
 
     ``sentences`` are (sentence_id, raw text) pairs in retrieval order; the
     prompt numbers them 1..n and citations are mapped back to the ids.
     The parsed header skeleton is the plan and, with the fill values as its
-    body, the answer. Each fill prompt covers one body row; up to
-    ``parallel`` fill prompts run at once, and their records come back in
-    cell order. Each stage gets at most :data:`MAX_RETRIES` retries.
+    body, the answer. Each fill prompt covers one body row, and the rows are
+    filled one after another, so their records come in cell order. A run may
+    generate several questions at once, each on its own thread; one
+    question's calls never overlap. Each stage gets at most
+    :data:`MAX_RETRIES` retries.
     """
     if oneshot:
         return _run_oneshot(question, sentences, chat)
@@ -364,16 +366,15 @@ def run_tabtalk(
     batches = [cells[i : i + n_cols] for i in range(0, len(cells), n_cols)]
     sentence_ids = [sid for sid, _ in sentences]
 
-    def fill_one(batch: list[PlanCell]) -> tuple[list[CellFill], int]:
-        return _complete_with_retry(
+    results = [
+        _complete_with_retry(
             chat,
             build_fill_prompt(question, sentences, batch),
-            lambda resp: parse_fill_response(resp, batch, sentence_ids),
+            lambda resp, batch=batch: parse_fill_response(resp, batch, sentence_ids),
             "fill",
         )
-
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        results = list(pool.map(fill_one, batches))
+        for batch in batches
+    ]
     trace = FillTrace(tuple(r for fragment, _ in results for r in fragment))
     values = [r.value for r in trace.records]  # one per cell, row-major
     body = tuple(tuple(values[i : i + n_cols]) for i in range(0, len(values), n_cols))

@@ -318,6 +318,8 @@ class HttpEmbedder:
         if len(dims) > 1:
             raise ProviderError(f"embedding dimension drift within batch: {sorted(dims)}")
         out = np.asarray(vectors, dtype=np.float64)
+        if not np.isfinite(out).all():  # json decodes NaN and Infinity
+            raise ProviderError("embedding response has a value that is not finite")
         norms = np.linalg.norm(out, axis=1)
         nonzero = norms > 0
         out[nonzero] = out[nonzero] / norms[nonzero, None]

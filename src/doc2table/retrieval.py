@@ -126,26 +126,28 @@ def rewrite_question(question: str, rewriter: Rewriter) -> QuestionRewrite:
     return QuestionRewrite(tuple(outputs), degraded=False)
 
 
-def rewrite_sentences(store: DocumentStore, rewriter: Rewriter) -> list[str]:
+def rewrite_sentences(store: DocumentStore, rewriter: Rewriter, mapper=map) -> list[str]:
     """Retrieval text per sentence, in sentence order: its data-as-subject rewrite.
 
-    Per-sentence provider failures degrade that sentence to its raw text;
-    the batch never aborts.
+    The rewrite calls go through ``mapper``, the run's order-preserving map
+    (the builtin ``map``, or a thread pool's). Per-sentence provider failures
+    degrade that sentence to its raw text; the batch never aborts.
     """
-    texts: list[str] = []
-    failures = 0
-    for sid, raw in enumerate(store.sentences):
+
+    def rewrite_one(sid: int) -> tuple[str, bool]:
+        raw = store.sentences[sid]
         try:
             outputs = rewriter.rewrite("sentence", raw)
-            text = outputs[0].strip() if outputs and outputs[0].strip() else raw
+            return (outputs[0].strip() if outputs and outputs[0].strip() else raw), False
         except Exception as exc:
-            failures += 1
             logger.warning("sentence %d rewrite failed, keeping raw text: %s", sid, exc)
-            text = raw
-        texts.append(text)
+            return raw, True
+
+    rewrites = list(mapper(rewrite_one, range(len(store))))
+    failures = sum(failed for _, failed in rewrites)
     if failures:
         logger.warning("sentence rewriting degraded for %d/%d sentences", failures, len(store))
-    return texts
+    return [text for text, _ in rewrites]
 
 
 @dataclass

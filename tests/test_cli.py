@@ -3,12 +3,16 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import logging
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from doc2table import annotate, retrieval
-from doc2table.cli import generate_stage, main, retrieve_stage
+from doc2table import annotate, cli, retrieval
+from doc2table.cli import generate_stage, main, retrieve_stage, run_map
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.data import read_documents, read_retrieval_records, read_triples
 from doc2table.data import write_jsonl
@@ -66,6 +70,35 @@ def write_corpus_config(tmp_path, **overrides):
         rewriter={"mode": "replay", "transcript": str(CORPUS / "rewrite_transcript.jsonl")},
         **overrides,
     )
+
+
+def no_thread_may_start(thread):
+    raise AssertionError(f"thread {thread.name} started")
+
+
+class LaterFirst:
+    """Wraps ``fn`` so that later items answer first.
+
+    The call for item 2j waits until the call for item 2j + 1 has returned;
+    ``index_of`` names the item from the call's first argument. Through a
+    map of two or more workers this cannot deadlock: the partner was taken
+    from the queue before any later item.
+    """
+
+    def __init__(self, fn, index_of, count: int):
+        self.fn, self.index_of = fn, index_of
+        self.done = [threading.Event() for _ in range(count)]
+        self.returned: list[int] = []  # item indexes in the order their calls returned
+
+    def __call__(self, first, *args, **kwargs):
+        n = self.index_of(first)
+        if n % 2 == 0 and n + 1 < len(self.done):
+            assert self.done[n + 1].wait(5), f"item {n + 1} never returned"
+        try:
+            return self.fn(first, *args, **kwargs)
+        finally:
+            self.returned.append(n)
+            self.done[n].set()
 
 
 def split_run(tmp_path, config) -> tuple:
@@ -778,10 +811,37 @@ class TestPipelineCommand:
         ]:
             assert (stage_out / name).read_bytes() == (golden / name).read_bytes(), name
 
-    def test_split_run_with_parallel_fills_matches_golden(self, tmp_path):
-        _, gen_out = split_run(tmp_path, write_pipeline_config(tmp_path, parallel=3))
-        for name in ("tables.jsonl", "traces.jsonl"):
-            assert (gen_out / name).read_bytes() == (PIPELINE / "golden" / name).read_bytes(), name
+    def test_split_run_at_three_workers_matches_golden(self, tmp_path):
+        retrieval_out, gen_out = split_run(tmp_path, write_pipeline_config(tmp_path, parallel=3))
+        for stage_out, name in [
+            (retrieval_out, "retrieval.jsonl"),
+            (retrieval_out, "recall.json"),
+            (gen_out, "tables.jsonl"),
+            (gen_out, "traces.jsonl"),
+        ]:
+            golden = PIPELINE / "golden" / name
+            assert (stage_out / name).read_bytes() == golden.read_bytes(), name
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pipeline_writes_the_golden_directory(self, tmp_path, monkeypatch, workers):
+        pools = []
+        build_pool = ThreadPoolExecutor.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            pools.append(pool)
+            build_pool(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+        if workers == 1:  # one worker starts no thread at all
+            monkeypatch.setattr(threading.Thread, "start", no_thread_may_start)
+        out = tmp_path / "out"
+        config = write_pipeline_config(tmp_path, parallel=workers)
+        assert run(["pipeline", "--config", config, "--out", out]) == 0
+        assert [pool._max_workers for pool in pools] == ([] if workers == 1 else [workers])
+        golden = PIPELINE / "golden"
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_generate_replays_at_recorded_sampling_settings(self, tmp_path):
         # Chat requests are keyed with temperature and max_tokens, so the
@@ -940,3 +1000,82 @@ class TestPerQuestionFailures:
         golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
         assert read_jsonl_rows(tmp_path / "tables.jsonl") == golden_tables[:1]
         assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors
+
+
+class TestRunMap:
+    """Work mapped through a pool comes back in input order, whatever order it finishes in."""
+
+    def test_rewrites_keep_sentence_order_when_later_ones_answer_first(self, caplog):
+        sentences = [f"Sentence number {n}." for n in range(7)]
+
+        def handler(request):
+            if request["text"] == sentences[3]:
+                raise ProviderError("rewrite backend down")
+            return {"outputs": [request["text"].upper()]}
+
+        later_first = LaterFirst(handler, lambda request: sentences.index(request["text"]), 7)
+        rewriter = Rewriter(ScriptedProvider(later_first))
+        store = retrieval.DocumentStore("doc", sentences)
+        with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
+            with run_map(2) as mapper:
+                texts = retrieval.rewrite_sentences(store, rewriter, mapper)
+        assert texts == [s.upper() if n != 3 else s for n, s in enumerate(sentences)]
+        assert later_first.returned.index(1) < later_first.returned.index(0)
+        assert later_first.returned.index(3) < later_first.returned.index(2)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if "degraded" in m] == [
+            "sentence rewriting degraded for 1/7 sentences"
+        ]
+        assert sum("sentence 3 rewrite failed" in m for m in messages) == 1
+
+    def test_recording_through_eight_workers_loses_no_entry(self):
+        transcript = Transcript()
+        backend = ScriptedProvider(lambda request: {"outputs": [request["text"][::-1]]})
+        rewriter = Rewriter(RecordingProvider(backend, transcript))
+        sentences = [f"Sentence number {n}." for n in range(400)]
+        store = retrieval.DocumentStore("doc", sentences)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with run_map(8) as mapper:
+                texts = retrieval.rewrite_sentences(store, rewriter, mapper)
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == [s[::-1] for s in sentences]
+        assert len(transcript.entries) == len(transcript.requests) == len(sentences)
+
+    def test_generate_writes_in_input_order_when_later_questions_finish_first(
+        self, tmp_path, monkeypatch
+    ):
+        transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        acme_beta, gamma = read_triples(PIPELINE / "questions.jsonl")
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        failing = [
+            dataclasses.replace(gamma, triple_id=f"fail_{n}", question=f"fail {n}?") for n in (0, 1)
+        ]
+        triples = [*failing, acme_beta, gamma]
+        records.update({t.triple_id: records["gamma"] for t in failing})
+
+        def handler(request):
+            if "fail " in request["messages"][0]["content"]:
+                raise ProviderError("chat backend down")
+            return transcript.lookup(request)
+
+        questions = [t.question for t in triples]
+        later_first = LaterFirst(cli.run_tabtalk, questions.index, len(triples))
+        monkeypatch.setattr(cli, "run_tabtalk", later_first)
+        chat = ChatProvider(ScriptedProvider(handler))
+        with run_map(2) as mapper:
+            generated, errors = generate_stage(
+                triples, records, chat, RunConfig(), tmp_path, mapper
+            )
+        assert later_first.returned.index(1) < later_first.returned.index(0)
+        assert later_first.returned.index(3) < later_first.returned.index(2)
+        assert [item_id for item_id, _ in generated] == ["acme_beta", "gamma"]
+        golden = PIPELINE / "golden"
+        for name in ("tables.jsonl", "traces.jsonl"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+        error = "structure stage failed: chat backend down"
+        assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors == [
+            {"id": f"fail_{n}", "stage": "structure", "error": error} for n in (0, 1)
+        ]

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 import logging
+import re
+import threading
 from pathlib import Path
 
 import pytest
 
+from doc2table.annotate import QaTriple
+from doc2table.cli import generate_stage, run_map
+from doc2table.config import RunConfig
 from doc2table.generation import (
     ResponseParseError,
     StageFailure,
@@ -22,7 +27,14 @@ from doc2table.generation import (
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import content_similarity
 from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, leaves
-from doc2table.providers import ChatProvider, ProviderError, ScriptedProvider
+from doc2table.providers import (
+    ChatProvider,
+    ProviderError,
+    RecordingProvider,
+    ScriptedProvider,
+    Transcript,
+)
+from doc2table.retrieval import RetrievalRecord
 from doc2table.treedist import teds
 
 PROMPTS = Path(__file__).parent / "fixtures" / "prompts"
@@ -227,7 +239,6 @@ def perfect_handler(gt: HierarchicalTable, wrong_value: str | None = None, garba
             body = serialize_html(skeleton)
             rows, cols = len(gt.body), len(gt.body[0])
             return {"content": f"```table\ndimensions: {rows} x {cols}\n{body}\n```"}
-        import re
 
         cells = re.findall(r"cell (\d+): row = (.*?); column = (.*?)\n", prompt + "\n")
         values = {}
@@ -292,21 +303,30 @@ class TestRunTabTalk:
         for record in result.trace.records:
             assert set(record.sentence_ids) <= retrieved
 
-    def test_parallel_fill_matches_serial(self):
-        # Two body rows: two fill prompts that may run at once.
+    def test_rows_fill_one_after_another_on_the_calling_thread(self):
+        # Two body rows: two fill prompts, sent in row order from one thread.
         gt = HierarchicalTable(
             "Metric",
             CoordTree.from_nested([("Acme Corp", ["Revenue", "Net income"])]),
             CoordTree.from_nested(["Q1 2023", "Q2 2023"]),
             (("$12.1 billion", "$13.4 billion"), ("$2.0 billion", "$2.2 billion")),
         )
-        serial = run_tabtalk(
-            QUESTION, SENTENCES, ChatProvider(ScriptedProvider(perfect_handler(gt)))
-        )
-        parallel = run_tabtalk(
-            QUESTION, SENTENCES, ChatProvider(ScriptedProvider(perfect_handler(gt))), parallel=4
-        )
-        assert serial.table == parallel.table == gt
+        inner = perfect_handler(gt)
+        calls = []
+
+        def handler(request):
+            calls.append((threading.get_ident(), request["messages"][0]["content"]))
+            return inner(request)
+
+        result = run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)))
+        assert result.table == gt
+        fill_rows = [
+            re.search(r"row = (.*?);", prompt).group(1)
+            for _, prompt in calls
+            if "You fill specific body cells" in prompt
+        ]
+        assert fill_rows == ["Acme Corp > Revenue", "Acme Corp > Net income"]
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
 
     def test_oneshot_baseline(self):
         gt = make_gt()
@@ -382,20 +402,50 @@ class TestAssemble:
             (r.cell.left_path, r.cell.top_path, r.value) for r in result.trace.unfilled
         ] == [(("Acme Corp", "Revenue"), ("Q2 2023",), "")]
 
-    @pytest.mark.parametrize("parallel", [1, 3])
-    def test_parallel_fill_reproduces_the_hierarchical_table(self, example_table, parallel):
-        # 5 x 6 cells: five one-row fill prompts, up to three at once.
-        def run(**keywords):
-            chat = ChatProvider(ScriptedProvider(perfect_handler(example_table)))
-            return run_tabtalk(QUESTION, SENTENCES, chat, **keywords)
-
-        reference = run()
-        result = run(parallel=parallel)
+    def test_fill_reproduces_the_hierarchical_table(self, example_table):
+        # 5 x 6 cells: five one-row fill prompts.
+        chat = ChatProvider(ScriptedProvider(perfect_handler(example_table)))
+        result = run_tabtalk(QUESTION, SENTENCES, chat)
         assert result.table == example_table
-        assert trace_to_dict(result.table, result.trace) == trace_to_dict(
-            reference.table, reference.trace
-        )
         row_major = [
             (lc, tc) for lc, _ in leaves(example_table.left) for tc, _ in leaves(example_table.top)
         ]
         assert [(r.cell.left_coord, r.cell.top_coord) for r in result.trace.records] == row_major
+
+
+class TestQuestionsThroughTheRunMap:
+    """``generate_stage`` maps whole questions through ``cli.run_map``; fills stay serial."""
+
+    def generate(self, tmp_path, table: HierarchicalTable, workers: int) -> Path:
+        """Six questions answered by ``table`` through a map of ``workers``; their output dir."""
+        html = serialize_html(table)
+        triples = [QaTriple(f"q{n}", "doc", f"{QUESTION} ({n})", table, ()) for n in range(6)]
+        record = RetrievalRecord(
+            QUESTION, [QUESTION], [], [(sid, 1.0) for sid, _ in SENTENCES], 5,
+            sentence_texts=dict(SENTENCES),
+        )
+        transcript = Transcript()
+        chat = ChatProvider(RecordingProvider(ScriptedProvider(perfect_handler(table)), transcript))
+        out = tmp_path / f"workers-{workers}"
+        with run_map(workers) as mapper:
+            generated, errors = generate_stage(
+                triples, dict.fromkeys([t.triple_id for t in triples], record), chat,
+                RunConfig(), out, mapper,
+            )
+        assert errors == []
+        assert [serialize_html(t) for _, t in generated] == [html] * len(triples)
+        transcript.save(out / "transcript.jsonl")
+        return out
+
+    def test_three_workers_write_the_serial_bytes_and_transcript(self, tmp_path, example_table):
+        serial = self.generate(tmp_path, example_table, 1)
+        pooled = self.generate(tmp_path, example_table, 3)
+        for name in ("tables.jsonl", "traces.jsonl", "transcript.jsonl"):
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+        row_major = [
+            [list(lc.path), list(tc.path)]
+            for lc, _ in leaves(example_table.left)
+            for tc, _ in leaves(example_table.top)
+        ]
+        for trace in map(json.loads, (pooled / "traces.jsonl").read_text().splitlines()):
+            assert [[cell["left"], cell["top"]] for cell in trace["cells"]] == row_major

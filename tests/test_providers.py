@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -41,8 +42,6 @@ class TestFingerprinting:
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
     def test_reserialization_stability(self):
-        import json
-
         payload = {"messages": [{"role": "user", "content": "hé −"}], "temperature": 0.0}
         once = request_fingerprint(payload)
         again = request_fingerprint(json.loads(canonical_json(payload)))
@@ -234,6 +233,20 @@ class TestHttpEmbedder:
         backend = ScriptedProvider(lambda r: {"vectors": [[3, 4], [0, 0]]})
         out = HttpEmbedder(backend).embed(["a", "b"])
         assert out.tolist() == [[0.6, 0.8], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"vectors": [[NaN, 1.0], [Infinity, 0.0]]}',
+            '{"vectors": [[1.0, 0.0], [-Infinity, 0.0]]}',
+            '{"vectors": [[0.0, NaN], [1.0, 0.0]]}',
+        ],
+    )
+    def test_non_finite_value_rejected(self, body):
+        # Python's json decodes NaN and Infinity, so a reply can carry them.
+        backend = ScriptedProvider(lambda r: json.loads(body))
+        with pytest.raises(ProviderError, match="not finite"):
+            HttpEmbedder(backend).embed(["a", "b"])
 
 
 class FakeResponse:
