@@ -29,7 +29,7 @@ from doc2table.generation import (
     plan_cells,
 )
 from doc2table.html_io import serialize_html
-from doc2table.model import CoordTree, HierarchicalTable, leaf_label_paths
+from doc2table.model import CoordTree, HierarchicalTable
 from doc2table.providers import (
     ChatProvider,
     HashingEmbedder,
@@ -512,12 +512,11 @@ def make_chat_handler(
             }
         if "You fill specific body cells" in prompt:
             evidence = [text for _, text in _EVIDENCE_LINE.findall(prompt)]
-            value_at = {}
-            left_paths = leaf_label_paths(table.left)
-            top_paths = leaf_label_paths(table.top)
-            for r, lp in enumerate(left_paths):
-                for c, tp in enumerate(top_paths):
-                    value_at[(" > ".join(lp), " > ".join(tp))] = table.body[r][c]
+            value_at = {
+                (" > ".join(lp), " > ".join(tp)): value
+                for (_, lp), row in zip(table.left.leaves, table.body)
+                for (_, tp), value in zip(table.top.leaves, row)
+            }
             entries = []
             for number, row_path, col_path in _CELL_LINE.findall(prompt + "\n"):
                 value = value_at[(row_path, col_path)]

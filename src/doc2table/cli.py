@@ -259,13 +259,15 @@ def cmd_retrieve(args) -> int:
     triples = data.read_triples(config.questions)
     documents = data.read_documents(config.docs)
     built = build_providers(config, roles=("rewriter", "embedder"))
-    with run_map(config.parallel) as mapper:
-        _, recall = retrieve_stage(
-            triples, config.questions, documents, built, config, out, mapper
-        )
+    try:
+        with run_map(config.parallel) as mapper:
+            _, recall = retrieve_stage(
+                triples, config.questions, documents, built, config, out, mapper
+            )
+    finally:
+        flush_transcripts(built)
     if recall:
         print("recall " + "  ".join(f"@{k}={mean:.4f}" for k, mean in recall["mean"].items()))
-    flush_transcripts(built)
     print(f"retrieved for {len(triples)} questions")
     return 0
 
@@ -275,9 +277,11 @@ def cmd_generate(args) -> int:
     triples = data.read_triples(config.questions)
     records = data.read_retrieval_records(args.retrieval)
     built = build_providers(config, roles=("chat",))
-    with run_map(config.parallel) as mapper:
-        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
-    flush_transcripts(built)
+    try:
+        with run_map(config.parallel) as mapper:
+            generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
+    finally:
+        flush_transcripts(built)
     print(f"generated {len(generated)} tables, {len(errors)} failures")
     return 0 if not errors else 1
 
@@ -348,12 +352,14 @@ def cmd_pipeline(args) -> int:
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions)
     built = build_providers(config)
-
-    with run_map(config.parallel) as mapper:
-        records, recall = retrieve_stage(
-            triples, config.questions, documents, built, config, out, mapper
-        )
-        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
+    try:
+        with run_map(config.parallel) as mapper:
+            records, recall = retrieve_stage(
+                triples, config.questions, documents, built, config, out, mapper
+            )
+            generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
+    finally:
+        flush_transcripts(built)
 
     recall_by_id = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
     groundtruth = {t.triple_id: t for t in triples}
@@ -365,7 +371,6 @@ def cmd_pipeline(args) -> int:
         data.atomic_write_text(out / "summary.txt", summary + "\n")
         print(summary)
 
-    flush_transcripts(built)
     print(f"pipeline complete: {len(generated)} tables, {len(errors)} failures -> {out}")
     return 0 if not errors else 1
 

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .html_io import TableInputError, TableStructureError, parse_html_table
-from .model import HierarchicalTable, TableModelError, TreeCoord, leaves
+from .model import HierarchicalTable, TableModelError
 from .providers import ChatProvider, ProviderError
 
 logger = logging.getLogger(__name__)
@@ -50,10 +50,10 @@ class StageFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class PlanCell:
-    """One body cell of a plan: its two leaf coordinates and their label paths."""
+    """One body cell of a plan: its two leaf coordinates (child-index paths) and label paths."""
 
-    left_coord: TreeCoord
-    top_coord: TreeCoord
+    left_coord: tuple[int, ...]
+    top_coord: tuple[int, ...]
     left_path: tuple[str, ...]
     top_path: tuple[str, ...]
 
@@ -64,11 +64,10 @@ class PlanCell:
 
 def plan_cells(skeleton: HierarchicalTable) -> list[PlanCell]:
     """Every body cell of ``skeleton`` in row-major order; only its header trees are read."""
-    top = leaves(skeleton.top)
     return [
         PlanCell(left_coord, top_coord, left_path, top_path)
-        for left_coord, left_path in leaves(skeleton.left)
-        for top_coord, top_path in top
+        for left_coord, left_path in skeleton.left.leaves
+        for top_coord, top_path in skeleton.top.leaves
     ]
 
 
@@ -409,8 +408,8 @@ def trace_to_dict(table: HierarchicalTable, trace: FillTrace) -> dict:
         },
         "cells": [
             {
-                "left": list(record.cell.left_coord.path),
-                "top": list(record.cell.top_coord.path),
+                "left": list(record.cell.left_coord),
+                "top": list(record.cell.top_coord),
                 "query": record.cell.query,
                 "sentences": list(record.sentence_ids),
                 "value": record.value,

@@ -325,76 +325,53 @@ def parse_html_table(html_text: str) -> HierarchicalTable:
     return HierarchicalTable(stub, left, top, body)
 
 
-def _subtree_leaves(node: HeaderNode) -> int:
-    if node.is_leaf:
-        return 1
-    return sum(_subtree_leaves(c) for c in node.children)
+def _header_cells(tree: CoordTree) -> list[list[list]]:
+    """Each level's header cells, left to right, as ``[first leaf, leaf count, label, is leaf]``.
 
-
-def _nodes_by_depth(tree: CoordTree) -> list[list[HeaderNode]]:
-    levels: list[list[HeaderNode]] = [[] for _ in range(tree.depth)]
-
-    def walk(node: HeaderNode, depth: int) -> None:
-        levels[depth].append(node)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    for root in tree.roots:
-        walk(root, 0)
+    A leaf extends the cells whose coordinate prefix it shares with the
+    previous leaf and opens one cell at each deeper level of its coordinate.
+    """
+    levels: list[list[list]] = [[] for _ in range(tree.depth)]
+    previous: tuple[int, ...] = ()
+    for i, (coord, labels) in enumerate(tree.leaves):
+        shared = 0
+        while shared < len(previous) and coord[shared] == previous[shared]:
+            shared += 1
+        for level in levels[:shared]:
+            level[-1][1] += 1
+        for depth in range(shared, len(coord)):
+            levels[depth].append([i, 1, labels[depth], depth == len(coord) - 1])
+        previous = coord
     return levels
 
 
-def _span_attrs(row_span: int, col_span: int) -> str:
+def _th(row_span: int, col_span: int, label: str) -> str:
     attrs = ""
     if row_span > 1:
         attrs += f' rowspan="{row_span}"'
     if col_span > 1:
         attrs += f' colspan="{col_span}"'
-    return attrs
+    return f"<th{attrs}>{html_lib.escape(label)}</th>"
 
 
 def serialize_html(table: HierarchicalTable) -> str:
     """Emit canonical HTML; parsing it back restores the identical model."""
-    h = table.top.depth
-    w = table.left.depth
-    esc = lambda s: html_lib.escape(s)
+    h, w = table.top.depth, table.left.depth
 
     lines = ["<table>", "<thead>"]
-    top_levels = _nodes_by_depth(table.top)
-    for depth, level in enumerate(top_levels):
-        cells = []
-        if depth == 0:
-            cells.append(f"<th{_span_attrs(h, w)}>{esc(table.stub_header)}</th>")
-        for node in level:
-            row_span = h - depth if node.is_leaf else 1
-            cells.append(f"<th{_span_attrs(row_span, _subtree_leaves(node))}>{esc(node.label)}</th>")
+    for depth, level in enumerate(_header_cells(table.top)):
+        cells = [_th(h, w, table.stub_header)] if depth == 0 else []
+        for _, leaf_count, label, is_leaf in level:
+            cells.append(_th(h - depth if is_leaf else 1, leaf_count, label))
         lines.append("<tr>" + "".join(cells) + "</tr>")
-    lines.append("</thead>")
+    lines += ["</thead>", "<tbody>"]
 
-    lines.append("<tbody>")
-    starts: dict[int, list[tuple[int, HeaderNode]]] = {}
-
-    def assign(node: HeaderNode, depth: int, first_row: int) -> int:
-        starts.setdefault(first_row, []).append((depth, node))
-        if node.is_leaf:
-            return first_row + 1
-        row = first_row
-        for child in node.children:
-            row = assign(child, depth + 1, row)
-        return row
-
-    row = 0
-    for root in table.left.roots:
-        row = assign(root, 0, row)
-
-    for r in range(len(table.body)):
-        cells = []
-        for depth, node in starts.get(r, []):
-            col_span = w - depth if node.is_leaf else 1
-            cells.append(f"<th{_span_attrs(_subtree_leaves(node), col_span)}>{esc(node.label)}</th>")
-        for value in table.body[r]:
-            cells.append(f"<td>{esc(value)}</td>")
+    starts: dict[int, list[str]] = {}  # body row -> the row-header cells that open on it
+    for depth, level in enumerate(_header_cells(table.left)):
+        for first, leaf_count, label, is_leaf in level:
+            starts.setdefault(first, []).append(_th(leaf_count, w - depth if is_leaf else 1, label))
+    for r, row in enumerate(table.body):
+        cells = starts.get(r, []) + [f"<td>{html_lib.escape(value)}</td>" for value in row]
         lines.append("<tr>" + "".join(cells) + "</tr>")
-    lines.append("</tbody>")
-    lines.append("</table>")
+    lines += ["</tbody>", "</table>"]
     return "\n".join(lines)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import HierarchicalTable, flatten_to_kv, leaf_label_paths
+from .model import HierarchicalTable, flatten_to_kv
 from .treedist import teds
 
 CHRF_MAX_ORDER = 6
@@ -263,8 +263,8 @@ def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
     """
     gen_tree = generated.left if side == "left" else generated.top
     gt_tree = groundtruth.left if side == "left" else groundtruth.top
-    gen_paths = [KEY_JOIN.join(p) for p in leaf_label_paths(gen_tree)]
-    gt_paths = [KEY_JOIN.join(p) for p in leaf_label_paths(gt_tree)]
+    gen_paths = [KEY_JOIN.join(p) for _, p in gen_tree.leaves]
+    gt_paths = [KEY_JOIN.join(p) for _, p in gt_tree.leaves]
     aligned = min(len(gen_paths), len(gt_paths))
     total = sum((chrf(gen_paths[:aligned], gt_paths[:aligned]) / 100.0).tolist())
     precision = total / len(gen_paths)

@@ -6,11 +6,13 @@ body grid. Leaves of the left tree correspond 1:1 with body rows, leaves of
 the top tree with body columns, so every body cell has exactly one pair of
 tree coordinates and every cell can be flattened to a key-value triple
 (row label path, column label path, cell text). A body cell's row and
-column are its two leaves' positions in the preorder walk :func:`leaves`.
+column are its two leaves' positions in :attr:`CoordTree.leaves`, the
+tree's one preorder walk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def normalize_text(text: str) -> str:
@@ -44,27 +46,6 @@ class HeaderNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-
-@dataclass(frozen=True)
-class TreeCoord:
-    """Child-index path from the root level down to a node, 0-based."""
-
-    path: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        path = tuple(int(i) for i in self.path)
-        if not path:
-            raise TableModelError("tree coordinate must be non-empty")
-        if any(i < 0 for i in path):
-            raise TableModelError(f"tree coordinate has negative index: {path}")
-        object.__setattr__(self, "path", path)
-
-    def __iter__(self):
-        return iter(self.path)
-
-    def __len__(self) -> int:
-        return len(self.path)
 
 
 @dataclass(frozen=True)
@@ -107,36 +88,33 @@ class CoordTree:
 
         return [dump(r) for r in self.roots]
 
+    def _walk_leaves(self) -> tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]:
+        """(coordinate, label path) of every leaf, left to right (preorder).
+
+        A coordinate is the 0-based child-index path from the root level
+        down. This is the tree's one walk, run once per tree as :attr:`leaves`.
+        """
+
+        def walk(nodes: tuple[HeaderNode, ...], path: tuple[int, ...], labels: tuple[str, ...]):
+            for i, node in enumerate(nodes):
+                coord, names = path + (i,), labels + (node.label,)
+                if node.is_leaf:
+                    yield coord, names
+                else:
+                    yield from walk(node.children, coord, names)
+
+        return tuple(walk(self.roots, (), ()))
+
+    leaves = cached_property(_walk_leaves)
+
     @property
     def depth(self) -> int:
-        def d(node: HeaderNode) -> int:
-            return 1 + (max(d(c) for c in node.children) if node.children else 0)
-
-        return max(d(r) for r in self.roots)
+        """Header levels: the length of the longest leaf coordinate."""
+        return max(len(coord) for coord, _ in self.leaves)
 
     @property
     def leaf_count(self) -> int:
-        return len(leaves(self))
-
-
-def leaves(tree: CoordTree) -> list[tuple[TreeCoord, tuple[str, ...]]]:
-    """(coordinate, label path) of every leaf in document (left-to-right, preorder) order."""
-    leaves: list[tuple[TreeCoord, tuple[str, ...]]] = []
-
-    def walk(nodes: tuple[HeaderNode, ...], path: tuple[int, ...], labels: tuple[str, ...]):
-        for i, node in enumerate(nodes):
-            if node.is_leaf:
-                leaves.append((TreeCoord(path + (i,)), labels + (node.label,)))
-            else:
-                walk(node.children, path + (i,), labels + (node.label,))
-
-    walk(tree.roots, (), ())
-    return leaves
-
-
-def leaf_label_paths(tree: CoordTree) -> tuple[tuple[str, ...], ...]:
-    """Label path of every leaf, root level first, in the same order as :func:`leaves`."""
-    return tuple(labels for _, labels in leaves(tree))
+        return len(self.leaves)
 
 
 @dataclass(frozen=True)
@@ -194,10 +172,8 @@ def flatten_to_kv(table: HierarchicalTable) -> tuple[KeyValueTriple, ...]:
     Keys are the label paths of the cell's leaf coordinates; the stub
     header never appears in a key.
     """
-    left_paths = leaf_label_paths(table.left)
-    top_paths = leaf_label_paths(table.top)
     return tuple(
-        KeyValueTriple(left_paths[r], top_paths[c], table.body[r][c])
-        for r in range(len(left_paths))
-        for c in range(len(top_paths))
+        KeyValueTriple(left_path, top_path, value)
+        for (_, left_path), row in zip(table.left.leaves, table.body)
+        for (_, top_path), value in zip(table.top.leaves, row)
     )

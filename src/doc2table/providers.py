@@ -77,7 +77,9 @@ class Transcript:
         return self.entries[fp]
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
+        """Write every entry, replacing ``path`` atomically and making its directory."""
+        from .data import atomic_write_text  # data imports retrieval, which imports this module
+
         lines = [canonical_json({"meta": {"provider": self.provider, "captured": self.captured}})]
         for fp in sorted(self.entries):
             lines.append(
@@ -89,7 +91,7 @@ class Transcript:
                     }
                 )
             )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> Transcript:

@@ -6,12 +6,13 @@ program), chrF by a separate dict-based reimplementation, retrieval
 rankings by a pure-Python cosine scan, and key-value content similarity by
 the reference chrF over every generated x ground-truth key pair. The slow forms of
 optimized paths are kept here too: the full-sort retrieval ranking, the
-hash-per-gram embedder loop, and the per-table sentence re-scan of
-annotation matching.
+hash-per-gram embedder loop, the per-table sentence re-scan of
+annotation matching, and the node-by-node HTML serializer.
 """
 from __future__ import annotations
 
 import hashlib
+import html
 import re
 
 import numpy as np
@@ -23,7 +24,13 @@ from doc2table.metrics import (
     PairScore,
     _joined_key,
 )
-from doc2table.model import HeaderNode, HierarchicalTable, flatten_to_kv, normalize_text
+from doc2table.model import (
+    CoordTree,
+    HeaderNode,
+    HierarchicalTable,
+    flatten_to_kv,
+    normalize_text,
+)
 from doc2table.providers import EMBED_DIM, EMBED_NGRAM
 
 
@@ -304,3 +311,82 @@ def reference_content_similarity(
     recall = total / len(gt) if gt else 0.0
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
     return ContentReport(tuple(pairs), precision, recall, f1, len(gen), len(gt))
+
+
+def _subtree_leaves(node: HeaderNode) -> int:
+    if node.is_leaf:
+        return 1
+    return sum(_subtree_leaves(c) for c in node.children)
+
+
+def _nodes_by_depth(tree: CoordTree) -> list[list[HeaderNode]]:
+    levels: list[list[HeaderNode]] = []
+
+    def walk(node: HeaderNode, depth: int) -> None:
+        if depth == len(levels):
+            levels.append([])
+        levels[depth].append(node)
+        for child in node.children:
+            walk(child, depth + 1)
+
+    for root in tree.roots:
+        walk(root, 0)
+    return levels
+
+
+def _span_attrs(row_span: int, col_span: int) -> str:
+    attrs = ""
+    if row_span > 1:
+        attrs += f' rowspan="{row_span}"'
+    if col_span > 1:
+        attrs += f' colspan="{col_span}"'
+    return attrs
+
+
+def reference_serialize_html(table: HierarchicalTable) -> str:
+    """Canonical HTML built node by node: the header rows level by level,
+    the row-header cells assigned to the body row where their subtree starts,
+    and every span counted by recursion over the subtree."""
+    top_levels = _nodes_by_depth(table.top)
+    h = len(top_levels)
+    w = len(_nodes_by_depth(table.left))
+    esc = html.escape
+
+    lines = ["<table>", "<thead>"]
+    for depth, level in enumerate(top_levels):
+        cells = []
+        if depth == 0:
+            cells.append(f"<th{_span_attrs(h, w)}>{esc(table.stub_header)}</th>")
+        for node in level:
+            row_span = h - depth if node.is_leaf else 1
+            cells.append(f"<th{_span_attrs(row_span, _subtree_leaves(node))}>{esc(node.label)}</th>")
+        lines.append("<tr>" + "".join(cells) + "</tr>")
+    lines.append("</thead>")
+
+    lines.append("<tbody>")
+    starts: dict[int, list[tuple[int, HeaderNode]]] = {}
+
+    def assign(node: HeaderNode, depth: int, first_row: int) -> int:
+        starts.setdefault(first_row, []).append((depth, node))
+        if node.is_leaf:
+            return first_row + 1
+        row = first_row
+        for child in node.children:
+            row = assign(child, depth + 1, row)
+        return row
+
+    row = 0
+    for root in table.left.roots:
+        row = assign(root, 0, row)
+
+    for r in range(len(table.body)):
+        cells = []
+        for depth, node in starts.get(r, []):
+            col_span = w - depth if node.is_leaf else 1
+            cells.append(f"<th{_span_attrs(_subtree_leaves(node), col_span)}>{esc(node.label)}</th>")
+        for value in table.body[r]:
+            cells.append(f"<td>{esc(value)}</td>")
+        lines.append("<tr>" + "".join(cells) + "</tr>")
+    lines.append("</tbody>")
+    lines.append("</table>")
+    return "\n".join(lines)

@@ -15,14 +15,7 @@ from doc2table.cli import main as cli_main
 from doc2table.data import read_documents, read_triples
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import chrf, recall_at_k
-from doc2table.model import (
-    CoordTree,
-    HierarchicalTable,
-    TreeCoord,
-    flatten_to_kv,
-    leaf_label_paths,
-    leaves,
-)
+from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv
 from doc2table.providers import HashingEmbedder, ReplayProvider, Rewriter, Transcript
 from doc2table.retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
 from doc2table.treedist import teds, tree_edit_distance
@@ -105,9 +98,10 @@ def test_example_table_fixture_fidelity():
         "61, 276",
     )
     assert triple in [(t.left_key, t.top_key, t.value) for t in flatten_to_kv(table)]
-    row = [coord for coord, _ in leaves(table.left)].index(TreeCoord((2, 0)))
-    col = [coord for coord, _ in leaves(table.top)].index(TreeCoord((2, 1)))
-    assert (leaf_label_paths(table.left)[row], leaf_label_paths(table.top)[col]) == triple[:2]
+    left, top = dict(table.left.leaves), dict(table.top.leaves)
+    row = list(left).index((2, 0))
+    col = list(top).index((2, 1))
+    assert (left[(2, 0)], top[(2, 1)]) == triple[:2]
     assert table.body[row][col] == "61, 276"
     report("committed example table yields the exact key-value triple and coordinates")
 

@@ -26,6 +26,7 @@ from doc2table.providers import (
     Rewriter,
     ScriptedProvider,
     Transcript,
+    request_fingerprint,
 )
 
 from conftest import FIXTURES, make_flat_table
@@ -864,6 +865,60 @@ class TestPipelineCommand:
         assert not (out / "errors.jsonl").exists()
         golden = PIPELINE / "golden" / "tables.jsonl"
         assert (out / "tables.jsonl").read_bytes() == golden.read_bytes()
+
+
+class TestRecordedTranscripts:
+    """What record mode paid for reaches its transcript file, whatever the run does after."""
+
+    @pytest.fixture
+    def http(self, monkeypatch):
+        """Route every HTTP call by endpoint: chat and rewrite replay the pipeline
+        fixture's transcripts, the embedder rejects every request."""
+        transcripts = {
+            "http://stub/chat": Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl"),
+            "http://stub/rewrite": Transcript.load(PIPELINE / "transcripts" / "rewrite.jsonl"),
+        }
+        calls = {endpoint: [] for endpoint in transcripts}
+
+        def call(provider, request):
+            if provider.endpoint not in transcripts:
+                raise ProviderError(f"HTTP 400 from {provider.endpoint}")
+            calls[provider.endpoint].append(request)
+            return transcripts[provider.endpoint].lookup(request)
+
+        monkeypatch.setattr(HttpProvider, "call", call)
+        return transcripts, calls
+
+    @staticmethod
+    def assert_holds_exactly(path, requests, source: Transcript):
+        saved = Transcript.load(path)
+        assert requests
+        assert saved.entries == {fp: source.entries[fp] for fp in map(request_fingerprint, requests)}
+
+    def test_record_into_a_missing_directory_keeps_every_response(self, tmp_path, http):
+        transcripts, calls = http
+        path = tmp_path / "missing" / "deeper" / "chat.jsonl"
+        chat = {"mode": "record", "endpoint": "http://stub/chat", "transcript": str(path)}
+        config = write_pipeline_config(tmp_path, chat=chat)
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", config, "--out", out]) == 0
+        golden = PIPELINE / "golden" / "tables.jsonl"
+        assert (out / "tables.jsonl").read_bytes() == golden.read_bytes()
+        chat_url = "http://stub/chat"
+        self.assert_holds_exactly(path, calls[chat_url], transcripts[chat_url])
+
+    @pytest.mark.parametrize("command", ["retrieve", "pipeline"])
+    def test_failed_run_keeps_the_rewrites_it_paid_for(self, tmp_path, capsys, http, command):
+        transcripts, calls = http
+        rewrite_url = "http://stub/rewrite"
+        config = write_pipeline_config(
+            tmp_path,
+            rewriter={"mode": "record", "endpoint": rewrite_url, "transcript": "rewrite.jsonl"},
+            embedder={"mode": "live", "endpoint": "http://stub/embed"},
+        )
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ProviderError"
+        self.assert_holds_exactly(tmp_path / "rewrite.jsonl", calls[rewrite_url], transcripts[rewrite_url])
 
 
 class TestPerQuestionFailures:

@@ -26,7 +26,7 @@ from doc2table.generation import (
 )
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import content_similarity
-from doc2table.model import CoordTree, HierarchicalTable, TreeCoord, leaves
+from doc2table.model import CoordTree, HierarchicalTable
 from doc2table.providers import (
     ChatProvider,
     ProviderError,
@@ -101,7 +101,7 @@ class TestPrompts:
 
     def test_fill_prompt_names_cell_paths(self):
         cell = plan_cells(simple_plan())[1]
-        assert (cell.left_coord, cell.top_coord) == (TreeCoord((0, 0)), TreeCoord((1,)))
+        assert (cell.left_coord, cell.top_coord) == ((0, 0), (1,))
         prompt = build_fill_prompt(QUESTION, SENTENCES, [cell])
         assert "cell 1: row = Acme Corp > Revenue; column = Q2 2023" in prompt
 
@@ -241,12 +241,11 @@ def perfect_handler(gt: HierarchicalTable, wrong_value: str | None = None, garba
             return {"content": f"```table\ndimensions: {rows} x {cols}\n{body}\n```"}
 
         cells = re.findall(r"cell (\d+): row = (.*?); column = (.*?)\n", prompt + "\n")
-        values = {}
-        from doc2table.model import leaf_label_paths
-
-        for r, lp in enumerate(leaf_label_paths(gt.left)):
-            for c, tp in enumerate(leaf_label_paths(gt.top)):
-                values[(" > ".join(lp), " > ".join(tp))] = gt.body[r][c]
+        values = {
+            (" > ".join(lp), " > ".join(tp)): value
+            for (_, lp), row in zip(gt.left.leaves, gt.body)
+            for (_, tp), value in zip(gt.top.leaves, row)
+        }
         entries = []
         for n, row_path, col_path in cells:
             value = values[(row_path, col_path)]
@@ -408,7 +407,7 @@ class TestAssemble:
         result = run_tabtalk(QUESTION, SENTENCES, chat)
         assert result.table == example_table
         row_major = [
-            (lc, tc) for lc, _ in leaves(example_table.left) for tc, _ in leaves(example_table.top)
+            (lc, tc) for lc, _ in example_table.left.leaves for tc, _ in example_table.top.leaves
         ]
         assert [(r.cell.left_coord, r.cell.top_coord) for r in result.trace.records] == row_major
 
@@ -443,9 +442,9 @@ class TestQuestionsThroughTheRunMap:
         for name in ("tables.jsonl", "traces.jsonl", "transcript.jsonl"):
             assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
         row_major = [
-            [list(lc.path), list(tc.path)]
-            for lc, _ in leaves(example_table.left)
-            for tc, _ in leaves(example_table.top)
+            [list(lc), list(tc)]
+            for lc, _ in example_table.left.leaves
+            for tc, _ in example_table.top.leaves
         ]
         for trace in map(json.loads, (pooled / "traces.jsonl").read_text().splitlines()):
             assert [[cell["left"], cell["top"]] for cell in trace["cells"]] == row_major

@@ -16,9 +16,10 @@ from doc2table.html_io import (
     parse_html_table,
     serialize_html,
 )
-from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv, leaves
+from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv
 
 import strategies as sts
+from oracles import reference_serialize_html
 
 MINIMAL = "<table><tr><th></th><th>c</th></tr><tr><th>r</th><td>v</td></tr></table>"
 
@@ -203,5 +204,57 @@ class TestRoundTrip:
 
     def test_leaf_order_stable_through_round_trip(self, example_table):
         again = parse_html_table(serialize_html(example_table))
-        assert leaves(again.left) == leaves(example_table.left)
-        assert leaves(again.top) == leaves(example_table.top)
+        assert again.left.leaves == example_table.left.leaves
+        assert again.top.leaves == example_table.top.leaves
+
+
+REPEATED_SIBLINGS = [("A", ["x", "x"]), "A"]
+
+
+def table_of(left_spec, top_spec) -> HierarchicalTable:
+    left, top = CoordTree.from_nested(left_spec), CoordTree.from_nested(top_spec)
+    return HierarchicalTable(
+        "s",
+        left,
+        top,
+        tuple(tuple(f"{r}.{c}" for c in range(top.leaf_count)) for r in range(left.leaf_count)),
+    )
+
+
+class TestSerializeMatchesReference:
+    """The leaf-run serializer writes the node-by-node reference's bytes."""
+
+    @given(table=sts.tables(max_dim=8, max_depth=4))
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables(self, table):
+        assert serialize_html(table) == reference_serialize_html(table)
+
+    @pytest.mark.parametrize(
+        "left_spec, top_spec",
+        [
+            (REPEATED_SIBLINGS, REPEATED_SIBLINGS),
+            (["a", ("B", ["b1", ("b2", ["x", "y"])]), "c"], [("T", [("U", ["u1"]), "v"]), "w"]),
+            ([("A", [("B", [("C", ["d"])])])], ["e", ("F", ["g", ("H", ["i", "i"])]), "e"]),
+        ],
+        ids=["repeated-sibling-labels", "uneven-depth", "deep-chain-and-repeats"],
+    )
+    def test_explicit_shapes(self, left_spec, top_spec):
+        table = table_of(left_spec, top_spec)
+        assert serialize_html(table) == reference_serialize_html(table)
+        assert parse_html_table(serialize_html(table)) == table
+
+    def test_repeated_sibling_labels_stay_separate_cells(self):
+        assert serialize_html(table_of(REPEATED_SIBLINGS, ["c"])) == "\n".join(
+            [
+                "<table>",
+                "<thead>",
+                '<tr><th colspan="2">s</th><th>c</th></tr>',
+                "</thead>",
+                "<tbody>",
+                '<tr><th rowspan="2">A</th><th>x</th><td>0.0</td></tr>',
+                "<tr><th>x</th><td>1.0</td></tr>",
+                '<tr><th colspan="2">A</th><td>2.0</td></tr>',
+                "</tbody>",
+                "</table>",
+            ]
+        )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,6 @@ from doc2table.model import (
     HeaderNode,
     HierarchicalTable,
     flatten_to_kv,
-    leaf_label_paths,
 )
 
 from conftest import make_flat_table
@@ -291,9 +292,46 @@ def level_swapped_pairs(draw) -> tuple[HierarchicalTable, HierarchicalTable]:
     return (swapped, truth) if draw(st.booleans()) else (truth, swapped)
 
 
+def sixty_cell_pair(kind: str) -> tuple[HierarchicalTable, HierarchicalTable]:
+    """A 60-cell table (5 companies x 3 metrics by 2 years x 2 quarters) and a
+    copy of it with no key left exactly equal.
+
+    ``renamed``: every metric row label is renamed. ``reordered``: the two
+    column-header levels are swapped (quarter over year).
+    """
+    rng = random.Random(20240501)
+    metrics = ["Revenue", "Net income", "Operating margin"]
+    renamed = {"Revenue": "Total revenue", "Net income": "Net earnings",
+               "Operating margin": "Operating margin (%)"}
+    companies = ["Acme Corp", "Beta Industries", "Gamma Holdings", "Delta Partners", "Epsilon Group"]
+    years, quarters = ["FY2020", "FY2021"], ["Q1", "Q2"]
+    body = [[f"{rng.randrange(1000, 999999) / 10:,.1f}" for _ in range(4)] for _ in range(15)]
+    truth = HierarchicalTable(
+        "Metric",
+        CoordTree.from_nested([(c, metrics) for c in companies]),
+        CoordTree.from_nested([(y, quarters) for y in years]),
+        tuple(tuple(row) for row in body),
+    )
+    if kind == "renamed":
+        left = CoordTree.from_nested([(c, [renamed[m] for m in metrics]) for c in companies])
+        return HierarchicalTable("Metric", left, truth.top, truth.body), truth
+    top = CoordTree.from_nested([(q, years) for q in quarters])
+    swapped = tuple(tuple(row[y * 2 + q] for q in range(2) for y in range(2)) for row in body)
+    return HierarchicalTable("Metric", truth.left, top, swapped), truth
+
+
 class TestContentSimilarityMatchesReference:
     """The two-phase matcher equals the all-pairs greedy reference bit for bit
     (dataclass equality compares every float exactly)."""
+
+    @pytest.mark.parametrize("kind", ["renamed", "reordered"])
+    def test_sixty_cell_pair_with_no_equal_key(self, kind):
+        generated, groundtruth = sixty_cell_pair(kind)
+        keys = [{(t.left_key, t.top_key) for t in flatten_to_kv(table)} for table in (generated, groundtruth)]
+        assert not keys[0] & keys[1]
+        assert content_similarity(generated, groundtruth) == reference_content_similarity(
+            generated, groundtruth
+        )
 
     @given(
         pair=st.tuples(tables(max_dim=5), tables(max_dim=5))
@@ -389,7 +427,7 @@ class TestHeaderSimilarity:
             for left, top in (trees[:2], trees[2:])
         )
         gen_paths, gt_paths = (
-            [KEY_JOIN.join(p) for p in leaf_label_paths(getattr(table, side))]
+            [KEY_JOIN.join(p) for _, p in getattr(table, side).leaves]
             for table in (generated, groundtruth)
         )
         assume(len(gen_paths) != len(gt_paths))

@@ -10,10 +10,7 @@ from doc2table.model import (
     HierarchicalTable,
     KeyValueTriple,
     TableModelError,
-    TreeCoord,
     flatten_to_kv,
-    leaf_label_paths,
-    leaves,
     normalize_text,
 )
 from doc2table.html_io import parse_html_table, serialize_html
@@ -39,51 +36,51 @@ class TestNormalization:
         with pytest.raises(TableModelError):
             HeaderNode("   ")
 
-    def test_empty_coord_rejected(self):
-        with pytest.raises(TableModelError):
-            TreeCoord(())
-        with pytest.raises(TableModelError):
-            TreeCoord((0, -1))
+
+def coords_of(tree: CoordTree) -> list[tuple[int, ...]]:
+    return [coord for coord, _ in tree.leaves]
 
 
-def coords_of(tree: CoordTree) -> list[TreeCoord]:
-    return [coord for coord, _ in leaves(tree)]
+def label_paths(tree: CoordTree) -> tuple[tuple[str, ...], ...]:
+    return tuple(labels for _, labels in tree.leaves)
 
 
 class TestLeafCoords:
     def test_depth_one_tree(self):
         tree = CoordTree.from_nested(["a", "b", "c", "d"])
-        assert [c.path for c in coords_of(tree)] == [(0,), (1,), (2,), (3,)]
+        assert coords_of(tree) == [(0,), (1,), (2,), (3,)]
 
     def test_single_level_second_root(self):
         tree = CoordTree.from_nested(["x", "y", "z"])
-        assert dict(leaves(tree))[TreeCoord((1,))] == ("y",)
+        assert dict(tree.leaves)[(1,)] == ("y",)
 
     def test_two_level_preorder(self):
         tree = CoordTree.from_nested([("A", ["a1", "a2"]), ("B", ["b1"])])
-        assert [c.path for c in coords_of(tree)] == [(0, 0), (0, 1), (1, 0)]
+        assert coords_of(tree) == [(0, 0), (0, 1), (1, 0)]
 
     def test_three_level_manual_walk(self):
         # Hand walk: root 0 is A, its child 1 is a2, a2's child 0 is x.
         tree = CoordTree.from_nested([("A", ["a1", ("a2", ["x", "y"])]), ("B", ["b1"])])
-        assert dict(leaves(tree))[TreeCoord((0, 1, 0))] == ("A", "a2", "x")
+        assert dict(tree.leaves)[(0, 1, 0)] == ("A", "a2", "x")
 
     def test_example_table_coordinates(self, example_table):
         # The committed example: left <2,0> and top <2,1> meet at "61, 276".
-        row = coords_of(example_table.left).index(TreeCoord((2, 0)))
-        col = coords_of(example_table.top).index(TreeCoord((2, 1)))
-        assert leaf_label_paths(example_table.left)[row] == (
+        row = coords_of(example_table.left).index((2, 0))
+        col = coords_of(example_table.top).index((2, 1))
+        assert label_paths(example_table.left)[row] == (
             "Urinary tract",
             "Kidney and renal pelvis",
         )
-        assert leaf_label_paths(example_table.top)[col] == ("Mortality", "Females")
+        assert label_paths(example_table.top)[col] == ("Mortality", "Females")
         assert example_table.body[row][col] == "61, 276"
 
     def test_example_left_tree_matches_body_rows(self, example_table):
-        assert len(leaves(example_table.left)) == len(example_table.body)
+        assert example_table.left.leaf_count == len(example_table.body)
 
     def test_stable_across_calls(self, example_table):
-        assert leaves(example_table.top) == leaves(example_table.top)
+        # computed once per tree; an equal tree built anew walks to the same leaves
+        assert example_table.top.leaves is example_table.top.leaves
+        assert CoordTree(example_table.top.roots).leaves == example_table.top.leaves
 
     @given(tree=sts.coord_trees(max_depth=4, max_roots=3))
     @settings(max_examples=150)
@@ -105,8 +102,9 @@ class TestLeafCoords:
             return tuple(labels), node
 
         leaf_paths = [path for path in preorder(tree.roots, ()) if follow(path)[1].is_leaf]
-        assert [c.path for c in coords_of(tree)] == leaf_paths
-        assert leaf_label_paths(tree) == tuple(follow(path)[0] for path in leaf_paths)
+        assert coords_of(tree) == leaf_paths
+        assert label_paths(tree) == tuple(follow(path)[0] for path in leaf_paths)
+        assert tree.depth == max(len(path) for path in preorder(tree.roots, ()))
 
 
 class TestFlatten:
@@ -144,7 +142,7 @@ class TestFlatten:
         rows, cols = len(table.body), len(table.body[0])
         assert len(triples) == rows * cols
         coords = [
-            (lc.path, tc.path)
+            (lc, tc)
             for lc in coords_of(table.left)
             for tc in coords_of(table.top)
         ]
@@ -190,7 +188,7 @@ class TestValidate:
         left = CoordTree.from_nested(["Total", "Total"])
         top = CoordTree.from_nested(["c"])
         table = HierarchicalTable("", left, top, (("1",), ("2",)))
-        assert leaf_label_paths(table.left) == (("Total",), ("Total",))
+        assert label_paths(table.left) == (("Total",), ("Total",))
 
     @given(
         left=sts.coord_trees(),
@@ -233,4 +231,4 @@ class TestNestedSerialization:
 
     def test_leaf_label_paths(self):
         tree = CoordTree.from_nested([("A", ["a1", "a2"]), "B"])
-        assert leaf_label_paths(tree) == (("A", "a1"), ("A", "a2"), ("B",))
+        assert label_paths(tree) == (("A", "a1"), ("A", "a2"), ("B",))

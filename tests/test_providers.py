@@ -95,6 +95,15 @@ class TestReplay:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}, line 3: ")):
             Transcript.load(path)
 
+    def test_transcript_save_makes_its_directory(self, tmp_path):
+        transcript = Transcript(provider="p")
+        for i in range(3):
+            transcript.record({"x": i}, {"y": i})
+        path = tmp_path / "missing" / "deeper" / "t.jsonl"
+        transcript.save(path)
+        assert Transcript.load(path).entries == transcript.entries
+        assert [p.name for p in path.parent.iterdir()] == ["t.jsonl"]  # no temporary file left
+
     def test_transcript_save_is_deterministic(self, tmp_path):
         def build():
             t = Transcript()
