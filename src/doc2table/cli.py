@@ -2,8 +2,9 @@
 
 Subcommands: annotate, retrieve, generate, evaluate, stats, pipeline.
 ``retrieve`` runs :func:`retrieve_stage`, ``generate`` runs
-:func:`generate_stage` over a saved ``retrieval.jsonl``, and ``pipeline``
-runs both, handing the records over in memory, then evaluates. All three
+:func:`generate_stage` over a saved ``retrieval.jsonl``, ``evaluate`` runs
+:func:`evaluate_stage` over saved tables, and ``pipeline`` runs all three,
+handing records and tables over in memory. The first two and ``pipeline``
 read their settings, providers and inputs from one ``RunConfig`` file
 (``--config``); ``--out`` overrides its output directory. Each of them
 builds one order-preserving map from ``RunConfig.parallel`` (:func:`run_map`)
@@ -11,9 +12,13 @@ that its sentence rewrites and questions go through.
 
 All outputs are written atomically and deterministically (sorted JSON
 keys, input order preserved), so a replayed run reproduces its output
-directory byte for byte. Exit codes: 0 success, 1 runtime failure,
-2 malformed input; failures print a machine-readable JSON error report
-to stderr.
+directory byte for byte: ``doc2table pipeline --config
+tests/fixtures/pipeline/config.json --out DIR`` replays the committed
+fixture, no network needed, into a DIR equal to its ``golden`` directory.
+Exit codes: 0 success; 1 a runtime failure, a bad run config or transcript
+included, or a failed question; 2 a dataset file (documents, tables,
+triples, review, retrieval or generated tables) with a malformed line or
+an unknown id. Failures print a machine-readable JSON report to stderr.
 """
 from __future__ import annotations
 
@@ -54,6 +59,20 @@ def run_map(parallel: int):
         yield pool.map
 
 
+@contextmanager
+def _providers_and_map(config: RunConfig, roles: tuple[str, ...]):
+    """The providers of ``roles`` and the run's :func:`run_map`.
+
+    Transcripts recorded by the run are saved when it ends, failed or not.
+    """
+    built = build_providers(config, roles=roles)
+    try:
+        with run_map(config.parallel) as mapper:
+            yield built, mapper
+    finally:
+        flush_transcripts(built)
+
+
 def _check_known(path: str | Path, field: str, values: list[str], known) -> None:
     """Reject the first row whose ``field`` value is not in ``known``, by its 1-based file line."""
     for value in values:
@@ -79,8 +98,7 @@ def _recall(triples: list[ann.QaTriple], records: dict[str, RetrievalRecord], k:
             )
     if not rows:
         return {}
-    means = {str(x): sum(r["recall_at_k"][str(x)] for r in rows) / len(rows) for x in ks}
-    return {"per_item": rows, "mean": means}
+    return {"per_item": rows, "mean": aggregate_scores(rows)["recall_at_k"]}
 
 
 def retrieve_stage(
@@ -258,14 +276,8 @@ def cmd_retrieve(args) -> int:
     config, out = _load_config(args, "questions", "docs")
     triples = data.read_triples(config.questions)
     documents = data.read_documents(config.docs)
-    built = build_providers(config, roles=("rewriter", "embedder"))
-    try:
-        with run_map(config.parallel) as mapper:
-            _, recall = retrieve_stage(
-                triples, config.questions, documents, built, config, out, mapper
-            )
-    finally:
-        flush_transcripts(built)
+    with _providers_and_map(config, ("rewriter", "embedder")) as (built, mapper):
+        _, recall = retrieve_stage(triples, config.questions, documents, built, config, out, mapper)
     if recall:
         print("recall " + "  ".join(f"@{k}={mean:.4f}" for k, mean in recall["mean"].items()))
     print(f"retrieved for {len(triples)} questions")
@@ -276,12 +288,8 @@ def cmd_generate(args) -> int:
     config, out = _load_config(args, "questions")
     triples = data.read_triples(config.questions)
     records = data.read_retrieval_records(args.retrieval)
-    built = build_providers(config, roles=("chat",))
-    try:
-        with run_map(config.parallel) as mapper:
-            generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
-    finally:
-        flush_transcripts(built)
+    with _providers_and_map(config, ("chat",)) as (built, mapper):
+        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
     print(f"generated {len(generated)} tables, {len(errors)} failures")
     return 0 if not errors else 1
 
@@ -309,31 +317,35 @@ def _summary_table(items: list[dict], aggregate: dict) -> str:
     return "\n".join(lines)
 
 
-def _evaluate_items(
+def evaluate_stage(
     generated: dict[str, HierarchicalTable],
     groundtruth: dict[str, ann.QaTriple],
+    out: Path,
     recall_rows: dict[str, dict] | None = None,
-) -> tuple[list[dict], dict]:
+) -> str:
+    """Stage three: score each generated table; write evaluation.jsonl and evaluation.json.
+
+    Items come in ``generated`` order, and an item with a row in
+    ``recall_rows`` carries that row as its ``recall_at_k``. Returns the
+    summary table.
+    """
     items = []
-    for item_id in generated:
-        scores = table_scores(generated[item_id], groundtruth[item_id].table)
-        entry = {"id": item_id, **scores}
+    for item_id, table in generated.items():
+        entry = {"id": item_id, **table_scores(table, groundtruth[item_id].table)}
         if recall_rows and item_id in recall_rows:
             entry["recall_at_k"] = recall_rows[item_id]
         items.append(entry)
-    return items, aggregate_scores(items)
+    aggregate = aggregate_scores(items)
+    data.write_jsonl(out / "evaluation.jsonl", items)
+    data.write_json(out / "evaluation.json", aggregate)
+    return _summary_table(items, aggregate)
 
 
 def cmd_evaluate(args) -> int:
     generated = data.read_generated_tables(args.generated)
     groundtruth = {t.triple_id: t for t in data.read_triples(args.groundtruth)}
     _check_known(args.generated, "id", list(generated), groundtruth)
-
-    items, aggregate = _evaluate_items(generated, groundtruth)
-    out = Path(args.out)
-    data.write_jsonl(out / "evaluation.jsonl", items)
-    data.write_json(out / "evaluation.json", aggregate)
-    print(_summary_table(items, aggregate))
+    print(evaluate_stage(generated, groundtruth, Path(args.out)))
     return 0
 
 
@@ -351,23 +363,15 @@ def cmd_pipeline(args) -> int:
     config, out = _load_config(args, "questions", "docs")
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions)
-    built = build_providers(config)
-    try:
-        with run_map(config.parallel) as mapper:
-            records, recall = retrieve_stage(
-                triples, config.questions, documents, built, config, out, mapper
-            )
-            generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
-    finally:
-        flush_transcripts(built)
-
-    recall_by_id = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
-    groundtruth = {t.triple_id: t for t in triples}
-    items, aggregate = _evaluate_items(dict(generated), groundtruth, recall_by_id)
-    if items:
-        data.write_jsonl(out / "evaluation.jsonl", items)
-        data.write_json(out / "evaluation.json", aggregate)
-        summary = _summary_table(items, aggregate)
+    with _providers_and_map(config, ("chat", "rewriter", "embedder")) as (built, mapper):
+        records, recall = retrieve_stage(
+            triples, config.questions, documents, built, config, out, mapper
+        )
+        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
+    if generated:
+        recall_rows = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
+        groundtruth = {t.triple_id: t for t in triples}
+        summary = evaluate_stage(dict(generated), groundtruth, out, recall_rows)
         data.atomic_write_text(out / "summary.txt", summary + "\n")
         print(summary)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -57,10 +56,17 @@ class InputFormatError(ValueError):
         }
 
 
+def canonical_json(payload) -> str:
+    """The one-line JSON encoding of ``payload``: sorted keys, no spaces, ASCII only."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    # mode 0o666 less the umask, as open(path, "w") gives; mkstemp would give 0o600
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -76,7 +82,7 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
+    lines = [canonical_json(row) for row in rows]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -91,7 +97,7 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
         except json.JSONDecodeError as exc:
             raise InputFormatError(path, number, "<json>", f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise InputFormatError(path, number, "<json>", "each line must be a JSON object")
+            raise InputFormatError(path, number, "<json>", "expected a JSON object")
         rows.append((number, obj))
     return rows
 

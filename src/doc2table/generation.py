@@ -121,8 +121,10 @@ def _parse_block_table(block: str, what: str) -> HierarchicalTable:
         raise ResponseParseError(f"{what} is not a usable table: {exc}") from exc
 
 
-def _numbered(sentences: list[tuple[int, str]]) -> str:
-    return "\n".join(f"{i + 1}. {text}" for i, (_, text) in enumerate(sentences))
+def _question_and_evidence(question: str, sentences: list[tuple[int, str]]) -> list[str]:
+    """Every prompt's question block and numbered evidence block, each followed by a blank line."""
+    numbered = "\n".join(f"{i + 1}. {text}" for i, (_, text) in enumerate(sentences))
+    return ["Question:", question, "", "Evidence sentences:", numbered, ""]
 
 
 def _path_str(path: tuple[str, ...]) -> str:
@@ -137,12 +139,7 @@ def build_structure_prompt(question: str, sentences: list[tuple[int, str]]) -> s
         "You answer a question by designing a table. In this step you only design",
         "the table's structure; the cells are filled later.",
         "",
-        "Question:",
-        question,
-        "",
-        "Evidence sentences:",
-        _numbered(sentences),
-        "",
+        *_question_and_evidence(question, sentences),
         "Think step by step before answering: list the separate pieces of",
         "information the question asks for, answer those sub-queries first, then",
         "build up to the main query and decide the complete layout, working from",
@@ -201,12 +198,7 @@ def build_fill_prompt(
     parts = [
         "You fill specific body cells of a table that answers a question.",
         "",
-        "Question:",
-        question,
-        "",
-        "Evidence sentences:",
-        _numbered(sentences),
-        "",
+        *_question_and_evidence(question, sentences),
         "Cells to fill:",
         "\n".join(cell_lines),
         "",
@@ -238,7 +230,8 @@ def parse_fill_response(
     Citations are prompt-local numbers (1-based into the evidence list) and
     are mapped back to sentence ids; numbers outside the evidence list are
     dropped with a warning. A ``null`` value is the empty cell the prompt
-    asks for, and ``true``/``false`` are not cell or sentence numbers.
+    asks for, and ``true``/``false`` are not cell or sentence numbers. A
+    ``sentences`` field that is neither a list nor ``null`` rejects the reply.
     """
     block = extract_fenced_block(response)
     try:
@@ -260,8 +253,13 @@ def parse_fill_response(
             logger.warning("cell %d missing from fill reply; left unfilled", i + 1)
             records.append(CellFill(cell, (), "", None, filled=False))
             continue
+        numbers = entry.get("sentences")
+        if numbers is not None and not isinstance(numbers, list):
+            raise ResponseParseError(
+                f'"sentences" of cell {i + 1} must be a list of sentence numbers or null'
+            )
         cited: list[int] = []
-        for number in entry.get("sentences") or []:
+        for number in numbers or []:
             if _is_number(number) and 1 <= number <= len(sentence_ids):
                 cited.append(sentence_ids[number - 1])
             else:
@@ -286,12 +284,7 @@ def build_oneshot_prompt(question: str, sentences: list[tuple[int, str]]) -> str
     parts = [
         "Answer the question with a complete HTML table built from the evidence.",
         "",
-        "Question:",
-        question,
-        "",
-        "Evidence sentences:",
-        _numbered(sentences),
-        "",
+        *_question_and_evidence(question, sentences),
         "Mark header cells as <th> (with rowspan/colspan for nesting) and body",
         "cells as <td>. Reply with exactly one fenced code block:",
         "",

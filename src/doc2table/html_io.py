@@ -18,8 +18,9 @@ from __future__ import annotations
 import html as html_lib
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html.parser import HTMLParser
+from itertools import takewhile
 
 from .model import CoordTree, HeaderNode, HierarchicalTable, normalize_text
 
@@ -38,13 +39,13 @@ class TableStructureError(ValueError):
 
 @dataclass
 class GridCell:
-    """A parsed cell after placement in the expanded grid."""
+    """A parsed cell; :func:`parse_grid` places it, clamping its row span and setting origin."""
 
     text: str  # raw text, entities decoded, not yet normalized
     row_span: int
     col_span: int
     is_header: bool
-    origin: tuple[int, int]
+    origin: tuple[int, int] = (0, 0)  # (row, column) of its top-left slot
 
 
 @dataclass
@@ -64,29 +65,18 @@ class Grid:
         return len(self.slots[0]) if self.slots else 0
 
 
-@dataclass
-class _RawCell:
-    chunks: list[str] = field(default_factory=list)
-    row_span: int = 1
-    col_span: int = 1
-    is_header: bool = False
-
-    @property
-    def text(self) -> str:
-        return "".join(self.chunks)
-
-
 class _TableHtmlParser(HTMLParser):
-    """Collects rows of raw cells from the single table in the input."""
+    """Collects rows of unplaced cells from the single table in the input."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.table_count = 0
-        self.rows: list[tuple[list[_RawCell], bool]] = []  # (cells, from_thead)
+        self.rows: list[tuple[list[GridCell], bool]] = []  # (cells, from_thead)
         self._in_table = False
         self._in_thead = False
-        self._row: list[_RawCell] | None = None
-        self._cell: _RawCell | None = None
+        self._row: list[GridCell] | None = None
+        self._cell: GridCell | None = None
+        self._chunks: list[str] = []  # the open cell's text
 
     def handle_starttag(self, tag: str, attrs) -> None:
         tag = tag.lower()
@@ -106,15 +96,17 @@ class _TableHtmlParser(HTMLParser):
                 self._row = []
             self._close_cell()
             attr_map = dict(attrs)
-            self._cell = _RawCell(
+            self._cell = GridCell(
+                text="",
                 row_span=_parse_span(attr_map.get("rowspan")),
                 # clamped as browsers do; rowspan is clamped to the rows left
                 # when the grid is built
                 col_span=min(_parse_span(attr_map.get("colspan")), MAX_COLSPAN),
                 is_header=(tag == "th") or self._in_thead,
             )
+            self._chunks = []
         elif tag == "br" and self._cell is not None:
-            self._cell.chunks.append(" ")
+            self._chunks.append(" ")
 
     def handle_endtag(self, tag: str) -> None:
         tag = tag.lower()
@@ -130,10 +122,11 @@ class _TableHtmlParser(HTMLParser):
 
     def handle_data(self, data: str) -> None:
         if self._cell is not None:
-            self._cell.chunks.append(data)
+            self._chunks.append(data)
 
     def _close_cell(self) -> None:
         if self._cell is not None and self._row is not None:
+            self._cell.text = "".join(self._chunks)
             self._row.append(self._cell)
         self._cell = None
 
@@ -173,18 +166,18 @@ def parse_grid(html_text: str) -> Grid:
     occupied: dict[tuple[int, int], GridCell] = {}
     cells: list[GridCell] = []
     thead_rows = 0
-    for r, (raw_cells, from_thead) in enumerate(parser.rows):
+    for r, (row_cells, from_thead) in enumerate(parser.rows):
         if from_thead and thead_rows == r:
             thead_rows = r + 1
         c = 0
-        for raw in raw_cells:
+        for cell in row_cells:
             while (r, c) in occupied:
                 c += 1
-            row_span = min(raw.row_span, n_rows - r)  # clamp overhang, as browsers do
-            cell = GridCell(raw.text, row_span, raw.col_span, raw.is_header, (r, c))
+            cell.row_span = min(cell.row_span, n_rows - r)  # clamp overhang, as browsers do
+            cell.origin = (r, c)
             cells.append(cell)
-            for dr in range(row_span):
-                for dc in range(raw.col_span):
+            for dr in range(cell.row_span):
+                for dc in range(cell.col_span):
                     slot = (r + dr, c + dc)
                     if slot in occupied:
                         raise TableStructureError(
@@ -193,44 +186,30 @@ def parse_grid(html_text: str) -> Grid:
                     occupied[slot] = cell
 
     n_cols = max(c for (_, c) in occupied) + 1
-    slots: list[list[GridCell]] = []
-    for r in range(n_rows):
-        row = []
-        for c in range(n_cols):
-            cell = occupied.get((r, c))
-            if cell is None:
-                raise TableStructureError(
-                    f"grid is not rectangular: no cell covers row {r}, column {c}"
-                )
-            row.append(cell)
-        slots.append(row)
+    if len(occupied) < n_rows * n_cols:
+        r, c = next((r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in occupied)
+        raise TableStructureError(f"grid is not rectangular: no cell covers row {r}, column {c}")
+    slots = [[occupied[r, c] for c in range(n_cols)] for r in range(n_rows)]
     return Grid(cells, slots, thead_rows)
 
 
+def _leading(flags) -> int:
+    """How many of ``flags`` are true before the first false one."""
+    return sum(1 for _ in takewhile(bool, flags))
+
+
 def _header_regions(grid: Grid) -> tuple[int, int]:
-    """Return (header height H, header width W), falling back to 1 each."""
-    if grid.thead_rows:
-        h = grid.thead_rows
-    else:
-        h = 0
-        for row in grid.slots:
-            if all(cell.is_header for cell in row):
-                h += 1
-            else:
-                break
-    if h == 0:
-        h = 1
+    """Return (header height H, header width W), falling back to 1 each.
+
+    H is the ``thead`` row count or else the leading all-header row count;
+    W is the leading count of columns that are all header below H.
+    """
+    header_rows = (all(cell.is_header for cell in row) for row in grid.slots)
+    h = grid.thead_rows or _leading(header_rows) or 1
     if h >= grid.n_rows:
         raise TableStructureError("no body rows below the column-header region")
-
-    w = 0
-    for c in range(grid.n_cols):
-        if all(grid.slots[r][c].is_header for r in range(h, grid.n_rows)):
-            w += 1
-        else:
-            break
-    if w == 0:
-        w = 1
+    header_columns = (all(row[c].is_header for row in grid.slots[h:]) for c in range(grid.n_cols))
+    w = _leading(header_columns) or 1
     if w >= grid.n_cols:
         raise TableStructureError("no body columns right of the row-header region")
     return h, w
@@ -312,11 +291,8 @@ def parse_html_table(html_text: str) -> HierarchicalTable:
     top = CoordTree(_build_forest(top_chains, 0))
     left = CoordTree(_build_forest(left_chains, 0))
 
-    stub_cells: list[GridCell] = []
-    for cell in grid.cells:
-        if cell.origin[0] < h and cell.origin[1] < w:
-            stub_cells.append(cell)
-    stub = normalize_text(" ".join(c.text for c in stub_cells))
+    stub_texts = (c.text for c in grid.cells if c.origin[0] < h and c.origin[1] < w)
+    stub = normalize_text(" ".join(stub_texts))
 
     body = tuple(
         tuple(grid.slots[r][c].text for c in range(w, grid.n_cols))

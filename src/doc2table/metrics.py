@@ -158,6 +158,14 @@ class ContentReport:
     n_groundtruth: int
 
 
+def _prf(total: float, n_generated: int, n_groundtruth: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of a score ``total`` over the generated and ground-truth counts."""
+    precision = total / n_generated
+    recall = total / n_groundtruth
+    f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f1
+
+
 def _joined_key(left: tuple[str, ...], top: tuple[str, ...]) -> str:
     return KEY_JOIN.join(left) + KEY_JOIN + KEY_JOIN.join(top)
 
@@ -239,10 +247,7 @@ def content_similarity(
                 )
             )
 
-    precision = total / len(gen)
-    recall = total / len(gt)
-    f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
-    return ContentReport(tuple(pairs), precision, recall, f1, len(gen), len(gt))
+    return ContentReport(tuple(pairs), *_prf(total, len(gen), len(gt)), len(gen), len(gt))
 
 
 @dataclass(frozen=True)
@@ -267,10 +272,7 @@ def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
     gt_paths = [KEY_JOIN.join(p) for _, p in gt_tree.leaves]
     aligned = min(len(gen_paths), len(gt_paths))
     total = sum((chrf(gen_paths[:aligned], gt_paths[:aligned]) / 100.0).tolist())
-    precision = total / len(gen_paths)
-    recall = total / len(gt_paths)
-    f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
-    return HeaderScore(precision, recall, f1)
+    return HeaderScore(*_prf(total, len(gen_paths), len(gt_paths)))
 
 
 def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:

@@ -1,9 +1,10 @@
-"""Pluggable chat, rewrite and embedding backends with record/replay.
+"""Pluggable chat and rewrite backends with record/replay, and the embedders.
 
 Every provider call is a JSON request/response pair. Requests are
 fingerprinted by hashing their canonical serialization, which makes
 recorded transcripts stable across runs and platforms and lets any
-pipeline run be replayed bit-for-bit with zero network access.
+pipeline run be replayed bit-for-bit with zero network access. Embeddings
+are not recorded: :class:`HashingEmbedder` is offline, :class:`HttpEmbedder` live.
 
 Wire contracts:
   chat     {"messages": [{"role", "content"}], "temperature", "max_tokens"}
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import threading
 import time
@@ -25,6 +25,8 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
+
+from .data import InputFormatError, canonical_json, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -46,10 +48,6 @@ class ReplayMissError(ProviderError):
             "refusing to fall through to the network"
         )
         self.fingerprint = fp
-
-
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def request_fingerprint(payload) -> str:
@@ -78,20 +76,12 @@ class Transcript:
 
     def save(self, path: str | Path) -> None:
         """Write every entry, replacing ``path`` atomically and making its directory."""
-        from .data import atomic_write_text  # data imports retrieval, which imports this module
-
-        lines = [canonical_json({"meta": {"provider": self.provider, "captured": self.captured}})]
-        for fp in sorted(self.entries):
-            lines.append(
-                canonical_json(
-                    {
-                        "fingerprint": fp,
-                        "request": self.requests.get(fp),
-                        "response": self.entries[fp],
-                    }
-                )
-            )
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        meta = {"meta": {"provider": self.provider, "captured": self.captured}}
+        entries = (
+            {"fingerprint": fp, "request": self.requests.get(fp), "response": self.entries[fp]}
+            for fp in sorted(self.entries)
+        )
+        write_jsonl(path, [meta, *entries])
 
     @classmethod
     def load(cls, path: str | Path) -> Transcript:
@@ -102,21 +92,18 @@ class Transcript:
         Any other line raises ``ValueError`` naming the file and its
         1-based line number.
         """
+        try:
+            rows = read_jsonl(path)
+        except InputFormatError as exc:
+            raise ValueError(f"{path}, line {exc.line}: {exc.reason}") from None
         transcript = cls()
-        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {number}: invalid JSON: {exc}") from None
-            if isinstance(record, dict) and isinstance(record.get("meta"), dict):
+        for number, record in rows:
+            if isinstance(record.get("meta"), dict):
                 transcript.provider = record["meta"].get("provider", "")
                 transcript.captured = record["meta"].get("captured", "")
                 continue
             if not (
-                isinstance(record, dict)
-                and isinstance(record.get("fingerprint"), str)
+                isinstance(record.get("fingerprint"), str)
                 and isinstance(record.get("response"), dict)
             ):
                 raise ValueError(

@@ -1,9 +1,10 @@
 """Question decomposition, sentence rewriting and top-K cosine retrieval.
 
 A document is its raw sentences; a sentence's id is its index. A rewrite
-provider turns questions into sub-questions and sentences into a
-data-as-subject form. Each document's retrieval texts are embedded once by
-the caller (``cli.retrieve_stage``, per referenced document);
+provider (anything with the ``rewrite(mode, text)`` method of
+:class:`doc2table.providers.Rewriter`) turns questions into sub-questions
+and sentences into a data-as-subject form. Each document's retrieval texts
+are embedded once by the caller (``cli.retrieve_stage``, per referenced document);
 :func:`retrieve_top_k` embeds only the sub-questions, scores them against
 the sentences in one matrix product, keeps each sub-question's first
 :data:`RANKING_DEPTH` (or k, if larger) sentences by cosine and merges
@@ -17,8 +18,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .providers import Rewriter
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +105,7 @@ class QuestionRewrite:
     degraded: bool = False
 
 
-def rewrite_question(question: str, rewriter: Rewriter) -> QuestionRewrite:
+def rewrite_question(question: str, rewriter) -> QuestionRewrite:
     """Decompose a question into sub-questions; never fails.
 
     On provider failure or an empty decomposition the original question is
@@ -126,7 +125,7 @@ def rewrite_question(question: str, rewriter: Rewriter) -> QuestionRewrite:
     return QuestionRewrite(tuple(outputs), degraded=False)
 
 
-def rewrite_sentences(store: DocumentStore, rewriter: Rewriter, mapper=map) -> list[str]:
+def rewrite_sentences(store: DocumentStore, rewriter, mapper=map) -> list[str]:
     """Retrieval text per sentence, in sentence order: its data-as-subject rewrite.
 
     The rewrite calls go through ``mapper``, the run's order-preserving map

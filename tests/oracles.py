@@ -7,12 +7,15 @@ rankings by a pure-Python cosine scan, and key-value content similarity by
 the reference chrF over every generated x ground-truth key pair. The slow forms of
 optimized paths are kept here too: the full-sort retrieval ranking, the
 hash-per-gram embedder loop, the per-table sentence re-scan of
-annotation matching, and the node-by-node HTML serializer.
+annotation matching, and the node-by-node HTML serializer. The transcript
+file layout is spelled out here once more, with its own JSON encoding and
+fingerprints.
 """
 from __future__ import annotations
 
 import hashlib
 import html
+import json
 import re
 
 import numpy as np
@@ -169,6 +172,30 @@ def reference_rankings(
         order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
         rankings.append([(i, scores[i]) for i in order])
     return rankings
+
+
+def reference_transcript_text(provider: str, captured: str, pairs: list[tuple[dict, dict]]) -> str:
+    """The transcript file of the (request, response) ``pairs``.
+
+    The meta line comes first, then one line per distinct request in
+    fingerprint order, its last response kept. Each line is a compact,
+    key-sorted, ASCII-only JSON object; escaping every non-ASCII character
+    also keeps U+2028 and U+0085, which ``str.splitlines`` splits on, out
+    of the file.
+    """
+
+    def line(obj) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
+
+    by_fingerprint = {}
+    for request, response in pairs:
+        fingerprint = hashlib.sha256(line(request)[:-1].encode("utf-8")).hexdigest()
+        by_fingerprint[fingerprint] = (request, response)
+    text = line({"meta": {"provider": provider, "captured": captured}})
+    for fingerprint in sorted(by_fingerprint):
+        request, response = by_fingerprint[fingerprint]
+        text += line({"fingerprint": fingerprint, "request": request, "response": response})
+    return text
 
 
 def reference_hashing_embed(texts: list[str]) -> np.ndarray:

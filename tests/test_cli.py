@@ -1057,6 +1057,43 @@ class TestPerQuestionFailures:
         assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors
 
 
+    def test_fill_replies_citing_a_number_fail_only_that_question(self, tmp_path):
+        transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        gamma = read_triples(PIPELINE / "questions.jsonl")[1]
+
+        bad_fills = []
+
+        def handler(request):
+            prompt = request["messages"][0]["content"]
+            if "You fill specific body cells" in prompt and gamma.question in prompt:
+                bad_fills.append(prompt)
+                return {"content": '```json\n[{"cell": 1, "value": "x", "sentences": 2}]\n```'}
+            return transcript.lookup(request)
+
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        generated, errors = generate_stage(
+            read_triples(PIPELINE / "questions.jsonl"),
+            records,
+            ChatProvider(ScriptedProvider(handler)),
+            RunConfig(),
+            tmp_path,
+        )
+        assert [item_id for item_id, _ in generated] == ["acme_beta"]
+        assert errors == [
+            {
+                "id": "gamma",
+                "stage": "fill",
+                "error": 'fill stage failed: "sentences" of cell 1 must be a list of'
+                " sentence numbers or null",
+            }
+        ]
+        assert len(bad_fills) == 2  # the first fill prompt and its one retry
+        assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors
+        golden = PIPELINE / "golden"
+        for name in ("tables.jsonl", "traces.jsonl"):
+            assert read_jsonl_rows(tmp_path / name) == read_jsonl_rows(golden / name)[:1], name
+
+
 class TestRunMap:
     """Work mapped through a pool comes back in input order, whatever order it finishes in."""
 

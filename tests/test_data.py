@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,7 @@ from doc2table.data import (
     write_jsonl,
 )
 from doc2table.html_io import serialize_html
+from doc2table.providers import Transcript
 
 from conftest import make_flat_table
 
@@ -40,6 +42,21 @@ class TestAtomicWrites:
         write_jsonl(path, [{"b": 1, "a": 2}, {"x": "y"}])
         lines = path.read_text().splitlines()
         assert lines == ['{"a":2,"b":1}', '{"x":"y"}']
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_outputs_and_transcripts_get_the_mode_the_umask_allows(self, tmp_path, umask, mode):
+        transcript = Transcript(provider="p")
+        transcript.record({"x": 1}, {"y": 1})
+        previous = os.umask(umask)
+        try:
+            write_jsonl(tmp_path / "rows.jsonl", [{"a": 1}])
+            transcript.save(tmp_path / "transcript.jsonl")
+        finally:
+            os.umask(previous)
+        for name in ("rows.jsonl", "transcript.jsonl"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 class TestDocuments:

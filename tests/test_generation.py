@@ -214,6 +214,17 @@ class TestParseFill:
         with pytest.raises(ResponseParseError):
             parse_fill_response('```json\n{"cell": 1}\n```', plan_cells(simple_plan()), [0])
 
+    @pytest.mark.parametrize("sentences", [1, True, "1", {"1": 1}])
+    def test_sentences_that_are_not_a_list_reject_the_reply(self, sentences):
+        response = fill_response([{"cell": 1, "value": "x", "sentences": sentences}])
+        with pytest.raises(ResponseParseError, match='"sentences" of cell 1'):
+            parse_fill_response(response, plan_cells(simple_plan()), [0])
+
+    def test_null_sentences_cite_nothing(self):
+        response = fill_response([{"cell": 1, "value": "x", "sentences": None}])
+        records = parse_fill_response(response, plan_cells(simple_plan()), [0])
+        assert records[0].sentence_ids == () and records[0].filled
+
 
 def make_gt() -> HierarchicalTable:
     return HierarchicalTable(

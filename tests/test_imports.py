@@ -1,0 +1,34 @@
+"""Every module imports on its own, with no import cycle, and none imports ``requests``.
+
+Each import runs in a fresh interpreter, so no module is loaded beforehand
+and a cycle shows whichever module it is entered from. The HTTP client is
+imported only when a live HTTP provider is built.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(path.stem for path in (SRC / "doc2table").glob("*.py") if path.stem != "__init__")
+
+
+def test_every_module_is_checked():
+    assert {"cli", "config", "data", "providers", "retrieval"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone_without_requests(module):
+    code = (
+        f"import sys, doc2table.{module}\n"
+        "assert 'requests' not in sys.modules, 'requests was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

@@ -26,7 +26,16 @@ from doc2table.providers import (
     request_fingerprint,
 )
 
-from oracles import cosine, reference_hashing_embed
+from oracles import cosine, reference_hashing_embed, reference_transcript_text
+
+# JSON text with non-ASCII and non-BMP characters, and nested JSON objects
+json_text = st.one_of(st.text(max_size=12), st.sampled_from(["", "д", "漢字", "😀 x", "\u2028"]))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=8,
+)
+json_objects = st.dictionaries(json_text, json_values, max_size=4)
 
 
 class TestFingerprinting:
@@ -103,6 +112,23 @@ class TestReplay:
         transcript.save(path)
         assert Transcript.load(path).entries == transcript.entries
         assert [p.name for p in path.parent.iterdir()] == ["t.jsonl"]  # no temporary file left
+
+    @given(json_text, json_text, st.lists(st.tuples(json_objects, json_objects), max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_transcript_bytes_equal_the_reference_and_load_back(
+        self, tmp_path_factory, provider, captured, pairs
+    ):
+        transcript = Transcript(provider=provider, captured=captured)
+        for request, response in pairs:
+            transcript.record(request, response)
+        path = tmp_path_factory.mktemp("transcript") / "t.jsonl"
+        transcript.save(path)
+        expected = reference_transcript_text(provider, captured, pairs)
+        assert path.read_bytes() == expected.encode("ascii")
+        loaded = Transcript.load(path)
+        assert (loaded.provider, loaded.captured) == (provider, captured)
+        assert loaded.entries == transcript.entries
+        assert loaded.requests == transcript.requests
 
     def test_transcript_save_is_deterministic(self, tmp_path):
         def build():
