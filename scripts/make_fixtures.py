@@ -39,7 +39,7 @@ from doc2table.providers import (
     Transcript,
 )
 from doc2table.retrieval import DocumentStore, retrieve_top_k, rewrite_sentences
-from oracles import brute_cosine_ranking, brute_round_robin
+from oracles import brute_cosine_ranking, brute_round_robin, reference_hashing_embed
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +329,14 @@ def write_corpus() -> None:
     # Oracle golden: brute-force cosine scan over the rewritten corpus.
     embedder = HashingEmbedder()
     rewritten = [rewrites.get(s, s) for s in sentences]
-    sentence_vectors = [list(v) for v in embedder.embed(rewritten)]
+    sentence_vectors = [list(v) for v in reference_hashing_embed(rewritten)]
 
     golden = []
     store = DocumentStore(doc_id, sentences)
     texts = rewrite_sentences(store, Rewriter(make_rewrite_handler(rewrites, decompositions)))
     vectors = embedder.embed(texts)
     for item_id, question, subs, relevant, _ in items:
-        query_vectors = [list(v) for v in embedder.embed(subs)]
+        query_vectors = [list(v) for v in reference_hashing_embed(subs)]
         ranked_lists = []
         for vector in query_vectors:
             ranked_lists.append(brute_cosine_ranking(vector, sentence_vectors))

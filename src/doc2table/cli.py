@@ -112,8 +112,9 @@ def retrieve_stage(
 ) -> tuple[dict[str, RetrievalRecord], dict]:
     """Stage one: rewrite, rank top-k per question; write retrieval.jsonl and recall.json.
 
-    Sentence vectors are computed here, once per referenced document, at its
-    first use, and dropped after its last; its sentence rewrites go through
+    Sentence embeddings (the embedder's :class:`~doc2table.retrieval.Embeddings`)
+    are computed here, once per referenced document, at its first use, and
+    dropped after its last; its sentence rewrites go through
     ``mapper`` (see :func:`run_map`). Returns the record per triple id and
     the recall report; with no relevant ids in any triple the report is {} and
     recall.json is not written.

@@ -5,6 +5,11 @@ fingerprinted by hashing their canonical serialization, which makes
 recorded transcripts stable across runs and platforms and lets any
 pipeline run be replayed bit-for-bit with zero network access. Embeddings
 are not recorded: :class:`HashingEmbedder` is offline, :class:`HttpEmbedder` live.
+Both return :class:`doc2table.retrieval.Embeddings`, whose
+``scores(queries)`` gives cosines. The hashing embedder keeps sparse
+integer 3-gram counts (:class:`SparseCounts`) and scores by exact integer
+dot products over posting lists; the live one keeps dense unit rows
+(:class:`DenseVectors`) and scores by one matrix product.
 
 Wire contracts:
   chat     {"messages": [{"role", "content"}], "temperature", "max_tokens"}
@@ -15,7 +20,6 @@ Wire contracts:
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
 import threading
@@ -31,7 +35,6 @@ from .data import InputFormatError, canonical_json, read_jsonl, write_jsonl
 logger = logging.getLogger(__name__)
 
 EMBED_DIM = 4096
-EMBED_NGRAM = 3
 RETRYABLE_4XX = (408, 429)  # request timeout and rate limit: a later attempt may succeed
 
 
@@ -256,15 +259,60 @@ class IdentityRewriteBackend:
         return {"outputs": [request["text"]]}
 
 
-@functools.lru_cache(maxsize=None)
 def _bucket(gram: str) -> int:
     """The hashing embedder's bucket for one 3-gram.
 
-    Cached per process, so each distinct gram is hashed once; the cache holds
-    at most one entry per distinct 3-gram embedded.
+    A lone surrogate, which JSON input and rewriter replies can carry, is
+    hashed by its surrogatepass UTF-8 bytes; every other gram by its UTF-8.
     """
-    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+    digest = hashlib.blake2b(gram.encode("utf-8", "surrogatepass"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % EMBED_DIM
+
+
+class DenseVectors:
+    """L2-normalized rows of a dense matrix; scores are one matrix product."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.dim = matrix.shape[1]
+
+    def scores(self, queries: DenseVectors) -> np.ndarray:
+        return (self.matrix @ queries.matrix.T).T
+
+
+class SparseCounts:
+    """Integer 3-gram bucket counts of texts, kept sparse as posting lists.
+
+    ``rows``, ``buckets`` and ``counts`` are the texts' non-zero entries in
+    (bucket, row) order, so bucket ``b``'s posting list is entries
+    ``indptr[b]:indptr[b + 1]``. A score is the exact integer dot product
+    of two count vectors divided by the product of their L2 norms; a zero
+    vector scores 0 against anything.
+    """
+
+    dim = EMBED_DIM
+
+    def __init__(self, n: int, rows: np.ndarray, buckets: np.ndarray, counts: np.ndarray):
+        self.n, self.rows, self.buckets, self.counts = n, rows, buckets, counts
+        # integer counts: these float sums, like the dot products, are exact below 2**53
+        self.norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=n))
+        self.indptr = np.zeros(EMBED_DIM + 1, dtype=np.int64)
+        np.cumsum(np.bincount(buckets, minlength=EMBED_DIM), out=self.indptr[1:])
+
+    def scores(self, queries: SparseCounts) -> np.ndarray:
+        dots = np.empty((queries.n, self.n))
+        for q in range(queries.n):
+            own = queries.rows == q
+            buckets, counts = queries.buckets[own], queries.counts[own]
+            starts = self.indptr[buckets]
+            lengths = self.indptr[buckets + 1] - starts
+            # every entry of those buckets' posting lists, list after list
+            hits = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+            dots[q] = np.bincount(
+                self.rows[hits], weights=np.repeat(counts, lengths) * self.counts[hits], minlength=self.n
+            )
+        norms = np.outer(queries.norms, self.norms)
+        return np.divide(dots, norms, out=dots, where=norms > 0)  # a zero norm has a zero dot
 
 
 class HashingEmbedder:
@@ -272,21 +320,37 @@ class HashingEmbedder:
 
     Texts are whitespace-collapsed and padded with one boundary space on
     each side; each 3-gram is counted into one of 4096 buckets chosen by a
-    stable blake2b hash, and the vector is L2-normalized. Empty and
-    whitespace-only texts map to the zero vector, whose cosine against
-    anything is defined as 0.
+    stable blake2b hash. ``embed`` keeps the integer counts sparse
+    (:class:`SparseCounts`), since a text fills a few dozen of the 4096
+    buckets, and hashes each distinct gram of a call once. A cosine is the
+    exact integer dot product of two count vectors over the product of
+    their L2 norms. Empty and whitespace-only texts map to the zero vector,
+    whose cosine against anything is defined as 0.
     """
 
-    def embed(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
-        for i, text in enumerate(texts):
-            padded = " " + " ".join(text.split()) + " "
-            if len(padded) < EMBED_NGRAM:  # nothing but padding
-                continue
-            grams = (padded[j : j + EMBED_NGRAM] for j in range(len(padded) - EMBED_NGRAM + 1))
-            out[i] = np.bincount([_bucket(gram) for gram in grams], minlength=EMBED_DIM)
-            out[i] /= np.linalg.norm(out[i])
-        return out
+    def embed(self, texts: list[str]) -> SparseCounts:
+        padded = [" " + " ".join(text.split()) + " " for text in texts]
+        joined = "".join(padded)
+        points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+        # a gram starting at one of the last two characters of a text would
+        # cross into the next one
+        ends = np.cumsum([len(p) for p in padded], dtype=np.int64)
+        is_start = np.ones(len(joined), dtype=bool)
+        is_start[ends - 1] = is_start[ends - 2] = False
+        starts = np.flatnonzero(is_start)
+        gram_rows = np.repeat(np.arange(len(texts)), np.diff(ends, prepend=0))[starts]
+        # every code point is below 2**21, so a gram's three fit one int64
+        codes = points[starts] << 42 | points[starts + 1] << 21 | points[starts + 2]
+        grams, inverse = np.unique(codes, return_inverse=True)
+        low = (1 << 21) - 1
+        gram_buckets = np.array(
+            [_bucket(chr(c >> 42) + chr(c >> 21 & low) + chr(c & low)) for c in grams.tolist()],
+            dtype=np.int64,
+        )
+        # one key per (bucket, row) pair, so the sorted keys are the posting lists
+        keys, counts = np.unique(gram_buckets[inverse] * len(texts) + gram_rows, return_counts=True)
+        buckets, rows = np.divmod(keys, len(texts))
+        return SparseCounts(len(texts), rows, buckets, counts)
 
 
 class HttpEmbedder:
@@ -295,7 +359,7 @@ class HttpEmbedder:
     def __init__(self, backend: JsonProvider):
         self.backend = backend
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: list[str]) -> DenseVectors:
         response = self.backend.call({"texts": list(texts)})
         vectors = response.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
@@ -312,5 +376,5 @@ class HttpEmbedder:
         norms = np.linalg.norm(out, axis=1)
         nonzero = norms > 0
         out[nonzero] = out[nonzero] / norms[nonzero, None]
-        return out
+        return DenseVectors(out)
 

@@ -6,9 +6,11 @@ provider (anything with the ``rewrite(mode, text)`` method of
 and sentences into a data-as-subject form. Each document's retrieval texts
 are embedded once by the caller (``cli.retrieve_stage``, per referenced document);
 :func:`retrieve_top_k` embeds only the sub-questions, scores them against
-the sentences in one matrix product, keeps each sub-question's first
-:data:`RANKING_DEPTH` (or k, if larger) sentences by cosine and merges
-those rankings round robin into one top-K budget.
+the sentences through the embeddings' ``scores`` (exact integer dot
+products over posting lists for the hashing embedder, one matrix product
+for a live one), keeps each sub-question's first :data:`RANKING_DEPTH`
+(or k, if larger) sentences by cosine and merges those rankings round
+robin into one top-K budget.
 Records cite the raw text: the rewritten form is a retrieval aid only.
 """
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -42,6 +45,18 @@ DEFAULT_ABBREVIATIONS = frozenset(
 
 class RetrievalConfigError(ValueError):
     """Provider configuration produced unusable embeddings."""
+
+
+class Embeddings(Protocol):
+    """What an embedder's ``embed(texts)`` returns: one vector per text.
+
+    ``scores(queries)`` is the cosine of every query (rows) against every
+    text of ``self`` (columns), for ``queries`` from the same embedder.
+    """
+
+    dim: int
+
+    def scores(self, queries: Embeddings) -> np.ndarray: ...
 
 
 @dataclass
@@ -222,7 +237,7 @@ def merge_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> li
 def retrieve_top_k(
     store: DocumentStore,
     sub_questions: list[str],
-    sentence_vectors: np.ndarray | None,
+    sentence_vectors: Embeddings | None,
     embedder,
     k: int = DEFAULT_TOP_K,
     question: str = "",
@@ -230,10 +245,12 @@ def retrieve_top_k(
 ) -> RetrievalRecord:
     """Rank sentences by cosine against each sub-question; merge top-K round robin.
 
-    ``sentence_vectors`` has one row per sentence, from ``embedder``; None if
-    the store is empty. Each sub-question keeps its first max(k,
-    :data:`RANKING_DEPTH`) sentences, an exact prefix of the full ranking by
-    (-score, id).
+    ``sentence_vectors`` is ``embedder.embed`` of one retrieval text per
+    sentence; None if the store is empty. The sub-questions are embedded by
+    the same embedder; a dimension other than the sentences' raises
+    :class:`RetrievalConfigError`. Each sub-question keeps its first
+    max(k, :data:`RANKING_DEPTH`) sentences, an exact prefix of the full
+    ranking by (-score, id).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -242,15 +259,15 @@ def retrieve_top_k(
         return RetrievalRecord(question, list(sub_questions), [], [], k, degraded)
 
     query_vectors = embedder.embed(list(sub_questions))
-    if query_vectors.shape[1] != sentence_vectors.shape[1]:
+    if query_vectors.dim != sentence_vectors.dim:
         raise RetrievalConfigError(
-            f"embedding dimension mismatch: questions {query_vectors.shape[1]}, "
-            f"sentences {sentence_vectors.shape[1]}"
+            f"embedding dimension mismatch: questions {query_vectors.dim}, "
+            f"sentences {sentence_vectors.dim}"
         )
 
     n = len(store)
     depth = min(max(k, RANKING_DEPTH), n)
-    scores = (sentence_vectors @ query_vectors.T).T  # one row per sub-question
+    scores = sentence_vectors.scores(query_vectors)  # one row per sub-question
     # Only sentences within the rounding slack of the depth-th largest raw
     # score can rank in the top depth once rounded.
     floors = np.partition(scores, n - depth, axis=1)[:, n - depth] - _ROUNDING_SLACK

@@ -6,17 +6,19 @@ program), chrF by a separate dict-based reimplementation, retrieval
 rankings by a pure-Python cosine scan, and key-value content similarity by
 the reference chrF over every generated x ground-truth key pair. The slow forms of
 optimized paths are kept here too: the full-sort retrieval ranking, the
-hash-per-gram embedder loop, the per-table sentence re-scan of
-annotation matching, and the node-by-node HTML serializer. The transcript
-file layout is spelled out here once more, with its own JSON encoding and
-fingerprints.
+hash-per-gram embedder loop (as dense rows, and as ``Counter`` cosines),
+the per-table sentence re-scan of annotation matching, and the
+node-by-node HTML serializer. The transcript file layout is spelled out
+here once more, with its own JSON encoding and fingerprints.
 """
 from __future__ import annotations
 
 import hashlib
 import html
 import json
+import math
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from doc2table.model import (
     flatten_to_kv,
     normalize_text,
 )
-from doc2table.providers import EMBED_DIM, EMBED_NGRAM
+from doc2table.providers import EMBED_DIM
 
 
 def _postorder(root: HeaderNode) -> tuple[list[str], list[int]]:
@@ -198,21 +200,50 @@ def reference_transcript_text(provider: str, captured: str, pairs: list[tuple[di
     return text
 
 
+def _reference_gram_bucket(gram: str) -> int:
+    digest = hashlib.blake2b(gram.encode("utf-8", "surrogatepass"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % EMBED_DIM
+
+
+def _reference_grams(text: str) -> list[str]:
+    """The character 3-grams of the whitespace-collapsed, space-padded text."""
+    padded = " " + " ".join(text.split()) + " "
+    return [padded[j : j + 3] for j in range(len(padded) - 2)]
+
+
 def reference_hashing_embed(texts: list[str]) -> np.ndarray:
-    """The hashing embedder, one blake2b digest and one increment per 3-gram."""
+    """The hashing embedder as dense unit rows, one blake2b digest and one
+    increment per 3-gram."""
     out = np.zeros((len(texts), EMBED_DIM), dtype=np.float64)
     for i, text in enumerate(texts):
-        padded = " " + " ".join(text.split()) + " "
-        if len(padded) < EMBED_NGRAM:  # nothing but padding
-            continue
-        for j in range(len(padded) - EMBED_NGRAM + 1):
-            gram = padded[j : j + EMBED_NGRAM]
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            out[i, int.from_bytes(digest, "big") % EMBED_DIM] += 1.0
+        for gram in _reference_grams(text):
+            out[i, _reference_gram_bucket(gram)] += 1.0
         norm = np.linalg.norm(out[i])
         if norm > 0:
             out[i] /= norm
     return out
+
+
+def reference_hashing_scores(sentences: list[str], queries: list[str]) -> list[list[float]]:
+    """Hashing-embedder cosine of each query (rows) against each sentence:
+    a ``Counter`` of 3-gram buckets per text, the integer dot product of
+    two counters divided by the product of their L2 norms, 0.0 where
+    either text has no gram."""
+    sentence_counts = [Counter(map(_reference_gram_bucket, _reference_grams(s))) for s in sentences]
+    query_counts = [Counter(map(_reference_gram_bucket, _reference_grams(q))) for q in queries]
+
+    def norm(counts: Counter) -> float:
+        return math.sqrt(sum(c * c for c in counts.values()))
+
+    rows = []
+    for q in query_counts:
+        row = []
+        for s in sentence_counts:
+            dot = sum(count * s[bucket] for bucket, count in q.items())
+            denominator = norm(q) * norm(s)
+            row.append(dot / denominator if denominator else 0.0)
+        rows.append(row)
+    return rows
 
 
 def reference_match_cells(table: HierarchicalTable, store) -> list[CellMatch]:
@@ -267,15 +298,6 @@ def brute_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> li
                     seen.add(sid)
                     out.append((sid, score))
     return out[:k]
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine between two vectors; 0.0 when either is the zero vector."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def reference_content_similarity(

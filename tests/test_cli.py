@@ -866,6 +866,24 @@ class TestPipelineCommand:
         golden = PIPELINE / "golden" / "tables.jsonl"
         assert (out / "tables.jsonl").read_bytes() == golden.read_bytes()
 
+    def test_sentence_with_a_lone_surrogate_is_embedded(self, tmp_path):
+        # The JSON escape "\ud800" decodes to a lone surrogate, which strict
+        # UTF-8 cannot encode. The new sentence has no recorded rewrite, so it
+        # is embedded as its raw text; it ranks below the top k, so every
+        # chat prompt still replays.
+        rows = read_jsonl_rows(PIPELINE / "docs.jsonl")
+        rows[0]["sentences"].append("Footnote \ud800 marker.")
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert "\\ud800" in docs.read_text()
+        out = tmp_path / "out"
+        config = write_pipeline_config(tmp_path, docs=str(docs))
+        assert run(["pipeline", "--config", config, "--out", out]) == 0
+        golden = PIPELINE / "golden"
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for name in ("tables.jsonl", "evaluation.json", "recall.json"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
 
 class TestRecordedTranscripts:
     """What record mode paid for reaches its transcript file, whatever the run does after."""

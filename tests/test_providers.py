@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -26,7 +27,7 @@ from doc2table.providers import (
     request_fingerprint,
 )
 
-from oracles import cosine, reference_hashing_embed, reference_transcript_text
+from oracles import reference_hashing_embed, reference_hashing_scores, reference_transcript_text
 
 # JSON text with non-ASCII and non-BMP characters, and nested JSON objects
 json_text = st.one_of(st.text(max_size=12), st.sampled_from(["", "д", "漢字", "😀 x", "\u2028"]))
@@ -186,57 +187,85 @@ class TestChatAndRewrite:
             rewriter.rewrite("question", "q")
 
 
+def hashed_entries(vectors) -> list[tuple[int, int, int]]:
+    """The (row, bucket, count) entries of a :class:`SparseCounts`, in (row, bucket) order."""
+    return sorted(zip(vectors.rows.tolist(), vectors.buckets.tolist(), vectors.counts.tolist()))
+
+
+# Texts with ties and duplicates among them, empty, whitespace-only and
+# one-character texts, non-BMP characters and lone surrogates.
+hashing_texts = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet=st.sampled_from("ab 7\t\u00e9\U0001f600\ud800\udfff"), max_size=8),
+    st.sampled_from(["", " ", "\t\n ", "7", "\u00e9", "\U0001f600", "\ud800", "a\udc00b", "a  b", "aaaa aaaa"]),
+)
+
+
 class TestHashingEmbedder:
     def test_deterministic(self):
         embedder = HashingEmbedder()
         a = embedder.embed(["same text"])
         b = embedder.embed(["same text"])
-        assert np.array_equal(a, b)
+        assert hashed_entries(a) == hashed_entries(b)
 
     def test_dimension_and_unit_norm(self):
         vectors = HashingEmbedder().embed(["alpha", "beta gamma delta"])
-        assert vectors.shape == (2, 4096)
-        for v in vectors:
-            assert math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=1e-12)
+        assert vectors.dim == 4096 and vectors.n == 2
+        for value in np.diag(vectors.scores(vectors)):
+            assert math.isclose(value, 1.0, rel_tol=1e-12)
 
     def test_near_strings_share_some_grams(self):
         # " abc " and " abd " share the boundary 3-gram " ab" only, so the
         # cosine is strictly between 0 and 1.
         vectors = HashingEmbedder().embed(["abc", "abd"])
-        value = cosine(vectors[0], vectors[1])
+        value = vectors.scores(vectors)[0, 1]
         assert 0.0 < value < 1.0
 
     def test_empty_string_is_zero_vector(self):
         vectors = HashingEmbedder().embed(["", "word"])
-        assert not vectors[0].any()
-        assert cosine(vectors[0], vectors[1]) == 0.0
-        assert cosine(vectors[0], vectors[0]) == 0.0
+        assert vectors.norms[0] == 0.0 and 0 not in vectors.rows
+        scores = vectors.scores(vectors)
+        assert scores[0].tolist() == [0.0, 0.0] and scores[:, 0].tolist() == [0.0, 0.0]
 
     def test_whitespace_insensitive_collapse(self):
         embedder = HashingEmbedder()
-        assert np.array_equal(embedder.embed(["a  b"]), embedder.embed(["a b"]))
+        assert hashed_entries(embedder.embed(["a  b"])) == hashed_entries(embedder.embed(["a b"]))
 
     def test_cosine_self_is_one(self):
-        v = HashingEmbedder().embed(["some nonempty text"])[0]
-        assert math.isclose(cosine(v, v), 1.0, rel_tol=1e-12)
+        v = HashingEmbedder().embed(["some nonempty text"])
+        assert math.isclose(v.scores(v)[0, 0], 1.0, rel_tol=1e-12)
 
     def test_one_character_text_counts_its_one_gram(self):
         vectors = HashingEmbedder().embed(["7", " 7\t"])
-        assert np.count_nonzero(vectors[0]) == 1 and vectors[0].max() == 1.0
-        assert np.array_equal(vectors[0], vectors[1])
+        (row0, bucket0, count0), (row1, bucket1, count1) = hashed_entries(vectors)
+        assert (row0, count0, row1, count1) == (0, 1, 1, 1) and bucket0 == bucket1
 
-    @given(
-        st.lists(
-            st.one_of(
-                st.text(max_size=40),
-                st.sampled_from(["", " ", "\t\n ", "7", "é", "漢字 表", "a  b", "aaaa aaaa"]),
-            ),
-            max_size=8,
-        )
-    )
+    def test_grams_do_not_cross_text_boundaries(self):
+        embedder = HashingEmbedder()
+        joined = embedder.embed(["ab", "cd"])
+        alone = [hashed_entries(embedder.embed([text])) for text in ("ab", "cd")]
+        assert hashed_entries(joined) == alone[0] + [(1, b, c) for _, b, c in alone[1]]
+
+    def test_lone_surrogate_is_hashed_by_its_surrogatepass_bytes(self):
+        vectors = HashingEmbedder().embed(["\ud800"])
+        digest = hashlib.blake2b(" \ud800 ".encode("utf-8", "surrogatepass"), digest_size=8).digest()
+        assert hashed_entries(vectors) == [(0, int.from_bytes(digest, "big") % 4096, 1)]
+
+    @given(st.lists(hashing_texts, max_size=8), st.lists(hashing_texts, min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
-    def test_bit_equal_to_reference(self, texts):
-        assert np.array_equal(HashingEmbedder().embed(texts), reference_hashing_embed(texts))
+    def test_scores_bit_equal_to_reference(self, sentences, queries):
+        embedder = HashingEmbedder()
+        queries = queries + sentences[:1]  # a query equal to a sentence: a tie at the top
+        scores = embedder.embed(sentences).scores(embedder.embed(queries))
+        expected = np.array(reference_hashing_scores(sentences, queries), dtype=np.float64)
+        assert scores.shape == (len(queries), len(sentences))
+        assert scores.tobytes() == expected.reshape(scores.shape).tobytes()
+
+    def test_scores_agree_with_the_dense_reference(self):
+        texts = ["alpha beta", "beta gamma", "", "7", "\U0001f600 x", "alpha beta"]
+        vectors = HashingEmbedder().embed(texts)
+        dense = reference_hashing_embed(texts)
+        np.testing.assert_allclose(vectors.scores(vectors), dense @ dense.T, rtol=0, atol=1e-15)
 
 
 class TestHttpEmbedder:
@@ -248,7 +277,8 @@ class TestHttpEmbedder:
     def test_normalizes_vectors(self):
         backend = ScriptedProvider(lambda r: {"vectors": [[3.0, 4.0]]})
         out = HttpEmbedder(backend).embed(["a"])
-        assert out[0] == pytest.approx([0.6, 0.8])
+        assert out.dim == 2
+        assert out.matrix[0] == pytest.approx([0.6, 0.8])
 
     def test_wrong_length_rejected(self):
         backend = ScriptedProvider(lambda r: {"vectors": [[1.0]]})
@@ -267,7 +297,14 @@ class TestHttpEmbedder:
     def test_integer_rows_are_numbers(self):
         backend = ScriptedProvider(lambda r: {"vectors": [[3, 4], [0, 0]]})
         out = HttpEmbedder(backend).embed(["a", "b"])
-        assert out.tolist() == [[0.6, 0.8], [0.0, 0.0]]
+        assert out.matrix.tolist() == [[0.6, 0.8], [0.0, 0.0]]
+
+    def test_scores_are_the_matrix_product(self):
+        sentences = [[3, 4], [0, 0], [1, 0]]
+        backend = ScriptedProvider(lambda r: {"vectors": sentences if len(r["texts"]) == 3 else [[0, 2]]})
+        embedder = HttpEmbedder(backend)
+        vectors, queries = embedder.embed(["a", "b", "c"]), embedder.embed(["q"])
+        assert vectors.scores(queries).tolist() == [[0.8, 0.0, 0.0]]
 
     @pytest.mark.parametrize(
         "body",

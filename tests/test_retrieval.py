@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doc2table.data import read_documents, read_triples
-from doc2table.providers import HashingEmbedder, ReplayProvider, Rewriter, ScriptedProvider, Transcript
+from doc2table.providers import (
+    DenseVectors,
+    HashingEmbedder,
+    ReplayProvider,
+    Rewriter,
+    ScriptedProvider,
+    Transcript,
+)
 from doc2table.retrieval import (
     RANKING_DEPTH,
     DocumentStore,
@@ -22,7 +29,12 @@ from doc2table.retrieval import (
 )
 
 from conftest import FIXTURES
-from oracles import brute_round_robin, reference_rankings
+from oracles import (
+    brute_round_robin,
+    reference_hashing_embed,
+    reference_hashing_scores,
+    reference_rankings,
+)
 
 
 class TestSplitSentences:
@@ -158,7 +170,7 @@ class FixedEmbedder:
         for i, text in enumerate(texts):
             if text in self.mapping:
                 out[i, self.mapping[text]] = 1.0
-        return out
+        return DenseVectors(out)
 
 
 def rank(store, sub_questions, embedder, **kwargs):
@@ -188,7 +200,9 @@ class TestRetrieveTopK:
     def test_dimension_mismatch_is_configuration_error(self):
         store = DocumentStore("d", ["a", "b"])
         with pytest.raises(RetrievalConfigError):
-            retrieve_top_k(store, ["q"], np.ones((2, 5)), FixedEmbedder({}, dim=4), k=1)
+            retrieve_top_k(store, ["q"], DenseVectors(np.ones((2, 5))), FixedEmbedder({}, dim=4), k=1)
+        with pytest.raises(RetrievalConfigError, match="questions 4, sentences 4096"):
+            retrieve_top_k(store, ["q"], HashingEmbedder().embed(store.sentences), FixedEmbedder({}), k=1)
 
     def test_embeds_only_the_sub_questions(self):
         class CountingEmbedder(HashingEmbedder):
@@ -301,7 +315,7 @@ class MatrixEmbedder:
 
     def embed(self, texts):
         assert len(texts) == len(self.vectors)
-        return self.vectors
+        return DenseVectors(self.vectors)
 
 
 # Dyadic entries make every dot product exact, so per-row and whole-matrix
@@ -333,10 +347,15 @@ def near_rounding_cases(draw):
     return sentences, np.array([[1.0]]), k
 
 
+# Few distinct texts, so long documents repeat them and tie; zero vectors,
+# one-character and non-BMP texts and a lone surrogate among them.
+HASHED_SENTENCES = ["alpha beta", "beta", "gamma alpha", "", " ", "7", "\U0001f600 b", "a\ud800"]
+
+
 def check_against_reference(sentences, queries, k):
     store = DocumentStore("d", [f"s{i}" for i in range(len(sentences))])
     subs = [f"q{j}" for j in range(len(queries))]
-    record = retrieve_top_k(store, subs, sentences, MatrixEmbedder(queries), k=k)
+    record = retrieve_top_k(store, subs, DenseVectors(sentences), MatrixEmbedder(queries), k=k)
     reference = reference_rankings(sentences, queries)
     depth = max(k, RANKING_DEPTH)
     assert record.per_question == [ranked[:depth] for ranked in reference]
@@ -363,14 +382,32 @@ class TestRankingDepth:
         record = check_against_reference(sentences, queries, k)
         assert [len(ranked) for ranked in record.per_question] == [min(n, max(k, 60))] * 2
 
-    def test_corpus_scores_equal_per_row_products(self):
+    @given(
+        st.lists(st.sampled_from(HASHED_SENTENCES), min_size=1, max_size=2 * RANKING_DEPTH + 10),
+        st.lists(st.sampled_from(["alpha", "beta gamma", "7", "\ud800", "zeta"]), min_size=1, max_size=3),
+        st.integers(1, RANKING_DEPTH + 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hashing_ranking_is_a_prefix_of_the_counter_reference(self, sentences, subs, k):
+        store = DocumentStore("d", sentences)
+        embedder = HashingEmbedder()
+        record = retrieve_top_k(store, subs, embedder.embed(sentences), embedder, k=k)
+        reference = []
+        for row in reference_hashing_scores(sentences, subs):
+            scores = [round(score, 9) for score in row]
+            reference.append(sorted(enumerate(scores), key=lambda item: (-item[1], item[0])))
+        assert record.per_question == [ranked[: max(k, RANKING_DEPTH)] for ranked in reference]
+        assert record.merged == brute_round_robin(reference, k)
+
+    def test_corpus_rankings_equal_the_dense_reference(self):
         corpus = FIXTURES / "corpus"
         rewriter = Rewriter(ReplayProvider(Transcript.load(corpus / "rewrite_transcript.jsonl")))
         embedder = HashingEmbedder()
         store = read_documents(corpus / "docs.jsonl")["fin_reports_2022"]
-        vectors = embedder.embed(rewrite_sentences(store, rewriter))
+        texts = rewrite_sentences(store, rewriter)
+        vectors, dense = embedder.embed(texts), reference_hashing_embed(texts)
         for triple in read_triples(corpus / "triples.jsonl"):
             subs = list(rewrite_question(triple.question, rewriter).sub_questions)
             record = retrieve_top_k(store, subs, vectors, embedder, k=30)
-            reference = reference_rankings(vectors, embedder.embed(subs))
+            reference = reference_rankings(dense, reference_hashing_embed(subs))
             assert record.per_question == [ranked[:RANKING_DEPTH] for ranked in reference]
