@@ -16,6 +16,16 @@ lowercases and number-tokenizes the sentences lazily, at the document's
 first table, and answers every cell of every later table from that scan.
 The matching rule above is the same whichever table triggers the scan.
 
+Two shortcuts keep the scan and the lookups cheap without changing a
+match. The number pattern opens with a lookahead for the characters a
+token can start with (whitespace, "(", a minus, a currency symbol or a
+digit), so the regex engine skips every other position at once, and a
+sentence without a ``\\d`` digit is not searched at all. A textual cell is
+looked up with ``str.find`` in the document's lowered sentences joined by
+"\\n"; only the sentences it is found in are searched with the
+whole-phrase pattern. Normalized sentences and body cells hold no "\\n",
+so a find never spans two sentences.
+
 A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
 and stub cells are not counted. Coverage and exclusion are decided once
@@ -24,6 +34,7 @@ per table, by :func:`coverage`, after review has been applied.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +48,7 @@ _CURRENCY = "$€£¥"
 
 _NUMBER_TOKEN = re.compile(
     r"""
+    (?=[\s(\-−{cur}\d])                      # every match starts with one of these
     (\()?                                   # parenthesized negative, open
     \s*(-|−)?\s*                       # explicit minus
     [{cur}]?\s?
@@ -49,11 +61,13 @@ _NUMBER_TOKEN = re.compile(
     """.format(cur=_CURRENCY),
     re.VERBOSE,
 )
+_DIGIT = re.compile(r"\d")  # the pattern's own digit class: a text without one has no token
+_SEPARATOR = re.compile(r"[,\s]")
 
 
 def canonical_magnitude(digits: str) -> str:
     """Canonical unsigned form: separators removed, zero-padding trimmed."""
-    plain = re.sub(r"[,\s]", "", digits)
+    plain = _SEPARATOR.sub("", digits)
     if "." in plain:
         integer, fraction = plain.split(".", 1)
         fraction = fraction.rstrip("0")
@@ -85,8 +99,15 @@ def parse_cell_number(cell_text: str) -> tuple[str, bool] | None:
 
 def sentence_numbers(sentence: str) -> list[tuple[str, bool]]:
     """All (canonical magnitude, is_negative) tokens in a sentence."""
+    return _normalized_numbers(normalize_text(sentence))
+
+
+def _normalized_numbers(text: str) -> list[tuple[str, bool]]:
+    """:func:`sentence_numbers` of an already normalized text."""
+    if not _DIGIT.search(text):
+        return []
     tokens = []
-    for match in _NUMBER_TOKEN.finditer(normalize_text(sentence)):
+    for match in _NUMBER_TOKEN.finditer(text):
         negative = bool(match.group(2)) or bool(match.group(1) and match.group(4))
         tokens.append((canonical_magnitude(match.group(3)), negative))
     return tokens
@@ -114,13 +135,18 @@ Magnitudes = dict[str, dict[int, set[bool]]]
 
 def scan_sentences(sentences: list[str]) -> tuple[list[str], Magnitudes]:
     """Lowered normalized sentences, and canonical magnitude -> {sentence id:
-    signs it appears with}, each inner dict in ascending id order."""
+    signs it appears with}, each inner dict in ascending id order.
+
+    Each sentence is normalized once; one without a digit skips the number
+    pattern, and the pattern's leading lookahead skips positions no token
+    can start at.
+    """
     lowered: list[str] = []
     magnitudes: Magnitudes = {}
     for sid, sentence in enumerate(sentences):
         text = normalize_text(sentence)
         lowered.append(text.lower())
-        for magnitude, negative in sentence_numbers(text):
+        for magnitude, negative in _normalized_numbers(text):
             magnitudes.setdefault(magnitude, {}).setdefault(sid, set()).add(negative)
     return lowered, magnitudes
 
@@ -131,6 +157,10 @@ class SentenceIndex:
     The scan (:func:`scan_sentences`) runs on first use, inside the first
     :func:`match_cells_to_sentences` call for the document, so a document
     no table references is never scanned. ``len()`` is the sentence count.
+    :attr:`joined`, built at the same first use, holds the lowered
+    sentences joined by "\\n", in which a textual cell is found with
+    ``str.find`` and mapped back to its sentence by offset. No normalized
+    sentence or cell holds a "\\n", so no find crosses a sentence boundary.
     """
 
     def __init__(self, sentences: list[str]):
@@ -143,10 +173,26 @@ class SentenceIndex:
     def scan(self) -> tuple[list[str], Magnitudes]:
         return scan_sentences(self.sentences)
 
+    @cached_property
+    def joined(self) -> tuple[str, list[int]]:
+        """The lowered sentences joined with "\\n", and each one's start offset.
+
+        Offsets come from the lowered texts, since ``str.lower()`` can
+        change a string's length.
+        """
+        lowered = self.scan[0]
+        starts = []
+        offset = 0
+        for text in lowered:
+            starts.append(offset)
+            offset += len(text) + 1
+        return "\n".join(lowered), starts
+
 
 def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> list[CellMatch]:
     """Locate candidate sentences for every body cell; empty cells match nothing."""
     lowered_sentences, magnitudes = index.scan
+    joined, starts = index.joined
     matches: list[CellMatch] = []
     for r, row in enumerate(table.body):
         for c, cell in enumerate(row):
@@ -162,14 +208,18 @@ def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> 
                         CellMatch(r, c, "numeric", tuple(signs_by_id), magnitude, flips)
                     )
             else:
-                # The pattern matches only where the lowered cell occurs literally.
+                # The pattern matches only where the lowered cell occurs
+                # literally, so only sentences the needle is found in are searched.
                 needle = cell.lower()
                 pattern = re.compile(rf"(?<!\w){re.escape(needle)}(?!\w)")
-                hit_ids = [
-                    sid
-                    for sid, text in enumerate(lowered_sentences)
-                    if needle in text and pattern.search(text)
-                ]
+                hit_ids = []
+                at = joined.find(needle)
+                while at != -1:
+                    sid = bisect_right(starts, at) - 1
+                    text = lowered_sentences[sid]
+                    if pattern.search(text):
+                        hit_ids.append(sid)
+                    at = joined.find(needle, starts[sid] + len(text) + 1)
                 if hit_ids:
                     matches.append(CellMatch(r, c, "textual", tuple(hit_ids)))
     return matches

@@ -297,7 +297,8 @@ def cmd_generate(args) -> int:
 
 def _summary_table(items: list[dict], aggregate: dict) -> str:
     columns = [
-        ("id", lambda row: row["id"]),
+        # an id strict UTF-8 cannot encode (a lone surrogate) shows as its escape
+        ("id", lambda row: row["id"].encode("utf-8", "backslashreplace").decode("utf-8")),
         ("TEDS", lambda row: f"{row['teds']:.4f}"),
         ("Body-P", lambda row: f"{row['content_precision']:.4f}"),
         ("Body-R", lambda row: f"{row['content_recall']:.4f}"),

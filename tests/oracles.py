@@ -7,8 +7,9 @@ rankings by a pure-Python cosine scan, and key-value content similarity by
 the reference chrF over every generated x ground-truth key pair. The slow forms of
 optimized paths are kept here too: the full-sort retrieval ranking, the
 hash-per-gram embedder loop (as dense rows, and as ``Counter`` cosines),
-the per-table sentence re-scan of annotation matching, and the
-node-by-node HTML serializer. The transcript file layout is spelled out
+the per-table sentence re-scan of annotation matching (with its own copy
+of the number-token pattern, tried at every character of every sentence),
+and the node-by-node HTML serializer. The transcript file layout is spelled out
 here once more, with its own JSON encoding and fingerprints.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from doc2table.annotate import CellMatch, parse_cell_number, sentence_numbers
+from doc2table.annotate import CellMatch
 from doc2table.metrics import (
     KEY_MATCH_THRESHOLD,
     ContentReport,
@@ -246,11 +247,68 @@ def reference_hashing_scores(sentences: list[str], queries: list[str]) -> list[l
     return rows
 
 
+_REFERENCE_NUMBER_TOKEN = re.compile(
+    r"""
+    (\()?                                   # parenthesized negative, open
+    \s*(-|−)?\s*                            # explicit minus
+    [$€£¥]?\s?
+    (
+        \d{1,3}(?:,\s?\d{3})+(?:\.\d+)?       # comma-grouped, tolerate ", " spacing
+        | \d{1,3}(?:\ \d{3})+(?:\.\d+)?       # space-grouped thousands
+        | \d+(?:\.\d+)?                       # plain integer / decimal
+    )
+    \s*(\))?
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_magnitude(digits: str) -> str:
+    plain = re.sub(r"[,\s]", "", digits)
+    if "." in plain:
+        integer, fraction = plain.split(".", 1)
+        fraction = fraction.rstrip("0")
+        integer = integer.lstrip("0") or "0"
+        return f"{integer}.{fraction}" if fraction else integer
+    return plain.lstrip("0") or "0"
+
+
+def reference_parse_cell_number(cell_text: str) -> tuple[str, bool] | None:
+    """(canonical magnitude, is_negative) when the whole cell is one number."""
+    text = normalize_text(cell_text)
+    if not text:
+        return None
+    negative = False
+    if text.startswith("(") and text.endswith(")"):
+        negative = True
+        text = text[1:-1].strip()
+    if text.startswith(("-", "−")):
+        negative = True
+        text = text[1:].strip()
+    text = text.lstrip("$€£¥").strip()
+    if text.endswith("%"):
+        text = text[:-1].strip()
+    match = _REFERENCE_NUMBER_TOKEN.fullmatch(text)
+    if not match or match.group(1) or match.group(2) or match.group(4):
+        return None
+    return _reference_magnitude(match.group(3)), negative
+
+
+def reference_sentence_numbers(sentence: str) -> list[tuple[str, bool]]:
+    """Every (canonical magnitude, is_negative) token of the normalized
+    sentence, one ``finditer`` over it with no pre-filter."""
+    tokens = []
+    for match in _REFERENCE_NUMBER_TOKEN.finditer(normalize_text(sentence)):
+        negative = bool(match.group(2)) or bool(match.group(1) and match.group(4))
+        tokens.append((_reference_magnitude(match.group(3)), negative))
+    return tokens
+
+
 def reference_match_cells(table: HierarchicalTable, store) -> list[CellMatch]:
     """Candidate sentences for every body cell, re-scanning every sentence of
     ``store`` (anything with ``.sentences``) on each call."""
     normalized_sentences = [normalize_text(s) for s in store.sentences]
-    numbers_per_sentence = [sentence_numbers(s) for s in normalized_sentences]
+    numbers_per_sentence = [reference_sentence_numbers(s) for s in normalized_sentences]
     lowered_sentences = [s.lower() for s in normalized_sentences]
 
     matches: list[CellMatch] = []
@@ -258,7 +316,7 @@ def reference_match_cells(table: HierarchicalTable, store) -> list[CellMatch]:
         for c, cell in enumerate(row):
             if not cell:
                 continue
-            number = parse_cell_number(cell)
+            number = reference_parse_cell_number(cell)
             if number is not None:
                 magnitude, negative = number
                 hit_ids: list[int] = []

@@ -21,7 +21,7 @@ from doc2table.model import CoordTree, HierarchicalTable
 from doc2table.retrieval import DocumentStore
 
 from conftest import make_flat_table
-from oracles import reference_match_cells
+from oracles import reference_match_cells, reference_sentence_numbers
 
 
 class TestNumberNormalization:
@@ -50,6 +50,25 @@ class TestNumberNormalization:
     def test_sentence_negative_forms(self):
         assert ("500", True) in sentence_numbers("The swing was -500 in total.")
         assert ("500", True) in sentence_numbers("A result of (500) was booked.")
+
+    @pytest.mark.parametrize("sentence", [
+        "The Q4 2022 filing shows Gimate Holdings operating margin at $247,187.6 million.",
+        "In Q1 2023, the revenue of Godeze Labs reached $82,637.7 million.",
+        "The Revenue of Socopi Media in Q2 2023 was 986,627.8 million dollars.",
+        "A result of (500) was booked.",
+        "The swing was - 1 234 in total.",
+        "Costs of € 1 234.50 and (¥ -12, 345) then −0.5%.",
+        "Arabic-Indic digits: (٣) and ١,٢٣٤.",
+        "Ginike Group management discussed supply chain risks during the investor day.",
+    ])
+    def test_same_tokens_as_reference(self, sentence):
+        tokens = sentence_numbers(sentence)
+        assert tokens == reference_sentence_numbers(sentence)
+        assert tokens or not any(ch.isdigit() for ch in sentence)
+
+    def test_money_string_tokens(self):
+        assert sentence_numbers("The margin was $247,187.6 million.") == [("247187.6", False)]
+        assert sentence_numbers("The swing was - 1 234 in total.") == [("1234", True)]
 
 
 def one_cell_table(value: str) -> HierarchicalTable:
@@ -126,10 +145,15 @@ class TestCellMatching:
         ]
 
 
-MAGNITUDES = ["0", "7", "42", "500", "1234", "61276", "1234567", "56.2", "0.5"]
+# "٣" and "١٢٣٤" are Arabic-Indic decimal digits, which the pattern's \d accepts
+MAGNITUDES = ["0", "7", "42", "500", "1234", "61276", "1234567", "56.2", "0.5", "٣", "١٢٣٤"]
+# "İ".lower() is two characters long; "\x00" is a NUL
 WORDS = ["Revenue", "net income", "Net Income", "NET INCOME", "totally", "Total",
-         "a+b", "(x)", "[note]", "c.e.o", "R&D", "Q1 2023", "$", "income."]
-WHITESPACE = [" ", "  ", "\t", "\n ", " \u00a0"]
+         "a+b", "(x)", "[note]", "c.e.o", "R&D", "Q1 2023", "$", "income.",
+         "İstanbul", "İİ income", "nul\x00byte", "\x00"]
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+DIGITLESS_WORDS = [word for word in WORDS if not any(ch.isdigit() for ch in word)]
+WHITESPACE = [" ", "  ", "\t", "\n ", " \u00a0", "\n", "\t\n", "\r\n"]
 
 
 @st.composite
@@ -152,11 +176,14 @@ def printed_numbers(draw) -> str:
     return f"({text})" if sign == "()" else sign + text
 
 
-fragments = st.one_of(printed_numbers(), st.sampled_from(WORDS))
-
-
 @st.composite
-def sentences(draw) -> str:
+def sentences(draw, digits: bool = True) -> str:
+    """Fragments joined by whitespace runs that may hold tabs and newlines;
+    without ``digits``, words only and no decimal digit anywhere."""
+    if digits:
+        fragments = st.one_of(printed_numbers(), st.sampled_from(WORDS))
+    else:
+        fragments = st.sampled_from(DIGITLESS_WORDS)
     parts = draw(st.lists(fragments, min_size=1, max_size=6))
     text = ""
     for part in parts:
@@ -166,9 +193,9 @@ def sentences(draw) -> str:
 
 
 @st.composite
-def cell_tables(draw) -> HierarchicalTable:
+def cell_tables(draw, phrases: tuple[str, ...] = ()) -> HierarchicalTable:
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    cell = st.one_of(printed_numbers(), st.sampled_from(WORDS + ["", "income"]))
+    cell = st.one_of(printed_numbers(), st.sampled_from(WORDS + ["", "income", *phrases]))
     body = tuple(tuple(draw(cell) for _ in range(cols)) for _ in range(rows))
     return HierarchicalTable(
         "",
@@ -178,11 +205,27 @@ def cell_tables(draw) -> HierarchicalTable:
     )
 
 
+@st.composite
+def documents_and_tables(draw) -> tuple[list[str], list[HierarchicalTable]]:
+    """A document, with ASCII, Arabic-Indic or no digits, and tables whose cells
+    may also be one of its words, or a phrase straddling two sentences: the
+    last word of sentence i and the first word of sentence i + 1, which no
+    single sentence need contain."""
+    digits = draw(st.sampled_from(["ascii", "arabic-indic", "none"]))
+    document = draw(st.lists(sentences(digits=digits != "none"), max_size=8))
+    if digits == "arabic-indic":
+        document = [sentence.translate(ARABIC_INDIC) for sentence in document]
+    words = [sentence.split() for sentence in document]
+    straddles = [f"{a[-1]} {b[0]}" for a, b in zip(words, words[1:]) if a and b]
+    phrases = (*straddles, *(word for sentence in words for word in sentence))
+    return document, draw(st.lists(cell_tables(phrases), min_size=1, max_size=3))
+
+
 class TestIndexAgainstReference:
-    @given(tables=st.lists(cell_tables(), min_size=1, max_size=3),
-           document=st.lists(sentences(), max_size=8))
+    @given(case=documents_and_tables())
     @settings(max_examples=300, deadline=None)
-    def test_same_matches_as_rescanning_reference(self, tables, document):
+    def test_same_matches_as_rescanning_reference(self, case):
+        document, tables = case
         index = SentenceIndex(document)
         store = DocumentStore("d", document)
         for table in tables:
@@ -196,6 +239,21 @@ class TestIndexAgainstReference:
             [match] = match_cells_to_sentences(table, index)
             assert (match.sentence_ids, match.sign_flip_ids) == ((0, 1), flips)
             assert [match] == reference_match_cells(table, store)
+
+    def test_phrase_straddling_two_sentences_matches_neither(self):
+        document = ["Sales rose in Total", "Revenue fell.", "total revenue was flat."]
+        index, store = SentenceIndex(document), DocumentStore("d", document)
+        table = one_cell_table("Total Revenue")
+        assert [m.sentence_ids for m in match_cells_to_sentences(table, index)] == [(2,)]
+        assert match_cells_to_sentences(table, index) == reference_match_cells(table, store)
+
+    def test_lowering_that_lengthens_text_keeps_sentence_ids(self):
+        # "İ".lower() is two characters, so each "İ" shifts later offsets by one
+        document = ["İİİİ first", "x total", "İ", "Total again"]
+        index, store = SentenceIndex(document), DocumentStore("d", document)
+        table = one_cell_table("total")
+        assert [m.sentence_ids for m in match_cells_to_sentences(table, index)] == [(1, 3)]
+        assert match_cells_to_sentences(table, index) == reference_match_cells(table, store)
 
     def test_index_length_is_sentence_count_and_scan_is_lazy(self):
         index = SentenceIndex(["One 1.", "Two 2.", "Three 3."])

@@ -884,6 +884,23 @@ class TestPipelineCommand:
         for name in ("tables.jsonl", "evaluation.json", "recall.json"):
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
+    def test_question_id_with_a_lone_surrogate_is_summarized_by_its_escape(
+        self, tmp_path, capsys
+    ):
+        rows = read_jsonl_rows(PIPELINE / "questions.jsonl")
+        rows[1]["id"] = "gamma\ud800"
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert "\\ud800" in questions.read_text()
+        out = tmp_path / "out"
+        config = write_pipeline_config(tmp_path, questions=str(questions))
+        assert run(["pipeline", "--config", config, "--out", out]) == 0
+        golden = PIPELINE / "golden"
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert "\ngamma\\ud800  1.0000  1.0000" in summary
+        assert summary in capsys.readouterr().out
+
 
 class TestRecordedTranscripts:
     """What record mode paid for reaches its transcript file, whatever the run does after."""
