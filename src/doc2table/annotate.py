@@ -225,13 +225,12 @@ def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> 
     return matches
 
 
-def apply_review(matches: list[CellMatch], decisions: dict[str, str]) -> list[CellMatch]:
+def apply_review(matches: list[CellMatch], decisions: dict[str, str]) -> None:
     """Apply review decisions (match_id -> confirmed/rejected) in place."""
     for match in matches:
         status = decisions.get(match.match_id)
         if status in ("confirmed", "rejected"):
             match.status = status
-    return matches
 
 
 def coverage(table: HierarchicalTable, matches: list[CellMatch]) -> tuple[float, bool]:

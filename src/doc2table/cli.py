@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import annotate as ann
 from . import data
-from .config import BuiltProviders, RunConfig, build_providers, flush_transcripts
+from .config import BuiltProviders, RunConfig, build_providers
 from .generation import StageFailure, TabTalkResult, run_tabtalk, trace_to_dict
 from .html_io import serialize_html
 from .metrics import aggregate_scores, recall_at_k, table_scores
@@ -70,7 +70,8 @@ def _providers_and_map(config: RunConfig, roles: tuple[str, ...]):
         with run_map(config.parallel) as mapper:
             yield built, mapper
     finally:
-        flush_transcripts(built)
+        for transcript, path in built.pending_transcripts:
+            transcript.save(path)
 
 
 def _check_known(path: str | Path, field: str, values: list[str], known) -> None:

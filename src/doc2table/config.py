@@ -132,7 +132,7 @@ class RunConfig:
 
 @dataclass
 class BuiltProviders:
-    """Ready-to-call providers plus any transcripts to flush after a run."""
+    """Ready-to-call providers plus the transcripts a run records, with their save paths."""
 
     chat: ChatProvider | None
     rewriter: Rewriter | None
@@ -181,8 +181,3 @@ def build_providers(
         else:
             built[role] = wrappers[role](_backend_for(spec, pending))
     return BuiltProviders(**built, pending_transcripts=pending)
-
-
-def flush_transcripts(built: BuiltProviders) -> None:
-    for transcript, path in built.pending_transcripts:
-        transcript.save(path)

@@ -10,14 +10,18 @@ Formats, each with the key that no two of its lines may share:
   review     {"table_id": str, "match_id": "row,col",
               "status": "confirmed" | "rejected"}; unique
              (table_id, match_id) pair
-  retrieval  one RetrievalRecord per line, as ``retrieve`` writes it
-             ({"id": str, "question", "sub_questions", "per_question",
-              "merged", "k", "degraded", "sentences"}); unique id
+  retrieval  one RetrievalRecord per line, as ``retrieve`` writes it:
+             {"id": str, "question": str, "sub_questions": [str],
+              "per_question": [[[sid, score]]], "merged": [[sid, score]],
+              "k": int >= 1, "degraded": bool (optional, false),
+              "sentences": [{"id": sid, "text": str}] (optional)}, where a
+             sid is an int >= 0 and a score an int or float; unique id
   generated  {"id": str, "table_html": str}; unique id
 
 Malformed lines, and a line that repeats an earlier line's unique key,
 raise :class:`InputFormatError` naming the file, line and field; a
-repeated review pair names its ``match_id``. Every format but review is
+repeated review pair names its ``match_id``. Types are exact and nothing is
+converted: ``true`` is not an int, nor ``1.0``. Every format but review is
 read through ``_read_keyed``, which checks a line's key, then its other
 fields, then whether an earlier line used the key. All
 writes go through a temp file and rename so partial output is never
@@ -113,6 +117,32 @@ def _require(obj: dict, field: str, kind, path, line: int):
     return value
 
 
+def _is_id(value) -> bool:
+    """A sentence id: a non-negative int; JSON true and false decode to bool, which is not one."""
+    return type(value) is int and value >= 0
+
+
+def _is_ranking(value) -> bool:
+    """A list of [sentence id, score] pairs; a score is an int or a float, not a bool."""
+    return type(value) is list and all(
+        type(p) is list and len(p) == 2 and _is_id(p[0]) and type(p[1]) in (int, float) for p in value
+    )
+
+
+# Each field of a retrieval line: what it must be, and the test for that.
+_RETRIEVAL_FIELDS = {
+    "question": ("a string", lambda v: type(v) is str),
+    "sub_questions": ("a list of strings", lambda v: type(v) is list and all(type(q) is str for q in v)),
+    "per_question": ("a list of rankings", lambda v: type(v) is list and all(map(_is_ranking, v))),
+    "merged": ("a list of [sentence id, score] pairs", _is_ranking),
+    "k": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "degraded": ("true or false", lambda v: type(v) is bool),
+    "sentences": ('a list of {"id": sentence id, "text": string}', lambda v: type(v) is list and all(
+        type(s) is dict and _is_id(s.get("id")) and type(s.get("text")) is str for s in v
+    )),
+}
+
+
 def _read_keyed(path: str | Path, key: str, parse) -> dict:
     """Each line of ``path`` parsed by ``parse(obj, line)``, keyed by its str ``key`` field.
 
@@ -177,8 +207,7 @@ def read_triples(path: str | Path) -> list[QaTriple]:
     def parse(obj: dict, line: int) -> QaTriple:
         table = _require_table(obj, path, line)
         ids = obj.get("relevant_sentence_ids", [])
-        # exact type: JSON true and false decode to bool, which is not an id
-        if not isinstance(ids, list) or any(type(i) is not int or i < 0 for i in ids):
+        if type(ids) is not list or not all(map(_is_id, ids)):
             raise InputFormatError(
                 path, line, "relevant_sentence_ids", "expected a list of non-negative integers"
             )
@@ -215,10 +244,20 @@ def read_retrieval_records(path: str | Path) -> dict[str, RetrievalRecord]:
     """Saved retrieval output: id -> record, each merged sentence id with its text."""
 
     def parse(obj: dict, line: int) -> RetrievalRecord:
-        try:
-            record = RetrievalRecord.from_dict(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(path, line, "<record>", f"malformed record: {exc}") from exc
+        obj = {"degraded": False, "sentences": [], **obj}
+        for field, (expected, valid) in _RETRIEVAL_FIELDS.items():
+            if not valid(obj.get(field)):
+                reason = f"expected {expected}" if field in obj else "missing required field"
+                raise InputFormatError(path, line, field, reason)
+        record = RetrievalRecord(
+            obj["question"],
+            obj["sub_questions"],
+            [list(map(tuple, ranked)) for ranked in obj["per_question"]],
+            list(map(tuple, obj["merged"])),
+            obj["k"],
+            obj["degraded"],
+            {s["id"]: s["text"] for s in obj["sentences"]},
+        )
         missing = [sid for sid in record.merged_ids() if sid not in record.sentence_texts]
         if missing:
             raise InputFormatError(

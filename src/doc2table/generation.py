@@ -7,14 +7,13 @@ shape the declared dimensions must match. That skeleton is the plan: its
 body cells form one row-major list of :class:`PlanCell`, each carrying its
 two leaf coordinates and their label paths. Stage two fills that list one
 body row per prompt, with per-cell queries, sentence citations and unit
-notes, and the answer is the skeleton with its body replaced by the fill
-values, reshaped by the column count. Each stage gets at most
-:data:`MAX_RETRIES` retries with the parse error appended to the prompt; a
-stage that runs out of retries, or whose provider fails, raises
-:class:`StageFailure`, which the CLI turns into one ``errors.jsonl`` row
-for that question only. One question's calls run one after another on
-the thread that generates it; the CLI may generate several questions at
-once (``RunConfig.parallel``).
+notes, and the answer is the skeleton with each fill reply's values as one
+body row. Each stage gets at most :data:`MAX_RETRIES` retries with the
+parse error appended to the prompt; a stage that runs out of retries, or
+whose provider fails, raises :class:`StageFailure`, which the CLI turns
+into one ``errors.jsonl`` row for that question only. One question's
+calls run one after another on the thread that generates it; the CLI may
+generate several questions at once (``RunConfig.parallel``).
 
 A one-shot baseline (single prompt producing the whole table) is kept
 for comparison runs: pass ``oneshot=True`` to :func:`run_tabtalk`, whose
@@ -217,11 +216,6 @@ def build_fill_prompt(
     return "\n".join(parts)
 
 
-def _is_number(value) -> bool:
-    """An integer that is not a JSON ``true`` or ``false``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_fill_response(
     response: str, batch: list[PlanCell], sentence_ids: list[int]
 ) -> list[CellFill]:
@@ -243,7 +237,7 @@ def parse_fill_response(
 
     by_number: dict[int, dict] = {}
     for entry in entries:
-        if isinstance(entry, dict) and _is_number(entry.get("cell")):
+        if isinstance(entry, dict) and type(entry.get("cell")) is int:
             by_number[entry["cell"]] = entry
 
     records: list[CellFill] = []
@@ -260,7 +254,7 @@ def parse_fill_response(
             )
         cited: list[int] = []
         for number in numbers or []:
-            if _is_number(number) and 1 <= number <= len(sentence_ids):
+            if type(number) is int and 1 <= number <= len(sentence_ids):
                 cited.append(sentence_ids[number - 1])
             else:
                 logger.warning(
@@ -368,8 +362,7 @@ def run_tabtalk(
         for batch in batches
     ]
     trace = FillTrace(tuple(r for fragment, _ in results for r in fragment))
-    values = [r.value for r in trace.records]  # one per cell, row-major
-    body = tuple(tuple(values[i : i + n_cols]) for i in range(0, len(values), n_cols))
+    body = tuple(tuple(r.value for r in fragment) for fragment, _ in results)
     table = replace(skeleton, body=body)
     return TabTalkResult(table, trace, structure_retries, sum(n for _, n in results))
 

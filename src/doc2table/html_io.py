@@ -39,7 +39,10 @@ class TableStructureError(ValueError):
 
 @dataclass
 class GridCell:
-    """A parsed cell; :func:`parse_grid` places it, clamping its row span and setting origin."""
+    """A parsed cell; :func:`parse_grid` places it, clamping its row span and setting origin.
+
+    One object fills every slot of its span, so cells are told apart by identity.
+    """
 
     text: str  # raw text, entities decoded, not yet normalized
     row_span: int
@@ -50,9 +53,8 @@ class GridCell:
 
 @dataclass
 class Grid:
-    """Dense expanded grid: every slot references its originating cell."""
+    """Dense expanded grid, the only record of the cells: each slot references its covering cell."""
 
-    cells: list[GridCell]
     slots: list[list[GridCell]]  # slots[r][c] -> covering cell
     thead_rows: int
 
@@ -164,7 +166,6 @@ def parse_grid(html_text: str) -> Grid:
 
     n_rows = len(parser.rows)
     occupied: dict[tuple[int, int], GridCell] = {}
-    cells: list[GridCell] = []
     thead_rows = 0
     for r, (row_cells, from_thead) in enumerate(parser.rows):
         if from_thead and thead_rows == r:
@@ -175,7 +176,6 @@ def parse_grid(html_text: str) -> Grid:
                 c += 1
             cell.row_span = min(cell.row_span, n_rows - r)  # clamp overhang, as browsers do
             cell.origin = (r, c)
-            cells.append(cell)
             for dr in range(cell.row_span):
                 for dc in range(cell.col_span):
                     slot = (r + dr, c + dc)
@@ -190,7 +190,7 @@ def parse_grid(html_text: str) -> Grid:
         r, c = next((r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in occupied)
         raise TableStructureError(f"grid is not rectangular: no cell covers row {r}, column {c}")
     slots = [[occupied[r, c] for c in range(n_cols)] for r in range(n_rows)]
-    return Grid(cells, slots, thead_rows)
+    return Grid(slots, thead_rows)
 
 
 def _leading(flags) -> int:
@@ -291,8 +291,10 @@ def parse_html_table(html_text: str) -> HierarchicalTable:
     top = CoordTree(_build_forest(top_chains, 0))
     left = CoordTree(_build_forest(left_chains, 0))
 
-    stub_texts = (c.text for c in grid.cells if c.origin[0] < h and c.origin[1] < w)
-    stub = normalize_text(" ".join(stub_texts))
+    # Row-major, a cell first shows at its origin, and a cell whose origin lies
+    # outside the stub region covers no slot in it: this is origin order.
+    stub_cells = {id(cell): cell for row in grid.slots[:h] for cell in row[:w]}
+    stub = normalize_text(" ".join(cell.text for cell in stub_cells.values()))
 
     body = tuple(
         tuple(grid.slots[r][c].text for c in range(w, grid.n_cols))

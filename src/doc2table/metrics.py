@@ -154,8 +154,6 @@ class ContentReport:
     precision: float
     recall: float
     f1: float
-    n_generated: int
-    n_groundtruth: int
 
 
 def _prf(total: float, n_generated: int, n_groundtruth: int) -> tuple[float, float, float]:
@@ -196,13 +194,15 @@ def content_similarity(
     """
     gen = flatten_to_kv(generated)
     gt = flatten_to_kv(groundtruth)
+    gen_keys = [(g.left_key, g.top_key) for g in gen]
+    gt_keys = [(t.left_key, t.top_key) for t in gt]
 
     unused: dict[tuple, deque[int]] = {}
-    for g_idx, g in enumerate(gen):
-        unused.setdefault((g.left_key, g.top_key), deque()).append(g_idx)
+    for g_idx, key in enumerate(gen_keys):
+        unused.setdefault(key, deque()).append(g_idx)
     gt_match: dict[int, int] = {}
-    for t_idx, t in enumerate(gt):
-        same_key = unused.get((t.left_key, t.top_key))
+    for t_idx, key in enumerate(gt_keys):
+        same_key = unused.get(key)
         if same_key:
             gt_match[t_idx] = same_key.popleft()
 
@@ -210,8 +210,8 @@ def content_similarity(
     rest_gt = [t_idx for t_idx in range(len(gt)) if t_idx not in gt_match]
     rest_gen = [g_idx for g_idx in range(len(gen)) if g_idx not in matched_gen]
     sims = chrf_matrix(
-        [_joined_key(gen[g_idx].left_key, gen[g_idx].top_key) for g_idx in rest_gen],
-        [_joined_key(gt[t_idx].left_key, gt[t_idx].top_key) for t_idx in rest_gt],
+        [_joined_key(*gen_keys[g_idx]) for g_idx in rest_gen],
+        [_joined_key(*gt_keys[t_idx]) for t_idx in rest_gt],
     ) / 100.0
     g_pos, t_pos = np.nonzero(sims >= KEY_MATCH_THRESHOLD)
     candidates = sorted(
@@ -229,25 +229,15 @@ def content_similarity(
 
     matched_gt = sorted(gt_match)
     values = chrf([gen[gt_match[i]].value for i in matched_gt], [gt[i].value for i in matched_gt])
-    scores_in_gt_order = iter((values / 100.0).tolist())
-    pairs = []
+    score_of = dict(zip(matched_gt, (values / 100.0).tolist()))
+    pairs = tuple(
+        PairScore(key, gen_keys[gt_match[t_idx]] if t_idx in gt_match else None, score_of.get(t_idx, 0.0))
+        for t_idx, key in enumerate(gt_keys)
+    )
     total = 0.0
-    for t_idx, t in enumerate(gt):
-        g_idx = gt_match.get(t_idx)
-        if g_idx is None:
-            pairs.append(PairScore((t.left_key, t.top_key), None, 0.0))
-        else:
-            score = next(scores_in_gt_order)
-            total += score
-            pairs.append(
-                PairScore(
-                    (t.left_key, t.top_key),
-                    (gen[g_idx].left_key, gen[g_idx].top_key),
-                    score,
-                )
-            )
-
-    return ContentReport(tuple(pairs), *_prf(total, len(gen), len(gt)), len(gen), len(gt))
+    for score in score_of.values():  # in ground-truth order, one addition at a time
+        total += score
+    return ContentReport(pairs, *_prf(total, len(gen), len(gt)))
 
 
 @dataclass(frozen=True)

@@ -197,21 +197,6 @@ class RetrievalRecord:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> RetrievalRecord:
-        return cls(
-            question=data["question"],
-            sub_questions=list(data["sub_questions"]),
-            per_question=[
-                [(int(sid), float(score)) for sid, score in ranked]
-                for ranked in data["per_question"]
-            ],
-            merged=[(int(sid), float(score)) for sid, score in data["merged"]],
-            k=int(data["k"]),
-            degraded=bool(data.get("degraded", False)),
-            sentence_texts={int(s["id"]): s["text"] for s in data.get("sentences", [])},
-        )
-
 
 def merge_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> list[tuple[int, float]]:
     """Interleave per-sub-question rankings, deduplicating by sentence id.

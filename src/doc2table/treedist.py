@@ -6,7 +6,8 @@ node numbering with unit insert/delete costs and a 0/1 relabel cost
 
 Structure similarity compares header trees only: both coordinate trees of
 a table hang under a synthetic root so one number reflects both regions,
-and body content never leaks into the structural score.
+and body content never leaks into the structural score. Each tree is walked
+once, into postorder arrays whose length is the tree's size in the score.
 """
 from __future__ import annotations
 
@@ -31,16 +32,6 @@ def structure_tree(table: HierarchicalTable) -> HeaderNode:
             HeaderNode(TOP_SENTINEL, table.top.roots),
         ),
     )
-
-
-def node_count(tree: HeaderNode) -> int:
-    count = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(node.children)
-    return count
 
 
 @dataclass
@@ -82,8 +73,10 @@ class _PostOrder:
 
 def tree_edit_distance(a: HeaderNode, b: HeaderNode) -> int:
     """Minimum number of node inserts, deletes and relabels turning a into b."""
-    ta = _PostOrder.build(a)
-    tb = _PostOrder.build(b)
+    return _distance(_PostOrder.build(a), _PostOrder.build(b))
+
+
+def _distance(ta: _PostOrder, tb: _PostOrder) -> int:
     n, m = len(ta.labels), len(tb.labels)
     td = [[0] * m for _ in range(n)]
 
@@ -131,8 +124,7 @@ def teds(a: HierarchicalTable, b: HierarchicalTable) -> float:
     would push the raw formula below zero; the score is clamped at 0 so
     the documented [0, 1] range always holds.
     """
-    sa = structure_tree(a)
-    sb = structure_tree(b)
-    distance = tree_edit_distance(sa, sb)
-    return max(0.0, 1.0 - distance / max(node_count(sa), node_count(sb)))
+    ta = _PostOrder.build(structure_tree(a))
+    tb = _PostOrder.build(structure_tree(b))
+    return max(0.0, 1.0 - _distance(ta, tb) / max(len(ta.labels), len(tb.labels)))
 

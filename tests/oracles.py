@@ -9,7 +9,7 @@ optimized paths are kept here too: the full-sort retrieval ranking, the
 hash-per-gram embedder loop (as dense rows, and as ``Counter`` cosines),
 the per-table sentence re-scan of annotation matching (with its own copy
 of the number-token pattern, tried at every character of every sentence),
-and the node-by-node HTML serializer. The transcript file layout is spelled out
+the node-by-node HTML serializer, and the stub text joined by cell origin. The transcript file layout is spelled out
 here once more, with its own JSON encoding and fingerprints.
 """
 from __future__ import annotations
@@ -417,7 +417,16 @@ def reference_content_similarity(
     precision = total / len(gen) if gen else 0.0
     recall = total / len(gt) if gt else 0.0
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
-    return ContentReport(tuple(pairs), precision, recall, f1, len(gen), len(gt))
+    return ContentReport(tuple(pairs), precision, recall, f1)
+
+
+def reference_stub_header(grid, h: int, w: int) -> str:
+    """The stub text by the rule of origins: every cell whose top-left slot
+    lies in the first h rows and w columns, joined in (row, column) order of
+    those slots."""
+    cells = {id(cell): cell for row in grid.slots for cell in row}.values()
+    inside = sorted((c.origin, c.text) for c in cells if c.origin[0] < h and c.origin[1] < w)
+    return normalize_text(" ".join(text for _, text in inside))
 
 
 def _subtree_leaves(node: HeaderNode) -> int:

@@ -458,8 +458,9 @@ class TestMalformedInputs:
         [
             (lambda row: {**row, "id": "acme_beta"}, "id"),
             (lambda row: {k: v for k, v in row.items() if k != "sentences"}, "sentences"),
+            (lambda row: {**row, "k": str(row["k"])}, "k"),
         ],
-        ids=["duplicate id", "no sentence texts"],
+        ids=["duplicate id", "no sentence texts", "k as a string"],
     )
     def test_bad_retrieval_row_names_line_and_field(self, tmp_path, capsys, fault, field):
         acme_beta, gamma = read_jsonl_rows(PIPELINE / "golden" / "retrieval.jsonl")

@@ -199,6 +199,67 @@ class TestRetrievalRecords:
         assert (excinfo.value.line, excinfo.value.field) == (3, "id")
         assert excinfo.value.reason == "duplicate id 'a'"
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"merged": [[1.9, 0.5], [0, 0.25]]}, "merged"),
+            ({"merged": [[True, 0.5], [0, 0.25]]}, "merged"),
+            ({"merged": [[-3, 0.5], [0, 0.25]]}, "merged"),
+            ({"merged": [[1, True], [0, 0.25]]}, "merged"),
+            ({"merged": [[1, 0.5, 2], [0, 0.25]]}, "merged"),
+            ({"per_question": [[[1, 0.5], [True, 0.25]]]}, "per_question"),
+            ({"per_question": [[1, 0.5]]}, "per_question"),
+            ({"sentences": [{"id": 1.9, "text": "One."}, {"id": 0, "text": "Zero."}]}, "sentences"),
+            ({"sentences": [{"id": True, "text": "One."}, {"id": 0, "text": "Zero."}]}, "sentences"),
+            ({"sentences": [{"id": -3, "text": "One."}, {"id": 0, "text": "Zero."}]}, "sentences"),
+            ({"sentences": [{"id": 1, "text": 1}, {"id": 0, "text": "Zero."}]}, "sentences"),
+            ({"degraded": "false"}, "degraded"),
+            ({"degraded": 0}, "degraded"),
+            ({"sub_questions": "qq"}, "sub_questions"),
+            ({"sub_questions": ["q", 1]}, "sub_questions"),
+            ({"question": ["q"]}, "question"),
+            ({"k": "10"}, "k"),
+            ({"k": -1}, "k"),
+            ({"k": 0}, "k"),
+            ({"k": 2.0}, "k"),
+            ({"k": True}, "k"),
+        ],
+        ids=[
+            "float id", "bool id", "negative id", "bool score", "triple", "bool id in per_question",
+            "per_question not nested", "float sentence id", "bool sentence id",
+            "negative sentence id", "int sentence text", "degraded as a string",
+            "degraded as an int", "sub_questions as a string", "int sub_question",
+            "question as a list", "k as a string", "negative k", "zero k", "float k", "bool k",
+        ],
+    )
+    def test_a_mistyped_field_is_named_not_converted(self, tmp_path, change, field):
+        path = tmp_path / "retrieval.jsonl"
+        write_jsonl(path, [{"id": "a", **self.ROW, **change}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_retrieval_records(path)
+        assert (excinfo.value.line, excinfo.value.field) == (1, field)
+        assert excinfo.value.reason.startswith("expected ")
+
+    @pytest.mark.parametrize("field", ["question", "sub_questions", "per_question", "merged", "k"])
+    def test_a_missing_required_field_is_named(self, tmp_path, field):
+        row = {"id": "a", **self.ROW}
+        del row[field]
+        path = tmp_path / "retrieval.jsonl"
+        write_jsonl(path, [row])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_retrieval_records(path)
+        assert (excinfo.value.line, excinfo.value.field) == (1, field)
+        assert excinfo.value.reason == "missing required field"
+
+    def test_optional_fields_default_and_values_keep_their_types(self, tmp_path):
+        path = tmp_path / "retrieval.jsonl"
+        write_jsonl(path, [{"id": "a", **self.ROW, "merged": [[1, 1], [0, 0.25]]}])
+        record = read_retrieval_records(path)["a"]
+        assert record.degraded is False
+        assert record.merged == [(1, 1), (0, 0.25)]
+        assert type(record.merged[0][1]) is int
+        assert record.sentence_texts == {1: "One.", 0: "Zero."}
+
     @pytest.mark.parametrize("sentences", [None, [{"id": 1, "text": "One."}]])
     def test_merged_id_without_text_names_sentences(self, tmp_path, sentences):
         row = {"id": "a", **self.ROW, "sentences": sentences}

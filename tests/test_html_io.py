@@ -19,7 +19,42 @@ from doc2table.html_io import (
 from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv
 
 import strategies as sts
-from oracles import reference_serialize_html
+from oracles import reference_serialize_html, reference_stub_header
+
+def distinct_cells(grid) -> list[GridCell]:
+    """The grid's cells, each once, in row-major order of their first slot."""
+    return list({id(cell): cell for row in grid.slots for cell in row}.values())
+
+
+def tiled_stub_html(rng: random.Random, h: int, w: int) -> tuple[str, list[str]]:
+    """A table whose h x w stub region is tiled by random spans, and their labels in placement order.
+
+    Each header row but the last holds one column header over both body
+    columns, so that no row is empty; one row header per body row spans the
+    w header columns.
+    """
+    owned = [[False] * w for _ in range(h)]
+    rows: list[list[str]] = [[] for _ in range(h)]
+    labels: list[str] = []
+    for r in range(h):
+        for c in range(w):
+            if owned[r][c]:
+                continue
+            width = 1
+            while c + width < w and not owned[r][c + width] and rng.random() < 0.5:
+                width += 1
+            height = rng.randint(1, h - r)
+            for dr in range(height):
+                owned[r + dr][c : c + width] = [True] * width
+            labels.append(f"s{len(labels)}")
+            rows[r].append(f'<th rowspan="{height}" colspan="{width}">{labels[-1]}</th>')
+    for r in range(h - 1):
+        rows[r].append(f'<th colspan="2">t{r}</th>')
+    rows[-1] += ["<th>c0</th>", "<th>c1</th>"]
+    head = "".join(f"<tr>{''.join(row)}</tr>" for row in rows)
+    body = "".join(f'<tr><th colspan="{w}">r{i}</th><td>1</td><td>2</td></tr>' for i in range(2))
+    return f"<table><thead>{head}</thead><tbody>{body}</tbody></table>", labels
+
 
 MINIMAL = "<table><tr><th></th><th>c</th></tr><tr><th>r</th><td>v</td></tr></table>"
 
@@ -79,6 +114,28 @@ class TestHierarchyFromSpans:
         assert table.left.to_nested() == ["Widgets"]
         assert table.body == (("10", "20", "30"),)
 
+    def test_stub_region_of_several_spanning_cells_joins_in_origin_order(self):
+        # Origins: A (0,0), B (0,1), C (1,1), D (1,2), E (2,0), F (2,2).
+        html = (
+            "<table><thead>"
+            '<tr><th rowspan="2">A</th><th colspan="2">B</th><th rowspan="3">x</th></tr>'
+            '<tr><th rowspan="2">C</th><th>D</th></tr>'
+            "<tr><th>E</th><th>F</th></tr>"
+            '</thead><tbody><tr><th colspan="3">r</th><td>1</td></tr></tbody></table>'
+        )
+        assert parse_html_table(html).stub_header == "A B C D E F"
+        assert reference_stub_header(parse_grid(html), 3, 3) == "A B C D E F"
+
+    def test_randomly_tiled_stub_regions_match_the_origin_rule(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            h, w = rng.randint(1, 4), rng.randint(1, 4)
+            html, labels = tiled_stub_html(rng, h, w)
+            table = parse_html_table(html)
+            assert table.stub_header == reference_stub_header(parse_grid(html), h, w)
+            assert table.stub_header == " ".join(labels)
+            assert table.body == (("1", "2"), ("1", "2"))
+
     def test_rowspan_parent_in_left_region(self, example_table_html, example_table):
         assert example_table.left.to_nested()[2] == [
             "Urinary tract",
@@ -136,7 +193,7 @@ class TestParseErrors:
         assert "row 1, column 1" in str(excinfo.value)
         one_row = parse_grid('<table><tr><td colspan="100000000">a</td></tr></table>')
         assert len(one_row.slots[0]) == MAX_COLSPAN == 1000
-        assert one_row.cells[0].col_span == MAX_COLSPAN
+        assert [cell.col_span for cell in distinct_cells(one_row)] == [MAX_COLSPAN]
 
     def test_header_only_table(self):
         with pytest.raises(TableStructureError):
@@ -163,7 +220,7 @@ class TestParseErrors:
 class TestSpanConservation:
     def test_on_example_table(self, example_table_html):
         grid = parse_grid(example_table_html)
-        covered = sum(c.row_span * c.col_span for c in grid.cells)
+        covered = sum(c.row_span * c.col_span for c in distinct_cells(grid))
         assert covered == grid.n_rows * grid.n_cols
 
     def test_on_random_tables(self):
@@ -171,7 +228,7 @@ class TestSpanConservation:
         for _ in range(50):
             html = serialize_html(sts.random_table(rng))
             grid = parse_grid(html)
-            covered = sum(c.row_span * c.col_span for c in grid.cells)
+            covered = sum(c.row_span * c.col_span for c in distinct_cells(grid))
             assert covered == grid.n_rows * grid.n_cols
 
 

@@ -145,8 +145,8 @@ class TestContentSimilarity:
         gen = table_with_values(2, [["10", "99"], ["30", "40"]])
         report = content_similarity(gen, gt)
         total = sum(p.score for p in report.pairs)
-        assert report.precision * report.n_generated == pytest.approx(total)
-        assert report.recall * report.n_groundtruth == pytest.approx(total)
+        assert report.precision * len(flatten_to_kv(gen)) == pytest.approx(total)
+        assert report.recall * len(flatten_to_kv(gt)) == pytest.approx(total)
 
     def test_fuzzy_key_match_above_threshold(self):
         gt = HierarchicalTable(

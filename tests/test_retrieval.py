@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doc2table.data import read_documents, read_triples
+from doc2table.data import read_documents, read_retrieval_records, read_triples, write_jsonl
 from doc2table.providers import (
     DenseVectors,
     HashingEmbedder,
@@ -20,7 +20,6 @@ from doc2table.retrieval import (
     RANKING_DEPTH,
     DocumentStore,
     RetrievalConfigError,
-    RetrievalRecord,
     merge_round_robin,
     retrieve_top_k,
     rewrite_question,
@@ -260,12 +259,15 @@ class TestRetrieveTopK:
         with pytest.raises(ValueError):
             rank(store, ["q"], HashingEmbedder(), k=0)
 
-    def test_record_round_trips_through_dict(self):
+    def test_record_round_trips_through_dict(self, tmp_path):
         store = DocumentStore("d", [f"text {i}" for i in range(5)])
-        record = rank(store, ["text 1"], HashingEmbedder(), k=3, question="Q?")
-        again = RetrievalRecord.from_dict(record.to_dict())
-        assert again.merged == record.merged
-        assert again.sentence_texts == record.sentence_texts
+        records = {
+            "plain": rank(store, ["text 1"], HashingEmbedder(), k=3, question="Q?"),
+            "degraded": rank(store, ["text 1", "text 4"], HashingEmbedder(), k=3, degraded=True),
+        }
+        path = tmp_path / "retrieval.jsonl"
+        write_jsonl(path, [{"id": key, **record.to_dict()} for key, record in records.items()])
+        assert read_retrieval_records(path) == records
 
 
 ranked_lists_strategy = st.lists(

@@ -3,14 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from doc2table.model import CoordTree, HeaderNode, HierarchicalTable
 from doc2table.treedist import (
     LEFT_SENTINEL,
     ROOT_SENTINEL,
     TOP_SENTINEL,
-    node_count,
     structure_tree,
     teds,
     tree_edit_distance,
@@ -18,7 +18,22 @@ from doc2table.treedist import (
 
 import strategies as sts
 from conftest import make_flat_table
-from oracles import brute_tree_edit_distance
+from oracles import _postorder, brute_tree_edit_distance
+
+
+# Two-letter labels, so that equal labels and free relabels both occur often.
+_small_nodes = st.recursive(
+    st.builds(HeaderNode, st.sampled_from("ab")),
+    lambda children: st.builds(
+        HeaderNode, st.sampled_from("ab"), st.lists(children, min_size=1, max_size=2).map(tuple)
+    ),
+    max_leaves=3,
+)
+_small_trees = st.lists(_small_nodes, min_size=1, max_size=2).map(lambda roots: CoordTree(tuple(roots)))
+
+
+def header_only_table(left: CoordTree, top: CoordTree) -> HierarchicalTable:
+    return HierarchicalTable("", left, top, (("",) * top.leaf_count,) * left.leaf_count)
 
 
 def small_tree_pair(seed: int) -> tuple[HeaderNode, HeaderNode]:
@@ -57,7 +72,7 @@ class TestTreeEditDistance:
     @given(a=sts.header_nodes(max_depth=3), b=sts.header_nodes(max_depth=3))
     @settings(max_examples=80)
     def test_matches_oracle_on_random_trees(self, a, b):
-        if node_count(a) > 6 or node_count(b) > 6:
+        if len(_postorder(a)[0]) > 6 or len(_postorder(b)[0]) > 6:
             return
         assert tree_edit_distance(a, b) == brute_tree_edit_distance(a, b)
 
@@ -82,7 +97,7 @@ class TestStructureTree:
         assert tree.label == ROOT_SENTINEL
         assert [c.label for c in tree.children] == [LEFT_SENTINEL, TOP_SENTINEL]
         # Three sentinels, left tree 3 roots + 5 leaves, top tree 3 roots + 6 leaves.
-        assert node_count(tree) == 3 + 8 + 9
+        assert len(_postorder(tree)[0]) == 3 + 8 + 9
 
 
 class TestTeds:
@@ -122,6 +137,16 @@ class TestTeds:
             flat_2x2.stub_header, flat_2x2.left, flat_2x2.top, (("x", "y"), ("z", "w"))
         )
         assert teds(flat_2x2, other) == 1.0
+
+    @given(a_left=_small_trees, a_top=_small_trees, b_left=_small_trees, b_top=_small_trees)
+    @settings(max_examples=100)
+    def test_equals_the_formula_over_the_oracle_distance(self, a_left, a_top, b_left, b_top):
+        a, b = header_only_table(a_left, a_top), header_only_table(b_left, b_top)
+        sa, sb = structure_tree(a), structure_tree(b)
+        size_a, size_b = len(_postorder(sa)[0]), len(_postorder(sb)[0])
+        assume(size_a <= 8 and size_b <= 8)
+        distance = brute_tree_edit_distance(sa, sb)
+        assert teds(a, b) == max(0.0, 1.0 - distance / max(size_a, size_b))
 
     @given(a=sts.tables(), b=sts.tables())
     @settings(max_examples=60)
