@@ -17,12 +17,13 @@ table. Nothing touches the network unless a provider's mode is ``live`` or
 covers each document's sentence rewrites and whole questions in
 generation; inside a question the structure and fill calls stay serial,
 and question rewrites are serial too. At ``parallel`` 1 no thread starts.
-Above 1 the worker threads share each role's backend, and so an HTTP
-role's one ``requests.Session``.
+Above 1 the worker threads share each role's backend; an HTTP role's
+backend keeps one connection per worker thread.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -106,6 +107,8 @@ class RunConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {self.parallel}")
+        if not math.isfinite(self.temperature):  # json reads NaN and Infinity
+            raise ValueError(f"config field temperature must be a finite number, got {self.temperature!r}")
         for role, modes in PROVIDER_MODES.items():
             mode = getattr(self, role).mode
             if mode not in modes:

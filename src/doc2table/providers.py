@@ -11,6 +11,13 @@ integer 3-gram counts (:class:`SparseCounts`) and scores by exact integer
 dot products over posting lists; the live one keeps dense unit rows
 (:class:`DenseVectors`) and scores by one matrix product.
 
+Live backends are :class:`HttpProvider`, which POSTs each request as JSON
+through an :class:`HttpTransport`: the standard library's ``http.client``
+with one keep-alive connection per worker thread, and no proxies.
+Transport errors, timeouts, 5xx, 408, 429 and replies that are not a JSON
+object are retried with exponential backoff; any other status outside 2xx,
+3xx included, fails at once, since redirects are not followed.
+
 Wire contracts:
   chat     {"messages": [{"role", "content"}], "temperature", "max_tokens"}
            -> {"content": str}
@@ -21,12 +28,14 @@ Wire contracts:
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -158,12 +167,97 @@ class RecordingProvider:
         return response
 
 
+class _IdleConnections(dict):
+    """One thread's idle connections by origin, closed when the thread ends or the transport goes."""
+
+    def __del__(self):
+        for connection in self.values():
+            connection.close()
+
+
+class HttpTransport:
+    """POSTs bytes over one persistent HTTP/1.1 connection per thread and origin.
+
+    Each thread keeps its own ``http.client`` connection, so worker threads
+    never share a socket. A connection that has already served a reply and
+    then fails with ``RemoteDisconnected``, ``BrokenPipeError`` or
+    ``ConnectionResetError`` is a keep-alive the server dropped: it is
+    reopened once and the request resent. A failure on a fresh connection
+    is raised, and so is any other exception; either way the connection is
+    closed and discarded, so a half-read response is never reused.
+
+    This is the standard library's client and no more: ``https`` uses
+    ``ssl.create_default_context()``, redirects are not followed, and the
+    ``*_PROXY`` and ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE`` environment
+    variables are not honoured.
+    """
+
+    def __init__(self):
+        import http.client  # deferred so offline modes never import it
+
+        self._client = http.client
+        self._local = threading.local()
+
+    def post(self, url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+        """Send one POST and return the reply's status and its whole body."""
+        parts = urlsplit(url)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if not hasattr(self._local, "idle"):
+            self._local.idle = _IdleConnections()
+        # taken out while in use, so an exception leaves nothing behind to reuse
+        connection = self._local.idle.pop((parts.scheme, parts.netloc), None)
+        reused = connection is not None
+        while True:
+            if connection is None:
+                connection = self._connect(parts, timeout)
+            try:
+                if connection.sock is not None:
+                    connection.sock.settimeout(timeout)
+                connection.request("POST", target, body=body, headers=headers)
+                response = connection.getresponse()
+                data = response.read()
+            except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is a ConnectionResetError
+                connection.close()
+                if not reused:
+                    raise
+                connection, reused = None, False
+                continue
+            except BaseException:
+                connection.close()
+                raise
+            if not response.will_close:
+                self._local.idle[parts.scheme, parts.netloc] = connection
+            return response.status, data
+
+    def _connect(self, parts, timeout: float):
+        """A new connection to the URL's origin; a URL that no retry can fix raises :class:`ProviderError`."""
+        try:
+            port = parts.port
+        except ValueError as exc:  # a port that is not a number in range
+            raise ProviderError(f"endpoint {parts.geturl()!r}: {exc}") from None
+        if parts.scheme == "https":
+            import ssl
+
+            return self._client.HTTPSConnection(
+                parts.hostname, port, timeout=timeout, context=ssl.create_default_context()
+            )
+        if parts.scheme == "http":
+            return self._client.HTTPConnection(parts.hostname, port, timeout=timeout)
+        raise ProviderError(f"endpoint {parts.geturl()!r} is not an http or https URL")
+
+
 class HttpProvider:
     """POSTs the request as JSON, retrying with exponential backoff between attempts.
 
-    Transport errors, 5xx, 408 and 429 are retried, and so is a reply whose
-    body is not a JSON object (undecodable, or a list, string or null); any
-    other 4xx fails at once. Every failure ends as a :class:`ProviderError`.
+    The request is encoded once, as ``json.dumps(request, allow_nan=False)``
+    in ASCII; one that cannot be encoded (a NaN or infinity, or a value that
+    is not JSON) fails at once, before any attempt. Transport errors,
+    timeouts, 5xx, 408 and 429 are retried, and so is a reply whose body is
+    not a JSON object (undecodable, or a list, string or null). Any other
+    status outside 2xx fails at once: a 4xx, and a 3xx too, since redirects
+    are not followed. So does an endpoint that is not an http or https URL
+    with a valid port. Every failure ends as a :class:`ProviderError`. The
+    ``transport`` is an :class:`HttpTransport` unless one is given.
     """
 
     def __init__(
@@ -173,20 +267,20 @@ class HttpProvider:
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 0.5,
-        session=None,
+        transport=None,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        if session is None:
-            import requests  # deferred so offline modes never import it
-
-            session = requests.Session()
-        self._session = session
+        self._transport = HttpTransport() if transport is None else transport
 
     def call(self, request: dict) -> dict:
+        try:
+            body = json.dumps(request, allow_nan=False).encode("ascii")
+        except (TypeError, ValueError) as exc:
+            raise ProviderError(f"request to {self.endpoint} cannot be sent as JSON: {exc}") from None
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -195,22 +289,21 @@ class HttpProvider:
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                response = self._session.post(
-                    self.endpoint, json=request, headers=headers, timeout=self.timeout
-                )
-                status = response.status_code
-                if 400 <= status < 500 and status not in RETRYABLE_4XX:
-                    raise ProviderError(
-                        f"provider at {self.endpoint} rejected the request with HTTP {status}"
-                    )
-                response.raise_for_status()
-                body = response.json()
-                if not isinstance(body, dict):
-                    raise ValueError(f"reply is not a JSON object (got {type(body).__name__})")
-                return body
+                status, data = self._transport.post(self.endpoint, body, headers, self.timeout)
+                if not 200 <= status < 300:
+                    if status < 500 and status not in RETRYABLE_4XX:
+                        redirect = " (redirects are not followed)" if status < 400 else ""
+                        raise ProviderError(
+                            f"provider at {self.endpoint} rejected the request with HTTP {status}{redirect}"
+                        )
+                    raise RuntimeError(f"HTTP {status}")
+                reply = json.loads(data)
+                if not isinstance(reply, dict):
+                    raise ValueError(f"reply is not a JSON object (got {type(reply).__name__})")
+                return reply
             except ProviderError:
-                raise  # a client error that no retry can fix
-            except Exception as exc:  # transport errors, 5xx, 408, 429 and bad bodies alike
+                raise  # a status that no retry can fix
+            except Exception as exc:  # transport errors, timeouts, 5xx, 408, 429 and bad bodies alike
                 last_error = exc
                 logger.warning("provider call failed (attempt %d): %s", attempt + 1, exc)
         raise ProviderError(f"provider at {self.endpoint} failed after {self.max_retries} attempts: {last_error}")

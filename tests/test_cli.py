@@ -385,6 +385,8 @@ class TestMalformedInputs:
             ({"oneshot": "yes"}, "oneshot"),
             ({"parallel": 2.5}, "parallel"),
             ({"temperature": "0"}, "temperature"),
+            ({"temperature": float("nan")}, "temperature"),
+            ({"temperature": float("inf")}, "temperature"),
             ({"out_dir": 3}, "out_dir"),
             ({"chat": "replay"}, "chat"),
             ({"rewriter": {"mode": "replay", "transcript": 5}}, "rewriter.transcript"),
@@ -1000,25 +1002,14 @@ class TestPerQuestionFailures:
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
         gamma = read_triples(PIPELINE / "questions.jsonl")[1]
 
-        class Reply:
-            status_code = 200
+        class Transport:
+            def post(self, url, body, headers, timeout):
+                request = json.loads(body)
+                if gamma.question in request["messages"][0]["content"]:
+                    return 200, b'["not", "an", "object"]'
+                return 200, json.dumps(transcript.lookup(request)).encode()
 
-            def __init__(self, body):
-                self.body = body
-
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return self.body
-
-        class Session:
-            def post(self, url, json=None, headers=None, timeout=None):
-                if gamma.question in json["messages"][0]["content"]:
-                    return Reply(["not", "an", "object"])
-                return Reply(transcript.lookup(json))
-
-        backend = HttpProvider("http://stub/chat", max_retries=2, backoff=0.0, session=Session())
+        backend = HttpProvider("http://stub/chat", max_retries=2, backoff=0.0, transport=Transport())
         chat = ChatProvider(backend)
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         generated, errors = generate_stage(

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -31,12 +33,18 @@ from oracles import reference_hashing_embed, reference_hashing_scores, reference
 
 # JSON text with non-ASCII and non-BMP characters, and nested JSON objects
 json_text = st.one_of(st.text(max_size=12), st.sampled_from(["", "д", "漢字", "😀 x", "\u2028"]))
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | json_text,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
-    max_leaves=8,
-)
-json_objects = st.dictionaries(json_text, json_values, max_size=4)
+
+
+def json_objects_with(floats):
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | floats | json_text,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
+        max_leaves=8,
+    )
+    return st.dictionaries(json_text, values, max_size=4)
+
+
+json_objects = json_objects_with(st.floats(allow_nan=False))
 
 
 class TestFingerprinting:
@@ -321,26 +329,19 @@ class TestHttpEmbedder:
             HttpEmbedder(backend).embed(["a", "b"])
 
 
-class FakeResponse:
-    def __init__(self, payload=None, status=200):
-        self.payload = {} if payload is None else payload
-        self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise RuntimeError(f"http {self.status_code}")
-
-    def json(self):
-        return self.payload
+def reply(payload=None, status=200) -> tuple[int, bytes]:
+    return status, json.dumps({} if payload is None else payload).encode()
 
 
-class FakeSession:
+class FakeTransport:
+    """Records each ``(url, body, headers, timeout)`` and answers with the next outcome."""
+
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+    def post(self, url, body, headers, timeout):
+        self.calls.append((url, body, headers, timeout))
         outcome = self.outcomes[len(self.calls) - 1]
         if isinstance(outcome, Exception):
             raise outcome
@@ -349,21 +350,22 @@ class FakeSession:
 
 class TestHttpProvider:
     def test_retries_then_succeeds(self):
-        session = FakeSession(
+        transport = FakeTransport(
             [
                 ConnectionError("down"),
-                FakeResponse(status=500),
-                FakeResponse(["not", "an", "object"]),
-                FakeResponse({"content": "hi"}),
+                reply(status=500),
+                reply(["not", "an", "object"]),
+                (200, b"{not json"),
+                reply({"content": "hi"}),
             ]
         )
-        provider = HttpProvider("http://x/chat", max_retries=4, backoff=0.001, session=session)
+        provider = HttpProvider("http://x/chat", max_retries=5, backoff=0.001, transport=transport)
         assert provider.call({"q": 1}) == {"content": "hi"}
-        assert len(session.calls) == 4
+        assert len(transport.calls) == 5
 
     def test_exhausted_retries_raise(self):
-        session = FakeSession([ConnectionError("down")] * 3)
-        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.001, session=session)
+        transport = FakeTransport([ConnectionError("down")] * 3)
+        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.001, transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             provider.call({"q": 1})
         assert "3 attempts" in str(excinfo.value)
@@ -371,34 +373,35 @@ class TestHttpProvider:
     def test_sleeps_only_between_attempts(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
-        session = FakeSession([ConnectionError("down")] * 3)
-        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, session=session)
+        transport = FakeTransport([ConnectionError("down")] * 3)
+        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, transport=transport)
         with pytest.raises(ProviderError):
             provider.call({"q": 1})
-        assert len(session.calls) == 3
+        assert len(transport.calls) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_client_error_is_not_retried(self, monkeypatch):
+    @pytest.mark.parametrize("status", [404, 301])
+    def test_client_error_and_redirect_are_not_retried(self, status, monkeypatch):
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
-        session = FakeSession([FakeResponse(status=404), FakeResponse({"content": "hi"})])
-        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, session=session)
+        transport = FakeTransport([reply(status=status), reply({"content": "hi"})])
+        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             provider.call({"q": 1})
-        assert "404" in str(excinfo.value)
-        assert len(session.calls) == 1
+        assert f"HTTP {status}" in str(excinfo.value)
+        assert len(transport.calls) == 1
         assert sleeps == []
 
     def test_timeout_and_rate_limit_are_retried_other_client_errors_are_not(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
         outcomes = [408, 429, 403, 200]
-        session = FakeSession([FakeResponse({"content": "hi"}, status=code) for code in outcomes])
-        provider = HttpProvider("http://x/chat", max_retries=5, backoff=0.5, session=session)
+        transport = FakeTransport([reply({"content": "hi"}, status=code) for code in outcomes])
+        provider = HttpProvider("http://x/chat", max_retries=5, backoff=0.5, transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             provider.call({"q": 1})
         assert "HTTP 403" in str(excinfo.value)
-        assert len(session.calls) == 3
+        assert len(transport.calls) == 3
         assert sleeps == [0.5, 1.0]
 
     @pytest.mark.parametrize("body", [["a"], "text", None])
@@ -414,20 +417,175 @@ class TestHttpProvider:
     def test_non_object_reply_is_retried_then_provider_error(self, role, body, monkeypatch):
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
-        replies = [FakeResponse(status=200) for _ in range(3)]
-        for reply in replies:
-            reply.payload = body
-        session = FakeSession(replies)
-        backend = HttpProvider("http://x", max_retries=3, backoff=0.5, session=session)
+        transport = FakeTransport([(200, json.dumps(body).encode())] * 3)
+        backend = HttpProvider("http://x", max_retries=3, backoff=0.5, transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             role(backend)
         assert "3 attempts" in str(excinfo.value)
         assert f"not a JSON object (got {type(body).__name__})" in str(excinfo.value)
-        assert len(session.calls) == 3
+        assert len(transport.calls) == 3
         assert sleeps == [0.5, 1.0]
 
     def test_api_key_header(self):
-        session = FakeSession([FakeResponse({"ok": 1})])
-        provider = HttpProvider("http://x", api_key="secret", backoff=0.001, session=session)
+        transport = FakeTransport([reply({"ok": 1})])
+        provider = HttpProvider("http://x", api_key="secret", backoff=0.001, transport=transport)
         provider.call({})
-        assert session.calls[0]["headers"]["Authorization"] == "Bearer secret"
+        assert transport.calls[0][2]["Authorization"] == "Bearer secret"
+
+    @settings(max_examples=50, deadline=None)
+    @given(json_objects_with(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_body_is_the_json_dumps_bytes_every_attempt(self, payload):
+        transport = FakeTransport([reply(status=503), reply({"ok": 1})])
+        provider = HttpProvider("http://x/chat", timeout=7.0, backoff=0.0, transport=transport)
+        assert provider.call(payload) == {"ok": 1}
+        body = json.dumps(payload).encode()
+        assert transport.calls == [("http://x/chat", body, {"Content-Type": "application/json"}, 7.0)] * 2
+
+    @pytest.mark.parametrize("request_", [{"temperature": math.nan}, {"t": [math.inf]}, {"s": {1, 2}}])
+    def test_request_that_is_not_json_fails_before_any_attempt(self, request_, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        transport = FakeTransport([reply({"ok": 1})])
+        provider = HttpProvider("http://x/chat", transport=transport)
+        with pytest.raises(ProviderError, match="cannot be sent as JSON"):
+            provider.call(request_)
+        assert transport.calls == []
+        assert sleeps == []
+
+
+class LoopbackServer:
+    """An HTTP/1.1 server on 127.0.0.1 that counts the connections it accepts.
+
+    ``replies`` gives the status of each successive request (200 once they
+    run out), answered with a JSON object that echoes the request's path.
+    ``after_reply`` is what a connection does once it has answered:
+    ``"keep"`` it open, or ``"drop"`` it without saying so first.
+    ``"hang_up"`` closes each connection before reading a request, and
+    ``"stall"`` reads the request and never answers.
+    """
+
+    def __init__(self, replies=(), after_reply="keep"):
+        self.replies = list(replies)
+        self.after_reply = after_reply
+        self.connections = 0
+        self.paths = []
+        self.released = threading.Event()
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def handle(self):
+                if server.after_reply == "hang_up":
+                    return
+                super().handle()
+
+            def do_POST(self):  # noqa: N802 - http.server naming
+                self.rfile.read(int(self.headers["Content-Length"]))
+                with server.lock:
+                    server.paths.append(self.path)
+                    status = server.replies.pop(0) if server.replies else 200
+                if server.after_reply == "stall":
+                    server.released.wait(10)
+                    self.close_connection = True
+                    return
+                data = json.dumps({"path": self.path}).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                self.close_connection = server.after_reply == "drop"
+
+            def log_message(self, format, *args):  # noqa: A002 - silence per-request logging
+                pass
+
+        class Server(ThreadingHTTPServer):
+            def process_request(self, request, client_address):
+                server.connections += 1  # accepted on the one serving thread
+                super().process_request(request, client_address)
+
+        self.lock = threading.Lock()
+        self.httpd = Server(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+
+    def url(self, path="/chat") -> str:
+        return f"http://127.0.0.1:{self.httpd.server_address[1]}{path}"
+
+    def __enter__(self) -> LoopbackServer:
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.released.set()
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+
+
+class TestHttpTransportOnLoopback:
+    """The default transport against a real socket: connection reuse, reconnects and the retry contract."""
+
+    def test_one_connection_per_thread(self):
+        with LoopbackServer() as server:
+            provider = HttpProvider(server.url(), backoff=0.0)
+            assert [provider.call({"n": n}) for n in range(5)] == [{"path": "/chat"}] * 5
+            assert server.connections == 1
+            worker = threading.Thread(target=lambda: [provider.call({"n": n}) for n in range(3)])
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert provider.call({"n": 5}) == {"path": "/chat"}
+            assert (server.connections, len(server.paths)) == (2, 9)
+
+    def test_dropped_keep_alive_is_reopened_and_resent(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        with LoopbackServer(after_reply="drop") as server:
+            provider = HttpProvider(server.url(), max_retries=1)
+            for n in range(4):
+                assert provider.call({"n": n}) == {"path": "/chat"}
+            assert (server.connections, len(server.paths)) == (4, 4)
+        assert sleeps == []
+
+    def test_failure_on_a_fresh_connection_is_not_resent(self):
+        with LoopbackServer(after_reply="hang_up") as server:
+            provider = HttpProvider(server.url(), max_retries=2, backoff=0.0)
+            with pytest.raises(ProviderError, match="2 attempts"):
+                provider.call({"q": 1})
+            assert server.connections == 2
+
+    def test_503_then_200_succeeds_on_the_second_attempt(self):
+        with LoopbackServer([503]) as server:
+            provider = HttpProvider(server.url(), max_retries=3, backoff=0.0)
+            assert provider.call({"q": 1}) == {"path": "/chat"}
+            assert (len(server.paths), server.connections) == (2, 1)
+
+    def test_404_makes_one_attempt(self):
+        with LoopbackServer([404]) as server:
+            provider = HttpProvider(server.url(), max_retries=3, backoff=0.0)
+            with pytest.raises(ProviderError, match="HTTP 404"):
+                provider.call({"q": 1})
+            assert (len(server.paths), server.connections) == (1, 1)
+
+    def test_server_that_never_replies_times_out_every_attempt(self):
+        with LoopbackServer(after_reply="stall") as server:
+            provider = HttpProvider(server.url(), timeout=0.2, max_retries=2, backoff=0.0)
+            with pytest.raises(ProviderError, match="2 attempts"):
+                provider.call({"q": 1})
+            # a timed-out connection is discarded, never reused
+            assert (len(server.paths), server.connections) == (2, 2)
+
+    @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/chat", "http://127.0.0.1:80x/chat"])
+    def test_endpoint_that_no_retry_can_fix_fails_at_once(self, endpoint, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        with pytest.raises(ProviderError, match="endpoint"):
+            HttpProvider(endpoint).call({"q": 1})
+        assert sleeps == []
+
+    def test_query_string_reaches_the_server(self):
+        with LoopbackServer() as server:
+            provider = HttpProvider(server.url("/v1/chat?key=a%20b&x=1"), backoff=0.0)
+            assert provider.call({}) == {"path": "/v1/chat?key=a%20b&x=1"}
