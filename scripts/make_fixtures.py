@@ -626,7 +626,6 @@ def write_pipeline_fixture() -> None:
         "k": 10,
         "docs": "docs.jsonl",
         "questions": "questions.jsonl",
-        "out_dir": "out",
     }
     (out / "config.json").write_text(json.dumps(base_config, indent=2) + "\n", encoding="utf-8")
     for name, transcript in [

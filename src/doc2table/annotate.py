@@ -11,20 +11,21 @@ review, which this module models as a status field (auto / confirmed /
 rejected) edited through a JSONL review file.
 
 Each document is scanned once per run: ``annotate`` wraps every
-referenced document in a :class:`SentenceIndex`, which normalizes,
-lowercases and number-tokenizes the sentences lazily, at the document's
-first table, and answers every cell of every later table from that scan.
-The matching rule above is the same whichever table triggers the scan.
+referenced document in a :class:`SentenceIndex`, whose one scan
+(:func:`scan_sentences`) runs lazily, at the document's first table, and
+answers every cell of every later table. The matching rule above is the
+same whichever table triggers the scan.
 
 Two shortcuts keep the scan and the lookups cheap without changing a
 match. The number pattern opens with a lookahead for the characters a
 token can start with (whitespace, "(", a minus, a currency symbol or a
 digit), so the regex engine skips every other position at once, and a
 sentence without a ``\\d`` digit is not searched at all. A textual cell is
-looked up with ``str.find`` in the document's lowered sentences joined by
-"\\n"; only the sentences it is found in are searched with the
-whole-phrase pattern. Normalized sentences and body cells hold no "\\n",
-so a find never spans two sentences.
+looked up with ``str.find`` in the lowered sentences joined by "\\n", the
+scan's one copy of them; a sentence it is found in is searched with the
+whole-phrase pattern between its own offsets, the same as searching it
+alone. Normalized sentences and body cells hold no "\\n", so a find never
+spans two sentences.
 
 A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
@@ -133,22 +134,26 @@ class CellMatch:
 Magnitudes = dict[str, dict[int, set[bool]]]
 
 
-def scan_sentences(sentences: list[str]) -> tuple[list[str], Magnitudes]:
-    """Lowered normalized sentences, and canonical magnitude -> {sentence id:
+def scan_sentences(sentences: list[str]) -> tuple[str, list[int], Magnitudes]:
+    """The lowered normalized sentences joined by "\\n", each one's start
+    offset plus an end sentinel, and canonical magnitude -> {sentence id:
     signs it appears with}, each inner dict in ascending id order.
 
     Each sentence is normalized once; one without a digit skips the number
     pattern, and the pattern's leading lookahead skips positions no token
-    can start at.
+    can start at. Offsets come from the lowered texts, since ``str.lower()``
+    can change a string's length.
     """
     lowered: list[str] = []
+    starts = [0]
     magnitudes: Magnitudes = {}
     for sid, sentence in enumerate(sentences):
         text = normalize_text(sentence)
         lowered.append(text.lower())
+        starts.append(starts[-1] + len(lowered[-1]) + 1)
         for magnitude, negative in _normalized_numbers(text):
             magnitudes.setdefault(magnitude, {}).setdefault(sid, set()).add(negative)
-    return lowered, magnitudes
+    return "\n".join(lowered), starts, magnitudes
 
 
 class SentenceIndex:
@@ -157,10 +162,6 @@ class SentenceIndex:
     The scan (:func:`scan_sentences`) runs on first use, inside the first
     :func:`match_cells_to_sentences` call for the document, so a document
     no table references is never scanned. ``len()`` is the sentence count.
-    :attr:`joined`, built at the same first use, holds the lowered
-    sentences joined by "\\n", in which a textual cell is found with
-    ``str.find`` and mapped back to its sentence by offset. No normalized
-    sentence or cell holds a "\\n", so no find crosses a sentence boundary.
     """
 
     def __init__(self, sentences: list[str]):
@@ -170,29 +171,13 @@ class SentenceIndex:
         return len(self.sentences)
 
     @cached_property
-    def scan(self) -> tuple[list[str], Magnitudes]:
+    def scan(self) -> tuple[str, list[int], Magnitudes]:
         return scan_sentences(self.sentences)
-
-    @cached_property
-    def joined(self) -> tuple[str, list[int]]:
-        """The lowered sentences joined with "\\n", and each one's start offset.
-
-        Offsets come from the lowered texts, since ``str.lower()`` can
-        change a string's length.
-        """
-        lowered = self.scan[0]
-        starts = []
-        offset = 0
-        for text in lowered:
-            starts.append(offset)
-            offset += len(text) + 1
-        return "\n".join(lowered), starts
 
 
 def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> list[CellMatch]:
     """Locate candidate sentences for every body cell; empty cells match nothing."""
-    lowered_sentences, magnitudes = index.scan
-    joined, starts = index.joined
+    joined, starts, magnitudes = index.scan
     matches: list[CellMatch] = []
     for r, row in enumerate(table.body):
         for c, cell in enumerate(row):
@@ -209,17 +194,17 @@ def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> 
                     )
             else:
                 # The pattern matches only where the lowered cell occurs
-                # literally, so only sentences the needle is found in are searched.
+                # literally, so only sentences the needle is found in are
+                # searched, each within its own span of ``joined``.
                 needle = cell.lower()
                 pattern = re.compile(rf"(?<!\w){re.escape(needle)}(?!\w)")
                 hit_ids = []
                 at = joined.find(needle)
                 while at != -1:
                     sid = bisect_right(starts, at) - 1
-                    text = lowered_sentences[sid]
-                    if pattern.search(text):
+                    if pattern.search(joined, starts[sid], starts[sid + 1] - 1):
                         hit_ids.append(sid)
-                    at = joined.find(needle, starts[sid] + len(text) + 1)
+                    at = joined.find(needle, starts[sid + 1])
                 if hit_ids:
                     matches.append(CellMatch(r, c, "textual", tuple(hit_ids)))
     return matches

@@ -6,9 +6,10 @@ Subcommands: annotate, retrieve, generate, evaluate, stats, pipeline.
 :func:`evaluate_stage` over saved tables, and ``pipeline`` runs all three,
 handing records and tables over in memory. The first two and ``pipeline``
 read their settings, providers and inputs from one ``RunConfig`` file
-(``--config``); ``--out`` overrides its output directory. Each of them
-builds one order-preserving map from ``RunConfig.parallel`` (:func:`run_map`)
-that its sentence rewrites and questions go through.
+(``--config``). Every subcommand but ``stats`` writes to the directory
+that its required ``--out`` names, the one output setting. Each config
+subcommand builds one order-preserving map from ``RunConfig.parallel``
+(:func:`run_map`) that its sentence rewrites and questions go through.
 
 All outputs are written atomically and deterministically (sorted JSON
 keys, input order preserved), so a replayed run reproduces its output
@@ -263,7 +264,7 @@ def cmd_annotate(args) -> int:
 
 
 def _load_config(args, *inputs: str) -> tuple[RunConfig, Path]:
-    """The checked run config named by ``--config``, and ``--out`` or else its ``out_dir``.
+    """The checked run config named by ``--config``, and the ``--out`` directory.
 
     Each config field named in ``inputs`` (``questions``, ``docs``) must be set.
     """
@@ -271,7 +272,7 @@ def _load_config(args, *inputs: str) -> tuple[RunConfig, Path]:
     for name in inputs:
         if not getattr(config, name):
             raise ValueError(f"config field {name} is required")
-    return config, Path(args.out or config.out_dir)
+    return config, Path(args.out)
 
 
 def cmd_retrieve(args) -> int:
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--config", required=True, help="run config JSON: providers, settings, questions, docs"
         )
-        p.add_argument("--out", default="", help="override the configured output directory")
+        p.add_argument("--out", required=True)
         p.set_defaults(func=func)
         return p
 

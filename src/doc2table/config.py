@@ -7,11 +7,12 @@ unknown key, at the top level or inside a provider spec, is an error, and
 each known value is type-checked. Endpoints come from the file; a
 provider's ``api_key_env`` names the environment variable that holds its
 credential, so no secret is written into the file. Relative transcript and
-data paths resolve against the config file's directory. Each provider
-role accepts the modes that the one table :data:`PROVIDER_MODES` lists for
-it, and :func:`build_providers` builds every role the same way from that
-table. Nothing touches the network unless a provider's mode is ``live`` or
-``record``.
+input paths resolve against the config file's directory; the output
+directory is no setting, as each command takes it from ``--out``. Each
+provider role accepts the modes that the one table :data:`PROVIDER_MODES`
+lists for it, and :func:`build_providers` builds every role the same way
+from that table. Nothing touches the network unless a provider's mode is
+``live`` or ``record``.
 
 ``parallel`` is how many provider calls a run may wait on at once. It
 covers each document's sentence rewrites and whole questions in
@@ -98,7 +99,6 @@ class RunConfig:
     oneshot: bool = False
     temperature: float = 0.0
     max_tokens: int = 2048
-    out_dir: str = "out"
     docs: str = ""  # run inputs
     questions: str = ""
 
@@ -123,7 +123,7 @@ class RunConfig:
                 spec = _json_fields(ProviderSpec, values[role], f"{role}.")
                 values[role] = ProviderSpec(**{"mode": "", **spec})
         config = cls(**values)
-        paths = [(config, "out_dir"), (config, "docs"), (config, "questions")]
+        paths = [(config, "docs"), (config, "questions")]
         paths += [(getattr(config, role), "transcript") for role in PROVIDER_MODES]
         for owner, name in paths:
             value = getattr(owner, name)
@@ -144,23 +144,22 @@ class BuiltProviders:
 
 
 def _backend_for(spec: ProviderSpec, pending: list[tuple[Transcript, str]]):
+    """The JSON backend of a replay, live or record spec, the modes left once validated."""
     if spec.mode == "replay":
         if not spec.transcript:
             raise ValueError("replay mode needs a transcript path")
         return ReplayProvider(Transcript.load(spec.transcript))
-    if spec.mode in ("live", "record"):
-        if not spec.endpoint:
-            raise ValueError(f"{spec.mode} mode needs an endpoint")
-        api_key = os.environ.get(spec.api_key_env) if spec.api_key_env else None
-        backend = HttpProvider(spec.endpoint, api_key=api_key)
-        if spec.mode == "record":
-            if not spec.transcript:
-                raise ValueError("record mode needs a transcript path to write")
-            transcript = Transcript()
-            pending.append((transcript, spec.transcript))
-            return RecordingProvider(backend, transcript)
+    if not spec.endpoint:
+        raise ValueError(f"{spec.mode} mode needs an endpoint")
+    api_key = os.environ.get(spec.api_key_env) if spec.api_key_env else None
+    backend = HttpProvider(spec.endpoint, api_key=api_key)
+    if spec.mode == "live":
         return backend
-    raise ValueError(f"unsupported provider mode {spec.mode!r}")
+    if not spec.transcript:
+        raise ValueError("record mode needs a transcript path to write")
+    transcript = Transcript()
+    pending.append((transcript, spec.transcript))
+    return RecordingProvider(backend, transcript)
 
 
 def build_providers(

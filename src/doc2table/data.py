@@ -18,25 +18,27 @@ Formats, each with the key that no two of its lines may share:
              sid is an int >= 0 and a score an int or float; unique id
   generated  {"id": str, "table_html": str}; unique id
 
-Malformed lines, and a line that repeats an earlier line's unique key,
-raise :class:`InputFormatError` naming the file, line and field; a
-repeated review pair names its ``match_id``. Types are exact and nothing is
+Every file is read by :func:`read_jsonl`, one line at a time. Lines end at
+"\\n" only, the JSON Lines separator: a raw U+2028, U+2029 or U+0085 stays
+inside its string, and the "\\r" of a CRLF line is stripped. Malformed
+lines, and a line that repeats an earlier line's unique key, raise
+:class:`InputFormatError` naming the file, line and field; a repeated
+review pair names its ``match_id``. Types are exact and nothing is
 converted: ``true`` is not an int, nor ``1.0``. Every format but review is
 read through ``_read_keyed``, which checks a line's key, then its other
-fields, then whether an earlier line used the key. All
-writes go through a temp file and rename so partial output is never
-observed.
+fields, then whether an earlier line used the key. All writes go through a
+temp file and rename so partial output is never observed.
 """
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .annotate import QaTriple
 from .html_io import TableInputError, TableStructureError, parse_html_table
-from .model import HierarchicalTable, TableModelError
+from .model import HierarchicalTable
 from .retrieval import DocumentStore, RetrievalRecord, split_sentences
 
 
@@ -90,20 +92,20 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    rows = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(path, number, "<json>", f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InputFormatError(path, number, "<json>", "expected a JSON object")
-        rows.append((number, obj))
-    return rows
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, JSON object) for each non-blank line, read one at a time."""
+    with open(path, encoding="utf-8", newline="\n") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputFormatError(path, number, "<json>", f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise InputFormatError(path, number, "<json>", "expected a JSON object")
+            yield number, obj
 
 
 def _require(obj: dict, field: str, kind, path, line: int):
@@ -199,7 +201,7 @@ def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
     html = _require(obj, "table_html", str, path, line)
     try:
         return parse_html_table(html)
-    except (TableInputError, TableStructureError, TableModelError) as exc:
+    except (TableInputError, TableStructureError) as exc:
         raise InputFormatError(path, line, "table_html", str(exc)) from exc
 
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .html_io import TableInputError, TableStructureError, parse_html_table
-from .model import HierarchicalTable, TableModelError
+from .model import HierarchicalTable
 from .providers import ChatProvider, ProviderError
 
 logger = logging.getLogger(__name__)
@@ -116,7 +116,7 @@ def _parse_block_table(block: str, what: str) -> HierarchicalTable:
         raise ResponseParseError("no <table> element in the fenced block")
     try:
         return parse_html_table(block[start : end + len("</table>")])
-    except (TableInputError, TableStructureError, TableModelError) as exc:
+    except (TableInputError, TableStructureError) as exc:
         raise ResponseParseError(f"{what} is not a usable table: {exc}") from exc
 
 

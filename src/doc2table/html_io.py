@@ -144,7 +144,7 @@ def _parse_span(value: str | None) -> int:
         return 1
     try:
         span = int(value.strip())
-    except (ValueError, AttributeError):
+    except ValueError:
         return 1
     return max(1, span)
 
@@ -244,17 +244,11 @@ def _build_forest(chains: list[list[GridCell]], depth: int) -> tuple[HeaderNode,
             raise TableStructureError(
                 f"empty header label at row {cell.origin[0]}, column {cell.origin[1]}"
             )
-        deeper = [ch for ch in group if len(ch) > depth + 1]
-        if not deeper:
+        # Rectangular spans make "ends here" a property of the cell, so a
+        # group either all stops or all continues.
+        if len(group[0]) == depth + 1:
             nodes.extend(HeaderNode(label) for _ in group)
         else:
-            # Rectangular spans make "ends here" a property of the cell, so a
-            # group either all continues or all stops.
-            if len(deeper) != len(group):
-                raise TableStructureError(
-                    f"inconsistent header nesting under cell at row "
-                    f"{cell.origin[0]}, column {cell.origin[1]}"
-                )
             nodes.append(HeaderNode(label, _build_forest(group, depth + 1)))
         i = j
     return tuple(nodes)

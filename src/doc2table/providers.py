@@ -104,27 +104,26 @@ class Transcript:
         Any other line raises ``ValueError`` naming the file and its
         1-based line number.
         """
+        transcript = cls()
         try:
-            rows = read_jsonl(path)
+            for number, record in read_jsonl(path):
+                if isinstance(record.get("meta"), dict):
+                    transcript.provider = record["meta"].get("provider", "")
+                    transcript.captured = record["meta"].get("captured", "")
+                    continue
+                if not (
+                    isinstance(record.get("fingerprint"), str)
+                    and isinstance(record.get("response"), dict)
+                ):
+                    raise ValueError(
+                        f"{path}, line {number}: expected a JSON object with a string"
+                        " 'fingerprint' and an object 'response'"
+                    )
+                transcript.entries[record["fingerprint"]] = record["response"]
+                if record.get("request") is not None:
+                    transcript.requests[record["fingerprint"]] = record["request"]
         except InputFormatError as exc:
             raise ValueError(f"{path}, line {exc.line}: {exc.reason}") from None
-        transcript = cls()
-        for number, record in rows:
-            if isinstance(record.get("meta"), dict):
-                transcript.provider = record["meta"].get("provider", "")
-                transcript.captured = record["meta"].get("captured", "")
-                continue
-            if not (
-                isinstance(record.get("fingerprint"), str)
-                and isinstance(record.get("response"), dict)
-            ):
-                raise ValueError(
-                    f"{path}, line {number}: expected a JSON object with a string"
-                    " 'fingerprint' and an object 'response'"
-                )
-            transcript.entries[record["fingerprint"]] = record["response"]
-            if record.get("request") is not None:
-                transcript.requests[record["fingerprint"]] = record["request"]
         return transcript
 
 

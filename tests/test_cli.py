@@ -169,6 +169,14 @@ class TestEvaluate:
         assert "not rectangular" in error["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_empty_generated_file_writes_an_empty_aggregate(self, tmp_path, capsys):
+        gen, gt = self.write_pair(tmp_path, {}, {"a": make_flat_table(1, 1)})
+        out = tmp_path / "out"
+        assert run(["evaluate", "--generated", gen, "--groundtruth", gt, "--out", out]) == 0
+        assert (out / "evaluation.json").read_text() == "{}\n"
+        assert (out / "evaluation.jsonl").read_text() == ""
+        assert "mean" not in capsys.readouterr().out
+
     def test_rerun_is_byte_identical(self, tmp_path):
         table = make_flat_table(2, 2)
         gen, gt = self.write_pair(tmp_path, {"a": table}, {"a": table})
@@ -387,7 +395,6 @@ class TestMalformedInputs:
             ({"temperature": "0"}, "temperature"),
             ({"temperature": float("nan")}, "temperature"),
             ({"temperature": float("inf")}, "temperature"),
-            ({"out_dir": 3}, "out_dir"),
             ({"chat": "replay"}, "chat"),
             ({"rewriter": {"mode": "replay", "transcript": 5}}, "rewriter.transcript"),
         ],
@@ -409,6 +416,7 @@ class TestMalformedInputs:
             ({"fill_batch_size": 1}, "fill_batch_size"),
             ({"max_retries": 3}, "max_retries"),
             ({"paralel": 2}, "paralel"),
+            ({"out_dir": "out"}, "out_dir"),
             ({"chat": {"mode": "replay", "transcipt": "chat.jsonl"}}, "chat.transcipt"),
         ],
     )
@@ -423,6 +431,24 @@ class TestMalformedInputs:
         assert error == {"type": "ValueError", "message": f"config field {field} is not a setting"}
         assert built == []
         assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_an_object_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"k": 10}]))
+        assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": "config must be a JSON object"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["retrieve", "generate", "pipeline"])
+    def test_out_is_required(self, tmp_path, capsys, command):
+        argv = [command, "--config", PIPELINE / "config.json"]
+        if command == "generate":
+            argv += ["--retrieval", PIPELINE / "golden" / "retrieval.jsonl"]
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "chat, message",
@@ -783,8 +809,21 @@ def _load_make_fixtures():
     return module
 
 
+    def test_no_relevant_ids_write_no_recall(self, tmp_path, capsys):
+        questions = tmp_path / "questions.jsonl"
+        rows = read_jsonl_rows(PIPELINE / "questions.jsonl")
+        write_jsonl(questions, [{**row, "relevant_sentence_ids": []} for row in rows])
+        out = tmp_path / "out"
+        path = write_pipeline_config(tmp_path, questions=str(questions))
+        assert run(["retrieve", "--config", path, "--out", out]) == 0
+        assert [p.name for p in out.iterdir()] == ["retrieval.jsonl"]
+        golden = PIPELINE / "golden" / "retrieval.jsonl"
+        assert (out / "retrieval.jsonl").read_bytes() == golden.read_bytes()
+        assert capsys.readouterr().out == f"retrieved for {len(rows)} questions\n"
+
+
 class TestPipelineCommand:
-    def test_replay_pipeline_out_override(self, tmp_path):
+    def test_replay_pipeline_writes_where_out_names(self, tmp_path):
         out = tmp_path / "run"
         code = run(["pipeline", "--config", PIPELINE / "config.json", "--out", out])
         assert code == 0
@@ -982,6 +1021,20 @@ class TestPerQuestionFailures:
         ]
         for name in ("tables.jsonl", "traces.jsonl", "evaluation.jsonl", "evaluation.json"):
             assert (out / name).read_bytes() == (PIPELINE / "golden" / name).read_bytes(), name
+
+    def test_question_without_a_retrieval_record_fails_only_that_question(self, tmp_path, capsys):
+        retrieval = tmp_path / "retrieval.jsonl"
+        acme_beta = (PIPELINE / "golden" / "retrieval.jsonl").read_text().splitlines()[0]
+        retrieval.write_text(acme_beta + "\n")
+        out = tmp_path / "out"
+        argv = ["generate", "--config", PIPELINE / "config.json", "--retrieval", retrieval]
+        assert run(argv + ["--out", out]) == 1
+        assert read_jsonl_rows(out / "errors.jsonl") == [
+            {"id": "gamma", "stage": "input", "error": "no retrieval record"}
+        ]
+        golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
+        assert read_jsonl_rows(out / "tables.jsonl") == golden_tables[:1]
+        assert "generated 1 tables, 1 failures" in capsys.readouterr().out
 
     def test_replay_miss_fails_each_question_and_the_run_goes_on(self, tmp_path, capsys):
         empty = tmp_path / "chat.jsonl"

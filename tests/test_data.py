@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -30,6 +31,14 @@ class TestAtomicWrites:
         assert path.read_text() == "hello\n"
         leftovers = [p for p in path.parent.iterdir() if p.name != "out.txt"]
         assert leftovers == []
+
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "a lone \ud800 surrogate")  # strict UTF-8 cannot encode it
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "old\n"
 
     def test_write_json_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -99,6 +108,64 @@ class TestDocuments:
         assert excinfo.value.line == 1
 
 
+    def test_non_string_sentence_is_named(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"doc_id": "d", "sentences": ["One.", 2]}) + "\n")
+        with pytest.raises(InputFormatError) as excinfo:
+            read_documents(path)
+        assert (excinfo.value.line, excinfo.value.field) == (1, "sentences[1]")
+        assert excinfo.value.reason == "expected str"
+
+
+class TestLineReading:
+    """Lines end at "\\n" only, the JSON Lines separator; a CRLF line reads as its LF form."""
+
+    SEPARATORS = "\u2028\u2029\x85"  # str.splitlines() breaks at each of these
+
+    def test_unicode_line_separators_inside_strings_read_intact(self, tmp_path):
+        sentences = [f"Revenue{sep}rose." for sep in self.SEPARATORS]
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(
+            json.dumps({"doc_id": "d", "sentences": sentences}, ensure_ascii=False) + "\n"
+            + json.dumps({"doc_id": "e", "sentences": ["After."]}) + "\n",
+            encoding="utf-8",
+        )
+        assert "\u2028".encode() in docs.read_bytes()  # raw, not escaped
+        assert {k: v.sentences for k, v in read_documents(docs).items()} == {
+            "d": sentences, "e": ["After."]
+        }
+
+        question = f"What{self.SEPARATORS}rose?"
+        row = {"id": "t", "doc_id": "d", "question": question,
+               "table_html": serialize_html(make_flat_table(1, 1)), "relevant_sentence_ids": [0]}
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text(
+            "".join(json.dumps({**row, "id": i}, ensure_ascii=False) + "\n" for i in "tu"),
+            encoding="utf-8",
+        )
+        assert [(t.triple_id, t.question) for t in read_triples(triples)] == [
+            ("t", question), ("u", question)
+        ]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_crlf_lines_read_and_errors_keep_their_line_numbers(self, tmp_path, newline):
+        rows = [json.dumps({"doc_id": d, "sentences": [d]}) for d in "ab"]
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(newline.join([rows[0], "", rows[1], ""]).encode())
+        assert {k: v.sentences for k, v in read_documents(path).items()} == {"a": ["a"], "b": ["b"]}
+        for bad, field in [("{not json", "<json>"), (rows[0], "doc_id")]:
+            path.write_bytes(newline.join([rows[0], "", rows[1], bad, ""]).encode())
+            with pytest.raises(InputFormatError) as excinfo:
+                read_documents(path)
+            assert (excinfo.value.line, excinfo.value.field) == (4, field)
+
+        transcript = tmp_path / "transcript.jsonl"
+        lines = ['{"meta":{"provider":"p"}}', '{"fingerprint":"f","response":{}}', "[1]", ""]
+        transcript.write_bytes(newline.join(lines).encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(transcript))}, line 3: "):
+            Transcript.load(transcript)
+
+
 class TestTriples:
     def test_round_trip(self, tmp_path):
         table = make_flat_table(2, 2)
@@ -129,6 +196,14 @@ class TestTriples:
         with pytest.raises(InputFormatError) as excinfo:
             read_triples(path)
         assert excinfo.value.field == "table_html"
+
+    def test_non_string_question_is_named(self, tmp_path):
+        path = tmp_path / "triples.jsonl"
+        write_jsonl(path, [{"id": "t", "doc_id": "d", "question": 5,
+                            "table_html": serialize_html(make_flat_table(1, 1))}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_triples(path)
+        assert (excinfo.value.field, excinfo.value.reason) == ("question", "expected str, got int")
 
     def test_non_string_id_rejected(self, tmp_path):
         path = tmp_path / "triples.jsonl"
@@ -168,6 +243,16 @@ class TestTables:
             read_tables(path)
         assert (excinfo.value.line, excinfo.value.field) == (3, "table_id")
         assert excinfo.value.reason == "duplicate table_id 't1'"
+
+
+    def test_non_string_question_is_named(self, tmp_path):
+        path = tmp_path / "tables.jsonl"
+        row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
+        write_jsonl(path, [row, {**row, "table_id": "t2", "question": ["q"]}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_tables(path)
+        assert (excinfo.value.line, excinfo.value.field) == (2, "question")
+        assert excinfo.value.reason == "expected str"
 
 
 class TestGeneratedTables:

@@ -359,6 +359,40 @@ class TestRunTabTalk:
         assert len(payload["cells"]) == 2
         json.dumps(payload)  # JSON-serializable
 
+    @pytest.mark.parametrize(
+        "block, reason",
+        [
+            ("dimensions: 1 x 1\n<p>no table</p>", "no <table> element in the fenced block"),
+            (
+                'dimensions: 1 x 1\n<table><tr><th>a</th><th rowspan="2">b</th></tr>'
+                '<tr><th colspan="2">c</th></tr></table>',
+                "header skeleton is not a usable table: overlapping spans at row 1, column 1",
+            ),
+        ],
+        ids=["no-table", "overlapping-spans"],
+    )
+    def test_unusable_skeleton_gets_one_retry_then_a_structure_error_row(
+        self, tmp_path, block, reason
+    ):
+        prompts = []
+
+        def handler(request):
+            prompts.append(request["messages"][0]["content"])
+            return {"content": f"```table\n{block}\n```"}
+
+        record = RetrievalRecord(
+            QUESTION, [QUESTION], [], [(sid, 1.0) for sid, _ in SENTENCES], 5,
+            sentence_texts=dict(SENTENCES),
+        )
+        generated, errors = generate_stage(
+            [QaTriple("q", "doc", QUESTION, make_gt(), ())], {"q": record},
+            ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path,
+        )
+        assert generated == []
+        assert errors == [{"id": "q", "stage": "structure", "error": f"structure stage failed: {reason}"}]
+        assert len(prompts) == 2 and f"could not be used: {reason}" in prompts[1]
+        assert json.loads((tmp_path / "errors.jsonl").read_text()) == errors[0]
+
     def test_provider_error_fails_the_stage_without_retry(self):
         gt = make_gt()
         inner = perfect_handler(gt)

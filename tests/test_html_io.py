@@ -6,6 +6,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doc2table.html_io import (
     MAX_COLSPAN,
@@ -56,6 +57,50 @@ def tiled_stub_html(rng: random.Random, h: int, w: int) -> tuple[str, list[str]]
     return f"<table><thead>{head}</thead><tbody>{body}</tbody></table>", labels
 
 
+@st.composite
+def tiled_tables(draw):
+    """HTML of a table whose grid random rectangular spans tile, and the parse it must give.
+
+    The h header rows are the ``thead``, and a body row's first w cells are
+    ``th``. No span crosses from the header rows into the body rows, nor, in
+    the body rows, from the row-header columns into the body columns. A span
+    over the last column is one row high, so every row holds a cell. Every
+    ``th`` has its own label.
+    """
+    n_rows, n_cols = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    h, w = draw(st.integers(1, n_rows - 1)), draw(st.integers(1, n_cols - 1))
+    owner = [[""] * n_cols for _ in range(n_rows)]  # each slot's covering cell text
+    rows: list[list[str]] = [[] for _ in range(n_rows)]
+    stub = []
+    for r in range(n_rows):
+        for c in range(n_cols):
+            if owner[r][c]:
+                continue
+            free = 1
+            while (
+                c + free < n_cols and not owner[r][c + free] and (r < h or (c + free < w) == (c < w))
+            ):
+                free += 1
+            width = draw(st.integers(1, free))
+            height = 1 if c + width == n_cols else draw(st.integers(1, (h if r < h else n_rows) - r))
+            text = f"{'h' if r < h or c < w else 'v'}{sum(map(len, rows))}"
+            for dr in range(height):
+                owner[r + dr][c : c + width] = [text] * width
+            if r < h and c < w:
+                stub.append(text)
+            tag = "td" if text[0] == "v" else "th"
+            rows[r].append(f'<{tag} rowspan="{height}" colspan="{width}">{text}</{tag}>')
+    head, body = (["<tr>" + "".join(row) + "</tr>" for row in part] for part in (rows[:h], rows[h:]))
+    html = f"<table><thead>{''.join(head)}</thead><tbody>{''.join(body)}</tbody></table>"
+
+    def chain(slots) -> tuple[str, ...]:
+        return tuple(text for i, text in enumerate(slots) if i == 0 or slots[i - 1] != text)
+
+    top = [chain([owner[r][c] for r in range(h)]) for c in range(w, n_cols)]
+    left = [chain(owner[r][:w]) for r in range(h, n_rows)]
+    return html, " ".join(stub), left, top, tuple(tuple(row[w:]) for row in owner[h:])
+
+
 MINIMAL = "<table><tr><th></th><th>c</th></tr><tr><th>r</th><td>v</td></tr></table>"
 
 
@@ -86,6 +131,16 @@ class TestParseMinimal:
         table = parse_html_table(html)
         assert table.top.to_nested() == ["A & B"]
         assert table.body == (("61, 276",),)
+
+    def test_cell_before_any_row_opens_one(self):
+        html = "<table><th></th><th>c</th><tr><th>r</th><td>v</td></tr></table>"
+        assert parse_html_table(html) == parse_html_table(MINIMAL)
+
+    @pytest.mark.parametrize("span", ['rowspan="two"', 'rowspan=""', "rowspan", 'colspan="1.5"'])
+    def test_span_that_is_not_an_integer_reads_as_one(self, span):
+        html = MINIMAL.replace("<th>c</th>", f"<th {span}>c</th>")
+        assert [(c.row_span, c.col_span) for c in distinct_cells(parse_grid(html))] == [(1, 1)] * 4
+        assert parse_html_table(html) == parse_html_table(MINIMAL)
 
     def test_nested_markup_stripped_to_text(self):
         html = (
@@ -199,6 +254,18 @@ class TestParseErrors:
         with pytest.raises(TableStructureError):
             parse_html_table("<table><tr><th>a</th><th>b</th></tr></table>")
 
+    def test_table_without_rows(self):
+        with pytest.raises(TableStructureError, match="^table has no rows$"):
+            parse_html_table("<table></table>")
+
+    def test_all_header_table_with_a_thead_has_no_body_columns(self):
+        html = (
+            "<table><thead><tr><th>a</th><th>b</th></tr></thead>"
+            "<tr><th>c</th><th>d</th></tr></table>"
+        )
+        with pytest.raises(TableStructureError, match="^no body columns right of the row-header region$"):
+            parse_html_table(html)
+
     def test_empty_header_label(self):
         html = "<table><tr><th></th><th></th></tr><tr><th>r</th><td>v</td></tr></table>"
         with pytest.raises(TableStructureError) as excinfo:
@@ -215,6 +282,18 @@ class TestParseErrors:
             table = parse_html_table(html)
         assert any("indentation" in r.message for r in caplog.records)
         assert table.left.depth == 1  # parsed flat, not nested
+
+
+class TestTiledTables:
+    @given(tiled_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_every_rectangular_tiling_parses_to_its_chains(self, case):
+        html, stub, left, top, body = case
+        table = parse_html_table(html)
+        assert (table.left.leaf_count, table.top.leaf_count) == (len(body), len(body[0]))
+        assert [labels for _, labels in table.left.leaves] == left
+        assert [labels for _, labels in table.top.leaves] == top
+        assert (table.stub_header, table.body) == (stub, body)
 
 
 class TestSpanConservation:
