@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="doc2table",
         description="Answer questions over documents with hierarchical tables.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("annotate", help="match table cells to sentences and filter")
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    logging.basicConfig(level=logging.WARNING)
     try:
         return args.func(args)
     except data.InputFormatError as exc:

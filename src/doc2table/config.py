@@ -2,17 +2,19 @@
 
 :class:`RunConfig` is the only run configuration. ``retrieve``,
 ``generate`` and ``pipeline`` all load it from one JSON file, and the
-stages read their settings from it. Every key must name a setting: an
-unknown key, at the top level or inside a provider spec, is an error, and
-each known value is type-checked. Endpoints come from the file; a
-provider's ``api_key_env`` names the environment variable that holds its
-credential, so no secret is written into the file. Relative transcript and
-input paths resolve against the config file's directory; the output
-directory is no setting, as each command takes it from ``--out``. Each
-provider role accepts the modes that the one table :data:`PROVIDER_MODES`
-lists for it, and :func:`build_providers` builds every role the same way
-from that table. Nothing touches the network unless a provider's mode is
-``live`` or ``record``.
+stages read their settings from it: the ``chat``, ``rewriter`` and
+``embedder`` provider specs, ``k``, ``parallel``, ``oneshot``, ``docs`` and
+``questions``. Every key must name one of these (chat sampling values are
+fixed, not set): an unknown key, at the top level or inside a provider
+spec, is an error, and each known value is type-checked. Endpoints come
+from the file; a provider's ``api_key_env`` names the environment variable
+that holds its credential, so no secret is written into the file. Relative
+transcript and input paths resolve against the config file's directory; the
+output directory is no setting, as each command takes it from ``--out``.
+Each provider role accepts the modes that the one table
+:data:`PROVIDER_MODES` lists for it, and :func:`build_providers` builds
+every role the same way from that table. Nothing touches the network unless
+a provider's mode is ``live`` or ``record``.
 
 ``parallel`` is how many provider calls a run may wait on at once. It
 covers each document's sentence rewrites and whole questions in
@@ -24,7 +26,6 @@ backend keeps one connection per worker thread.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -66,7 +67,6 @@ _JSON_TYPES = {
     "str": (str, "a string"),
     "bool": (bool, "true or false"),
     "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
     "ProviderSpec": (dict, "an object"),
 }
 
@@ -97,8 +97,6 @@ class RunConfig:
     k: int = DEFAULT_TOP_K
     parallel: int = 1  # sentence rewrites and whole questions at once; 1 starts no thread
     oneshot: bool = False
-    temperature: float = 0.0
-    max_tokens: int = 2048
     docs: str = ""  # run inputs
     questions: str = ""
 
@@ -107,8 +105,6 @@ class RunConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {self.parallel}")
-        if not math.isfinite(self.temperature):  # json reads NaN and Infinity
-            raise ValueError(f"config field temperature must be a finite number, got {self.temperature!r}")
         for role, modes in PROVIDER_MODES.items():
             mode = getattr(self, role).mode
             if mode not in modes:
@@ -162,15 +158,10 @@ def _backend_for(spec: ProviderSpec, pending: list[tuple[Transcript, str]]):
     return RecordingProvider(backend, transcript)
 
 
-def build_providers(
-    config: RunConfig, roles: tuple[str, ...] = tuple(PROVIDER_MODES)
-) -> BuiltProviders:
+def build_providers(config: RunConfig, roles: tuple[str, ...]) -> BuiltProviders:
     pending: list[tuple[Transcript, str]] = []
-    wrappers = {  # how each role wraps a JSON backend
-        "chat": lambda backend: ChatProvider(backend, config.temperature, config.max_tokens),
-        "rewriter": Rewriter,
-        "embedder": HttpEmbedder,
-    }
+    # how each role wraps a JSON backend
+    wrappers = {"chat": ChatProvider, "rewriter": Rewriter, "embedder": HttpEmbedder}
     built = dict.fromkeys(PROVIDER_MODES)
     for role in PROVIDER_MODES:
         if role not in roles:

@@ -37,8 +37,8 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .annotate import QaTriple
-from .html_io import TableInputError, TableStructureError, parse_html_table
-from .model import HierarchicalTable
+from .html_io import parse_html_table
+from .model import HierarchicalTable, TableError
 from .retrieval import DocumentStore, RetrievalRecord, split_sentences
 
 
@@ -201,7 +201,7 @@ def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
     html = _require(obj, "table_html", str, path, line)
     try:
         return parse_html_table(html)
-    except (TableInputError, TableStructureError) as exc:
+    except TableError as exc:
         raise InputFormatError(path, line, "table_html", str(exc)) from exc
 
 

@@ -26,8 +26,8 @@ import logging
 import re
 from dataclasses import dataclass, replace
 
-from .html_io import TableInputError, TableStructureError, parse_html_table
-from .model import HierarchicalTable
+from .html_io import parse_html_table
+from .model import HierarchicalTable, TableError
 from .providers import ChatProvider, ProviderError
 
 logger = logging.getLogger(__name__)
@@ -116,7 +116,7 @@ def _parse_block_table(block: str, what: str) -> HierarchicalTable:
         raise ResponseParseError("no <table> element in the fenced block")
     try:
         return parse_html_table(block[start : end + len("</table>")])
-    except (TableInputError, TableStructureError) as exc:
+    except TableError as exc:
         raise ResponseParseError(f"{what} is not a usable table: {exc}") from exc
 
 

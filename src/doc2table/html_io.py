@@ -11,7 +11,8 @@ row and first column are used. Hierarchy comes from span nesting only: a
 header cell spanning k columns is the parent of the cells directly beneath
 it within its span (symmetric with row spans on the left). Row-header
 hierarchy encoded by leading-whitespace indentation is not inferred; such
-cells are flagged with a warning and parse flat.
+cells are flagged with a warning and parse flat. Input that does not parse
+into one usable table raises :class:`~doc2table.model.TableError`.
 """
 from __future__ import annotations
 
@@ -22,19 +23,12 @@ from dataclasses import dataclass
 from html.parser import HTMLParser
 from itertools import takewhile
 
-from .model import CoordTree, HeaderNode, HierarchicalTable, normalize_text
+from .model import CoordTree, HeaderNode, HierarchicalTable, TableError, normalize_text
 
 logger = logging.getLogger(__name__)
 
 MAX_COLSPAN = 1000  # the HTML standard's limit on colspan
-
-
-class TableInputError(ValueError):
-    """The input does not contain exactly one table element."""
-
-
-class TableStructureError(ValueError):
-    """The table grid or header regions are structurally unusable."""
+MAX_HEADER_DEPTH = 100  # header levels: far above real tables, far below the recursion limit
 
 
 @dataclass
@@ -127,14 +121,14 @@ class _TableHtmlParser(HTMLParser):
             self._chunks.append(data)
 
     def _close_cell(self) -> None:
-        if self._cell is not None and self._row is not None:
+        if self._cell is not None:  # an open cell always has a row
             self._cell.text = "".join(self._chunks)
             self._row.append(self._cell)
         self._cell = None
 
     def _close_row(self) -> None:
         self._close_cell()
-        if self._row is not None and self._row:
+        if self._row:
             self.rows.append((self._row, self._in_thead))
         self._row = None
 
@@ -152,17 +146,17 @@ def _parse_span(value: str | None) -> int:
 def parse_grid(html_text: str) -> Grid:
     """Parse and span-expand the single table in ``html_text``.
 
-    Raises :class:`TableInputError` unless exactly one ``table`` element is
-    present, and :class:`TableStructureError` (naming the offending
-    row/column) when span expansion does not produce a dense rectangle.
+    Raises :class:`TableError` unless exactly one ``table`` element is
+    present, or (naming the offending row/column) when span expansion does
+    not produce a dense rectangle.
     """
     parser = _TableHtmlParser()
     parser.feed(html_text)
     parser.close()
     if parser.table_count != 1:
-        raise TableInputError(f"expected exactly one table element, found {parser.table_count}")
+        raise TableError(f"expected exactly one table element, found {parser.table_count}")
     if not parser.rows:
-        raise TableStructureError("table has no rows")
+        raise TableError("table has no rows")
 
     n_rows = len(parser.rows)
     occupied: dict[tuple[int, int], GridCell] = {}
@@ -180,7 +174,7 @@ def parse_grid(html_text: str) -> Grid:
                 for dc in range(cell.col_span):
                     slot = (r + dr, c + dc)
                     if slot in occupied:
-                        raise TableStructureError(
+                        raise TableError(
                             f"overlapping spans at row {slot[0]}, column {slot[1]}"
                         )
                     occupied[slot] = cell
@@ -188,7 +182,7 @@ def parse_grid(html_text: str) -> Grid:
     n_cols = max(c for (_, c) in occupied) + 1
     if len(occupied) < n_rows * n_cols:
         r, c = next((r, c) for r in range(n_rows) for c in range(n_cols) if (r, c) not in occupied)
-        raise TableStructureError(f"grid is not rectangular: no cell covers row {r}, column {c}")
+        raise TableError(f"grid is not rectangular: no cell covers row {r}, column {c}")
     slots = [[occupied[r, c] for c in range(n_cols)] for r in range(n_rows)]
     return Grid(slots, thead_rows)
 
@@ -207,17 +201,18 @@ def _header_regions(grid: Grid) -> tuple[int, int]:
     header_rows = (all(cell.is_header for cell in row) for row in grid.slots)
     h = grid.thead_rows or _leading(header_rows) or 1
     if h >= grid.n_rows:
-        raise TableStructureError("no body rows below the column-header region")
+        raise TableError("no body rows below the column-header region")
     header_columns = (all(row[c].is_header for row in grid.slots[h:]) for c in range(grid.n_cols))
     w = _leading(header_columns) or 1
     if w >= grid.n_cols:
-        raise TableStructureError("no body columns right of the row-header region")
+        raise TableError("no body columns right of the row-header region")
     return h, w
 
 
-def _chain(grid: Grid, fixed_low: int, fixed_high: int, index: int, by_row: bool) -> list[GridCell]:
+def _chain(grid: Grid, length: int, index: int, by_row: bool) -> list[GridCell]:
+    """The distinct cells of the first ``length`` slots of column (``by_row``) or row ``index``."""
     chain: list[GridCell] = []
-    for k in range(fixed_low, fixed_high):
+    for k in range(length):
         cell = grid.slots[k][index] if by_row else grid.slots[index][k]
         if not chain or chain[-1] is not cell:
             chain.append(cell)
@@ -241,7 +236,7 @@ def _build_forest(chains: list[list[GridCell]], depth: int) -> tuple[HeaderNode,
         group = chains[i:j]
         label = normalize_text(cell.text)
         if not label:
-            raise TableStructureError(
+            raise TableError(
                 f"empty header label at row {cell.origin[0]}, column {cell.origin[1]}"
             )
         # Rectangular spans make "ends here" a property of the cell, so a
@@ -273,13 +268,17 @@ def parse_html_table(html_text: str) -> HierarchicalTable:
     """Parse the single HTML table in ``html_text`` into the table model.
 
     Each header chain ends in one leaf and each body row and column lies
-    under one chain, so the body always fits the header trees.
+    under one chain, so the body always fits the header trees. A chain of
+    more than :data:`MAX_HEADER_DEPTH` header levels raises :class:`TableError`.
     """
     grid = parse_grid(html_text)
     h, w = _header_regions(grid)
 
-    top_chains = [_chain(grid, 0, h, c, by_row=True) for c in range(w, grid.n_cols)]
-    left_chains = [_chain(grid, 0, w, r, by_row=False) for r in range(h, grid.n_rows)]
+    top_chains = [_chain(grid, h, c, by_row=True) for c in range(w, grid.n_cols)]
+    left_chains = [_chain(grid, w, r, by_row=False) for r in range(h, grid.n_rows)]
+    depth = max(map(len, top_chains + left_chains))
+    if depth > MAX_HEADER_DEPTH:
+        raise TableError(f"header has {depth} levels, more than the {MAX_HEADER_DEPTH} supported")
     _warn_indentation([ch[-1] for ch in left_chains])
 
     top = CoordTree(_build_forest(top_chains, 0))

@@ -27,10 +27,6 @@ KEY_MATCH_THRESHOLD = 0.5
 KEY_JOIN = " / "
 
 
-class UndefinedMetricError(ValueError):
-    """The metric is undefined for the given inputs."""
-
-
 def chrf(candidates: Sequence[str], references: Sequence[str]) -> np.ndarray:
     """chrF of each candidate against the reference at its position, in [0, 100].
 
@@ -266,12 +262,12 @@ def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
 
 
 def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
-    """Fraction of relevant ids appearing in the first k of the ranking."""
+    """Fraction of relevant ids in the first k of the ranking; ``ValueError`` where undefined."""
     relevant_set = set(relevant)
     if not relevant_set:
-        raise UndefinedMetricError("recall@k is undefined for an empty relevant set")
+        raise ValueError("recall@k is undefined for an empty relevant set")
     if k < 1:
-        raise UndefinedMetricError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {k}")
     hits = relevant_set.intersection(ranked[:k])
     return len(hits) / len(relevant_set)
 

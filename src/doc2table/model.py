@@ -7,7 +7,8 @@ the top tree with body columns, so every body cell has exactly one pair of
 tree coordinates and every cell can be flattened to a key-value triple
 (row label path, column label path, cell text). A body cell's row and
 column are its two leaves' positions in :attr:`CoordTree.leaves`, the
-tree's one preorder walk.
+tree's one preorder walk. Every bad table, whether a model that breaks
+these rules or HTML that does not parse into one, raises :class:`TableError`.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ def normalize_text(text: str) -> str:
     return " ".join(text.split())
 
 
-class TableModelError(ValueError):
-    """Violation of the table model's construction rules."""
+class TableError(ValueError):
+    """A table that breaks the model's construction rules or does not parse into it."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class HeaderNode:
     def __post_init__(self) -> None:
         norm = normalize_text(self.label)
         if not norm:
-            raise TableModelError("header label is empty after normalization")
+            raise TableError("header label is empty after normalization")
         object.__setattr__(self, "label", norm)
         object.__setattr__(self, "children", tuple(self.children))
 
@@ -57,7 +58,7 @@ class CoordTree:
     def __post_init__(self) -> None:
         roots = tuple(self.roots)
         if not roots:
-            raise TableModelError("coordinate tree needs at least one root node")
+            raise TableError("coordinate tree needs at least one root node")
         object.__setattr__(self, "roots", roots)
 
     @classmethod
@@ -130,7 +131,7 @@ class KeyValueTriple:
 class HierarchicalTable:
     """Stub header + left/top coordinate trees + dense body grid.
 
-    Construction normalizes text and raises :class:`TableModelError`, naming
+    Construction normalizes text and raises :class:`TableError`, naming
     every mismatch, unless the body has one row per left leaf and one cell
     per top leaf in every row. Repeated key paths (e.g. two "Total" rows)
     are allowed, since real tables have them.
@@ -158,7 +159,7 @@ class HierarchicalTable:
             if len(row) != n_top
         ]
         if errors:
-            raise TableModelError("; ".join(errors))
+            raise TableError("; ".join(errors))
 
     @property
     def is_flat(self) -> bool:

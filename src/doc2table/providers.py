@@ -19,8 +19,8 @@ object are retried with exponential backoff; any other status outside 2xx,
 3xx included, fails at once, since redirects are not followed.
 
 Wire contracts:
-  chat     {"messages": [{"role", "content"}], "temperature", "max_tokens"}
-           -> {"content": str}
+  chat     {"messages": [{"role", "content"}], "temperature": 0.0,
+            "max_tokens": 2048} -> {"content": str}  (sampling values fixed)
   rewrite  {"mode": "question" | "sentence", "text": str}
            -> {"outputs": [str]}
   embed    {"texts": [str]} -> {"vectors": [[float]]}
@@ -199,7 +199,10 @@ class HttpTransport:
 
     def post(self, url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
         """Send one POST and return the reply's status and its whole body."""
-        parts = urlsplit(url)
+        try:
+            parts = urlsplit(url)
+        except ValueError as exc:  # a URL that does not split, such as an unclosed IPv6 bracket
+            raise ProviderError(f"endpoint {url!r}: {exc}") from None
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         if not hasattr(self._local, "idle"):
             self._local.idle = _IdleConnections()
@@ -234,6 +237,8 @@ class HttpTransport:
             port = parts.port
         except ValueError as exc:  # a port that is not a number in range
             raise ProviderError(f"endpoint {parts.geturl()!r}: {exc}") from None
+        if not parts.hostname:
+            raise ProviderError(f"endpoint {parts.geturl()!r} names no host")
         if parts.scheme == "https":
             import ssl
 
@@ -254,9 +259,9 @@ class HttpProvider:
     timeouts, 5xx, 408 and 429 are retried, and so is a reply whose body is
     not a JSON object (undecodable, or a list, string or null). Any other
     status outside 2xx fails at once: a 4xx, and a 3xx too, since redirects
-    are not followed. So does an endpoint that is not an http or https URL
-    with a valid port. Every failure ends as a :class:`ProviderError`. The
-    ``transport`` is an :class:`HttpTransport` unless one is given.
+    are not followed. So does an endpoint with no host, a bad port or a
+    scheme other than http and https. Every failure ends as a
+    :class:`ProviderError`; ``transport`` defaults to :class:`HttpTransport`.
     """
 
     def __init__(
@@ -311,18 +316,11 @@ class HttpProvider:
 class ChatProvider:
     """Role wrapper for the chat wire contract."""
 
-    def __init__(self, backend: JsonProvider, temperature: float = 0.0, max_tokens: int = 2048):
+    def __init__(self, backend: JsonProvider):
         self.backend = backend
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def complete(self, messages: list[dict]) -> str:
-        request = {
-            "messages": messages,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-        }
-        response = self.backend.call(request)
+        response = self.backend.call({"messages": messages, "temperature": 0.0, "max_tokens": 2048})
         if not isinstance(response.get("content"), str):
             raise ProviderError(f"chat response has no string 'content': {response}")
         return response["content"]

@@ -36,3 +36,9 @@ def make_flat_table(rows: int, cols: int, stub: str = "") -> HierarchicalTable:
     top = CoordTree.from_nested([f"c{j}" for j in range(cols)])
     body = tuple(tuple(f"v{i}{j}" for j in range(cols)) for i in range(rows))
     return HierarchicalTable(stub, left, top, body)
+
+
+def stacked_header_html(levels: int) -> str:
+    """A one-cell table under ``levels`` stacked column-header rows, one header level each."""
+    head = "".join(f"<tr><th>s{i}</th><th>h{i}</th></tr>" for i in range(levels))
+    return f"<table><thead>{head}</thead><tbody><tr><th>r</th><td>1</td></tr></tbody></table>"

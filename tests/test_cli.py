@@ -29,7 +29,7 @@ from doc2table.providers import (
     request_fingerprint,
 )
 
-from conftest import FIXTURES, make_flat_table
+from conftest import FIXTURES, make_flat_table, stacked_header_html
 from oracles import reference_match_cells
 
 ANNOTATE = FIXTURES / "annotate"
@@ -167,6 +167,18 @@ class TestEvaluate:
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["file"], error["line"], error["field"]) == (str(gen), 2, "table_html")
         assert "not rectangular" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_too_deep_generated_header_names_file_line_field(self, tmp_path, capsys):
+        table = make_flat_table(1, 1)
+        gen, gt = self.write_pair(tmp_path, {"a": table}, {"a": table})
+        with gen.open("a") as handle:
+            handle.write(json.dumps({"id": "b", "table_html": stacked_header_html(1100)}) + "\n")
+        code = run(["evaluate", "--generated", gen, "--groundtruth", gt, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(gen), 2, "table_html")
+        assert error["message"].endswith("header has 1100 levels, more than the 100 supported")
         assert not (tmp_path / "o").exists()
 
     def test_empty_generated_file_writes_an_empty_aggregate(self, tmp_path, capsys):
@@ -392,9 +404,6 @@ class TestMalformedInputs:
             ({"k": True}, "k"),
             ({"oneshot": "yes"}, "oneshot"),
             ({"parallel": 2.5}, "parallel"),
-            ({"temperature": "0"}, "temperature"),
-            ({"temperature": float("nan")}, "temperature"),
-            ({"temperature": float("inf")}, "temperature"),
             ({"chat": "replay"}, "chat"),
             ({"rewriter": {"mode": "replay", "transcript": 5}}, "rewriter.transcript"),
         ],
@@ -417,6 +426,8 @@ class TestMalformedInputs:
             ({"max_retries": 3}, "max_retries"),
             ({"paralel": 2}, "paralel"),
             ({"out_dir": "out"}, "out_dir"),
+            ({"temperature": 0.0}, "temperature"),
+            ({"max_tokens": 2048}, "max_tokens"),
             ({"chat": {"mode": "replay", "transcipt": "chat.jsonl"}}, "chat.transcipt"),
         ],
     )
@@ -886,28 +897,6 @@ class TestPipelineCommand:
         for path in golden.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
-    def test_generate_replays_at_recorded_sampling_settings(self, tmp_path):
-        # Chat requests are keyed with temperature and max_tokens, so the
-        # replay hits only when generate sends the recorded values.
-        recorded = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
-        rekeyed = Transcript()
-        for fingerprint, response in recorded.entries.items():
-            request = recorded.requests[fingerprint]
-            rekeyed.record({**request, "temperature": 0.3, "max_tokens": 512}, response)
-        rekeyed.save(tmp_path / "chat.jsonl")
-        config = write_pipeline_config(
-            tmp_path,
-            chat={"mode": "replay", "transcript": "chat.jsonl"},
-            temperature=0.3,
-            max_tokens=512,
-        )
-        out = tmp_path / "out"
-        retrieval = PIPELINE / "golden" / "retrieval.jsonl"
-        assert run(["generate", "--config", config, "--retrieval", retrieval, "--out", out]) == 0
-        assert not (out / "errors.jsonl").exists()
-        golden = PIPELINE / "golden" / "tables.jsonl"
-        assert (out / "tables.jsonl").read_bytes() == golden.read_bytes()
-
     def test_sentence_with_a_lone_surrogate_is_embedded(self, tmp_path):
         # The JSON escape "\ud800" decodes to a lone surrogate, which strict
         # UTF-8 cannot encode. The new sentence has no recorded rewrite, so it
@@ -1136,6 +1125,38 @@ class TestPerQuestionFailures:
         assert read_jsonl_rows(tmp_path / "tables.jsonl") == golden_tables[:1]
         assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors
 
+
+    def test_too_deep_structure_reply_fails_only_that_question(self, tmp_path):
+        transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        gamma = read_triples(PIPELINE / "questions.jsonl")[1]
+        deep_reply = f"```html\n{stacked_header_html(1100)}\ndimensions: 1 x 1\n```"
+
+        def handler(request):
+            prompt = request["messages"][0]["content"]
+            if gamma.question in prompt and "You fill specific body cells" not in prompt:
+                return {"content": deep_reply}
+            return transcript.lookup(request)
+
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        generated, errors = generate_stage(
+            read_triples(PIPELINE / "questions.jsonl"),
+            records,
+            ChatProvider(ScriptedProvider(handler)),
+            RunConfig(),
+            tmp_path,
+        )
+        assert [item_id for item_id, _ in generated] == ["acme_beta"]
+        assert errors == [
+            {
+                "id": "gamma",
+                "stage": "structure",
+                "error": "structure stage failed: header skeleton is not a usable table:"
+                " header has 1100 levels, more than the 100 supported",
+            }
+        ]
+        assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors
+        golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
+        assert read_jsonl_rows(tmp_path / "tables.jsonl") == golden_tables[:1]
 
     def test_fill_replies_citing_a_number_fail_only_that_question(self, tmp_path):
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from doc2table.html_io import (
     MAX_COLSPAN,
+    MAX_HEADER_DEPTH,
     GridCell,
-    TableInputError,
-    TableStructureError,
     parse_grid,
     parse_html_table,
     serialize_html,
 )
-from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv
+from doc2table.model import CoordTree, HierarchicalTable, TableError, flatten_to_kv
 
 import strategies as sts
+from conftest import stacked_header_html
 from oracles import reference_serialize_html, reference_stub_header
 
 def distinct_cells(grid) -> list[GridCell]:
@@ -217,16 +217,16 @@ class TestHierarchyFromSpans:
 
 class TestParseErrors:
     def test_zero_tables(self):
-        with pytest.raises(TableInputError):
+        with pytest.raises(TableError, match="^expected exactly one table element, found 0$"):
             parse_html_table("<div>no table here</div>")
 
     def test_multiple_tables(self):
-        with pytest.raises(TableInputError):
+        with pytest.raises(TableError, match="^expected exactly one table element, found 2$"):
             parse_html_table(MINIMAL + MINIMAL)
 
     def test_non_rectangular_names_coordinates(self):
         html = "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td></tr></table>"
-        with pytest.raises(TableStructureError) as excinfo:
+        with pytest.raises(TableError) as excinfo:
             parse_html_table(html)
         assert "row 1, column 1" in str(excinfo.value)
 
@@ -235,14 +235,14 @@ class TestParseErrors:
             "<table><tr><td>a</td><td rowspan=\"2\">b</td></tr>"
             "<tr><td colspan=\"2\">c</td></tr></table>"
         )
-        with pytest.raises(TableStructureError) as excinfo:
+        with pytest.raises(TableError) as excinfo:
             parse_html_table(html)
         assert "overlap" in str(excinfo.value)
 
     def test_huge_colspan_is_clamped_and_fails_fast(self):
         html = '<table><tr><td colspan="100000000">a</td></tr><tr><td>b</td></tr></table>'
         start = time.perf_counter()
-        with pytest.raises(TableStructureError) as excinfo:
+        with pytest.raises(TableError) as excinfo:
             parse_grid(html)
         assert time.perf_counter() - start < 2.0
         assert "row 1, column 1" in str(excinfo.value)
@@ -251,11 +251,11 @@ class TestParseErrors:
         assert [cell.col_span for cell in distinct_cells(one_row)] == [MAX_COLSPAN]
 
     def test_header_only_table(self):
-        with pytest.raises(TableStructureError):
+        with pytest.raises(TableError, match="^no body rows below the column-header region$"):
             parse_html_table("<table><tr><th>a</th><th>b</th></tr></table>")
 
     def test_table_without_rows(self):
-        with pytest.raises(TableStructureError, match="^table has no rows$"):
+        with pytest.raises(TableError, match="^table has no rows$"):
             parse_html_table("<table></table>")
 
     def test_all_header_table_with_a_thead_has_no_body_columns(self):
@@ -263,14 +263,36 @@ class TestParseErrors:
             "<table><thead><tr><th>a</th><th>b</th></tr></thead>"
             "<tr><th>c</th><th>d</th></tr></table>"
         )
-        with pytest.raises(TableStructureError, match="^no body columns right of the row-header region$"):
+        with pytest.raises(TableError, match="^no body columns right of the row-header region$"):
             parse_html_table(html)
 
     def test_empty_header_label(self):
         html = "<table><tr><th></th><th></th></tr><tr><th>r</th><td>v</td></tr></table>"
-        with pytest.raises(TableStructureError) as excinfo:
+        with pytest.raises(TableError) as excinfo:
             parse_html_table(html)
         assert "empty header label" in str(excinfo.value)
+
+    def test_header_at_the_limit_parses(self):
+        table = parse_html_table(stacked_header_html(MAX_HEADER_DEPTH))
+        assert table.top.depth == MAX_HEADER_DEPTH == 100
+
+    @pytest.mark.parametrize(
+        "html, levels",
+        [
+            (stacked_header_html(101), 101),
+            # 1,100 levels would exhaust the interpreter's recursion limit
+            (stacked_header_html(1100), 1100),
+            (
+                "<table><thead><tr>" + "<th></th>" * 1100 + "<th>c</th></tr></thead><tbody><tr>"
+                + "".join(f"<th>l{i}</th>" for i in range(1100)) + "<td>1</td></tr></tbody></table>",
+                1100,
+            ),
+        ],
+        ids=["column-101", "column-1100", "row-1100"],
+    )
+    def test_header_deeper_than_the_limit(self, html, levels):
+        with pytest.raises(TableError, match=f"^header has {levels} levels, more than the 100 supported$"):
+            parse_html_table(html)
 
     def test_indentation_warning(self, caplog):
         html = (

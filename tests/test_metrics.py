@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from doc2table.metrics import (
     KEY_JOIN,
     HeaderScore,
-    UndefinedMetricError,
     aggregate_scores,
     chrf,
     chrf_matrix,
@@ -455,7 +454,7 @@ class TestRecallAtK:
         assert sum(items) / len(items) == pytest.approx(0.8333333333333334)
 
     def test_empty_relevant_is_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ValueError, match="^recall@k is undefined for an empty relevant set$"):
             recall_at_k([1, 2], set(), 1)
 
     @given(

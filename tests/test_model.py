@@ -9,7 +9,7 @@ from doc2table.model import (
     HeaderNode,
     HierarchicalTable,
     KeyValueTriple,
-    TableModelError,
+    TableError,
     flatten_to_kv,
     normalize_text,
 )
@@ -33,7 +33,7 @@ class TestNormalization:
         assert table.body[0][0] == "a b"
 
     def test_empty_header_label_rejected(self):
-        with pytest.raises(TableModelError):
+        with pytest.raises(TableError, match="^header label is empty after normalization$"):
             HeaderNode("   ")
 
 
@@ -160,21 +160,21 @@ class TestValidate:
     def test_dimension_mismatch(self):
         left = CoordTree.from_nested(["r1", "r2"])
         top = CoordTree.from_nested(["c1", "c2"])
-        with pytest.raises(TableModelError) as excinfo:
+        with pytest.raises(TableError) as excinfo:
             HierarchicalTable("", left, top, (("a", "b"), ("c", "d"), ("e", "f")))
         assert "3 rows" in str(excinfo.value) and "2 leaves" in str(excinfo.value)
 
     def test_ragged_row_reported(self):
         left = CoordTree.from_nested(["r1"])
         top = CoordTree.from_nested(["c1", "c2"])
-        with pytest.raises(TableModelError) as excinfo:
+        with pytest.raises(TableError) as excinfo:
             HierarchicalTable("", left, top, (("a",),))
         assert "body row 0 has 1 cells, top tree has 2 leaves" in str(excinfo.value)
 
     def test_every_mismatch_named(self):
         left = CoordTree.from_nested(["r1", "r2"])
         top = CoordTree.from_nested(["c1", "c2"])
-        with pytest.raises(TableModelError) as excinfo:
+        with pytest.raises(TableError) as excinfo:
             HierarchicalTable("", left, top, (("a", "b"), ("c",), ("d", "e", "f")))
         assert str(excinfo.value) == "; ".join(
             [
@@ -204,7 +204,7 @@ class TestValidate:
             bad = body[:-1]
         else:
             bad = body[:-1] + [body[-1][:-1]]
-        with pytest.raises(TableModelError):
+        with pytest.raises(TableError, match="^dimension mismatch: "):
             HierarchicalTable("", left, top, bad)
         table = HierarchicalTable("stub", left, top, body)
         assert parse_html_table(serialize_html(table)) == table

@@ -160,12 +160,12 @@ class TestChatAndRewrite:
             seen.update(request)
             return {"content": "ok"}
 
-        chat = ChatProvider(ScriptedProvider(handler), temperature=0.0, max_tokens=64)
+        chat = ChatProvider(ScriptedProvider(handler))
         assert chat.complete([{"role": "user", "content": "hi"}]) == "ok"
         assert seen == {
             "messages": [{"role": "user", "content": "hi"}],
             "temperature": 0.0,
-            "max_tokens": 64,
+            "max_tokens": 2048,
         }
 
     def test_chat_missing_content_is_provider_error(self):
@@ -577,7 +577,16 @@ class TestHttpTransportOnLoopback:
             # a timed-out connection is discarded, never reused
             assert (len(server.paths), server.connections) == (2, 2)
 
-    @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/chat", "http://127.0.0.1:80x/chat"])
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "ftp://127.0.0.1/chat",
+            "http://127.0.0.1:80x/chat",
+            "http:///v1/chat",
+            "http://:8080/chat",
+            "http://[::1/chat",
+        ],
+    )
     def test_endpoint_that_no_retry_can_fix_fails_at_once(self, endpoint, monkeypatch):
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
