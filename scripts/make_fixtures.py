@@ -333,7 +333,7 @@ def write_corpus() -> None:
 
     golden = []
     store = DocumentStore(doc_id, sentences)
-    texts = rewrite_sentences(store, Rewriter(make_rewrite_handler(rewrites, decompositions)))
+    texts = rewrite_sentences(store, Rewriter(make_rewrite_handler(rewrites, decompositions)))()
     vectors = embedder.embed(texts)
     for item_id, question, subs, relevant, _ in items:
         query_vectors = [list(v) for v in reference_hashing_embed(subs)]

@@ -7,9 +7,16 @@ Subcommands: annotate, retrieve, generate, evaluate, stats, pipeline.
 handing records and tables over in memory. The first two and ``pipeline``
 read their settings, providers and inputs from one ``RunConfig`` file
 (``--config``). Every subcommand but ``stats`` writes to the directory
-that its required ``--out`` names, the one output setting. Each config
-subcommand builds one order-preserving map from ``RunConfig.parallel``
-(:func:`run_map`) that its sentence rewrites and questions go through.
+that its required ``--out`` names, the one output setting.
+
+Each config subcommand is one schedule over one :func:`run_map`, built from
+``RunConfig.parallel``. Its tasks are leaves, and no task waits on
+another: one sentence rewrite, one question rewrite, or one question's
+TabTalk. Every referenced document's sentence rewrites are queued first,
+then every question's rewrite; the main thread ranks each question as soon
+as its document's rewrites and its own are in, and ``pipeline`` queues the
+question's TabTalk as soon as its retrieval record exists. Results are
+gathered and written in input order.
 
 All outputs are written atomically and deterministically (sorted JSON
 keys, input order preserved), so a replayed run reproduces its output
@@ -29,6 +36,7 @@ import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 from . import annotate as ann
@@ -47,17 +55,29 @@ RECALL_KS = (10, 20, 30)
 
 @contextmanager
 def run_map(parallel: int):
-    """The order-preserving map a run's sentence rewrites and questions go through.
+    """The order-preserving map every task of a run goes through.
 
-    At ``parallel`` 1 it is the builtin ``map`` and no thread starts; above
-    1 it is the ``map`` of one pool of ``parallel`` threads, shut down when
-    the run ends. Either way results come back in input order.
+    At ``parallel`` 1 it is the builtin ``map``: no thread starts, and each
+    call is made when its result is read, so a run makes its provider calls
+    in input order, all of retrieval before any of generation. Above 1 it
+    is the ``map`` of one pool of ``2 * parallel`` threads, which queues
+    every task as soon as it is mapped. The run's live providers let at
+    most ``parallel`` requests be in flight (see
+    :func:`~doc2table.config.build_providers`), so each slot has a spare
+    thread that runs another task while a call waits out a retry backoff.
+    Either way results come back in input order. The pool is shut down when
+    the run ends; a run that fails cancels its queued tasks first, so it
+    pays only for the requests already in flight.
     """
     if parallel == 1:
         yield map
         return
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        yield pool.map
+    with ThreadPoolExecutor(max_workers=2 * parallel) as pool:
+        try:
+            yield pool.map
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 @contextmanager
@@ -111,29 +131,37 @@ def retrieve_stage(
     config: RunConfig,
     out: Path,
     mapper=map,
+    then=None,
 ) -> tuple[dict[str, RetrievalRecord], dict]:
     """Stage one: rewrite, rank top-k per question; write retrieval.jsonl and recall.json.
 
-    Sentence embeddings (the embedder's :class:`~doc2table.retrieval.Embeddings`)
-    are computed here, once per referenced document, at its first use, and
-    dropped after its last; its sentence rewrites go through
-    ``mapper`` (see :func:`run_map`). Returns the record per triple id and
-    the recall report; with no relevant ids in any triple the report is {} and
+    Every referenced document's sentence rewrites are queued through
+    ``mapper`` (see :func:`run_map`), then every question's rewrite. Sentence
+    embeddings (the embedder's :class:`~doc2table.retrieval.Embeddings`) are
+    computed once per document, at its first question, and dropped after
+    its last. ``then(triple, record)``, if given, is called as each record
+    is made, in input order. Returns the record per triple id and the recall
+    report; with no relevant ids in any triple the report is {} and
     recall.json is not written.
     """
     _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
     if any(not t.question.strip() for t in triples):
         line = next(n for n, obj in data.read_jsonl(triples_path) if not obj["question"].strip())
         raise data.InputFormatError(triples_path, line, "question", "question is blank")
+    sentence_texts = {
+        doc_id: rewrite_sentences(documents[doc_id], built.rewriter, mapper)
+        for doc_id in dict.fromkeys(t.doc_id for t in triples)
+    }
+    rewrites = mapper(rewrite_question, [t.question for t in triples], repeat(built.rewriter))
     last_use = {triple.doc_id: n for n, triple in enumerate(triples)}
     vectors = {}
     retrieved = []
     for n, triple in enumerate(triples):
         store = documents[triple.doc_id]
-        if triple.doc_id not in vectors:
-            texts = rewrite_sentences(store, built.rewriter, mapper)
+        if triple.doc_id in sentence_texts:
+            texts = sentence_texts.pop(triple.doc_id)()
             vectors[triple.doc_id] = built.embedder.embed(texts) if texts else None
-        rewrite = rewrite_question(triple.question, built.rewriter)
+        rewrite = next(rewrites)
         record = retrieve_top_k(
             store,
             list(rewrite.sub_questions),
@@ -146,6 +174,8 @@ def retrieve_stage(
         retrieved.append((triple.triple_id, record))
         if last_use[triple.doc_id] == n:
             del vectors[triple.doc_id]
+        if then is not None:
+            then(triple, record)
     # One row per triple, each built only while writing: a row holds
     # max(k, RANKING_DEPTH) ranks per sub-question.
     data.write_jsonl(
@@ -158,41 +188,29 @@ def retrieve_stage(
     return records, recall
 
 
-def generate_stage(
-    triples: list[ann.QaTriple],
-    records: dict[str, RetrievalRecord],
-    chat: ChatProvider,
-    config: RunConfig,
-    out: Path,
-    mapper=map,
+def _generate(
+    triple: ann.QaTriple, record: RetrievalRecord | None, chat: ChatProvider, config: RunConfig
+) -> TabTalkResult | dict:
+    """The question's TabTalk result, or its error row."""
+    if record is None:
+        return {"id": triple.triple_id, "stage": "input", "error": "no retrieval record"}
+    sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
+    if not sentences:
+        return {"id": triple.triple_id, "stage": "input", "error": "no evidence sentences"}
+    try:
+        return run_tabtalk(triple.question, sentences, chat, oneshot=config.oneshot)
+    except StageFailure as exc:
+        return {"id": triple.triple_id, "stage": exc.stage, "error": str(exc)}
+
+
+def _write_generation(
+    triples: list[ann.QaTriple], results, out: Path
 ) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
-    """Stage two: TabTalk per question; write tables.jsonl, traces.jsonl, errors.jsonl.
-
-    Whole questions go through ``mapper`` (see :func:`run_map`) and are
-    gathered back in input order. A question with no retrieval record, no
-    evidence sentences or a failed stage (its provider failing included)
-    becomes one error row and the others go on. Returns the (triple id,
-    table) pairs generated, in input order, and the error rows; errors.jsonl
-    is written only when there are any.
-    """
-
-    def generate(triple: ann.QaTriple) -> TabTalkResult | dict:
-        """The question's TabTalk result, or its error row."""
-        record = records.get(triple.triple_id)
-        if record is None:
-            return {"id": triple.triple_id, "stage": "input", "error": "no retrieval record"}
-        sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
-        if not sentences:
-            return {"id": triple.triple_id, "stage": "input", "error": "no evidence sentences"}
-        try:
-            return run_tabtalk(triple.question, sentences, chat, oneshot=config.oneshot)
-        except StageFailure as exc:
-            return {"id": triple.triple_id, "stage": exc.stage, "error": str(exc)}
-
+    """Write the tables, traces and error rows of ``results``, one per triple in input order."""
     generated = []
     traces = []
     errors = []
-    for triple, result in zip(triples, mapper(generate, triples)):
+    for triple, result in zip(triples, results):
         if isinstance(result, dict):
             errors.append(result)
             continue
@@ -213,6 +231,29 @@ def generate_stage(
     if errors:
         data.write_jsonl(out / "errors.jsonl", errors)
     return generated, errors
+
+
+def generate_stage(
+    triples: list[ann.QaTriple],
+    records: dict[str, RetrievalRecord],
+    chat: ChatProvider,
+    config: RunConfig,
+    out: Path,
+    mapper=map,
+) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
+    """Stage two: TabTalk per question; write tables.jsonl, traces.jsonl, errors.jsonl.
+
+    Whole questions go through ``mapper`` (see :func:`run_map`) and are
+    gathered back in input order. A question with no retrieval record, no
+    evidence sentences or a failed stage (its provider failing included)
+    becomes one error row and the others go on. Returns the (triple id,
+    table) pairs generated, in input order, and the error rows; errors.jsonl
+    is written only when there are any.
+    """
+    results = mapper(
+        _generate, triples, [records.get(t.triple_id) for t in triples], repeat(chat), repeat(config)
+    )
+    return _write_generation(triples, results, out)
 
 
 def cmd_annotate(args) -> int:
@@ -368,10 +409,17 @@ def cmd_pipeline(args) -> int:
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions)
     with _providers_and_map(config, ("chat", "rewriter", "embedder")) as (built, mapper):
-        records, recall = retrieve_stage(
-            triples, config.questions, documents, built, config, out, mapper
+        # Each question's TabTalk, mapped on its own as soon as its record
+        # exists: a pool queues it then, the builtin map runs it when read.
+        tabtalks = []
+
+        def generate_later(triple: ann.QaTriple, record: RetrievalRecord) -> None:
+            tabtalks.append(mapper(_generate, [triple], [record], [built.chat], [config]))
+
+        _, recall = retrieve_stage(
+            triples, config.questions, documents, built, config, out, mapper, generate_later
         )
-        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
+        generated, errors = _write_generation(triples, (next(t) for t in tabtalks), out)
     if generated:
         recall_rows = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
         groundtruth = {t.triple_id: t for t in triples}

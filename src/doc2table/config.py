@@ -16,12 +16,18 @@ Each provider role accepts the modes that the one table
 every role the same way from that table. Nothing touches the network unless
 a provider's mode is ``live`` or ``record``.
 
-``parallel`` is how many provider calls a run may wait on at once. It
-covers each document's sentence rewrites and whole questions in
-generation; inside a question the structure and fill calls stay serial,
-and question rewrites are serial too. At ``parallel`` 1 no thread starts.
-Above 1 the worker threads share each role's backend; an HTTP role's
-backend keeps one connection per worker thread.
+``parallel`` is how many provider requests a run may have in flight at
+once. :func:`build_providers` makes one
+:class:`~doc2table.providers.RequestSlots` of ``parallel`` slots that every
+live role (chat, rewriter and embedder) shares; a request holds
+a slot only while it is sent and answered, and a call waiting out a retry
+backoff holds none. The run's tasks (each sentence rewrite, each question
+rewrite and each question's TabTalk, whose structure and fill calls stay
+serial) go through one pool of ``2 * parallel`` threads, a spare per slot,
+so another task can take the slot of one that backs off (see
+:func:`doc2table.cli.run_map`). Worker threads share each role's backend,
+and an HTTP role's backend keeps one connection per worker thread. At
+``parallel`` 1 no thread starts.
 """
 from __future__ import annotations
 
@@ -38,6 +44,7 @@ from .providers import (
     IdentityRewriteBackend,
     RecordingProvider,
     ReplayProvider,
+    RequestSlots,
     Rewriter,
     Transcript,
 )
@@ -95,7 +102,7 @@ class RunConfig:
     rewriter: ProviderSpec = field(default_factory=lambda: ProviderSpec("identity"))
     embedder: ProviderSpec = field(default_factory=lambda: ProviderSpec("hashing"))
     k: int = DEFAULT_TOP_K
-    parallel: int = 1  # sentence rewrites and whole questions at once; 1 starts no thread
+    parallel: int = 1  # provider requests in flight at once; 1 starts no thread
     oneshot: bool = False
     docs: str = ""  # run inputs
     questions: str = ""
@@ -113,7 +120,11 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> RunConfig:
         path = Path(path)
-        values = _json_fields(cls, json.loads(path.read_text(encoding="utf-8")))
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        values = _json_fields(cls, obj)
         for role in PROVIDER_MODES:
             if role in values:
                 spec = _json_fields(ProviderSpec, values[role], f"{role}.")
@@ -139,8 +150,13 @@ class BuiltProviders:
     pending_transcripts: list[tuple[Transcript, str]]
 
 
-def _backend_for(spec: ProviderSpec, pending: list[tuple[Transcript, str]]):
-    """The JSON backend of a replay, live or record spec, the modes left once validated."""
+def _backend_for(
+    spec: ProviderSpec, pending: list[tuple[Transcript, str]], slots: RequestSlots
+):
+    """The JSON backend of a replay, live or record spec, the modes left once validated.
+
+    A live or record backend sends through the run's request ``slots``.
+    """
     if spec.mode == "replay":
         if not spec.transcript:
             raise ValueError("replay mode needs a transcript path")
@@ -148,7 +164,7 @@ def _backend_for(spec: ProviderSpec, pending: list[tuple[Transcript, str]]):
     if not spec.endpoint:
         raise ValueError(f"{spec.mode} mode needs an endpoint")
     api_key = os.environ.get(spec.api_key_env) if spec.api_key_env else None
-    backend = HttpProvider(spec.endpoint, api_key=api_key)
+    backend = HttpProvider(spec.endpoint, api_key=api_key, slots=slots)
     if spec.mode == "live":
         return backend
     if not spec.transcript:
@@ -159,7 +175,9 @@ def _backend_for(spec: ProviderSpec, pending: list[tuple[Transcript, str]]):
 
 
 def build_providers(config: RunConfig, roles: tuple[str, ...]) -> BuiltProviders:
+    """The providers of ``roles``; the live ones share ``config.parallel`` request slots."""
     pending: list[tuple[Transcript, str]] = []
+    slots = RequestSlots(config.parallel)
     # how each role wraps a JSON backend
     wrappers = {"chat": ChatProvider, "rewriter": Rewriter, "embedder": HttpEmbedder}
     built = dict.fromkeys(PROVIDER_MODES)
@@ -172,5 +190,5 @@ def build_providers(config: RunConfig, roles: tuple[str, ...]) -> BuiltProviders
         elif spec.mode == "hashing":
             built[role] = HashingEmbedder()
         else:
-            built[role] = wrappers[role](_backend_for(spec, pending))
+            built[role] = wrappers[role](_backend_for(spec, pending, slots))
     return BuiltProviders(**built, pending_transcripts=pending)

@@ -101,7 +101,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
                 raise InputFormatError(path, number, "<json>", f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise InputFormatError(path, number, "<json>", "expected a JSON object")

@@ -230,7 +230,7 @@ def parse_fill_response(
     block = extract_fenced_block(response)
     try:
         entries = json.loads(block)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ResponseParseError(f"fenced block is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise ResponseParseError("fenced JSON must be a list of cell objects")

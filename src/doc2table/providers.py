@@ -16,7 +16,9 @@ through an :class:`HttpTransport`: the standard library's ``http.client``
 with one keep-alive connection per worker thread, and no proxies.
 Transport errors, timeouts, 5xx, 408, 429 and replies that are not a JSON
 object are retried with exponential backoff; any other status outside 2xx,
-3xx included, fails at once, since redirects are not followed.
+3xx included, fails at once, since redirects are not followed. A run's live
+providers share one :class:`RequestSlots`, which bounds the requests in
+flight; a call waiting out a backoff holds no slot.
 
 Wire contracts:
   chat     {"messages": [{"role", "content"}], "temperature": 0.0,
@@ -32,6 +34,8 @@ import json
 import logging
 import threading
 import time
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
@@ -250,6 +254,37 @@ class HttpTransport:
         raise ProviderError(f"endpoint {parts.geturl()!r} is not an http or https URL")
 
 
+class RequestSlots:
+    """At most ``n`` holders at once, each slot handed to the longest waiter.
+
+    A ``with`` block holds one slot. A released slot passes straight to the
+    thread that has waited longest, so a thread that releases one cannot
+    take it back ahead of the waiters, as it can with a plain semaphore
+    while it keeps the interpreter lock.
+    """
+
+    def __init__(self, n: int):
+        self._lock = threading.Lock()
+        self._free = n
+        self._waiting: deque[threading.Event] = deque()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                return
+            turn = threading.Event()
+            self._waiting.append(turn)
+        turn.wait()
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            if self._waiting:
+                self._waiting.popleft().set()
+            else:
+                self._free += 1
+
+
 class HttpProvider:
     """POSTs the request as JSON, retrying with exponential backoff between attempts.
 
@@ -262,6 +297,12 @@ class HttpProvider:
     are not followed. So does an endpoint with no host, a bad port or a
     scheme other than http and https. Every failure ends as a
     :class:`ProviderError`; ``transport`` defaults to :class:`HttpTransport`.
+
+    ``slots``, if given, bounds how many requests are in flight at once
+    (:class:`RequestSlots`); a run shares one among all its live providers (see
+    :func:`doc2table.config.build_providers`). Each attempt holds a slot only
+    while it posts, never through the backoff before the next attempt, so a
+    call that waits to retry leaves its slot to another call.
     """
 
     def __init__(
@@ -272,6 +313,7 @@ class HttpProvider:
         max_retries: int = 3,
         backoff: float = 0.5,
         transport=None,
+        slots: RequestSlots | None = None,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
@@ -279,6 +321,7 @@ class HttpProvider:
         self.max_retries = max_retries
         self.backoff = backoff
         self._transport = HttpTransport() if transport is None else transport
+        self._slots = nullcontext() if slots is None else slots
 
     def call(self, request: dict) -> dict:
         try:
@@ -293,7 +336,8 @@ class HttpProvider:
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                status, data = self._transport.post(self.endpoint, body, headers, self.timeout)
+                with self._slots:
+                    status, data = self._transport.post(self.endpoint, body, headers, self.timeout)
                 if not 200 <= status < 300:
                     if status < 500 and status not in RETRYABLE_4XX:
                         redirect = " (redirects are not followed)" if status < 400 else ""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -140,12 +140,15 @@ def rewrite_question(question: str, rewriter) -> QuestionRewrite:
     return QuestionRewrite(tuple(outputs), degraded=False)
 
 
-def rewrite_sentences(store: DocumentStore, rewriter, mapper=map) -> list[str]:
-    """Retrieval text per sentence, in sentence order: its data-as-subject rewrite.
+def rewrite_sentences(store: DocumentStore, rewriter, mapper=map) -> Callable[[], list[str]]:
+    """Queue each sentence's data-as-subject rewrite; return the gather of them.
 
-    The rewrite calls go through ``mapper``, the run's order-preserving map
-    (the builtin ``map``, or a thread pool's). Per-sentence provider failures
-    degrade that sentence to its raw text; the batch never aborts.
+    The gather takes no argument and returns the retrieval text per
+    sentence, in sentence order. The rewrite calls go through ``mapper``,
+    the run's order-preserving map: a thread pool's map queues them all
+    now, and the builtin ``map`` makes them one by one when gathered.
+    Per-sentence provider failures degrade that sentence to its raw text;
+    the batch never aborts.
     """
 
     def rewrite_one(sid: int) -> tuple[str, bool]:
@@ -157,11 +160,16 @@ def rewrite_sentences(store: DocumentStore, rewriter, mapper=map) -> list[str]:
             logger.warning("sentence %d rewrite failed, keeping raw text: %s", sid, exc)
             return raw, True
 
-    rewrites = list(mapper(rewrite_one, range(len(store))))
-    failures = sum(failed for _, failed in rewrites)
-    if failures:
-        logger.warning("sentence rewriting degraded for %d/%d sentences", failures, len(store))
-    return [text for text, _ in rewrites]
+    queued = mapper(rewrite_one, range(len(store)))
+
+    def gather() -> list[str]:
+        rewrites = list(queued)
+        failures = sum(failed for _, failed in rewrites)
+        if failures:
+            logger.warning("sentence rewriting degraded for %d/%d sentences", failures, len(store))
+        return [text for text, _ in rewrites]
+
+    return gather
 
 
 @dataclass

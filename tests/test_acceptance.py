@@ -128,7 +128,7 @@ def test_retrieval_golden_ranking_and_recall():
     golden = {item["id"]: item for item in json.loads((CORPUS / "golden_ranking.json").read_text())}
 
     store = documents["fin_reports_2022"]
-    vectors = embedder.embed(rewrite_sentences(store, rewriter))
+    vectors = embedder.embed(rewrite_sentences(store, rewriter)())
     for triple in triples:
         expected = golden[triple.triple_id]
         rewrite = rewrite_question(triple.question, rewriter)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.util
 import json
 import logging
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from doc2table.providers import (
     HttpProvider,
     ProviderError,
     RecordingProvider,
+    ReplayProvider,
     Rewriter,
     ScriptedProvider,
     Transcript,
@@ -451,6 +454,27 @@ class TestMalformedInputs:
         assert error == {"type": "ValueError", "message": "config must be a JSON object"}
         assert not (tmp_path / "o").exists()
 
+    def test_too_deeply_nested_config_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000)
+        assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"{path}: JSON nested too deeply to read"}
+        assert not (tmp_path / "o").exists()
+
+    def test_too_deeply_nested_input_line_names_file_and_line(self, tmp_path, capsys):
+        text = (PIPELINE / "docs.jsonl").read_text()
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(text + "[" * 100_000 + "\n")
+        config = write_pipeline_config(tmp_path, docs=str(docs))
+        assert run(["pipeline", "--config", config, "--out", tmp_path / "o"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        line = len(text.splitlines()) + 1
+        assert (error["type"], error["file"], error["line"], error["field"]) == (
+            "input_format", str(docs), line, "<json>"
+        )
+        assert error["message"].startswith("invalid JSON: maximum recursion depth exceeded")
+
     @pytest.mark.parametrize("command", ["retrieve", "generate", "pipeline"])
     def test_out_is_required(self, tmp_path, capsys, command):
         argv = [command, "--config", PIPELINE / "config.json"]
@@ -876,7 +900,7 @@ class TestPipelineCommand:
             golden = PIPELINE / "golden" / name
             assert (stage_out / name).read_bytes() == golden.read_bytes(), name
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pipeline_writes_the_golden_directory(self, tmp_path, monkeypatch, workers):
         pools = []
         build_pool = ThreadPoolExecutor.__init__
@@ -891,7 +915,7 @@ class TestPipelineCommand:
         out = tmp_path / "out"
         config = write_pipeline_config(tmp_path, parallel=workers)
         assert run(["pipeline", "--config", config, "--out", out]) == 0
-        assert [pool._max_workers for pool in pools] == ([] if workers == 1 else [workers])
+        assert [pool._max_workers for pool in pools] == ([] if workers == 1 else [2 * workers])
         golden = PIPELINE / "golden"
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
         for path in golden.iterdir():
@@ -1158,6 +1182,36 @@ class TestPerQuestionFailures:
         golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
         assert read_jsonl_rows(tmp_path / "tables.jsonl") == golden_tables[:1]
 
+    def test_too_deeply_nested_fill_reply_fails_only_that_question(self, tmp_path):
+        transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
+        gamma = read_triples(PIPELINE / "questions.jsonl")[1]
+
+        def handler(request):
+            prompt = request["messages"][0]["content"]
+            if "You fill specific body cells" in prompt and gamma.question in prompt:
+                return {"content": "```json\n" + "[" * 100_000 + "\n```"}
+            return transcript.lookup(request)
+
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        with run_map(2) as mapper:
+            generated, errors = generate_stage(
+                read_triples(PIPELINE / "questions.jsonl"),
+                records,
+                ChatProvider(ScriptedProvider(handler)),
+                RunConfig(),
+                tmp_path,
+                mapper,
+            )
+        assert [item_id for item_id, _ in generated] == ["acme_beta"]
+        assert [(row["id"], row["stage"]) for row in errors] == [("gamma", "fill")]
+        assert errors[0]["error"].startswith(
+            "fill stage failed: fenced block is not valid JSON: maximum recursion depth exceeded"
+        )
+        assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors
+        golden = PIPELINE / "golden"
+        for name in ("tables.jsonl", "traces.jsonl"):
+            assert read_jsonl_rows(tmp_path / name) == read_jsonl_rows(golden / name)[:1], name
+
     def test_fill_replies_citing_a_number_fail_only_that_question(self, tmp_path):
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
         gamma = read_triples(PIPELINE / "questions.jsonl")[1]
@@ -1211,7 +1265,7 @@ class TestRunMap:
         store = retrieval.DocumentStore("doc", sentences)
         with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
             with run_map(2) as mapper:
-                texts = retrieval.rewrite_sentences(store, rewriter, mapper)
+                texts = retrieval.rewrite_sentences(store, rewriter, mapper)()
         assert texts == [s.upper() if n != 3 else s for n, s in enumerate(sentences)]
         assert later_first.returned.index(1) < later_first.returned.index(0)
         assert later_first.returned.index(3) < later_first.returned.index(2)
@@ -1231,7 +1285,7 @@ class TestRunMap:
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             with run_map(8) as mapper:
-                texts = retrieval.rewrite_sentences(store, rewriter, mapper)
+                texts = retrieval.rewrite_sentences(store, rewriter, mapper)()
         finally:
             sys.setswitchinterval(interval)
         assert texts == [s[::-1] for s in sentences]
@@ -1272,3 +1326,148 @@ class TestRunMap:
         assert read_jsonl_rows(tmp_path / "errors.jsonl") == errors == [
             {"id": f"fail_{n}", "stage": "structure", "error": error} for n in (0, 1)
         ]
+
+
+class TimedTransport:
+    """Answers each post after ``latency`` seconds and records its (start, end, request).
+
+    ``answer(role, request)`` gives the reply, the role being the URL's last
+    path segment. The first post of the ``fail_once`` request gets a 503.
+    Counts the posts in flight at once, whatever the role.
+    """
+
+    def __init__(self, answer, latency: float, fail_once: dict | None = None):
+        self.answer, self.latency, self.fail_once = answer, latency, fail_once
+        self.lock = threading.Lock()
+        self.in_flight = self.max_in_flight = 0
+        self.posts: list[tuple[float, float, dict]] = []
+
+    def post(self, url, body, headers, timeout):
+        request = json.loads(body)
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        start = time.perf_counter()
+        time.sleep(self.latency)
+        with self.lock:
+            self.in_flight -= 1
+            fail = request == self.fail_once and all(r != request for _, _, r in self.posts)
+            self.posts.append((start, time.perf_counter(), request))
+        if fail:
+            return 503, b"{}"
+        return 200, json.dumps(self.answer(url.rsplit("/", 1)[-1], request)).encode()
+
+
+class TestSchedule:
+    """One schedule per run: every rewrite queued at the start, each question's
+    TabTalk as soon as its record exists, and at most ``parallel`` requests in flight."""
+
+    @pytest.fixture
+    def live(self, monkeypatch):
+        """Install ``transport`` (and a ``backoff``) under every live provider the run builds."""
+
+        def install(transport, backoff: float = 0.5):
+            provider = functools.partial(HttpProvider, backoff=backoff, transport=transport)
+            monkeypatch.setattr("doc2table.config.HttpProvider", provider)
+
+        return install
+
+    def test_requests_in_flight_never_exceed_parallel_and_a_backoff_frees_its_slot(
+        self, tmp_path, live
+    ):
+        transcripts = {
+            "chat": Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl"),
+            "rewrite": Transcript.load(PIPELINE / "transcripts" / "rewrite.jsonl"),
+        }
+        first = read_documents(PIPELINE / "docs.jsonl")["acme_beta_h1_2023"].sentences[0]
+        failing = {"mode": "sentence", "text": first}
+        transport = TimedTransport(
+            lambda role, request: transcripts[role].lookup(request), 0.005, failing
+        )
+        live(transport, backoff=0.2)
+        config = write_pipeline_config(
+            tmp_path,
+            parallel=2,
+            chat={"mode": "live", "endpoint": "http://stub/chat"},
+            rewriter={"mode": "live", "endpoint": "http://stub/rewrite"},
+        )
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", config, "--out", out]) == 0
+        golden = PIPELINE / "golden"
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert transport.max_in_flight == 2
+        # While the failed rewrite waited out its backoff, two other posts were in flight at once.
+        failed, retried = [(start, end) for start, end, r in transport.posts if r == failing]
+        starts = [start for start, _, _ in transport.posts if failed[1] < start < retried[0]]
+        assert max(sum(s <= at < e for s, e, _ in transport.posts) for at in starts) == 2
+
+    def test_parallel_one_keeps_the_call_order(self, tmp_path, monkeypatch):
+        calls = []
+
+        class LoggedReplay(ReplayProvider):
+            def call(self, request):
+                calls.append(request)
+                return super().call(request)
+
+        embed = HashingEmbedder.embed
+        monkeypatch.setattr("doc2table.config.ReplayProvider", LoggedReplay)
+        monkeypatch.setattr(
+            HashingEmbedder,
+            "embed",
+            lambda self, texts: calls.append({"embed": len(texts)}) or embed(self, texts),
+        )
+        monkeypatch.setattr(threading.Thread, "start", no_thread_may_start)
+        config = write_pipeline_config(tmp_path)
+        assert run(["pipeline", "--config", config, "--out", tmp_path / "out"]) == 0
+        # Retrieval first, question by question: the document's sentence
+        # rewrites and their embedding at its first question, then the
+        # question's rewrite and its sub-questions' embedding.
+        documents = read_documents(PIPELINE / "docs.jsonl")
+        triples = read_triples(PIPELINE / "questions.jsonl")
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        expected = []
+        for triple in triples:
+            sentences = documents[triple.doc_id].sentences
+            expected += [{"mode": "sentence", "text": s} for s in sentences]
+            expected += [{"embed": len(sentences)}, {"mode": "question", "text": triple.question}]
+            expected.append({"embed": len(records[triple.triple_id].sub_questions)})
+        assert calls[: len(expected)] == expected
+        # Then generation, one question's calls after another's.
+        owners = [
+            next(t.triple_id for t in triples if t.question in call["messages"][0]["content"])
+            for call in calls[len(expected) :]
+        ]
+        assert owners == sorted(owners, key=[t.triple_id for t in triples].index)
+        assert set(owners) == {t.triple_id for t in triples}
+
+    def test_failed_run_sends_no_queued_rewrite_and_keeps_those_it_paid_for(
+        self, tmp_path, capsys, monkeypatch, live
+    ):
+        transport = TimedTransport(lambda role, request: {"outputs": [request["text"]]}, 0.001)
+        live(transport)
+
+        def embed(self, texts):
+            raise ProviderError("embedder down")
+
+        monkeypatch.setattr(HashingEmbedder, "embed", embed)
+        short = [f"Short document sentence {n}." for n in range(3)]
+        long = [f"Long document sentence {n}." for n in range(400)]
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "short", "sentences": short}, {"doc_id": "long", "sentences": long}])
+        rows = read_jsonl_rows(PIPELINE / "questions.jsonl")
+        questions = tmp_path / "questions.jsonl"
+        write_jsonl(questions, [{**row, "doc_id": doc} for row, doc in zip(rows, ("short", "long"))])
+        rewriter = {"mode": "record", "endpoint": "http://stub/rewrite", "transcript": "rewrite.jsonl"}
+        config = write_pipeline_config(
+            tmp_path, parallel=2, docs=str(docs), questions=str(questions), rewriter=rewriter
+        )
+        assert run(["pipeline", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ProviderError", "message": "embedder down"
+        }
+        sent = [request for _, _, request in transport.posts]
+        assert all({"mode": "sentence", "text": s} in sent for s in short)
+        assert len(sent) < len(long) // 4  # the queued rest were cancelled, not sent
+        saved = Transcript.load(tmp_path / "rewrite.jsonl")
+        assert saved.entries.keys() == set(map(request_fingerprint, sent))

@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import re
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -22,6 +24,7 @@ from doc2table.providers import (
     RecordingProvider,
     ReplayMissError,
     ReplayProvider,
+    RequestSlots,
     Rewriter,
     ScriptedProvider,
     Transcript,
@@ -451,6 +454,96 @@ class TestHttpProvider:
             provider.call(request_)
         assert transport.calls == []
         assert sleeps == []
+
+    def test_holds_its_slot_only_while_posting(self, monkeypatch):
+        slots = RequestSlots(1)
+        held = []  # ("post" | "sleep", whether the one slot was taken), in order
+
+        def taken() -> bool:
+            free = Waiter(slots)
+            free.start()
+            free.join(0.2)
+            return free.is_alive()  # still waiting: the slot is held
+
+        monkeypatch.setattr(
+            "doc2table.providers.time.sleep", lambda seconds: held.append(("sleep", taken()))
+        )
+
+        class SlotTransport(FakeTransport):
+            def post(self, *args):
+                held.append(("post", taken()))
+                return super().post(*args)
+
+        transport = SlotTransport([reply(status=503), ConnectionError("down"), reply({"ok": 1})])
+        provider = HttpProvider("http://x", backoff=0.5, transport=transport, slots=slots)
+        assert provider.call({"q": 1}) == {"ok": 1}
+        assert held == [("post", True), ("sleep", False)] * 2 + [("post", True)]
+        assert not taken()
+
+
+class Waiter(threading.Thread):
+    """Takes one slot and gives it straight back, noting its ``label`` in ``order``."""
+
+    def __init__(self, slots, order=None, label=None):
+        super().__init__(daemon=True)
+        self.slots, self.order, self.label = slots, order, label
+
+    def run(self):
+        with self.slots:
+            if self.order is not None:
+                self.order.append(self.label)
+
+
+class TestRequestSlots:
+    def test_a_released_slot_goes_to_the_longest_waiter(self):
+        slots = RequestSlots(1)
+        order = []
+        with slots:
+            waiters = []
+            for n in range(3):
+                waiters.append(Waiter(slots, order, n))
+                waiters[-1].start()
+                deadline = time.monotonic() + 5
+                while len(slots._waiting) <= n and time.monotonic() < deadline:
+                    time.sleep(0.001)
+        # The releasing thread asks again at once, and queues behind the three.
+        with slots:
+            order.append("main")
+        for waiter in waiters:
+            waiter.join(5)
+            assert not waiter.is_alive()
+        assert order == [0, 1, 2, "main"]
+
+    def test_never_more_holders_than_slots_under_contention(self):
+        slots = RequestSlots(2)
+        lock = threading.Lock()
+        state = {"holders": 0, "most": 0, "done": 0}
+
+        def work():
+            for _ in range(300):
+                with slots:
+                    with lock:
+                        state["holders"] += 1
+                        state["most"] = max(state["most"], state["holders"])
+                    with lock:
+                        state["holders"] -= 1
+                with lock:
+                    state["done"] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert state["done"] == 8 * 300
+        assert 1 <= state["most"] <= 2
+        assert not slots._waiting
 
 
 class LoopbackServer:

@@ -121,7 +121,7 @@ class TestRewriteSentences:
     def test_identity_keeps_raw(self):
         store = DocumentStore("d", ["One.", "Two."])
         rewriter = scripted_rewriter(lambda req: {"outputs": [req["text"]]})
-        assert rewrite_sentences(store, rewriter) == ["One.", "Two."]
+        assert rewrite_sentences(store, rewriter)() == ["One.", "Two."]
         assert store.sentences == ["One.", "Two."]
 
     def test_rewrite_changes_retrieval_text_only(self):
@@ -129,7 +129,7 @@ class TestRewriteSentences:
         rewriter = scripted_rewriter(
             lambda req: {"outputs": ["Revenue of the company was $56.2 billion."]}
         )
-        assert rewrite_sentences(store, rewriter) == ["Revenue of the company was $56.2 billion."]
+        assert rewrite_sentences(store, rewriter)() == ["Revenue of the company was $56.2 billion."]
         assert store.sentences == ["The company reported revenue of $56.2 billion."]
 
     def test_non_string_output_keeps_raw_text(self):
@@ -137,7 +137,7 @@ class TestRewriteSentences:
         rewriter = scripted_rewriter(
             lambda req: {"outputs": [None if req["text"] == "One." else "Second."]}
         )
-        assert rewrite_sentences(store, rewriter) == ["One.", "Second."]
+        assert rewrite_sentences(store, rewriter)() == ["One.", "Second."]
 
     def test_partial_outage_degrades_per_sentence(self, caplog):
         calls = {"n": 0}
@@ -150,7 +150,7 @@ class TestRewriteSentences:
 
         store = DocumentStore("d", [f"Sentence {i}." for i in range(6)])
         with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
-            texts = rewrite_sentences(store, scripted_rewriter(flaky))
+            texts = rewrite_sentences(store, scripted_rewriter(flaky))()
         assert len(texts) == 6
         assert all(texts)  # all still retrievable
         degraded = [text for text, raw in zip(texts, store.sentences) if text == raw]
@@ -406,7 +406,7 @@ class TestRankingDepth:
         rewriter = Rewriter(ReplayProvider(Transcript.load(corpus / "rewrite_transcript.jsonl")))
         embedder = HashingEmbedder()
         store = read_documents(corpus / "docs.jsonl")["fin_reports_2022"]
-        texts = rewrite_sentences(store, rewriter)
+        texts = rewrite_sentences(store, rewriter)()
         vectors, dense = embedder.embed(texts), reference_hashing_embed(texts)
         for triple in read_triples(corpus / "triples.jsonl"):
             subs = list(rewrite_question(triple.question, rewriter).sub_questions)
