@@ -38,7 +38,7 @@ from doc2table.providers import (
     ScriptedProvider,
     Transcript,
 )
-from doc2table.retrieval import DocumentStore, retrieve_top_k, rewrite_sentences
+from doc2table.retrieval import retrieve_top_k, rewrite_sentences
 from oracles import brute_cosine_ranking, brute_round_robin, reference_hashing_embed
 
 
@@ -332,8 +332,8 @@ def write_corpus() -> None:
     sentence_vectors = [list(v) for v in reference_hashing_embed(rewritten)]
 
     golden = []
-    store = DocumentStore(doc_id, sentences)
-    texts = rewrite_sentences(store, Rewriter(make_rewrite_handler(rewrites, decompositions)))()
+    rewriter = Rewriter(make_rewrite_handler(rewrites, decompositions))
+    texts = list(rewrite_sentences(sentences, rewriter))
     vectors = embedder.embed(texts)
     for item_id, question, subs, relevant, _ in items:
         query_vectors = [list(v) for v in reference_hashing_embed(subs)]
@@ -348,7 +348,7 @@ def write_corpus() -> None:
         }
 
         # Cross-check the production path against the oracle before freezing.
-        record = retrieve_top_k(store, subs, vectors, embedder, k=30, question=question)
+        record = retrieve_top_k(sentences, subs, vectors, embedder, k=30, question=question)
         assert record.merged_ids() == merged_ids, f"ranking mismatch for {item_id}"
         for ranked, prod in zip(ranked_lists, record.per_question):
             assert [sid for sid, _ in ranked[:60]] == [sid for sid, _ in prod[:60]]

@@ -31,6 +31,9 @@ A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
 and stub cells are not counted. Coverage and exclusion are decided once
 per table, by :func:`coverage`, after review has been applied.
+
+A document is its sentence list. This module imports only ``model``, so
+annotating loads neither retrieval code nor numpy.
 """
 from __future__ import annotations
 
@@ -38,9 +41,12 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .model import HierarchicalTable, normalize_text
-from .retrieval import DocumentStore
+
+if TYPE_CHECKING:
+    from .data import QaTriple
 
 UNCOVERED_EXCLUSION_NUM = 3  # exclude iff uncovered/total >= 3/10, compared exactly
 UNCOVERED_EXCLUSION_DEN = 10
@@ -229,15 +235,6 @@ def coverage(table: HierarchicalTable, matches: list[CellMatch]) -> tuple[float,
     return covered / total, excluded
 
 
-@dataclass(frozen=True)
-class QaTriple:
-    triple_id: str
-    doc_id: str
-    question: str
-    table: HierarchicalTable
-    relevant_sentence_ids: tuple[int, ...]
-
-
 def relevant_ids(matches: list[CellMatch]) -> tuple[int, ...]:
     """Union of matched sentence ids over non-rejected matches, sorted."""
     ids: set[int] = set()
@@ -249,7 +246,7 @@ def relevant_ids(matches: list[CellMatch]) -> tuple[int, ...]:
 
 def corpus_stats(
     triples: list[QaTriple],
-    documents: dict[str, DocumentStore] | None = None,
+    documents: dict[str, list[str]] | None = None,
 ) -> dict:
     """Dataset-level statistics: sizes, mean dimensions, flat/hierarchical split.
 
@@ -261,7 +258,7 @@ def corpus_stats(
     n_flat = sum(1 for t in triples if t.table.is_flat)
     mean_tokens: float | None = None
     if documents is not None and n:
-        tokens = sum(len(s.split()) for t in triples for s in documents[t.doc_id].sentences)
+        tokens = sum(len(s.split()) for t in triples for s in documents[t.doc_id])
         mean_tokens = tokens / n
     return {
         "n_triples": n,

@@ -9,6 +9,10 @@ read their settings, providers and inputs from one ``RunConfig`` file
 (``--config``). Every subcommand but ``stats`` writes to the directory
 that its required ``--out`` names, the one output setting.
 
+The stages pass the records of :mod:`doc2table.data`: a document is its
+sentence list, a question a ``QaTriple``, its evidence a ``RetrievalRecord``.
+Every stage module is imported with this one, whichever subcommand runs.
+
 Each config subcommand is one schedule over one :func:`run_map`, built from
 ``RunConfig.parallel``. Its tasks are leaves, and no task waits on
 another: one sentence rewrite, one question rewrite, or one question's
@@ -25,8 +29,9 @@ tests/fixtures/pipeline/config.json --out DIR`` replays the committed
 fixture, no network needed, into a DIR equal to its ``golden`` directory.
 Exit codes: 0 success; 1 a runtime failure, a bad run config or transcript
 included, or a failed question; 2 a dataset file (documents, tables,
-triples, review, retrieval or generated tables) with a malformed line or
-an unknown id. Failures print a machine-readable JSON report to stderr.
+triples, review, retrieval or generated tables) with a malformed line, an
+unknown id, or a relevant sentence id that its document does not have.
+Failures print a machine-readable JSON report to stderr.
 """
 from __future__ import annotations
 
@@ -42,13 +47,15 @@ from pathlib import Path
 from . import annotate as ann
 from . import data
 from .config import BuiltProviders, RunConfig, build_providers
+from .data import QaTriple, RetrievalRecord
 from .generation import StageFailure, TabTalkResult, run_tabtalk, trace_to_dict
 from .html_io import serialize_html
 from .metrics import aggregate_scores, recall_at_k, table_scores
 from .model import HierarchicalTable
 from .providers import ChatProvider, ProviderError
-from .retrieval import DocumentStore, RetrievalRecord
 from .retrieval import retrieve_top_k, rewrite_question, rewrite_sentences
+
+logger = logging.getLogger(__name__)
 
 RECALL_KS = (10, 20, 30)
 
@@ -103,7 +110,7 @@ def _check_known(path: str | Path, field: str, values: list[str], known) -> None
             raise data.InputFormatError(path, line, field, f"unknown {field} {value!r}")
 
 
-def _recall(triples: list[ann.QaTriple], records: dict[str, RetrievalRecord], k: int) -> dict:
+def _recall(triples: list[QaTriple], records: dict[str, RetrievalRecord], k: int) -> dict:
     """recall@{10,20,30} (capped at k) per triple with relevant ids, plus means; {} if none."""
     ks = [x for x in RECALL_KS if x <= k] or [k]
     rows = []
@@ -124,9 +131,9 @@ def _recall(triples: list[ann.QaTriple], records: dict[str, RetrievalRecord], k:
 
 
 def retrieve_stage(
-    triples: list[ann.QaTriple],
+    triples: list[QaTriple],
     triples_path: str | Path,
-    documents: dict[str, DocumentStore],
+    documents: dict[str, list[str]],
     built: BuiltProviders,
     config: RunConfig,
     out: Path,
@@ -142,12 +149,19 @@ def retrieve_stage(
     its last. ``then(triple, record)``, if given, is called as each record
     is made, in input order. Returns the record per triple id and the recall
     report; with no relevant ids in any triple the report is {} and
-    recall.json is not written.
+    recall.json is not written. A triple with an unknown document, a blank
+    question or a relevant id its document lacks fails before any request.
     """
     _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
     if any(not t.question.strip() for t in triples):
         line = next(n for n, obj in data.read_jsonl(triples_path) if not obj["question"].strip())
         raise data.InputFormatError(triples_path, line, "question", "question is blank")
+    for triple in triples:
+        count, last = len(documents[triple.doc_id]), max(triple.relevant_sentence_ids, default=-1)
+        if last >= count:
+            line = next(n for n, obj in data.read_jsonl(triples_path) if obj["id"] == triple.triple_id)
+            message = f"no sentence {last} in document {triple.doc_id!r}, which has {count}"
+            raise data.InputFormatError(triples_path, line, "relevant_sentence_ids", message)
     sentence_texts = {
         doc_id: rewrite_sentences(documents[doc_id], built.rewriter, mapper)
         for doc_id in dict.fromkeys(t.doc_id for t in triples)
@@ -157,13 +171,14 @@ def retrieve_stage(
     vectors = {}
     retrieved = []
     for n, triple in enumerate(triples):
-        store = documents[triple.doc_id]
         if triple.doc_id in sentence_texts:
-            texts = sentence_texts.pop(triple.doc_id)()
+            texts = list(sentence_texts.pop(triple.doc_id))
+            if not texts:
+                logger.warning("document %r has no sentences to retrieve", triple.doc_id)
             vectors[triple.doc_id] = built.embedder.embed(texts) if texts else None
         rewrite = next(rewrites)
         record = retrieve_top_k(
-            store,
+            documents[triple.doc_id],
             list(rewrite.sub_questions),
             vectors[triple.doc_id],
             built.embedder,
@@ -189,7 +204,7 @@ def retrieve_stage(
 
 
 def _generate(
-    triple: ann.QaTriple, record: RetrievalRecord | None, chat: ChatProvider, config: RunConfig
+    triple: QaTriple, record: RetrievalRecord | None, chat: ChatProvider, config: RunConfig
 ) -> TabTalkResult | dict:
     """The question's TabTalk result, or its error row."""
     if record is None:
@@ -204,7 +219,7 @@ def _generate(
 
 
 def _write_generation(
-    triples: list[ann.QaTriple], results, out: Path
+    triples: list[QaTriple], results, out: Path
 ) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
     """Write the tables, traces and error rows of ``results``, one per triple in input order."""
     generated = []
@@ -234,7 +249,7 @@ def _write_generation(
 
 
 def generate_stage(
-    triples: list[ann.QaTriple],
+    triples: list[QaTriple],
     records: dict[str, RetrievalRecord],
     chat: ChatProvider,
     config: RunConfig,
@@ -265,7 +280,7 @@ def cmd_annotate(args) -> int:
 
     # One index per referenced document; each scans its sentences at its first table.
     indexes = {
-        doc_id: ann.SentenceIndex(documents[doc_id].sentences)
+        doc_id: ann.SentenceIndex(documents[doc_id])
         for doc_id in {record["doc_id"] for record in records}
     }
     triples_out, matches_out, exclusions_out = [], [], []
@@ -364,7 +379,7 @@ def _summary_table(items: list[dict], aggregate: dict) -> str:
 
 def evaluate_stage(
     generated: dict[str, HierarchicalTable],
-    groundtruth: dict[str, ann.QaTriple],
+    groundtruth: dict[str, QaTriple],
     out: Path,
     recall_rows: dict[str, dict] | None = None,
 ) -> str:
@@ -413,7 +428,7 @@ def cmd_pipeline(args) -> int:
         # exists: a pool queues it then, the builtin map runs it when read.
         tabtalks = []
 
-        def generate_later(triple: ann.QaTriple, record: RetrievalRecord) -> None:
+        def generate_later(triple: QaTriple, record: RetrievalRecord) -> None:
             tabtalks.append(mapper(_generate, [triple], [record], [built.chat], [config]))
 
         _, recall = retrieve_stage(

@@ -8,9 +8,11 @@ stages read their settings from it: the ``chat``, ``rewriter`` and
 fixed, not set): an unknown key, at the top level or inside a provider
 spec, is an error, and each known value is type-checked. Endpoints come
 from the file; a provider's ``api_key_env`` names the environment variable
-that holds its credential, so no secret is written into the file. Relative
-transcript and input paths resolve against the config file's directory; the
-output directory is no setting, as each command takes it from ``--out``.
+that holds its credential, so no secret is written into the file, and a
+named variable that is unset or empty is an error, not an unauthenticated
+run. Relative transcript and input paths resolve against the config file's
+directory; the output directory is no setting, as each command takes it
+from ``--out``.
 Each provider role accepts the modes that the one table
 :data:`PROVIDER_MODES` lists for it, and :func:`build_providers` builds
 every role the same way from that table. Nothing touches the network unless
@@ -151,11 +153,12 @@ class BuiltProviders:
 
 
 def _backend_for(
-    spec: ProviderSpec, pending: list[tuple[Transcript, str]], slots: RequestSlots
+    role: str, spec: ProviderSpec, pending: list[tuple[Transcript, str]], slots: RequestSlots
 ):
     """The JSON backend of a replay, live or record spec, the modes left once validated.
 
-    A live or record backend sends through the run's request ``slots``.
+    A live or record backend sends through the run's request ``slots``, and
+    only with the credential its ``api_key_env`` names, if it names one.
     """
     if spec.mode == "replay":
         if not spec.transcript:
@@ -164,6 +167,8 @@ def _backend_for(
     if not spec.endpoint:
         raise ValueError(f"{spec.mode} mode needs an endpoint")
     api_key = os.environ.get(spec.api_key_env) if spec.api_key_env else None
+    if spec.api_key_env and not api_key:
+        raise ValueError(f"{role}.api_key_env names {spec.api_key_env}, which is unset or empty")
     backend = HttpProvider(spec.endpoint, api_key=api_key, slots=slots)
     if spec.mode == "live":
         return backend
@@ -190,5 +195,5 @@ def build_providers(config: RunConfig, roles: tuple[str, ...]) -> BuiltProviders
         elif spec.mode == "hashing":
             built[role] = HashingEmbedder()
         else:
-            built[role] = wrappers[role](_backend_for(spec, pending, slots))
+            built[role] = wrappers[role](_backend_for(role, spec, pending, slots))
     return BuiltProviders(**built, pending_transcripts=pending)

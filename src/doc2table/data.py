@@ -1,8 +1,13 @@
-"""On-disk dataset formats (JSONL) and atomic file writing.
+"""Dataset records, their on-disk formats (JSONL) and atomic file writing.
+
+A document is its list of raw sentences, a sentence's id its index. The
+other records live beside their readers: :class:`QaTriple` is a triples
+line, :class:`RetrievalRecord` a retrieval line (its ``to_dict`` writes
+one). Only ``model`` and ``html_io`` are imported: reading loads no stage.
 
 Formats, each with the key that no two of its lines may share:
   documents  {"doc_id": str, "sentences": [str]}  (or {"doc_id", "text"},
-             which is segmented with the rule-based splitter); unique doc_id
+             which :func:`split_sentences` segments); unique doc_id
   tables     {"table_id": str, "doc_id": str, "table_html": str,
               "question": str (optional)}; unique table_id
   triples    {"id": str, "doc_id": str, "question": str, "table_html": str,
@@ -33,13 +38,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .annotate import QaTriple
 from .html_io import parse_html_table
 from .model import HierarchicalTable, TableError
-from .retrieval import DocumentStore, RetrievalRecord, split_sentences
 
 
 class InputFormatError(ValueError):
@@ -60,6 +65,93 @@ class InputFormatError(ValueError):
             "field": self.field,
             "message": self.reason,
         }
+
+
+@dataclass(frozen=True)
+class QaTriple:
+    """One triples line: a question, its document and its ground-truth table."""
+
+    triple_id: str
+    doc_id: str
+    question: str
+    table: HierarchicalTable
+    relevant_sentence_ids: tuple[int, ...]
+
+
+@dataclass
+class RetrievalRecord:
+    """One retrieval line: the ranked sentences of one question."""
+
+    question: str
+    sub_questions: list[str]
+    # Per sub-question, the first max(k, retrieval.RANKING_DEPTH) (sentence_id,
+    # score) pairs of the full ranking by (-score, id); all of them if fewer.
+    per_question: list[list[tuple[int, float]]]
+    merged: list[tuple[int, float]]  # deduplicated merged ranking, length <= k
+    k: int
+    degraded: bool = False
+    sentence_texts: dict[int, str] = field(default_factory=dict)  # raw text per merged id
+
+    def merged_ids(self) -> list[int]:
+        return [sid for sid, _ in self.merged]
+
+    def to_dict(self) -> dict:
+        """The line :func:`read_retrieval_records` reads back, without its ``id``."""
+        # Scores are already quantized by retrieve_top_k: stable bytes across BLAS variants.
+        return {
+            "question": self.question,
+            "sub_questions": list(self.sub_questions),
+            "per_question": [[list(pair) for pair in ranked] for ranked in self.per_question],
+            "merged": [list(pair) for pair in self.merged],
+            "k": self.k,
+            "degraded": self.degraded,
+            "sentences": [{"id": sid, "text": self.sentence_texts[sid]} for sid in self.merged_ids()],
+        }
+
+
+DEFAULT_ABBREVIATIONS = frozenset(
+    {
+        "mr.", "mrs.", "ms.", "dr.", "prof.", "st.", "vs.", "etc.", "inc.", "ltd.",
+        "co.", "corp.", "no.", "nos.", "fig.", "figs.", "est.", "approx.", "dept.",
+        "rev.", "jan.", "feb.", "mar.", "apr.", "jun.", "jul.", "aug.", "sep.",
+        "sept.", "oct.", "nov.", "dec.", "u.s.", "e.g.", "i.e.", "cf.", "al.",
+    }
+)
+_SPLIT_CANDIDATE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
+
+
+def split_sentences(text: str) -> list[str]:
+    """Deterministic rule-based sentence segmentation of a document's ``text``.
+
+    Splits after sentence-final punctuation followed by whitespace and a
+    capital letter or digit, except when the preceding token is one of
+    :data:`DEFAULT_ABBREVIATIONS` or when parentheses opened earlier are
+    still unclosed. The token before a candidate cut is found by walking
+    back from the cut, not by searching all the text before it.
+    """
+    cut_points = [0]
+    balance_upto = 0
+    balance = 0
+    for match in _SPLIT_CANDIDATE.finditer(text):
+        end = match.end()
+        for ch in text[balance_upto:end]:
+            if ch == "(":
+                balance += 1
+            elif ch == ")":
+                balance = max(0, balance - 1)
+        balance_upto = end
+        if balance > 0:
+            continue
+        if "." in match.group(0):
+            start = end  # back to the start of the token the candidate ends
+            while start and not text[start - 1].isspace():
+                start -= 1
+            if text[start:end].lstrip("(\"'[").lower() in DEFAULT_ABBREVIATIONS:
+                continue
+        cut_points.append(end)
+    cut_points.append(len(text))
+    pieces = (text[cut:next_cut].strip() for cut, next_cut in zip(cut_points, cut_points[1:]))
+    return [piece for piece in pieces if piece]
 
 
 def canonical_json(payload) -> str:
@@ -161,20 +253,19 @@ def _read_keyed(path: str | Path, key: str, parse) -> dict:
     return items
 
 
-def read_documents(path: str | Path) -> dict[str, DocumentStore]:
-    """Load documents keyed by doc_id, segmenting raw text when needed."""
+def read_documents(path: str | Path) -> dict[str, list[str]]:
+    """Each document's sentences keyed by doc_id, segmenting raw text when needed."""
 
-    def parse(obj: dict, line: int) -> DocumentStore:
+    def parse(obj: dict, line: int) -> list[str]:
         if "sentences" in obj:
             sentences = _require(obj, "sentences", list, path, line)
             for i, s in enumerate(sentences):
                 if not isinstance(s, str):
                     raise InputFormatError(path, line, f"sentences[{i}]", "expected str")
-        elif "text" in obj:
-            sentences = split_sentences(_require(obj, "text", str, path, line))
-        else:
-            raise InputFormatError(path, line, "sentences", "need 'sentences' or 'text'")
-        return DocumentStore(obj["doc_id"], list(sentences))
+            return sentences
+        if "text" in obj:
+            return split_sentences(_require(obj, "text", str, path, line))
+        raise InputFormatError(path, line, "sentences", "need 'sentences' or 'text'")
 
     return _read_keyed(path, "doc_id", parse)
 

@@ -75,7 +75,7 @@ class Transcript:
     """Recorded request/response pairs keyed by request fingerprint."""
 
     entries: dict[str, dict] = field(default_factory=dict)
-    requests: dict[str, dict] = field(default_factory=dict)  # kept for auditing
+    requests: dict[str, dict] = field(default_factory=dict)  # what record() added, for save()
     provider: str = ""
     captured: str = ""
 
@@ -106,7 +106,8 @@ class Transcript:
         Every non-blank line is a JSON object: either ``{"meta": {...}}`` or
         an entry with a string ``fingerprint`` and an object ``response``.
         Any other line raises ``ValueError`` naming the file and its
-        1-based line number.
+        1-based line number. Only the responses are kept: a loaded
+        transcript is replayed, never saved again.
         """
         transcript = cls()
         try:
@@ -124,8 +125,6 @@ class Transcript:
                         " 'fingerprint' and an object 'response'"
                     )
                 transcript.entries[record["fingerprint"]] = record["response"]
-                if record.get("request") is not None:
-                    transcript.requests[record["fingerprint"]] = record["request"]
         except InputFormatError as exc:
             raise ValueError(f"{path}, line {exc.line}: {exc.reason}") from None
         return transcript

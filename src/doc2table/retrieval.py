@@ -1,7 +1,7 @@
 """Question decomposition, sentence rewriting and top-K cosine retrieval.
 
-A document is its raw sentences; a sentence's id is its index. A rewrite
-provider (anything with the ``rewrite(mode, text)`` method of
+A document is its list of raw sentences; a sentence's id is its index. A
+rewrite provider (anything with the ``rewrite(mode, text)`` method of
 :class:`doc2table.providers.Rewriter`) turns questions into sub-questions
 and sentences into a data-as-subject form. Each document's retrieval texts
 are embedded once by the caller (``cli.retrieve_stage``, per referenced document);
@@ -10,17 +10,19 @@ the sentences through the embeddings' ``scores`` (exact integer dot
 products over posting lists for the hashing embedder, one matrix product
 for a live one), keeps each sub-question's first :data:`RANKING_DEPTH`
 (or k, if larger) sentences by cosine and merges those rankings round
-robin into one top-K budget.
+robin into one top-K budget, a :class:`~doc2table.data.RetrievalRecord`.
 Records cite the raw text: the rewritten form is a retrieval aid only.
 """
 from __future__ import annotations
 
 import logging
-import re
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from collections.abc import Iterator
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
+
+from .data import RetrievalRecord
 
 logger = logging.getLogger(__name__)
 
@@ -32,15 +34,6 @@ RANKING_DEPTH = 60
 # raw score is more than 1e-9 below the D-th largest cannot reach the top D.
 # The slack is doubled to cover float error in rounding and in the subtraction.
 _ROUNDING_SLACK = 2e-9
-
-DEFAULT_ABBREVIATIONS = frozenset(
-    {
-        "mr.", "mrs.", "ms.", "dr.", "prof.", "st.", "vs.", "etc.", "inc.", "ltd.",
-        "co.", "corp.", "no.", "nos.", "fig.", "figs.", "est.", "approx.", "dept.",
-        "rev.", "jan.", "feb.", "mar.", "apr.", "jun.", "jul.", "aug.", "sep.",
-        "sept.", "oct.", "nov.", "dec.", "u.s.", "e.g.", "i.e.", "cf.", "al.",
-    }
-)
 
 
 class RetrievalConfigError(ValueError):
@@ -57,61 +50,6 @@ class Embeddings(Protocol):
     dim: int
 
     def scores(self, queries: Embeddings) -> np.ndarray: ...
-
-
-@dataclass
-class DocumentStore:
-    """A document as its ordered raw sentences; a sentence's id is its index."""
-
-    doc_id: str
-    sentences: list[str]
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-
-_SPLIT_CANDIDATE = re.compile(r"[.!?]+(?=\s+[A-Z0-9])")
-_LAST_TOKEN = re.compile(r"(\S+)$")
-
-
-def split_sentences(text: str) -> list[str]:
-    """Deterministic rule-based sentence segmentation.
-
-    Splits after sentence-final punctuation followed by whitespace and a
-    capital letter or digit, except when the preceding token is one of
-    :data:`DEFAULT_ABBREVIATIONS` or when parentheses opened earlier are
-    still unclosed.
-    """
-    if not text.strip():
-        return []
-    cut_points = []
-    balance_upto = 0
-    balance = 0
-    for match in _SPLIT_CANDIDATE.finditer(text):
-        end = match.end()
-        for ch in text[balance_upto:end]:
-            if ch == "(":
-                balance += 1
-            elif ch == ")":
-                balance = max(0, balance - 1)
-        balance_upto = end
-        if balance > 0:
-            continue
-        if "." in match.group(0):
-            token_match = _LAST_TOKEN.search(text[:end])
-            if token_match:
-                token = token_match.group(1).lstrip("(\"'[").lower()
-                if token in DEFAULT_ABBREVIATIONS:
-                    continue
-        cut_points.append(end)
-
-    sentences = []
-    start = 0
-    for cut in cut_points:
-        sentences.append(text[start:cut].strip())
-        start = cut
-    sentences.append(text[start:].strip())
-    return [s for s in sentences if s]
 
 
 @dataclass(frozen=True)
@@ -140,70 +78,25 @@ def rewrite_question(question: str, rewriter) -> QuestionRewrite:
     return QuestionRewrite(tuple(outputs), degraded=False)
 
 
-def rewrite_sentences(store: DocumentStore, rewriter, mapper=map) -> Callable[[], list[str]]:
-    """Queue each sentence's data-as-subject rewrite; return the gather of them.
+def rewrite_sentences(sentences: list[str], rewriter, mapper=map) -> Iterator[str]:
+    """Each sentence's retrieval text, in sentence order: its data-as-subject rewrite.
 
-    The gather takes no argument and returns the retrieval text per
-    sentence, in sentence order. The rewrite calls go through ``mapper``,
-    the run's order-preserving map: a thread pool's map queues them all
-    now, and the builtin ``map`` makes them one by one when gathered.
-    Per-sentence provider failures degrade that sentence to its raw text;
+    The rewrite calls go through ``mapper``, the run's order-preserving map,
+    whose iterator this returns: a thread pool's map queues them all now,
+    and the builtin ``map`` makes each one when its text is read. A sentence
+    whose rewrite fails degrades to its raw text, with a warning naming it;
     the batch never aborts.
     """
 
-    def rewrite_one(sid: int) -> tuple[str, bool]:
-        raw = store.sentences[sid]
+    def rewrite_one(sid: int, raw: str) -> str:
         try:
             outputs = rewriter.rewrite("sentence", raw)
-            return (outputs[0].strip() if outputs and outputs[0].strip() else raw), False
+            return outputs[0].strip() if outputs and outputs[0].strip() else raw
         except Exception as exc:
             logger.warning("sentence %d rewrite failed, keeping raw text: %s", sid, exc)
-            return raw, True
+            return raw
 
-    queued = mapper(rewrite_one, range(len(store)))
-
-    def gather() -> list[str]:
-        rewrites = list(queued)
-        failures = sum(failed for _, failed in rewrites)
-        if failures:
-            logger.warning("sentence rewriting degraded for %d/%d sentences", failures, len(store))
-        return [text for text, _ in rewrites]
-
-    return gather
-
-
-@dataclass
-class RetrievalRecord:
-    """Ranked retrieval output for one question."""
-
-    question: str
-    sub_questions: list[str]
-    # Per sub-question, the first max(k, RANKING_DEPTH) (sentence_id, score)
-    # pairs of the full ranking by (-score, id); all of them if fewer.
-    per_question: list[list[tuple[int, float]]]
-    merged: list[tuple[int, float]]  # deduplicated merged ranking, length <= k
-    k: int
-    degraded: bool = False
-    sentence_texts: dict[int, str] = field(default_factory=dict)  # raw text per merged id
-
-    def merged_ids(self) -> list[int]:
-        return [sid for sid, _ in self.merged]
-
-    def to_dict(self) -> dict:
-        # Scores are already quantized by retrieve_top_k: stable bytes across BLAS variants.
-        return {
-            "question": self.question,
-            "sub_questions": list(self.sub_questions),
-            "per_question": [
-                [[sid, score] for sid, score in ranked] for ranked in self.per_question
-            ],
-            "merged": [[sid, score] for sid, score in self.merged],
-            "k": self.k,
-            "degraded": self.degraded,
-            "sentences": [
-                {"id": sid, "text": self.sentence_texts[sid]} for sid, _ in self.merged
-            ],
-        }
+    return mapper(rewrite_one, range(len(sentences)), sentences)
 
 
 def merge_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> list[tuple[int, float]]:
@@ -228,7 +121,7 @@ def merge_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> li
 
 
 def retrieve_top_k(
-    store: DocumentStore,
+    store: list[str],
     sub_questions: list[str],
     sentence_vectors: Embeddings | None,
     embedder,
@@ -238,8 +131,8 @@ def retrieve_top_k(
 ) -> RetrievalRecord:
     """Rank sentences by cosine against each sub-question; merge top-K round robin.
 
-    ``sentence_vectors`` is ``embedder.embed`` of one retrieval text per
-    sentence; None if the store is empty. The sub-questions are embedded by
+    ``store`` is the document's sentences and ``sentence_vectors`` is
+    ``embedder.embed`` of one retrieval text per sentence; None if it has none. The sub-questions are embedded by
     the same embedder; a dimension other than the sentences' raises
     :class:`RetrievalConfigError`. Each sub-question keeps its first
     max(k, :data:`RANKING_DEPTH`) sentences, an exact prefix of the full
@@ -247,8 +140,7 @@ def retrieve_top_k(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not store.sentences:
-        logger.warning("retrieval over an empty document store: %s", store.doc_id)
+    if not store:
         return RetrievalRecord(question, list(sub_questions), [], [], k, degraded)
 
     query_vectors = embedder.embed(list(sub_questions))
@@ -280,5 +172,5 @@ def retrieve_top_k(
         merged=merged,
         k=k,
         degraded=degraded,
-        sentence_texts={sid: store.sentences[sid] for sid, _ in merged},
+        sentence_texts={sid: store[sid] for sid, _ in merged},
     )

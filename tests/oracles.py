@@ -9,7 +9,9 @@ optimized paths are kept here too: the full-sort retrieval ranking, the
 hash-per-gram embedder loop (as dense rows, and as ``Counter`` cosines),
 the per-table sentence re-scan of annotation matching (with its own copy
 of the number-token pattern, tried at every character of every sentence),
-the node-by-node HTML serializer, and the stub text joined by cell origin. The transcript file layout is spelled out
+the node-by-node HTML serializer, the stub text joined by cell origin, and
+the sentence splitter that searches the whole text before each candidate
+cut for the token ending there. The transcript file layout is spelled out
 here once more, with its own JSON encoding and fingerprints.
 """
 from __future__ import annotations
@@ -24,6 +26,7 @@ from collections import Counter
 import numpy as np
 
 from doc2table.annotate import CellMatch
+from doc2table.data import DEFAULT_ABBREVIATIONS
 from doc2table.metrics import (
     KEY_MATCH_THRESHOLD,
     ContentReport,
@@ -506,3 +509,38 @@ def reference_serialize_html(table: HierarchicalTable) -> str:
     lines.append("</tbody>")
     lines.append("</table>")
     return "\n".join(lines)
+
+
+def reference_split_sentences(text: str) -> list[str]:
+    """The rule-based splitter, finding each candidate's last token with a
+    regex search over the whole text before it (quadratic in the text)."""
+    if not text.strip():
+        return []
+    cut_points = []
+    balance_upto = 0
+    balance = 0
+    for match in re.finditer(r"[.!?]+(?=\s+[A-Z0-9])", text):
+        end = match.end()
+        for ch in text[balance_upto:end]:
+            if ch == "(":
+                balance += 1
+            elif ch == ")":
+                balance = max(0, balance - 1)
+        balance_upto = end
+        if balance > 0:
+            continue
+        if "." in match.group(0):
+            token_match = re.search(r"(\S+)$", text[:end])
+            if token_match:
+                token = token_match.group(1).lstrip("(\"'[").lower()
+                if token in DEFAULT_ABBREVIATIONS:
+                    continue
+        cut_points.append(end)
+
+    sentences = []
+    start = 0
+    for cut in cut_points:
+        sentences.append(text[start:cut].strip())
+        start = cut
+    sentences.append(text[start:].strip())
+    return [s for s in sentences if s]

@@ -127,13 +127,13 @@ def test_retrieval_golden_ranking_and_recall():
     embedder = HashingEmbedder()
     golden = {item["id"]: item for item in json.loads((CORPUS / "golden_ranking.json").read_text())}
 
-    store = documents["fin_reports_2022"]
-    vectors = embedder.embed(rewrite_sentences(store, rewriter)())
+    document = documents["fin_reports_2022"]
+    vectors = embedder.embed(list(rewrite_sentences(document, rewriter)))
     for triple in triples:
         expected = golden[triple.triple_id]
         rewrite = rewrite_question(triple.question, rewriter)
         assert list(rewrite.sub_questions) == expected["sub_questions"]
-        record = retrieve_top_k(store, list(rewrite.sub_questions), vectors, embedder, k=30)
+        record = retrieve_top_k(document, list(rewrite.sub_questions), vectors, embedder, k=30)
 
         assert record.merged_ids() == expected["merged_ids"]
         for produced, (sid, score) in zip(record.merged, zip(expected["merged_ids"], expected["merged_scores"])):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from doc2table.annotate import (
     CellMatch,
-    QaTriple,
     SentenceIndex,
     apply_review,
     canonical_magnitude,
@@ -17,8 +16,8 @@ from doc2table.annotate import (
     relevant_ids,
     sentence_numbers,
 )
+from doc2table.data import QaTriple
 from doc2table.model import CoordTree, HierarchicalTable
-from doc2table.retrieval import DocumentStore
 
 from conftest import make_flat_table
 from oracles import reference_match_cells, reference_sentence_numbers
@@ -227,33 +226,32 @@ class TestIndexAgainstReference:
     def test_same_matches_as_rescanning_reference(self, case):
         document, tables = case
         index = SentenceIndex(document)
-        store = DocumentStore("d", document)
         for table in tables:
-            assert match_cells_to_sentences(table, index) == reference_match_cells(table, store)
+            assert match_cells_to_sentences(table, index) == reference_match_cells(table, index)
 
     def test_magnitude_with_both_signs_in_one_sentence_is_no_flip(self):
         document = ["It swung from 500 to (500).", "A loss of -500 then."]
-        index, store = SentenceIndex(document), DocumentStore("d", document)
+        index = SentenceIndex(document)
         for cell, flips in (("500", (1,)), ("-500", ())):
             table = one_cell_table(cell)
             [match] = match_cells_to_sentences(table, index)
             assert (match.sentence_ids, match.sign_flip_ids) == ((0, 1), flips)
-            assert [match] == reference_match_cells(table, store)
+            assert [match] == reference_match_cells(table, index)
 
     def test_phrase_straddling_two_sentences_matches_neither(self):
         document = ["Sales rose in Total", "Revenue fell.", "total revenue was flat."]
-        index, store = SentenceIndex(document), DocumentStore("d", document)
+        index = SentenceIndex(document)
         table = one_cell_table("Total Revenue")
         assert [m.sentence_ids for m in match_cells_to_sentences(table, index)] == [(2,)]
-        assert match_cells_to_sentences(table, index) == reference_match_cells(table, store)
+        assert match_cells_to_sentences(table, index) == reference_match_cells(table, index)
 
     def test_lowering_that_lengthens_text_keeps_sentence_ids(self):
         # "İ".lower() is two characters, so each "İ" shifts later offsets by one
         document = ["İİİİ first", "x total", "İ", "Total again"]
-        index, store = SentenceIndex(document), DocumentStore("d", document)
+        index = SentenceIndex(document)
         table = one_cell_table("total")
         assert [m.sentence_ids for m in match_cells_to_sentences(table, index)] == [(1, 3)]
-        assert match_cells_to_sentences(table, index) == reference_match_cells(table, store)
+        assert match_cells_to_sentences(table, index) == reference_match_cells(table, index)
 
     def test_index_length_is_sentence_count_and_scan_is_lazy(self):
         index = SentenceIndex(["One 1.", "Two 2.", "Three 3."])
@@ -334,9 +332,9 @@ class TestCoverageAndFilter:
 class TestCorpusStats:
     def triples(self):
         docs = {
-            "d1": DocumentStore("d1", ["one two three.", "four five six seven."]),
-            "d2": DocumentStore("d2", ["a b c d e."]),
-            "d3": DocumentStore("d3", ["x y.", "z w v u t s."]),
+            "d1": ["one two three.", "four five six seven."],
+            "d2": ["a b c d e."],
+            "d3": ["x y.", "z w v u t s."],
         }
         hier = HierarchicalTable(
             "",

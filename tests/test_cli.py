@@ -261,6 +261,40 @@ class TestMalformedInputs:
         assert rewritten == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["retrieve", "pipeline"])
+    def test_relevant_id_beyond_its_document_names_triples_line(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        rewritten = []
+        monkeypatch.setattr("doc2table.cli.rewrite_question", lambda *args: rewritten.append(args))
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(
+            docs,
+            [
+                {"doc_id": "d", "sentences": ["Revenue was 100.", "Costs were 40."]},
+                {"doc_id": "e", "sentences": ["Margin was 60."]},
+            ],
+        )
+        triples = tmp_path / "triples.jsonl"
+        row = {
+            "id": "t",
+            "doc_id": "d",
+            "question": "q",
+            "table_html": serialize_html(make_flat_table(1, 1)),
+            "relevant_sentence_ids": [0, 1],
+        }
+        write_jsonl(triples, [row, {**row, "id": "u", "doc_id": "e"}])
+        chat = {"mode": "replay", "transcript": str(PIPELINE / "transcripts" / "chat_perfect.jsonl")}
+        config = write_config(tmp_path, questions="triples.jsonl", docs="docs.jsonl", chat=chat)
+        assert run([command, "--config", config, "--out", tmp_path / "o"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (
+            str(triples), 2, "relevant_sentence_ids"
+        )
+        assert error["message"] == "no sentence 1 in document 'e', which has 1"
+        assert rewritten == []
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_doc_id_names_tables_line(self, tmp_path, capsys):
         docs = tmp_path / "docs.jsonl"
         write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
@@ -501,6 +535,29 @@ class TestMalformedInputs:
         assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_api_key_env_without_a_value_fails_before_any_post(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        posts = []
+        monkeypatch.setattr(
+            "doc2table.providers.HttpTransport.post", lambda self, *args: posts.append(args)
+        )
+        if value is None:
+            monkeypatch.delenv("DOC2TABLE_TEST_KEY", raising=False)
+        else:
+            monkeypatch.setenv("DOC2TABLE_TEST_KEY", value)
+        rewriter = {"mode": "live", "endpoint": "http://stub/rewrite", "api_key_env": "DOC2TABLE_TEST_KEY"}
+        path = write_pipeline_config(tmp_path, rewriter=rewriter)
+        assert run(["pipeline", "--config", path, "--out", tmp_path / "o"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {
+            "type": "ValueError",
+            "message": "rewriter.api_key_env names DOC2TABLE_TEST_KEY, which is unset or empty",
+        }
+        assert posts == []
         assert not (tmp_path / "o").exists()
 
     def test_malformed_annotation_table_names_file_line_field(self, tmp_path, capsys):
@@ -759,7 +816,7 @@ class TestRetrieveCommand:
         retrieve_stage(
             triples, PIPELINE / "questions.jsonl", documents, built, RunConfig(k=10), tmp_path
         )
-        gamma = documents[triples[0].doc_id].sentences
+        gamma = documents[triples[0].doc_id]
         assert len(gamma) == 6 and len(documents) == 2
         assert rewrites == ["sentence"] * 6 + ["question"]
         assert embedder.batches == [gamma, [triples[0].question]]
@@ -784,9 +841,9 @@ class TestRetrieveCommand:
             [acme, gamma, again], PIPELINE / "questions.jsonl", documents, built, RunConfig(k=10), tmp_path
         )
         assert embedder.batches == [
-            documents[acme.doc_id].sentences,
+            documents[acme.doc_id],
             [acme.question],
-            documents[gamma.doc_id].sentences,
+            documents[gamma.doc_id],
             [gamma.question],
             [again.question],
         ]
@@ -1014,23 +1071,28 @@ class TestRecordedTranscripts:
 class TestPerQuestionFailures:
     """A question whose evidence or provider fails gets one error row; the others go on."""
 
-    def test_empty_document_fails_only_its_question(self, tmp_path, capsys):
+    def test_empty_document_fails_only_its_questions(self, tmp_path, capsys, caplog):
         docs = tmp_path / "docs.jsonl"
         docs.write_text(
             (PIPELINE / "docs.jsonl").read_text() + json.dumps({"doc_id": "empty", "sentences": []}) + "\n"
         )
         gamma = read_jsonl_rows(PIPELINE / "questions.jsonl")[1]
         questions = tmp_path / "questions.jsonl"
+        hollow = {**gamma, "doc_id": "empty", "relevant_sentence_ids": []}
         questions.write_text(
             (PIPELINE / "questions.jsonl").read_text()
-            + json.dumps({**gamma, "id": "hollow", "doc_id": "empty", "relevant_sentence_ids": []})
-            + "\n"
+            + "".join(json.dumps({**hollow, "id": i}) + "\n" for i in ("hollow", "hollow_again"))
         )
         out = tmp_path / "out"
         path = write_pipeline_config(tmp_path, docs=str(docs), questions=str(questions))
-        assert run(["pipeline", "--config", path, "--out", out]) == 1
+        with caplog.at_level(logging.WARNING, logger="doc2table.cli"):
+            assert run(["pipeline", "--config", path, "--out", out]) == 1
+        assert [r.getMessage() for r in caplog.records if r.name == "doc2table.cli"] == [
+            "document 'empty' has no sentences to retrieve"
+        ]
         assert read_jsonl_rows(out / "errors.jsonl") == [
-            {"id": "hollow", "stage": "input", "error": "no evidence sentences"}
+            {"id": i, "stage": "input", "error": "no evidence sentences"}
+            for i in ("hollow", "hollow_again")
         ]
         for name in ("tables.jsonl", "traces.jsonl", "evaluation.jsonl", "evaluation.json"):
             assert (out / name).read_bytes() == (PIPELINE / "golden" / name).read_bytes(), name
@@ -1262,30 +1324,25 @@ class TestRunMap:
 
         later_first = LaterFirst(handler, lambda request: sentences.index(request["text"]), 7)
         rewriter = Rewriter(ScriptedProvider(later_first))
-        store = retrieval.DocumentStore("doc", sentences)
         with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
             with run_map(2) as mapper:
-                texts = retrieval.rewrite_sentences(store, rewriter, mapper)()
+                texts = list(retrieval.rewrite_sentences(sentences, rewriter, mapper))
         assert texts == [s.upper() if n != 3 else s for n, s in enumerate(sentences)]
         assert later_first.returned.index(1) < later_first.returned.index(0)
         assert later_first.returned.index(3) < later_first.returned.index(2)
         messages = [r.getMessage() for r in caplog.records]
-        assert [m for m in messages if "degraded" in m] == [
-            "sentence rewriting degraded for 1/7 sentences"
-        ]
-        assert sum("sentence 3 rewrite failed" in m for m in messages) == 1
+        assert messages == ["sentence 3 rewrite failed, keeping raw text: rewrite backend down"]
 
     def test_recording_through_eight_workers_loses_no_entry(self):
         transcript = Transcript()
         backend = ScriptedProvider(lambda request: {"outputs": [request["text"][::-1]]})
         rewriter = Rewriter(RecordingProvider(backend, transcript))
         sentences = [f"Sentence number {n}." for n in range(400)]
-        store = retrieval.DocumentStore("doc", sentences)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             with run_map(8) as mapper:
-                texts = retrieval.rewrite_sentences(store, rewriter, mapper)()
+                texts = list(retrieval.rewrite_sentences(sentences, rewriter, mapper))
         finally:
             sys.setswitchinterval(interval)
         assert texts == [s[::-1] for s in sentences]
@@ -1379,7 +1436,7 @@ class TestSchedule:
             "chat": Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl"),
             "rewrite": Transcript.load(PIPELINE / "transcripts" / "rewrite.jsonl"),
         }
-        first = read_documents(PIPELINE / "docs.jsonl")["acme_beta_h1_2023"].sentences[0]
+        first = read_documents(PIPELINE / "docs.jsonl")["acme_beta_h1_2023"][0]
         failing = {"mode": "sentence", "text": first}
         transport = TimedTransport(
             lambda role, request: transcripts[role].lookup(request), 0.005, failing
@@ -1428,7 +1485,7 @@ class TestSchedule:
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         expected = []
         for triple in triples:
-            sentences = documents[triple.doc_id].sentences
+            sentences = documents[triple.doc_id]
             expected += [{"mode": "sentence", "text": s} for s in sentences]
             expected += [{"embed": len(sentences)}, {"mode": "question", "text": triple.question}]
             expected.append({"embed": len(records[triple.triple_id].sub_questions)})
@@ -1457,7 +1514,13 @@ class TestSchedule:
         write_jsonl(docs, [{"doc_id": "short", "sentences": short}, {"doc_id": "long", "sentences": long}])
         rows = read_jsonl_rows(PIPELINE / "questions.jsonl")
         questions = tmp_path / "questions.jsonl"
-        write_jsonl(questions, [{**row, "doc_id": doc} for row, doc in zip(rows, ("short", "long"))])
+        write_jsonl(
+            questions,
+            [
+                {**row, "doc_id": doc, "relevant_sentence_ids": []}
+                for row, doc in zip(rows, ("short", "long"))
+            ],
+        )
         rewriter = {"mode": "record", "endpoint": "http://stub/rewrite", "transcript": "rewrite.jsonl"}
         config = write_pipeline_config(
             tmp_path, parallel=2, docs=str(docs), questions=str(questions), rewriter=rewriter

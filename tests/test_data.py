@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doc2table.data import (
     InputFormatError,
@@ -15,6 +18,7 @@ from doc2table.data import (
     read_review,
     read_tables,
     read_triples,
+    split_sentences,
     write_json,
     write_jsonl,
 )
@@ -22,6 +26,14 @@ from doc2table.html_io import serialize_html
 from doc2table.providers import Transcript
 
 from conftest import make_flat_table
+from oracles import reference_split_sentences
+
+# Words, abbreviations, punctuation runs, brackets, quotes and Unicode spaces
+# that the splitter's rules turn on.
+SPLITTER_PIECES = [
+    "Revenue", "it", "5", "10.5", "Q4", "vs.", "Fig.", "U.S.", "e.g.", "(vs.", "\"Dr.", "[etc.",
+    ".", "..", "?", "!", "?!", "(", ")", "'", " ", "  ", "\n", "\u00a0", "\u2028", "\t", "A", "z",
+]
 
 
 class TestAtomicWrites:
@@ -68,18 +80,66 @@ class TestAtomicWrites:
             assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
+class TestSplitSentences:
+    def test_two_sentences(self):
+        assert split_sentences("Revenue was $10. It grew 5%.") == [
+            "Revenue was $10.",
+            "It grew 5%.",
+        ]
+
+    def test_protected_abbreviations(self):
+        text = "Q2 rev. grew vs. Q1."
+        assert split_sentences(text) == [text]
+
+    def test_empty_input(self):
+        assert split_sentences("") == []
+        assert split_sentences("   \n ") == []
+
+    def test_no_split_inside_parentheses(self):
+        text = "The total (see $5. Notes) was fine. Next topic."
+        assert split_sentences(text) == [
+            "The total (see $5. Notes) was fine.",
+            "Next topic.",
+        ]
+
+    def test_decimal_numbers_not_split(self):
+        assert split_sentences("Revenue hit $10.5 million.") == ["Revenue hit $10.5 million."]
+
+    def test_split_requires_capital_or_digit(self):
+        assert split_sentences("it grew. then it fell.") == ["it grew. then it fell."]
+        assert split_sentences("It grew. 5 analysts agreed.") == [
+            "It grew.",
+            "5 analysts agreed.",
+        ]
+
+    def test_question_and_exclamation(self):
+        assert split_sentences("Why? Because. Growth!") == ["Why?", "Because.", "Growth!"]
+
+    @given(st.lists(st.sampled_from(SPLITTER_PIECES), max_size=40).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_same_sentences_as_the_whole_text_search_reference(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    def test_long_text_splits_in_linear_time(self):
+        # The whole-text search took minutes on this; the walk back takes well under a second.
+        text = " ".join(f"Sales in unit {n} (see Fig. {n}) rose vs. Q3. Costs fell." for n in range(20000))
+        started = time.perf_counter()
+        assert len(split_sentences(text)) == 40000
+        assert time.perf_counter() - started < 10
+
+
 class TestDocuments:
     def test_sentences_form(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(json.dumps({"doc_id": "d", "sentences": ["One.", "Two."]}) + "\n")
         docs = read_documents(path)
-        assert docs["d"].sentences == ["One.", "Two."]
+        assert docs["d"] == ["One.", "Two."]
 
     def test_raw_text_is_segmented(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text(json.dumps({"doc_id": "d", "text": "First one. Second one."}) + "\n")
         docs = read_documents(path)
-        assert docs["d"].sentences == ["First one.", "Second one."]
+        assert docs["d"] == ["First one.", "Second one."]
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -131,7 +191,7 @@ class TestLineReading:
             encoding="utf-8",
         )
         assert "\u2028".encode() in docs.read_bytes()  # raw, not escaped
-        assert {k: v.sentences for k, v in read_documents(docs).items()} == {
+        assert read_documents(docs) == {
             "d": sentences, "e": ["After."]
         }
 
@@ -152,7 +212,7 @@ class TestLineReading:
         rows = [json.dumps({"doc_id": d, "sentences": [d]}) for d in "ab"]
         path = tmp_path / "docs.jsonl"
         path.write_bytes(newline.join([rows[0], "", rows[1], ""]).encode())
-        assert {k: v.sentences for k, v in read_documents(path).items()} == {"a": ["a"], "b": ["b"]}
+        assert read_documents(path) == {"a": ["a"], "b": ["b"]}
         for bad, field in [("{not json", "<json>"), (rows[0], "doc_id")]:
             path.write_bytes(newline.join([rows[0], "", rows[1], bad, ""]).encode())
             with pytest.raises(InputFormatError) as excinfo:

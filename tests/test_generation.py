@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from doc2table.annotate import QaTriple
 from doc2table.cli import generate_stage, run_map
 from doc2table.config import RunConfig
+from doc2table.data import QaTriple, RetrievalRecord
 from doc2table.generation import (
     ResponseParseError,
     StageFailure,
@@ -34,7 +34,6 @@ from doc2table.providers import (
     ScriptedProvider,
     Transcript,
 )
-from doc2table.retrieval import RetrievalRecord
 from doc2table.treedist import teds
 
 PROMPTS = Path(__file__).parent / "fixtures" / "prompts"

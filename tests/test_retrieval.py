@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doc2table.data import read_documents, read_retrieval_records, read_triples, write_jsonl
+from doc2table.data import (
+    read_documents,
+    read_retrieval_records,
+    read_triples,
+    write_jsonl,
+)
 from doc2table.providers import (
     DenseVectors,
     HashingEmbedder,
@@ -18,13 +23,11 @@ from doc2table.providers import (
 )
 from doc2table.retrieval import (
     RANKING_DEPTH,
-    DocumentStore,
     RetrievalConfigError,
     merge_round_robin,
     retrieve_top_k,
     rewrite_question,
     rewrite_sentences,
-    split_sentences,
 )
 
 from conftest import FIXTURES
@@ -34,42 +37,6 @@ from oracles import (
     reference_hashing_scores,
     reference_rankings,
 )
-
-
-class TestSplitSentences:
-    def test_two_sentences(self):
-        assert split_sentences("Revenue was $10. It grew 5%.") == [
-            "Revenue was $10.",
-            "It grew 5%.",
-        ]
-
-    def test_protected_abbreviations(self):
-        text = "Q2 rev. grew vs. Q1."
-        assert split_sentences(text) == [text]
-
-    def test_empty_input(self):
-        assert split_sentences("") == []
-        assert split_sentences("   \n ") == []
-
-    def test_no_split_inside_parentheses(self):
-        text = "The total (see $5. Notes) was fine. Next topic."
-        assert split_sentences(text) == [
-            "The total (see $5. Notes) was fine.",
-            "Next topic.",
-        ]
-
-    def test_decimal_numbers_not_split(self):
-        assert split_sentences("Revenue hit $10.5 million.") == ["Revenue hit $10.5 million."]
-
-    def test_split_requires_capital_or_digit(self):
-        assert split_sentences("it grew. then it fell.") == ["it grew. then it fell."]
-        assert split_sentences("It grew. 5 analysts agreed.") == [
-            "It grew.",
-            "5 analysts agreed.",
-        ]
-
-    def test_question_and_exclamation(self):
-        assert split_sentences("Why? Because. Growth!") == ["Why?", "Because.", "Growth!"]
 
 
 def scripted_rewriter(handler) -> Rewriter:
@@ -119,25 +86,25 @@ class TestRewriteQuestion:
 
 class TestRewriteSentences:
     def test_identity_keeps_raw(self):
-        store = DocumentStore("d", ["One.", "Two."])
+        document = ["One.", "Two."]
         rewriter = scripted_rewriter(lambda req: {"outputs": [req["text"]]})
-        assert rewrite_sentences(store, rewriter)() == ["One.", "Two."]
-        assert store.sentences == ["One.", "Two."]
+        assert list(rewrite_sentences(document, rewriter)) == ["One.", "Two."]
+        assert document == ["One.", "Two."]
 
     def test_rewrite_changes_retrieval_text_only(self):
-        store = DocumentStore("d", ["The company reported revenue of $56.2 billion."])
+        document = ["The company reported revenue of $56.2 billion."]
         rewriter = scripted_rewriter(
             lambda req: {"outputs": ["Revenue of the company was $56.2 billion."]}
         )
-        assert rewrite_sentences(store, rewriter)() == ["Revenue of the company was $56.2 billion."]
-        assert store.sentences == ["The company reported revenue of $56.2 billion."]
+        assert list(rewrite_sentences(document, rewriter)) == ["Revenue of the company was $56.2 billion."]
+        assert document == ["The company reported revenue of $56.2 billion."]
 
     def test_non_string_output_keeps_raw_text(self):
-        store = DocumentStore("d", ["One.", "Two."])
+        document = ["One.", "Two."]
         rewriter = scripted_rewriter(
             lambda req: {"outputs": [None if req["text"] == "One." else "Second."]}
         )
-        assert rewrite_sentences(store, rewriter)() == ["One.", "Second."]
+        assert list(rewrite_sentences(document, rewriter)) == ["One.", "Second."]
 
     def test_partial_outage_degrades_per_sentence(self, caplog):
         calls = {"n": 0}
@@ -148,13 +115,24 @@ class TestRewriteSentences:
                 raise RuntimeError("outage")
             return {"outputs": [req["text"].upper()]}
 
-        store = DocumentStore("d", [f"Sentence {i}." for i in range(6)])
+        document = [f"Sentence {i}." for i in range(6)]
         with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
-            texts = rewrite_sentences(store, scripted_rewriter(flaky))()
+            texts = list(rewrite_sentences(document, scripted_rewriter(flaky)))
         assert len(texts) == 6
         assert all(texts)  # all still retrievable
-        degraded = [text for text, raw in zip(texts, store.sentences) if text == raw]
+        degraded = [text for text, raw in zip(texts, document) if text == raw]
         assert len(degraded) == 3
+        assert [r.getMessage().split(",")[0] for r in caplog.records] == [
+            "sentence 1 rewrite failed", "sentence 3 rewrite failed", "sentence 5 rewrite failed"
+        ]
+
+    def test_builtin_map_rewrites_each_sentence_when_its_text_is_read(self):
+        calls = []
+        rewriter = scripted_rewriter(lambda req: calls.append(req["text"]) or {"outputs": ["x"]})
+        texts = rewrite_sentences(["One.", "Two."], rewriter)
+        assert calls == []
+        assert next(texts) == "x" and calls == ["One."]
+        assert list(texts) == ["x"] and calls == ["One.", "Two."]
 
 
 class FixedEmbedder:
@@ -172,36 +150,34 @@ class FixedEmbedder:
         return DenseVectors(out)
 
 
-def rank(store, sub_questions, embedder, **kwargs):
-    """retrieve_top_k over the store's raw sentences, embedded by the same embedder."""
-    vectors = embedder.embed(store.sentences) if store.sentences else None
-    return retrieve_top_k(store, sub_questions, vectors, embedder, **kwargs)
+def rank(document, sub_questions, embedder, **kwargs):
+    """retrieve_top_k over the raw sentences of ``document``, embedded by the same embedder."""
+    vectors = embedder.embed(document) if document else None
+    return retrieve_top_k(document, sub_questions, vectors, embedder, **kwargs)
 
 
 class TestRetrieveTopK:
     def test_identical_sentence_ranked_first_with_score_one(self):
-        store = DocumentStore("d", ["alpha beta gamma", "totally different words"])
-        record = rank(store, ["alpha beta gamma"], HashingEmbedder(), k=2)
+        document = ["alpha beta gamma", "totally different words"]
+        record = rank(document, ["alpha beta gamma"], HashingEmbedder(), k=2)
         assert record.merged[0] == (0, 1.0)
 
     def test_orthogonal_vectors_score_zero_and_rank_last(self):
         embedder = FixedEmbedder({"q": 0, "hit": 0, "miss": 1})
-        store = DocumentStore("d", ["miss", "hit"])
-        record = rank(store, ["q"], embedder, k=2)
+        document = ["miss", "hit"]
+        record = rank(document, ["q"], embedder, k=2)
         assert record.merged == [(1, 1.0), (0, 0.0)]
 
-    def test_empty_store_returns_empty_record(self, caplog):
-        store = DocumentStore("d", [])
-        with caplog.at_level(logging.WARNING, logger="doc2table.retrieval"):
-            record = rank(store, ["q"], HashingEmbedder(), k=5)
+    def test_empty_document_returns_empty_record(self):
+        record = rank([], ["q"], HashingEmbedder(), k=5)
         assert record.merged == [] and record.per_question == []
 
     def test_dimension_mismatch_is_configuration_error(self):
-        store = DocumentStore("d", ["a", "b"])
+        document = ["a", "b"]
         with pytest.raises(RetrievalConfigError):
-            retrieve_top_k(store, ["q"], DenseVectors(np.ones((2, 5))), FixedEmbedder({}, dim=4), k=1)
+            retrieve_top_k(document, ["q"], DenseVectors(np.ones((2, 5))), FixedEmbedder({}, dim=4), k=1)
         with pytest.raises(RetrievalConfigError, match="questions 4, sentences 4096"):
-            retrieve_top_k(store, ["q"], HashingEmbedder().embed(store.sentences), FixedEmbedder({}), k=1)
+            retrieve_top_k(document, ["q"], HashingEmbedder().embed(document), FixedEmbedder({}), k=1)
 
     def test_embeds_only_the_sub_questions(self):
         class CountingEmbedder(HashingEmbedder):
@@ -212,29 +188,29 @@ class TestRetrieveTopK:
                 self.batches.append(list(texts))
                 return super().embed(texts)
 
-        store = DocumentStore("d", ["alpha", "beta"])
+        document = ["alpha", "beta"]
         embedder = CountingEmbedder()
-        retrieve_top_k(store, ["alpha", "beta"], HashingEmbedder().embed(store.sentences), embedder)
+        retrieve_top_k(document, ["alpha", "beta"], HashingEmbedder().embed(document), embedder)
         assert embedder.batches == [["alpha", "beta"]]
 
     def test_same_store_ranks_with_two_embedders(self):
-        store = DocumentStore("d", ["miss", "hit"])
-        fixed = rank(store, ["q"], FixedEmbedder({"q": 0, "hit": 0, "miss": 1}), k=2)
-        hashed = rank(store, ["miss"], HashingEmbedder(), k=2)
+        document = ["miss", "hit"]
+        fixed = rank(document, ["q"], FixedEmbedder({"q": 0, "hit": 0, "miss": 1}), k=2)
+        hashed = rank(document, ["miss"], HashingEmbedder(), k=2)
         assert fixed.merged == [(1, 1.0), (0, 0.0)]
         assert hashed.merged[0] == (0, 1.0)
 
     def test_records_cite_raw_text_ranked_by_retrieval_text(self):
-        store = DocumentStore("d", ["raw zero", "raw one"])
+        document = ["raw zero", "raw one"]
         embedder = HashingEmbedder()
         vectors = embedder.embed(["unrelated words", "revenue was high"])
-        record = retrieve_top_k(store, ["revenue was high"], vectors, embedder, k=1)
+        record = retrieve_top_k(document, ["revenue was high"], vectors, embedder, k=1)
         assert record.merged == [(1, 1.0)]
         assert record.sentence_texts == {1: "raw one"}
 
     def test_scores_non_increasing_and_no_duplicate_ids(self):
-        store = DocumentStore("d", [f"sentence number {i}" for i in range(20)])
-        record = rank(store, ["sentence number 3", "sentence number 7"], HashingEmbedder(), k=10)
+        document = [f"sentence number {i}" for i in range(20)]
+        record = rank(document, ["sentence number 3", "sentence number 7"], HashingEmbedder(), k=10)
         for ranked in record.per_question:
             scores = [s for _, s in ranked]
             assert scores == sorted(scores, reverse=True)
@@ -243,27 +219,27 @@ class TestRetrieveTopK:
 
     def test_determinism_across_runs(self):
         def run():
-            store = DocumentStore("d", [f"item {i} value {i*i}" for i in range(30)])
-            return rank(store, ["item 7", "value 49"], HashingEmbedder(), k=10)
+            document = [f"item {i} value {i*i}" for i in range(30)]
+            return rank(document, ["item 7", "value 49"], HashingEmbedder(), k=10)
 
         assert run().to_dict() == run().to_dict()
 
     def test_cosine_bounds(self):
-        store = DocumentStore("d", [f"word{i}" for i in range(15)])
-        record = rank(store, ["word1 word2"], HashingEmbedder(), k=15)
+        document = [f"word{i}" for i in range(15)]
+        record = rank(document, ["word1 word2"], HashingEmbedder(), k=15)
         for _, score in record.per_question[0]:
             assert -1.0 <= score <= 1.0
 
     def test_k_validation(self):
-        store = DocumentStore("d", ["a"])
+        document = ["a"]
         with pytest.raises(ValueError):
-            rank(store, ["q"], HashingEmbedder(), k=0)
+            rank(document, ["q"], HashingEmbedder(), k=0)
 
     def test_record_round_trips_through_dict(self, tmp_path):
-        store = DocumentStore("d", [f"text {i}" for i in range(5)])
+        document = [f"text {i}" for i in range(5)]
         records = {
-            "plain": rank(store, ["text 1"], HashingEmbedder(), k=3, question="Q?"),
-            "degraded": rank(store, ["text 1", "text 4"], HashingEmbedder(), k=3, degraded=True),
+            "plain": rank(document, ["text 1"], HashingEmbedder(), k=3, question="Q?"),
+            "degraded": rank(document, ["text 1", "text 4"], HashingEmbedder(), k=3, degraded=True),
         }
         path = tmp_path / "retrieval.jsonl"
         write_jsonl(path, [{"id": key, **record.to_dict()} for key, record in records.items()])
@@ -297,8 +273,8 @@ class TestMerging:
         assert len(ids) == len(set(ids))
 
     def test_single_question_top_k_subset_of_top_k_plus_one(self):
-        store = DocumentStore("d", [f"entry {i} alpha" for i in range(12)])
-        base = rank(store, ["entry 3 alpha"], HashingEmbedder(), k=12)
+        document = [f"entry {i} alpha" for i in range(12)]
+        base = rank(document, ["entry 3 alpha"], HashingEmbedder(), k=12)
         ranked = base.per_question[0]
         for k in range(1, 12):
             assert set(r[0] for r in ranked[:k]) <= set(r[0] for r in ranked[: k + 1])
@@ -355,9 +331,9 @@ HASHED_SENTENCES = ["alpha beta", "beta", "gamma alpha", "", " ", "7", "\U0001f6
 
 
 def check_against_reference(sentences, queries, k):
-    store = DocumentStore("d", [f"s{i}" for i in range(len(sentences))])
+    document = [f"s{i}" for i in range(len(sentences))]
     subs = [f"q{j}" for j in range(len(queries))]
-    record = retrieve_top_k(store, subs, DenseVectors(sentences), MatrixEmbedder(queries), k=k)
+    record = retrieve_top_k(document, subs, DenseVectors(sentences), MatrixEmbedder(queries), k=k)
     reference = reference_rankings(sentences, queries)
     depth = max(k, RANKING_DEPTH)
     assert record.per_question == [ranked[:depth] for ranked in reference]
@@ -391,9 +367,8 @@ class TestRankingDepth:
     )
     @settings(max_examples=100, deadline=None)
     def test_hashing_ranking_is_a_prefix_of_the_counter_reference(self, sentences, subs, k):
-        store = DocumentStore("d", sentences)
         embedder = HashingEmbedder()
-        record = retrieve_top_k(store, subs, embedder.embed(sentences), embedder, k=k)
+        record = retrieve_top_k(sentences, subs, embedder.embed(sentences), embedder, k=k)
         reference = []
         for row in reference_hashing_scores(sentences, subs):
             scores = [round(score, 9) for score in row]
@@ -405,11 +380,11 @@ class TestRankingDepth:
         corpus = FIXTURES / "corpus"
         rewriter = Rewriter(ReplayProvider(Transcript.load(corpus / "rewrite_transcript.jsonl")))
         embedder = HashingEmbedder()
-        store = read_documents(corpus / "docs.jsonl")["fin_reports_2022"]
-        texts = rewrite_sentences(store, rewriter)()
+        document = read_documents(corpus / "docs.jsonl")["fin_reports_2022"]
+        texts = list(rewrite_sentences(document, rewriter))
         vectors, dense = embedder.embed(texts), reference_hashing_embed(texts)
         for triple in read_triples(corpus / "triples.jsonl"):
             subs = list(rewrite_question(triple.question, rewriter).sub_questions)
-            record = retrieve_top_k(store, subs, vectors, embedder, k=30)
+            record = retrieve_top_k(document, subs, vectors, embedder, k=30)
             reference = reference_rankings(dense, reference_hashing_embed(subs))
             assert record.per_question == [ranked[:RANKING_DEPTH] for ranked in reference]
