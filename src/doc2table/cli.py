@@ -130,9 +130,29 @@ def _recall(triples: list[QaTriple], records: dict[str, RetrievalRecord], k: int
     return {"per_item": rows, "mean": aggregate_scores(rows)["recall_at_k"]}
 
 
+def _check_triples(
+    triples: list[QaTriple], triples_path: str | Path, documents: dict[str, list[str]]
+) -> None:
+    """Reject the first triple with an unknown document, a blank question or a
+    relevant id its document lacks, by its line in ``triples_path``.
+
+    Commands run it before they build the providers, so a bad triple is
+    reported ahead of any transcript load or provider error.
+    """
+    _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
+    if any(not t.question.strip() for t in triples):
+        line = next(n for n, obj in data.read_jsonl(triples_path) if not obj["question"].strip())
+        raise data.InputFormatError(triples_path, line, "question", "question is blank")
+    for triple in triples:
+        count, last = len(documents[triple.doc_id]), max(triple.relevant_sentence_ids, default=-1)
+        if last >= count:
+            line = next(n for n, obj in data.read_jsonl(triples_path) if obj["id"] == triple.triple_id)
+            message = f"no sentence {last} in document {triple.doc_id!r}, which has {count}"
+            raise data.InputFormatError(triples_path, line, "relevant_sentence_ids", message)
+
+
 def retrieve_stage(
     triples: list[QaTriple],
-    triples_path: str | Path,
     documents: dict[str, list[str]],
     built: BuiltProviders,
     config: RunConfig,
@@ -149,19 +169,9 @@ def retrieve_stage(
     its last. ``then(triple, record)``, if given, is called as each record
     is made, in input order. Returns the record per triple id and the recall
     report; with no relevant ids in any triple the report is {} and
-    recall.json is not written. A triple with an unknown document, a blank
-    question or a relevant id its document lacks fails before any request.
+    recall.json is not written. The triples must have passed
+    :func:`_check_triples`.
     """
-    _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
-    if any(not t.question.strip() for t in triples):
-        line = next(n for n, obj in data.read_jsonl(triples_path) if not obj["question"].strip())
-        raise data.InputFormatError(triples_path, line, "question", "question is blank")
-    for triple in triples:
-        count, last = len(documents[triple.doc_id]), max(triple.relevant_sentence_ids, default=-1)
-        if last >= count:
-            line = next(n for n, obj in data.read_jsonl(triples_path) if obj["id"] == triple.triple_id)
-            message = f"no sentence {last} in document {triple.doc_id!r}, which has {count}"
-            raise data.InputFormatError(triples_path, line, "relevant_sentence_ids", message)
     sentence_texts = {
         doc_id: rewrite_sentences(documents[doc_id], built.rewriter, mapper)
         for doc_id in dict.fromkeys(t.doc_id for t in triples)
@@ -335,8 +345,9 @@ def cmd_retrieve(args) -> int:
     config, out = _load_config(args, "questions", "docs")
     triples = data.read_triples(config.questions)
     documents = data.read_documents(config.docs)
+    _check_triples(triples, config.questions, documents)
     with _providers_and_map(config, ("rewriter", "embedder")) as (built, mapper):
-        _, recall = retrieve_stage(triples, config.questions, documents, built, config, out, mapper)
+        _, recall = retrieve_stage(triples, documents, built, config, out, mapper)
     if recall:
         print("recall " + "  ".join(f"@{k}={mean:.4f}" for k, mean in recall["mean"].items()))
     print(f"retrieved for {len(triples)} questions")
@@ -385,13 +396,16 @@ def evaluate_stage(
 ) -> str:
     """Stage three: score each generated table; write evaluation.jsonl and evaluation.json.
 
-    Items come in ``generated`` order, and an item with a row in
-    ``recall_rows`` carries that row as its ``recall_at_k``. Returns the
-    summary table.
+    Every table is scored in one :func:`~doc2table.metrics.table_scores`
+    call over the whole corpus, so the chrF kernels run a few times per
+    run, not per table. Items come in ``generated`` order, and an item with
+    a row in ``recall_rows`` carries that row as its ``recall_at_k``.
+    Returns the summary table.
     """
+    pairs = [(table, groundtruth[item_id].table) for item_id, table in generated.items()]
     items = []
-    for item_id, table in generated.items():
-        entry = {"id": item_id, **table_scores(table, groundtruth[item_id].table)}
+    for item_id, scores in zip(generated, table_scores(pairs)):
+        entry = {"id": item_id, **scores}
         if recall_rows and item_id in recall_rows:
             entry["recall_at_k"] = recall_rows[item_id]
         items.append(entry)
@@ -423,6 +437,7 @@ def cmd_pipeline(args) -> int:
     config, out = _load_config(args, "questions", "docs")
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions)
+    _check_triples(triples, config.questions, documents)
     with _providers_and_map(config, ("chat", "rewriter", "embedder")) as (built, mapper):
         # Each question's TabTalk, mapped on its own as soon as its record
         # exists: a pool queues it then, the builtin map runs it when read.
@@ -431,9 +446,7 @@ def cmd_pipeline(args) -> int:
         def generate_later(triple: QaTriple, record: RetrievalRecord) -> None:
             tabtalks.append(mapper(_generate, [triple], [record], [built.chat], [config]))
 
-        _, recall = retrieve_stage(
-            triples, config.questions, documents, built, config, out, mapper, generate_later
-        )
+        _, recall = retrieve_stage(triples, documents, built, config, out, mapper, generate_later)
         generated, errors = _write_generation(triples, (next(t) for t in tabtalks), out)
     if generated:
         recall_rows = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}

@@ -9,22 +9,35 @@ differ only in how they count matched n-grams: :func:`chrf` scores aligned
 pairs (cell values, header paths) through a sparse join, and
 :func:`chrf_matrix` scores every pair (keys) through one matrix product
 per n-gram order.
+
+:func:`table_scores` scores a whole corpus of (generated, ground truth)
+pairs at once. Keys are matched pair by pair, and :func:`chrf_matrix` runs
+only for a pair whose unmatched keys are left on both sides. Then one
+:func:`chrf` call scores every matched value of the corpus and one more
+every aligned header path, left and top. A chrF score does not depend on
+what else is in its batch, and each pair's scores are summed in the order
+that scoring the pair alone uses, so every float equals the per-pair one
+bit for bit. :func:`content_similarity` and :func:`header_similarity` are
+the same code run on one pair.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import HierarchicalTable, flatten_to_kv
+from .model import CoordTree, HierarchicalTable, flatten_to_kv
 from .treedist import teds
 
 CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 KEY_MATCH_THRESHOLD = 0.5
 KEY_JOIN = " / "
+
+TablePair = tuple[HierarchicalTable, HierarchicalTable]  # (generated, ground truth)
 
 
 def chrf(candidates: Sequence[str], references: Sequence[str]) -> np.ndarray:
@@ -118,8 +131,7 @@ def _all_pair_matches(grams, strings, n_cand, totals):
     Only n-grams that both sides hold get features.
     """
     is_cand = strings < n_cand
-    shared = np.zeros(int(grams.max(initial=0)) + 1, dtype=bool)
-    shared[np.intersect1d(grams[is_cand], grams[~is_cand])] = True
+    shared = _shared_grams(grams, is_cand)
     kept = shared[grams]
     n_shared = int(shared.sum())
     cells = strings[kept] * n_shared + (np.cumsum(shared) - 1)[grams[kept]]
@@ -132,6 +144,18 @@ def _all_pair_matches(grams, strings, n_cand, totals):
     # small costs more in thread hand-off than the product itself
     cand, ref = features[:n_cand].astype(np.float32), features[n_cand:].astype(np.float32)
     return np.einsum("ik,jk->ij", cand, ref), totals[:n_cand, None], totals[None, n_cand:]
+
+
+def _shared_grams(grams, is_cand):
+    """Mask over n-gram ids: True for each id that both a candidate and a reference hold.
+
+    Two occurrence counts, not ``np.intersect1d``: its ``np.unique`` asks
+    ``np.ma.is_masked``, which imports ``numpy.ma`` (about 9 ms) on the
+    first call of a run.
+    """
+    size = int(grams.max(initial=0)) + 1
+    in_cand = np.bincount(grams[is_cand], minlength=size) > 0
+    return in_cand & (np.bincount(grams[~is_cand], minlength=size) > 0)
 
 
 @dataclass(frozen=True)
@@ -152,6 +176,13 @@ class ContentReport:
     f1: float
 
 
+@dataclass(frozen=True)
+class HeaderScore:
+    precision: float
+    recall: float
+    f1: float
+
+
 def _prf(total: float, n_generated: int, n_groundtruth: int) -> tuple[float, float, float]:
     """Precision, recall and F1 of a score ``total`` over the generated and ground-truth counts."""
     precision = total / n_generated
@@ -162,6 +193,111 @@ def _prf(total: float, n_generated: int, n_groundtruth: int) -> tuple[float, flo
 
 def _joined_key(left: tuple[str, ...], top: tuple[str, ...]) -> str:
     return KEY_JOIN.join(left) + KEY_JOIN + KEY_JOIN.join(top)
+
+
+def _match_keys(gen_keys: list[tuple], gt_keys: list[tuple]) -> dict[int, int]:
+    """The generated index matched to each matched ground-truth index, in ground-truth order.
+
+    Exact keys first: each ground-truth cell, in document order, takes the
+    first unused generated cell with an equal key, and both drop out. The
+    remaining keys: one :func:`chrf_matrix` over their joined strings gives
+    every similarity, and the pairs at or above the floor are taken in
+    ``(-similarity, ground-truth index, generated index)`` order. When
+    either side has no key left, no pair can form and the matrix is not
+    computed.
+    """
+    unused: dict[tuple, deque[int]] = {}
+    for g_idx, key in enumerate(gen_keys):
+        unused.setdefault(key, deque()).append(g_idx)
+    gt_match: dict[int, int] = {}
+    for t_idx, key in enumerate(gt_keys):
+        same_key = unused.get(key)
+        if same_key:
+            gt_match[t_idx] = same_key.popleft()
+
+    matched_gen = set(gt_match.values())
+    rest_gt = [t_idx for t_idx in range(len(gt_keys)) if t_idx not in gt_match]
+    rest_gen = [g_idx for g_idx in range(len(gen_keys)) if g_idx not in matched_gen]
+    if rest_gt and rest_gen:
+        sims = chrf_matrix(
+            [_joined_key(*gen_keys[g_idx]) for g_idx in rest_gen],
+            [_joined_key(*gt_keys[t_idx]) for t_idx in rest_gt],
+        ) / 100.0
+        g_pos, t_pos = np.nonzero(sims >= KEY_MATCH_THRESHOLD)
+        candidates = sorted(
+            zip(
+                (-sims[g_pos, t_pos]).tolist(),
+                [rest_gt[i] for i in t_pos.tolist()],
+                [rest_gen[i] for i in g_pos.tolist()],
+            )
+        )
+        for _, t_idx, g_idx in candidates:
+            if t_idx in gt_match or g_idx in matched_gen:
+                continue
+            gt_match[t_idx] = g_idx
+            matched_gen.add(g_idx)
+    return dict(sorted(gt_match.items()))
+
+
+def _content_reports(pairs: Sequence[TablePair]) -> list[ContentReport]:
+    """:func:`content_similarity` of every (generated, ground truth) pair.
+
+    Keys are matched pair by pair (:func:`_match_keys`). One :func:`chrf`
+    call then scores every matched value of the corpus: pair after pair,
+    and within a pair in ground-truth order.
+    """
+    matched = []
+    candidates, references = [], []
+    for generated, groundtruth in pairs:
+        gen, gt = flatten_to_kv(generated), flatten_to_kv(groundtruth)
+        gen_keys = [(g.left_key, g.top_key) for g in gen]
+        gt_keys = [(t.left_key, t.top_key) for t in gt]
+        gt_match = _match_keys(gen_keys, gt_keys)
+        candidates += [gen[g_idx].value for g_idx in gt_match.values()]
+        references += [gt[t_idx].value for t_idx in gt_match]
+        matched.append((gen_keys, gt_keys, gt_match))
+    scores = iter((chrf(candidates, references) / 100.0).tolist())
+    reports = []
+    for gen_keys, gt_keys, gt_match in matched:
+        score_of = {t_idx: next(scores) for t_idx in gt_match}
+        pair_scores = tuple(
+            PairScore(
+                key,
+                gen_keys[gt_match[t_idx]] if t_idx in gt_match else None,
+                score_of.get(t_idx, 0.0),
+            )
+            for t_idx, key in enumerate(gt_keys)
+        )
+        total = 0.0
+        for score in score_of.values():  # in ground-truth order, one addition at a time
+            total += score
+        reports.append(ContentReport(pair_scores, *_prf(total, len(gen_keys), len(gt_keys))))
+    return reports
+
+
+def _header_scores(tree_pairs: Sequence[tuple[CoordTree, CoordTree]]) -> list[HeaderScore]:
+    """:func:`header_similarity` of every (generated, ground truth) header tree pair.
+
+    One :func:`chrf` call scores every aligned leaf path of every pair; each
+    pair's scores are summed on their own, in leaf order.
+    """
+    paths = [
+        (
+            [KEY_JOIN.join(p) for _, p in gen_tree.leaves],
+            [KEY_JOIN.join(p) for _, p in gt_tree.leaves],
+        )
+        for gen_tree, gt_tree in tree_pairs
+    ]
+    aligned = [min(len(gen_paths), len(gt_paths)) for gen_paths, gt_paths in paths]
+    values = chrf(
+        [path for (gen_paths, _), n in zip(paths, aligned) for path in gen_paths[:n]],
+        [path for (_, gt_paths), n in zip(paths, aligned) for path in gt_paths[:n]],
+    ) / 100.0
+    scores = iter(values.tolist())
+    return [
+        HeaderScore(*_prf(sum(islice(scores, n)), len(gen_paths), len(gt_paths)))
+        for (gen_paths, gt_paths), n in zip(paths, aligned)
+    ]
 
 
 def content_similarity(
@@ -177,70 +313,14 @@ def content_similarity(
     once. The matched pair's score is chrF over the two cell texts,
     rescaled to [0, 1]; precision divides the score sum by the generated pair
     count, recall by the ground-truth pair count. One :func:`chrf` call
-    scores every matched pair, in ground-truth order.
+    scores every matched pair, in ground-truth order, and the scores are
+    added in that order, one at a time.
 
-    The greedy order is computed in two phases. Exact keys: each
-    ground-truth cell, in document order, takes the first unused generated
-    cell with an equal key, and both drop out. The remaining keys: one
-    :func:`chrf_matrix` over their joined strings gives every similarity,
-    and the pairs at or above the floor are taken in ``(-similarity,
-    ground-truth index, generated index)`` order. The report equals the
-    one of scoring every key pair on its own and sorting them all, floats
-    included, bit for bit.
+    The greedy order is computed in two phases (see :func:`_match_keys`).
+    The report equals the one of scoring every key pair on its own and
+    sorting them all, floats included, bit for bit.
     """
-    gen = flatten_to_kv(generated)
-    gt = flatten_to_kv(groundtruth)
-    gen_keys = [(g.left_key, g.top_key) for g in gen]
-    gt_keys = [(t.left_key, t.top_key) for t in gt]
-
-    unused: dict[tuple, deque[int]] = {}
-    for g_idx, key in enumerate(gen_keys):
-        unused.setdefault(key, deque()).append(g_idx)
-    gt_match: dict[int, int] = {}
-    for t_idx, key in enumerate(gt_keys):
-        same_key = unused.get(key)
-        if same_key:
-            gt_match[t_idx] = same_key.popleft()
-
-    matched_gen = set(gt_match.values())
-    rest_gt = [t_idx for t_idx in range(len(gt)) if t_idx not in gt_match]
-    rest_gen = [g_idx for g_idx in range(len(gen)) if g_idx not in matched_gen]
-    sims = chrf_matrix(
-        [_joined_key(*gen_keys[g_idx]) for g_idx in rest_gen],
-        [_joined_key(*gt_keys[t_idx]) for t_idx in rest_gt],
-    ) / 100.0
-    g_pos, t_pos = np.nonzero(sims >= KEY_MATCH_THRESHOLD)
-    candidates = sorted(
-        zip(
-            (-sims[g_pos, t_pos]).tolist(),
-            [rest_gt[i] for i in t_pos.tolist()],
-            [rest_gen[i] for i in g_pos.tolist()],
-        )
-    )
-    for _, t_idx, g_idx in candidates:
-        if t_idx in gt_match or g_idx in matched_gen:
-            continue
-        gt_match[t_idx] = g_idx
-        matched_gen.add(g_idx)
-
-    matched_gt = sorted(gt_match)
-    values = chrf([gen[gt_match[i]].value for i in matched_gt], [gt[i].value for i in matched_gt])
-    score_of = dict(zip(matched_gt, (values / 100.0).tolist()))
-    pairs = tuple(
-        PairScore(key, gen_keys[gt_match[t_idx]] if t_idx in gt_match else None, score_of.get(t_idx, 0.0))
-        for t_idx, key in enumerate(gt_keys)
-    )
-    total = 0.0
-    for score in score_of.values():  # in ground-truth order, one addition at a time
-        total += score
-    return ContentReport(pairs, *_prf(total, len(gen), len(gt)))
-
-
-@dataclass(frozen=True)
-class HeaderScore:
-    precision: float
-    recall: float
-    f1: float
+    return _content_reports([(generated, groundtruth)])[0]
 
 
 def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
@@ -252,13 +332,11 @@ def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
     interpretation choice: no canonical definition of header-only content
     scoring exists.
     """
-    gen_tree = generated.left if side == "left" else generated.top
-    gt_tree = groundtruth.left if side == "left" else groundtruth.top
-    gen_paths = [KEY_JOIN.join(p) for _, p in gen_tree.leaves]
-    gt_paths = [KEY_JOIN.join(p) for _, p in gt_tree.leaves]
-    aligned = min(len(gen_paths), len(gt_paths))
-    total = sum((chrf(gen_paths[:aligned], gt_paths[:aligned]) / 100.0).tolist())
-    return HeaderScore(*_prf(total, len(gen_paths), len(gt_paths)))
+    if side == "left":
+        trees = (generated.left, groundtruth.left)
+    else:
+        trees = (generated.top, groundtruth.top)
+    return _header_scores([trees])[0]
 
 
 def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
@@ -272,22 +350,29 @@ def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float
     return len(hits) / len(relevant_set)
 
 
-def table_scores(
-    generated: HierarchicalTable,
-    groundtruth: HierarchicalTable,
-) -> dict:
-    """All per-pair table metrics as a JSON-ready mapping."""
-    content = content_similarity(generated, groundtruth)
-    return {
-        "teds": teds(generated, groundtruth),
-        "content_precision": content.precision,
-        "content_recall": content.recall,
-        "content_f1": content.f1,
-        "header_f1": {
-            "left": header_similarity(generated, groundtruth, "left").f1,
-            "top": header_similarity(generated, groundtruth, "top").f1,
-        },
-    }
+def table_scores(pairs: Sequence[TablePair]) -> list[dict]:
+    """Every table metric of each (generated, ground truth) pair, as JSON-ready mappings.
+
+    One mapping per pair, in order, equal to scoring the pair on its own:
+    TEDS, the :func:`content_similarity` precision, recall and F1, and the
+    :func:`header_similarity` F1 of each side. The corpus costs two
+    :func:`chrf` calls, one for the matched values and one for the header
+    paths, plus a :func:`chrf_matrix` per pair with unmatched keys on both
+    sides.
+    """
+    content = _content_reports(pairs)
+    sides = [trees for gen, gt in pairs for trees in ((gen.left, gt.left), (gen.top, gt.top))]
+    headers = iter(_header_scores(sides))
+    return [
+        {
+            "teds": teds(generated, groundtruth),
+            "content_precision": report.precision,
+            "content_recall": report.recall,
+            "content_f1": report.f1,
+            "header_f1": {"left": next(headers).f1, "top": next(headers).f1},
+        }
+        for (generated, groundtruth), report in zip(pairs, content)
+    ]
 
 
 def aggregate_scores(items: list[dict]) -> dict:

@@ -5,7 +5,9 @@ computed by exhaustive enumeration of valid edit mappings (not a dynamic
 program), chrF by a separate dict-based reimplementation, retrieval
 rankings by a pure-Python cosine scan, and key-value content similarity by
 the reference chrF over every generated x ground-truth key pair. The slow forms of
-optimized paths are kept here too: the full-sort retrieval ranking, the
+optimized paths are kept here too: table scoring pair by pair, in four chrF
+kernel calls per pair, the shared n-gram mask by ``np.intersect1d``, the
+full-sort retrieval ranking, the
 hash-per-gram embedder loop (as dense rows, and as ``Counter`` cosines),
 the per-table sentence re-scan of annotation matching (with its own copy
 of the number-token pattern, tried at every character of every sentence),
@@ -21,17 +23,21 @@ import html
 import json
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
 from doc2table.annotate import CellMatch
 from doc2table.data import DEFAULT_ABBREVIATIONS
 from doc2table.metrics import (
+    KEY_JOIN,
     KEY_MATCH_THRESHOLD,
     ContentReport,
     PairScore,
     _joined_key,
+    _prf,
+    chrf,
+    chrf_matrix,
 )
 from doc2table.model import (
     CoordTree,
@@ -41,6 +47,7 @@ from doc2table.model import (
     normalize_text,
 )
 from doc2table.providers import EMBED_DIM
+from doc2table.treedist import teds
 
 
 def _postorder(root: HeaderNode) -> tuple[list[str], list[int]]:
@@ -421,6 +428,80 @@ def reference_content_similarity(
     recall = total / len(gt) if gt else 0.0
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
     return ContentReport(tuple(pairs), precision, recall, f1)
+
+
+def reference_table_scores(generated: HierarchicalTable, groundtruth: HierarchicalTable) -> dict:
+    """The metrics of one pair in four chrF kernel calls of its own: a
+    :func:`chrf_matrix` over the unmatched keys (even when a side has none),
+    a :func:`chrf` over the matched values and one over each header side's
+    aligned leaf paths. The batched ``table_scores`` must equal it float for
+    float."""
+    gen = flatten_to_kv(generated)
+    gt = flatten_to_kv(groundtruth)
+    gen_keys = [(g.left_key, g.top_key) for g in gen]
+    gt_keys = [(t.left_key, t.top_key) for t in gt]
+
+    unused: dict[tuple, deque[int]] = {}
+    for g_idx, key in enumerate(gen_keys):
+        unused.setdefault(key, deque()).append(g_idx)
+    gt_match: dict[int, int] = {}
+    for t_idx, key in enumerate(gt_keys):
+        same_key = unused.get(key)
+        if same_key:
+            gt_match[t_idx] = same_key.popleft()
+
+    matched_gen = set(gt_match.values())
+    rest_gt = [t_idx for t_idx in range(len(gt)) if t_idx not in gt_match]
+    rest_gen = [g_idx for g_idx in range(len(gen)) if g_idx not in matched_gen]
+    sims = chrf_matrix(
+        [_joined_key(*gen_keys[g_idx]) for g_idx in rest_gen],
+        [_joined_key(*gt_keys[t_idx]) for t_idx in rest_gt],
+    ) / 100.0
+    g_pos, t_pos = np.nonzero(sims >= KEY_MATCH_THRESHOLD)
+    candidates = sorted(
+        zip(
+            (-sims[g_pos, t_pos]).tolist(),
+            [rest_gt[i] for i in t_pos.tolist()],
+            [rest_gen[i] for i in g_pos.tolist()],
+        )
+    )
+    for _, t_idx, g_idx in candidates:
+        if t_idx in gt_match or g_idx in matched_gen:
+            continue
+        gt_match[t_idx] = g_idx
+        matched_gen.add(g_idx)
+
+    matched_gt = sorted(gt_match)
+    values = chrf([gen[gt_match[i]].value for i in matched_gt], [gt[i].value for i in matched_gt])
+    total = 0.0
+    for score in (values / 100.0).tolist():
+        total += score
+    content_precision, content_recall, content_f1 = _prf(total, len(gen), len(gt))
+
+    def header_f1(gen_tree: CoordTree, gt_tree: CoordTree) -> float:
+        gen_paths = [KEY_JOIN.join(p) for _, p in gen_tree.leaves]
+        gt_paths = [KEY_JOIN.join(p) for _, p in gt_tree.leaves]
+        aligned = min(len(gen_paths), len(gt_paths))
+        total = sum((chrf(gen_paths[:aligned], gt_paths[:aligned]) / 100.0).tolist())
+        return _prf(total, len(gen_paths), len(gt_paths))[2]
+
+    return {
+        "teds": teds(generated, groundtruth),
+        "content_precision": content_precision,
+        "content_recall": content_recall,
+        "content_f1": content_f1,
+        "header_f1": {
+            "left": header_f1(generated.left, groundtruth.left),
+            "top": header_f1(generated.top, groundtruth.top),
+        },
+    }
+
+
+def reference_shared_grams(grams: np.ndarray, is_cand: np.ndarray) -> np.ndarray:
+    """Mask over n-gram ids 0..max: True for the ids both sides hold, by ``np.intersect1d``."""
+    shared = np.zeros(int(grams.max(initial=0)) + 1, dtype=bool)
+    shared[np.intersect1d(grams[is_cand], grams[~is_cand])] = True
+    return shared
 
 
 def reference_stub_header(grid, h: int, w: int) -> str:

@@ -262,6 +262,22 @@ class TestMalformedInputs:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["retrieve", "pipeline"])
+    def test_bad_triple_is_reported_before_a_bad_provider_spec(self, tmp_path, capsys, command):
+        # the providers (and their transcripts) are built only after the triples pass
+        triples = tmp_path / "triples.jsonl"
+        rows = [json.loads(line) for line in (PIPELINE / "questions.jsonl").read_text().splitlines()]
+        write_jsonl(triples, [rows[0], {**rows[1], "doc_id": "nope"}])
+        no_transcript = {"mode": "replay"}
+        config = write_pipeline_config(
+            tmp_path, questions=str(triples), chat=no_transcript, rewriter=no_transcript
+        )
+        assert run([command, "--config", config, "--out", tmp_path / "o"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(triples), 2, "doc_id")
+        assert "nope" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["retrieve", "pipeline"])
     def test_relevant_id_beyond_its_document_names_triples_line(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -813,9 +829,7 @@ class TestRetrieveCommand:
         triples = [t for t in read_triples(PIPELINE / "questions.jsonl") if t.triple_id == "gamma"]
         embedder = CountingEmbedder()
         built = BuiltProviders(None, Rewriter(ScriptedProvider(rewrite)), embedder, [])
-        retrieve_stage(
-            triples, PIPELINE / "questions.jsonl", documents, built, RunConfig(k=10), tmp_path
-        )
+        retrieve_stage(triples, documents, built, RunConfig(k=10), tmp_path)
         gamma = documents[triples[0].doc_id]
         assert len(gamma) == 6 and len(documents) == 2
         assert rewrites == ["sentence"] * 6 + ["question"]
@@ -838,7 +852,7 @@ class TestRetrieveCommand:
         rewriter = Rewriter(ScriptedProvider(lambda request: {"outputs": [request["text"]]}))
         built = BuiltProviders(None, rewriter, embedder, [])
         records, _ = retrieve_stage(
-            [acme, gamma, again], PIPELINE / "questions.jsonl", documents, built, RunConfig(k=10), tmp_path
+            [acme, gamma, again], documents, built, RunConfig(k=10), tmp_path
         )
         assert embedder.batches == [
             documents[acme.doc_id],

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from doc2table.metrics import (
     KEY_JOIN,
     HeaderScore,
+    _shared_grams,
     aggregate_scores,
     chrf,
     chrf_matrix,
@@ -25,7 +28,12 @@ from doc2table.model import (
 )
 
 from conftest import make_flat_table
-from oracles import reference_chrf, reference_content_similarity
+from oracles import (
+    reference_chrf,
+    reference_content_similarity,
+    reference_shared_grams,
+    reference_table_scores,
+)
 from strategies import cells, coord_trees, labels, tables
 
 TEXTS = st.text(
@@ -219,10 +227,12 @@ def transpose(table: HierarchicalTable) -> HierarchicalTable:
 
 
 @st.composite
-def perturbed(draw, table: HierarchicalTable) -> HierarchicalTable:
+def perturbed(
+    draw, table: HierarchicalTable, kinds=("rename", "transpose", "duplicate", "crop", "values")
+) -> HierarchicalTable:
     """A copy of ``table`` with renamed labels, swapped header sides,
-    duplicated keys, fewer rows or blanked values."""
-    kind = draw(st.sampled_from(["rename", "transpose", "duplicate", "crop", "values"]))
+    duplicated keys, fewer rows or blanked values (one of ``kinds``)."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "rename":
         def walk(node: HeaderNode) -> HeaderNode:
             label = draw(st.sampled_from(LABEL_EDITS))(node.label)
@@ -252,7 +262,7 @@ def perturbed(draw, table: HierarchicalTable) -> HierarchicalTable:
         return HierarchicalTable(
             table.stub_header, left, table.top, table.body[leaf_total(first) :]
         )
-    blank = st.sampled_from(["", " ", "\t\n"]) | cells
+    blank = st.sampled_from(["", " ", "\t\n", "\u3000", "é", "漢字 2023", "naïve"]) | cells
     body = tuple(tuple(draw(blank) if draw(st.booleans()) else c for c in row) for row in table.body)
     return HierarchicalTable(table.stub_header, table.left, table.top, body)
 
@@ -380,6 +390,81 @@ class TestContentSimilarityMatchesReference:
         )
 
 
+def renamed_rows(table: HierarchicalTable) -> HierarchicalTable:
+    """``table`` with every row label suffixed by a character no drawn label holds,
+    so no key equals one of ``table``'s."""
+    def walk(node: HeaderNode) -> HeaderNode:
+        return HeaderNode(node.label + " ±", tuple(walk(c) for c in node.children))
+
+    left = CoordTree(tuple(walk(root) for root in table.left.roots))
+    return HierarchicalTable(table.stub_header, left, table.top, table.body)
+
+
+@st.composite
+def mixed_corpora(draw) -> list[tuple[HierarchicalTable, HierarchicalTable]]:
+    """A shuffled corpus holding one pair of each kind below, plus random pairs."""
+    truth = draw(tables(max_dim=5))
+    kinds = [
+        # every key matches exactly: the unmatched-key lists are both empty
+        (truth, truth),
+        # fewer rows: every generated key matches, so one side of chrf_matrix is empty
+        (draw(perturbed(truth, kinds=("crop",))), truth),
+        # no key matches exactly
+        (renamed_rows(truth), truth),
+        # duplicate keys, so the row leaf counts differ
+        (draw(perturbed(truth, kinds=("duplicate",))), truth),
+        # whitespace-only and non-ASCII values under equal keys
+        (draw(perturbed(truth, kinds=("values",))), truth),
+        # header sides swapped: unequal leaf counts on both sides unless square
+        (transpose(truth), truth),
+    ]
+    extra = draw(
+        st.lists(st.tuples(tables(max_dim=4), tables(max_dim=4)) | perturbed_pairs(), max_size=3)
+    )
+    return draw(st.permutations(kinds + extra))
+
+
+class TestTableScores:
+    @given(corpus=mixed_corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_corpus_equals_pair_by_pair_reference(self, corpus):
+        scores = table_scores(corpus)
+        expected = [reference_table_scores(generated, truth) for generated, truth in corpus]
+        assert scores == expected
+        # and by their text, as evaluation.jsonl writes them, which tells -0.0 from 0.0
+        assert json.dumps(scores) == json.dumps(expected)
+
+    def test_corpus_costs_two_chrf_calls_and_a_matrix_only_where_keys_remain(self, monkeypatch):
+        calls = []
+
+        def counting(kernel):
+            def call(candidates, references):
+                calls.append(kernel.__name__)
+                return kernel(candidates, references)
+
+            return call
+
+        monkeypatch.setattr("doc2table.metrics.chrf", counting(chrf))
+        monkeypatch.setattr("doc2table.metrics.chrf_matrix", counting(chrf_matrix))
+        truth = make_flat_table(3, 2)
+        corpus = [(truth, truth), (make_flat_table(2, 2), truth), (renamed_rows(truth), truth)]
+        assert len(table_scores(corpus)) == 3
+        assert sorted(calls) == ["chrf", "chrf", "chrf_matrix"]
+
+
+class TestSharedGrams:
+    @given(
+        grams=st.lists(st.integers(0, 40), max_size=60),
+        sides=st.lists(st.booleans(), min_size=60, max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_intersect1d(self, grams, sides):
+        grams = np.array(grams, dtype=np.int64)
+        is_cand = np.array(sides[: len(grams)], dtype=bool)
+        expected = reference_shared_grams(grams, is_cand)
+        assert _shared_grams(grams, is_cand).tolist() == expected.tolist()
+
+
 STRINGS = st.text(alphabet="ab /\t\n.é漢", max_size=8) | TEXTS
 
 
@@ -469,7 +554,7 @@ class TestRecallAtK:
 
 class TestReports:
     def test_table_scores_fields(self, example_table):
-        scores = table_scores(example_table, example_table)
+        (scores,) = table_scores([(example_table, example_table)])
         assert scores["teds"] == 1.0
         assert scores["content_f1"] == 1.0
         assert scores["header_f1"] == {"left": 1.0, "top": 1.0}
