@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -364,10 +365,19 @@ def cmd_generate(args) -> int:
     return 0 if not errors else 1
 
 
+# Characters of an id that the summary shows as their backslash escapes: a
+# line break, tab or other control character would split its row, and a lone
+# surrogate has no UTF-8 encoding.
+_ESCAPED_IN_SUMMARY = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
+
+
+def _summary_id(text: str) -> str:
+    return _ESCAPED_IN_SUMMARY.sub(lambda m: m.group().encode("unicode_escape").decode("ascii"), text)
+
+
 def _summary_table(items: list[dict], aggregate: dict) -> str:
     columns = [
-        # an id strict UTF-8 cannot encode (a lone surrogate) shows as its escape
-        ("id", lambda row: row["id"].encode("utf-8", "backslashreplace").decode("utf-8")),
+        ("id", lambda row: _summary_id(row["id"])),
         ("TEDS", lambda row: f"{row['teds']:.4f}"),
         ("Body-P", lambda row: f"{row['content_precision']:.4f}"),
         ("Body-R", lambda row: f"{row['content_recall']:.4f}"),

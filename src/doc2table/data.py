@@ -26,13 +26,14 @@ Formats, each with the key that no two of its lines may share:
 Every file is read by :func:`read_jsonl`, one line at a time. Lines end at
 "\\n" only, the JSON Lines separator: a raw U+2028, U+2029 or U+0085 stays
 inside its string, and the "\\r" of a CRLF line is stripped. Malformed
-lines, and a line that repeats an earlier line's unique key, raise
-:class:`InputFormatError` naming the file, line and field; a repeated
-review pair names its ``match_id``. Types are exact and nothing is
-converted: ``true`` is not an int, nor ``1.0``. Every format but review is
-read through ``_read_keyed``, which checks a line's key, then its other
-fields, then whether an earlier line used the key. All writes go through a
-temp file and rename so partial output is never observed.
+lines (invalid UTF-8 or JSON, or a bad field), and a line that repeats
+an earlier line's unique key, raise :class:`InputFormatError` naming the
+file, line and field; a repeated review pair names its ``match_id``.
+Types are exact and nothing is converted: ``true`` is not an int, nor
+``1.0``. Every format but review is read through ``_read_keyed``, which
+checks a line's key, then its other fields, then whether an earlier line
+used the key. All writes go through a temp file and rename so partial
+output is never observed.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .html_io import parse_html_table
@@ -186,18 +188,33 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(1-based line number, JSON object) for each non-blank line, read one at a time."""
-    with open(path, encoding="utf-8", newline="\n") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-                raise InputFormatError(path, number, "<json>", f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise InputFormatError(path, number, "<json>", "expected a JSON object")
-            yield number, obj
+    number = 0
+    try:
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            for number, line in enumerate(handle, start=1):
+                if line := line.strip():
+                    yield number, _json_object(line, path, number)
+    except UnicodeDecodeError:
+        # text mode decodes a chunk ahead of the lines it returns, so the bad
+        # line is found in binary, going on from the first line not yet read
+        with open(path, "rb") as handle:
+            for number, raw in enumerate(islice(handle, number, None), start=number + 1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise InputFormatError(path, number, "<json>", f"invalid UTF-8: {exc}") from None
+                if line:
+                    yield number, _json_object(line, path, number)
+
+
+def _json_object(line: str, path, number: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise InputFormatError(path, number, "<json>", f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputFormatError(path, number, "<json>", "expected a JSON object")
+    return obj
 
 
 def _require(obj: dict, field: str, kind, path, line: int):

@@ -84,6 +84,9 @@ class _TableHtmlParser(HTMLParser):
             return
         if tag == "thead":
             self._in_thead = True
+        elif tag in ("tbody", "tfoot"):
+            # a thead may omit its end tag when a tbody or tfoot follows it
+            self._end_thead()
         elif tag == "tr":
             self._close_row()
             self._row = []
@@ -110,7 +113,7 @@ class _TableHtmlParser(HTMLParser):
             self._close_row()
             self._in_table = False
         elif tag == "thead":
-            self._in_thead = False
+            self._end_thead()
         elif tag == "tr":
             self._close_row()
         elif tag in ("td", "th"):
@@ -125,6 +128,11 @@ class _TableHtmlParser(HTMLParser):
             self._cell.text = "".join(self._chunks)
             self._row.append(self._cell)
         self._cell = None
+
+    def _end_thead(self) -> None:
+        if self._in_thead:  # a row left open belongs to the thead
+            self._close_row()
+        self._in_thead = False
 
     def _close_row(self) -> None:
         self._close_cell()

@@ -10,20 +10,18 @@ pairs (cell values, header paths) through a sparse join, and
 :func:`chrf_matrix` scores every pair (keys) through one matrix product
 per n-gram order.
 
-:func:`table_scores` scores a whole corpus of (generated, ground truth)
-pairs at once. Keys are matched pair by pair, and :func:`chrf_matrix` runs
-only for a pair whose unmatched keys are left on both sides. Then one
-:func:`chrf` call scores every matched value of the corpus and one more
-every aligned header path, left and top. A chrF score does not depend on
-what else is in its batch, and each pair's scores are summed in the order
-that scoring the pair alone uses, so every float equals the per-pair one
-bit for bit. :func:`content_similarity` and :func:`header_similarity` are
-the same code run on one pair.
+:func:`table_scores` is the one scorer: it takes a corpus of (generated,
+ground truth) pairs and returns every table metric of each pair. Keys are
+matched pair by pair, and :func:`chrf_matrix` runs only for a pair whose
+unmatched keys are left on both sides. Then one :func:`chrf` call scores
+every matched value of the corpus and one more every aligned header path,
+left and top. A chrF score does not depend on what else is in its batch,
+and each pair's scores are summed on their own, in a fixed order, so a
+pair's floats do not depend on the corpus around it.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -158,31 +156,6 @@ def _shared_grams(grams, is_cand):
     return in_cand & (np.bincount(grams[~is_cand], minlength=size) > 0)
 
 
-@dataclass(frozen=True)
-class PairScore:
-    """Per ground-truth cell: its key, the matched generated key (if any),
-    and the value score of the match."""
-
-    gt_key: tuple[tuple[str, ...], tuple[str, ...]]
-    gen_key: tuple[tuple[str, ...], tuple[str, ...]] | None
-    score: float
-
-
-@dataclass(frozen=True)
-class ContentReport:
-    pairs: tuple[PairScore, ...]
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class HeaderScore:
-    precision: float
-    recall: float
-    f1: float
-
-
 def _prf(total: float, n_generated: int, n_groundtruth: int) -> tuple[float, float, float]:
     """Precision, recall and F1 of a score ``total`` over the generated and ground-truth counts."""
     precision = total / n_generated
@@ -197,6 +170,13 @@ def _joined_key(left: tuple[str, ...], top: tuple[str, ...]) -> str:
 
 def _match_keys(gen_keys: list[tuple], gt_keys: list[tuple]) -> dict[int, int]:
     """The generated index matched to each matched ground-truth index, in ground-truth order.
+
+    Pairs are matched greedily by descending key similarity: exact key
+    equality first, then chrF over the joined key strings with a floor of
+    ``KEY_MATCH_THRESHOLD``; ties break by document order (ground truth
+    first), and each side is matched at most once. The greedy order is
+    computed in two phases, with the same result as scoring every key pair
+    on its own and sorting them all.
 
     Exact keys first: each ground-truth cell, in document order, takes the
     first unused generated cell with an equal key, and both drop out. The
@@ -239,46 +219,45 @@ def _match_keys(gen_keys: list[tuple], gt_keys: list[tuple]) -> dict[int, int]:
     return dict(sorted(gt_match.items()))
 
 
-def _content_reports(pairs: Sequence[TablePair]) -> list[ContentReport]:
-    """:func:`content_similarity` of every (generated, ground truth) pair.
+def _content_scores(pairs: Sequence[TablePair]) -> list[tuple[float, float, float]]:
+    """Key-value content precision, recall and F1 of every (generated, ground truth) pair.
 
-    Keys are matched pair by pair (:func:`_match_keys`). One :func:`chrf`
-    call then scores every matched value of the corpus: pair after pair,
-    and within a pair in ground-truth order.
+    Both tables are flattened to key-value triples and their keys matched
+    (:func:`_match_keys`). A matched pair's score is chrF over the two cell
+    texts, rescaled to [0, 1]; precision divides the score sum by the
+    generated pair count, recall by the ground-truth pair count. One
+    :func:`chrf` call scores every matched value of the corpus: pair after
+    pair, and within a pair in ground-truth order. Each pair's scores are
+    added in that order, one at a time.
     """
-    matched = []
+    sizes = []
     candidates, references = [], []
     for generated, groundtruth in pairs:
         gen, gt = flatten_to_kv(generated), flatten_to_kv(groundtruth)
-        gen_keys = [(g.left_key, g.top_key) for g in gen]
-        gt_keys = [(t.left_key, t.top_key) for t in gt]
-        gt_match = _match_keys(gen_keys, gt_keys)
+        gt_match = _match_keys(
+            [(g.left_key, g.top_key) for g in gen], [(t.left_key, t.top_key) for t in gt]
+        )
         candidates += [gen[g_idx].value for g_idx in gt_match.values()]
         references += [gt[t_idx].value for t_idx in gt_match]
-        matched.append((gen_keys, gt_keys, gt_match))
+        sizes.append((len(gt_match), len(gen), len(gt)))
     scores = iter((chrf(candidates, references) / 100.0).tolist())
-    reports = []
-    for gen_keys, gt_keys, gt_match in matched:
-        score_of = {t_idx: next(scores) for t_idx in gt_match}
-        pair_scores = tuple(
-            PairScore(
-                key,
-                gen_keys[gt_match[t_idx]] if t_idx in gt_match else None,
-                score_of.get(t_idx, 0.0),
-            )
-            for t_idx, key in enumerate(gt_keys)
-        )
+    prfs = []
+    for n_matched, n_generated, n_groundtruth in sizes:
         total = 0.0
-        for score in score_of.values():  # in ground-truth order, one addition at a time
+        for score in islice(scores, n_matched):  # in ground-truth order, one addition at a time
             total += score
-        reports.append(ContentReport(pair_scores, *_prf(total, len(gen_keys), len(gt_keys))))
-    return reports
+        prfs.append(_prf(total, n_generated, n_groundtruth))
+    return prfs
 
 
-def _header_scores(tree_pairs: Sequence[tuple[CoordTree, CoordTree]]) -> list[HeaderScore]:
-    """:func:`header_similarity` of every (generated, ground truth) header tree pair.
+def _header_scores(tree_pairs: Sequence[tuple[CoordTree, CoordTree]]) -> list[float]:
+    """Header F1 of every (generated, ground truth) header tree pair.
 
-    One :func:`chrf` call scores every aligned leaf path of every pair; each
+    Leaf key paths are aligned by position and scored with chrF over the
+    joined paths; precision divides the score sum by the generated leaf
+    count, recall by the ground-truth leaf count. This is an interpretation
+    choice: no canonical definition of header-only content scoring exists.
+    One :func:`chrf` call scores every aligned path of every pair; each
     pair's scores are summed on their own, in leaf order.
     """
     paths = [
@@ -295,48 +274,9 @@ def _header_scores(tree_pairs: Sequence[tuple[CoordTree, CoordTree]]) -> list[He
     ) / 100.0
     scores = iter(values.tolist())
     return [
-        HeaderScore(*_prf(sum(islice(scores, n)), len(gen_paths), len(gt_paths)))
+        _prf(sum(islice(scores, n)), len(gen_paths), len(gt_paths))[2]
         for (gen_paths, gt_paths), n in zip(paths, aligned)
     ]
-
-
-def content_similarity(
-    generated: HierarchicalTable,
-    groundtruth: HierarchicalTable,
-) -> ContentReport:
-    """Key-value content similarity between two tables.
-
-    Both tables are flattened to key-value triples. Pairs are matched
-    greedily by descending key similarity: exact key equality first, then
-    chrF over the joined key strings with a 0.5 floor; ties break by
-    document order (ground truth first). Each side is matched at most
-    once. The matched pair's score is chrF over the two cell texts,
-    rescaled to [0, 1]; precision divides the score sum by the generated pair
-    count, recall by the ground-truth pair count. One :func:`chrf` call
-    scores every matched pair, in ground-truth order, and the scores are
-    added in that order, one at a time.
-
-    The greedy order is computed in two phases (see :func:`_match_keys`).
-    The report equals the one of scoring every key pair on its own and
-    sorting them all, floats included, bit for bit.
-    """
-    return _content_reports([(generated, groundtruth)])[0]
-
-
-def header_similarity(generated, groundtruth, side: str) -> HeaderScore:
-    """Header content score for one side ("left" or "top").
-
-    Leaf key paths are aligned by position and scored with chrF over the
-    joined paths, all in one :func:`chrf` call; precision divides by the
-    generated leaf count, recall by the ground-truth leaf count. This is an
-    interpretation choice: no canonical definition of header-only content
-    scoring exists.
-    """
-    if side == "left":
-        trees = (generated.left, groundtruth.left)
-    else:
-        trees = (generated.top, groundtruth.top)
-    return _header_scores([trees])[0]
 
 
 def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
@@ -353,25 +293,26 @@ def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float
 def table_scores(pairs: Sequence[TablePair]) -> list[dict]:
     """Every table metric of each (generated, ground truth) pair, as JSON-ready mappings.
 
-    One mapping per pair, in order, equal to scoring the pair on its own:
-    TEDS, the :func:`content_similarity` precision, recall and F1, and the
-    :func:`header_similarity` F1 of each side. The corpus costs two
-    :func:`chrf` calls, one for the matched values and one for the header
-    paths, plus a :func:`chrf_matrix` per pair with unmatched keys on both
-    sides.
+    One mapping per pair, in order: TEDS, the key-value content precision,
+    recall and F1 (:func:`_content_scores`), and the header F1 of each side
+    (:func:`_header_scores`). The corpus costs two :func:`chrf` calls, one for
+    the matched values and one for the header paths, plus a
+    :func:`chrf_matrix` per pair with unmatched keys on both sides. A chrF
+    score does not depend on what else is in its batch, so a pair scores
+    the same in any corpus.
     """
-    content = _content_reports(pairs)
+    content = _content_scores(pairs)
     sides = [trees for gen, gt in pairs for trees in ((gen.left, gt.left), (gen.top, gt.top))]
     headers = iter(_header_scores(sides))
     return [
         {
             "teds": teds(generated, groundtruth),
-            "content_precision": report.precision,
-            "content_recall": report.recall,
-            "content_f1": report.f1,
-            "header_f1": {"left": next(headers).f1, "top": next(headers).f1},
+            "content_precision": precision,
+            "content_recall": recall,
+            "content_f1": f1,
+            "header_f1": {"left": next(headers), "top": next(headers)},
         }
-        for (generated, groundtruth), report in zip(pairs, content)
+        for (generated, groundtruth), (precision, recall, f1) in zip(pairs, content)
     ]
 
 

@@ -24,6 +24,7 @@ import json
 import math
 import re
 from collections import Counter, deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from doc2table.data import DEFAULT_ABBREVIATIONS
 from doc2table.metrics import (
     KEY_JOIN,
     KEY_MATCH_THRESHOLD,
-    ContentReport,
-    PairScore,
     _joined_key,
     _prf,
     chrf,
@@ -368,10 +367,20 @@ def brute_round_robin(ranked_lists: list[list[tuple[int, float]]], k: int) -> li
     return out[:k]
 
 
+class ReferenceContent(NamedTuple):
+    """The ground-truth index -> generated index map, in ground-truth order,
+    and the content precision, recall and F1 it gives."""
+
+    matches: dict[int, int]
+    precision: float
+    recall: float
+    f1: float
+
+
 def reference_content_similarity(
     generated: HierarchicalTable,
     groundtruth: HierarchicalTable,
-) -> ContentReport:
+) -> ReferenceContent:
     """Key-value content similarity between two tables.
 
     Both tables are flattened to key-value triples. Pairs are matched
@@ -399,35 +408,23 @@ def reference_content_similarity(
                 candidates.append((1, -sim, t_idx, g_idx))
     candidates.sort()
 
-    matched_gen: dict[int, float] = {}
+    matched_gen: set[int] = set()
     gt_match: dict[int, int] = {}
     for _, _, t_idx, g_idx in candidates:
         if t_idx in gt_match or g_idx in matched_gen:
             continue
         gt_match[t_idx] = g_idx
-        matched_gen[g_idx] = reference_chrf(gen[g_idx].value, gt[t_idx].value) / 100.0
+        matched_gen.add(g_idx)
 
-    pairs = []
+    matches = dict(sorted(gt_match.items()))
     total = 0.0
-    for t_idx, t in enumerate(gt):
-        g_idx = gt_match.get(t_idx)
-        if g_idx is None:
-            pairs.append(PairScore((t.left_key, t.top_key), None, 0.0))
-        else:
-            score = matched_gen[g_idx]
-            total += score
-            pairs.append(
-                PairScore(
-                    (t.left_key, t.top_key),
-                    (gen[g_idx].left_key, gen[g_idx].top_key),
-                    score,
-                )
-            )
+    for t_idx, g_idx in matches.items():
+        total += reference_chrf(gen[g_idx].value, gt[t_idx].value) / 100.0
 
     precision = total / len(gen) if gen else 0.0
     recall = total / len(gt) if gt else 0.0
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
-    return ContentReport(tuple(pairs), precision, recall, f1)
+    return ReferenceContent(matches, precision, recall, f1)
 
 
 def reference_table_scores(generated: HierarchicalTable, groundtruth: HierarchicalTable) -> dict:

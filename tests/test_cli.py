@@ -789,6 +789,16 @@ class TestStats:
         assert (error["file"], error["line"], error["field"]) == (str(questions), 1, "doc_id")
         assert "acme_beta_h1_2023" in error["message"]
 
+    def test_invalid_utf8_document_line_is_input_error(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        first, second = (PIPELINE / "docs.jsonl").read_bytes().splitlines(keepends=True)
+        docs.write_bytes(first + second.replace(b"revenue", b"r\xe9venue"))
+        questions = PIPELINE / "questions.jsonl"
+        assert run(["stats", "--triples", questions, "--docs", docs]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(docs), 2, "<json>")
+        assert error["message"].startswith("invalid UTF-8: ")
+
 
 class TestRetrieveCommand:
     def test_corpus_recall_matches_golden(self, tmp_path):
@@ -1010,10 +1020,10 @@ class TestPipelineCommand:
         for name in ("tables.jsonl", "evaluation.json", "recall.json"):
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
-    def test_question_id_with_a_lone_surrogate_is_summarized_by_its_escape(
-        self, tmp_path, capsys
-    ):
+    def test_unprintable_question_id_is_summarized_by_its_escape(self, tmp_path, capsys):
+        # a lone surrogate has no UTF-8 encoding; the other characters split a line
         rows = read_jsonl_rows(PIPELINE / "questions.jsonl")
+        rows[0]["id"] = "acme\nbeta\t\x85\u2028é"
         rows[1]["id"] = "gamma\ud800"
         questions = tmp_path / "questions.jsonl"
         questions.write_text("".join(json.dumps(row) + "\n" for row in rows))
@@ -1024,7 +1034,9 @@ class TestPipelineCommand:
         golden = PIPELINE / "golden"
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
         summary = (out / "summary.txt").read_text(encoding="utf-8")
-        assert "\ngamma\\ud800  1.0000  1.0000" in summary
+        assert "\nacme\\nbeta\\t\\x85\\u2028é  1.0000  1.0000" in summary
+        assert "\ngamma\\ud800              1.0000  1.0000" in summary
+        assert len(summary.splitlines()) == 6
         assert summary in capsys.readouterr().out
 
 

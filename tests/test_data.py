@@ -225,6 +225,25 @@ class TestLineReading:
         with pytest.raises(ValueError, match=f"^{re.escape(str(transcript))}, line 3: "):
             Transcript.load(transcript)
 
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        rows = [json.dumps({"doc_id": d, "sentences": [f"Revenue in {d}."]}).encode() for d in "abc"]
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b"\n".join([rows[0], rows[1].replace(b"Revenue", b"R\xe9venue"), rows[2], b""]))
+        with pytest.raises(InputFormatError) as excinfo:
+            read_documents(path)
+        assert (excinfo.value.line, excinfo.value.field) == (2, "<json>")
+        assert excinfo.value.reason.startswith("invalid UTF-8: ")
+        # a bad line before it is still the first error
+        path.write_bytes(b"\n".join([b"{not json", rows[1].replace(b"Revenue", b"R\xe9venue"), b""]))
+        with pytest.raises(InputFormatError, match="invalid JSON") as excinfo:
+            read_documents(path)
+        assert excinfo.value.line == 1
+
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_bytes(b'{"meta":{"provider":"p"}}\n{"fingerprint":"\xe9","response":{}}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(transcript))}, line 2: invalid UTF-8"):
+            Transcript.load(transcript)
+
 
 class TestTriples:
     def test_round_trip(self, tmp_path):

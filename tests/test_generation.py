@@ -25,7 +25,7 @@ from doc2table.generation import (
     trace_to_dict,
 )
 from doc2table.html_io import parse_html_table, serialize_html
-from doc2table.metrics import content_similarity
+from doc2table.metrics import table_scores
 from doc2table.model import CoordTree, HierarchicalTable
 from doc2table.providers import (
     ChatProvider,
@@ -274,7 +274,7 @@ class TestRunTabTalk:
         result = run_tabtalk(QUESTION, SENTENCES, chat)
         assert result.table == gt
         assert teds(result.table, gt) == 1.0
-        assert content_similarity(result.table, gt).f1 == 1.0
+        assert table_scores([(result.table, gt)])[0]["content_f1"] == 1.0
         assert result.structure_retries == 0 and result.fill_retries == 0
 
     def test_one_wrong_value_keeps_structure(self):
@@ -282,7 +282,7 @@ class TestRunTabTalk:
         chat = ChatProvider(ScriptedProvider(perfect_handler(gt, wrong_value="$99.9 billion")))
         result = run_tabtalk(QUESTION, SENTENCES, chat)
         assert teds(result.table, gt) == 1.0
-        assert content_similarity(result.table, gt).f1 < 1.0
+        assert table_scores([(result.table, gt)])[0]["content_f1"] < 1.0
 
     def test_malformed_structure_then_valid_retry(self):
         gt = make_gt()

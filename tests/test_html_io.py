@@ -136,6 +136,14 @@ class TestParseMinimal:
         html = "<table><th></th><th>c</th><tr><th>r</th><td>v</td></tr></table>"
         assert parse_html_table(html) == parse_html_table(MINIMAL)
 
+    @pytest.mark.parametrize("head_end", ["</tr><tbody>", "</tr><tfoot>", "<tbody>"])
+    def test_tbody_or_tfoot_ends_an_open_thead(self, head_end):
+        head = "<table><thead><tr><th>x</th><th>a</th><th>b</th>"
+        body = "<tr><th>r</th><td>1</td><td>2</td></tr></tbody></table>"
+        closed = parse_html_table(head + "</tr></thead><tbody>" + body)
+        assert closed.body == (("1", "2"),)
+        assert parse_html_table(head + head_end + body) == closed
+
     @pytest.mark.parametrize("span", ['rowspan="two"', 'rowspan=""', "rowspan", 'colspan="1.5"'])
     def test_span_that_is_not_an_integer_reads_as_one(self, span):
         html = MINIMAL.replace("<th>c</th>", f"<th {span}>c</th>")

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from doc2table.metrics import (
     KEY_JOIN,
-    HeaderScore,
+    _match_keys,
     _shared_grams,
     aggregate_scores,
     chrf,
     chrf_matrix,
-    content_similarity,
-    header_similarity,
     recall_at_k,
     table_scores,
 )
@@ -115,11 +113,26 @@ def table_with_values(rows, values, stub=""):
     return HierarchicalTable(stub, left, top, tuple(tuple(v) for v in values))
 
 
+def content(generated: HierarchicalTable, groundtruth: HierarchicalTable) -> tuple:
+    """The content precision, recall and F1 of one pair, scored as a one-pair corpus."""
+    scores = table_scores([(generated, groundtruth)])[0]
+    return scores["content_precision"], scores["content_recall"], scores["content_f1"]
+
+
+def table_keys(table: HierarchicalTable) -> list[tuple]:
+    return [(kv.left_key, kv.top_key) for kv in flatten_to_kv(table)]
+
+
+def key_matches(generated: HierarchicalTable, groundtruth: HierarchicalTable) -> dict[int, int]:
+    """The generated cell matched to each matched ground-truth cell, by index."""
+    return _match_keys(table_keys(generated), table_keys(groundtruth))
+
+
 class TestContentSimilarity:
     def test_identical_tables(self, example_table):
-        report = content_similarity(example_table, example_table)
-        assert report.precision == report.recall == report.f1 == 1.0
-        assert all(p.score == 1.0 for p in report.pairs)
+        assert content(example_table, example_table) == (1.0, 1.0, 1.0)
+        n_cells = len(flatten_to_kv(example_table))
+        assert key_matches(example_table, example_table) == {i: i for i in range(n_cells)}
 
     def test_missing_half_of_groundtruth(self):
         gt = table_with_values(2, [["1,234", "5,678"], ["9,012", "3,456"]])
@@ -129,9 +142,9 @@ class TestContentSimilarity:
             gt.top,
             (("1,234", "5,678"),),
         )
-        report = content_similarity(gen, gt)
-        assert report.precision == 1.0
-        assert report.recall == 0.5
+        precision, recall, _ = content(gen, gt)
+        assert precision == 1.0
+        assert recall == 0.5
 
     def test_hand_computed_3x2_fixture(self):
         # Ground truth 3x2; generated misses row r2 and gets one value wrong
@@ -140,20 +153,21 @@ class TestContentSimilarity:
         # precision = 3/4, recall = 3/6, f1 = 2*0.75*0.5/1.25 = 0.6
         gt = table_with_values(3, [["aaa", "bbb"], ["ccc", "ddd"], ["eee", "fff"]])
         gen = table_with_values(2, [["zzz", "bbb"], ["ccc", "ddd"]])
-        report = content_similarity(gen, gt)
-        assert report.precision == pytest.approx(0.75)
-        assert report.recall == pytest.approx(0.5)
-        assert report.f1 == pytest.approx(0.6)
-        unmatched = [p for p in report.pairs if p.gen_key is None]
-        assert [p.gt_key[0] for p in unmatched] == [("r2",), ("r2",)]
+        assert content(gen, gt) == pytest.approx((0.75, 0.5, 0.6))
+        matches = key_matches(gen, gt)
+        unmatched = [key for t_idx, key in enumerate(table_keys(gt)) if t_idx not in matches]
+        assert [left for left, _ in unmatched] == [("r2",), ("r2",)]
 
     def test_score_sum_invariant(self):
         gt = table_with_values(2, [["10", "20"], ["30", "40"]])
         gen = table_with_values(2, [["10", "99"], ["30", "40"]])
-        report = content_similarity(gen, gt)
-        total = sum(p.score for p in report.pairs)
-        assert report.precision * len(flatten_to_kv(gen)) == pytest.approx(total)
-        assert report.recall * len(flatten_to_kv(gt)) == pytest.approx(total)
+        gen_kv, gt_kv = flatten_to_kv(gen), flatten_to_kv(gt)
+        matches = key_matches(gen, gt)
+        scores = chrf([gen_kv[g].value for g in matches.values()], [gt_kv[t].value for t in matches])
+        total = sum(scores.tolist()) / 100.0
+        precision, recall, _ = content(gen, gt)
+        assert precision * len(gen_kv) == pytest.approx(total)
+        assert recall * len(gt_kv) == pytest.approx(total)
 
     def test_fuzzy_key_match_above_threshold(self):
         gt = HierarchicalTable(
@@ -168,9 +182,8 @@ class TestContentSimilarity:
             CoordTree.from_nested(["c0"]),
             (("42",),),
         )
-        report = content_similarity(gen, gt)
-        assert report.pairs[0].gen_key is not None
-        assert report.recall == 1.0
+        assert key_matches(gen, gt) == {0: 0}
+        assert content(gen, gt)[1] == 1.0
 
     def test_dissimilar_keys_do_not_match(self):
         gt = table_with_values(1, [["42"]])
@@ -180,9 +193,8 @@ class TestContentSimilarity:
             CoordTree.from_nested(["実績"]),
             (("42",),),
         )
-        report = content_similarity(gen, gt)
-        assert report.pairs[0].gen_key is None
-        assert report.recall == 0.0
+        assert key_matches(gen, gt) == {}
+        assert content(gen, gt)[1] == 0.0
 
     def test_key_similarity_at_the_floor_matches(self):
         # "a / /" against "/ / a": chrF is exactly 50, so the similarity is the 0.5 floor
@@ -192,18 +204,14 @@ class TestContentSimilarity:
         gen = HierarchicalTable(
             "", CoordTree.from_nested(["/"]), CoordTree.from_nested(["a"]), (("42",),)
         )
-        report = content_similarity(gen, gt)
-        assert report.pairs[0].gen_key == (("/",), ("a",))
-        assert report.recall == 1.0
+        assert key_matches(gen, gt) == {0: 0}
+        assert content(gen, gt)[1] == 1.0
 
     def test_adding_correct_pair_never_decreases_recall(self):
         gt = table_with_values(3, [["aaa", "bbb"], ["ccc", "ddd"], ["eee", "fff"]])
         gen_small = table_with_values(2, [["aaa", "bbb"], ["ccc", "ddd"]])
         gen_big = table_with_values(3, [["aaa", "bbb"], ["ccc", "ddd"], ["eee", "fff"]])
-        assert (
-            content_similarity(gen_big, gt).recall
-            >= content_similarity(gen_small, gt).recall
-        )
+        assert content(gen_big, gt)[1] >= content(gen_small, gt)[1]
 
 
 LABEL_EDITS = (
@@ -329,18 +337,22 @@ def sixty_cell_pair(kind: str) -> tuple[HierarchicalTable, HierarchicalTable]:
     return HierarchicalTable("Metric", truth.left, top, swapped), truth
 
 
+def assert_equals_reference(generated: HierarchicalTable, groundtruth: HierarchicalTable):
+    expected = reference_content_similarity(generated, groundtruth)
+    assert content(generated, groundtruth) == (expected.precision, expected.recall, expected.f1)
+    assert list(key_matches(generated, groundtruth).items()) == list(expected.matches.items())
+
+
 class TestContentSimilarityMatchesReference:
-    """The two-phase matcher equals the all-pairs greedy reference bit for bit
-    (dataclass equality compares every float exactly)."""
+    """The two-phase matcher equals the all-pairs greedy reference: the same
+    ground truth -> generated map, and the same floats bit for bit."""
 
     @pytest.mark.parametrize("kind", ["renamed", "reordered"])
     def test_sixty_cell_pair_with_no_equal_key(self, kind):
         generated, groundtruth = sixty_cell_pair(kind)
-        keys = [{(t.left_key, t.top_key) for t in flatten_to_kv(table)} for table in (generated, groundtruth)]
+        keys = [set(table_keys(table)) for table in (generated, groundtruth)]
         assert not keys[0] & keys[1]
-        assert content_similarity(generated, groundtruth) == reference_content_similarity(
-            generated, groundtruth
-        )
+        assert_equals_reference(generated, groundtruth)
 
     @given(
         pair=st.tuples(tables(max_dim=5), tables(max_dim=5))
@@ -349,10 +361,7 @@ class TestContentSimilarityMatchesReference:
     )
     @settings(max_examples=135, deadline=None)
     def test_random_perturbed_and_level_swapped_pairs(self, pair):
-        generated, groundtruth = pair
-        assert content_similarity(generated, groundtruth) == reference_content_similarity(
-            generated, groundtruth
-        )
+        assert_equals_reference(*pair)
 
     def test_chrf_runs_once_per_matched_pair(self, monkeypatch):
         # 10 x 6 = 60 cells, every row header renamed, so no key is exactly
@@ -373,20 +382,17 @@ class TestContentSimilarityMatchesReference:
             calls.append((list(candidates), list(references)))
             return chrf(candidates, references)
 
-        monkeypatch.setattr("doc2table.metrics.chrf", counting)
         generated, truth = grid(" (adjusted)"), grid("")
-        report = content_similarity(generated, truth)
-        matched = [p for p in report.pairs if p.gen_key is not None]
-        assert len(matched) == 60
-        assert len(calls) == 1
-        values = {
-            (kv.left_key, kv.top_key): kv.value
-            for table in (generated, truth)
-            for kv in flatten_to_kv(table)
-        }
+        matches = key_matches(generated, truth)
+        assert len(matches) == 60
+        monkeypatch.setattr("doc2table.metrics.chrf", counting)
+        table_scores([(generated, truth)])
+        # the matched values, then the header paths
+        assert len(calls) == 2
+        gen_values, gt_values = ([kv.value for kv in flatten_to_kv(t)] for t in (generated, truth))
         assert calls[0] == (
-            [values[p.gen_key] for p in matched],
-            [values[p.gt_key] for p in matched],
+            [gen_values[g_idx] for g_idx in matches.values()],
+            [gt_values[t_idx] for t_idx in matches],
         )
 
 
@@ -488,16 +494,19 @@ class TestChrfMatrix:
         assert matrix.tolist() == [[reference_chrf(c, r) for r in texts] for c in texts]
 
 
+def header_f1(generated: HierarchicalTable, groundtruth: HierarchicalTable) -> dict:
+    return table_scores([(generated, groundtruth)])[0]["header_f1"]
+
+
 class TestHeaderSimilarity:
     def test_identity(self, example_table):
-        for side in ("left", "top"):
-            assert header_similarity(example_table, example_table, side).f1 == 1.0
+        assert header_f1(example_table, example_table) == {"left": 1.0, "top": 1.0}
 
-    def test_extra_generated_leaf_lowers_precision(self):
+    def test_extra_generated_leaf_lowers_f1(self):
+        # two of three generated row paths match: precision 2/3, recall 1
         gt = make_flat_table(2, 2)
         gen = make_flat_table(3, 2)
-        score = header_similarity(gen, gt, "left")
-        assert score.precision < score.recall <= 1.0
+        assert header_f1(gen, gt) == {"left": pytest.approx(0.8), "top": 1.0}
 
     @given(
         trees=st.lists(coord_trees(), min_size=4, max_size=4),
@@ -519,7 +528,7 @@ class TestHeaderSimilarity:
         precision = total / len(gen_paths)
         recall = total / len(gt_paths)
         f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
-        assert header_similarity(generated, groundtruth, side) == HeaderScore(precision, recall, f1)
+        assert header_f1(generated, groundtruth)[side] == f1
 
 
 class TestRecallAtK:
