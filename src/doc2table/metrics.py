@@ -14,10 +14,10 @@ per n-gram order.
 ground truth) pairs and returns every table metric of each pair. Keys are
 matched pair by pair, and :func:`chrf_matrix` runs only for a pair whose
 unmatched keys are left on both sides. Then one :func:`chrf` call scores
-every matched value of the corpus and one more every aligned header path,
-left and top. A chrF score does not depend on what else is in its batch,
-and each pair's scores are summed on their own, in a fixed order, so a
-pair's floats do not depend on the corpus around it.
+every matched value and every aligned header path, left and top, of the
+corpus. A chrF score does not depend on what else is in its batch, and
+each score sum is added left to right, one pair's on its own, so a pair's
+floats depend neither on the corpus around it nor on the Python version.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import CoordTree, HierarchicalTable, flatten_to_kv
+from .model import HierarchicalTable, flatten_to_kv
 from .treedist import teds
 
 CHRF_MAX_ORDER = 6
@@ -219,66 +219,6 @@ def _match_keys(gen_keys: list[tuple], gt_keys: list[tuple]) -> dict[int, int]:
     return dict(sorted(gt_match.items()))
 
 
-def _content_scores(pairs: Sequence[TablePair]) -> list[tuple[float, float, float]]:
-    """Key-value content precision, recall and F1 of every (generated, ground truth) pair.
-
-    Both tables are flattened to key-value triples and their keys matched
-    (:func:`_match_keys`). A matched pair's score is chrF over the two cell
-    texts, rescaled to [0, 1]; precision divides the score sum by the
-    generated pair count, recall by the ground-truth pair count. One
-    :func:`chrf` call scores every matched value of the corpus: pair after
-    pair, and within a pair in ground-truth order. Each pair's scores are
-    added in that order, one at a time.
-    """
-    sizes = []
-    candidates, references = [], []
-    for generated, groundtruth in pairs:
-        gen, gt = flatten_to_kv(generated), flatten_to_kv(groundtruth)
-        gt_match = _match_keys(
-            [(g.left_key, g.top_key) for g in gen], [(t.left_key, t.top_key) for t in gt]
-        )
-        candidates += [gen[g_idx].value for g_idx in gt_match.values()]
-        references += [gt[t_idx].value for t_idx in gt_match]
-        sizes.append((len(gt_match), len(gen), len(gt)))
-    scores = iter((chrf(candidates, references) / 100.0).tolist())
-    prfs = []
-    for n_matched, n_generated, n_groundtruth in sizes:
-        total = 0.0
-        for score in islice(scores, n_matched):  # in ground-truth order, one addition at a time
-            total += score
-        prfs.append(_prf(total, n_generated, n_groundtruth))
-    return prfs
-
-
-def _header_scores(tree_pairs: Sequence[tuple[CoordTree, CoordTree]]) -> list[float]:
-    """Header F1 of every (generated, ground truth) header tree pair.
-
-    Leaf key paths are aligned by position and scored with chrF over the
-    joined paths; precision divides the score sum by the generated leaf
-    count, recall by the ground-truth leaf count. This is an interpretation
-    choice: no canonical definition of header-only content scoring exists.
-    One :func:`chrf` call scores every aligned path of every pair; each
-    pair's scores are summed on their own, in leaf order.
-    """
-    paths = [
-        (
-            [KEY_JOIN.join(p) for _, p in gen_tree.leaves],
-            [KEY_JOIN.join(p) for _, p in gt_tree.leaves],
-        )
-        for gen_tree, gt_tree in tree_pairs
-    ]
-    aligned = [min(len(gen_paths), len(gt_paths)) for gen_paths, gt_paths in paths]
-    values = chrf(
-        [path for (gen_paths, _), n in zip(paths, aligned) for path in gen_paths[:n]],
-        [path for (_, gt_paths), n in zip(paths, aligned) for path in gt_paths[:n]],
-    ) / 100.0
-    scores = iter(values.tolist())
-    return [
-        _prf(sum(islice(scores, n)), len(gen_paths), len(gt_paths))[2]
-        for (gen_paths, gt_paths), n in zip(paths, aligned)
-    ]
-
-
 def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
     """Fraction of relevant ids in the first k of the ranking; ``ValueError`` where undefined."""
     relevant_set = set(relevant)
@@ -290,29 +230,83 @@ def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float
     return len(hits) / len(relevant_set)
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added one at a time, left to right.
+
+    Not :func:`sum`, which compensates float rounding since Python 3.12, so
+    that its last digit would depend on the Python that runs it.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _score_groups(groups: list[tuple[list[str], list[str], int, int]]) -> list[tuple]:
+    """Precision, recall and F1 of each ``(candidates, references, n_generated, n_groundtruth)``.
+
+    One :func:`chrf` call scores every aligned string pair of every group,
+    group after group. A group's scores, rescaled to [0, 1], are added left
+    to right and :func:`_prf` divides the total by the group's two counts.
+    """
+    values = chrf(
+        [text for candidates, _, _, _ in groups for text in candidates],
+        [text for _, references, _, _ in groups for text in references],
+    )
+    scores = iter((values / 100.0).tolist())
+    return [
+        _prf(_sum_in_order(islice(scores, len(candidates))), n_generated, n_groundtruth)
+        for candidates, _, n_generated, n_groundtruth in groups
+    ]
+
+
 def table_scores(pairs: Sequence[TablePair]) -> list[dict]:
     """Every table metric of each (generated, ground truth) pair, as JSON-ready mappings.
 
     One mapping per pair, in order: TEDS, the key-value content precision,
-    recall and F1 (:func:`_content_scores`), and the header F1 of each side
-    (:func:`_header_scores`). The corpus costs two :func:`chrf` calls, one for
-    the matched values and one for the header paths, plus a
-    :func:`chrf_matrix` per pair with unmatched keys on both sides. A chrF
-    score does not depend on what else is in its batch, so a pair scores
-    the same in any corpus.
+    recall and F1, and the header F1 of each side. A pair gives three
+    groups of aligned strings to :func:`_score_groups`:
+
+    - content: both tables flattened to key-value triples and their keys
+      matched (:func:`_match_keys`); the matched cell texts in ground-truth
+      order, over the generated and ground-truth cell counts;
+    - left header, then top header: the joined leaf key paths aligned by
+      position, over the generated and ground-truth leaf counts. This is an
+      interpretation choice: no canonical definition of header-only content
+      scoring exists.
+
+    The corpus costs one :func:`chrf` call, plus a :func:`chrf_matrix` per
+    pair with unmatched keys on both sides, and every score sum is added
+    left to right. A chrF score does not depend on what else is in its
+    batch, so a pair scores the same in any corpus.
     """
-    content = _content_scores(pairs)
-    sides = [trees for gen, gt in pairs for trees in ((gen.left, gt.left), (gen.top, gt.top))]
-    headers = iter(_header_scores(sides))
+    groups = []
+    for generated, groundtruth in pairs:
+        gen, gt = flatten_to_kv(generated), flatten_to_kv(groundtruth)
+        gt_match = _match_keys(
+            [(g.left_key, g.top_key) for g in gen], [(t.left_key, t.top_key) for t in gt]
+        )
+        values = [gen[g_idx].value for g_idx in gt_match.values()]
+        groups.append((values, [gt[t_idx].value for t_idx in gt_match], len(gen), len(gt)))
+        sides = ((generated.left, groundtruth.left), (generated.top, groundtruth.top))
+        for gen_tree, gt_tree in sides:
+            gen_paths = [KEY_JOIN.join(p) for _, p in gen_tree.leaves]
+            gt_paths = [KEY_JOIN.join(p) for _, p in gt_tree.leaves]
+            n = min(len(gen_paths), len(gt_paths))
+            groups.append((gen_paths[:n], gt_paths[:n], len(gen_paths), len(gt_paths)))
+    prfs = iter(_score_groups(groups))
+    # each pair takes its three groups' results from the one iterator: content, left, top
     return [
         {
             "teds": teds(generated, groundtruth),
             "content_precision": precision,
             "content_recall": recall,
             "content_f1": f1,
-            "header_f1": {"left": next(headers), "top": next(headers)},
+            "header_f1": {"left": left[2], "top": top[2]},
         }
-        for (generated, groundtruth), (precision, recall, f1) in zip(pairs, content)
+        for (generated, groundtruth), (precision, recall, f1), left, top in zip(
+            pairs, prfs, prfs, prfs
+        )
     ]
 
 
@@ -335,6 +329,8 @@ def _field_means(items: list[dict]) -> dict:
             if isinstance(value, (dict, int, float)):
                 columns.setdefault(field, []).append(value)
     return {
-        field: _field_means(column) if isinstance(column[0], dict) else sum(column) / len(column)
+        field: _field_means(column)
+        if isinstance(column[0], dict)
+        else _sum_in_order(column) / len(column)
         for field, column in columns.items()
     }

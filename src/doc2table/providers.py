@@ -37,6 +37,7 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol
 from urllib.parse import urlsplit
@@ -169,16 +170,20 @@ class RecordingProvider:
         return response
 
 
-class _IdleConnections(dict):
-    """One thread's idle connections by origin, closed when the thread ends or the transport goes."""
+class _IdleConnections(list):
+    """One thread's idle connection, if it has one, closed when the thread ends or the transport goes."""
 
     def __del__(self):
-        for connection in self.values():
+        for connection in self:
             connection.close()
 
 
 class HttpTransport:
-    """POSTs bytes over one persistent HTTP/1.1 connection per thread and origin.
+    """POSTs bytes to one endpoint over one persistent HTTP/1.1 connection per thread.
+
+    The endpoint is split and checked once, here: one that does not split,
+    names no host, has a bad port or a scheme other than http and https
+    raises :class:`ProviderError`, so it fails when the run is built.
 
     Each thread keeps its own ``http.client`` connection, so worker threads
     never share a socket. A connection that has already served a reply and
@@ -194,31 +199,43 @@ class HttpTransport:
     variables are not honoured.
     """
 
-    def __init__(self):
+    def __init__(self, endpoint: str):
         import http.client  # deferred so offline modes never import it
 
-        self._client = http.client
+        try:
+            parts = urlsplit(endpoint)
+            port = parts.port
+        except ValueError as exc:  # an unclosed IPv6 bracket, or a port that is not a number in range
+            raise ProviderError(f"endpoint {endpoint!r}: {exc}") from None
+        if not parts.hostname:
+            raise ProviderError(f"endpoint {endpoint!r} names no host")
+        if parts.scheme == "https":
+            import ssl
+
+            self._connect = partial(
+                http.client.HTTPSConnection, parts.hostname, port, context=ssl.create_default_context()
+            )
+        elif parts.scheme == "http":
+            self._connect = partial(http.client.HTTPConnection, parts.hostname, port)
+        else:
+            raise ProviderError(f"endpoint {endpoint!r} is not an http or https URL")
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._local = threading.local()
 
-    def post(self, url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+    def post(self, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
         """Send one POST and return the reply's status and its whole body."""
-        try:
-            parts = urlsplit(url)
-        except ValueError as exc:  # a URL that does not split, such as an unclosed IPv6 bracket
-            raise ProviderError(f"endpoint {url!r}: {exc}") from None
-        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         if not hasattr(self._local, "idle"):
             self._local.idle = _IdleConnections()
         # taken out while in use, so an exception leaves nothing behind to reuse
-        connection = self._local.idle.pop((parts.scheme, parts.netloc), None)
+        connection = self._local.idle.pop() if self._local.idle else None
         reused = connection is not None
         while True:
             if connection is None:
-                connection = self._connect(parts, timeout)
+                connection = self._connect(timeout=timeout)
             try:
                 if connection.sock is not None:
                     connection.sock.settimeout(timeout)
-                connection.request("POST", target, body=body, headers=headers)
+                connection.request("POST", self._target, body=body, headers=headers)
                 response = connection.getresponse()
                 data = response.read()
             except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is a ConnectionResetError
@@ -231,26 +248,8 @@ class HttpTransport:
                 connection.close()
                 raise
             if not response.will_close:
-                self._local.idle[parts.scheme, parts.netloc] = connection
+                self._local.idle.append(connection)
             return response.status, data
-
-    def _connect(self, parts, timeout: float):
-        """A new connection to the URL's origin; a URL that no retry can fix raises :class:`ProviderError`."""
-        try:
-            port = parts.port
-        except ValueError as exc:  # a port that is not a number in range
-            raise ProviderError(f"endpoint {parts.geturl()!r}: {exc}") from None
-        if not parts.hostname:
-            raise ProviderError(f"endpoint {parts.geturl()!r} names no host")
-        if parts.scheme == "https":
-            import ssl
-
-            return self._client.HTTPSConnection(
-                parts.hostname, port, timeout=timeout, context=ssl.create_default_context()
-            )
-        if parts.scheme == "http":
-            return self._client.HTTPConnection(parts.hostname, port, timeout=timeout)
-        raise ProviderError(f"endpoint {parts.geturl()!r} is not an http or https URL")
 
 
 class RequestSlots:
@@ -293,9 +292,10 @@ class HttpProvider:
     timeouts, 5xx, 408 and 429 are retried, and so is a reply whose body is
     not a JSON object (undecodable, or a list, string or null). Any other
     status outside 2xx fails at once: a 4xx, and a 3xx too, since redirects
-    are not followed. So does an endpoint with no host, a bad port or a
-    scheme other than http and https. Every failure ends as a
-    :class:`ProviderError`; ``transport`` defaults to :class:`HttpTransport`.
+    are not followed. Every failure ends as a :class:`ProviderError`.
+    ``transport`` defaults to ``HttpTransport(endpoint)``, so an endpoint
+    with no host, a bad port or a scheme other than http and https fails
+    when the provider, and so the run, is built, before any request.
 
     ``slots``, if given, bounds how many requests are in flight at once
     (:class:`RequestSlots`); a run shares one among all its live providers (see
@@ -319,7 +319,7 @@ class HttpProvider:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self._transport = HttpTransport() if transport is None else transport
+        self._transport = HttpTransport(endpoint) if transport is None else transport
         self._slots = nullcontext() if slots is None else slots
 
     def call(self, request: dict) -> dict:
@@ -330,13 +330,13 @@ class HttpProvider:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
+        last_error = ""
         for attempt in range(self.max_retries):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 with self._slots:
-                    status, data = self._transport.post(self.endpoint, body, headers, self.timeout)
+                    status, data = self._transport.post(body, headers, self.timeout)
                 if not 200 <= status < 300:
                     if status < 500 and status not in RETRYABLE_4XX:
                         redirect = " (redirects are not followed)" if status < 400 else ""
@@ -351,8 +351,8 @@ class HttpProvider:
             except ProviderError:
                 raise  # a status that no retry can fix
             except Exception as exc:  # transport errors, timeouts, 5xx, 408, 429 and bad bodies alike
-                last_error = exc
-                logger.warning("provider call failed (attempt %d): %s", attempt + 1, exc)
+                last_error = str(exc)  # not exc, whose traceback would keep this frame and self alive
+                logger.warning("provider call failed (attempt %d): %s", attempt + 1, last_error)
         raise ProviderError(f"provider at {self.endpoint} failed after {self.max_retries} attempts: {last_error}")
 
 

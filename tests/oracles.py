@@ -431,8 +431,8 @@ def reference_table_scores(generated: HierarchicalTable, groundtruth: Hierarchic
     """The metrics of one pair in four chrF kernel calls of its own: a
     :func:`chrf_matrix` over the unmatched keys (even when a side has none),
     a :func:`chrf` over the matched values and one over each header side's
-    aligned leaf paths. The batched ``table_scores`` must equal it float for
-    float."""
+    aligned leaf paths, each sum added left to right. The batched
+    ``table_scores`` must equal it float for float."""
     gen = flatten_to_kv(generated)
     gt = flatten_to_kv(groundtruth)
     gen_keys = [(g.left_key, g.top_key) for g in gen]
@@ -468,18 +468,21 @@ def reference_table_scores(generated: HierarchicalTable, groundtruth: Hierarchic
         gt_match[t_idx] = g_idx
         matched_gen.add(g_idx)
 
+    def left_to_right(values) -> float:
+        total = 0.0
+        for score in (values / 100.0).tolist():
+            total += score
+        return total
+
     matched_gt = sorted(gt_match)
     values = chrf([gen[gt_match[i]].value for i in matched_gt], [gt[i].value for i in matched_gt])
-    total = 0.0
-    for score in (values / 100.0).tolist():
-        total += score
-    content_precision, content_recall, content_f1 = _prf(total, len(gen), len(gt))
+    content_precision, content_recall, content_f1 = _prf(left_to_right(values), len(gen), len(gt))
 
     def header_f1(gen_tree: CoordTree, gt_tree: CoordTree) -> float:
         gen_paths = [KEY_JOIN.join(p) for _, p in gen_tree.leaves]
         gt_paths = [KEY_JOIN.join(p) for _, p in gt_tree.leaves]
         aligned = min(len(gen_paths), len(gt_paths))
-        total = sum((chrf(gen_paths[:aligned], gt_paths[:aligned]) / 100.0).tolist())
+        total = left_to_right(chrf(gen_paths[:aligned], gt_paths[:aligned]))
         return _prf(total, len(gen_paths), len(gt_paths))[2]
 
     return {

@@ -18,6 +18,7 @@ from doc2table.cli import generate_stage, main, retrieve_stage, run_map
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.data import read_documents, read_retrieval_records, read_triples
 from doc2table.data import write_jsonl
+from doc2table.generation import build_oneshot_prompt
 from doc2table.html_io import serialize_html
 from doc2table.providers import (
     ChatProvider,
@@ -576,6 +577,31 @@ class TestMalformedInputs:
         assert posts == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "ftp://127.0.0.1/rewrite",
+            "http://127.0.0.1:80x/rewrite",
+            "http:///rewrite",
+            "http://[::1/rewrite",
+        ],
+        ids=["scheme", "port", "host", "bracket"],
+    )
+    def test_unusable_live_endpoint_fails_before_any_post(
+        self, tmp_path, capsys, monkeypatch, endpoint
+    ):
+        posts = []
+        monkeypatch.setattr(
+            "doc2table.providers.HttpTransport.post", lambda self, *args: posts.append(args)
+        )
+        path = write_pipeline_config(tmp_path, rewriter={"mode": "live", "endpoint": endpoint})
+        assert run(["retrieve", "--config", path, "--out", tmp_path / "o"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ProviderError"
+        assert repr(endpoint) in error["message"]
+        assert posts == []
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_annotation_table_names_file_line_field(self, tmp_path, capsys):
         docs = tmp_path / "docs.jsonl"
         write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
@@ -1094,6 +1120,44 @@ class TestRecordedTranscripts:
         self.assert_holds_exactly(tmp_path / "rewrite.jsonl", calls[rewrite_url], transcripts[rewrite_url])
 
 
+class TestGenerateCommand:
+    def test_oneshot_config_sends_one_prompt_per_question(self, tmp_path, monkeypatch):
+        triples = read_triples(PIPELINE / "questions.jsonl")
+        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        golden_html = {
+            row["id"]: row["table_html"] for row in read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
+        }
+        prompts = []
+
+        def handler(request):
+            (message,) = request["messages"]
+            prompts.append(message["content"])
+            (triple,) = [t for t in triples if t.question in message["content"]]
+            return {"content": f"```table\n{golden_html[triple.triple_id]}\n```"}
+
+        chat = ChatProvider(ScriptedProvider(handler))
+        monkeypatch.setattr(
+            "doc2table.cli.build_providers",
+            lambda *args, **kwargs: BuiltProviders(chat, None, None, []),
+        )
+        config = write_pipeline_config(tmp_path, oneshot=True)
+        out = tmp_path / "out"
+        retrieval = PIPELINE / "golden" / "retrieval.jsonl"
+        assert run(["generate", "--config", config, "--retrieval", retrieval, "--out", out]) == 0
+        expected = []
+        for triple in triples:
+            record = records[triple.triple_id]
+            sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
+            expected.append(build_oneshot_prompt(triple.question, sentences))
+        assert prompts == expected
+        tables = read_jsonl_rows(out / "tables.jsonl")
+        assert tables == [{"id": t.triple_id, "table_html": golden_html[t.triple_id]} for t in triples]
+        traces = read_jsonl_rows(out / "traces.jsonl")
+        assert [(t["id"], t["structure_retries"], t["fill_retries"]) for t in traces] == [
+            (t.triple_id, 0, 0) for t in triples
+        ]
+
+
 class TestPerQuestionFailures:
     """A question whose evidence or provider fails gets one error row; the others go on."""
 
@@ -1157,7 +1221,7 @@ class TestPerQuestionFailures:
         gamma = read_triples(PIPELINE / "questions.jsonl")[1]
 
         class Transport:
-            def post(self, url, body, headers, timeout):
+            def post(self, body, headers, timeout):
                 request = json.loads(body)
                 if gamma.question in request["messages"][0]["content"]:
                     return 200, b'["not", "an", "object"]'
@@ -1414,8 +1478,9 @@ class TestRunMap:
 class TimedTransport:
     """Answers each post after ``latency`` seconds and records its (start, end, request).
 
-    ``answer(role, request)`` gives the reply, the role being the URL's last
-    path segment. The first post of the ``fail_once`` request gets a 503.
+    ``answer(role, request)`` gives the reply, the role being ``"chat"`` for
+    a request with messages and ``"rewrite"`` otherwise. The first post of
+    the ``fail_once`` request gets a 503.
     Counts the posts in flight at once, whatever the role.
     """
 
@@ -1425,7 +1490,7 @@ class TimedTransport:
         self.in_flight = self.max_in_flight = 0
         self.posts: list[tuple[float, float, dict]] = []
 
-    def post(self, url, body, headers, timeout):
+    def post(self, body, headers, timeout):
         request = json.loads(body)
         with self.lock:
             self.in_flight += 1
@@ -1438,7 +1503,8 @@ class TimedTransport:
             self.posts.append((start, time.perf_counter(), request))
         if fail:
             return 503, b"{}"
-        return 200, json.dumps(self.answer(url.rsplit("/", 1)[-1], request)).encode()
+        role = "chat" if "messages" in request else "rewrite"
+        return 200, json.dumps(self.answer(role, request)).encode()
 
 
 class TestSchedule:
