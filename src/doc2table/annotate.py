@@ -22,10 +22,11 @@ token can start with (whitespace, "(", a minus, a currency symbol or a
 digit), so the regex engine skips every other position at once, and a
 sentence without a ``\\d`` digit is not searched at all. A textual cell is
 looked up with ``str.find`` in the lowered sentences joined by "\\n", the
-scan's one copy of them; a sentence it is found in is searched with the
-whole-phrase pattern between its own offsets, the same as searching it
-alone. Normalized sentences and body cells hold no "\\n", so a find never
-spans two sentences.
+scan's one copy of them; an occurrence inside one sentence counts when
+neither character around it is a word character, the test the
+whole-phrase pattern makes, so no pattern is compiled per cell.
+Normalized sentences and body cells hold no "\\n", so a find never spans
+two sentences.
 
 A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
@@ -199,21 +200,40 @@ def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> 
                         CellMatch(r, c, "numeric", tuple(signs_by_id), magnitude, flips)
                     )
             else:
-                # The pattern matches only where the lowered cell occurs
-                # literally, so only sentences the needle is found in are
-                # searched, each within its own span of ``joined``.
-                needle = cell.lower()
-                pattern = re.compile(rf"(?<!\w){re.escape(needle)}(?!\w)")
-                hit_ids = []
-                at = joined.find(needle)
-                while at != -1:
-                    sid = bisect_right(starts, at) - 1
-                    if pattern.search(joined, starts[sid], starts[sid + 1] - 1):
-                        hit_ids.append(sid)
-                    at = joined.find(needle, starts[sid + 1])
+                hit_ids = _phrase_sentences(cell.lower(), joined, starts)
                 if hit_ids:
                     matches.append(CellMatch(r, c, "textual", tuple(hit_ids)))
     return matches
+
+
+def _phrase_sentences(needle: str, joined: str, starts: list[int]) -> list[int]:
+    """Ids of the sentences of ``joined`` holding ``needle`` as a whole phrase.
+
+    The same sentences as searching each one for ``(?<!\\w)needle(?!\\w)``:
+    an occurrence counts when it lies inside one sentence and the
+    characters around it are not word characters (``\\w`` is
+    :func:`_is_word`). Sentences are separated by "\\n", so what lies just
+    outside a sentence is never a word character.
+    """
+    hit_ids = []
+    width = len(needle)
+    at = joined.find(needle)
+    while at != -1:
+        sid = bisect_right(starts, at) - 1
+        end = starts[sid + 1] - 1  # the sentence's "\n", or the end of ``joined``
+        while at != -1 and at + width <= end:
+            before, after = joined[max(at - 1, 0) : at], joined[at + width : at + width + 1]
+            if not _is_word(before) and not _is_word(after):
+                hit_ids.append(sid)
+                break
+            at = joined.find(needle, at + 1, end)
+        at = joined.find(needle, starts[sid + 1])
+    return hit_ids
+
+
+def _is_word(char: str) -> bool:
+    """Whether ``char`` is a character ``\\w`` matches in a str pattern ("" is not)."""
+    return char.isalnum() or char == "_"
 
 
 def apply_review(matches: list[CellMatch], decisions: dict[str, str]) -> None:

@@ -141,14 +141,29 @@ class _TableHtmlParser(HTMLParser):
         self._row = None
 
 
+_SPAN_DIGITS = re.compile(r"[\t\n\f\r ]*\+?([0-9]+)")
+_SPAN_CAP = 10**9  # any longer span value reads as this; every span is clamped below it
+
+
 def _parse_span(value: str | None) -> int:
+    """A ``rowspan`` or ``colspan`` value read by the HTML rules for parsing
+    non-negative integers: ASCII whitespace, at most one "+", then the
+    leading ASCII digits. No digits, a minus sign or 0 read as 1 (so
+    ``rowspan="0"`` does not yet run to the end of its row group).
+
+    So "2.5" and "3px" read as 2 and 3, as in a browser, and "1_0", "٣"
+    (a non-ASCII digit) and "\\xa02" (after a no-break space) read as 1,
+    where ``int()`` reads 10, 3 and 2. A value of ten digits or more reads
+    as ``_SPAN_CAP``, past every clamp, so no digit string is too long for
+    ``int()``.
+    """
     if value is None:
         return 1
-    try:
-        span = int(value.strip())
-    except ValueError:
-        return 1
-    return max(1, span)
+    match = _SPAN_DIGITS.match(value)
+    digits = match.group(1).lstrip("0") if match else ""
+    if len(digits) >= 10:
+        return _SPAN_CAP
+    return int(digits) if digits else 1
 
 
 def parse_grid(html_text: str) -> Grid:

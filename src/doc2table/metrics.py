@@ -182,9 +182,9 @@ def _match_keys(gen_keys: list[tuple], gt_keys: list[tuple]) -> dict[int, int]:
     first unused generated cell with an equal key, and both drop out. The
     remaining keys: one :func:`chrf_matrix` over their joined strings gives
     every similarity, and the pairs at or above the floor are taken in
-    ``(-similarity, ground-truth index, generated index)`` order. When
-    either side has no key left, no pair can form and the matrix is not
-    computed.
+    ``(-similarity, ground-truth index, generated index)`` order, one
+    ``np.lexsort``, until one side's keys are used up. When either side
+    has no key left, no pair can form and the matrix is not computed.
     """
     unused: dict[tuple, deque[int]] = {}
     for g_idx, key in enumerate(gen_keys):
@@ -204,18 +204,18 @@ def _match_keys(gen_keys: list[tuple], gt_keys: list[tuple]) -> dict[int, int]:
             [_joined_key(*gt_keys[t_idx]) for t_idx in rest_gt],
         ) / 100.0
         g_pos, t_pos = np.nonzero(sims >= KEY_MATCH_THRESHOLD)
-        candidates = sorted(
-            zip(
-                (-sims[g_pos, t_pos]).tolist(),
-                [rest_gt[i] for i in t_pos.tolist()],
-                [rest_gen[i] for i in g_pos.tolist()],
-            )
-        )
-        for _, t_idx, g_idx in candidates:
-            if t_idx in gt_match or g_idx in matched_gen:
+        # positions in rest_gt and rest_gen sort as the indices they hold
+        order = np.lexsort((g_pos, t_pos, -sims[g_pos, t_pos]))
+        taken_gt, taken_gen = [False] * len(rest_gt), [False] * len(rest_gen)
+        left = min(len(rest_gt), len(rest_gen))
+        for t, g in zip(t_pos[order].tolist(), g_pos[order].tolist()):
+            if taken_gt[t] or taken_gen[g]:
                 continue
-            gt_match[t_idx] = g_idx
-            matched_gen.add(g_idx)
+            gt_match[rest_gt[t]] = rest_gen[g]
+            taken_gt[t] = taken_gen[g] = True
+            left -= 1
+            if not left:  # one side is used up: no later candidate can be taken
+                break
     return dict(sorted(gt_match.items()))
 
 

@@ -5,7 +5,8 @@ computed by exhaustive enumeration of valid edit mappings (not a dynamic
 program), chrF by a separate dict-based reimplementation, retrieval
 rankings by a pure-Python cosine scan, and key-value content similarity by
 the reference chrF over every generated x ground-truth key pair. The slow forms of
-optimized paths are kept here too: table scoring pair by pair, in four chrF
+optimized paths are kept here too: the Zhang–Shasha program run for every
+key-root pair, table scoring pair by pair, in four chrF
 kernel calls per pair, the shared n-gram mask by ``np.intersect1d``, the
 full-sort retrieval ranking, the
 hash-per-gram embedder loop (as dense rows, and as ``Counter`` cosines),
@@ -109,6 +110,79 @@ def brute_tree_edit_distance(a: HeaderNode, b: HeaderNode) -> int:
 
     extend(0, 0, 0)
     return n + m - best_savings
+
+
+class _ReferencePostOrder(NamedTuple):
+    labels: list[str]
+    lml: list[int]  # index of the leftmost leaf descendant, per node
+    keyroots: list[int]
+
+
+def _reference_postorder(root: HeaderNode) -> _ReferencePostOrder:
+    labels: list[str] = []
+    lml: list[int] = []
+
+    def walk(node: HeaderNode) -> int:
+        first_leaf = -1
+        for child in node.children:
+            child_first = walk(child)
+            if first_leaf == -1:
+                first_leaf = child_first
+        index = len(labels)
+        if first_leaf == -1:
+            first_leaf = index
+        labels.append(node.label)
+        lml.append(first_leaf)
+        return first_leaf
+
+    walk(root)
+    keyroots = [
+        i for i in range(len(labels)) if all(lml[k] != lml[i] for k in range(i + 1, len(labels)))
+    ]
+    return _ReferencePostOrder(labels, lml, keyroots)
+
+
+def reference_tree_distance(a: HeaderNode, b: HeaderNode) -> int:
+    """Zhang–Shasha with the forest program run for every key-root pair,
+    leaves included, and no shortcut for equal trees."""
+    ta, tb = _reference_postorder(a), _reference_postorder(b)
+    n, m = len(ta.labels), len(tb.labels)
+    td = [[0] * m for _ in range(n)]
+
+    for i in ta.keyroots:
+        for j in tb.keyroots:
+            _reference_forest_distance(ta, tb, i, j, td)
+    return td[n - 1][m - 1]
+
+
+def _reference_forest_distance(ta, tb, i: int, j: int, td: list[list[int]]) -> None:
+    li, lj = ta.lml[i], tb.lml[j]
+    rows = i - li + 2
+    cols = j - lj + 2
+    fd = [[0] * cols for _ in range(rows)]
+    for x in range(1, rows):
+        fd[x][0] = fd[x - 1][0] + 1
+    for y in range(1, cols):
+        fd[0][y] = fd[0][y - 1] + 1
+
+    for x in range(1, rows):
+        di = li + x - 1  # postorder index in a
+        for y in range(1, cols):
+            dj = lj + y - 1
+            if ta.lml[di] == li and tb.lml[dj] == lj:
+                rename = 0 if ta.labels[di] == tb.labels[dj] else 1
+                fd[x][y] = min(
+                    fd[x - 1][y] + 1,
+                    fd[x][y - 1] + 1,
+                    fd[x - 1][y - 1] + rename,
+                )
+                td[di][dj] = fd[x][y]
+            else:
+                fd[x][y] = min(
+                    fd[x - 1][y] + 1,
+                    fd[x][y - 1] + 1,
+                    fd[ta.lml[di] - li][tb.lml[dj] - lj] + td[di][dj],
+                )
 
 
 def reference_chrf(candidate: str, reference: str, max_order: int = 6, beta: float = 2.0) -> float:

@@ -220,6 +220,30 @@ def documents_and_tables(draw) -> tuple[list[str], list[HierarchicalTable]]:
     return document, draw(st.lists(cell_tables(phrases), min_size=1, max_size=3))
 
 
+# Characters met at a textual cell's two ends: "_", digits ("٣" Arabic-Indic,
+# "²" superscript), non-ASCII letters and CJK are word characters to \w;
+# punctuation, spaces and the no-break space are not
+NEIGHBOURS = ["", " ", "_", "7", "٣", "²", "é", "ß", "漢", "x", ".", "-", "(", ")", "/", "\u00a0"]
+PHRASES = ["total", "R&D", "a_b", "é", "c.e.o", "(x)", "net income", "_", "漢字"]
+
+
+@st.composite
+def phrases_among_neighbours(draw) -> tuple[list[str], str]:
+    """A phrase and sentences that hold it zero or more times, each occurrence
+    between drawn neighbours, so one sentence can hold a bounded and an
+    unbounded occurrence in either order."""
+    phrase = draw(st.sampled_from(PHRASES))
+    neighbour = st.sampled_from(NEIGHBOURS)
+    document = [
+        "".join(
+            draw(neighbour) + draw(st.sampled_from([phrase, phrase.upper()])) + draw(neighbour)
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return document, phrase
+
+
 class TestIndexAgainstReference:
     @given(case=documents_and_tables())
     @settings(max_examples=300, deadline=None)
@@ -228,6 +252,15 @@ class TestIndexAgainstReference:
         index = SentenceIndex(document)
         for table in tables:
             assert match_cells_to_sentences(table, index) == reference_match_cells(table, index)
+
+    @given(case=phrases_among_neighbours())
+    @settings(max_examples=300, deadline=None)
+    def test_phrase_ends_are_tested_as_the_word_pattern_tests_them(self, case):
+        document, phrase = case
+        table = one_cell_table(phrase)
+        assert match_cells_to_sentences(table, SentenceIndex(document)) == reference_match_cells(
+            table, SentenceIndex(document)
+        )
 
     def test_magnitude_with_both_signs_in_one_sentence_is_no_flip(self):
         document = ["It swung from 500 to (500).", "A loss of -500 then."]

@@ -150,6 +150,43 @@ class TestParseMinimal:
         assert [(c.row_span, c.col_span) for c in distinct_cells(parse_grid(html))] == [(1, 1)] * 4
         assert parse_html_table(html) == parse_html_table(MINIMAL)
 
+    @pytest.mark.parametrize(
+        "value, span",
+        [
+            ("2", 2),
+            (" \t\n\f\r+2", 2),
+            ("2.5", 2),
+            ("3px", 3),
+            ("007", 7),
+            ("1_0", 1),
+            ("\u0663", 1),  # ARABIC-INDIC DIGIT THREE
+            ("\xa02", 1),  # no-break space is not ASCII whitespace
+            ("\v2", 1),
+            ("px3", 1),
+            ("-2", 1),
+            ("+-2", 1),
+            ("++2", 1),
+            ("0", 1),
+            ("", 1),
+            ("9" * 5000, MAX_COLSPAN),
+        ],
+    )
+    def test_span_reads_by_the_html_integer_rules(self, value, span):
+        # WHATWG "rules for parsing non-negative integers"; colspan is then clamped
+        grid = parse_grid(f'<table><tr><td colspan="{value}">a</td></tr></table>')
+        assert [cell.col_span for cell in distinct_cells(grid)] == [span]
+
+    @pytest.mark.parametrize(
+        "html, spans",
+        [
+            ('<table><tr><th colspan="2.5">a</th></tr><tr><td>x</td><td>y</td></tr></table>', (1, 2)),
+            ('<table><tr><th rowspan="2.5">a</th><td>x</td></tr><tr><td>y</td></tr></table>', (2, 1)),
+        ],
+    )
+    def test_fractional_span_makes_a_rectangular_grid(self, html, spans):
+        cell = distinct_cells(parse_grid(html))[0]
+        assert (cell.row_span, cell.col_span) == spans
+
     def test_nested_markup_stripped_to_text(self):
         html = (
             "<table><tr><th></th><th><b>bold</b> head</th></tr>"

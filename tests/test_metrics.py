@@ -339,6 +339,19 @@ def sixty_cell_pair(kind: str) -> tuple[HierarchicalTable, HierarchicalTable]:
     return HierarchicalTable("Metric", truth.left, top, swapped), truth
 
 
+# Small label pools: keys repeat inside a table, and equal joined keys tie in similarity.
+ROW_POOL = ["Revenue", "Revenues", "Net revenue", "Net income", "Income"]
+COLUMN_POOL = ["FY2022", "FY2023", "Q1"]
+
+
+@st.composite
+def repeated_key_tables(draw) -> HierarchicalTable:
+    rows = draw(st.lists(st.sampled_from(ROW_POOL), min_size=1, max_size=6))
+    columns = draw(st.lists(st.sampled_from(COLUMN_POOL), min_size=1, max_size=3))
+    body = tuple(tuple(draw(cells) for _ in columns) for _ in rows)
+    return HierarchicalTable("", CoordTree.from_nested(rows), CoordTree.from_nested(columns), body)
+
+
 def assert_equals_reference(generated: HierarchicalTable, groundtruth: HierarchicalTable):
     expected = reference_content_similarity(generated, groundtruth)
     assert content(generated, groundtruth) == (expected.precision, expected.recall, expected.f1)
@@ -364,6 +377,22 @@ class TestContentSimilarityMatchesReference:
     @settings(max_examples=135, deadline=None)
     def test_random_perturbed_and_level_swapped_pairs(self, pair):
         assert_equals_reference(*pair)
+
+    @given(
+        corpus=st.lists(
+            st.tuples(repeated_key_tables(), repeated_key_tables()), min_size=1, max_size=4
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_corpora_with_repeated_keys_and_tied_similarities(self, corpus):
+        expected = [reference_content_similarity(*pair) for pair in corpus]
+        assert [list(key_matches(*pair).items()) for pair in corpus] == [
+            list(reference.matches.items()) for reference in expected
+        ]
+        assert [
+            (s["content_precision"], s["content_recall"], s["content_f1"])
+            for s in table_scores(corpus)
+        ] == [(r.precision, r.recall, r.f1) for r in expected]
 
     def test_chrf_runs_once_per_matched_pair(self, monkeypatch):
         # 10 x 6 = 60 cells, every row header renamed, so no key is exactly

@@ -18,7 +18,7 @@ from doc2table.treedist import (
 
 import strategies as sts
 from conftest import make_flat_table
-from oracles import _postorder, brute_tree_edit_distance
+from oracles import _postorder, brute_tree_edit_distance, reference_tree_distance
 
 
 # Two-letter labels, so that equal labels and free relabels both occur often.
@@ -34,6 +34,76 @@ _small_trees = st.lists(_small_nodes, min_size=1, max_size=2).map(lambda roots: 
 
 def header_only_table(left: CoordTree, top: CoordTree) -> HierarchicalTable:
     return HierarchicalTable("", left, top, (("",) * top.leaf_count,) * left.leaf_count)
+
+
+# Three labels, so that a label often occurs in the other tree more than once.
+_abc = st.sampled_from("abc")
+_abc_nodes = st.recursive(
+    st.builds(HeaderNode, _abc),
+    lambda children: st.builds(
+        HeaderNode, _abc, st.lists(children, min_size=1, max_size=4).map(tuple)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def relabeled(draw, node: HeaderNode) -> HeaderNode:
+    """``node``'s shape with each label kept or redrawn."""
+    label = draw(_abc) if draw(st.booleans()) else node.label
+    return HeaderNode(label, tuple(draw(relabeled(child)) for child in node.children))
+
+
+@st.composite
+def chains(draw) -> HeaderNode:
+    labels = draw(st.lists(_abc, min_size=1, max_size=15))
+    node = HeaderNode(labels[0])
+    for label in labels[1:]:
+        node = HeaderNode(label, (node,))
+    return node
+
+
+@st.composite
+def flat_structure_trees(draw) -> HeaderNode:
+    """The structure tree of a table whose two headers are flat: leaf-only forests."""
+    left, top = (
+        CoordTree(tuple(map(HeaderNode, draw(st.lists(_abc, min_size=1, max_size=8)))))
+        for _ in range(2)
+    )
+    return structure_tree(header_only_table(left, top))
+
+
+@st.composite
+def tree_pairs(draw) -> tuple[HeaderNode, HeaderNode]:
+    """Two trees: random, identical, one relabeled from the other, two leaf-only
+    forests, or chains against chains and random trees."""
+    kind = draw(st.sampled_from(["random", "identical", "relabeled", "flat", "chain"]))
+    if kind == "flat":
+        return draw(flat_structure_trees()), draw(flat_structure_trees())
+    if kind == "chain":
+        return draw(chains()), draw(chains() | _abc_nodes)
+    a = draw(_abc_nodes)
+    if kind == "random":
+        return a, draw(_abc_nodes)
+    return a, a if kind == "identical" else draw(relabeled(a))
+
+
+def relabeled_row_pair(groups: int, rows_per_group: int) -> tuple[HeaderNode, HeaderNode]:
+    """Structure trees of a 12-column table with ``groups`` x ``rows_per_group`` rows
+    (flat when ``groups`` is 0) and of its copy with every third row label changed."""
+    def left(suffix: str) -> CoordTree:
+        def rows(prefix: str, count: int) -> list[str]:
+            return [f"{prefix}{i}{suffix if i % 3 == 0 else ''}" for i in range(count)]
+
+        if not groups:
+            return CoordTree.from_nested(rows("row ", rows_per_group))
+        return CoordTree.from_nested(
+            [(f"group {g}", rows(f"row {g}.", rows_per_group)) for g in range(groups)]
+        )
+
+    top = CoordTree.from_nested([f"col {j}" for j in range(12)])
+    a, b = (header_only_table(left(suffix), top) for suffix in ("", " (restated)"))
+    return structure_tree(a), structure_tree(b)
 
 
 def small_tree_pair(seed: int) -> tuple[HeaderNode, HeaderNode]:
@@ -59,6 +129,12 @@ class TestTreeEditDistance:
         b = HeaderNode("r", (HeaderNode("a"), HeaderNode("b")))
         assert tree_edit_distance(a, b) == 1
 
+    def test_same_postorder_labels_in_another_shape(self):
+        # both list a, b, c in postorder; only the leftmost-leaf arrays differ
+        star = HeaderNode("c", (HeaderNode("a"), HeaderNode("b")))
+        chain = HeaderNode("c", (HeaderNode("b", (HeaderNode("a"),)),))
+        assert tree_edit_distance(star, chain) == brute_tree_edit_distance(star, chain) == 2
+
     def test_chain_versus_star(self):
         chain = HeaderNode("a", (HeaderNode("b", (HeaderNode("c"),)),))
         star = HeaderNode("a", (HeaderNode("b"), HeaderNode("c")))
@@ -75,6 +151,27 @@ class TestTreeEditDistance:
         if len(_postorder(a)[0]) > 6 or len(_postorder(b)[0]) > 6:
             return
         assert tree_edit_distance(a, b) == brute_tree_edit_distance(a, b)
+
+    @given(pair=tree_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_zhang_shasha_program(self, pair):
+        a, b = pair
+        assert tree_edit_distance(a, b) == reference_tree_distance(a, b)
+
+    @given(pair=tree_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_exhaustive_search_on_small_trees(self, pair):
+        a, b = pair
+        assume(len(_postorder(a)[0]) <= 7 and len(_postorder(b)[0]) <= 7)
+        assert tree_edit_distance(a, b) == brute_tree_edit_distance(a, b)
+
+    @pytest.mark.parametrize(
+        "groups, rows_per_group", [(0, 400), (20, 20)], ids=["flat-400", "groups-20x20"]
+    )
+    def test_large_relabeled_pair_equals_the_full_program(self, groups, rows_per_group):
+        a, b = relabeled_row_pair(groups, rows_per_group)
+        relabels = sum(x != y for x, y in zip(_postorder(a)[0], _postorder(b)[0]))
+        assert tree_edit_distance(a, b) == reference_tree_distance(a, b) == relabels
 
     def test_metric_properties_on_random_triples(self):
         for seed in range(80):
