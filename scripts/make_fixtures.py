@@ -26,10 +26,9 @@ from doc2table.generation import (
     build_fill_prompt,
     build_oneshot_prompt,
     build_structure_prompt,
-    plan_cells,
 )
 from doc2table.html_io import serialize_html
-from doc2table.model import CoordTree, HierarchicalTable
+from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv
 from doc2table.providers import (
     ChatProvider,
     HashingEmbedder,
@@ -100,7 +99,7 @@ def write_prompt_goldens() -> None:
     (out / "structure_prompt.txt").write_text(
         build_structure_prompt(PROMPT_QUESTION, PROMPT_SENTENCES) + "\n", encoding="utf-8"
     )
-    # The fill prompt reads only the table's header trees: the plan is its skeleton.
+    # The fill prompt reads only the cells' label paths, not their values.
     table = HierarchicalTable(
         "Metric",
         CoordTree.from_nested([("Acme Corp", ["Revenue"])]),
@@ -108,7 +107,7 @@ def write_prompt_goldens() -> None:
         (("$12.1 billion", "$13.4 billion"),),
     )
     (out / "fill_prompt.txt").write_text(
-        build_fill_prompt(PROMPT_QUESTION, PROMPT_SENTENCES, plan_cells(table)) + "\n",
+        build_fill_prompt(PROMPT_QUESTION, PROMPT_SENTENCES, flatten_to_kv(table)) + "\n",
         encoding="utf-8",
     )
     (out / "oneshot_prompt.txt").write_text(
@@ -536,7 +535,7 @@ def record_pipeline_transcripts(out: Path) -> None:
     from doc2table.data import read_documents, read_triples
 
     documents = read_documents(out / "docs.jsonl")
-    triples = read_triples(out / "questions.jsonl")
+    triples = read_triples(out / "questions.jsonl", documents)
     rewrites = pipeline_rewrites(pipeline_documents())
     decos = pipeline_decompositions()
     tables = pipeline_tables()

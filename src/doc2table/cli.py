@@ -27,11 +27,16 @@ keys, input order preserved), so a replayed run reproduces its output
 directory byte for byte: ``doc2table pipeline --config
 tests/fixtures/pipeline/config.json --out DIR`` replays the committed
 fixture, no network needed, into a DIR equal to its ``golden`` directory.
-Exit codes: 0 success; 1 a runtime failure, a bad run config or transcript
-included, or a failed question; 2 a dataset file (documents, tables,
-triples, review, retrieval or generated tables) with a malformed line, an
-unknown id, or a relevant sentence id that its document does not have.
-Failures print a machine-readable JSON report to stderr.
+Each command reads every input before it builds a provider, and a file
+before the files that refer to it: documents before triples or tables,
+ground truth before generated tables. A reader stops at its file's first
+bad line, references included, so of two bad files the referenced one is
+reported. Exit codes: 0 success; 1 a runtime failure, a bad run config or transcript
+included, or a failed question; 2 a bad line in a dataset file (documents,
+tables, triples, review, retrieval or generated tables): a malformed line,
+an unknown id, a blank question, or a relevant sentence id that its
+document does not have. Failures print a machine-readable JSON report to
+stderr.
 """
 from __future__ import annotations
 
@@ -103,14 +108,6 @@ def _providers_and_map(config: RunConfig, roles: tuple[str, ...]):
             transcript.save(path)
 
 
-def _check_known(path: str | Path, field: str, values: list[str], known) -> None:
-    """Reject the first row whose ``field`` value is not in ``known``, by its 1-based file line."""
-    for value in values:
-        if value not in known:
-            line = next(n for n, obj in data.read_jsonl(path) if obj.get(field) == value)
-            raise data.InputFormatError(path, line, field, f"unknown {field} {value!r}")
-
-
 def _recall(triples: list[QaTriple], records: dict[str, RetrievalRecord], k: int) -> dict:
     """recall@{10,20,30} (capped at k) per triple with relevant ids, plus means; {} if none."""
     ks = [x for x in RECALL_KS if x <= k] or [k]
@@ -131,27 +128,6 @@ def _recall(triples: list[QaTriple], records: dict[str, RetrievalRecord], k: int
     return {"per_item": rows, "mean": aggregate_scores(rows)["recall_at_k"]}
 
 
-def _check_triples(
-    triples: list[QaTriple], triples_path: str | Path, documents: dict[str, list[str]]
-) -> None:
-    """Reject the first triple with an unknown document, a blank question or a
-    relevant id its document lacks, by its line in ``triples_path``.
-
-    Commands run it before they build the providers, so a bad triple is
-    reported ahead of any transcript load or provider error.
-    """
-    _check_known(triples_path, "doc_id", [t.doc_id for t in triples], documents)
-    if any(not t.question.strip() for t in triples):
-        line = next(n for n, obj in data.read_jsonl(triples_path) if not obj["question"].strip())
-        raise data.InputFormatError(triples_path, line, "question", "question is blank")
-    for triple in triples:
-        count, last = len(documents[triple.doc_id]), max(triple.relevant_sentence_ids, default=-1)
-        if last >= count:
-            line = next(n for n, obj in data.read_jsonl(triples_path) if obj["id"] == triple.triple_id)
-            message = f"no sentence {last} in document {triple.doc_id!r}, which has {count}"
-            raise data.InputFormatError(triples_path, line, "relevant_sentence_ids", message)
-
-
 def retrieve_stage(
     triples: list[QaTriple],
     documents: dict[str, list[str]],
@@ -170,8 +146,8 @@ def retrieve_stage(
     its last. ``then(triple, record)``, if given, is called as each record
     is made, in input order. Returns the record per triple id and the recall
     report; with no relevant ids in any triple the report is {} and
-    recall.json is not written. The triples must have passed
-    :func:`_check_triples`.
+    recall.json is not written. The triples must have been read against
+    ``documents`` (:func:`~doc2table.data.read_triples`).
     """
     sentence_texts = {
         doc_id: rewrite_sentences(documents[doc_id], built.rewriter, mapper)
@@ -285,9 +261,8 @@ def generate_stage(
 def cmd_annotate(args) -> int:
     """One pass over the tables: each one's matches row, then its triple or its exclusion."""
     documents = data.read_documents(args.docs)
-    records = data.read_tables(args.tables)
+    records = data.read_tables(args.tables, documents)
     decisions = data.read_review(args.review) if args.review else {}
-    _check_known(args.tables, "doc_id", [record["doc_id"] for record in records], documents)
 
     # One index per referenced document; each scans its sentences at its first table.
     indexes = {
@@ -344,9 +319,8 @@ def _load_config(args, *inputs: str) -> tuple[RunConfig, Path]:
 
 def cmd_retrieve(args) -> int:
     config, out = _load_config(args, "questions", "docs")
-    triples = data.read_triples(config.questions)
     documents = data.read_documents(config.docs)
-    _check_triples(triples, config.questions, documents)
+    triples = data.read_triples(config.questions, documents)
     with _providers_and_map(config, ("rewriter", "embedder")) as (built, mapper):
         _, recall = retrieve_stage(triples, documents, built, config, out, mapper)
     if recall:
@@ -426,19 +400,15 @@ def evaluate_stage(
 
 
 def cmd_evaluate(args) -> int:
-    generated = data.read_generated_tables(args.generated)
     groundtruth = {t.triple_id: t for t in data.read_triples(args.groundtruth)}
-    _check_known(args.generated, "id", list(generated), groundtruth)
+    generated = data.read_generated_tables(args.generated, groundtruth)
     print(evaluate_stage(generated, groundtruth, Path(args.out)))
     return 0
 
 
 def cmd_stats(args) -> int:
-    triples = data.read_triples(args.triples)
-    documents = None
-    if args.docs:
-        documents = data.read_documents(args.docs)
-        _check_known(args.triples, "doc_id", [t.doc_id for t in triples], documents)
+    documents = data.read_documents(args.docs) if args.docs else None
+    triples = data.read_triples(args.triples, documents)
     print(json.dumps(ann.corpus_stats(triples, documents), sort_keys=True, indent=2))
     return 0
 
@@ -446,8 +416,7 @@ def cmd_stats(args) -> int:
 def cmd_pipeline(args) -> int:
     config, out = _load_config(args, "questions", "docs")
     documents = data.read_documents(config.docs)
-    triples = data.read_triples(config.questions)
-    _check_triples(triples, config.questions, documents)
+    triples = data.read_triples(config.questions, documents)
     with _providers_and_map(config, ("chat", "rewriter", "embedder")) as (built, mapper):
         # Each question's TabTalk, mapped on its own as soon as its record
         # exists: a pool queues it then, the builtin map runs it when read.

@@ -5,13 +5,16 @@ other records live beside their readers: :class:`QaTriple` is a triples
 line, :class:`RetrievalRecord` a retrieval line (its ``to_dict`` writes
 one). Only ``model`` and ``html_io`` are imported: reading loads no stage.
 
-Formats, each with the key that no two of its lines may share:
+Formats, each with the key that no two of its lines may share and, after
+the ";", what a line must refer to in the file it is read against:
   documents  {"doc_id": str, "sentences": [str]}  (or {"doc_id", "text"},
              which :func:`split_sentences` segments); unique doc_id
   tables     {"table_id": str, "doc_id": str, "table_html": str,
-              "question": str (optional)}; unique table_id
+              "question": str (optional)}; unique table_id; a known doc_id
   triples    {"id": str, "doc_id": str, "question": str, "table_html": str,
-              "relevant_sentence_ids": [int >= 0]}; unique id
+              "relevant_sentence_ids": [int >= 0]}; unique id; given the
+             documents, a known doc_id, a question that is not blank, and
+             relevant ids below that document's sentence count
   review     {"table_id": str, "match_id": "row,col",
               "status": "confirmed" | "rejected"}; unique
              (table_id, match_id) pair
@@ -21,7 +24,8 @@ Formats, each with the key that no two of its lines may share:
               "k": int >= 1, "degraded": bool (optional, false),
               "sentences": [{"id": sid, "text": str}] (optional)}, where a
              sid is an int >= 0 and a score an int or float; unique id
-  generated  {"id": str, "table_html": str}; unique id
+  generated  {"id": str, "table_html": str}; unique id; an id of a
+             ground-truth triple
 
 Every file is read by :func:`read_jsonl`, one line at a time. Lines end at
 "\\n" only, the JSON Lines separator: a raw U+2028, U+2029 or U+0085 stays
@@ -32,8 +36,10 @@ file, line and field; a repeated review pair names its ``match_id``.
 Types are exact and nothing is converted: ``true`` is not an int, nor
 ``1.0``. Every format but review is read through ``_read_keyed``, which
 checks a line's key, then its other fields, then whether an earlier line
-used the key. All writes go through a temp file and rename so partial
-output is never observed.
+used the key, then what the line refers to (an :class:`InputFormatError`
+too). A line is checked in full before the next is read, so a file's first
+bad line is the one reported, whatever its fault. All writes go through a
+temp file and rename so partial output is never observed.
 """
 from __future__ import annotations
 
@@ -42,7 +48,6 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 from .html_io import parse_html_table
@@ -187,24 +192,15 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(1-based line number, JSON object) for each non-blank line, read one at a time."""
-    number = 0
-    try:
-        with open(path, encoding="utf-8", newline="\n") as handle:
-            for number, line in enumerate(handle, start=1):
-                if line := line.strip():
-                    yield number, _json_object(line, path, number)
-    except UnicodeDecodeError:
-        # text mode decodes a chunk ahead of the lines it returns, so the bad
-        # line is found in binary, going on from the first line not yet read
-        with open(path, "rb") as handle:
-            for number, raw in enumerate(islice(handle, number, None), start=number + 1):
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    raise InputFormatError(path, number, "<json>", f"invalid UTF-8: {exc}") from None
-                if line:
-                    yield number, _json_object(line, path, number)
+    """(1-based line number, JSON object) for each non-blank line, read and decoded one at a time."""
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(path, number, "<json>", f"invalid UTF-8: {exc}") from None
+            if line:
+                yield number, _json_object(line, path, number)
 
 
 def _json_object(line: str, path, number: int) -> dict:
@@ -254,11 +250,12 @@ _RETRIEVAL_FIELDS = {
 }
 
 
-def _read_keyed(path: str | Path, key: str, parse) -> dict:
+def _read_keyed(path: str | Path, key: str, parse, check) -> dict:
     """Each line of ``path`` parsed by ``parse(obj, line)``, keyed by its str ``key`` field.
 
     Per line the key is checked first, then ``parse`` checks the other
-    fields, then a key that an earlier line already used is rejected.
+    fields, then a key that an earlier line already used is rejected, and
+    last ``check(key, item, line)``, unless None, checks the line's references.
     """
     items: dict = {}
     for line, obj in read_jsonl(path):
@@ -266,8 +263,15 @@ def _read_keyed(path: str | Path, key: str, parse) -> dict:
         item = parse(obj, line)
         if item_key in items:
             raise InputFormatError(path, line, key, f"duplicate {key} {item_key!r}")
+        if check is not None:
+            check(item_key, item, line)
         items[item_key] = item
     return items
+
+
+def _require_known(value: str, field: str, known, path, line: int) -> None:
+    if value not in known:
+        raise InputFormatError(path, line, field, f"unknown {field} {value!r}")
 
 
 def read_documents(path: str | Path) -> dict[str, list[str]]:
@@ -284,10 +288,10 @@ def read_documents(path: str | Path) -> dict[str, list[str]]:
             return split_sentences(_require(obj, "text", str, path, line))
         raise InputFormatError(path, line, "sentences", "need 'sentences' or 'text'")
 
-    return _read_keyed(path, "doc_id", parse)
+    return _read_keyed(path, "doc_id", parse, None)
 
 
-def read_tables(path: str | Path) -> list[dict]:
+def read_tables(path: str | Path, documents: dict[str, list[str]]) -> list[dict]:
     """Annotation inputs: table records with ids, the parsed ``table`` and optional questions."""
 
     def parse(obj: dict, line: int) -> dict:
@@ -301,7 +305,10 @@ def read_tables(path: str | Path) -> list[dict]:
             raise InputFormatError(path, line, "question", "expected str")
         return record
 
-    return list(_read_keyed(path, "table_id", parse).values())
+    def check(_, record: dict, line: int) -> None:
+        _require_known(record["doc_id"], "doc_id", documents, path, line)
+
+    return list(_read_keyed(path, "table_id", parse, check).values())
 
 
 def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
@@ -313,7 +320,9 @@ def _require_table(obj: dict, path, line: int) -> HierarchicalTable:
         raise InputFormatError(path, line, "table_html", str(exc)) from exc
 
 
-def read_triples(path: str | Path) -> list[QaTriple]:
+def read_triples(path: str | Path, documents: dict[str, list[str]] | None = None) -> list[QaTriple]:
+    """Question-table triples in file order; their references are checked if ``documents`` is given."""
+
     def parse(obj: dict, line: int) -> QaTriple:
         table = _require_table(obj, path, line)
         ids = obj.get("relevant_sentence_ids", [])
@@ -329,7 +338,16 @@ def read_triples(path: str | Path) -> list[QaTriple]:
             tuple(ids),
         )
 
-    return list(_read_keyed(path, "id", parse).values())
+    def check(_, triple: QaTriple, line: int) -> None:
+        _require_known(triple.doc_id, "doc_id", documents, path, line)
+        if not triple.question.strip():
+            raise InputFormatError(path, line, "question", "question is blank")
+        count, last = len(documents[triple.doc_id]), max(triple.relevant_sentence_ids, default=-1)
+        if last >= count:
+            message = f"no sentence {last} in document {triple.doc_id!r}, which has {count}"
+            raise InputFormatError(path, line, "relevant_sentence_ids", message)
+
+    return list(_read_keyed(path, "id", parse, None if documents is None else check).values())
 
 
 def read_review(path: str | Path) -> dict[str, dict[str, str]]:
@@ -375,9 +393,13 @@ def read_retrieval_records(path: str | Path) -> dict[str, RetrievalRecord]:
             )
         return record
 
-    return _read_keyed(path, "id", parse)
+    return _read_keyed(path, "id", parse, None)
 
 
-def read_generated_tables(path: str | Path) -> dict[str, HierarchicalTable]:
-    """Generated outputs: id -> parsed table_html."""
-    return _read_keyed(path, "id", lambda obj, line: _require_table(obj, path, line))
+def read_generated_tables(path: str | Path, known) -> dict[str, HierarchicalTable]:
+    """Generated outputs: id -> parsed table_html; each id must be in ``known``."""
+
+    def check(item_id: str, _, line: int) -> None:
+        _require_known(item_id, "id", known, path, line)
+
+    return _read_keyed(path, "id", lambda obj, line: _require_table(obj, path, line), check)

@@ -4,8 +4,9 @@ Stage one asks the chat model for the table's header skeleton (row-header
 tree, column-header tree, dimensions) as an HTML fragment inside a fenced
 block; it parses to a :class:`HierarchicalTable`, the skeleton, whose
 shape the declared dimensions must match. That skeleton is the plan: its
-body cells form one row-major list of :class:`PlanCell`, each carrying its
-two leaf coordinates and their label paths. Stage two fills that list one
+body cells, walked by :func:`~doc2table.model.flatten_to_kv`, form one
+row-major list of :class:`~doc2table.model.KeyValueTriple`, each carrying
+its two leaf coordinates and their label paths. Stage two fills that list one
 body row per prompt, with per-cell queries, sentence citations and unit
 notes, and the answer is the skeleton with each fill reply's values as one
 body row. Each stage gets at most :data:`MAX_RETRIES` retries with the
@@ -24,10 +25,11 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .html_io import parse_html_table
-from .model import HierarchicalTable, TableError
+from .model import HierarchicalTable, KeyValueTriple, TableError, flatten_to_kv
 from .providers import ChatProvider, ProviderError
 
 logger = logging.getLogger(__name__)
@@ -48,31 +50,8 @@ class StageFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PlanCell:
-    """One body cell of a plan: its two leaf coordinates (child-index paths) and label paths."""
-
-    left_coord: tuple[int, ...]
-    top_coord: tuple[int, ...]
-    left_path: tuple[str, ...]
-    top_path: tuple[str, ...]
-
-    @property
-    def query(self) -> str:
-        return f"What is {_path_str(self.top_path)} for {_path_str(self.left_path)}?"
-
-
-def plan_cells(skeleton: HierarchicalTable) -> list[PlanCell]:
-    """Every body cell of ``skeleton`` in row-major order; only its header trees are read."""
-    return [
-        PlanCell(left_coord, top_coord, left_path, top_path)
-        for left_coord, left_path in skeleton.left.leaves
-        for top_coord, top_path in skeleton.top.leaves
-    ]
-
-
-@dataclass(frozen=True)
 class CellFill:
-    cell: PlanCell
+    cell: KeyValueTriple
     sentence_ids: tuple[int, ...]
     value: str
     note: str | None = None
@@ -97,6 +76,8 @@ class TabTalkResult:
 
 
 _FENCED_BLOCK = re.compile(r"```[a-zA-Z]*[ \t]*\n(.*?)```", re.DOTALL)
+# From the first <table to the last </table>, in any letter case, as the HTML parser reads tags.
+_TABLE_ELEMENT = re.compile(r"<table.*</table>", re.DOTALL | re.IGNORECASE)
 _DIMENSIONS = re.compile(r"dimensions\s*:\s*(\d+)\s*[x×*]\s*(\d+)", re.IGNORECASE)
 
 
@@ -110,12 +91,11 @@ def extract_fenced_block(response: str) -> str:
 
 def _parse_block_table(block: str, what: str) -> HierarchicalTable:
     """Parse the ``<table>`` element inside a fenced block."""
-    start = block.find("<table")
-    end = block.rfind("</table>")
-    if start == -1 or end == -1:
+    element = _TABLE_ELEMENT.search(block)
+    if element is None:
         raise ResponseParseError("no <table> element in the fenced block")
     try:
-        return parse_html_table(block[start : end + len("</table>")])
+        return parse_html_table(element.group())
     except TableError as exc:
         raise ResponseParseError(f"{what} is not a usable table: {exc}") from exc
 
@@ -128,6 +108,11 @@ def _question_and_evidence(question: str, sentences: list[tuple[int, str]]) -> l
 
 def _path_str(path: tuple[str, ...]) -> str:
     return " > ".join(path)
+
+
+def _query(cell: KeyValueTriple) -> str:
+    """The question a fill prompt asks about one cell, from its row and column label paths."""
+    return f"What is {_path_str(cell.top_key)} for {_path_str(cell.left_key)}?"
 
 
 def build_structure_prompt(question: str, sentences: list[tuple[int, str]]) -> str:
@@ -186,12 +171,12 @@ def parse_structure_response(response: str) -> HierarchicalTable:
 
 
 def build_fill_prompt(
-    question: str, sentences: list[tuple[int, str]], batch: list[PlanCell]
+    question: str, sentences: list[tuple[int, str]], batch: Sequence[KeyValueTriple]
 ) -> str:
     """Stage-two prompt: fill the given cells, citing evidence sentences."""
     cell_lines = [
-        f"cell {i + 1}: row = {_path_str(cell.left_path)}; column = {_path_str(cell.top_path)}\n"
-        f"  query: {cell.query}"
+        f"cell {i + 1}: row = {_path_str(cell.left_key)}; column = {_path_str(cell.top_key)}\n"
+        f"  query: {_query(cell)}"
         for i, cell in enumerate(batch)
     ]
     parts = [
@@ -217,7 +202,7 @@ def build_fill_prompt(
 
 
 def parse_fill_response(
-    response: str, batch: list[PlanCell], sentence_ids: list[int]
+    response: str, batch: Sequence[KeyValueTriple], sentence_ids: list[int]
 ) -> list[CellFill]:
     """One record per batch cell, in batch order; absent cells are flagged unfilled.
 
@@ -347,7 +332,7 @@ def run_tabtalk(
         chat, prompt, parse_structure_response, "structure"
     )
 
-    cells = plan_cells(skeleton)
+    cells = flatten_to_kv(skeleton)
     n_cols = skeleton.top.leaf_count
     batches = [cells[i : i + n_cols] for i in range(0, len(cells), n_cols)]
     sentence_ids = [sid for sid, _ in sentences]
@@ -377,8 +362,7 @@ def _run_oneshot(
         lambda resp: _parse_block_table(extract_fenced_block(resp), "reply"),
         "oneshot",
     )
-    values = [value for row in table.body for value in row]
-    records = tuple(CellFill(cell, (), value) for cell, value in zip(plan_cells(table), values))
+    records = tuple(CellFill(cell, (), cell.value) for cell in flatten_to_kv(table))
     return TabTalkResult(table, FillTrace(records), retries, 0)
 
 
@@ -396,7 +380,7 @@ def trace_to_dict(table: HierarchicalTable, trace: FillTrace) -> dict:
             {
                 "left": list(record.cell.left_coord),
                 "top": list(record.cell.top_coord),
-                "query": record.cell.query,
+                "query": _query(record.cell),
                 "sentences": list(record.sentence_ids),
                 "value": record.value,
                 "note": record.note,

@@ -120,11 +120,13 @@ class CoordTree:
 
 @dataclass(frozen=True)
 class KeyValueTriple:
-    """A body cell flattened to (row label path, column label path, text)."""
+    """A body cell: row and column label paths, text, and row and column leaf coordinates."""
 
     left_key: tuple[str, ...]
     top_key: tuple[str, ...]
     value: str
+    left_coord: tuple[int, ...]
+    top_coord: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -168,13 +170,13 @@ class HierarchicalTable:
 
 
 def flatten_to_kv(table: HierarchicalTable) -> tuple[KeyValueTriple, ...]:
-    """One triple per body cell in row-major order.
+    """One triple per body cell in row-major order: the one body-cell walk.
 
     Keys are the label paths of the cell's leaf coordinates; the stub
     header never appears in a key.
     """
     return tuple(
-        KeyValueTriple(left_path, top_path, value)
-        for (_, left_path), row in zip(table.left.leaves, table.body)
-        for (_, top_path), value in zip(table.top.leaves, row)
+        KeyValueTriple(left_path, top_path, value, left_coord, top_coord)
+        for (left_coord, left_path), row in zip(table.left.leaves, table.body)
+        for (top_coord, top_path), value in zip(table.top.leaves, row)
     )

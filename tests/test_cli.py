@@ -185,6 +185,29 @@ class TestEvaluate:
         assert error["message"].endswith("header has 1100 levels, more than the 100 supported")
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_id_is_reported_before_a_later_unparsable_table(self, tmp_path, capsys):
+        table = make_flat_table(1, 1)
+        gen, gt = self.write_pair(tmp_path, {"b": table}, {"a": table})
+        with gen.open("a") as handle:
+            handle.write(json.dumps({"id": "a", "table_html": "<p>no table</p>"}) + "\n")
+        code = run(["evaluate", "--generated", gen, "--groundtruth", gt, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(gen), 1, "id")
+        assert error["message"] == "unknown id 'b'"
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_groundtruth_is_reported_before_bad_generated_tables(self, tmp_path, capsys):
+        table = make_flat_table(1, 1)
+        gen, gt = self.write_pair(tmp_path, {"a": table}, {"a": table})
+        for path in (gen, gt):
+            with path.open("a") as handle:
+                handle.write("{not json\n")
+        code = run(["evaluate", "--generated", gen, "--groundtruth", gt, "--out", tmp_path / "o"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(gt), 2, "<json>")
+
     def test_empty_generated_file_writes_an_empty_aggregate(self, tmp_path, capsys):
         gen, gt = self.write_pair(tmp_path, {}, {"a": make_flat_table(1, 1)})
         out = tmp_path / "out"
@@ -234,6 +257,28 @@ class TestMalformedInputs:
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["file"], error["line"], error["field"]) == (str(triples), 2, "doc_id")
         assert "nope" in error["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_doc_id_is_reported_before_a_later_malformed_line(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
+        triples = tmp_path / "triples.jsonl"
+        row = {
+            "id": "t",
+            "doc_id": "d",
+            "question": "q",
+            "table_html": serialize_html(make_flat_table(1, 1)),
+            "relevant_sentence_ids": [0],
+        }
+        triples.write_text(
+            json.dumps(row) + "\n" + json.dumps({**row, "id": "u", "doc_id": "nope"}) + "\n"
+            + "{not json\n"
+        )
+        config = write_config(tmp_path, questions="triples.jsonl", docs="docs.jsonl")
+        assert run(["retrieve", "--config", config, "--out", tmp_path / "o"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(triples), 2, "doc_id")
+        assert error["message"] == "unknown doc_id 'nope'"
         assert not (tmp_path / "o").exists()
 
     def test_blank_question_names_triples_line(self, tmp_path, capsys, monkeypatch):
@@ -814,6 +859,18 @@ class TestStats:
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["file"], error["line"], error["field"]) == (str(questions), 1, "doc_id")
         assert "acme_beta_h1_2023" in error["message"]
+
+    def test_relevant_id_beyond_its_document_names_triples_line(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        rows = read_jsonl_rows(PIPELINE / "docs.jsonl")
+        write_jsonl(docs, [rows[0], {**rows[1], "sentences": ["Only one sentence."]}])
+        questions = PIPELINE / "questions.jsonl"
+        assert run(["stats", "--triples", questions, "--docs", docs]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (
+            str(questions), 2, "relevant_sentence_ids"
+        )
+        assert error["message"] == "no sentence 1 in document 'gamma_q3_2023', which has 1"
 
     def test_invalid_utf8_document_line_is_input_error(self, tmp_path, capsys):
         docs = tmp_path / "docs.jsonl"

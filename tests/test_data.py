@@ -4,6 +4,7 @@ import json
 import os
 import re
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from doc2table.data import (
     atomic_write_text,
     read_documents,
     read_generated_tables,
+    read_jsonl,
     read_retrieval_records,
     read_review,
     read_tables,
@@ -244,6 +246,20 @@ class TestLineReading:
         with pytest.raises(ValueError, match=f"^{re.escape(str(transcript))}, line 2: invalid UTF-8"):
             Transcript.load(transcript)
 
+    def test_invalid_utf8_after_thousands_of_long_lines_names_its_line(self, tmp_path):
+        # 2,000 lines of 1 kB each: far past any decoder's read-ahead
+        row = json.dumps({"doc_id": "d", "sentences": ["Revenue rose. " * 70]}).encode()
+        path = tmp_path / "docs.jsonl"
+        bad = row.replace(b"Revenue", b"R\xe9venue", 1)
+        path.write_bytes(b"\n".join([row] * 2000 + [bad, row, b""]))
+        read = []
+        with pytest.raises(InputFormatError) as excinfo:
+            for number, _ in read_jsonl(path):
+                read.append(number)
+        assert read == list(range(1, 2001))
+        assert (excinfo.value.line, excinfo.value.field) == (2001, "<json>")
+        assert excinfo.value.reason.startswith("invalid UTF-8: ")
+
 
 class TestTriples:
     def test_round_trip(self, tmp_path):
@@ -319,7 +335,7 @@ class TestTables:
         row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
         write_jsonl(path, [row, {**row, "table_id": "t2"}, {**row, "doc_id": "e"}])
         with pytest.raises(InputFormatError) as excinfo:
-            read_tables(path)
+            read_tables(path, {"d": ["x"]})
         assert (excinfo.value.line, excinfo.value.field) == (3, "table_id")
         assert excinfo.value.reason == "duplicate table_id 't1'"
 
@@ -329,7 +345,7 @@ class TestTables:
         row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
         write_jsonl(path, [row, {**row, "table_id": "t2", "question": ["q"]}])
         with pytest.raises(InputFormatError) as excinfo:
-            read_tables(path)
+            read_tables(path, {"d": ["x"]})
         assert (excinfo.value.line, excinfo.value.field) == (2, "question")
         assert excinfo.value.reason == "expected str"
 
@@ -340,7 +356,7 @@ class TestGeneratedTables:
         html = serialize_html(make_flat_table(1, 1))
         write_jsonl(path, [{"id": "a", "table_html": html}, {"id": "a", "table_html": html}])
         with pytest.raises(InputFormatError) as excinfo:
-            read_generated_tables(path)
+            read_generated_tables(path, {"a"})
         assert (excinfo.value.line, excinfo.value.field) == (2, "id")
         assert excinfo.value.reason == "duplicate id 'a'"
 
@@ -438,7 +454,8 @@ class TestRetrievalRecords:
 
 
 class TestKeyedReaders:
-    """Every keyed format checks a line's key, then its other fields, then repeats.
+    """Every keyed format checks a line's key, then its other fields, then repeats,
+    then the ids it refers to in the file it is read against.
 
     Each format's repeat check has its own test above.
     """
@@ -448,18 +465,21 @@ class TestKeyedReaders:
     READERS = {
         "documents": (read_documents, "doc_id", {"sentences": ["x"]}, {"sentences": 3}, "sentences"),
         "tables": (
-            read_tables, "table_id", {"doc_id": "d", "table_html": HTML}, {"table_html": 3},
-            "table_html",
+            partial(read_tables, documents={"d": ["x"]}), "table_id",
+            {"doc_id": "d", "table_html": HTML}, {"table_html": 3}, "table_html",
         ),
         "triples": (
-            read_triples, "id", {"doc_id": "d", "question": "q", "table_html": HTML},
-            {"table_html": 3}, "table_html",
+            partial(read_triples, documents={"d": ["x"]}), "id",
+            {"doc_id": "d", "question": "q", "table_html": HTML}, {"table_html": 3}, "table_html",
         ),
         "retrieval": (
             read_retrieval_records, "id", TestRetrievalRecords.ROW, {"merged": [[9, 0.1]]},
             "sentences",
         ),
-        "generated": (read_generated_tables, "id", {"table_html": HTML}, {"table_html": 3}, "table_html"),
+        "generated": (
+            partial(read_generated_tables, known={"a"}), "id", {"table_html": HTML},
+            {"table_html": 3}, "table_html",
+        ),
     }
 
     def fail(self, tmp_path, name: str, rows: list[dict]) -> InputFormatError:
@@ -485,6 +505,21 @@ class TestKeyedReaders:
         _, key, row, defect, field = self.READERS[name]
         error = self.fail(tmp_path, name, [{key: "a", **row}, {key: "a", **row, **defect}])
         assert (error.line, error.field) == (2, field)
+
+    @pytest.mark.parametrize("name", ["tables", "triples"])
+    def test_repeated_key_is_reported_before_an_unknown_reference(self, tmp_path, name):
+        _, key, row, _, _ = self.READERS[name]
+        error = self.fail(tmp_path, name, [{key: "a", **row}, {key: "a", **row, "doc_id": "e"}])
+        assert (error.line, error.field, error.reason) == (2, key, f"duplicate {key} 'a'")
+
+    @pytest.mark.parametrize("name", ["tables", "triples", "generated"])
+    def test_unknown_reference_is_reported_before_a_later_bad_line(self, tmp_path, name):
+        _, key, row, defect, _ = self.READERS[name]
+        unknown = {key: "b", **row} if name == "generated" else {key: "b", **row, "doc_id": "e"}
+        error = self.fail(tmp_path, name, [{key: "a", **row}, unknown, {key: "c", **row, **defect}])
+        field = "id" if name == "generated" else "doc_id"
+        assert (error.line, error.field) == (2, field)
+        assert error.reason == f"unknown {field} {unknown[field]!r}"
 
 
 class TestReview:

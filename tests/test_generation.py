@@ -20,13 +20,12 @@ from doc2table.generation import (
     extract_fenced_block,
     parse_fill_response,
     parse_structure_response,
-    plan_cells,
     run_tabtalk,
     trace_to_dict,
 )
 from doc2table.html_io import parse_html_table, serialize_html
 from doc2table.metrics import table_scores
-from doc2table.model import CoordTree, HierarchicalTable
+from doc2table.model import CoordTree, HierarchicalTable, flatten_to_kv
 from doc2table.providers import (
     ChatProvider,
     ProviderError,
@@ -74,6 +73,11 @@ dimensions: 1 x 2
 That should cover it."""
 
 
+def upper_tags(text: str) -> str:
+    """``text`` with every HTML tag name in capitals, which HTML allows."""
+    return re.sub(r"</?[a-z]+", lambda tag: tag.group().upper(), text)
+
+
 class TestPrompts:
     def test_structure_prompt_matches_golden(self):
         golden = (PROMPTS / "structure_prompt.txt").read_text(encoding="utf-8")
@@ -81,7 +85,7 @@ class TestPrompts:
 
     def test_fill_prompt_matches_golden(self):
         golden = (PROMPTS / "fill_prompt.txt").read_text(encoding="utf-8")
-        assert build_fill_prompt(QUESTION, SENTENCES, plan_cells(simple_plan())) + "\n" == golden
+        assert build_fill_prompt(QUESTION, SENTENCES, flatten_to_kv(simple_plan())) + "\n" == golden
 
     def test_oneshot_prompt_matches_golden(self):
         golden = (PROMPTS / "oneshot_prompt.txt").read_text(encoding="utf-8")
@@ -99,7 +103,7 @@ class TestPrompts:
             assert f"{n}. Fact number {n - 1} holds." in prompt
 
     def test_fill_prompt_names_cell_paths(self):
-        cell = plan_cells(simple_plan())[1]
+        cell = flatten_to_kv(simple_plan())[1]
         assert (cell.left_coord, cell.top_coord) == ((0, 0), (1,))
         prompt = build_fill_prompt(QUESTION, SENTENCES, [cell])
         assert "cell 1: row = Acme Corp > Revenue; column = Q2 2023" in prompt
@@ -107,7 +111,7 @@ class TestPrompts:
     def test_fill_prompt_full_table_row_major(self):
         left, top = CoordTree.from_nested(["r1", "r2"]), CoordTree.from_nested(["c1", "c2"])
         plan = HierarchicalTable("", left, top, (("", ""), ("", "")))
-        prompt = build_fill_prompt(QUESTION, SENTENCES, plan_cells(plan))
+        prompt = build_fill_prompt(QUESTION, SENTENCES, flatten_to_kv(plan))
         assert prompt.index("row = r1; column = c1") < prompt.index("row = r1; column = c2")
         assert prompt.index("row = r1; column = c2") < prompt.index("row = r2; column = c1")
         assert "cell 4" in prompt
@@ -155,7 +159,7 @@ def fill_response(entries) -> str:
 
 class TestParseFill:
     def test_complete_response(self):
-        batch = plan_cells(simple_plan())
+        batch = flatten_to_kv(simple_plan())
         response = fill_response(
             [
                 {"cell": 1, "value": "$12.1 billion", "sentences": [1], "note": None},
@@ -170,7 +174,7 @@ class TestParseFill:
         assert all(r.filled for r in records)
 
     def test_missing_cell_flagged_unfilled(self, caplog):
-        batch = plan_cells(simple_plan())
+        batch = flatten_to_kv(simple_plan())
         response = fill_response([{"cell": 1, "value": "x", "sentences": []}])
         with caplog.at_level(logging.WARNING, logger="doc2table.generation"):
             records = parse_fill_response(response, batch, [0])
@@ -178,7 +182,7 @@ class TestParseFill:
         assert records[1].value == ""
 
     def test_out_of_range_citation_dropped_with_warning(self, caplog):
-        batch = plan_cells(simple_plan())
+        batch = flatten_to_kv(simple_plan())
         response = fill_response(
             [
                 {"cell": 1, "value": "x", "sentences": [99]},
@@ -191,7 +195,7 @@ class TestParseFill:
         assert any("citation" in r.message for r in caplog.records)
 
     def test_null_value_is_empty_and_booleans_are_not_numbers(self, caplog):
-        batch = plan_cells(simple_plan())
+        batch = flatten_to_kv(simple_plan())
         response = fill_response(
             [
                 {"cell": 1, "value": None, "sentences": [True, 2]},
@@ -207,21 +211,21 @@ class TestParseFill:
 
     def test_unparseable_block(self):
         with pytest.raises(ResponseParseError):
-            parse_fill_response("```json\nnot json\n```", plan_cells(simple_plan()), [0])
+            parse_fill_response("```json\nnot json\n```", flatten_to_kv(simple_plan()), [0])
 
     def test_non_list_json(self):
         with pytest.raises(ResponseParseError):
-            parse_fill_response('```json\n{"cell": 1}\n```', plan_cells(simple_plan()), [0])
+            parse_fill_response('```json\n{"cell": 1}\n```', flatten_to_kv(simple_plan()), [0])
 
     @pytest.mark.parametrize("sentences", [1, True, "1", {"1": 1}])
     def test_sentences_that_are_not_a_list_reject_the_reply(self, sentences):
         response = fill_response([{"cell": 1, "value": "x", "sentences": sentences}])
         with pytest.raises(ResponseParseError, match='"sentences" of cell 1'):
-            parse_fill_response(response, plan_cells(simple_plan()), [0])
+            parse_fill_response(response, flatten_to_kv(simple_plan()), [0])
 
     def test_null_sentences_cite_nothing(self):
         response = fill_response([{"cell": 1, "value": "x", "sentences": None}])
-        records = parse_fill_response(response, plan_cells(simple_plan()), [0])
+        records = parse_fill_response(response, flatten_to_kv(simple_plan()), [0])
         assert records[0].sentence_ids == () and records[0].filled
 
 
@@ -349,6 +353,26 @@ class TestRunTabTalk:
         assert result.table == gt
         assert len(result.trace.records) == 2
 
+    def test_uppercase_structure_reply_needs_no_retry(self):
+        gt = make_gt()
+        inner = perfect_handler(gt)
+
+        def handler(request):
+            return {"content": upper_tags(inner(request)["content"])}
+
+        result = run_tabtalk(QUESTION, SENTENCES, ChatProvider(ScriptedProvider(handler)))
+        assert result.table == gt
+        assert result.structure_retries == 0
+
+    def test_uppercase_oneshot_reply_needs_no_retry(self):
+        gt = make_gt()
+        reply = f"```table\n{upper_tags(serialize_html(gt))}\n```"
+        chat = ChatProvider(ScriptedProvider(lambda request: {"content": reply}))
+        result = run_tabtalk(QUESTION, SENTENCES, chat, oneshot=True)
+        assert result.table == gt
+        assert result.structure_retries == 0
+        assert [r.value for r in result.trace.records] == ["$12.1 billion", "$13.4 billion"]
+
     def test_trace_serialization(self):
         gt = make_gt()
         chat = ChatProvider(ScriptedProvider(perfect_handler(gt)))
@@ -442,7 +466,7 @@ class TestAssemble:
         result = run_tabtalk(QUESTION, SENTENCES, chat)
         assert result.table.body == (("$12.1 billion", ""),)
         assert [
-            (r.cell.left_path, r.cell.top_path, r.value) for r in result.trace.unfilled
+            (r.cell.left_key, r.cell.top_key, r.value) for r in result.trace.unfilled
         ] == [(("Acme Corp", "Revenue"), ("Q2 2023",), "")]
 
     def test_fill_reproduces_the_hierarchical_table(self, example_table):

@@ -112,7 +112,7 @@ class TestFlatten:
         table = HierarchicalTable(
             "", CoordTree.from_nested(["r"]), CoordTree.from_nested(["c"]), (("v",),)
         )
-        assert flatten_to_kv(table) == (KeyValueTriple(("r",), ("c",), "v"),)
+        assert flatten_to_kv(table) == (KeyValueTriple(("r",), ("c",), "v", (0,), (0,)),)
 
     def test_2x2_manual_enumeration(self, flat_2x2):
         triples = flatten_to_kv(flat_2x2)
@@ -126,7 +126,8 @@ class TestFlatten:
     def test_example_cell_triple(self, example_table):
         triples = flatten_to_kv(example_table)
         expected = KeyValueTriple(
-            ("Urinary tract", "Kidney and renal pelvis"), ("Mortality", "Females"), "61, 276"
+            ("Urinary tract", "Kidney and renal pelvis"), ("Mortality", "Females"), "61, 276",
+            (2, 0), (2, 1),
         )
         assert expected in triples
 
@@ -147,6 +148,8 @@ class TestFlatten:
             for tc in coords_of(table.top)
         ]
         assert len(set(coords)) == rows * cols
+        # each triple carries its own cell's coordinates, in row-major order
+        assert [(t.left_coord, t.top_coord) for t in triples] == coords
 
 
 class TestValidate:
