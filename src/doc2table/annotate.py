@@ -239,9 +239,7 @@ def _is_word(char: str) -> bool:
 def apply_review(matches: list[CellMatch], decisions: dict[str, str]) -> None:
     """Apply review decisions (match_id -> confirmed/rejected) in place."""
     for match in matches:
-        status = decisions.get(match.match_id)
-        if status in ("confirmed", "rejected"):
-            match.status = status
+        match.status = decisions.get(match.match_id, match.status)
 
 
 def coverage(table: HierarchicalTable, matches: list[CellMatch]) -> tuple[float, bool]:

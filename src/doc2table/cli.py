@@ -29,14 +29,15 @@ tests/fixtures/pipeline/config.json --out DIR`` replays the committed
 fixture, no network needed, into a DIR equal to its ``golden`` directory.
 Each command reads every input before it builds a provider, and a file
 before the files that refer to it: documents before triples or tables,
-ground truth before generated tables. A reader stops at its file's first
-bad line, references included, so of two bad files the referenced one is
-reported. Exit codes: 0 success; 1 a runtime failure, a bad run config or transcript
-included, or a failed question; 2 a bad line in a dataset file (documents,
-tables, triples, review, retrieval or generated tables): a malformed line,
-an unknown id, a blank question, or a relevant sentence id that its
-document does not have. Failures print a machine-readable JSON report to
-stderr.
+ground truth before generated tables, tables before the review, whose
+lines name a table and one of its body cells. A reader stops at its file's
+first bad line, references included, so of two bad files the referenced
+one is reported. Exit codes: 0 success; 1 a runtime failure, a bad run
+config or transcript included, or a failed question; 2 a bad line in a
+dataset file (documents, tables, triples, review, retrieval or generated
+tables): a malformed line, an unknown id or body cell, a blank question, or
+a relevant sentence id that its document does not have. Failures print a
+machine-readable JSON report to stderr.
 """
 from __future__ import annotations
 
@@ -262,7 +263,8 @@ def cmd_annotate(args) -> int:
     """One pass over the tables: each one's matches row, then its triple or its exclusion."""
     documents = data.read_documents(args.docs)
     records = data.read_tables(args.tables, documents)
-    decisions = data.read_review(args.review) if args.review else {}
+    tables = {record["table_id"]: record["table"] for record in records}
+    decisions = data.read_review(args.review, tables) if args.review else {}
 
     # One index per referenced document; each scans its sentences at its first table.
     indexes = {

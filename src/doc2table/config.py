@@ -43,12 +43,13 @@ from .providers import (
     HashingEmbedder,
     HttpEmbedder,
     HttpProvider,
-    IdentityRewriteBackend,
     RecordingProvider,
     ReplayProvider,
     RequestSlots,
     Rewriter,
+    ScriptedProvider,
     Transcript,
+    rewrite_to_itself,
 )
 from .retrieval import DEFAULT_TOP_K
 
@@ -191,7 +192,7 @@ def build_providers(config: RunConfig, roles: tuple[str, ...]) -> BuiltProviders
             continue
         spec = getattr(config, role)
         if spec.mode == "identity":
-            built[role] = Rewriter(IdentityRewriteBackend())
+            built[role] = Rewriter(ScriptedProvider(rewrite_to_itself))
         elif spec.mode == "hashing":
             built[role] = HashingEmbedder()
         else:

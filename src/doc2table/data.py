@@ -17,7 +17,9 @@ the ";", what a line must refer to in the file it is read against:
              relevant ids below that document's sentence count
   review     {"table_id": str, "match_id": "row,col",
               "status": "confirmed" | "rejected"}; unique
-             (table_id, match_id) pair
+             (table_id, match_id) pair; a known table_id, and a match_id
+             "row,col" ("2,1", not "2, 1") naming a body cell of that table,
+             with or without a candidate match (then it changes nothing)
   retrieval  one RetrievalRecord per line, as ``retrieve`` writes it:
              {"id": str, "question": str, "sub_questions": [str],
               "per_question": [[[sid, score]]], "merged": [[sid, score]],
@@ -37,9 +39,10 @@ Types are exact and nothing is converted: ``true`` is not an int, nor
 ``1.0``. Every format but review is read through ``_read_keyed``, which
 checks a line's key, then its other fields, then whether an earlier line
 used the key, then what the line refers to (an :class:`InputFormatError`
-too). A line is checked in full before the next is read, so a file's first
-bad line is the one reported, whatever its fault. All writes go through a
-temp file and rename so partial output is never observed.
+too); :func:`read_review` checks its lines in the same order. A line is
+checked in full before the next is read, so a file's first bad line is the
+one reported, whatever its fault. All writes go through a temp file and
+rename so partial output is never observed.
 """
 from __future__ import annotations
 
@@ -350,8 +353,8 @@ def read_triples(path: str | Path, documents: dict[str, list[str]] | None = None
     return list(_read_keyed(path, "id", parse, None if documents is None else check).values())
 
 
-def read_review(path: str | Path) -> dict[str, dict[str, str]]:
-    """Review decisions: table_id -> match_id -> confirmed/rejected."""
+def read_review(path: str | Path, tables: dict[str, HierarchicalTable]) -> dict[str, dict[str, str]]:
+    """Review decisions: table_id -> match_id -> confirmed/rejected, checked against ``tables`` by id."""
     decisions: dict[str, dict[str, str]] = {}
     for line, obj in read_jsonl(path):
         table_id = _require(obj, "table_id", str, path, line)
@@ -364,6 +367,12 @@ def read_review(path: str | Path) -> dict[str, dict[str, str]]:
             raise InputFormatError(
                 path, line, "match_id", f"duplicate match_id {match_id!r} for table_id {table_id!r}"
             )
+        _require_known(table_id, "table_id", tables, path, line)
+        body = tables[table_id].body
+        cell = re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", match_id)  # as CellMatch writes it
+        if not (cell and int(cell[1]) < len(body) and int(cell[2]) < len(body[0])):
+            message = f"names no body cell of table {table_id!r}, whose body is {len(body)} x {len(body[0])}"
+            raise InputFormatError(path, line, "match_id", f"match_id {match_id!r} {message}")
         table[match_id] = status
     return decisions
 

@@ -117,8 +117,6 @@ def _query(cell: KeyValueTriple) -> str:
 
 def build_structure_prompt(question: str, sentences: list[tuple[int, str]]) -> str:
     """Stage-one prompt: design the header skeleton, no values yet."""
-    if not sentences:
-        raise ValueError("at least one evidence sentence is required")
     parts = [
         "You answer a question by designing a table. In this step you only design",
         "the table's structure; the cells are filled later.",

@@ -75,7 +75,6 @@ class _TableHtmlParser(HTMLParser):
         self._chunks: list[str] = []  # the open cell's text
 
     def handle_starttag(self, tag: str, attrs) -> None:
-        tag = tag.lower()
         if tag == "table":
             self.table_count += 1
             self._in_table = True
@@ -108,7 +107,6 @@ class _TableHtmlParser(HTMLParser):
             self._chunks.append(" ")
 
     def handle_endtag(self, tag: str) -> None:
-        tag = tag.lower()
         if tag == "table":
             self._close_row()
             self._in_table = False

@@ -220,12 +220,10 @@ def _match_keys(gen_keys: list[tuple], gt_keys: list[tuple]) -> dict[int, int]:
 
 
 def recall_at_k(ranked: Sequence[int], relevant: Iterable[int], k: int) -> float:
-    """Fraction of relevant ids in the first k of the ranking; ``ValueError`` where undefined."""
+    """Fraction of relevant ids in the top ``k`` >= 1 of the ranking; ``ValueError`` if none is."""
     relevant_set = set(relevant)
     if not relevant_set:
         raise ValueError("recall@k is undefined for an empty relevant set")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     hits = relevant_set.intersection(ranked[:k])
     return len(hits) / len(relevant_set)
 

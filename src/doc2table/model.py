@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 def normalize_text(text: str) -> str:
@@ -118,8 +119,7 @@ class CoordTree:
         return len(self.leaves)
 
 
-@dataclass(frozen=True)
-class KeyValueTriple:
+class KeyValueTriple(NamedTuple):
     """A body cell: row and column label paths, text, and row and column leaf coordinates."""
 
     left_key: tuple[str, ...]

@@ -16,9 +16,13 @@ through an :class:`HttpTransport`: the standard library's ``http.client``
 with one keep-alive connection per worker thread, and no proxies.
 Transport errors, timeouts, 5xx, 408, 429 and replies that are not a JSON
 object are retried with exponential backoff; any other status outside 2xx,
-3xx included, fails at once, since redirects are not followed. A run's live
-providers share one :class:`RequestSlots`, which bounds the requests in
-flight; a call waiting out a backoff holds no slot.
+3xx included, fails at once, since redirects are not followed. Each call
+reads its schedule from :data:`MAX_ATTEMPTS` (3) attempts of
+:data:`TIMEOUT_S` (60 s), :data:`BACKOFF_S` (0.5 s) apart, doubling. A
+run's live providers share one :class:`RequestSlots`, which bounds the
+requests in flight; a call waiting out a backoff holds no slot. The
+offline identity rewriter is a :class:`ScriptedProvider` of
+:func:`rewrite_to_itself`.
 
 Wire contracts:
   chat     {"messages": [{"role", "content"}], "temperature": 0.0,
@@ -50,6 +54,9 @@ logger = logging.getLogger(__name__)
 
 EMBED_DIM = 4096
 RETRYABLE_4XX = (408, 429)  # request timeout and rate limit: a later attempt may succeed
+TIMEOUT_S = 60.0  # each HttpProvider attempt's socket timeout, for the connect and each read
+MAX_ATTEMPTS = 3
+BACKOFF_S = 0.5  # before the second attempt, doubling before each later one
 
 
 class ProviderError(RuntimeError):
@@ -136,7 +143,7 @@ class JsonProvider(Protocol):
 
 
 class ScriptedProvider:
-    """Test/backfill backend: a plain function produces the response."""
+    """A backend whose response is a plain function of the request, as the identity rewriter's is."""
 
     def __init__(self, handler: Callable[[dict], dict]):
         self._handler = handler
@@ -305,20 +312,10 @@ class HttpProvider:
     """
 
     def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        transport=None,
-        slots: RequestSlots | None = None,
+        self, endpoint: str, api_key: str | None = None, transport=None, slots: RequestSlots | None = None
     ):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self._transport = HttpTransport(endpoint) if transport is None else transport
         self._slots = nullcontext() if slots is None else slots
 
@@ -331,12 +328,12 @@ class HttpProvider:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error = ""
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_S * 2 ** (attempt - 1))
             try:
                 with self._slots:
-                    status, data = self._transport.post(body, headers, self.timeout)
+                    status, data = self._transport.post(body, headers, TIMEOUT_S)
                 if not 200 <= status < 300:
                     if status < 500 and status not in RETRYABLE_4XX:
                         redirect = " (redirects are not followed)" if status < 400 else ""
@@ -353,7 +350,7 @@ class HttpProvider:
             except Exception as exc:  # transport errors, timeouts, 5xx, 408, 429 and bad bodies alike
                 last_error = str(exc)  # not exc, whose traceback would keep this frame and self alive
                 logger.warning("provider call failed (attempt %d): %s", attempt + 1, last_error)
-        raise ProviderError(f"provider at {self.endpoint} failed after {self.max_retries} attempts: {last_error}")
+        raise ProviderError(f"provider at {self.endpoint} failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 class ChatProvider:
@@ -385,11 +382,9 @@ class Rewriter:
         return list(outputs)
 
 
-class IdentityRewriteBackend:
-    """Offline default: every text rewrites to itself."""
-
-    def call(self, request: dict) -> dict:
-        return {"outputs": [request["text"]]}
+def rewrite_to_itself(request: dict) -> dict:
+    """The identity rewriter's reply: every text rewrites to itself."""
+    return {"outputs": [request["text"]]}
 
 
 def _bucket(gram: str) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from doc2table import annotate, cli, retrieval
+from doc2table import annotate, cli, providers, retrieval
 from doc2table.cli import generate_stage, main, retrieve_stage, run_map
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.data import read_documents, read_retrieval_records, read_triples
@@ -34,7 +34,12 @@ from doc2table.providers import (
 )
 
 from conftest import FIXTURES, make_flat_table, stacked_header_html
-from oracles import reference_match_cells
+from oracles import (
+    brute_cosine_ranking,
+    brute_round_robin,
+    reference_hashing_embed,
+    reference_match_cells,
+)
 
 ANNOTATE = FIXTURES / "annotate"
 CORPUS = FIXTURES / "corpus"
@@ -397,6 +402,24 @@ class TestMalformedInputs:
         assert run(args + ["--review", review, "--out", tmp_path / "o"]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["file"], error["line"], error["field"]) == (str(review), 2, "match_id")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "table_id, match_id, field",
+        [
+            ("no_such_table", "2,1", "table_id"),
+            ("t1", "9,9", "match_id"),
+        ],
+    )
+    def test_review_line_that_names_no_table_cell_is_input_error(
+        self, tmp_path, capsys, table_id, match_id, field
+    ):
+        review = tmp_path / "review.jsonl"
+        write_jsonl(review, [{"table_id": table_id, "match_id": match_id, "status": "rejected"}])
+        args = ["annotate", "--docs", ANNOTATE / "docs.jsonl", "--tables", ANNOTATE / "tables.jsonl"]
+        assert run(args + ["--review", review, "--out", tmp_path / "o"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(review), 1, field)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -903,6 +926,32 @@ class TestRetrieveCommand:
         assert run(args) == 0
         assert (tmp_path / "out" / "retrieval.jsonl").read_bytes() == first
 
+    def test_identity_rewriter_ranks_raw_sentences_by_the_question(self, tmp_path):
+        config = write_pipeline_config(tmp_path, rewriter={"mode": "identity"})
+        out = tmp_path / "out"
+        assert run(["retrieve", "--config", config, "--out", out]) == 0
+        documents = read_documents(PIPELINE / "docs.jsonl")
+        triples = read_triples(PIPELINE / "questions.jsonl")
+        rows = read_jsonl_rows(out / "retrieval.jsonl")
+        assert [row["id"] for row in rows] == [triple.triple_id for triple in triples]
+        for triple, row in zip(triples, rows):
+            assert row["sub_questions"] == [triple.question]
+            assert row["degraded"] is False
+            sentences = reference_hashing_embed(documents[triple.doc_id])
+            [question] = reference_hashing_embed([triple.question])
+            merged = brute_round_robin([brute_cosine_ranking(question, sentences)], 10)
+            assert [sid for sid, _ in row["merged"]] == [sid for sid, _ in merged]
+
+    def test_no_relevant_ids_writes_no_recall(self, tmp_path, capsys):
+        questions = tmp_path / "questions.jsonl"
+        rows = read_jsonl_rows(PIPELINE / "questions.jsonl")
+        write_jsonl(questions, [{**row, "relevant_sentence_ids": []} for row in rows])
+        config = write_pipeline_config(tmp_path, questions=str(questions))
+        out = tmp_path / "out"
+        assert run(["retrieve", "--config", config, "--out", out]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["retrieval.jsonl"]
+        assert capsys.readouterr().out == f"retrieved for {len(rows)} questions\n"
+
     def test_unreferenced_documents_cost_nothing(self, tmp_path):
         rewrites = []
 
@@ -1273,7 +1322,7 @@ class TestPerQuestionFailures:
         assert (out / "recall.json").read_bytes() == (PIPELINE / "golden" / "recall.json").read_bytes()
         assert "pipeline complete: 0 tables, 2 failures" in capsys.readouterr().out
 
-    def test_non_object_chat_reply_fails_only_that_question(self, tmp_path):
+    def test_non_object_chat_reply_fails_only_that_question(self, tmp_path, monkeypatch):
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
         gamma = read_triples(PIPELINE / "questions.jsonl")[1]
 
@@ -1284,7 +1333,9 @@ class TestPerQuestionFailures:
                     return 200, b'["not", "an", "object"]'
                 return 200, json.dumps(transcript.lookup(request)).encode()
 
-        backend = HttpProvider("http://stub/chat", max_retries=2, backoff=0.0, transport=Transport())
+        monkeypatch.setattr(providers, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(providers, "BACKOFF_S", 0.0)
+        backend = HttpProvider("http://stub/chat", transport=Transport())
         chat = ChatProvider(backend)
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         generated, errors = generate_stage(
@@ -1570,10 +1621,11 @@ class TestSchedule:
 
     @pytest.fixture
     def live(self, monkeypatch):
-        """Install ``transport`` (and a ``backoff``) under every live provider the run builds."""
+        """Install ``transport`` (and a first backoff) under every live provider the run builds."""
 
         def install(transport, backoff: float = 0.5):
-            provider = functools.partial(HttpProvider, backoff=backoff, transport=transport)
+            monkeypatch.setattr(providers, "BACKOFF_S", backoff)
+            provider = functools.partial(HttpProvider, transport=transport)
             monkeypatch.setattr("doc2table.config.HttpProvider", provider)
 
         return install

@@ -523,27 +523,30 @@ class TestKeyedReaders:
 
 
 class TestReview:
+    # bodies of 3 x 2 and 1 x 1 cells
+    TABLES = {"t1": make_flat_table(3, 2), "t2": make_flat_table(1, 1)}
+
     def test_decisions_grouped_by_table(self, tmp_path):
         path = tmp_path / "review.jsonl"
         write_jsonl(
             path,
             [
                 {"table_id": "t1", "match_id": "0,0", "status": "confirmed"},
-                {"table_id": "t1", "match_id": "0,1", "status": "rejected"},
-                {"table_id": "t2", "match_id": "1,1", "status": "rejected"},
+                {"table_id": "t1", "match_id": "2,1", "status": "rejected"},
+                {"table_id": "t2", "match_id": "0,0", "status": "rejected"},
             ],
         )
-        decisions = read_review(path)
+        decisions = read_review(path, self.TABLES)
         assert decisions == {
-            "t1": {"0,0": "confirmed", "0,1": "rejected"},
-            "t2": {"1,1": "rejected"},
+            "t1": {"0,0": "confirmed", "2,1": "rejected"},
+            "t2": {"0,0": "rejected"},
         }
 
     def test_unknown_status_rejected(self, tmp_path):
         path = tmp_path / "review.jsonl"
-        write_jsonl(path, [{"table_id": "t", "match_id": "0,0", "status": "maybe"}])
+        write_jsonl(path, [{"table_id": "t1", "match_id": "0,0", "status": "maybe"}])
         with pytest.raises(InputFormatError) as excinfo:
-            read_review(path)
+            read_review(path, self.TABLES)
         assert excinfo.value.field == "status"
 
     def test_repeated_match_names_its_line(self, tmp_path):
@@ -557,6 +560,44 @@ class TestReview:
             ],
         )
         with pytest.raises(InputFormatError) as excinfo:
-            read_review(path)
+            read_review(path, self.TABLES)
         assert (excinfo.value.line, excinfo.value.field) == (3, "match_id")
         assert excinfo.value.reason == "duplicate match_id '0,0' for table_id 't1'"
+
+    def test_unknown_table_id_names_its_line(self, tmp_path):
+        path = tmp_path / "review.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"table_id": "t1", "match_id": "0,0", "status": "confirmed"},
+                {"table_id": "no_such_table", "match_id": "0,0", "status": "rejected"},
+            ],
+        )
+        with pytest.raises(InputFormatError) as excinfo:
+            read_review(path, self.TABLES)
+        assert (excinfo.value.line, excinfo.value.field) == (2, "table_id")
+        assert excinfo.value.reason == "unknown table_id 'no_such_table'"
+
+    @pytest.mark.parametrize("match_id", ["9,9", "3,0", "0,2", "2, 1", "02,1", "a,b", "2", "2,1,0", "٢,1"])
+    def test_match_id_that_names_no_body_cell_names_its_line(self, tmp_path, match_id):
+        path = tmp_path / "review.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"table_id": "t1", "match_id": "2,1", "status": "confirmed"},
+                {"table_id": "t1", "match_id": match_id, "status": "rejected"},
+            ],
+        )
+        with pytest.raises(InputFormatError) as excinfo:
+            read_review(path, self.TABLES)
+        assert (excinfo.value.line, excinfo.value.field) == (2, "match_id")
+        assert excinfo.value.reason == (
+            f"match_id {match_id!r} names no body cell of table 't1', whose body is 3 x 2"
+        )
+
+    def test_format_fault_is_reported_before_the_references(self, tmp_path):
+        path = tmp_path / "review.jsonl"
+        write_jsonl(path, [{"table_id": "no_such_table", "match_id": "a,b", "status": "maybe"}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_review(path, self.TABLES)
+        assert (excinfo.value.line, excinfo.value.field) == (1, "status")

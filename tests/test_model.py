@@ -160,6 +160,10 @@ class TestValidate:
             example_table.stub_header, example_table.left, example_table.top, example_table.body
         ) == example_table
 
+    def test_tree_without_roots(self):
+        with pytest.raises(TableError, match="^coordinate tree needs at least one root node$"):
+            CoordTree(())
+
     def test_dimension_mismatch(self):
         left = CoordTree.from_nested(["r1", "r2"])
         top = CoordTree.from_nested(["c1", "c2"])

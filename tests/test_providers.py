@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import http.client
 import json
 import math
 import re
+import ssl
 import sys
 import threading
 import time
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doc2table import providers
 from doc2table.providers import (
     ChatProvider,
     HashingEmbedder,
     HttpEmbedder,
     HttpProvider,
-    IdentityRewriteBackend,
+    HttpTransport,
     ProviderError,
     RecordingProvider,
     ReplayMissError,
@@ -32,6 +35,7 @@ from doc2table.providers import (
     Transcript,
     canonical_json,
     request_fingerprint,
+    rewrite_to_itself,
 )
 
 from oracles import reference_hashing_embed, reference_hashing_scores, reference_transcript_text
@@ -185,7 +189,7 @@ class TestChatAndRewrite:
             chat.complete([{"role": "user", "content": "hi"}])
 
     def test_identity_rewriter(self):
-        rewriter = Rewriter(IdentityRewriteBackend())
+        rewriter = Rewriter(ScriptedProvider(rewrite_to_itself))
         assert rewriter.rewrite("sentence", "unchanged") == ["unchanged"]
 
     def test_rewrite_contract_violation(self):
@@ -353,8 +357,22 @@ class FakeTransport:
         return outcome
 
 
+@pytest.fixture
+def schedule(monkeypatch):
+    """Sets HttpProvider's retry constants for one test, as ``schedule(MAX_ATTEMPTS=2)``."""
+
+    def set_constants(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(providers, name, value)
+
+    return set_constants
+
+
 class TestHttpProvider:
-    def test_retries_then_succeeds(self):
+    def test_retry_schedule(self):
+        assert (providers.TIMEOUT_S, providers.MAX_ATTEMPTS, providers.BACKOFF_S) == (60.0, 3, 0.5)
+
+    def test_retries_then_succeeds(self, schedule):
         transport = FakeTransport(
             [
                 ConnectionError("down"),
@@ -364,13 +382,15 @@ class TestHttpProvider:
                 reply({"content": "hi"}),
             ]
         )
-        provider = HttpProvider("http://x/chat", max_retries=5, backoff=0.001, transport=transport)
+        schedule(MAX_ATTEMPTS=5, BACKOFF_S=0.0)
+        provider = HttpProvider("http://x/chat", transport=transport)
         assert provider.call({"q": 1}) == {"content": "hi"}
         assert len(transport.calls) == 5
 
-    def test_exhausted_retries_raise(self):
+    def test_exhausted_retries_raise(self, schedule):
         transport = FakeTransport([ConnectionError("down")] * 3)
-        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.001, transport=transport)
+        schedule(BACKOFF_S=0.0)
+        provider = HttpProvider("http://x/chat", transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             provider.call({"q": 1})
         assert "3 attempts" in str(excinfo.value)
@@ -379,7 +399,7 @@ class TestHttpProvider:
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
         transport = FakeTransport([ConnectionError("down")] * 3)
-        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, transport=transport)
+        provider = HttpProvider("http://x/chat", transport=transport)
         with pytest.raises(ProviderError):
             provider.call({"q": 1})
         assert len(transport.calls) == 3
@@ -390,7 +410,7 @@ class TestHttpProvider:
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
         transport = FakeTransport([reply(status=status), reply({"content": "hi"})])
-        provider = HttpProvider("http://x/chat", max_retries=3, backoff=0.5, transport=transport)
+        provider = HttpProvider("http://x/chat", transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             provider.call({"q": 1})
         assert f"HTTP {status}" in str(excinfo.value)
@@ -402,7 +422,8 @@ class TestHttpProvider:
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
         outcomes = [408, 429, 403, 200]
         transport = FakeTransport([reply({"content": "hi"}, status=code) for code in outcomes])
-        provider = HttpProvider("http://x/chat", max_retries=5, backoff=0.5, transport=transport)
+        monkeypatch.setattr(providers, "MAX_ATTEMPTS", 5)
+        provider = HttpProvider("http://x/chat", transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             provider.call({"q": 1})
         assert "HTTP 403" in str(excinfo.value)
@@ -423,7 +444,7 @@ class TestHttpProvider:
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
         transport = FakeTransport([(200, json.dumps(body).encode())] * 3)
-        backend = HttpProvider("http://x", max_retries=3, backoff=0.5, transport=transport)
+        backend = HttpProvider("http://x", transport=transport)
         with pytest.raises(ProviderError) as excinfo:
             role(backend)
         assert "3 attempts" in str(excinfo.value)
@@ -433,7 +454,7 @@ class TestHttpProvider:
 
     def test_api_key_header(self):
         transport = FakeTransport([reply({"ok": 1})])
-        provider = HttpProvider("http://x", api_key="secret", backoff=0.001, transport=transport)
+        provider = HttpProvider("http://x", api_key="secret", transport=transport)
         provider.call({})
         assert transport.calls[0][1]["Authorization"] == "Bearer secret"
 
@@ -441,8 +462,11 @@ class TestHttpProvider:
     @given(json_objects_with(st.floats(allow_nan=False, allow_infinity=False)))
     def test_body_is_the_json_dumps_bytes_every_attempt(self, payload):
         transport = FakeTransport([reply(status=503), reply({"ok": 1})])
-        provider = HttpProvider("http://x/chat", timeout=7.0, backoff=0.0, transport=transport)
-        assert provider.call(payload) == {"ok": 1}
+        provider = HttpProvider("http://x/chat", transport=transport)
+        with pytest.MonkeyPatch.context() as patch:  # read at each call, not when the provider is built
+            patch.setattr(providers, "TIMEOUT_S", 7.0)
+            patch.setattr(providers, "BACKOFF_S", 0.0)
+            assert provider.call(payload) == {"ok": 1}
         body = json.dumps(payload).encode()
         assert transport.calls == [(body, {"Content-Type": "application/json"}, 7.0)] * 2
 
@@ -477,14 +501,15 @@ class TestHttpProvider:
                 return super().post(*args)
 
         transport = SlotTransport([reply(status=503), ConnectionError("down"), reply({"ok": 1})])
-        provider = HttpProvider("http://x", backoff=0.5, transport=transport, slots=slots)
+        provider = HttpProvider("http://x", transport=transport, slots=slots)
         assert provider.call({"q": 1}) == {"ok": 1}
         assert held == [("post", True), ("sleep", False)] * 2 + [("post", True)]
         assert not taken()
 
-    def test_retried_call_leaves_no_reference_cycle(self):
+    def test_retried_call_leaves_no_reference_cycle(self, schedule):
         transport = FakeTransport([reply(status=503), reply({"ok": 1})])
-        provider = HttpProvider("http://x/chat", backoff=0.0, transport=transport)
+        schedule(BACKOFF_S=0.0)
+        provider = HttpProvider("http://x/chat", transport=transport)
         gc.disable()  # only reference counting can free it
         try:
             assert provider.call({"q": 1}) == {"ok": 1}
@@ -636,7 +661,7 @@ class TestHttpTransportOnLoopback:
 
     def test_one_connection_per_thread(self):
         with LoopbackServer() as server:
-            provider = HttpProvider(server.url(), backoff=0.0)
+            provider = HttpProvider(server.url())
             assert [provider.call({"n": n}) for n in range(5)] == [{"path": "/chat"}] * 5
             assert server.connections == 1
             worker = threading.Thread(target=lambda: [provider.call({"n": n}) for n in range(3)])
@@ -649,36 +674,40 @@ class TestHttpTransportOnLoopback:
     def test_dropped_keep_alive_is_reopened_and_resent(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("doc2table.providers.time.sleep", sleeps.append)
+        monkeypatch.setattr(providers, "MAX_ATTEMPTS", 1)
         with LoopbackServer(after_reply="drop") as server:
-            provider = HttpProvider(server.url(), max_retries=1)
+            provider = HttpProvider(server.url())
             for n in range(4):
                 assert provider.call({"n": n}) == {"path": "/chat"}
             assert (server.connections, len(server.paths)) == (4, 4)
         assert sleeps == []
 
-    def test_failure_on_a_fresh_connection_is_not_resent(self):
+    def test_failure_on_a_fresh_connection_is_not_resent(self, schedule):
+        schedule(MAX_ATTEMPTS=2, BACKOFF_S=0.0)
         with LoopbackServer(after_reply="hang_up") as server:
-            provider = HttpProvider(server.url(), max_retries=2, backoff=0.0)
+            provider = HttpProvider(server.url())
             with pytest.raises(ProviderError, match="2 attempts"):
                 provider.call({"q": 1})
             assert server.connections == 2
 
-    def test_503_then_200_succeeds_on_the_second_attempt(self):
+    def test_503_then_200_succeeds_on_the_second_attempt(self, schedule):
+        schedule(BACKOFF_S=0.0)
         with LoopbackServer([503]) as server:
-            provider = HttpProvider(server.url(), max_retries=3, backoff=0.0)
+            provider = HttpProvider(server.url())
             assert provider.call({"q": 1}) == {"path": "/chat"}
             assert (len(server.paths), server.connections) == (2, 1)
 
     def test_404_makes_one_attempt(self):
         with LoopbackServer([404]) as server:
-            provider = HttpProvider(server.url(), max_retries=3, backoff=0.0)
+            provider = HttpProvider(server.url())
             with pytest.raises(ProviderError, match="HTTP 404"):
                 provider.call({"q": 1})
             assert (len(server.paths), server.connections) == (1, 1)
 
-    def test_server_that_never_replies_times_out_every_attempt(self):
+    def test_server_that_never_replies_times_out_every_attempt(self, schedule):
+        schedule(TIMEOUT_S=0.2, MAX_ATTEMPTS=2, BACKOFF_S=0.0)
         with LoopbackServer(after_reply="stall") as server:
-            provider = HttpProvider(server.url(), timeout=0.2, max_retries=2, backoff=0.0)
+            provider = HttpProvider(server.url())
             with pytest.raises(ProviderError, match="2 attempts"):
                 provider.call({"q": 1})
             # a timed-out connection is discarded, never reused
@@ -698,7 +727,14 @@ class TestHttpTransportOnLoopback:
         with pytest.raises(ProviderError, match="endpoint"):
             HttpProvider(endpoint)
 
+    def test_https_endpoint_builds_a_tls_connection_without_connecting(self):
+        transport = HttpTransport("https://provider.invalid:8443/v1/chat?x=1")
+        assert transport._connect.func is http.client.HTTPSConnection
+        assert transport._connect.args == ("provider.invalid", 8443)
+        assert isinstance(transport._connect.keywords["context"], ssl.SSLContext)
+        assert transport._target == "/v1/chat?x=1"
+
     def test_query_string_reaches_the_server(self):
         with LoopbackServer() as server:
-            provider = HttpProvider(server.url("/v1/chat?key=a%20b&x=1"), backoff=0.0)
+            provider = HttpProvider(server.url("/v1/chat?key=a%20b&x=1"))
             assert provider.call({}) == {"path": "/v1/chat?key=a%20b&x=1"}
