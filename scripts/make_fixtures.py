@@ -555,7 +555,7 @@ def record_pipeline_transcripts(out: Path) -> None:
         with tempfile.TemporaryDirectory() as scratch:
             stage_out = Path(scratch)
             records, _ = retrieve_stage(triples, documents, built, config, stage_out)
-            generated, errors = generate_stage(triples, records, built.chat, config, stage_out)
+            generated, errors = generate_stage(records, built.chat, config, stage_out)
         assert not errors, errors
         assert len(generated) == len(triples)
         chat_transcript.save(chat_path)

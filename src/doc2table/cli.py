@@ -5,9 +5,11 @@ Subcommands: annotate, retrieve, generate, evaluate, stats, pipeline.
 :func:`generate_stage` over a saved ``retrieval.jsonl``, ``evaluate`` runs
 :func:`evaluate_stage` over saved tables, and ``pipeline`` runs all three,
 handing records and tables over in memory. The first two and ``pipeline``
-read their settings, providers and inputs from one ``RunConfig`` file
-(``--config``). Every subcommand but ``stats`` writes to the directory
-that its required ``--out`` names, the one output setting.
+read their settings and providers from one ``RunConfig`` file
+(``--config``), ``retrieve`` and ``pipeline`` their inputs too. ``generate``
+reads only ``retrieval.jsonl``, whose lines pick the questions and their
+order. Every subcommand but ``stats`` writes to the directory that its
+required ``--out`` names, the one output setting.
 
 The stages pass the records of :mod:`doc2table.data`: a document is its
 sentence list, a question a ``QaTriple``, its evidence a ``RetrievalRecord``.
@@ -35,9 +37,9 @@ first bad line, references included, so of two bad files the referenced
 one is reported. Exit codes: 0 success; 1 a runtime failure, a bad run
 config or transcript included, or a failed question; 2 a bad line in a
 dataset file (documents, tables, triples, review, retrieval or generated
-tables): a malformed line, an unknown id or body cell, a blank question, or
-a relevant sentence id that its document does not have. Failures print a
-machine-readable JSON report to stderr.
+tables): a malformed line, an unknown id or body cell, a blank question, a
+repeated merged sentence id, or a relevant sentence id that its document
+does not have. Failures print a machine-readable JSON report to stderr.
 """
 from __future__ import annotations
 
@@ -144,7 +146,7 @@ def retrieve_stage(
     ``mapper`` (see :func:`run_map`), then every question's rewrite. Sentence
     embeddings (the embedder's :class:`~doc2table.retrieval.Embeddings`) are
     computed once per document, at its first question, and dropped after
-    its last. ``then(triple, record)``, if given, is called as each record
+    its last. ``then(item_id, record)``, if given, is called as each record
     is made, in input order. Returns the record per triple id and the recall
     report; with no relevant ids in any triple the report is {} and
     recall.json is not written. The triples must have been read against
@@ -157,7 +159,7 @@ def retrieve_stage(
     rewrites = mapper(rewrite_question, [t.question for t in triples], repeat(built.rewriter))
     last_use = {triple.doc_id: n for n, triple in enumerate(triples)}
     vectors = {}
-    retrieved = []
+    records = {}
     for n, triple in enumerate(triples):
         if triple.doc_id in sentence_texts:
             texts = list(sentence_texts.pop(triple.doc_id))
@@ -174,17 +176,16 @@ def retrieve_stage(
             question=triple.question,
             degraded=rewrite.degraded,
         )
-        retrieved.append((triple.triple_id, record))
+        records[triple.triple_id] = record
         if last_use[triple.doc_id] == n:
             del vectors[triple.doc_id]
         if then is not None:
-            then(triple, record)
+            then(triple.triple_id, record)
     # One row per triple, each built only while writing: a row holds
     # max(k, RANKING_DEPTH) ranks per sub-question.
     data.write_jsonl(
-        out / "retrieval.jsonl", ({"id": item_id, **r.to_dict()} for item_id, r in retrieved)
+        out / "retrieval.jsonl", ({"id": item_id, **r.to_dict()} for item_id, r in records.items())
     )
-    records = dict(retrieved)
     recall = _recall(triples, records, config.k)
     if recall:
         data.write_json(out / "recall.json", recall)
@@ -192,35 +193,29 @@ def retrieve_stage(
 
 
 def _generate(
-    triple: QaTriple, record: RetrievalRecord | None, chat: ChatProvider, config: RunConfig
+    item_id: str, record: RetrievalRecord, chat: ChatProvider, oneshot: bool
 ) -> TabTalkResult | dict:
-    """The question's TabTalk result, or its error row."""
-    if record is None:
-        return {"id": triple.triple_id, "stage": "input", "error": "no retrieval record"}
+    """The TabTalk result of the record's question, or its error row."""
     sentences = [(sid, record.sentence_texts[sid]) for sid in record.merged_ids()]
     if not sentences:
-        return {"id": triple.triple_id, "stage": "input", "error": "no evidence sentences"}
+        return {"id": item_id, "stage": "input", "error": "no evidence sentences"}
     try:
-        return run_tabtalk(triple.question, sentences, chat, oneshot=config.oneshot)
+        return run_tabtalk(record.question, sentences, chat, oneshot=oneshot)
     except StageFailure as exc:
-        return {"id": triple.triple_id, "stage": exc.stage, "error": str(exc)}
+        return {"id": item_id, "stage": exc.stage, "error": str(exc)}
 
 
-def _write_generation(
-    triples: list[QaTriple], results, out: Path
-) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
-    """Write the tables, traces and error rows of ``results``, one per triple in input order."""
-    generated = []
-    traces = []
-    errors = []
-    for triple, result in zip(triples, results):
+def _write_generation(ids, results, out: Path) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
+    """Write the tables, traces and error rows of ``results``, one per id in input order."""
+    generated, traces, errors = [], [], []
+    for item_id, result in zip(ids, results):
         if isinstance(result, dict):
             errors.append(result)
             continue
-        generated.append((triple.triple_id, result.table))
+        generated.append((item_id, result.table))
         traces.append(
             {
-                "id": triple.triple_id,
+                "id": item_id,
                 "structure_retries": result.structure_retries,
                 "fill_retries": result.fill_retries,
                 **trace_to_dict(result.table, result.trace),
@@ -237,26 +232,23 @@ def _write_generation(
 
 
 def generate_stage(
-    triples: list[QaTriple],
     records: dict[str, RetrievalRecord],
     chat: ChatProvider,
     config: RunConfig,
     out: Path,
     mapper=map,
 ) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
-    """Stage two: TabTalk per question; write tables.jsonl, traces.jsonl, errors.jsonl.
+    """Stage two: TabTalk per record; write tables.jsonl, traces.jsonl, errors.jsonl.
 
-    Whole questions go through ``mapper`` (see :func:`run_map`) and are
-    gathered back in input order. A question with no retrieval record, no
-    evidence sentences or a failed stage (its provider failing included)
-    becomes one error row and the others go on. Returns the (triple id,
-    table) pairs generated, in input order, and the error rows; errors.jsonl
-    is written only when there are any.
+    Each record holds its question and evidence. Whole questions go through
+    ``mapper`` (see :func:`run_map`) and are gathered back in the records'
+    order. A record with no evidence sentences or a failed stage (its
+    provider failing included) becomes one error row and the others go on.
+    Returns the (id, table) pairs generated, in that order, and the error
+    rows; errors.jsonl is written only when there are any.
     """
-    results = mapper(
-        _generate, triples, [records.get(t.triple_id) for t in triples], repeat(chat), repeat(config)
-    )
-    return _write_generation(triples, results, out)
+    results = mapper(_generate, records, records.values(), repeat(chat), repeat(config.oneshot))
+    return _write_generation(records, results, out)
 
 
 def cmd_annotate(args) -> int:
@@ -332,11 +324,10 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    config, out = _load_config(args, "questions")
-    triples = data.read_triples(config.questions)
+    config, out = _load_config(args)
     records = data.read_retrieval_records(args.retrieval)
     with _providers_and_map(config, ("chat",)) as (built, mapper):
-        generated, errors = generate_stage(triples, records, built.chat, config, out, mapper)
+        generated, errors = generate_stage(records, built.chat, config, out, mapper)
     print(f"generated {len(generated)} tables, {len(errors)} failures")
     return 0 if not errors else 1
 
@@ -422,13 +413,13 @@ def cmd_pipeline(args) -> int:
     with _providers_and_map(config, ("chat", "rewriter", "embedder")) as (built, mapper):
         # Each question's TabTalk, mapped on its own as soon as its record
         # exists: a pool queues it then, the builtin map runs it when read.
-        tabtalks = []
+        tabtalks = {}
 
-        def generate_later(triple: QaTriple, record: RetrievalRecord) -> None:
-            tabtalks.append(mapper(_generate, [triple], [record], [built.chat], [config]))
+        def generate_later(item_id: str, record: RetrievalRecord) -> None:
+            tabtalks[item_id] = mapper(_generate, [item_id], [record], [built.chat], [config.oneshot])
 
         _, recall = retrieve_stage(triples, documents, built, config, out, mapper, generate_later)
-        generated, errors = _write_generation(triples, (next(t) for t in tabtalks), out)
+        generated, errors = _write_generation(tabtalks, map(next, tabtalks.values()), out)
     if generated:
         recall_rows = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
         groundtruth = {t.triple_id: t for t in triples}
@@ -456,9 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def config_parser(name: str, summary: str, func):
         p = sub.add_parser(name, help=summary)
-        p.add_argument(
-            "--config", required=True, help="run config JSON: providers, settings, questions, docs"
-        )
+        p.add_argument("--config", required=True, help="run config JSON: providers, settings, inputs")
         p.add_argument("--out", required=True)
         p.set_defaults(func=func)
         return p

@@ -4,9 +4,10 @@
 ``generate`` and ``pipeline`` all load it from one JSON file, and the
 stages read their settings from it: the ``chat``, ``rewriter`` and
 ``embedder`` provider specs, ``k``, ``parallel``, ``oneshot``, ``docs`` and
-``questions``. Every key must name one of these (chat sampling values are
-fixed, not set): an unknown key, at the top level or inside a provider
-spec, is an error, and each known value is type-checked. Endpoints come
+``questions`` (which only ``retrieve`` and ``pipeline`` read). Every key
+must name one of these (chat sampling values are fixed, not set): an
+unknown key, at the top level or inside a provider spec, is an error, and
+each known value is type-checked. Endpoints come
 from the file; a provider's ``api_key_env`` names the environment variable
 that holds its credential, so no secret is written into the file, and a
 named variable that is unset or empty is an error, not an unauthenticated

@@ -25,7 +25,8 @@ the ";", what a line must refer to in the file it is read against:
               "per_question": [[[sid, score]]], "merged": [[sid, score]],
               "k": int >= 1, "degraded": bool (optional, false),
               "sentences": [{"id": sid, "text": str}] (optional)}, where a
-             sid is an int >= 0 and a score an int or float; unique id
+             sid is an int >= 0 and a score an int or float; unique id; a
+             non-blank question, and each merged sid once, with its text
   generated  {"id": str, "table_html": str}; unique id; an id of a
              ground-truth triple
 
@@ -241,10 +242,11 @@ def _is_ranking(value) -> bool:
 
 # Each field of a retrieval line: what it must be, and the test for that.
 _RETRIEVAL_FIELDS = {
-    "question": ("a string", lambda v: type(v) is str),
+    "question": ("a string that is not blank", lambda v: type(v) is str and v.strip()),
     "sub_questions": ("a list of strings", lambda v: type(v) is list and all(type(q) is str for q in v)),
     "per_question": ("a list of rankings", lambda v: type(v) is list and all(map(_is_ranking, v))),
-    "merged": ("a list of [sentence id, score] pairs", _is_ranking),
+    "merged": ("a list of [sentence id, score] pairs, no id twice",
+               lambda v: _is_ranking(v) and len({sid for sid, _ in v}) == len(v)),
     "k": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "degraded": ("true or false", lambda v: type(v) is bool),
     "sentences": ('a list of {"id": sentence id, "text": string}', lambda v: type(v) is list and all(

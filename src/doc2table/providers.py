@@ -112,10 +112,10 @@ class Transcript:
         """Read a transcript that :meth:`save` wrote.
 
         Every non-blank line is a JSON object: either ``{"meta": {...}}`` or
-        an entry with a string ``fingerprint`` and an object ``response``.
-        Any other line raises ``ValueError`` naming the file and its
-        1-based line number. Only the responses are kept: a loaded
-        transcript is replayed, never saved again.
+        an entry with a string ``fingerprint``, not an earlier entry's, and an
+        object ``response``. Any other line raises ``ValueError`` naming the
+        file and its 1-based line number. Only the responses are kept: a
+        loaded transcript is replayed, never saved again.
         """
         transcript = cls()
         try:
@@ -132,7 +132,10 @@ class Transcript:
                         f"{path}, line {number}: expected a JSON object with a string"
                         " 'fingerprint' and an object 'response'"
                     )
-                transcript.entries[record["fingerprint"]] = record["response"]
+                fp = record["fingerprint"]
+                if fp in transcript.entries:
+                    raise ValueError(f"{path}, line {number}: repeated fingerprint {fp}")
+                transcript.entries[fp] = record["response"]
         except InputFormatError as exc:
             raise ValueError(f"{path}, line {exc.line}: {exc.reason}") from None
         return transcript
@@ -482,7 +485,7 @@ class HashingEmbedder:
 
 
 class HttpEmbedder:
-    """Embedding over the HTTP wire contract; enforces constant dimension."""
+    """Embedding over the HTTP wire contract; enforces one constant, nonzero dimension."""
 
     def __init__(self, backend: JsonProvider):
         self.backend = backend
@@ -496,8 +499,8 @@ class HttpEmbedder:
         if not all(isinstance(v, list) and {type(x) for x in v} <= {int, float} for v in vectors):
             raise ProviderError("embedding response has a row that is not a list of numbers")
         dims = {len(v) for v in vectors}
-        if len(dims) > 1:
-            raise ProviderError(f"embedding dimension drift within batch: {sorted(dims)}")
+        if len(dims) > 1 or 0 in dims:  # an empty row would make every cosine 0.0
+            raise ProviderError(f"embedding rows need one nonzero dimension, got {sorted(dims)}")
         out = np.asarray(vectors, dtype=np.float64)
         if not np.isfinite(out).all():  # json decodes NaN and Infinity
             raise ProviderError("embedding response has a value that is not finite")

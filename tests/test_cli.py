@@ -496,7 +496,6 @@ class TestMalformedInputs:
         [
             ("retrieve", "questions"),
             ("retrieve", "docs"),
-            ("generate", "questions"),
             ("pipeline", "questions"),
             ("pipeline", "docs"),
         ],
@@ -510,10 +509,7 @@ class TestMalformedInputs:
         config = json.loads(path.read_text())
         del config[field]
         path.write_text(json.dumps(config))
-        argv = [command, "--config", path, "--out", tmp_path / "o"]
-        if command == "generate":
-            argv += ["--retrieval", PIPELINE / "golden" / "retrieval.jsonl"]
-        assert run(argv) == 1
+        assert run([command, "--config", path, "--out", tmp_path / "o"]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "ValueError", "message": f"config field {field} is required"}
         assert built == []
@@ -689,8 +685,10 @@ class TestMalformedInputs:
             (lambda row: {**row, "id": "acme_beta"}, "id"),
             (lambda row: {k: v for k, v in row.items() if k != "sentences"}, "sentences"),
             (lambda row: {**row, "k": str(row["k"])}, "k"),
+            (lambda row: {**row, "question": " \t"}, "question"),
+            (lambda row: {**row, "merged": row["merged"] + row["merged"][-1:]}, "merged"),
         ],
-        ids=["duplicate id", "no sentence texts", "k as a string"],
+        ids=["duplicate id", "no sentence texts", "k as a string", "blank question", "repeated merged id"],
     )
     def test_bad_retrieval_row_names_line_and_field(self, tmp_path, capsys, fault, field):
         acme_beta, gamma = read_jsonl_rows(PIPELINE / "golden" / "retrieval.jsonl")
@@ -1033,7 +1031,6 @@ class TestRetrieveCommand:
             assert short["merged"] == whole["merged"]
 
         generate_stage(
-            triples,
             read_retrieval_records(tmp_path / "full" / "retrieval.jsonl"),
             ChatProvider(RecordingProvider(ScriptedProvider(handler), transcript)),
             RunConfig(),
@@ -1227,6 +1224,41 @@ class TestRecordedTranscripts:
 
 
 class TestGenerateCommand:
+    """``generate`` reads only the retrieval file: its rows decide the questions and their order."""
+
+    def generate(self, tmp_path, rows: list[str]) -> tuple[int, Path]:
+        """``generate`` over ``rows`` of the golden retrieval file, with only a chat in its config."""
+        retrieval = tmp_path / "retrieval.jsonl"
+        retrieval.write_text("".join(row + "\n" for row in rows))
+        chat = {"mode": "replay", "transcript": str(PIPELINE / "transcripts" / "chat_perfect.jsonl")}
+        config = write_config(tmp_path, chat=chat)
+        out = tmp_path / "out"
+        return run(["generate", "--config", config, "--retrieval", retrieval, "--out", out]), out
+
+    @staticmethod
+    def golden_rows(name: str) -> list[str]:
+        return (PIPELINE / "golden" / name).read_text().splitlines()
+
+    def test_a_config_of_only_chat_reproduces_the_goldens(self, tmp_path):
+        code, out = self.generate(tmp_path, self.golden_rows("retrieval.jsonl"))
+        assert code == 0
+        for name in ("tables.jsonl", "traces.jsonl"):
+            assert (out / name).read_bytes() == (PIPELINE / "golden" / name).read_bytes(), name
+        assert not (out / "errors.jsonl").exists()
+
+    def test_rows_are_answered_in_the_retrieval_files_order(self, tmp_path):
+        code, out = self.generate(tmp_path, self.golden_rows("retrieval.jsonl")[::-1])
+        assert code == 0
+        for name in ("tables.jsonl", "traces.jsonl"):
+            assert (out / name).read_text().splitlines() == self.golden_rows(name)[::-1], name
+
+    def test_a_one_row_file_answers_only_that_question(self, tmp_path, capsys):
+        code, out = self.generate(tmp_path, self.golden_rows("retrieval.jsonl")[1:])
+        assert code == 0
+        assert (out / "tables.jsonl").read_text().splitlines() == self.golden_rows("tables.jsonl")[1:]
+        assert not (out / "errors.jsonl").exists()
+        assert "generated 1 tables, 0 failures" in capsys.readouterr().out
+
     def test_oneshot_config_sends_one_prompt_per_question(self, tmp_path, monkeypatch):
         triples = read_triples(PIPELINE / "questions.jsonl")
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
@@ -1293,20 +1325,6 @@ class TestPerQuestionFailures:
         for name in ("tables.jsonl", "traces.jsonl", "evaluation.jsonl", "evaluation.json"):
             assert (out / name).read_bytes() == (PIPELINE / "golden" / name).read_bytes(), name
 
-    def test_question_without_a_retrieval_record_fails_only_that_question(self, tmp_path, capsys):
-        retrieval = tmp_path / "retrieval.jsonl"
-        acme_beta = (PIPELINE / "golden" / "retrieval.jsonl").read_text().splitlines()[0]
-        retrieval.write_text(acme_beta + "\n")
-        out = tmp_path / "out"
-        argv = ["generate", "--config", PIPELINE / "config.json", "--retrieval", retrieval]
-        assert run(argv + ["--out", out]) == 1
-        assert read_jsonl_rows(out / "errors.jsonl") == [
-            {"id": "gamma", "stage": "input", "error": "no retrieval record"}
-        ]
-        golden_tables = read_jsonl_rows(PIPELINE / "golden" / "tables.jsonl")
-        assert read_jsonl_rows(out / "tables.jsonl") == golden_tables[:1]
-        assert "generated 1 tables, 1 failures" in capsys.readouterr().out
-
     def test_replay_miss_fails_each_question_and_the_run_goes_on(self, tmp_path, capsys):
         empty = tmp_path / "chat.jsonl"
         empty.write_text("")
@@ -1338,9 +1356,7 @@ class TestPerQuestionFailures:
         backend = HttpProvider("http://stub/chat", transport=Transport())
         chat = ChatProvider(backend)
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
-        generated, errors = generate_stage(
-            read_triples(PIPELINE / "questions.jsonl"), records, chat, RunConfig(), tmp_path
-        )
+        generated, errors = generate_stage(records, chat, RunConfig(), tmp_path)
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert [(e["id"], e["stage"]) for e in errors] == [("gamma", "structure")]
         assert "not a JSON object (got list)" in errors[0]["error"]
@@ -1349,13 +1365,10 @@ class TestPerQuestionFailures:
 
     def test_non_string_chat_content_fails_only_that_question(self, tmp_path, capsys, monkeypatch):
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
-        questions = read_jsonl_rows(PIPELINE / "questions.jsonl")
         retrieval = read_jsonl_rows(PIPELINE / "golden" / "retrieval.jsonl")
         bad = {"null_reply": None, "number_reply": 42}
         for item_id in bad:
-            questions.append({**questions[1], "id": item_id, "question": f"{item_id}?"})
-            retrieval.append({**retrieval[1], "id": item_id})
-        write_jsonl(tmp_path / "questions.jsonl", questions)
+            retrieval.append({**retrieval[1], "id": item_id, "question": f"{item_id}?"})
         write_jsonl(tmp_path / "retrieval.jsonl", retrieval)
 
         def handler(request):
@@ -1370,7 +1383,7 @@ class TestPerQuestionFailures:
             "doc2table.cli.build_providers",
             lambda *args, **kwargs: BuiltProviders(chat, None, None, []),
         )
-        config = write_config(tmp_path, questions="questions.jsonl")
+        config = write_config(tmp_path)
         out = tmp_path / "out"
         args = ["generate", "--config", config, "--retrieval", tmp_path / "retrieval.jsonl"]
         assert run(args + ["--out", out]) == 1
@@ -1395,11 +1408,7 @@ class TestPerQuestionFailures:
 
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         generated, errors = generate_stage(
-            read_triples(PIPELINE / "questions.jsonl"),
-            records,
-            ChatProvider(ScriptedProvider(handler)),
-            RunConfig(),
-            tmp_path,
+            records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
         )
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert errors == [
@@ -1423,11 +1432,7 @@ class TestPerQuestionFailures:
 
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         generated, errors = generate_stage(
-            read_triples(PIPELINE / "questions.jsonl"),
-            records,
-            ChatProvider(ScriptedProvider(handler)),
-            RunConfig(),
-            tmp_path,
+            records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
         )
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert errors == [
@@ -1455,12 +1460,7 @@ class TestPerQuestionFailures:
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         with run_map(2) as mapper:
             generated, errors = generate_stage(
-                read_triples(PIPELINE / "questions.jsonl"),
-                records,
-                ChatProvider(ScriptedProvider(handler)),
-                RunConfig(),
-                tmp_path,
-                mapper,
+                records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path, mapper
             )
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert [(row["id"], row["stage"]) for row in errors] == [("gamma", "fill")]
@@ -1487,11 +1487,7 @@ class TestPerQuestionFailures:
 
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         generated, errors = generate_stage(
-            read_triples(PIPELINE / "questions.jsonl"),
-            records,
-            ChatProvider(ScriptedProvider(handler)),
-            RunConfig(),
-            tmp_path,
+            records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
         )
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert errors == [
@@ -1550,27 +1546,24 @@ class TestRunMap:
         self, tmp_path, monkeypatch
     ):
         transcript = Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl")
-        acme_beta, gamma = read_triples(PIPELINE / "questions.jsonl")
-        records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
-        failing = [
-            dataclasses.replace(gamma, triple_id=f"fail_{n}", question=f"fail {n}?") for n in (0, 1)
-        ]
-        triples = [*failing, acme_beta, gamma]
-        records.update({t.triple_id: records["gamma"] for t in failing})
+        golden_records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
+        failing = {
+            f"fail_{n}": dataclasses.replace(golden_records["gamma"], question=f"fail {n}?")
+            for n in (0, 1)
+        }
+        records = {**failing, **golden_records}
 
         def handler(request):
             if "fail " in request["messages"][0]["content"]:
                 raise ProviderError("chat backend down")
             return transcript.lookup(request)
 
-        questions = [t.question for t in triples]
-        later_first = LaterFirst(cli.run_tabtalk, questions.index, len(triples))
+        questions = [r.question for r in records.values()]
+        later_first = LaterFirst(cli.run_tabtalk, questions.index, len(records))
         monkeypatch.setattr(cli, "run_tabtalk", later_first)
         chat = ChatProvider(ScriptedProvider(handler))
         with run_map(2) as mapper:
-            generated, errors = generate_stage(
-                triples, records, chat, RunConfig(), tmp_path, mapper
-            )
+            generated, errors = generate_stage(records, chat, RunConfig(), tmp_path, mapper)
         assert later_first.returned.index(1) < later_first.returned.index(0)
         assert later_first.returned.index(3) < later_first.returned.index(2)
         assert [item_id for item_id, _ in generated] == ["acme_beta", "gamma"]

@@ -440,6 +440,29 @@ class TestRetrievalRecords:
         assert type(record.merged[0][1]) is int
         assert record.sentence_texts == {1: "One.", 0: "Zero."}
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"question": ""}, "question"),
+            ({"question": " \t\n"}, "question"),
+            ({"merged": [[1, 0.5], [0, 0.25], [1, 0.5]]}, "merged"),
+            ({"merged": [[0, 0.5], [0, 0.25]]}, "merged"),
+        ],
+        ids=["empty question", "whitespace question", "merged id repeated", "merged id twice, scores differ"],
+    )
+    def test_a_blank_question_or_a_repeated_merged_id_names_its_line_and_field(
+        self, tmp_path, change, field
+    ):
+        path = tmp_path / "retrieval.jsonl"
+        write_jsonl(path, [{"id": "a", **self.ROW}, {"id": "b", **self.ROW, **change}])
+        with pytest.raises(InputFormatError) as excinfo:
+            read_retrieval_records(path)
+        assert (excinfo.value.line, excinfo.value.field) == (2, field)
+        assert excinfo.value.reason == {
+            "question": "expected a string that is not blank",
+            "merged": "expected a list of [sentence id, score] pairs, no id twice",
+        }[field]
+
     @pytest.mark.parametrize("sentences", [None, [{"id": 1, "text": "One."}]])
     def test_merged_id_without_text_names_sentences(self, tmp_path, sentences):
         row = {"id": "a", **self.ROW, "sentences": sentences}

@@ -10,7 +10,7 @@ import pytest
 
 from doc2table.cli import generate_stage, run_map
 from doc2table.config import RunConfig
-from doc2table.data import QaTriple, RetrievalRecord
+from doc2table.data import RetrievalRecord
 from doc2table.generation import (
     ResponseParseError,
     StageFailure,
@@ -408,8 +408,7 @@ class TestRunTabTalk:
             sentence_texts=dict(SENTENCES),
         )
         generated, errors = generate_stage(
-            [QaTriple("q", "doc", QUESTION, make_gt(), ())], {"q": record},
-            ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path,
+            {"q": record}, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
         )
         assert generated == []
         assert errors == [{"id": "q", "stage": "structure", "error": f"structure stage failed: {reason}"}]
@@ -486,21 +485,20 @@ class TestQuestionsThroughTheRunMap:
     def generate(self, tmp_path, table: HierarchicalTable, workers: int) -> Path:
         """Six questions answered by ``table`` through a map of ``workers``; their output dir."""
         html = serialize_html(table)
-        triples = [QaTriple(f"q{n}", "doc", f"{QUESTION} ({n})", table, ()) for n in range(6)]
-        record = RetrievalRecord(
-            QUESTION, [QUESTION], [], [(sid, 1.0) for sid, _ in SENTENCES], 5,
-            sentence_texts=dict(SENTENCES),
-        )
+        records = {
+            f"q{n}": RetrievalRecord(
+                f"{QUESTION} ({n})", [QUESTION], [], [(sid, 1.0) for sid, _ in SENTENCES], 5,
+                sentence_texts=dict(SENTENCES),
+            )
+            for n in range(6)
+        }
         transcript = Transcript()
         chat = ChatProvider(RecordingProvider(ScriptedProvider(perfect_handler(table)), transcript))
         out = tmp_path / f"workers-{workers}"
         with run_map(workers) as mapper:
-            generated, errors = generate_stage(
-                triples, dict.fromkeys([t.triple_id for t in triples], record), chat,
-                RunConfig(), out, mapper,
-            )
+            generated, errors = generate_stage(records, chat, RunConfig(), out, mapper)
         assert errors == []
-        assert [serialize_html(t) for _, t in generated] == [html] * len(triples)
+        assert [serialize_html(t) for _, t in generated] == [html] * len(records)
         transcript.save(out / "transcript.jsonl")
         return out
 

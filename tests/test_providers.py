@@ -122,6 +122,20 @@ class TestReplay:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}, line 3: ")):
             Transcript.load(path)
 
+    def test_transcript_load_rejects_a_repeated_fingerprint(self, tmp_path):
+        request = {"mode": "sentence", "text": "a"}
+        fp = request_fingerprint(request)
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"fingerprint": fp, "request": request, "response": {"outputs": [text]}}) + "\n"
+                for text in ("first", "second")
+            )
+        )
+        with pytest.raises(ValueError) as excinfo:
+            Transcript.load(path)
+        assert str(excinfo.value) == f"{path}, line 2: repeated fingerprint {fp}"
+
     def test_transcript_save_makes_its_directory(self, tmp_path):
         transcript = Transcript(provider="p")
         for i in range(3):
@@ -290,6 +304,11 @@ class TestHttpEmbedder:
         backend = ScriptedProvider(lambda r: {"vectors": [[1.0, 0.0], [1.0, 0.0, 0.0]]})
         with pytest.raises(ProviderError):
             HttpEmbedder(backend).embed(["a", "b"])
+
+    def test_empty_rows_rejected(self):
+        backend = ScriptedProvider(lambda r: {"vectors": [[], [], []]})
+        with pytest.raises(ProviderError, match="nonzero dimension"):
+            HttpEmbedder(backend).embed(["a", "b", "c"])
 
     def test_normalizes_vectors(self):
         backend = ScriptedProvider(lambda r: {"vectors": [[3.0, 4.0]]})

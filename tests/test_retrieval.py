@@ -239,7 +239,9 @@ class TestRetrieveTopK:
         document = [f"text {i}" for i in range(5)]
         records = {
             "plain": rank(document, ["text 1"], HashingEmbedder(), k=3, question="Q?"),
-            "degraded": rank(document, ["text 1", "text 4"], HashingEmbedder(), k=3, degraded=True),
+            "degraded": rank(
+                document, ["text 1", "text 4"], HashingEmbedder(), k=3, question="Q2?", degraded=True
+            ),
         }
         path = tmp_path / "retrieval.jsonl"
         write_jsonl(path, [{"id": key, **record.to_dict()} for key, record in records.items()])
