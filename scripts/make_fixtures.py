@@ -698,7 +698,7 @@ def annotate_tables() -> list[tuple[str, str, str, HierarchicalTable]]:
             (("grew fastest",), ("lagged",), ("unknown",)),
             stub="Region",
         )),
-        ("t4", "orchard_2023", "", table(
+        ("t4", "orchard_2023", "What did each Orchard segment report?", table(
             ["Europe", "Asia"], ["Result"], (("1,100",), ("(45.5)",)), stub="Segment",
         )),
         ("t5", "harbor_2023", "Which Harbor figures were reported?", table(

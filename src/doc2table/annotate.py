@@ -10,23 +10,42 @@ kept: multiple matches per cell are expected and resolved by manual
 review, which this module models as a status field (auto / confirmed /
 rejected) edited through a JSONL review file.
 
-Each document is scanned once per run: ``annotate`` wraps every
-referenced document in a :class:`SentenceIndex`, whose one scan
-(:func:`scan_sentences`) runs lazily, at the document's first table, and
-answers every cell of every later table. The matching rule above is the
-same whichever table triggers the scan.
+Each document is prepared once per run: ``annotate`` wraps every
+referenced document in a :class:`SentenceIndex`, whose preparation
+(:func:`scan_sentences`) runs lazily, at the document's first table. It
+normalizes each sentence once and keeps two texts with one line per
+sentence, joined by "\\n": the lowered sentences, for textual cells, and
+a *digit-run text*, for numeric ones. A digit-run line is its normalized
+sentence with every "," and " " removed and every other run of characters
+that are neither ``\\d`` digits nor "." replaced by one " ".
 
-Two shortcuts keep the scan and the lookups cheap without changing a
-match. The number pattern opens with a lookahead for the characters a
-token can start with (whitespace, "(", a minus, a currency symbol or a
-digit), so the regex engine skips every other position at once, and a
-sentence without a ``\\d`` digit is not searched at all. A textual cell is
-looked up with ``str.find`` in the lowered sentences joined by "\\n", the
-scan's one copy of them; an occurrence inside one sentence counts when
-neither character around it is a word character, the test the
-whole-phrase pattern makes, so no pattern is compiled per cell.
-Normalized sentences and body cells hold no "\\n", so a find never spans
-two sentences.
+A numeric cell's magnitude M is looked up by ``str.find`` in the
+digit-run text. Only the sentences whose lines hold M are candidates; each
+candidate the index has not number-scanned yet is scanned now, with the
+number pattern, and all of its tokens go into one magnitude -> {sentence
+id: signs} map that every later table of the document shares. So each
+sentence is number-scanned at most once per document, and only if some
+cell's magnitude occurs in its line. Once every line holding a digit has
+been scanned, lookups read the map without the find.
+
+The filter is exact. A token's magnitude is its digit group with "," and
+whitespace removed and zeros trimmed at its two ends, so it is a substring
+of that group with the separators removed. A normalized sentence holds no
+whitespace but " ", so that group, separators removed, lies inside one run
+of digits and "." in the sentence's line. Every sentence holding M is
+therefore a candidate, and each candidate gets the full scan: the matches,
+their sign flips and their order are those of scanning every sentence.
+
+Two more shortcuts keep the scan and the lookups cheap without changing a
+match. The number pattern opens with a lookahead for a run of the
+characters a token's prefix is made of (whitespace, "(", a minus, a
+currency symbol) followed by a digit, so the regex engine leaves every
+other position at once, and a sentence without a digit is not searched
+at all. A textual cell is looked up with ``str.find`` in the lowered
+text; an occurrence inside one sentence counts when neither character
+around it is a word character, the test the whole-phrase pattern makes, so
+no pattern is compiled per cell. Normalized sentences and body cells hold
+no "\\n", so a find never spans two sentences.
 
 A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
@@ -42,7 +61,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from itertools import accumulate
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import HierarchicalTable, normalize_text
 
@@ -56,7 +76,7 @@ _CURRENCY = "$€£¥"
 
 _NUMBER_TOKEN = re.compile(
     r"""
-    (?=[\s(\-−{cur}\d])                      # every match starts with one of these
+    (?=[\s(\-−{cur}]*\d)                     # every match is a run of these, then a digit
     (\()?                                   # parenthesized negative, open
     \s*(-|−)?\s*                       # explicit minus
     [{cur}]?\s?
@@ -71,6 +91,7 @@ _NUMBER_TOKEN = re.compile(
 )
 _DIGIT = re.compile(r"\d")  # the pattern's own digit class: a text without one has no token
 _SEPARATOR = re.compile(r"[,\s]")
+_NOT_DIGIT_RUN = re.compile(r"[^\d.\n]+")  # "\n" ends a digit-run line
 
 
 def canonical_magnitude(digits: str) -> str:
@@ -141,50 +162,90 @@ class CellMatch:
 Magnitudes = dict[str, dict[int, set[bool]]]
 
 
-def scan_sentences(sentences: list[str]) -> tuple[str, list[int], Magnitudes]:
-    """The lowered normalized sentences joined by "\\n", each one's start
-    offset plus an end sentinel, and canonical magnitude -> {sentence id:
-    signs it appears with}, each inner dict in ascending id order.
+class DocumentScan(NamedTuple):
+    """A document prepared for matching by :func:`scan_sentences`."""
 
-    Each sentence is normalized once; one without a digit skips the number
-    pattern, and the pattern's leading lookahead skips positions no token
-    can start at. Offsets come from the lowered texts, since ``str.lower()``
-    can change a string's length.
+    normalized: list[str]  # each sentence, normalized
+    lowered: str  # the lowered normalized sentences joined by "\n"
+    starts: list[int]  # each sentence's offset in ``lowered``, plus an end sentinel
+    digit_runs: str  # the digit-run text: one line per sentence
+    run_starts: list[int]  # each line's offset in ``digit_runs``, plus an end sentinel
+    digit_lines: int  # lines holding a digit; a line of "." runs holds none
+
+
+def scan_sentences(sentences: list[str]) -> DocumentScan:
+    """Normalize each sentence once and build both joined texts.
+
+    Offsets come from the lowered texts, since ``str.lower()`` can change a
+    string's length. The digit-run text is built from the normalized,
+    unlowered sentences in one pass over their join; it has one line per
+    sentence because normalized text holds no "\\n".
     """
-    lowered: list[str] = []
-    starts = [0]
-    magnitudes: Magnitudes = {}
-    for sid, sentence in enumerate(sentences):
-        text = normalize_text(sentence)
-        lowered.append(text.lower())
-        starts.append(starts[-1] + len(lowered[-1]) + 1)
-        for magnitude, negative in _normalized_numbers(text):
-            magnitudes.setdefault(magnitude, {}).setdefault(sid, set()).add(negative)
-    return "\n".join(lowered), starts, magnitudes
+    normalized = [normalize_text(sentence) for sentence in sentences]
+    lowered = [text.lower() for text in normalized]
+    joined = "\n".join(normalized).replace(",", "").replace(" ", "")
+    runs = _NOT_DIGIT_RUN.sub(" ", joined).split("\n") if sentences else []
+    return DocumentScan(
+        normalized,
+        "\n".join(lowered),
+        list(accumulate((len(text) + 1 for text in lowered), initial=0)),
+        "\n".join(runs),
+        list(accumulate((len(line) + 1 for line in runs), initial=0)),
+        sum(1 for line in runs if line.strip(" .")),
+    )
 
 
 class SentenceIndex:
-    """One document's sentences, scanned once for every table that cites it.
+    """One document's sentences, prepared once for every table that cites it.
 
-    The scan (:func:`scan_sentences`) runs on first use, inside the first
-    :func:`match_cells_to_sentences` call for the document, so a document
-    no table references is never scanned. ``len()`` is the sentence count.
+    Lazy: the preparation (:func:`scan_sentences`, cached as ``scan``) runs
+    on first use, inside the first :func:`match_cells_to_sentences` call for
+    the document, so a document no table references is never prepared; a
+    sentence is number-scanned only when a looked-up magnitude occurs in its
+    digit-run line. Cached: ``scan``, and the tokens of every
+    number-scanned sentence in ``magnitudes`` (canonical magnitude ->
+    {sentence id: signs it appears with}), which later lookups share.
+    ``numbers_scanned`` holds the ids of those sentences. ``len()`` is the
+    sentence count.
     """
 
     def __init__(self, sentences: list[str]):
         self.sentences = sentences
+        self.magnitudes: Magnitudes = {}
+        self.numbers_scanned: set[int] = set()
 
     def __len__(self) -> int:
         return len(self.sentences)
 
     @cached_property
-    def scan(self) -> tuple[str, list[int], Magnitudes]:
+    def scan(self) -> DocumentScan:
         return scan_sentences(self.sentences)
+
+    def signs_by_id(self, magnitude: str) -> dict[int, set[bool]]:
+        """Sentence id -> the signs ``magnitude`` appears with there, ids ascending.
+
+        The candidates are the digit-run lines holding ``magnitude``; each
+        not yet number-scanned is scanned, and its tokens are added to
+        ``magnitudes``. Once every line with a digit is scanned, the find
+        walk is skipped.
+        """
+        scan = self.scan
+        if len(self.numbers_scanned) < scan.digit_lines:
+            text, starts = scan.digit_runs, scan.run_starts
+            at = text.find(magnitude)
+            while at != -1:
+                sid = bisect_right(starts, at) - 1
+                if sid not in self.numbers_scanned:
+                    self.numbers_scanned.add(sid)
+                    for token, negative in _normalized_numbers(scan.normalized[sid]):
+                        self.magnitudes.setdefault(token, {}).setdefault(sid, set()).add(negative)
+                at = text.find(magnitude, starts[sid + 1])
+        return dict(sorted(self.magnitudes.get(magnitude, {}).items()))
 
 
 def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> list[CellMatch]:
     """Locate candidate sentences for every body cell; empty cells match nothing."""
-    joined, starts, magnitudes = index.scan
+    scan = index.scan
     matches: list[CellMatch] = []
     for r, row in enumerate(table.body):
         for c, cell in enumerate(row):
@@ -193,14 +254,14 @@ def match_cells_to_sentences(table: HierarchicalTable, index: SentenceIndex) -> 
             number = parse_cell_number(cell)
             if number is not None:
                 magnitude, negative = number
-                signs_by_id = magnitudes.get(magnitude)
+                signs_by_id = index.signs_by_id(magnitude)
                 if signs_by_id:
                     flips = tuple(sid for sid, signs in signs_by_id.items() if negative not in signs)
                     matches.append(
                         CellMatch(r, c, "numeric", tuple(signs_by_id), magnitude, flips)
                     )
             else:
-                hit_ids = _phrase_sentences(cell.lower(), joined, starts)
+                hit_ids = _phrase_sentences(cell.lower(), scan.lowered, scan.starts)
                 if hit_ids:
                     matches.append(CellMatch(r, c, "textual", tuple(hit_ids)))
     return matches
@@ -276,8 +337,8 @@ def corpus_stats(
     n_flat = sum(1 for t in triples if t.table.is_flat)
     mean_tokens: float | None = None
     if documents is not None and n:
-        tokens = sum(len(s.split()) for t in triples for s in documents[t.doc_id])
-        mean_tokens = tokens / n
+        per_doc = {d: sum(len(s.split()) for s in documents[d]) for d in {t.doc_id for t in triples}}
+        mean_tokens = sum(per_doc[t.doc_id] for t in triples) / n
     return {
         "n_triples": n,
         "mean_input_tokens": mean_tokens,

@@ -10,7 +10,7 @@ the ";", what a line must refer to in the file it is read against:
   documents  {"doc_id": str, "sentences": [str]}  (or {"doc_id", "text"},
              which :func:`split_sentences` segments); unique doc_id
   tables     {"table_id": str, "doc_id": str, "table_html": str,
-              "question": str (optional)}; unique table_id; a known doc_id
+              "question": str, not blank}; unique table_id; a known doc_id
   triples    {"id": str, "doc_id": str, "question": str, "table_html": str,
               "relevant_sentence_ids": [int >= 0]}; unique id; given the
              documents, a known doc_id, a question that is not blank, and
@@ -297,17 +297,21 @@ def read_documents(path: str | Path) -> dict[str, list[str]]:
 
 
 def read_tables(path: str | Path, documents: dict[str, list[str]]) -> list[dict]:
-    """Annotation inputs: table records with ids, the parsed ``table`` and optional questions."""
+    """Annotation inputs: table records with ids, the parsed ``table`` and their questions.
+
+    The question is required and not blank, as in a triples line: each
+    retained table is written out as one.
+    """
 
     def parse(obj: dict, line: int) -> dict:
         record = {
             "table_id": obj["table_id"],
             "doc_id": _require(obj, "doc_id", str, path, line),
             "table": _require_table(obj, path, line),
-            "question": obj.get("question", ""),
+            "question": _require(obj, "question", str, path, line),
         }
-        if not isinstance(record["question"], str):
-            raise InputFormatError(path, line, "question", "expected str")
+        if not record["question"].strip():
+            raise InputFormatError(path, line, "question", "question is blank")
         return record
 
     def check(_, record: dict, line: int) -> None:

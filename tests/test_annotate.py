@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import pairwise
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doc2table import annotate
 from doc2table.annotate import (
     CellMatch,
     SentenceIndex,
@@ -14,12 +18,13 @@ from doc2table.annotate import (
     match_cells_to_sentences,
     parse_cell_number,
     relevant_ids,
+    scan_sentences,
     sentence_numbers,
 )
-from doc2table.data import QaTriple
-from doc2table.model import CoordTree, HierarchicalTable
+from doc2table.data import QaTriple, read_documents, read_tables
+from doc2table.model import CoordTree, HierarchicalTable, normalize_text
 
-from conftest import make_flat_table
+from conftest import FIXTURES, make_flat_table
 from oracles import reference_match_cells, reference_sentence_numbers
 
 
@@ -294,6 +299,115 @@ class TestIndexAgainstReference:
         assert "scan" in vars(index)
 
 
+# Single digits, ASCII and Arabic-Indic, make every line that holds a digit a
+# candidate, so later lookups skip the find walk; no drawn sentence holds "31415"
+LOOKUP_CELLS = [*"0123456789", *"٠١٢٣٤٥٦٧٨٩", "31415", "2022", "4202"]
+
+
+@st.composite
+def documents_and_lookups(draw) -> tuple[list[str], list[HierarchicalTable]]:
+    """A document and its tables in a drawn order, among them one-cell tables
+    of single digits and of magnitudes the document need not hold."""
+    document, tables = draw(documents_and_tables())
+    lookups = draw(st.lists(st.sampled_from(LOOKUP_CELLS).map(one_cell_table), max_size=12))
+    return document, draw(st.permutations(tables + lookups))
+
+
+class TestCandidateFilter:
+    DOCUMENT = ["Revenue was $1,200 in Q1.", "No figures here.", "Costs fell to (300) overall.",
+                "Net income reached 900, up from 1 200.", "..."]
+
+    @pytest.fixture
+    def scanned(self, monkeypatch) -> list[str]:
+        """Every normalized sentence the number pattern is run over, in order."""
+        texts: list[str] = []
+        scan = annotate._normalized_numbers
+        monkeypatch.setattr(
+            annotate, "_normalized_numbers", lambda text: texts.append(text) or scan(text)
+        )
+        return texts
+
+    @given(case=documents_and_lookups())
+    @settings(max_examples=300, deadline=None)
+    def test_any_table_order_gives_the_reference_matches(self, case):
+        document, tables = case
+        numbers = (parse_cell_number(cell) for table in tables for row in table.body for cell in row)
+        magnitudes = {number[0] for number in numbers if number is not None}
+        for order in (tables, tables[::-1]):
+            index = SentenceIndex(document)
+            for table in order:
+                assert match_cells_to_sentences(table, index) == reference_match_cells(table, index)
+            # the sentences scanned are exactly those whose digit-run line holds a looked-up magnitude
+            lines = index.scan.digit_runs.split("\n")
+            assert index.numbers_scanned == {
+                sid for sid, line in enumerate(lines) if any(m in line for m in magnitudes)
+            }
+
+    def test_each_sentence_is_number_scanned_at_most_once_per_document(self, scanned):
+        documents = read_documents(FIXTURES / "annotate" / "docs.jsonl")
+        records = read_tables(FIXTURES / "annotate" / "tables.jsonl", documents)
+        for doc_id, sentences in documents.items():
+            scanned.clear()
+            index = SentenceIndex(sentences)
+            for record in records * 2:  # the second pass scans nothing new
+                if record["doc_id"] == doc_id:
+                    match_cells_to_sentences(record["table"], index)
+            normalized = [normalize_text(sentence) for sentence in sentences]
+            assert len(set(normalized)) == len(sentences)
+            assert max(Counter(scanned).values()) == 1
+            assert sorted(map(normalized.index, scanned)) == sorted(index.numbers_scanned)
+            assert len(scanned) <= index.scan.digit_lines
+
+    @pytest.mark.parametrize("cells", [
+        ("Revenue", "net income", "Q1", "figures"),
+        ("4,500", "(77)", "1,201", "0.3", "31415"),
+    ], ids=["textual", "absent magnitudes"])
+    def test_tables_with_no_magnitude_of_the_document_scan_no_sentence(self, scanned, cells):
+        index = SentenceIndex(self.DOCUMENT)
+        table = HierarchicalTable("", CoordTree.from_nested(["r"]),
+                                  CoordTree.from_nested([f"c{j}" for j in range(len(cells))]), (cells,))
+        assert match_cells_to_sentences(table, index) == reference_match_cells(table, index)
+        assert scanned == []
+        assert index.numbers_scanned == set()
+
+    def test_digit_run_text_has_one_line_per_sentence(self):
+        sentences = ["Paid $1, 234.50 in fees.", "A result of (500) was booked", "Q4 2022",
+                     "Arabic-Indic ١,٢٣٤ and ٣.", "nul\x00byte 7\x008", "No digits here.", "Up 56",
+                     "78 more"]
+        scan = scan_sentences(sentences)
+        lines = [" 1234.50 .", " 500 ", " 42022", " ١٢٣٤ ٣.", " 7 8", " .", " 56", "78 "]
+        assert scan.digit_runs.split("\n") == lines
+        assert [scan.digit_runs[a : b - 1] for a, b in pairwise(scan.run_starts)] == lines
+        assert scan.digit_lines == 7  # a line of "." runs holds no digit
+        index = SentenceIndex(sentences)
+        assert index.signs_by_id("5678") == {}  # "56" and "78" are in two sentences
+        assert index.numbers_scanned == set()
+        assert index.signs_by_id("500") == {1: {True}}
+        assert index.numbers_scanned == {1}
+
+    def test_empty_document_has_no_lines(self):
+        scan = scan_sentences([])
+        assert (scan.digit_runs, scan.run_starts, scan.digit_lines) == ("", [0], 0)
+        assert match_cells_to_sentences(one_cell_table("7"), SentenceIndex([])) == []
+
+    def test_lookups_after_every_digit_line_is_scanned_skip_the_find(self):
+        index = SentenceIndex(self.DOCUMENT)
+        assert index.signs_by_id("1200") == {0: {False}, 3: {False}}
+        for digit in "0123456789":
+            index.signs_by_id(digit)
+        assert index.numbers_scanned == {0, 2, 3} and index.scan.digit_lines == 3
+        vars(index)["scan"] = index.scan._replace(digit_runs=None)  # a find would now raise
+        assert index.signs_by_id("300") == {2: {True}}
+        assert index.signs_by_id("900") == {3: {False}}
+        assert index.signs_by_id("31415") == {}
+
+    def test_ids_are_ascending_whatever_order_sentences_were_scanned_in(self):
+        index = SentenceIndex(["It was 500 then.", "Nothing.", "Then 7 and 500."])
+        assert index.signs_by_id("7") == {2: {False}}
+        assert index.numbers_scanned == {2}
+        assert list(index.signs_by_id("500")) == [0, 2]
+
+
 def synthetic_matches(covered_cells: list[tuple[int, int]]):
     return [CellMatch(r, c, "numeric", (0,), "1") for r, c in covered_cells]
 
@@ -393,6 +507,20 @@ class TestCorpusStats:
         assert stats["mean_cols"] == pytest.approx(7 / 3)
         assert stats["n_flat"] == 2
         assert stats["n_hierarchical"] == 1
+
+    def test_each_document_is_split_once(self):
+        triples, docs = self.triples()
+        triples += [QaTriple(f"t{i}", "d1", "q", make_flat_table(1, 1), (0,)) for i in range(4, 7)]
+        reads = []
+
+        class CountingDocuments(dict):
+            def __getitem__(self, doc_id):
+                reads.append(doc_id)
+                return super().__getitem__(doc_id)
+
+        stats = corpus_stats(triples, CountingDocuments(docs))
+        assert sorted(reads) == ["d1", "d2", "d3"]
+        assert stats["mean_input_tokens"] == pytest.approx((20 + 3 * 7) / 6)
 
     def test_single_flat_table(self):
         triples = [QaTriple("t", "d", "q", make_flat_table(2, 2), (0,))]

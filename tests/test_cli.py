@@ -368,8 +368,9 @@ class TestMalformedInputs:
         tables = tmp_path / "tables.jsonl"
         html = serialize_html(make_flat_table(1, 1))
         tables.write_text(
-            json.dumps({"table_id": "a", "doc_id": "d", "table_html": html}) + "\n\n"
-            + json.dumps({"table_id": "b", "doc_id": "nope", "table_html": html}) + "\n"
+            json.dumps({"table_id": "a", "doc_id": "d", "question": "q", "table_html": html}) + "\n\n"
+            + json.dumps({"table_id": "b", "doc_id": "nope", "question": "q", "table_html": html})
+            + "\n"
         )
         code = run(["annotate", "--docs", docs, "--tables", tables, "--out", tmp_path / "o"])
         assert code == 2
@@ -380,7 +381,8 @@ class TestMalformedInputs:
         docs = tmp_path / "docs.jsonl"
         write_jsonl(docs, [{"doc_id": "d", "sentences": ["Revenue was 100."]}])
         tables = tmp_path / "tables.jsonl"
-        row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
+        row = {"table_id": "t1", "doc_id": "d", "question": "q",
+               "table_html": serialize_html(make_flat_table(1, 1))}
         write_jsonl(tables, [row, row])
         code = run(["annotate", "--docs", docs, "--tables", tables, "--out", tmp_path / "o"])
         assert code == 2
@@ -721,6 +723,26 @@ class TestAnnotateCommand:
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
+    def test_written_triples_are_read_back_by_stats(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["annotate", "--docs", ANNOTATE / "docs.jsonl", "--tables", ANNOTATE / "tables.jsonl"]
+        assert run(args + ["--out", out]) == 0
+        capsys.readouterr()
+        assert run(["stats", "--triples", out / "triples.jsonl", "--docs", ANNOTATE / "docs.jsonl"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_triples"] > 0
+
+    def test_table_without_question_is_input_error(self, tmp_path, capsys):
+        rows = read_jsonl_rows(ANNOTATE / "tables.jsonl")
+        del rows[1]["question"]
+        tables = tmp_path / "tables.jsonl"
+        write_jsonl(tables, rows)
+        args = ["annotate", "--docs", ANNOTATE / "docs.jsonl", "--tables", tables]
+        assert run(args + ["--out", tmp_path / "o"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["file"], error["line"], error["field"]) == (str(tables), 2, "question")
+        assert error["message"] == "missing required field"
+        assert not (tmp_path / "o").exists()
+
     def build_inputs(self, tmp_path):
         docs = tmp_path / "docs.jsonl"
         write_jsonl(
@@ -755,7 +777,8 @@ class TestAnnotateCommand:
             [
                 {"table_id": "keep", "doc_id": "d1", "table_html": serialize_html(covered),
                  "question": "What were the figures?"},
-                {"table_id": "drop", "doc_id": "d1", "table_html": serialize_html(uncovered)},
+                {"table_id": "drop", "doc_id": "d1", "table_html": serialize_html(uncovered),
+                 "question": "Which figures were reported?"},
             ],
         )
         return docs, tables

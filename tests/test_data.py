@@ -330,9 +330,12 @@ class TestTriples:
 
 
 class TestTables:
+    ROW = {"table_id": "t1", "doc_id": "d", "question": "q",
+           "table_html": serialize_html(make_flat_table(1, 1))}
+
     def test_duplicate_table_id_names_its_second_line(self, tmp_path):
         path = tmp_path / "tables.jsonl"
-        row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
+        row = self.ROW
         write_jsonl(path, [row, {**row, "table_id": "t2"}, {**row, "doc_id": "e"}])
         with pytest.raises(InputFormatError) as excinfo:
             read_tables(path, {"d": ["x"]})
@@ -340,14 +343,24 @@ class TestTables:
         assert excinfo.value.reason == "duplicate table_id 't1'"
 
 
-    def test_non_string_question_is_named(self, tmp_path):
+    @pytest.mark.parametrize("question, reason", [
+        (["q"], "expected str, got list"),
+        (None, "missing required field"),
+        ("", "question is blank"),
+        (" \t\n", "question is blank"),
+    ])
+    def test_question_is_a_string_that_is_not_blank(self, tmp_path, question, reason):
+        # a question the triples reader would reject is rejected here, not written out
         path = tmp_path / "tables.jsonl"
-        row = {"table_id": "t1", "doc_id": "d", "table_html": serialize_html(make_flat_table(1, 1))}
-        write_jsonl(path, [row, {**row, "table_id": "t2", "question": ["q"]}])
+        second = {**self.ROW, "table_id": "t2", "question": question}
+        if question is None:
+            del second["question"]
+        write_jsonl(path, [self.ROW, second])
         with pytest.raises(InputFormatError) as excinfo:
             read_tables(path, {"d": ["x"]})
-        assert (excinfo.value.line, excinfo.value.field) == (2, "question")
-        assert excinfo.value.reason == "expected str"
+        assert (excinfo.value.line, excinfo.value.field, excinfo.value.reason) == (
+            2, "question", reason
+        )
 
 
 class TestGeneratedTables:
@@ -489,7 +502,7 @@ class TestKeyedReaders:
         "documents": (read_documents, "doc_id", {"sentences": ["x"]}, {"sentences": 3}, "sentences"),
         "tables": (
             partial(read_tables, documents={"d": ["x"]}), "table_id",
-            {"doc_id": "d", "table_html": HTML}, {"table_html": 3}, "table_html",
+            {"doc_id": "d", "question": "q", "table_html": HTML}, {"table_html": 3}, "table_html",
         ),
         "triples": (
             partial(read_triples, documents={"d": ["x"]}), "id",
