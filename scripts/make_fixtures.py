@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
 
-from doc2table.cli import generate_stage, main as cli_main, retrieve_stage
+from doc2table.cli import generate_stage, main as cli_main, retrieve_stage, write_generation
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.generation import (
     build_fill_prompt,
@@ -553,9 +553,9 @@ def record_pipeline_transcripts(out: Path) -> None:
         )
         config = RunConfig(k=10)
         with tempfile.TemporaryDirectory() as scratch:
-            stage_out = Path(scratch)
-            records, _ = retrieve_stage(triples, documents, built, config, stage_out)
-            generated, errors = generate_stage(records, built.chat, config, stage_out)
+            ranked = retrieve_stage(triples, documents, built, config)
+            _, tabtalks = generate_stage(ranked, built.chat, config)
+            generated, errors = write_generation(tabtalks, Path(scratch))
         assert not errors, errors
         assert len(generated) == len(triples)
         chat_transcript.save(chat_path)

@@ -40,12 +40,11 @@ Two more shortcuts keep the scan and the lookups cheap without changing a
 match. The number pattern opens with a lookahead for a run of the
 characters a token's prefix is made of (whitespace, "(", a minus, a
 currency symbol) followed by a digit, so the regex engine leaves every
-other position at once, and a sentence without a digit is not searched
-at all. A textual cell is looked up with ``str.find`` in the lowered
-text; an occurrence inside one sentence counts when neither character
-around it is a word character, the test the whole-phrase pattern makes, so
-no pattern is compiled per cell. Normalized sentences and body cells hold
-no "\\n", so a find never spans two sentences.
+other position at once. A textual cell is looked up with ``str.find`` in
+the lowered text; an occurrence inside one sentence counts when neither
+character around it is a word character, the test the whole-phrase
+pattern makes, so no pattern is compiled per cell. Normalized sentences
+and body cells hold no "\\n", so a find never spans two sentences.
 
 A table stays in the dataset only while fewer than 30% of its body cells
 lack a non-rejected match; the 30.0% boundary itself is excluded. Header
@@ -89,7 +88,6 @@ _NUMBER_TOKEN = re.compile(
     """.format(cur=_CURRENCY),
     re.VERBOSE,
 )
-_DIGIT = re.compile(r"\d")  # the pattern's own digit class: a text without one has no token
 _SEPARATOR = re.compile(r"[,\s]")
 _NOT_DIGIT_RUN = re.compile(r"[^\d.\n]+")  # "\n" ends a digit-run line
 
@@ -133,8 +131,6 @@ def sentence_numbers(sentence: str) -> list[tuple[str, bool]]:
 
 def _normalized_numbers(text: str) -> list[tuple[str, bool]]:
     """:func:`sentence_numbers` of an already normalized text."""
-    if not _DIGIT.search(text):
-        return []
     tokens = []
     for match in _NUMBER_TOKEN.finditer(text):
         negative = bool(match.group(2)) or bool(match.group(1) and match.group(4))

@@ -19,10 +19,13 @@ Each config subcommand is one schedule over one :func:`run_map`, built from
 ``RunConfig.parallel``. Its tasks are leaves, and no task waits on
 another: one sentence rewrite, one question rewrite, or one question's
 TabTalk. Every referenced document's sentence rewrites are queued first,
-then every question's rewrite; the main thread ranks each question as soon
-as its document's rewrites and its own are in, and ``pipeline`` queues the
-question's TabTalk as soon as its retrieval record exists. Results are
-gathered and written in input order.
+then every question's rewrite. :func:`retrieve_stage` yields each record
+as soon as its document's rewrites and its own are in, and
+:func:`generate_stage`, the one generation path, queues each record's
+TabTalk as it is handed over: ``generate`` hands it the retrieval file's
+records, ``pipeline`` the records as retrieval yields them. Each output
+file has one writer, which reads results in input order; ``pipeline``
+writes the retrieval files before it reads any TabTalk result.
 
 All outputs are written atomically and deterministically (sorted JSON
 keys, input order preserved), so a replayed run reproduces its output
@@ -48,6 +51,7 @@ import json
 import logging
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import repeat
@@ -75,8 +79,9 @@ def run_map(parallel: int):
 
     At ``parallel`` 1 it is the builtin ``map``: no thread starts, and each
     call is made when its result is read, so a run makes its provider calls
-    in input order, all of retrieval before any of generation. Above 1 it
-    is the ``map`` of one pool of ``2 * parallel`` threads, which queues
+    in input order, all of retrieval before any of generation (no TabTalk
+    result is read before retrieval has yielded its last record). Above 1
+    it is the ``map`` of one pool of ``2 * parallel`` threads, which queues
     every task as soon as it is mapped. The run's live providers let at
     most ``parallel`` requests be in flight (see
     :func:`~doc2table.config.build_providers`), so each slot has a spare
@@ -111,46 +116,23 @@ def _providers_and_map(config: RunConfig, roles: tuple[str, ...]):
             transcript.save(path)
 
 
-def _recall(triples: list[QaTriple], records: dict[str, RetrievalRecord], k: int) -> dict:
-    """recall@{10,20,30} (capped at k) per triple with relevant ids, plus means; {} if none."""
-    ks = [x for x in RECALL_KS if x <= k] or [k]
-    rows = []
-    for triple in triples:
-        if triple.relevant_sentence_ids:
-            ranked = records[triple.triple_id].merged_ids()
-            rows.append(
-                {
-                    "id": triple.triple_id,
-                    "recall_at_k": {
-                        str(x): recall_at_k(ranked, triple.relevant_sentence_ids, x) for x in ks
-                    },
-                }
-            )
-    if not rows:
-        return {}
-    return {"per_item": rows, "mean": aggregate_scores(rows)["recall_at_k"]}
-
-
 def retrieve_stage(
     triples: list[QaTriple],
     documents: dict[str, list[str]],
     built: BuiltProviders,
     config: RunConfig,
-    out: Path,
     mapper=map,
-    then=None,
-) -> tuple[dict[str, RetrievalRecord], dict]:
-    """Stage one: rewrite, rank top-k per question; write retrieval.jsonl and recall.json.
+) -> Iterator[tuple[str, RetrievalRecord]]:
+    """Stage one: rewrite, then rank top-k per question; yield each (id, record).
 
-    Every referenced document's sentence rewrites are queued through
-    ``mapper`` (see :func:`run_map`), then every question's rewrite. Sentence
-    embeddings (the embedder's :class:`~doc2table.retrieval.Embeddings`) are
-    computed once per document, at its first question, and dropped after
-    its last. ``then(item_id, record)``, if given, is called as each record
-    is made, in input order. Returns the record per triple id and the recall
-    report; with no relevant ids in any triple the report is {} and
-    recall.json is not written. The triples must have been read against
-    ``documents`` (:func:`~doc2table.data.read_triples`).
+    A generator that writes nothing. When it is first read, every
+    referenced document's sentence rewrites are queued through ``mapper``
+    (see :func:`run_map`), then every question's rewrite; each record is
+    yielded, in input order, as soon as it is ranked. Sentence embeddings
+    (the embedder's :class:`~doc2table.retrieval.Embeddings`) are computed
+    once per document, at its first question, and dropped after its last.
+    The triples must have been read against ``documents``
+    (:func:`~doc2table.data.read_triples`).
     """
     sentence_texts = {
         doc_id: rewrite_sentences(documents[doc_id], built.rewriter, mapper)
@@ -159,7 +141,6 @@ def retrieve_stage(
     rewrites = mapper(rewrite_question, [t.question for t in triples], repeat(built.rewriter))
     last_use = {triple.doc_id: n for n, triple in enumerate(triples)}
     vectors = {}
-    records = {}
     for n, triple in enumerate(triples):
         if triple.doc_id in sentence_texts:
             texts = list(sentence_texts.pop(triple.doc_id))
@@ -176,20 +157,35 @@ def retrieve_stage(
             question=triple.question,
             degraded=rewrite.degraded,
         )
-        records[triple.triple_id] = record
         if last_use[triple.doc_id] == n:
             del vectors[triple.doc_id]
-        if then is not None:
-            then(triple.triple_id, record)
+        yield triple.triple_id, record
+
+
+def write_retrieval(triples: list[QaTriple], records: dict[str, RetrievalRecord], k: int, out: Path) -> dict:
+    """Write retrieval.jsonl, a row per record in order, and recall.json; return the recall report.
+
+    The report is recall@{10,20,30} (capped at k) per triple with relevant
+    ids, plus means; with no relevant ids in any triple it is {} and
+    recall.json is not written.
+    """
     # One row per triple, each built only while writing: a row holds
     # max(k, RANKING_DEPTH) ranks per sub-question.
     data.write_jsonl(
         out / "retrieval.jsonl", ({"id": item_id, **r.to_dict()} for item_id, r in records.items())
     )
-    recall = _recall(triples, records, config.k)
-    if recall:
-        data.write_json(out / "recall.json", recall)
-    return records, recall
+    ks = [x for x in RECALL_KS if x <= k] or [k]
+    rows = []
+    for triple in triples:
+        if triple.relevant_sentence_ids:
+            ranked = records[triple.triple_id].merged_ids()
+            at_k = {str(x): recall_at_k(ranked, triple.relevant_sentence_ids, x) for x in ks}
+            rows.append({"id": triple.triple_id, "recall_at_k": at_k})
+    if not rows:
+        return {}
+    recall = {"per_item": rows, "mean": aggregate_scores(rows)["recall_at_k"]}
+    data.write_json(out / "recall.json", recall)
+    return recall
 
 
 def _generate(
@@ -205,10 +201,36 @@ def _generate(
         return {"id": item_id, "stage": exc.stage, "error": str(exc)}
 
 
-def _write_generation(ids, results, out: Path) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
-    """Write the tables, traces and error rows of ``results``, one per id in input order."""
+def generate_stage(
+    ranked: Iterable[tuple[str, RetrievalRecord]], chat: ChatProvider, config: RunConfig, mapper=map
+) -> tuple[dict[str, RetrievalRecord], dict[str, Iterator[TabTalkResult | dict]]]:
+    """Stage two: queue the TabTalk of each (id, record) of ``ranked`` as it is handed over.
+
+    Each question is mapped on its own through ``mapper`` (see
+    :func:`run_map`): a pool queues it at once, the builtin ``map`` runs it
+    when its result is read (by :func:`write_generation`). Returns the
+    records and their queued results, by id in the order handed over.
+    """
+    records, tabtalks = {}, {}
+    for item_id, record in ranked:
+        records[item_id] = record
+        tabtalks[item_id] = mapper(_generate, [item_id], [record], [chat], [config.oneshot])
+    return records, tabtalks
+
+
+def write_generation(
+    tabtalks: dict[str, Iterator], out: Path
+) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
+    """Read each queued TabTalk in input order; write tables.jsonl, traces.jsonl, errors.jsonl.
+
+    A record with no evidence sentences or a failed stage (its provider
+    failing included) is one error row and the others go on. Returns the
+    (id, table) pairs generated, in input order, and the error rows;
+    errors.jsonl is written only when there are any.
+    """
     generated, traces, errors = [], [], []
-    for item_id, result in zip(ids, results):
+    for item_id, tabtalk in tabtalks.items():
+        (result,) = tabtalk
         if isinstance(result, dict):
             errors.append(result)
             continue
@@ -229,26 +251,6 @@ def _write_generation(ids, results, out: Path) -> tuple[list[tuple[str, Hierarch
     if errors:
         data.write_jsonl(out / "errors.jsonl", errors)
     return generated, errors
-
-
-def generate_stage(
-    records: dict[str, RetrievalRecord],
-    chat: ChatProvider,
-    config: RunConfig,
-    out: Path,
-    mapper=map,
-) -> tuple[list[tuple[str, HierarchicalTable]], list[dict]]:
-    """Stage two: TabTalk per record; write tables.jsonl, traces.jsonl, errors.jsonl.
-
-    Each record holds its question and evidence. Whole questions go through
-    ``mapper`` (see :func:`run_map`) and are gathered back in the records'
-    order. A record with no evidence sentences or a failed stage (its
-    provider failing included) becomes one error row and the others go on.
-    Returns the (id, table) pairs generated, in that order, and the error
-    rows; errors.jsonl is written only when there are any.
-    """
-    results = mapper(_generate, records, records.values(), repeat(chat), repeat(config.oneshot))
-    return _write_generation(records, results, out)
 
 
 def cmd_annotate(args) -> int:
@@ -316,7 +318,8 @@ def cmd_retrieve(args) -> int:
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions, documents)
     with _providers_and_map(config, ("rewriter", "embedder")) as (built, mapper):
-        _, recall = retrieve_stage(triples, documents, built, config, out, mapper)
+        records = dict(retrieve_stage(triples, documents, built, config, mapper))
+    recall = write_retrieval(triples, records, config.k, out)
     if recall:
         print("recall " + "  ".join(f"@{k}={mean:.4f}" for k, mean in recall["mean"].items()))
     print(f"retrieved for {len(triples)} questions")
@@ -327,7 +330,8 @@ def cmd_generate(args) -> int:
     config, out = _load_config(args)
     records = data.read_retrieval_records(args.retrieval)
     with _providers_and_map(config, ("chat",)) as (built, mapper):
-        generated, errors = generate_stage(records, built.chat, config, out, mapper)
+        _, tabtalks = generate_stage(records.items(), built.chat, config, mapper)
+        generated, errors = write_generation(tabtalks, out)
     print(f"generated {len(generated)} tables, {len(errors)} failures")
     return 0 if not errors else 1
 
@@ -411,15 +415,11 @@ def cmd_pipeline(args) -> int:
     documents = data.read_documents(config.docs)
     triples = data.read_triples(config.questions, documents)
     with _providers_and_map(config, ("chat", "rewriter", "embedder")) as (built, mapper):
-        # Each question's TabTalk, mapped on its own as soon as its record
-        # exists: a pool queues it then, the builtin map runs it when read.
-        tabtalks = {}
-
-        def generate_later(item_id: str, record: RetrievalRecord) -> None:
-            tabtalks[item_id] = mapper(_generate, [item_id], [record], [built.chat], [config.oneshot])
-
-        _, recall = retrieve_stage(triples, documents, built, config, out, mapper, generate_later)
-        generated, errors = _write_generation(tabtalks, map(next, tabtalks.values()), out)
+        ranked = retrieve_stage(triples, documents, built, config, mapper)
+        records, tabtalks = generate_stage(ranked, built.chat, config, mapper)
+        # Written before any TabTalk is read: a failed generation leaves them for ``generate``.
+        recall = write_retrieval(triples, records, config.k, out)
+        generated, errors = write_generation(tabtalks, out)
     if generated:
         recall_rows = {row["id"]: row["recall_at_k"] for row in recall.get("per_item", [])}
         groundtruth = {t.triple_id: t for t in triples}

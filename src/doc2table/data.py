@@ -11,10 +11,10 @@ the ";", what a line must refer to in the file it is read against:
              which :func:`split_sentences` segments); unique doc_id
   tables     {"table_id": str, "doc_id": str, "table_html": str,
               "question": str, not blank}; unique table_id; a known doc_id
-  triples    {"id": str, "doc_id": str, "question": str, "table_html": str,
-              "relevant_sentence_ids": [int >= 0]}; unique id; given the
-             documents, a known doc_id, a question that is not blank, and
-             relevant ids below that document's sentence count
+  triples    {"id": str, "doc_id": str, "question": str, not blank,
+              "table_html": str, "relevant_sentence_ids": [int >= 0]};
+             unique id; given the documents, a known doc_id and relevant
+             ids below that document's sentence count
   review     {"table_id": str, "match_id": "row,col",
               "status": "confirmed" | "rejected"}; unique
              (table_id, match_id) pair; a known table_id, and a match_id
@@ -339,18 +339,14 @@ def read_triples(path: str | Path, documents: dict[str, list[str]] | None = None
             raise InputFormatError(
                 path, line, "relevant_sentence_ids", "expected a list of non-negative integers"
             )
-        return QaTriple(
-            obj["id"],
-            _require(obj, "doc_id", str, path, line),
-            _require(obj, "question", str, path, line),
-            table,
-            tuple(ids),
-        )
+        doc_id = _require(obj, "doc_id", str, path, line)
+        question = _require(obj, "question", str, path, line)
+        if not question.strip():
+            raise InputFormatError(path, line, "question", "question is blank")
+        return QaTriple(obj["id"], doc_id, question, table, tuple(ids))
 
     def check(_, triple: QaTriple, line: int) -> None:
         _require_known(triple.doc_id, "doc_id", documents, path, line)
-        if not triple.question.strip():
-            raise InputFormatError(path, line, "question", "question is blank")
         count, last = len(documents[triple.doc_id]), max(triple.relevant_sentence_ids, default=-1)
         if last >= count:
             message = f"no sentence {last} in document {triple.doc_id!r}, which has {count}"

@@ -64,8 +64,6 @@ def rewrite_question(question: str, rewriter) -> QuestionRewrite:
     On provider failure or an empty decomposition the original question is
     the single sub-question and the result is flagged degraded.
     """
-    if not question.strip():
-        raise ValueError("question must be non-empty")
     try:
         outputs = [o.strip() for o in rewriter.rewrite("question", question)]
         outputs = [o for o in outputs if o]
@@ -125,8 +123,8 @@ def retrieve_top_k(
     sub_questions: list[str],
     sentence_vectors: Embeddings | None,
     embedder,
-    k: int = DEFAULT_TOP_K,
-    question: str = "",
+    k: int,
+    question: str,
     degraded: bool = False,
 ) -> RetrievalRecord:
     """Rank sentences by cosine against each sub-question; merge top-K round robin.
@@ -138,8 +136,6 @@ def retrieve_top_k(
     max(k, :data:`RANKING_DEPTH`) sentences, an exact prefix of the full
     ranking by (-score, id).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if not store:
         return RetrievalRecord(question, list(sub_questions), [], [], k, degraded)
 

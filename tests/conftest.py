@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from doc2table.cli import generate_stage, write_generation
+from doc2table.config import RunConfig
 from doc2table.html_io import parse_html_table
 from doc2table.model import CoordTree, HierarchicalTable
 
@@ -36,6 +38,12 @@ def make_flat_table(rows: int, cols: int, stub: str = "") -> HierarchicalTable:
     top = CoordTree.from_nested([f"c{j}" for j in range(cols)])
     body = tuple(tuple(f"v{i}{j}" for j in range(cols)) for i in range(rows))
     return HierarchicalTable(stub, left, top, body)
+
+
+def generate_and_write(records: dict, chat, out: Path, mapper=map) -> tuple[list, list[dict]]:
+    """``generate`` over ``records``: queue each question's TabTalk, then write the results in order."""
+    _, tabtalks = generate_stage(records.items(), chat, RunConfig(), mapper)
+    return write_generation(tabtalks, out)
 
 
 def stacked_header_html(levels: int) -> str:

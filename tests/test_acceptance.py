@@ -133,7 +133,9 @@ def test_retrieval_golden_ranking_and_recall():
         expected = golden[triple.triple_id]
         rewrite = rewrite_question(triple.question, rewriter)
         assert list(rewrite.sub_questions) == expected["sub_questions"]
-        record = retrieve_top_k(document, list(rewrite.sub_questions), vectors, embedder, k=30)
+        record = retrieve_top_k(
+            document, list(rewrite.sub_questions), vectors, embedder, 30, triple.question
+        )
 
         assert record.merged_ids() == expected["merged_ids"]
         for produced, (sid, score) in zip(record.merged, zip(expected["merged_ids"], expected["merged_scores"])):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from doc2table import annotate, cli, providers, retrieval
-from doc2table.cli import generate_stage, main, retrieve_stage, run_map
+from doc2table.cli import main, retrieve_stage, run_map
 from doc2table.config import BuiltProviders, RunConfig
 from doc2table.data import read_documents, read_retrieval_records, read_triples
 from doc2table.data import write_jsonl
@@ -33,7 +33,7 @@ from doc2table.providers import (
     request_fingerprint,
 )
 
-from conftest import FIXTURES, make_flat_table, stacked_header_html
+from conftest import FIXTURES, generate_and_write, make_flat_table, stacked_header_html
 from oracles import (
     brute_cosine_ranking,
     brute_round_robin,
@@ -916,6 +916,22 @@ class TestStats:
         )
         assert error["message"] == "no sentence 1 in document 'gamma_q3_2023', which has 1"
 
+    def test_blank_question_is_an_input_error_with_or_without_documents(self, tmp_path, capsys):
+        rows = read_jsonl_rows(PIPELINE / "questions.jsonl")
+        triples = tmp_path / "triples.jsonl"
+        write_jsonl(triples, [rows[0], {**rows[1], "question": " \t"}])
+        generated = PIPELINE / "golden" / "tables.jsonl"
+        for args in (
+            ["stats", "--triples", triples],
+            ["stats", "--triples", triples, "--docs", PIPELINE / "docs.jsonl"],
+            ["evaluate", "--generated", generated, "--groundtruth", triples, "--out", tmp_path / "o"],
+        ):
+            assert run(args) == 2, args
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert (error["file"], error["line"], error["field"]) == (str(triples), 2, "question")
+            assert error["message"] == "question is blank"
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_utf8_document_line_is_input_error(self, tmp_path, capsys):
         docs = tmp_path / "docs.jsonl"
         first, second = (PIPELINE / "docs.jsonl").read_bytes().splitlines(keepends=True)
@@ -992,7 +1008,7 @@ class TestRetrieveCommand:
         triples = [t for t in read_triples(PIPELINE / "questions.jsonl") if t.triple_id == "gamma"]
         embedder = CountingEmbedder()
         built = BuiltProviders(None, Rewriter(ScriptedProvider(rewrite)), embedder, [])
-        retrieve_stage(triples, documents, built, RunConfig(k=10), tmp_path)
+        list(retrieve_stage(triples, documents, built, RunConfig(k=10)))
         gamma = documents[triples[0].doc_id]
         assert len(gamma) == 6 and len(documents) == 2
         assert rewrites == ["sentence"] * 6 + ["question"]
@@ -1014,9 +1030,7 @@ class TestRetrieveCommand:
         embedder = CountingEmbedder()
         rewriter = Rewriter(ScriptedProvider(lambda request: {"outputs": [request["text"]]}))
         built = BuiltProviders(None, rewriter, embedder, [])
-        records, _ = retrieve_stage(
-            [acme, gamma, again], documents, built, RunConfig(k=10), tmp_path
-        )
+        records = dict(retrieve_stage([acme, gamma, again], documents, built, RunConfig(k=10)))
         assert embedder.batches == [
             documents[acme.doc_id],
             [acme.question],
@@ -1053,10 +1067,9 @@ class TestRetrieveCommand:
             assert short["per_question"] == [r[: max(k, 60)] for r in whole["per_question"]]
             assert short["merged"] == whole["merged"]
 
-        generate_stage(
+        generate_and_write(
             read_retrieval_records(tmp_path / "full" / "retrieval.jsonl"),
             ChatProvider(RecordingProvider(ScriptedProvider(handler), transcript)),
-            RunConfig(),
             tmp_path / "recorded",
         )
         transcript.save(tmp_path / "chat.jsonl")
@@ -1153,6 +1166,29 @@ class TestPipelineCommand:
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
         for path in golden.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_generation_leaves_the_retrieval_files_that_generate_reruns_from(
+        self, tmp_path, monkeypatch, workers
+    ):
+        def crash(*args, **kwargs):
+            raise RuntimeError("TabTalk crashed")
+
+        monkeypatch.setattr(cli, "run_tabtalk", crash)
+        out = tmp_path / "out"
+        config = write_pipeline_config(tmp_path, parallel=workers)
+        with pytest.raises(RuntimeError, match="TabTalk crashed"):
+            run(["pipeline", "--config", config, "--out", out])
+        golden = PIPELINE / "golden"
+        assert sorted(p.name for p in out.iterdir()) == ["recall.json", "retrieval.jsonl"]
+        for name in ("recall.json", "retrieval.jsonl"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+        monkeypatch.undo()
+        rerun = tmp_path / "rerun"
+        args = ["generate", "--config", config, "--retrieval", out / "retrieval.jsonl"]
+        assert run(args + ["--out", rerun]) == 0
+        for name in ("tables.jsonl", "traces.jsonl"):
+            assert (rerun / name).read_bytes() == (golden / name).read_bytes(), name
 
     def test_sentence_with_a_lone_surrogate_is_embedded(self, tmp_path):
         # The JSON escape "\ud800" decodes to a lone surrogate, which strict
@@ -1379,7 +1415,7 @@ class TestPerQuestionFailures:
         backend = HttpProvider("http://stub/chat", transport=Transport())
         chat = ChatProvider(backend)
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
-        generated, errors = generate_stage(records, chat, RunConfig(), tmp_path)
+        generated, errors = generate_and_write(records, chat, tmp_path)
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert [(e["id"], e["stage"]) for e in errors] == [("gamma", "structure")]
         assert "not a JSON object (got list)" in errors[0]["error"]
@@ -1430,9 +1466,7 @@ class TestPerQuestionFailures:
             return transcript.lookup(request)
 
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
-        generated, errors = generate_stage(
-            records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
-        )
+        generated, errors = generate_and_write(records, ChatProvider(ScriptedProvider(handler)), tmp_path)
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert errors == [
             {"id": "gamma", "stage": "fill", "error": "fill stage failed: connection reset"}
@@ -1454,9 +1488,7 @@ class TestPerQuestionFailures:
             return transcript.lookup(request)
 
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
-        generated, errors = generate_stage(
-            records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
-        )
+        generated, errors = generate_and_write(records, ChatProvider(ScriptedProvider(handler)), tmp_path)
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert errors == [
             {
@@ -1482,8 +1514,8 @@ class TestPerQuestionFailures:
 
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
         with run_map(2) as mapper:
-            generated, errors = generate_stage(
-                records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path, mapper
+            generated, errors = generate_and_write(
+                records, ChatProvider(ScriptedProvider(handler)), tmp_path, mapper
             )
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert [(row["id"], row["stage"]) for row in errors] == [("gamma", "fill")]
@@ -1509,9 +1541,7 @@ class TestPerQuestionFailures:
             return transcript.lookup(request)
 
         records = read_retrieval_records(PIPELINE / "golden" / "retrieval.jsonl")
-        generated, errors = generate_stage(
-            records, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
-        )
+        generated, errors = generate_and_write(records, ChatProvider(ScriptedProvider(handler)), tmp_path)
         assert [item_id for item_id, _ in generated] == ["acme_beta"]
         assert errors == [
             {
@@ -1586,7 +1616,7 @@ class TestRunMap:
         monkeypatch.setattr(cli, "run_tabtalk", later_first)
         chat = ChatProvider(ScriptedProvider(handler))
         with run_map(2) as mapper:
-            generated, errors = generate_stage(records, chat, RunConfig(), tmp_path, mapper)
+            generated, errors = generate_and_write(records, chat, tmp_path, mapper)
         assert later_first.returned.index(1) < later_first.returned.index(0)
         assert later_first.returned.index(3) < later_first.returned.index(2)
         assert [item_id for item_id, _ in generated] == ["acme_beta", "gamma"]
@@ -1675,6 +1705,36 @@ class TestSchedule:
         failed, retried = [(start, end) for start, end, r in transport.posts if r == failing]
         starts = [start for start, _, _ in transport.posts if failed[1] < start < retried[0]]
         assert max(sum(s <= at < e for s, e, _ in transport.posts) for at in starts) == 2
+
+    def test_a_ranked_questions_tabtalk_starts_while_a_later_document_waits_out_a_backoff(
+        self, tmp_path, live
+    ):
+        transcripts = {
+            "chat": Transcript.load(PIPELINE / "transcripts" / "chat_perfect.jsonl"),
+            "rewrite": Transcript.load(PIPELINE / "transcripts" / "rewrite.jsonl"),
+        }
+        first = read_documents(PIPELINE / "docs.jsonl")["gamma_q3_2023"][0]
+        failing = {"mode": "sentence", "text": first}
+        transport = TimedTransport(
+            lambda role, request: transcripts[role].lookup(request), 0.005, failing
+        )
+        live(transport, backoff=0.3)
+        config = write_pipeline_config(
+            tmp_path,
+            parallel=2,
+            chat={"mode": "live", "endpoint": "http://stub/chat"},
+            rewriter={"mode": "live", "endpoint": "http://stub/rewrite"},
+        )
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", config, "--out", out]) == 0
+        golden = PIPELINE / "golden"
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        # The first question's TabTalk was queued as soon as its record was
+        # ranked, not after the second document's rewrites were all in.
+        _, (_, retry_end) = [(start, end) for start, end, r in transport.posts if r == failing]
+        first_chat = min(start for start, _, r in transport.posts if "messages" in r)
+        assert first_chat < retry_end
 
     def test_parallel_one_keeps_the_call_order(self, tmp_path, monkeypatch):
         calls = []

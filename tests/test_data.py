@@ -300,6 +300,19 @@ class TestTriples:
             read_triples(path)
         assert (excinfo.value.field, excinfo.value.reason) == ("question", "expected str, got int")
 
+    @pytest.mark.parametrize("question", ["", " \t\n"])
+    def test_blank_question_is_rejected_with_or_without_documents(self, tmp_path, question):
+        path = tmp_path / "triples.jsonl"
+        row = {"id": "t", "doc_id": "d", "question": "q",
+               "table_html": serialize_html(make_flat_table(1, 1))}
+        write_jsonl(path, [row, {**row, "id": "u", "question": question}])
+        for documents in (None, {"d": ["x"]}):
+            with pytest.raises(InputFormatError) as excinfo:
+                read_triples(path, documents)
+            assert (excinfo.value.line, excinfo.value.field, excinfo.value.reason) == (
+                2, "question", "question is blank"
+            )
+
     def test_non_string_id_rejected(self, tmp_path):
         path = tmp_path / "triples.jsonl"
         write_jsonl(path, [{"id": 7, "doc_id": "d", "question": "q", "table_html": "x"}])

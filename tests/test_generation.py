@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from doc2table.cli import generate_stage, run_map
-from doc2table.config import RunConfig
+from doc2table.cli import run_map
 from doc2table.data import RetrievalRecord
 from doc2table.generation import (
     ResponseParseError,
@@ -34,6 +33,8 @@ from doc2table.providers import (
     Transcript,
 )
 from doc2table.treedist import teds
+
+from conftest import generate_and_write
 
 PROMPTS = Path(__file__).parent / "fixtures" / "prompts"
 
@@ -407,8 +408,8 @@ class TestRunTabTalk:
             QUESTION, [QUESTION], [], [(sid, 1.0) for sid, _ in SENTENCES], 5,
             sentence_texts=dict(SENTENCES),
         )
-        generated, errors = generate_stage(
-            {"q": record}, ChatProvider(ScriptedProvider(handler)), RunConfig(), tmp_path
+        generated, errors = generate_and_write(
+            {"q": record}, ChatProvider(ScriptedProvider(handler)), tmp_path
         )
         assert generated == []
         assert errors == [{"id": "q", "stage": "structure", "error": f"structure stage failed: {reason}"}]
@@ -496,7 +497,7 @@ class TestQuestionsThroughTheRunMap:
         chat = ChatProvider(RecordingProvider(ScriptedProvider(perfect_handler(table)), transcript))
         out = tmp_path / f"workers-{workers}"
         with run_map(workers) as mapper:
-            generated, errors = generate_stage(records, chat, RunConfig(), out, mapper)
+            generated, errors = generate_and_write(records, chat, out, mapper)
         assert errors == []
         assert [serialize_html(t) for _, t in generated] == [html] * len(records)
         transcript.save(out / "transcript.jsonl")
